@@ -22,7 +22,7 @@ from .errors import (
     WrongConstantTerm,
 )
 from .exactalg import QMatrix, as_fraction, format_rational, parse_rational
-from .modcore import ModuleMap, PolySubmodule
+from .modcore import ModuleMap, PolySubmodule, _intertwiner_kernel
 from .multipoly import (
     MultiIndex,
     Poly,
@@ -632,17 +632,7 @@ def endomorphism_space_dim(module: PolySubmodule) -> int:
     """Dimension of the space of all linear maps commuting with every
     partial-derivative action on the submodule."""
     mats = module.action_matrices()
-    d = module.dim
-    rows = []
-    for s in mats:
-        for a in range(d):
-            for c in range(d):
-                row = [Fraction(0)] * (d * d)
-                for b in range(d):
-                    row[a * d + b] += s.entries[b][c]
-                    row[b * d + c] -= s.entries[a][b]
-                rows.append(row)
-    return QMatrix(rows, cols=d * d).kernel().dim if rows else d * d
+    return _intertwiner_kernel(mats, mats, module.dim).dim
 
 
 def restricted_series_dim(module: PolySubmodule) -> int:

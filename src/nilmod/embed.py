@@ -3,14 +3,28 @@
 The polynomial space in n variables is a module where x_i acts as
 d/dx_i.  Every finite-dimensional nilpotent module whose socle is a
 single line embeds into it, the image is unique, and equality of images
-decides isomorphism.  Modules with a rational joint eigenvalue tuple
-reduce to the nilpotent case by twisting and land in an exponentially
-weighted copy instead.
+decides isomorphism.
+
+The embedding is Macaulay's inverse-system map.  Pick a functional
+lambda that is nonzero on the socle line; then
+
+    phi(v) = sum over alpha of lambda(S^alpha v) x^alpha / alpha!
+
+satisfies d/dx_i phi(v) = phi(S_i v).  It is injective because every
+nonzero submodule contains the socle line.  Its image is the set of
+polynomials killed by every operator f(d/dx) with f(S) = 0, which does
+not depend on lambda.  The row vectors lambda S^alpha come from one
+breadth-first pass over the exponents alpha, so nothing is restricted,
+inverted or integrated.
+
+Modules with a rational joint eigenvalue tuple reduce to the nilpotent
+case by twisting and land in an exponentially weighted copy instead.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -20,19 +34,19 @@ from .errors import (
     NotNilpotent,
     SocleNotOneDimensional,
 )
-from .exactalg import QMatrix, Subspace, Vector
+from .exactalg import QMatrix, Vector, standard_basis_vector
 from .modcore import (
     ExpSubmodule,
     FDModule,
     ModuleMap,
     PolySubmodule,
-    codim1_submodule,
+    _intertwiner_kernel,
+    _joint_kernel,
     is_nilpotent,
-    socle,
     socle_eigenvalues,
     twist,
 )
-from .multipoly import Poly
+from .multipoly import MultiIndex, Poly, multi_factorial
 
 
 class EmbeddingResult:
@@ -84,56 +98,76 @@ def potential(fs: Sequence[Poly], n: int) -> Poly:
     return h
 
 
-def _check_embeddable(module: FDModule) -> None:
-    if not is_nilpotent(module):
-        raise NotNilpotent("only nilpotent modules embed into the derivative module")
+def _socle_line(module: FDModule) -> Vector:
+    """The RREF basis vector of the socle of a module already known to
+    be nilpotent; raises unless the socle is a single line."""
     if module.dim == 0:
         raise SocleNotOneDimensional("the zero module has no socle line")
-    if socle(module).dim != 1:
-        raise SocleNotOneDimensional(
-            f"socle has dimension {socle(module).dim}, not 1"
-        )
+    space = _joint_kernel(module)
+    if space.dim != 1:
+        raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
+    return space.basis[0]
 
 
-def _embed_recursive(
-    module: FDModule, rng: Optional[random.Random]
-) -> tuple[PolySubmodule, list[Poly]]:
-    """Returns the image and the image polynomial of each basis vector."""
-    n, d = module.n, module.dim
-    if d == 1:
-        return PolySubmodule(n, [Poly.one(n)]), [Poly.one(n)]
-    w, restriction, v0 = codim1_submodule(module, rng)
-    sub_image, sub_polys = _embed_recursive(restriction, rng)
+def _functional(s: Vector, rng: Optional[random.Random]) -> Vector:
+    """A functional that is nonzero on the socle vector s.
 
-    def phi_w(coords: Vector) -> Poly:
-        out = Poly.zero(n)
-        for c, p in zip(coords, sub_polys):
+    Without an rng: the coordinate at the pivot of s, where s has entry 1.
+    With one: small random integers, redrawn until the value on s is
+    nonzero.
+    """
+    if rng is None:
+        pivot = next(j for j, x in enumerate(s) if x != 0)
+        return standard_basis_vector(len(s), pivot)
+    while True:
+        lam = tuple(Fraction(rng.randint(-4, 4)) for _ in s)
+        if sum(a * b for a, b in zip(lam, s)) != 0:
+            return lam
+
+
+def _inverse_system(module: FDModule, lam: Vector) -> list[Poly]:
+    """phi(e_j) = sum over alpha of (lam S^alpha)[j] x^alpha / alpha!.
+
+    Breadth-first over alpha with lam S^(alpha + e_i) = (lam S^alpha) S_i.
+    The action commutes, so one row per alpha suffices; a zero row has
+    only zero successors and is not extended.  Nilpotency ends the search.
+    """
+    n = module.n
+    transposes = [m.transpose() for m in module.matrices]
+    zero = (0,) * n
+    rows: dict[MultiIndex, Vector] = {zero: lam}
+    queue = deque([zero])
+    while queue:
+        alpha = queue.popleft()
+        row = rows[alpha]
+        for i, t in enumerate(transposes):
+            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+            if beta in rows:
+                continue
+            rows[beta] = t.apply(row)
+            if any(x != 0 for x in rows[beta]):
+                queue.append(beta)
+    terms: list[dict[MultiIndex, Fraction]] = [{} for _ in lam]
+    for alpha, row in rows.items():
+        weight = multi_factorial(alpha)
+        for j, c in enumerate(row):
             if c != 0:
-                out = out + p.scale(c)
-        return out
+                terms[j][alpha] = c / weight
+    return [Poly(n, t) for t in terms]
 
-    fs = []
-    for i in range(1, n + 1):
-        coords = w.coordinates_of(module.action(i).apply(v0))
-        assert coords is not None, "images of the action lie inside the hyperplane"
-        fs.append(phi_w(coords))
-    h = potential(fs, n)
-    assert not sub_image.contains(h), "the new potential must leave the image"
-    image = PolySubmodule(n, list(sub_image.basis) + [h])
 
-    # Express each standard basis vector over (basis of W, v0) to extend
-    # the map by v0 -> h.
-    change = QMatrix(list(w.basis) + [v0], cols=d).transpose()
-    inv = change.inverse()
-    assert inv is not None, "hyperplane basis plus complement vector spans"
-    polys = []
-    for m in range(d):
-        coeffs = inv.column(m)
-        p = phi_w(coeffs[: d - 1])
-        if coeffs[d - 1] != 0:
-            p = p + h.scale(coeffs[d - 1])
-        polys.append(p)
-    return image, polys
+def _embed_checked(
+    module: FDModule, rng: Optional[random.Random]
+) -> EmbeddingResult:
+    """embed_nilpotent for a module already known to be nilpotent."""
+    lam = _functional(_socle_line(module), rng)
+    polys = _inverse_system(module, lam)
+    image = PolySubmodule(module.n, polys)
+    assert image.dim == module.dim, "the embedding must be injective"
+    images = QMatrix.from_columns(
+        [image.coordinates_of(p) for p in polys], rows=image.dim
+    )
+    return EmbeddingResult(image, ModuleMap(module, image, images))
 
 
 def embed_nilpotent(
@@ -141,21 +175,16 @@ def embed_nilpotent(
 ) -> EmbeddingResult:
     """Embed a nilpotent module with one-dimensional socle.
 
-    Recursive construction: peel off a codimension-1 submodule, embed
-    it, and integrate the images of the complement vector's action to
-    extend the map.  The optional rng randomizes the internal
-    hyperplane choices; the image is the same either way.
+    Basis vector e_j maps to sum over alpha of lambda(S^alpha e_j)
+    x^alpha / alpha!, Macaulay's inverse-system map.  By default lambda
+    is the coordinate at the pivot of the socle's RREF basis vector.  An
+    rng draws lambda with small random integer entries instead (redrawn
+    until it is nonzero on the socle); the map changes with lambda, the
+    image does not.
     """
-    _check_embeddable(module)
-    image, polys = _embed_recursive(module, rng)
-    columns = []
-    for p in polys:
-        coords = image.coordinates_of(p)
-        assert coords is not None
-        columns.append(coords)
-    images = QMatrix.from_columns(columns, rows=image.dim)
-    assert images.rank() == module.dim, "the embedding must be injective"
-    return EmbeddingResult(image, ModuleMap(module, image, images))
+    if not is_nilpotent(module):
+        raise NotNilpotent("only nilpotent modules embed into the derivative module")
+    return _embed_checked(module, rng)
 
 
 def canonical_form(
@@ -180,19 +209,7 @@ def is_isomorphic(first: FDModule, second: FDModule) -> bool:
 def _intertwiner_space(first: FDModule, second: FDModule) -> list[QMatrix]:
     """Basis of {P : P S_i = T_i P for all i} as d x d matrices."""
     d = first.dim
-    rows = []
-    for s, t in zip(first.matrices, second.matrices):
-        for a in range(d):
-            for c in range(d):
-                row = [Fraction(0)] * (d * d)
-                for b in range(d):
-                    row[a * d + b] += s.entries[b][c]
-                    row[b * d + c] -= t.entries[a][b]
-                rows.append(row)
-    if not rows:
-        kernel = Subspace.full(d * d)
-    else:
-        kernel = QMatrix(rows, cols=d * d).kernel()
+    kernel = _intertwiner_kernel(first.matrices, second.matrices, d)
     return [
         QMatrix([v[r * d : (r + 1) * d] for r in range(d)], cols=d)
         for v in kernel.basis
@@ -274,12 +291,22 @@ def embed_general(
     eigenvalue_i + d/dx_i, and the returned map intertwines exactly that
     action.
     """
-    alpha = socle_eigenvalues(module)
-    twisted = twist(module, alpha)
-    if not is_nilpotent(twisted):
-        raise SocleNotOneDimensional(
-            "the action is not nilpotent after twisting by the socle eigenvalues"
+    d = module.dim
+    if d > 0:
+        # S_i - a_i I nilpotent forces trace zero, so a_i = tr(S_i) / d is
+        # the only candidate; one nilpotency check of the twist decides.
+        alpha = tuple(
+            sum(m.entries[k][k] for k in range(d)) / d for m in module.matrices
         )
-    result = embed_nilpotent(twisted, rng)
-    weighted = ExpSubmodule(alpha, result.image)
-    return weighted, ModuleMap(module, weighted, result.map.images)
+        twisted = twist(module, alpha)
+        if is_nilpotent(twisted):
+            result = _embed_checked(twisted, rng)
+            weighted = ExpSubmodule(alpha, result.image)
+            return weighted, ModuleMap(module, weighted, result.map.images)
+    # socle_eigenvalues raises the typed error that says why.  If it finds
+    # one rational tuple anyway, its twist is not nilpotent: a nilpotent
+    # twist would have been the trace candidate above.
+    socle_eigenvalues(module)
+    raise SocleNotOneDimensional(
+        "the action is not nilpotent after twisting by the socle eigenvalues"
+    )

@@ -2,9 +2,9 @@
 
 A module is a rational vector space together with n pairwise-commuting
 matrices giving the action of the variables.  This layer owns
-validation, nilpotency, socles, codimension-1 submodules, twisting by a
-rational shift of the variables, the bridge to derivative-closed
-polynomial subspaces, and seeded random generators for tests.
+validation, nilpotency, socles, twisting by a rational shift of the
+variables, the bridge to derivative-closed polynomial subspaces, and
+seeded random generators for tests.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .exactalg import (
     Vector,
     format_rational,
     parse_rational,
-    standard_basis_vector,
     vector,
 )
 from .multipoly import (
@@ -132,10 +131,13 @@ def socle(module: FDModule) -> Subspace:
     """Intersection of the kernels of all action matrices."""
     if not is_nilpotent(module):
         raise NotNilpotent("socle is only computed for nilpotent modules")
-    result = Subspace.full(module.dim)
-    for m in module.matrices:
-        result = result.intersect(m.kernel())
-    return result
+    return _joint_kernel(module)
+
+
+def _joint_kernel(module: FDModule) -> Subspace:
+    """Common kernel of the action matrices: the kernel of their stack."""
+    stacked = [row for m in module.matrices for row in m.entries]
+    return QMatrix(stacked, cols=module.dim).kernel()
 
 
 def _restriction_matrix(m: QMatrix, space: Subspace) -> QMatrix:
@@ -149,54 +151,23 @@ def _restriction_matrix(m: QMatrix, space: Subspace) -> QMatrix:
     return QMatrix.from_columns(columns, rows=space.dim)
 
 
-def restrict_module(module: FDModule, space: Subspace) -> FDModule:
-    """The module's action on an invariant subspace, in that subspace's basis."""
-    return FDModule(module.n, [_restriction_matrix(m, space) for m in module.matrices])
-
-
-def codim1_submodule(
-    module: FDModule, rng: Optional[random.Random] = None
-) -> tuple[Subspace, FDModule, Vector]:
-    """A codimension-1 invariant subspace W, the restricted module, and a
-    complement vector v_0.
-
-    W contains U = sum of the images of all action matrices (so it is
-    automatically invariant) and is completed to dimension d-1 with
-    standard basis vectors in index order; v_0 is the first standard
-    basis vector outside W.  Passing an rng completes U with random
-    vectors instead, which is how choice-independence of downstream
-    canonical forms gets exercised.
-    """
-    d = module.dim
-    image_sum = Subspace.zero(d)
-    for m in module.matrices:
-        image_sum = image_sum.sum(
-            Subspace.from_vectors(d, [m.column(j) for j in range(d)])
-        )
-    if image_sum.dim >= d:
-        raise NotNilpotent("the images of the action matrices span the whole space")
-    w = image_sum
-    if rng is None:
-        for j in range(d):
-            if w.dim == d - 1:
-                break
-            candidate = w.sum(Subspace.from_vectors(d, [standard_basis_vector(d, j)]))
-            if candidate.dim > w.dim:
-                w = candidate
-    else:
-        while w.dim < d - 1:
-            v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(d))
-            candidate = w.sum(Subspace.from_vectors(d, [v]))
-            if candidate.dim > w.dim:
-                w = candidate
-    v0 = None
-    for j in range(d):
-        e = standard_basis_vector(d, j)
-        if not w.contains(e):
-            v0 = e
-            break
-    assert v0 is not None, "a proper subspace misses some standard basis vector"
-    return w, restrict_module(module, w), v0
+def _intertwiner_kernel(
+    sources: Sequence[QMatrix], targets: Sequence[QMatrix], d: int
+) -> Subspace:
+    """Solution space of P S_i = T_i P for all i, over d x d matrices P
+    flattened row by row."""
+    rows = []
+    for s, t in zip(sources, targets):
+        for a in range(d):
+            for c in range(d):
+                row = [Fraction(0)] * (d * d)
+                for b in range(d):
+                    row[a * d + b] += s.entries[b][c]
+                    row[b * d + c] -= t.entries[a][b]
+                rows.append(row)
+    if not rows:
+        return Subspace.full(d * d)
+    return QMatrix(rows, cols=d * d).kernel()
 
 
 def twist(module: FDModule, shift: Sequence) -> FDModule:

@@ -187,7 +187,7 @@ def test_criterion_03_canonical_uniqueness(capsys):
         ok = ok and canonical_form(module, rng=random.Random(count)) == base
     _report(
         capsys, 3,
-        "canonical_form: invariant under conjugation and random hyperplanes",
+        "canonical_form: invariant under conjugation and random functionals",
         ok, time.perf_counter() - start, 60,
     )
 

@@ -29,6 +29,7 @@ from nilmod.errors import (
 from nilmod.exactalg import QMatrix, standard_basis_vector
 from nilmod.modcore import (
     action_matrices,
+    as_matrices,
     random_nilpotent_module,
     submodule_from_polys,
     twist,
@@ -218,6 +219,65 @@ def test_embedding_result_json():
     assert len(blob["map"]) == mod.dim
 
 
+# Planted generators at n = 1, 2, 3 whose derivative closures have
+# dimension 10, 9 and 8.
+PLANTED = [
+    (1, {(9,): 1, (4,): -3, (1,): 2}),
+    (2, {(4, 0): 1, (3, 1): -2, (2, 2): 3, (1, 3): 1, (0, 4): -1, (1, 1): 2}),
+    (3, {(3, 0, 0): 1, (1, 1, 1): 2, (0, 2, 1): -1, (0, 0, 3): 3, (1, 0, 1): 1}),
+]
+
+
+@pytest.mark.parametrize("n, terms", PLANTED, ids=["n=1", "n=2", "n=3"])
+def test_embed_dense_conjugate_of_planted_module(n, terms):
+    planted = submodule_from_polys(n, [Poly(n, terms)])
+    assert 8 <= planted.dim <= 12
+    plain, _ = as_matrices(planted)
+    dense = conjugate(plain, random_invertible(random.Random(n), planted.dim))
+    assert sum(x != 0 for m in dense.matrices for row in m.entries for x in row) > (
+        planted.dim**2 // 2
+    )
+    result = embed_nilpotent(dense)
+    assert result.image == planted
+    assert canonical_form(dense) == planted
+    assert result.map.is_isomorphism()
+
+
+def test_embed_rng_changes_the_map_not_the_image():
+    mod = random_nilpotent_module(2, 3, seed=12)
+    default = embed_nilpotent(mod)
+    maps = set()
+    for seed in range(5):
+        result = embed_nilpotent(mod, rng=random.Random(seed))
+        assert result.image == default.image
+        assert result.map.is_isomorphism()
+        maps.add(result.map.images)
+    assert maps - {default.map.images}
+
+
+def test_one_nilpotency_check_per_embedding(monkeypatch):
+    import nilmod.embed
+    import nilmod.modcore
+
+    calls = []
+    original = nilmod.modcore.is_nilpotent
+
+    def counting(module):
+        calls.append(module)
+        return original(module)
+
+    monkeypatch.setattr(nilmod.embed, "is_nilpotent", counting)
+    monkeypatch.setattr(nilmod.modcore, "is_nilpotent", counting)
+    for seed in range(4):
+        mod = random_nilpotent_module(2, 2, seed=seed)
+        calls.clear()
+        embed_nilpotent(mod)
+        assert len(calls) == 1
+        calls.clear()
+        embed_general(twist(mod, [Fraction(-2), Fraction(1, 3)]))
+        assert len(calls) == 1
+
+
 # --- canonical forms ----------------------------------------------------------
 
 def test_canonical_form_conjugation_invariant():
@@ -350,6 +410,14 @@ def test_embed_general_action_identity_by_hand():
                 )
                 expected = polys[j].scale(alpha[i - 1]) + polys[j].partial(i)
                 assert mapped == expected
+
+
+def test_embed_general_large_prime_eigenvalue():
+    p = 10000000000000061
+    image, bridge = embed_general(validate([QMatrix([[p]])]))
+    assert image.eigenvalues == (Fraction(p),)
+    assert image.dim == 1
+    assert bridge.is_isomorphism()
 
 
 def test_embed_general_rotation_fails():

@@ -25,10 +25,8 @@ from nilmod.modcore import (
     PolySubmodule,
     action_matrices,
     as_matrices,
-    codim1_submodule,
     is_nilpotent,
     random_nilpotent_module,
-    restrict_module,
     socle,
     socle_eigenvalues,
     submodule_from_polys,
@@ -199,65 +197,6 @@ def test_socle_matches_stacked_nullspace_oracle():
 def test_socle_requires_nilpotent():
     with pytest.raises(NotNilpotent):
         socle(validate([QMatrix.identity(2)]))
-
-
-# --- codimension-1 submodules ----------------------------------------------
-
-def test_codim1_dim_one_module():
-    w, restriction, v0 = codim1_submodule(validate([QMatrix.zeros(1, 1)]))
-    assert w == Subspace.zero(1)
-    assert restriction.dim == 0
-    assert v0 == standard_basis_vector(1, 0)
-
-
-def test_codim1_jordan_two():
-    w, restriction, v0 = codim1_submodule(validate([E12]))
-    assert w == Subspace.from_vectors(2, [standard_basis_vector(2, 0)])
-    assert v0 == standard_basis_vector(2, 1)
-    assert restriction.matrices[0] == QMatrix.zeros(1, 1)
-
-
-def test_codim1_invariance_properties():
-    rng = random.Random(229)
-    for seed in range(12):
-        mod = random_nilpotent_module(2, 3, seed=seed)
-        if mod.dim < 2:
-            continue
-        w, restriction, v0 = codim1_submodule(mod)
-        assert w.dim == mod.dim - 1
-        assert not w.contains(v0)
-        for m in mod.matrices:
-            assert w.contains(m.apply(v0))
-            for b in w.basis:
-                assert w.contains(m.apply(b))
-        assert is_nilpotent(restriction)
-        # randomized hyperplanes still work and still absorb every image
-        w2, _, v02 = codim1_submodule(mod, rng)
-        assert w2.dim == mod.dim - 1
-        assert not w2.contains(v02)
-        for m in mod.matrices:
-            for j in range(mod.dim):
-                assert w2.contains(m.column(j))
-
-
-def test_codim1_rejects_non_nilpotent():
-    with pytest.raises(NotNilpotent):
-        codim1_submodule(validate([QMatrix.identity(2)]))
-
-
-def test_restrict_module_reproduces_action():
-    mod = random_nilpotent_module(2, 3, seed=5)
-    if mod.dim < 2:
-        pytest.skip("degenerate draw")
-    w, restriction, _ = codim1_submodule(mod)
-    for s_big, s_small in zip(mod.matrices, restriction.matrices):
-        for j, b in enumerate(w.basis):
-            image = s_big.apply(b)
-            coords = w.coordinates_of(image)
-            assert coords is not None
-            assert list(coords) == list(s_small.column(j))
-    again = restrict_module(mod, w)
-    assert again == restriction
 
 
 # --- twisting ----------------------------------------------------------------
