@@ -21,7 +21,7 @@ from .diffop import (
 )
 from .embed import brute_force_isomorphic, embed_general, embed_nilpotent, is_isomorphic
 from .errors import IncompatibleMap, NilmodError, NonCommuting
-from .exactalg import QMatrix, format_rational
+from .exactalg import QMatrix, as_int, format_rational
 from .modcore import (
     FDModule,
     ModuleMap,
@@ -95,7 +95,7 @@ def _cmd_embed_general(args) -> dict:
 
 def _cmd_extract_endo(args) -> dict:
     data = _read_json(args.table)
-    n = data["n"]
+    n = as_int(data["n"])
     degree = args.trunc if args.trunc is not None else data["degree"]
     images = {}
     for item in data["images"]:

@@ -21,7 +21,7 @@ from .errors import (
     TruncationTooLow,
     WrongConstantTerm,
 )
-from .exactalg import QMatrix, as_fraction, format_rational, parse_rational
+from .exactalg import QMatrix, as_fraction, as_int, format_rational, parse_rational
 from .modcore import ModuleMap, PolySubmodule, _intertwiner_kernel
 from .multipoly import (
     MultiIndex,
@@ -276,11 +276,12 @@ class MonomialSubmodule:
     __slots__ = ("n", "indices")
 
     def __init__(self, n: int, indices):
+        n = as_int(n)
         indices = frozenset(tuple(a) for a in indices)
         if not indices:
             raise ValueError("a monomial submodule needs at least the origin")
         for alpha in indices:
-            if len(alpha) != n or any(a < 0 for a in alpha):
+            if len(alpha) != n or any(a < 0 or isinstance(a, bool) for a in alpha):
                 raise ValueError(f"bad exponent vector {alpha}")
         if not is_lower_set(indices):
             raise ValueError("the exponent set is not a lower set")
@@ -344,7 +345,8 @@ def restrict(s: DiffOpSeries, module: MonomialSubmodule) -> ModuleMap:
     columns = []
     for p in space.basis:
         coords = space.coordinates_of(s.apply(p))
-        assert coords is not None, "a lower set is stable under every d^alpha"
+        if coords is None:
+            raise AssertionError("a lower set is stable under every d^alpha")
         columns.append(coords)
     return ModuleMap(space, space, QMatrix.from_columns(columns, rows=space.dim))
 
@@ -403,7 +405,8 @@ def extend_iso_step(
 
     def phi_of(p: Poly) -> Poly:
         coords = source.coordinates_of(p)
-        assert coords is not None
+        if coords is None:
+            raise AssertionError("phi is only applied inside the source")
         out = Poly.zero(n)
         for c, q in zip(coords, image_polys):
             if c != 0:
@@ -415,7 +418,8 @@ def extend_iso_step(
     # (one degree lower) all lie inside the source.
     gs = [phi_of(new_monomial.partial(i)) for i in range(1, n + 1)]
     g = potential(gs, n)
-    assert not target.contains(g), "the extension image must be new"
+    if target.contains(g):
+        raise AssertionError("the extension image must be new")
 
     new_source = PolySubmodule(n, list(source.basis) + [new_monomial])
     new_target = PolySubmodule(n, list(target.basis) + [g])
@@ -427,7 +431,8 @@ def extend_iso_step(
     columns = []
     for q in new_source.basis:
         coeffs = decompose.solve(poly_to_vector(q, new_source.monomial_list))
-        assert coeffs is not None
+        if coeffs is None:
+            raise AssertionError("the new source is spanned by the old basis and x^kappa")
         image = Poly.zero(n)
         for c, p in zip(coeffs[:-1], image_polys):
             if c != 0:
@@ -435,7 +440,8 @@ def extend_iso_step(
         if coeffs[-1] != 0:
             image = image + g.scale(coeffs[-1])
         coords = new_target.coordinates_of(image)
-        assert coords is not None
+        if coords is None:
+            raise AssertionError("every image lies in the new target")
         columns.append(coords)
     extended = ModuleMap(
         new_source, new_target, QMatrix.from_columns(columns, rows=new_target.dim)
@@ -648,7 +654,8 @@ def restricted_series_dim(module: PolySubmodule) -> int:
         columns = []
         for p in module.basis:
             coords = module.coordinates_of(p.partial_multi(beta))
-            assert coords is not None
+            if coords is None:
+                raise AssertionError("the submodule is closed under differentiation")
             columns.append(coords)
         mat = QMatrix.from_columns(columns, rows=d)
         flat.append([mat.entries[r][c] for r in range(d) for c in range(d)])
@@ -689,7 +696,8 @@ def restriction_kernel_dim(module: MonomialSubmodule, trunc: int) -> int:
         columns = []
         for p in space.basis:
             coords = space.coordinates_of(p.partial_multi(alpha))
-            assert coords is not None
+            if coords is None:
+                raise AssertionError("a lower set is stable under every d^alpha")
             columns.append(coords)
         mat = QMatrix.from_columns(columns, rows=d)
         rows.append([mat.entries[r][c] for r in range(d) for c in range(d)])

@@ -34,7 +34,14 @@ from .errors import (
     NotNilpotent,
     SocleNotOneDimensional,
 )
-from .exactalg import QMatrix, Vector, standard_basis_vector
+from .exactalg import (
+    QMatrix,
+    Vector,
+    _columns,
+    _int_matmul,
+    _integer_rows,
+    standard_basis_vector,
+)
 from .modcore import (
     ExpSubmodule,
     FDModule,
@@ -131,28 +138,33 @@ def _inverse_system(module: FDModule, lam: Vector) -> list[Poly]:
     Breadth-first over alpha with lam S^(alpha + e_i) = (lam S^alpha) S_i.
     The action commutes, so one row per alpha suffices; a zero row has
     only zero successors and is not extended.  Nilpotency ends the search.
+    The rows are integer vectors: with S_i = M_i / D and lam = l / L over
+    common denominators, lam S^alpha = (l M^alpha) / (L D^|alpha|), and
+    each coefficient is divided once, when it is written.
     """
-    n = module.n
-    transposes = [m.transpose() for m in module.matrices]
+    n, d = module.n, module.dim
+    ints, den = _integer_rows([row for m in module.matrices for row in m.entries])
+    columns = [_columns(ints[i * d : (i + 1) * d], d) for i in range(n)]
+    (start,), lam_den = _integer_rows([lam])
     zero = (0,) * n
-    rows: dict[MultiIndex, Vector] = {zero: lam}
+    rows: dict[MultiIndex, list[int]] = {zero: start}
     queue = deque([zero])
     while queue:
         alpha = queue.popleft()
         row = rows[alpha]
-        for i, t in enumerate(transposes):
+        for i, cols in enumerate(columns):
             beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
             if beta in rows:
                 continue
-            rows[beta] = t.apply(row)
-            if any(x != 0 for x in rows[beta]):
+            (rows[beta],) = _int_matmul([row], cols)
+            if any(rows[beta]):
                 queue.append(beta)
     terms: list[dict[MultiIndex, Fraction]] = [{} for _ in lam]
     for alpha, row in rows.items():
-        weight = multi_factorial(alpha)
+        weight = lam_den * den ** sum(alpha) * multi_factorial(alpha)
         for j, c in enumerate(row):
-            if c != 0:
-                terms[j][alpha] = c / weight
+            if c:
+                terms[j][alpha] = Fraction(c, weight)
     return [Poly(n, t) for t in terms]
 
 
@@ -163,7 +175,8 @@ def _embed_checked(
     lam = _functional(_socle_line(module), rng)
     polys = _inverse_system(module, lam)
     image = PolySubmodule(module.n, polys)
-    assert image.dim == module.dim, "the embedding must be injective"
+    if image.dim != module.dim:
+        raise AssertionError("the embedding must be injective")
     images = QMatrix.from_columns(
         [image.coordinates_of(p) for p in polys], rows=image.dim
     )

@@ -1,21 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of `fractions.Fraction` entries with reduced row-echelon
-forms, kernels, solving, and a small lattice of subspaces (sum,
-intersection, membership).  Everything is exact: no floats, no
-tolerances.  All values are immutable after construction and all
-operations are pure functions.
+Matrices, vectors and subspaces take and return `fractions.Fraction`
+entries: reduced row-echelon forms, kernels, solving, determinants and
+a small lattice of subspaces (sum, intersection, membership).  Inside,
+the loops run on integer rows over one common denominator, so no gcd is
+paid per multiply or add.  Elimination is fraction-free (Gauss-Jordan,
+each row kept primitive; Bareiss for determinants), and results are
+turned back into `Fraction`s once, at the end.  Everything is exact: no
+floats, no tolerances.  All values are immutable after construction and
+all operations are pure functions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_ZERO = Fraction(0)
 
 
 def format_rational(x: Fraction) -> str:
@@ -35,13 +42,94 @@ def parse_rational(s: str) -> Fraction:
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise ValueError(f"expected an exact rational, got the boolean {x}")
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def as_int(x) -> int:
+    """An integer read from input; bools, which Python counts as ints,
+    are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def vector(entries: Iterable) -> Vector:
     return tuple(as_fraction(x) for x in entries)
+
+
+# --- the integer core --------------------------------------------------
+
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Rational rows as (integer rows, D) with rows == integer rows / D,
+    where D is the least common denominator of all entries."""
+    den = lcm(*{x.denominator for row in rows for x in row})
+    if den == 1:
+        return [[x.numerator for x in row] for row in rows], 1
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _int_matmul(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer product: entry (i, j) is the dot product of rows[i] with
+    columns[j], so pass the columns of the right factor."""
+    return [[sum(map(mul, row, col)) for col in columns] for row in rows]
+
+
+def _columns(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """The columns of a matrix given by its rows (width for no rows)."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _fraction_row(row: Sequence[int], den: int) -> Vector:
+    return tuple(Fraction(x, den) if x else _ZERO for x in row)
+
+
+def _primitive_row(row: Sequence[int]) -> Optional[Sequence[int]]:
+    """row divided by the gcd of its entries; None for a zero row."""
+    content = gcd(*row)
+    if content == 0:
+        return None
+    return row if content == 1 else [x // content for x in row]
+
+
+def _combine(row: Sequence[int], prow: Sequence[int], c: int) -> Optional[Sequence[int]]:
+    """row with its entry at column c cleared by the pivot row, made
+    primitive; None when nothing is left."""
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    return _primitive_row([a * x - b * y for x, y in zip(row, prow)])
+
+
+def _rref_int(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[int], list[Sequence[int]]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows.
+
+    Returns (pivots, reduced): reduced[k] is a primitive integer row,
+    zero at every pivot column but pivots[k]; dividing it by its entry
+    there gives row k of the reduced row-echelon form.
+    """
+    rest = [row for row in map(_primitive_row, rows) if row is not None]
+    pivots: list[int] = []
+    reduced: list[Sequence[int]] = []
+    for c in range(cols):
+        if not rest:
+            break
+        candidates = [k for k, row in enumerate(rest) if row[c]]
+        if not candidates:
+            continue
+        # The smallest pivot keeps the multipliers, and so the rows, small.
+        prow = rest.pop(min(candidates, key=lambda k: abs(rest[k][c])))
+        rest = [
+            new
+            for new in (_combine(row, prow, c) if row[c] else row for row in rest)
+            if new is not None
+        ]
+        reduced = [_combine(row, prow, c) if row[c] else row for row in reduced]
+        reduced.append(prow)
+        pivots.append(c)
+    return pivots, reduced
 
 
 class QMatrix:
@@ -62,6 +150,15 @@ class QMatrix:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", data)
+
+    @classmethod
+    def _trusted(cls, rows: Sequence[Vector], cols: int) -> "QMatrix":
+        """A matrix of rows that are already `Fraction` tuples of width cols."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", len(rows))
+        object.__setattr__(out, "cols", cols)
+        object.__setattr__(out, "entries", tuple(rows))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
@@ -152,14 +249,10 @@ class QMatrix:
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        ot = other.transpose().entries
-        return QMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in ot]
-                for row in self.entries
-            ],
-            cols=other.cols,
-        )
+        a, da = _integer_rows(self.entries)
+        b, db = _integer_rows(other.entries)
+        product = _int_matmul(a, _columns(b, other.cols))
+        return QMatrix._trusted([_fraction_row(row, da * db) for row in product], other.cols)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product (column-vector convention)."""
@@ -180,27 +273,10 @@ class QMatrix:
 
     def rref(self) -> "QMatrix":
         """The unique reduced row-echelon form (same row space)."""
-        m = [list(row) for row in self.entries]
-        piv_r = 0
-        for c in range(self.cols):
-            if piv_r == self.rows:
-                break
-            pr = None
-            for r in range(piv_r, self.rows):
-                if m[r][c] != 0:
-                    pr = r
-                    break
-            if pr is None:
-                continue
-            m[piv_r], m[pr] = m[pr], m[piv_r]
-            inv = Fraction(1) / m[piv_r][c]
-            m[piv_r] = [inv * x for x in m[piv_r]]
-            for r in range(self.rows):
-                if r != piv_r and m[r][c] != 0:
-                    factor = m[r][c]
-                    m[r] = [x - factor * y for x, y in zip(m[r], m[piv_r])]
-            piv_r += 1
-        return QMatrix(m, cols=self.cols)
+        pivots, reduced = _rref_int(_integer_rows(self.entries)[0], self.cols)
+        rows = [_fraction_row(row, row[c]) for c, row in zip(pivots, reduced)]
+        rows += [(_ZERO,) * self.cols] * (self.rows - len(rows))
+        return QMatrix._trusted(rows, self.cols)
 
     def pivot_columns(self) -> tuple[int, ...]:
         """Pivot columns of the RREF (assumes `self` is already in RREF)."""
@@ -213,22 +289,23 @@ class QMatrix:
         return tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref().pivot_columns())
+        return len(_rref_int(_integer_rows(self.entries)[0], self.cols)[0])
 
     def kernel(self) -> "Subspace":
         """The solution space of m.x = 0 as a canonical subspace."""
-        R = self.rref()
-        pivots = R.pivot_columns()
-        pivot_of_col = {c: r for r, c in enumerate(pivots)}
-        free = [c for c in range(self.cols) if c not in pivot_of_col]
+        pivots, reduced = _rref_int(_integer_rows(self.entries)[0], self.cols)
+        # Free column f gives the solution with x_f = 1 and x_c = -R[k][f]
+        # at each pivot c = pivots[k], scaled by the lcm of the pivot entries.
+        scale = lcm(*(row[c] for c, row in zip(pivots, reduced)))
+        multipliers = [scale // row[c] for c, row in zip(pivots, reduced)]
         vectors = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for c, r in pivot_of_col.items():
-                v[c] = -R.entries[r][f]
-            vectors.append(tuple(v))
-        return Subspace.from_vectors(self.cols, vectors)
+        for f in sorted(set(range(self.cols)) - set(pivots)):
+            v = [0] * self.cols
+            v[f] = scale
+            for c, row, m in zip(pivots, reduced, multipliers):
+                v[c] = -row[f] * m
+            vectors.append(v)
+        return Subspace._from_integer_rows(self.cols, vectors)
 
     def solve(self, b: Sequence) -> Optional[Vector]:
         """Some exact solution of m.x = b, or None if inconsistent.
@@ -238,22 +315,13 @@ class QMatrix:
         b = vector(b)
         if len(b) != self.rows:
             raise ValueError("right-hand side length differs from row count")
-        aug = QMatrix(
-            [list(row) + [b[i]] for i, row in enumerate(self.entries)],
-            cols=self.cols + 1,
-        ).rref()
-        x = [Fraction(0)] * self.cols
-        for r in range(aug.rows):
-            pivot = None
-            for c in range(self.cols + 1):
-                if aug.entries[r][c] != 0:
-                    pivot = c
-                    break
-            if pivot is None:
-                continue
-            if pivot == self.cols:
-                return None
-            x[pivot] = aug.entries[r][self.cols]
+        aug, _ = _integer_rows([row + (x,) for row, x in zip(self.entries, b)])
+        pivots, reduced = _rref_int(aug, self.cols + 1)
+        if pivots and pivots[-1] == self.cols:
+            return None
+        x = [_ZERO] * self.cols
+        for c, row in zip(pivots, reduced):
+            x[c] = Fraction(row[-1], row[c])
         return tuple(x)
 
     def inverse(self) -> Optional["QMatrix"]:
@@ -261,43 +329,38 @@ class QMatrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         d = self.rows
-        aug = QMatrix(
-            [
-                list(row) + [Fraction(1 if i == j else 0) for j in range(d)]
-                for i, row in enumerate(self.entries)
-            ],
-            cols=2 * d,
-        ).rref()
-        for i in range(d):
-            if aug.entries[i][i] != 1:
-                return None
-        return QMatrix([row[d:] for row in aug.entries], cols=d)
+        ints, den = _integer_rows(self.entries)
+        # [A | I] scaled by den; its RREF is [I | A^-1] exactly when A is
+        # invertible, and otherwise has a pivot in the right half.
+        aug = [row + [den if i == j else 0 for j in range(d)] for i, row in enumerate(ints)]
+        pivots, reduced = _rref_int(aug, 2 * d)
+        if pivots and pivots[-1] >= d:
+            return None
+        return QMatrix._trusted([_fraction_row(row[d:], row[i]) for i, row in enumerate(reduced)], d)
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction-free-ish Gaussian elimination."""
+        """Exact determinant by Bareiss fraction-free elimination."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        m = [list(row) for row in self.entries]
         d = self.rows
-        det = Fraction(1)
-        for c in range(d):
-            pr = None
-            for r in range(c, d):
-                if m[r][c] != 0:
-                    pr = r
-                    break
-            if pr is None:
-                return Fraction(0)
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = Fraction(1) / m[c][c]
-            for r in range(c + 1, d):
-                if m[r][c] != 0:
-                    factor = m[r][c] * inv
-                    m[r] = [x - factor * y for x, y in zip(m[r], m[c])]
-        return det
+        m, den = _integer_rows(self.entries)
+        sign, prev = 1, 1
+        for k in range(d - 1):
+            if m[k][k] == 0:
+                swap = next((r for r in range(k + 1, d) if m[r][k] != 0), None)
+                if swap is None:
+                    return _ZERO
+                m[k], m[swap] = m[swap], m[k]
+                sign = -sign
+            pivot, prow = m[k][k], m[k]
+            for r in range(k + 1, d):
+                row, f = m[r], m[r][k]
+                # Sylvester's identity: each quotient is an exact minor.
+                m[r] = [0] * (k + 1) + [
+                    (pivot * row[j] - f * prow[j]) // prev for j in range(k + 1, d)
+                ]
+            prev = pivot
+        return Fraction(sign * m[d - 1][d - 1], den**d) if d else Fraction(1)
 
     def to_json(self) -> list[list[str]]:
         return [[format_rational(x) for x in row] for row in self.entries]
@@ -316,12 +379,13 @@ class Subspace:
     identical, which makes equality a structural check.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_membership")
 
     def __init__(self, ambient_dim: int, basis: Sequence[Vector]):
         # Callers must pass canonical RREF rows; use from_vectors otherwise.
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(vector(v) for v in basis))
+        object.__setattr__(self, "_membership", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -332,11 +396,13 @@ class Subspace:
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError("vector length differs from ambient dimension")
-        if not rows:
-            return cls(ambient_dim, [])
-        reduced = QMatrix(rows, cols=ambient_dim).rref()
-        basis = [row for row in reduced.entries if any(x != 0 for x in row)]
-        return cls(ambient_dim, basis)
+        return cls._from_integer_rows(ambient_dim, _integer_rows(rows)[0])
+
+    @classmethod
+    def _from_integer_rows(cls, ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Subspace":
+        """The span of integer rows of length ambient_dim."""
+        pivots, reduced = _rref_int(rows, ambient_dim)
+        return cls(ambient_dim, [_fraction_row(row, row[c]) for c, row in zip(pivots, reduced)])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -366,24 +432,35 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
+    def _membership_data(self) -> tuple[tuple[int, ...], int, list[tuple[int, tuple[int, ...]]]]:
+        """(pivots, E, checks), computed once: the basis is B / E with
+        integer B, and checks pairs each non-pivot column j with column j
+        of B."""
+        if self._membership is None:
+            ints, den = _integer_rows(self.basis)
+            pivots = tuple(next(c for c, x in enumerate(row) if x) for row in ints)
+            columns = _columns(ints, self.ambient_dim)
+            free = sorted(set(range(self.ambient_dim)) - set(pivots))
+            object.__setattr__(self, "_membership", (pivots, den, [(j, columns[j]) for j in free]))
+        return self._membership
+
     def coordinates_of(self, v: Sequence) -> Optional[Vector]:
         """Coordinates of v in the RREF basis, or None if v is outside.
 
         Because the basis is RREF, the coefficient of row r is just the
-        entry of v at that row's pivot column.
+        entry of v at that row's pivot column, and v lies in the span iff
+        its other entries agree with that combination.
         """
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        pivots = self.basis_matrix().pivot_columns()
-        coords = tuple(v[c] for c in pivots)
-        residual = list(v)
-        for coeff, row in zip(coords, self.basis):
-            if coeff != 0:
-                residual = [x - coeff * y for x, y in zip(residual, row)]
-        if any(x != 0 for x in residual):
-            return None
-        return coords
+        pivots, den, checks = self._membership_data()
+        (w,), _ = _integer_rows([v])
+        coeffs = [w[c] for c in pivots]
+        for j, column in checks:
+            if den * w[j] != sum(map(mul, coeffs, column)):
+                return None
+        return tuple(v[c] for c in pivots)
 
     def contains(self, v: Sequence) -> bool:
         return self.coordinates_of(v) is not None

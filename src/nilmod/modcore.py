@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -23,6 +24,10 @@ from .exactalg import (
     QMatrix,
     Subspace,
     Vector,
+    _columns,
+    _int_matmul,
+    _integer_rows,
+    as_int,
     format_rational,
     parse_rational,
     vector,
@@ -90,7 +95,7 @@ class FDModule:
 
     @classmethod
     def from_json(cls, data) -> "FDModule":
-        n = data["n"]
+        n = as_int(data["n"])
         matrices = [QMatrix.from_json(m) for m in data["matrices"]]
         mod = cls(n, matrices)
         if "dim" in data and data["dim"] != mod.dim:
@@ -104,18 +109,17 @@ def validate(matrices: Sequence[QMatrix]) -> FDModule:
 
 
 def _is_nilpotent_matrix(m: QMatrix) -> bool:
-    # Square repeatedly: S^(2^k) = 0 for 2^k >= dim iff S is nilpotent.
+    # S is nilpotent iff D S is, for its common denominator D.  Square
+    # the integer matrix: (D S)^(2^k) = 0 for 2^k >= dim iff S is nilpotent.
     d = m.rows
-    if d == 0:
-        return True
-    power = m
+    power, _ = _integer_rows(m.entries)
     steps = 1
     while steps < d:
-        if power.is_zero():
+        if not any(map(any, power)):
             return True
-        power = power * power
+        power = _int_matmul(power, _columns(power, d))
         steps *= 2
-    return power.is_zero()
+    return not any(map(any, power))
 
 
 def is_nilpotent(module: FDModule) -> bool:
@@ -203,7 +207,8 @@ class PolySubmodule:
         rows = []
         for p in polys:
             v = poly_to_vector(p, monomial_list)
-            assert v is not None
+            if v is None:
+                raise AssertionError("every member lies in the support")
             rows.append(v)
         coords = Subspace.from_vectors(len(monomial_list), rows)
         basis = tuple(
@@ -273,7 +278,8 @@ class PolySubmodule:
             columns = []
             for p in self.basis:
                 coords = self.coordinates_of(p.partial(i))
-                assert coords is not None
+                if coords is None:
+                    raise AssertionError("the submodule is closed under differentiation")
                 columns.append(coords)
             out.append(QMatrix.from_columns(columns, rows=self.dim))
         return tuple(out)
@@ -283,7 +289,7 @@ class PolySubmodule:
 
     @classmethod
     def from_json(cls, data) -> "PolySubmodule":
-        n = data["n"]
+        n = as_int(data["n"])
         return cls(n, [Poly.from_json(p, n) for p in data["basis"]])
 
 
@@ -302,7 +308,8 @@ def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
     while queue:
         p = queue.pop()
         v = poly_to_vector(p, monomial_list)
-        assert v is not None, "derivatives stay inside the lower-set closure"
+        if v is None:
+            raise AssertionError("derivatives stay inside the lower-set closure")
         if span.contains(v):
             continue
         span = span.sum(Subspace.from_vectors(width, [v]))
@@ -494,79 +501,136 @@ def _char_poly(m: QMatrix) -> list[Fraction]:
     return coeffs
 
 
-def _poly_div_linear(coeffs: list[Fraction], root: Fraction) -> Optional[list[Fraction]]:
-    """Divide by (t - root); None when root is not actually a root."""
-    horner = []
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        horner.append(acc)
-    remainder = horner.pop()
-    if remainder != 0:
-        return None
-    return list(reversed(horner))
+def _primitive(coeffs: Sequence) -> list[int]:
+    """The primitive integer multiple of a nonzero rational polynomial
+    (ascending coefficients, trailing zeros dropped) with a positive
+    leading coefficient."""
+    (ints,), _ = _integer_rows([coeffs])
+    while ints[-1] == 0:
+        ints.pop()
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _poly_divmod(a: Sequence, b: Sequence) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of rational polynomials (ascending, b with
+    a nonzero leading coefficient); the remainder has no trailing zeros."""
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    lead = b[-1]
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        q = rem[-1] / lead
+        quot[shift] = q
+        for k, c in enumerate(b):
+            rem[shift + k] -= q * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
+def _derivative(f: Sequence) -> list:
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """f / gcd(f, f') as a primitive integer polynomial."""
+    # Euclid with each remainder made primitive, which keeps the
+    # coefficients from growing (the primitive remainder sequence).
+    g, h = f, (_primitive(_derivative(f)) if len(f) > 1 else [])
+    while h:
+        rem = _poly_divmod(g, h)[1]
+        g, h = h, (_primitive(rem) if rem else [])
+    return _primitive(_poly_divmod(f, g)[0])
+
+
+def _evaluate(p: Sequence[int], x: int) -> int:
+    value = 0
+    for c in reversed(p):
+        value = value * x + c
+    return value
+
+
+def _integer_root_in(g: list[int], lo: int, hi: int) -> Optional[int]:
+    """The integer root of g in (lo, hi], if any, where g has a single
+    simple root there or hi = lo + 1.  In the first case g has one sign
+    on (root, hi] and the other on (lo, root), so bisecting on the sign
+    of g alone finds the root."""
+    high = _evaluate(g, hi)
+    if high == 0:
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        value = _evaluate(g, mid)
+        if value == 0:
+            return mid
+        if (value > 0) == (high > 0):
+            hi = mid
+        else:
+            lo = mid
+    return None
+
+
+def _integer_roots(g: list[int]) -> list[int]:
+    """The integer roots of a squarefree monic integer polynomial.
+
+    A Sturm sequence counts the distinct real roots in (lo, hi] as the
+    drop in sign changes from lo to hi.  Bisecting the Cauchy interval
+    over the integers splits it into pieces holding one root each, and
+    bisecting such a piece on the sign of g ends at the root when it is
+    an integer.  The cost is polynomial in the bit size of g.
+    """
+    sturm = [g, _derivative(g)]
+    while len(sturm[-1]) > 1:
+        rem = _poly_divmod(sturm[-2], sturm[-1])[1]
+        # Positive rescaling keeps every sign, and so every count.
+        sturm.append([-c for c in _primitive(rem)] if rem[-1] > 0 else _primitive(rem))
+    changes: dict[int, int] = {}
+
+    def count(x: int) -> int:
+        """Sign changes, zeros dropped, of the Sturm sequence at x."""
+        if x not in changes:
+            signs = [v > 0 for v in (_evaluate(p, x) for p in sturm) if v]
+            changes[x] = sum(a != b for a, b in zip(signs, signs[1:]))
+        return changes[x]
+
+    # Every root has |u| < 2^e once 2^(e i) > k |g_(k-i)| for i = 1..k, the
+    # power-of-two form of Cauchy's bound max_i (k |g_(k-i)|)^(1/i).
+    k = len(g) - 1
+    e = max(-(-(abs(c).bit_length() + k.bit_length()) // (k - j)) for j, c in enumerate(g[:-1]))
+    roots = []
+    stack = [(-(1 << e), 1 << e)]
+    while stack:
+        lo, hi = stack.pop()
+        inside = count(lo) - count(hi)
+        if inside > 1 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            stack += [(lo, mid), (mid, hi)]
+        elif inside:
+            root = _integer_root_in(g, lo, hi)
+            if root is not None:
+                roots.append(root)
+    return roots
 
 
 def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], bool]:
-    """Distinct rational roots of a monic rational polynomial, plus
-    whether it splits completely into rational linear factors."""
-    work = list(coeffs)
-    while len(work) > 1 and work[-1] == 0:
-        work.pop()
-    degree = len(work) - 1
-    roots: list[Fraction] = []
-    # Strip zero roots first.
-    while degree > 0 and work[0] == 0:
-        if not roots or roots[-1] != 0:
-            roots.append(Fraction(0))
-        work = work[1:]
-        degree -= 1
-    while degree > 0:
-        root = _find_one_rational_root(work)
-        if root is None:
-            return roots, False
-        roots.append(root)
-        while True:
-            quotient = _poly_div_linear(work, root)
-            if quotient is None:
-                break
-            work = quotient
-            degree -= 1
-    return roots, True
+    """Distinct rational roots of a nonzero rational polynomial, in
+    increasing order, plus whether it splits completely into rational
+    linear factors.
 
-
-def _find_one_rational_root(coeffs: list[Fraction]) -> Optional[Fraction]:
-    from math import gcd
-
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in coeffs]
-    a0, ad = ints[0], ints[-1]
-    if a0 == 0:
-        return Fraction(0)
-
-    def divisors(v: int) -> list[int]:
-        v = abs(v)
-        out = []
-        f = 1
-        while f * f <= v:
-            if v % f == 0:
-                out.append(f)
-                if f != v // f:
-                    out.append(v // f)
-            f += 1
-        return sorted(out)
-
-    for q in divisors(ad):
-        for p in divisors(a0):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(coeffs):
-                    acc = acc * cand + c
-                if acc == 0:
-                    return cand
-    return None
+    With f the squarefree part, primitive of degree k and leading
+    coefficient a, the substitution t = u / a makes
+    g(u) = a^(k-1) f(u / a) monic with integer coefficients, so the
+    rational roots of f are the integer roots of g divided by a.  The
+    polynomial splits when f has k of them.
+    """
+    f = _squarefree_part(_primitive(coeffs))
+    k, a = len(f) - 1, f[-1]
+    if k == 0:
+        return [], True
+    g = [c * a ** (k - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    roots = sorted(Fraction(u, a) for u in _integer_roots(g))
+    return roots, len(roots) == k
 
 
 def _eigenvalue_tuples(

@@ -78,7 +78,9 @@ class Poly:
         clean: dict[MultiIndex, Fraction] = {}
         for alpha, c in (terms or {}).items():
             alpha = tuple(alpha)
-            if len(alpha) != n or any(a < 0 or not isinstance(a, int) for a in alpha):
+            if len(alpha) != n or any(
+                a < 0 or not isinstance(a, int) or isinstance(a, bool) for a in alpha
+            ):
                 raise ValueError(f"bad exponent vector {alpha} for n={n}")
             c = as_fraction(c)
             if c != 0:

@@ -122,6 +122,22 @@ def test_gen_degree_bound_zero_is_dim_one():
     assert data["dim"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        # Booleans are ints to Python; as exponents or as the variable count
+        # they are malformed input.
+        (["aut", "-"], {"n": 1, "indices": [[True], [False]]}),
+        (["validate", "-"], {"n": True, "dim": 1, "matrices": [[["0"]]]}),
+    ],
+    ids=["aut_bool_exponents", "validate_bool_n"],
+)
+def test_booleans_are_not_integers(argv, payload):
+    proc = run_cli(argv, stdin=json.dumps(payload).encode())
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert json.loads(proc.stdout)["error"]["kind"] == "ParseError"
+
+
 def test_missing_file_is_io_error():
     proc = run_cli(["validate", "inputs/no_such_file.json"])
     assert proc.returncode == 2, proc.stderr.decode()

@@ -5,13 +5,18 @@ conjugation oracle for canonical forms, and the determinant-based
 isomorphism decision procedure run against the constructive one.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from nilmod.embed import (
     EmbeddingResult,
+    _inverse_system,
     brute_force_isomorphic,
     canonical_form,
     embed_general,
@@ -35,7 +40,7 @@ from nilmod.modcore import (
     twist,
     validate,
 )
-from nilmod.multipoly import Poly
+from nilmod.multipoly import Poly, multi_factorial
 
 X1 = Poly.variable(2, 1)
 X2 = Poly.variable(2, 2)
@@ -243,6 +248,55 @@ def test_embed_dense_conjugate_of_planted_module(n, terms):
     assert result.map.is_isomorphism()
 
 
+def reference_inverse_system(module, lam):
+    """The inverse-system polynomials by plain Fraction arithmetic: the
+    rows lam S^alpha by repeated vector-matrix products, each weighed by
+    1 / alpha!."""
+    from collections import deque
+
+    n, d = module.n, module.dim
+    zero = (0,) * n
+    rows = {zero: list(lam)}
+    queue = deque([zero])
+    while queue:
+        alpha = queue.popleft()
+        for i, m in enumerate(module.matrices):
+            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+            if beta not in rows:
+                rows[beta] = [
+                    sum((rows[alpha][k] * m.entries[k][j] for k in range(d)), Fraction(0))
+                    for j in range(d)
+                ]
+                if any(rows[beta]):
+                    queue.append(beta)
+    weight = {a: Fraction(1, multi_factorial(a)) for a in rows}
+    return [Poly(n, {a: row[j] * weight[a] for a, row in rows.items()}) for j in range(d)]
+
+
+@pytest.mark.parametrize("n, terms", PLANTED, ids=["n=1", "n=2", "n=3"])
+def test_inverse_system_matches_fraction_reference(n, terms):
+    # Rational conjugates and a functional with denominators exercise both
+    # common denominators of the integer rows.
+    plain, _ = as_matrices(submodule_from_polys(n, [Poly(n, terms)]))
+    rng = random.Random(10 + n)
+    g = QMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(plain.dim)]
+                 for _ in range(plain.dim)])
+    while g.det() == 0:
+        g = QMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(plain.dim)]
+                     for _ in range(plain.dim)])
+    dense = conjugate(plain, g)
+    lam = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(dense.dim))
+    polys = _inverse_system(dense, lam)
+    assert polys == reference_inverse_system(dense, lam)
+    # d/dx_i phi(e_j) = phi(S_i e_j) = sum_k S_i[k][j] phi(e_k).
+    for i, m in enumerate(dense.matrices, start=1):
+        for j, p in enumerate(polys):
+            image = Poly.zero(n)
+            for k in range(dense.dim):
+                image = image + polys[k].scale(m.entries[k][j])
+            assert p.partial(i) == image
+
+
 def test_embed_rng_changes_the_map_not_the_image():
     mod = random_nilpotent_module(2, 3, seed=12)
     default = embed_nilpotent(mod)
@@ -435,3 +489,30 @@ def test_embed_general_mixed_spectrum_fails():
 def test_embed_general_socle_too_big_fails():
     with pytest.raises(SocleNotOneDimensional):
         embed_general(validate([QMatrix.zeros(2, 2)]))
+
+
+def test_injectivity_check_survives_optimize_flag():
+    # The check is an explicit raise, not an assert, so `python -O` keeps
+    # it.  A rank-deficient inverse system is patched in to trip it.
+    code = "\n".join(
+        [
+            "import nilmod.embed as embed",
+            "from nilmod.exactalg import QMatrix",
+            "from nilmod.modcore import FDModule",
+            "from nilmod.multipoly import Poly",
+            "print(__debug__)",
+            "embed._inverse_system = lambda module, lam: [Poly.one(module.n)] * module.dim",
+            "try:",
+            "    embed.embed_nilpotent(FDModule(1, [QMatrix([[0, 1], [0, 0]])]))",
+            "except AssertionError as exc:",
+            "    print(exc)",
+        ]
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "the embedding must be injective"]

@@ -378,3 +378,260 @@ def test_ambient_mismatch_raises():
         Subspace.full(2).sum(Subspace.full(3))
     with pytest.raises(ValueError):
         Subspace.full(2).intersect(Subspace.full(3))
+
+
+# --- the integer core against the plain-Fraction reference ---------------
+#
+# The reference below is the plain-Fraction Gauss-Jordan elimination and
+# product the integer core replaced, kept verbatim in spirit: every
+# operation on Fractions, no common denominators.
+
+def reference_rref(rows, cols):
+    m = [list(row) for row in rows]
+    piv_r = 0
+    for c in range(cols):
+        if piv_r == len(m):
+            break
+        pr = next((r for r in range(piv_r, len(m)) if m[r][c] != 0), None)
+        if pr is None:
+            continue
+        m[piv_r], m[pr] = m[pr], m[piv_r]
+        inv = Fraction(1) / m[piv_r][c]
+        m[piv_r] = [inv * x for x in m[piv_r]]
+        for r in range(len(m)):
+            if r != piv_r and m[r][c] != 0:
+                factor = m[r][c]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[piv_r])]
+        piv_r += 1
+    return [tuple(row) for row in m]
+
+
+def reference_pivots(reduced):
+    return [next(c for c, x in enumerate(row) if x != 0) for row in reduced if any(row)]
+
+
+def reference_matmul(a, b, inner, cols):
+    return [
+        tuple(sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols))
+        for row in a
+    ]
+
+
+def reference_kernel(rows, cols):
+    reduced = reference_rref(rows, cols)
+    pivots = reference_pivots(reduced)
+    vectors = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][f]
+        vectors.append(v)
+    return [row for row in reference_rref(vectors, cols) if any(row)]
+
+
+def reference_solve(rows, cols, b):
+    reduced = reference_rref([list(row) + [x] for row, x in zip(rows, b)], cols + 1)
+    x = [Fraction(0)] * cols
+    for row in reduced:
+        pivot = next((c for c, v in enumerate(row) if v != 0), None)
+        if pivot == cols:
+            return None
+        if pivot is not None:
+            x[pivot] = row[cols]
+    return tuple(x)
+
+
+def reference_inverse(rows):
+    d = len(rows)
+    reduced = reference_rref(
+        [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(rows)],
+        2 * d,
+    )
+    if any(reduced[i][i] != 1 for i in range(d)):
+        return None
+    return [tuple(row[d:]) for row in reduced]
+
+
+def reference_det(rows):
+    m = [list(row) for row in rows]
+    d = len(m)
+    det = Fraction(1)
+    for c in range(d):
+        pr = next((r for r in range(c, d) if m[r][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, d):
+            factor = m[r][c] / m[c][c]
+            m[r] = [x - factor * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def reference_coordinates(basis, v):
+    pivots = reference_pivots(basis)
+    coords = tuple(v[c] for c in pivots)
+    residual = list(v)
+    for coeff, row in zip(coords, basis):
+        residual = [x - coeff * y for x, y in zip(residual, row)]
+    return coords if not any(residual) else None
+
+
+def big_rational(rng, bits):
+    return Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits))
+
+
+def oracle_matrices(seed):
+    """Seeded (rows, cols, entries) covering empty shapes, zero and
+    rank-deficient matrices, duplicate rows and 60-bit entries."""
+    rng = random.Random(seed)
+    cases = [(0, 3, []), (3, 0, [[], [], []]), (0, 0, []), (3, 4, [[Fraction(0)] * 4] * 3)]
+    for _ in range(30):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        bits = rng.choice([3, 3, 60])
+        m = [[big_rational(rng, bits) for _ in range(cols)] for _ in range(rows)]
+        kind = rng.randrange(4)
+        if kind == 1 and rows > 1:  # duplicate a row
+            m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+        elif kind == 2:  # rank at most 2: every row a combination of two
+            a, b = m[0], m[-1]
+            m = [[rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(a, b)] for _ in m]
+        elif kind == 3:  # sparse
+            m = [[x if rng.random() < 0.3 else Fraction(0) for x in row] for row in m]
+        cases.append((rows, cols, m))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integer_core_rref_kernel_solve_match_reference(seed):
+    rng = random.Random(seed)
+    for rows, cols, entries in oracle_matrices(seed):
+        m = QMatrix(entries, cols=cols)
+        assert m.rref().entries == tuple(reference_rref(entries, cols))
+        assert m.kernel().basis == tuple(reference_kernel(entries, cols))
+        for b in (
+            [big_rational(rng, 5) for _ in range(rows)],
+            m.apply([big_rational(rng, 5) for _ in range(cols)]),
+        ):
+            assert m.solve(b) == reference_solve(entries, cols, b)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_integer_core_square_ops_match_reference(seed):
+    rng = random.Random(seed)
+    for rows, cols, entries in oracle_matrices(seed):
+        if rows != cols:
+            continue
+        check_square_ops(entries)
+    for d in range(0, 6):
+        bits = rng.choice([3, 60])
+        check_square_ops([[big_rational(rng, bits) for _ in range(d)] for _ in range(d)])
+
+
+def check_square_ops(entries):
+    m = QMatrix(entries, cols=len(entries))
+    assert m.det() == reference_det(entries)
+    inv = m.inverse()
+    expected = reference_inverse(entries)
+    assert (inv is None) == (expected is None)
+    if inv is not None:
+        assert inv.entries == tuple(expected)
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_integer_core_matmul_matches_reference(seed):
+    rng = random.Random(seed)
+    shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(1, 6) for _ in range(3)) for _ in range(20)]
+    for rows, inner, cols in shapes:
+        bits = rng.choice([3, 60])
+        a = [[big_rational(rng, bits) for _ in range(inner)] for _ in range(rows)]
+        b = [[big_rational(rng, bits) for _ in range(cols)] for _ in range(inner)]
+        product = QMatrix(a, cols=inner) * QMatrix(b, cols=cols)
+        assert (product.rows, product.cols) == (rows, cols)
+        assert product.entries == tuple(reference_matmul(a, b, inner, cols))
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_integer_core_coordinates_match_reference(seed):
+    rng = random.Random(seed)
+    for rows, cols, entries in oracle_matrices(seed):
+        space = Subspace.from_vectors(cols, entries)
+        assert space.basis == tuple(row for row in reference_rref(entries, cols) if any(row))
+        members = [
+            [sum((c * row[i] for c, row in zip(coeffs, entries)), Fraction(0)) for i in range(cols)]
+            for coeffs in ([big_rational(rng, 60) for _ in entries] for _ in range(3))
+        ]
+        others = [[big_rational(rng, rng.choice([3, 60])) for _ in range(cols)] for _ in range(3)]
+        others += [list(v) for v in members[:1]]
+        if cols:
+            others[-1][rng.randrange(cols)] += Fraction(1, 7)
+        for v in members + others:
+            got = space.coordinates_of(v)
+            assert got == reference_coordinates(space.basis, v)
+            # Repeated calls hit the cached integer basis.
+            assert space.coordinates_of(v) == got
+        for v in members:
+            assert space.coordinates_of(v) is not None
+
+
+# --- integer nilpotency squaring ------------------------------------------
+
+def conjugated(rng, matrix, bits=8):
+    """P matrix P^-1 for a random invertible P with rational entries."""
+    d = matrix.rows
+    while True:
+        p = QMatrix(
+            [[Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 9)) for _ in range(d)]
+             for _ in range(d)],
+            cols=d,
+        )
+        p_inv = p.inverse()
+        if p_inv is not None:
+            return p * matrix * p_inv
+
+
+def nilpotent_jordan(blocks):
+    """Block-diagonal nilpotent Jordan matrix with the given block sizes."""
+    d = sum(blocks)
+    rows = [[0] * d for _ in range(d)]
+    start = 0
+    for size in blocks:
+        for k in range(size - 1):
+            rows[start + k][start + k + 1] = 1
+        start += size
+    return QMatrix(rows, cols=d)
+
+
+@pytest.mark.parametrize(
+    "blocks", [[1], [2], [3], [5], [2, 3], [4, 1, 2], [6, 1], [3, 3, 3, 3]]
+)
+def test_is_nilpotent_matrix_on_dense_conjugates(blocks):
+    from nilmod.modcore import _is_nilpotent_matrix
+
+    rng = random.Random(sum(blocks) * 31 + len(blocks))
+    jordan = nilpotent_jordan(blocks)
+    d = jordan.rows
+    for _ in range(3):
+        dense = conjugated(rng, jordan)
+        assert any(x.denominator != 1 for row in dense.entries for x in row) or d == 1
+        assert _is_nilpotent_matrix(dense)
+        i = rng.randrange(d)
+        bumped = [list(row) for row in dense.entries]
+        bumped[i][i] += Fraction(rng.randint(1, 5), rng.randint(1, 7))
+        # A nonzero trace rules out nilpotency.
+        assert not _is_nilpotent_matrix(QMatrix(bumped, cols=d))
+
+
+def test_is_nilpotent_matrix_edge_cases():
+    from nilmod.modcore import _is_nilpotent_matrix
+
+    assert _is_nilpotent_matrix(QMatrix([], cols=0))
+    assert _is_nilpotent_matrix(QMatrix.zeros(3, 3))
+    assert not _is_nilpotent_matrix(QMatrix.identity(3))
+    assert not _is_nilpotent_matrix(QMatrix([[0, 1], [1, 0]]))
+    # Index exactly the dimension, at a dimension that is not a power of two.
+    assert _is_nilpotent_matrix(nilpotent_jordan([7]))

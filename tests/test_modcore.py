@@ -8,6 +8,7 @@ generated submodules.
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -472,6 +473,103 @@ def test_no_common_eigenline_refined_by_second_matrix():
     mod = validate([a, b])
     with pytest.raises(NoCommonEigenline):
         socle_eigenvalues(mod)
+
+
+def test_no_common_eigenline_for_large_prime_eigenvalues():
+    # Two eight-digit prime eigenvalues: the rational-root search must not
+    # trial-divide their product, and the error stays the same.
+    from nilmod.embed import embed_general
+
+    mod = validate([QMatrix([[10000019, 0], [0, 10000079]])])
+    with pytest.raises(NoCommonEigenline, match="^2 distinct joint eigenvalue tuples found$"):
+        embed_general(mod)
+    with pytest.raises(NoCommonEigenline, match="^2 distinct joint eigenvalue tuples found$"):
+        socle_eigenvalues(mod)
+
+
+def brute_force_rational_roots(coeffs):
+    """Rational roots by the rational root theorem, trying every p/q with
+    p | a_0 and q | a_d after zero roots are divided out; returns the
+    sorted distinct roots and whether their multiplicities add up to the
+    degree."""
+    scale = 1
+    for c in coeffs:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    work = [c * scale for c in coeffs]
+    while work[-1] == 0:
+        work.pop()
+    degree = len(work) - 1
+    roots, found = set(), 0
+    while len(work) > 1 and work[0] == 0:
+        roots.add(Fraction(0))
+        found += 1
+        work = work[1:]
+
+    def divisors(v):
+        v = abs(int(v))
+        return [k for k in range(1, v + 1) if v % k == 0]
+
+    for q in divisors(work[-1]):
+        for p in divisors(work[0]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                while len(work) > 1:
+                    acc, quotient = Fraction(0), []
+                    for c in reversed(work):
+                        acc = acc * cand + c
+                        quotient.append(acc)
+                    if quotient.pop() != 0:
+                        break
+                    roots.add(cand)
+                    found += 1
+                    work = list(reversed(quotient))
+    return sorted(roots), found == degree
+
+
+def poly_times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_rational_roots_match_brute_force():
+    from nilmod.modcore import _rational_roots
+
+    rng = random.Random(97)
+    for _ in range(300):
+        # A product of rational linear factors (repeats allowed) and of
+        # random small factors that may or may not split further.
+        poly = [Fraction(rng.randint(1, 4), rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 4)):
+            root = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            poly = poly_times(poly, [-root, Fraction(1)])
+        for _ in range(rng.randint(0, 2)):
+            factor = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(2, 3))]
+            factor.append(Fraction(rng.randint(1, 3)))
+            poly = poly_times(poly, factor)
+        assert _rational_roots(poly) == brute_force_rational_roots(poly)
+
+
+def test_rational_roots_fixed_cases():
+    from nilmod.modcore import _rational_roots
+
+    def f(*cs):
+        return [Fraction(c) for c in cs]
+
+    assert _rational_roots(f(1)) == ([], True)
+    assert _rational_roots(f(0, 0, 1)) == ([Fraction(0)], True)
+    assert _rational_roots(f(1, 0, 1)) == ([], False)  # t^2 + 1
+    assert _rational_roots(f(-2, 0, 1)) == ([], False)  # t^2 - 2
+    assert _rational_roots(f(-1, 0, 4)) == ([Fraction(-1, 2), Fraction(1, 2)], True)
+    # (t - 1/3)^2 (t^2 - 2): a double rational root beside two irrational ones.
+    poly = poly_times(poly_times(f(Fraction(-1, 3), 1), f(Fraction(-1, 3), 1)), f(-2, 0, 1))
+    assert _rational_roots(poly) == ([Fraction(1, 3)], False)
+    # 99/70 lies within 1/70 of sqrt(2): scaled by the leading coefficient
+    # 70, both roots fall in the same unit interval (98, 99].
+    poly = poly_times(f(-2, 0, 1), f(-99, 70))
+    assert _rational_roots(poly) == ([Fraction(99, 70)], False)
+    assert _rational_roots(poly_times(poly, f(-99, 70))) == ([Fraction(99, 70)], False)
 
 
 # --- serialization ------------------------------------------------------------------
