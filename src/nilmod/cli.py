@@ -96,7 +96,7 @@ def _cmd_embed_general(args) -> dict:
 def _cmd_extract_endo(args) -> dict:
     data = _read_json(args.table)
     n = as_int(data["n"])
-    degree = args.trunc if args.trunc is not None else data["degree"]
+    degree = args.trunc if args.trunc is not None else as_int(data["degree"])
     images = {}
     for item in data["images"]:
         alpha = tuple(item["exps"])

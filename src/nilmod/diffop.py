@@ -11,8 +11,8 @@ automorphism groups of monomial submodules.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Mapping, Optional, Sequence
+from math import comb
+from typing import Mapping, Optional
 
 from .errors import (
     IncompatibleMap,
@@ -31,7 +31,6 @@ from .multipoly import (
     monomials_of_degree,
     monomials_up_to_degree,
     multi_factorial,
-    poly_to_vector,
 )
 
 
@@ -41,6 +40,7 @@ class DiffOpSeries:
     __slots__ = ("n", "trunc", "coeffs")
 
     def __init__(self, n: int, trunc: int, coeffs: Optional[Mapping[MultiIndex, object]] = None):
+        n, trunc = as_int(n), as_int(trunc)
         if n < 1:
             raise ValueError("variable count must be at least 1")
         if trunc < 0:
@@ -48,7 +48,9 @@ class DiffOpSeries:
         clean: dict[MultiIndex, Fraction] = {}
         for alpha, c in (coeffs or {}).items():
             alpha = tuple(alpha)
-            if len(alpha) != n or any(a < 0 for a in alpha):
+            if len(alpha) != n or any(
+                isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha
+            ):
                 raise ValueError(f"bad operator index {alpha}")
             if sum(alpha) > trunc:
                 raise ValueError(f"index {alpha} exceeds truncation {trunc}")
@@ -331,8 +333,11 @@ class MonomialSubmodule:
 def restrict(s: DiffOpSeries, module: MonomialSubmodule) -> ModuleMap:
     """The action of the series on the monomial basis, as a module map.
 
-    Lower sets are closed under taking derivatives, so the matrix
-    depends only on the coefficients c_lambda with lambda in the set.
+    Closed form: d^gamma x^alpha = alpha!/(alpha-gamma)! x^(alpha-gamma),
+    so the entry in row x^beta and column x^alpha is
+    c_(alpha-beta) alpha!/beta! when beta <= alpha componentwise, and 0
+    otherwise.  Lower sets are closed under taking derivatives, so the
+    matrix depends only on the coefficients c_lambda with lambda in the set.
     """
     if s.n != module.n:
         raise ValueError("variable count mismatch")
@@ -341,14 +346,16 @@ def restrict(s: DiffOpSeries, module: MonomialSubmodule) -> ModuleMap:
             f"series truncation {s.trunc} below the submodule degree "
             f"{module.max_degree}"
         )
+    order = [(a, multi_factorial(a)) for a in module.monomials_descending()]
+    rows = []
+    for beta, beta_fact in order:
+        row = []
+        for alpha, alpha_fact in order:
+            gamma = tuple(a - b for a, b in zip(alpha, beta))
+            row.append(s.coeff(gamma) * alpha_fact / beta_fact if min(gamma) >= 0 else 0)
+        rows.append(row)
     space = module.as_poly_submodule()
-    columns = []
-    for p in space.basis:
-        coords = space.coordinates_of(s.apply(p))
-        if coords is None:
-            raise AssertionError("a lower set is stable under every d^alpha")
-        columns.append(coords)
-    return ModuleMap(space, space, QMatrix.from_columns(columns, rows=space.dim))
+    return ModuleMap(space, space, QMatrix(rows, cols=len(order)))
 
 
 # --- extension of isomorphisms between polynomial submodules -----------
@@ -395,23 +402,26 @@ def extend_iso_step(
     to the source; its image is the potential of the images of its
     derivatives, which lands outside the target.  With `within`, the
     monomial is chosen among that submodule's exponents only.
+
+    The extended map is B A^-1, where the columns of A are the new
+    source coordinates of the old basis and x^kappa, and those of B are
+    the new target coordinates of their images.
     """
     from .embed import potential
 
     _check_iso(source, target, phi)
     n = source.n
     kappa = _least_missing_monomial(source, within)
-    image_polys = [phi.image_poly(r) for r in range(source.dim)]
+
+    def coordinates(space: PolySubmodule, p: Poly, invariant: str) -> tuple:
+        coords = space.coordinates_of(p)
+        if coords is None:
+            raise AssertionError(invariant)
+        return coords
 
     def phi_of(p: Poly) -> Poly:
-        coords = source.coordinates_of(p)
-        if coords is None:
-            raise AssertionError("phi is only applied inside the source")
-        out = Poly.zero(n)
-        for c, q in zip(coords, image_polys):
-            if c != 0:
-                out = out + q.scale(c)
-        return out
+        coords = coordinates(source, p, "phi is only applied inside the source")
+        return target.from_coordinates(phi.apply_coords(coords))
 
     new_monomial = Poly.monomial(n, kappa)
     # kappa has minimal degree among missing monomials, so its partials
@@ -423,30 +433,20 @@ def extend_iso_step(
 
     new_source = PolySubmodule(n, list(source.basis) + [new_monomial])
     new_target = PolySubmodule(n, list(target.basis) + [g])
-
-    old_columns = [
-        poly_to_vector(p, new_source.monomial_list) for p in source.basis
-    ] + [poly_to_vector(new_monomial, new_source.monomial_list)]
-    decompose = QMatrix.from_columns(old_columns)
-    columns = []
-    for q in new_source.basis:
-        coeffs = decompose.solve(poly_to_vector(q, new_source.monomial_list))
-        if coeffs is None:
-            raise AssertionError("the new source is spanned by the old basis and x^kappa")
-        image = Poly.zero(n)
-        for c, p in zip(coeffs[:-1], image_polys):
-            if c != 0:
-                image = image + p.scale(c)
-        if coeffs[-1] != 0:
-            image = image + g.scale(coeffs[-1])
-        coords = new_target.coordinates_of(image)
-        if coords is None:
-            raise AssertionError("every image lies in the new target")
-        columns.append(coords)
-    extended = ModuleMap(
-        new_source, new_target, QMatrix.from_columns(columns, rows=new_target.dim)
+    images = [phi.image_poly(r) for r in range(source.dim)] + [g]
+    a = QMatrix.from_columns(
+        [
+            coordinates(new_source, p, "the new source holds the old basis and x^kappa")
+            for p in list(source.basis) + [new_monomial]
+        ]
     )
-    return new_source, new_target, extended
+    b = QMatrix.from_columns(
+        [coordinates(new_target, q, "every image lies in the new target") for q in images]
+    )
+    a_inverse = a.inverse()
+    if a_inverse is None:
+        raise AssertionError("the old basis and x^kappa are a basis of the new source")
+    return new_source, new_target, ModuleMap(new_source, new_target, b * a_inverse)
 
 
 def extend_iso(
@@ -681,26 +681,16 @@ def restriction_kernel_dim(module: MonomialSubmodule, trunc: int) -> int:
     """Dimension of the kernel of series restriction at a truncation.
 
     The quotient description of the automorphism group of a submodule
-    comes with this kernel; no closed form is claimed, the number is
-    simply computed.
+    comes with this kernel.  Closed form: comb(n + trunc, n) - m.  The
+    series truncated at trunc have one basis operator d^gamma per
+    exponent with |gamma| <= trunc.  On a lower set, d^gamma is nonzero
+    exactly when gamma is in the set (it sends x^gamma to gamma!), and
+    the matrices of distinct d^gamma have disjoint supports (the entry
+    at (x^beta, x^alpha) belongs to gamma = alpha - beta alone), so the
+    restriction has rank m.
     """
     if trunc < module.max_degree:
         raise TruncationTooLow(
             f"truncation {trunc} below the submodule degree {module.max_degree}"
         )
-    alphas = list(monomials_up_to_degree(module.n, trunc))
-    d = module.m
-    space = module.as_poly_submodule()
-    rows = []
-    for alpha in alphas:
-        columns = []
-        for p in space.basis:
-            coords = space.coordinates_of(p.partial_multi(alpha))
-            if coords is None:
-                raise AssertionError("a lower set is stable under every d^alpha")
-            columns.append(coords)
-        mat = QMatrix.from_columns(columns, rows=d)
-        rows.append([mat.entries[r][c] for r in range(d) for c in range(d)])
-    # Rows are images of the basis operators d^alpha; the kernel of the
-    # restriction is what the rank misses.
-    return len(alphas) - QMatrix(rows, cols=d * d).rank()
+    return comb(module.n + trunc, module.n) - module.m

@@ -144,17 +144,6 @@ def _joint_kernel(module: FDModule) -> Subspace:
     return QMatrix(stacked, cols=module.dim).kernel()
 
 
-def _restriction_matrix(m: QMatrix, space: Subspace) -> QMatrix:
-    """Matrix of m on an m-invariant subspace, in the subspace's basis."""
-    columns = []
-    for b in space.basis:
-        coords = space.coordinates_of(m.apply(b))
-        if coords is None:
-            raise ValueError("subspace is not invariant under the matrix")
-        columns.append(coords)
-    return QMatrix.from_columns(columns, rows=space.dim)
-
-
 def _intertwiner_kernel(
     sources: Sequence[QMatrix], targets: Sequence[QMatrix], d: int
 ) -> Subspace:
@@ -633,60 +622,38 @@ def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], bool]:
     return roots, len(roots) == k
 
 
-def _eigenvalue_tuples(
-    matrices: Sequence[QMatrix], space: Subspace
-) -> tuple[list[tuple[Fraction, ...]], bool]:
-    """All rational joint-eigenvalue tuples on a joint-invariant subspace.
-
-    Refines the space one matrix at a time through restricted
-    eigenspaces.  The flag reports whether some characteristic
-    polynomial failed to split over the rationals along the way.
-    """
-    if not matrices:
-        return [()], False
-    head, tail = matrices[0], matrices[1:]
-    restricted = _restriction_matrix(head, space)
-    roots, split = _rational_roots(_char_poly(restricted))
-    irrational = not split
-    tuples: list[tuple[Fraction, ...]] = []
-    eye = QMatrix.identity(space.dim)
-    for lam in roots:
-        ker = (restricted - eye.scale(lam)).kernel()
-        lifted_vectors = []
-        for coords in ker.basis:
-            v = [Fraction(0)] * space.ambient_dim
-            for c, row in zip(coords, space.basis):
-                if c != 0:
-                    v = [x + c * y for x, y in zip(v, row)]
-            lifted_vectors.append(tuple(v))
-        eigenspace = Subspace.from_vectors(space.ambient_dim, lifted_vectors)
-        rest, sub_irr = _eigenvalue_tuples(tail, eigenspace)
-        irrational = irrational or sub_irr
-        tuples.extend((lam,) + t for t in rest)
-    return tuples, irrational
-
-
 def socle_eigenvalues(module: FDModule) -> tuple[Fraction, ...]:
     """The joint eigenvalue tuple on the unique common eigenline.
 
-    The matrices are refined through successive restricted eigenspaces;
-    exactly one rational tuple must survive.
+    Candidates for a_k are the rational roots of the characteristic
+    polynomial of S_k.  Tuples grow one variable at a time, and a prefix
+    (a_1, ..., a_k) survives while the stacked S_j - a_j I, j <= k, have
+    a nonzero common kernel.  Exactly one tuple must survive.  When none
+    does, some characteristic polynomial does not split over the
+    rationals: otherwise every commuting matrix has an eigenvector on
+    each nonzero joint eigenspace of the ones before it.
     """
-    if module.dim == 0:
+    d = module.dim
+    if d == 0:
         raise NoCommonEigenline("the zero module has no eigenline")
-    tuples, irrational = _eigenvalue_tuples(
-        module.matrices, Subspace.full(module.dim)
-    )
-    distinct = sorted(set(tuples))
-    if not distinct:
-        if irrational:
-            raise NonRationalEigenvalue(
-                "no rational joint eigenvalue exists; the socle eigenvalues "
-                "lie in a proper extension field"
-            )
-        raise NoCommonEigenline("no common eigenline exists")
-    if len(distinct) > 1:
-        raise NoCommonEigenline(
-            f"{len(distinct)} distinct joint eigenvalue tuples found"
+    eye = QMatrix.identity(d)
+    survivors: list[tuple[tuple[Fraction, ...], list]] = [((), [])]
+    for m in module.matrices:
+        roots, _ = _rational_roots(_char_poly(m))
+        extended = []
+        for values, rows in survivors:
+            for a in roots:
+                stacked = rows + list((m - eye.scale(a)).entries)
+                if QMatrix(stacked, cols=d).rank() < d:
+                    extended.append((values + (a,), stacked))
+        survivors = extended
+    if not survivors:
+        raise NonRationalEigenvalue(
+            "no rational joint eigenvalue exists; the socle eigenvalues "
+            "lie in a proper extension field"
         )
-    return distinct[0]
+    if len(survivors) > 1:
+        raise NoCommonEigenline(
+            f"{len(survivors)} distinct joint eigenvalue tuples found"
+        )
+    return survivors[0][0]

@@ -129,8 +129,19 @@ def test_gen_degree_bound_zero_is_dim_one():
         # they are malformed input.
         (["aut", "-"], {"n": 1, "indices": [[True], [False]]}),
         (["validate", "-"], {"n": True, "dim": 1, "matrices": [[["0"]]]}),
+        (
+            ["extract-endo", "-"],
+            {
+                "n": 1,
+                "degree": True,
+                "images": [
+                    {"exps": [0], "poly": [{"exps": [0], "coef": "1"}]},
+                    {"exps": [1], "poly": [{"exps": [1], "coef": "1"}]},
+                ],
+            },
+        ),
     ],
-    ids=["aut_bool_exponents", "validate_bool_n"],
+    ids=["aut_bool_exponents", "validate_bool_n", "extract_endo_bool_degree"],
 )
 def test_booleans_are_not_integers(argv, payload):
     proc = run_cli(argv, stdin=json.dumps(payload).encode())

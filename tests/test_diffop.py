@@ -8,8 +8,13 @@ group structure.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +130,25 @@ def test_series_json_round_trip():
     for _ in range(10):
         s = random_series(rng, 2, 3)
         assert DiffOpSeries.from_json(s.to_json()) == s
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": True, "trunc": 1, "coeffs": []},
+        {"n": 1, "trunc": True, "coeffs": []},
+        {"n": 1, "trunc": 1.0, "coeffs": []},
+        {"n": 1, "trunc": 1, "coeffs": [{"exps": [True], "coef": "1"}]},
+        {"n": 1, "trunc": 1, "coeffs": [{"exps": [1.0], "coef": "1"}]},
+        {"n": 1, "trunc": 1, "coeffs": [{"exps": ["1"], "coef": "1"}]},
+    ],
+    ids=["bool_n", "bool_trunc", "float_trunc", "bool_exps", "float_exps", "str_exps"],
+)
+def test_series_json_refuses_non_integers(data):
+    # Booleans are ints to Python; as a count, a truncation or an exponent
+    # they are malformed input, like any other non-integer.
+    with pytest.raises(ValueError):
+        DiffOpSeries.from_json(data)
 
 
 # --- application -------------------------------------------------------------
@@ -396,6 +420,25 @@ def test_restrict_truncation_guard():
         restrict(DiffOpSeries.identity(1, 1), module)
 
 
+def random_lower_set(rng, n):
+    top = 4 if n == 1 else 2
+    gens = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+    return MonomialSubmodule(n, lower_set_closure(gens))
+
+
+def test_restrict_matches_apply_definition():
+    # Reference: apply the series to each basis monomial and read off the
+    # coordinates of the result in the submodule.
+    rng = random.Random(521)
+    for n in (1, 2, 3):
+        for _ in range(12):
+            module = random_lower_set(rng, n)
+            s = random_series(rng, n, module.max_degree + rng.randint(0, 2))
+            space = module.as_poly_submodule()
+            columns = [space.coordinates_of(s.apply(p)) for p in space.basis]
+            assert restrict(s, module).images == QMatrix.from_columns(columns)
+
+
 # --- isomorphism extension ----------------------------------------------------------
 
 def identity_map(sub):
@@ -472,6 +515,54 @@ def test_extend_step_grows_by_exactly_one():
         assert ntgt.dim == tgt.dim + 1
         assert phi.is_isomorphism()
         src, tgt = nsrc, ntgt
+
+
+def test_extend_step_extends_series_automorphisms():
+    # phi is the restriction of a random automorphism series; the extended
+    # map must agree with phi on the old source and be an isomorphism.
+    rng = random.Random(523)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            module = random_lower_set(rng, n)
+            s = random_series(rng, n, module.max_degree)
+            if not s.is_automorphism():
+                continue
+            phi = restrict(s, module)
+            space = phi.source
+            src, tgt, extended = extend_iso_step(space, space, phi)
+            assert src.dim == tgt.dim == space.dim + 1
+            assert extended.is_isomorphism()
+            for j, p in enumerate(space.basis):
+                image = tgt.from_coordinates(extended.apply_coords(src.coordinates_of(p)))
+                assert image == phi.image_poly(j)
+
+
+def test_extend_step_invariant_survives_optimize_flag():
+    # The invariants are explicit raises, not asserts, so `python -O` keeps
+    # them.  A potential inside the target is patched in to trip one.
+    code = "\n".join(
+        [
+            "import nilmod.embed as embed",
+            "from nilmod.diffop import extend_iso_step",
+            "from nilmod.modcore import ModuleMap, submodule_from_polys",
+            "from nilmod.multipoly import Poly",
+            "print(__debug__)",
+            "embed.potential = lambda gs, n: Poly.one(n)",
+            "base = submodule_from_polys(1, [])",
+            "try:",
+            "    extend_iso_step(base, base, ModuleMap.identity(base))",
+            "except AssertionError as exc:",
+            "    print(exc)",
+        ]
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "the extension image must be new"]
 
 
 def test_extend_step_within_exhausted():
@@ -658,3 +749,29 @@ def test_restriction_kernel_dimensions():
     assert restriction_kernel_dim(module, 3) == 7
     with pytest.raises(TruncationTooLow):
         restriction_kernel_dim(module, 0)
+
+
+def test_restriction_kernel_dim_matches_rank_reference():
+    # Reference: flatten the restriction of every d^alpha, |alpha| <= trunc,
+    # and subtract the rank of their span from the number of operators.
+    rng = random.Random(541)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            module = random_lower_set(rng, n)
+            space = module.as_poly_submodule()
+            for trunc in (module.max_degree, module.max_degree + 1):
+                alphas = list(monomials_up_to_degree(n, trunc))
+                flat = []
+                for alpha in alphas:
+                    columns = [space.coordinates_of(p.partial_multi(alpha)) for p in space.basis]
+                    mat = QMatrix.from_columns(columns)
+                    flat.append([x for row in mat.entries for x in row])
+                expected = len(alphas) - QMatrix(flat, cols=module.m**2).rank()
+                assert restriction_kernel_dim(module, trunc) == expected
+
+
+def test_restriction_kernel_dim_huge_truncation_is_immediate():
+    module = MonomialSubmodule(3, lower_set_closure([(1, 1, 1)]))
+    start = time.perf_counter()
+    assert restriction_kernel_dim(module, 10**6) == math.comb(10**6 + 3, 3) - 8
+    assert time.perf_counter() - start < 1.0

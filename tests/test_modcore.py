@@ -17,6 +17,7 @@ from nilmod.errors import (
     NonCommuting,
     NonRationalEigenvalue,
     NotNilpotent,
+    SocleNotOneDimensional,
 )
 from nilmod.exactalg import QMatrix, Subspace, standard_basis_vector
 from nilmod.modcore import (
@@ -473,6 +474,23 @@ def test_no_common_eigenline_refined_by_second_matrix():
     mod = validate([a, b])
     with pytest.raises(NoCommonEigenline):
         socle_eigenvalues(mod)
+
+
+def test_socle_eigenvalues_jordan_block_beside_a_rotation():
+    # x_1 acts by a Jordan block at 3 plus a rotation, so its characteristic
+    # polynomial does not split; x_2 is diagonal.  The only rational joint
+    # eigenline is the Jordan block's, but its twist is not nilpotent.
+    from nilmod.embed import embed_general
+
+    jordan_rotation = QMatrix([[3, 1, 0, 0], [0, 3, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    diagonal = QMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    mod = validate([jordan_rotation, diagonal])
+    assert socle_eigenvalues(mod) == (Fraction(3), Fraction(1))
+    with pytest.raises(
+        SocleNotOneDimensional,
+        match="^the action is not nilpotent after twisting by the socle eigenvalues$",
+    ):
+        embed_general(mod)
 
 
 def test_no_common_eigenline_for_large_prime_eigenvalues():
