@@ -2,14 +2,16 @@
 
 One subcommand per library entry point; every input is a JSON file (or
 `-` for standard input) and every output is deterministic JSON on
-standard output.  Exit codes: 0 success, 1 domain errors, 2 parse or
-usage errors.
+standard output.  Exit codes: 0 success, 1 domain errors (and a
+standard output closed before the answer was written), 2 parse or usage
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -219,27 +221,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> tuple[int, dict]:
+    """The exit code and the JSON payload of one subcommand."""
+    try:
+        return 0, args.handler(args)
+    except NilmodError as exc:
+        return 1, {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        return 2, {"error": {"kind": "ParseError", "detail": str(exc)}}
+    except OSError as exc:
+        return 2, {"error": {"kind": "IOError", "detail": str(exc)}}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    code, payload = _run(args)
     try:
-        payload = args.handler(args)
-    except NilmodError as exc:
-        print(
-            json.dumps(
-                {"error": {"kind": type(exc).__name__, "detail": str(exc)}}, indent=2
-            )
-        )
+        print(json.dumps(payload, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (`nilmod aut big.json | head`).  As the
+        # Python `signal` documentation advises, point stdout at devnull so
+        # the flush at interpreter exit cannot fail again, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
-        print(
-            json.dumps({"error": {"kind": "ParseError", "detail": str(exc)}}, indent=2)
-        )
-        return 2
-    except OSError as exc:
-        print(json.dumps({"error": {"kind": "IOError", "detail": str(exc)}}, indent=2))
-        return 2
-    print(json.dumps(payload, indent=2))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -6,13 +6,27 @@ degree gives an exact finite model.  This module implements application,
 coefficient extraction from monomial-image tables, composition, formal
 exp/log, isomorphism extension between polynomial submodules, and the
 automorphism groups of monomial submodules.
+
+The series layer rests on three closed forms:
+
+- application: d^gamma x^beta = beta!/(beta-gamma)! x^(beta-gamma);
+- exp and log: the grading derivation theta, which scales the
+  coefficient at gamma by |gamma|, satisfies theta E = (theta s) E for
+  E = exp(s), which gives one pass in ascending degree:
+  |gamma| E_gamma = sum_(0<beta<=gamma) |beta| s_beta E_(gamma-beta), and
+  |gamma| L_gamma = |gamma| e_gamma - sum_(0<delta<gamma)
+  |gamma-delta| L_(gamma-delta) e_delta for L = log(e);
+- restriction to a lower set: the entry in row x^beta and column
+  x^alpha is c_(alpha-beta) alpha!/beta!.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb
-from typing import Mapping, Optional
+from operator import add, sub
+from typing import Callable, Container, Mapping, Optional
 
 from .errors import (
     IncompatibleMap,
@@ -148,11 +162,15 @@ class DiffOpSeries:
         return DiffOpSeries(self.n, trunc, out)
 
     def apply(self, p: Poly) -> Poly:
-        """sum c_alpha d^alpha p; refuses polynomials beyond the truncation.
+        """sum c_gamma d^gamma p; refuses polynomials beyond the truncation.
 
         A series truncated at D only determines an operator on
         polynomials of total degree <= D, so higher-degree input is an
         error rather than a silent approximation.
+
+        Closed form: d^gamma x^beta = beta!/(beta-gamma)! x^(beta-gamma)
+        when gamma <= beta, else 0.  The terms landing on x^delta are
+        summed times delta! and divided by delta! once at the end.
         """
         if p.n != self.n:
             raise ValueError("variable count mismatch")
@@ -161,12 +179,16 @@ class DiffOpSeries:
             raise TruncationTooLow(
                 f"polynomial degree {deg} exceeds truncation {self.trunc}"
             )
-        out = Poly.zero(self.n)
-        for alpha, c in self.coeffs.items():
-            term = p.partial_multi(alpha)
-            if not term.is_zero():
-                out = out + term.scale(c)
-        return out
+        scaled: dict[MultiIndex, Fraction] = {}
+        for beta, b in p.terms.items():
+            b_fact = b * multi_factorial(beta)
+            for gamma, c in self.coeffs.items():
+                delta = tuple(map(sub, beta, gamma))
+                if min(delta) >= 0:
+                    scaled[delta] = scaled.get(delta, 0) + c * b_fact
+        return Poly(
+            self.n, {delta: v / multi_factorial(delta) for delta, v in scaled.items()}
+        )
 
     def to_json(self) -> dict:
         return {
@@ -194,39 +216,104 @@ class DiffOpSeries:
         return cls(n, trunc, coeffs)
 
 
+def _graded_solve(
+    trunc: int,
+    within: Optional[Container[MultiIndex]],
+    seed: Mapping[MultiIndex, Fraction],
+    step: Mapping[MultiIndex, Fraction],
+    weight: Callable[[int], int],
+) -> dict[MultiIndex, Fraction]:
+    """The nonzero X_g, 0 < |g| <= trunc, of the graded recurrence
+
+        |g| X_g = seed_g + sum_(a + b = g, a != 0) weight(|a|) X_a step_b.
+
+    Every exponent in `step` has positive degree, so the right side only
+    uses X_a of lower degree, and one pass in ascending degree solves it.
+    Each solved X_a is pushed onto a + b for every b in `step`, so the
+    pass visits only sums of seed and step exponents, never the whole
+    C(n + trunc, n) monomials.  With `within` (a lower set), only its
+    monomials are computed; they never need one outside it.
+    """
+    terms = sorted(((b, sum(b), c) for b, c in step.items()), key=lambda t: t[1])
+    pending: list[dict[MultiIndex, Fraction]] = [{} for _ in range(trunc + 1)]
+    for g, c in seed.items():
+        d = sum(g)
+        if d <= trunc and (within is None or g in within):
+            pending[d][g] = c
+    out: dict[MultiIndex, Fraction] = {}
+    for d in range(1, trunc + 1):
+        for g, total in pending[d].items():
+            if not total:
+                continue
+            x = total / d
+            out[g] = x
+            w = weight(d) * x
+            for b, b_deg, c in terms:
+                e = d + b_deg
+                if e > trunc:
+                    break
+                h = tuple(map(add, g, b))
+                if within is None or h in within:
+                    bucket = pending[e]
+                    bucket[h] = bucket.get(h, 0) + w * c
+    return out
+
+
+def _exp_coeffs(
+    s: Mapping[MultiIndex, Fraction],
+    n: int,
+    trunc: int,
+    within: Optional[Container[MultiIndex]] = None,
+) -> dict[MultiIndex, Fraction]:
+    """exp(s) for s without constant term, by
+    |g| E_g = sum_(0<b<=g) |b| s_b E_(g-b)."""
+    weighted = {b: sum(b) * c for b, c in s.items()}
+    out = {(0,) * n: Fraction(1)}
+    out.update(_graded_solve(trunc, within, weighted, weighted, lambda d: 1))
+    return out
+
+
+def _log_coeffs(
+    e: Mapping[MultiIndex, Fraction],
+    trunc: int,
+    within: Optional[Container[MultiIndex]] = None,
+) -> dict[MultiIndex, Fraction]:
+    """log(e) for e with constant term one, by
+    |g| L_g = |g| e_g - sum_(0<b<g) |g-b| L_(g-b) e_b."""
+    step = {b: c for b, c in e.items() if any(b)}
+    seed = {b: sum(b) * c for b, c in step.items()}
+    return _graded_solve(trunc, within, seed, step, lambda d: -d)
+
+
 def series_exp(s: DiffOpSeries) -> DiffOpSeries:
     """Formal exponential; needs zero constant term.
 
-    Powers of s gain at least one total degree each, so the sum
-    stabilizes after trunc steps.
+    Closed form from theta E = (theta s) E, where theta scales the
+    coefficient at gamma by |gamma|:
+    |gamma| E_gamma = sum_(0<beta<=gamma) |beta| s_beta E_(gamma-beta),
+    one pass in ascending degree over the sums of support exponents.
     """
     if s.unit != 0:
         raise WrongConstantTerm("exp needs a zero constant term")
-    acc = DiffOpSeries.identity(s.n, s.trunc)
-    power = DiffOpSeries.identity(s.n, s.trunc)
-    fact = 1
-    for k in range(1, s.trunc + 1):
-        power = power.compose(s)
-        fact *= k
-        acc = acc + power.scale(Fraction(1, fact))
-    return acc
+    return DiffOpSeries(s.n, s.trunc, _exp_coeffs(s.coeffs, s.n, s.trunc))
 
 
 def series_log(s: DiffOpSeries) -> DiffOpSeries:
-    """Formal logarithm; needs constant term one.  Inverse of series_exp."""
+    """Formal logarithm; needs constant term one.  Inverse of series_exp.
+
+    Closed form from theta e = (theta L) e for L = log(e):
+    |gamma| L_gamma = |gamma| e_gamma
+    - sum_(0<delta<gamma) |gamma-delta| L_(gamma-delta) e_delta,
+    one pass in ascending degree over the sums of support exponents.
+    """
     if s.unit != 1:
         raise WrongConstantTerm("log needs constant term one")
-    u = s - DiffOpSeries.identity(s.n, s.trunc)
-    acc = DiffOpSeries.zero(s.n, s.trunc)
-    power = DiffOpSeries.identity(s.n, s.trunc)
-    for k in range(1, s.trunc + 1):
-        power = power.compose(u)
-        acc = acc + power.scale(Fraction(-1 if k % 2 == 0 else 1, k))
-    return acc
+    return DiffOpSeries(s.n, s.trunc, _log_coeffs(s.coeffs, s.trunc))
 
 
 def monomial_images(s: DiffOpSeries, degree: Optional[int] = None) -> dict[MultiIndex, Poly]:
-    """The table alpha -> s(x^alpha) for all |alpha| <= degree."""
+    """The table alpha -> s(x^alpha) for all |alpha| <= degree, each
+    entry by the closed form of `DiffOpSeries.apply`."""
     if degree is None:
         degree = s.trunc
     return {
@@ -283,7 +370,9 @@ class MonomialSubmodule:
         if not indices:
             raise ValueError("a monomial submodule needs at least the origin")
         for alpha in indices:
-            if len(alpha) != n or any(a < 0 or isinstance(a, bool) for a in alpha):
+            if len(alpha) != n or any(
+                isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha
+            ):
                 raise ValueError(f"bad exponent vector {alpha}")
         if not is_lower_set(indices):
             raise ValueError("the exponent set is not a lower set")
@@ -346,16 +435,27 @@ def restrict(s: DiffOpSeries, module: MonomialSubmodule) -> ModuleMap:
             f"series truncation {s.trunc} below the submodule degree "
             f"{module.max_degree}"
         )
-    order = [(a, multi_factorial(a)) for a in module.monomials_descending()]
-    rows = []
-    for beta, beta_fact in order:
-        row = []
-        for alpha, alpha_fact in order:
-            gamma = tuple(a - b for a, b in zip(alpha, beta))
-            row.append(s.coeff(gamma) * alpha_fact / beta_fact if min(gamma) >= 0 else 0)
-        rows.append(row)
+    matrix = _restriction_matrix(s.coeffs, module.monomials_descending())
     space = module.as_poly_submodule()
-    return ModuleMap(space, space, QMatrix(rows, cols=len(order)))
+    return ModuleMap(space, space, matrix)
+
+
+def _restriction_matrix(
+    coeffs: Mapping[MultiIndex, Fraction], order: tuple[MultiIndex, ...]
+) -> QMatrix:
+    """The matrix of sum c_gamma d^gamma on the monomials `order` of a
+    lower set: row x^beta, column x^alpha holds c_(alpha-beta) alpha!/beta!,
+    which is 0 unless beta <= alpha."""
+    zero = Fraction(0)
+    facts = [(a, multi_factorial(a)) for a in order]
+    rows = []
+    for beta, beta_fact in facts:
+        row = []
+        for alpha, alpha_fact in facts:
+            c = coeffs.get(tuple(map(sub, alpha, beta)))
+            row.append(c * alpha_fact / beta_fact if c else zero)
+        rows.append(tuple(row))
+    return QMatrix._trusted(rows, len(order))
 
 
 # --- extension of isomorphisms between polynomial submodules -----------
@@ -407,9 +507,20 @@ def extend_iso_step(
     source coordinates of the old basis and x^kappa, and those of B are
     the new target coordinates of their images.
     """
+    _check_iso(source, target, phi)
+    return _extend_iso_step(source, target, phi, within)
+
+
+def _extend_iso_step(
+    source: PolySubmodule,
+    target: PolySubmodule,
+    phi: ModuleMap,
+    within: Optional[MonomialSubmodule],
+) -> tuple[PolySubmodule, PolySubmodule, ModuleMap]:
+    """extend_iso_step for a phi already known to be an isomorphism
+    between source and target."""
     from .embed import potential
 
-    _check_iso(source, target, phi)
     n = source.n
     kappa = _least_missing_monomial(source, within)
 
@@ -458,7 +569,8 @@ def extend_iso(
     """Extend an isomorphism until its domain contains the goal's span.
 
     Finitely many single steps; each adjoins one missing goal monomial,
-    so the loop ends after at most m steps.
+    so the loop ends after at most m steps.  The caller's map is checked
+    once: every later map is built by a step from a checked one.
     """
     _check_iso(source, target, phi)
     current = phi
@@ -469,7 +581,7 @@ def extend_iso(
         )
         if covered:
             return current
-        src, tgt, current = extend_iso_step(src, tgt, current, within=goal)
+        src, tgt, current = _extend_iso_step(src, tgt, current, goal)
 
 
 # --- automorphism groups of monomial submodules -------------------------
@@ -543,13 +655,21 @@ class AutGroup:
     u * exp(sum t_lambda d^lambda), and the group law in descriptor
     coordinates is (u, t) . (u', t') = (u u', t + t').  Restriction to a
     lower set is an algebra map, so everything here is exact.
+
+    A lower set holds gamma - beta with every gamma >= beta in it, so
+    exp and log run on its m coefficients alone, by the recurrences of
+    series_exp and series_log, and the matrix is written down entry by
+    entry: row x^beta, column x^alpha holds c_(alpha-beta) alpha!/beta!.
     """
 
     def __init__(self, module: MonomialSubmodule):
         self.module = module
-        self.space = module.as_poly_submodule()
         self._order = self.module.monomials_descending()
-        self._position = {a: i for i, a in enumerate(self._order)}
+
+    @cached_property
+    def space(self) -> PolySubmodule:
+        """The submodule as a PolySubmodule, built when a map first needs it."""
+        return self.module.as_poly_submodule()
 
     @property
     def unit_count(self) -> int:
@@ -586,14 +706,16 @@ class AutGroup:
 
     def parametrize(self, desc: AutDescriptor) -> ModuleMap:
         """The automorphism of the submodule named by a descriptor."""
-        self._check_descriptor(desc)
-        trunc = self.module.max_degree
-        log_part = DiffOpSeries(self.module.n, trunc, desc.additive)
-        series = series_exp(log_part).scale(desc.unit)
-        return restrict(series, self.module)
+        return ModuleMap(self.space, self.space, self.matrix_of(desc))
 
     def matrix_of(self, desc: AutDescriptor) -> QMatrix:
-        return self.parametrize(desc).images
+        """The matrix of u * exp(sum t_lambda d^lambda) on the submodule."""
+        self._check_descriptor(desc)
+        module = self.module
+        series = _exp_coeffs(desc.additive, module.n, module.max_degree, module.indices)
+        return _restriction_matrix(
+            {alpha: desc.unit * c for alpha, c in series.items()}, self._order
+        )
 
     def descriptor_of(self, automorphism) -> AutDescriptor:
         """Inverse of parametrize; accepts the map or its matrix.
@@ -603,26 +725,21 @@ class AutGroup:
         rest moved to logarithmic coordinates.
         """
         matrix = automorphism.images if isinstance(automorphism, ModuleMap) else automorphism
-        if matrix.rows != self.module.m or matrix.cols != self.module.m:
+        module = self.module
+        if matrix.rows != module.m or matrix.cols != module.m:
             raise ValueError("matrix size disagrees with the submodule")
-        origin_row = self._position[(0,) * self.module.n]
-        coeffs = {}
-        for alpha, col in self._position.items():
-            c = matrix.entries[origin_row][col] / multi_factorial(alpha)
-            if c != 0:
-                coeffs[alpha] = c
-        unit = coeffs.get((0,) * self.module.n, Fraction(0))
+        # The origin is the least monomial, so its row is the last one.
+        origin_row = matrix.entries[-1]
+        unit = origin_row[-1]
         if unit == 0:
             raise ValueError("not an automorphism: zero unit coefficient")
-        trunc = self.module.max_degree
-        series = DiffOpSeries(self.module.n, trunc, coeffs)
-        logs = series_log(series.scale(1 / unit))
-        additive = {
-            alpha: logs.coeff(alpha)
-            for alpha in self.module.indices
-            if any(a != 0 for a in alpha)
+        normalized = {
+            alpha: c / (unit * multi_factorial(alpha))
+            for alpha, c in zip(self._order, origin_row)
+            if c != 0
         }
-        desc = AutDescriptor(unit, additive)
+        logs = _log_coeffs(normalized, module.max_degree, module.indices)
+        desc = AutDescriptor(unit, logs)
         if self.matrix_of(desc) != matrix:
             raise ValueError("matrix is not the restriction of any series")
         return desc

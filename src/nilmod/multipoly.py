@@ -79,7 +79,7 @@ class Poly:
         for alpha, c in (terms or {}).items():
             alpha = tuple(alpha)
             if len(alpha) != n or any(
-                a < 0 or not isinstance(a, int) or isinstance(a, bool) for a in alpha
+                isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha
             ):
                 raise ValueError(f"bad exponent vector {alpha} for n={n}")
             c = as_fraction(c)

@@ -6,11 +6,13 @@ Children find the package through an absolute ``src`` entry on their
 ``PYTHONPATH``, so the tests run from a clean checkout without an install.
 """
 
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,80 @@ def test_booleans_are_not_integers(argv, payload):
     proc = run_cli(argv, stdin=json.dumps(payload).encode())
     assert proc.returncode == 2, proc.stderr.decode()
     assert json.loads(proc.stdout)["error"]["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["aut", "-"], {"n": 2, "indices": [["0", "0"]]}),
+        (
+            ["extract-endo", "-"],
+            {
+                "n": 1,
+                "degree": 0,
+                "images": [{"exps": [0], "poly": [{"exps": ["0"], "coef": "1"}]}],
+            },
+        ),
+    ],
+    ids=["aut_string_indices", "extract_endo_string_exps"],
+)
+def test_string_exponents_are_parse_errors(argv, payload):
+    # The exponent's type is checked before it is compared with 0, so the
+    # library's own message reaches the user, not Python's TypeError.
+    proc = run_cli(argv, stdin=json.dumps(payload).encode())
+    assert proc.returncode == 2, proc.stderr.decode()
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "ParseError"
+    assert error["detail"].startswith("bad exponent vector ('0'"), error
+
+
+def lower_set_json(n, degree):
+    """Every exponent vector of n variables with total degree <= degree."""
+    indices = [
+        list(alpha)
+        for alpha in itertools.product(range(degree + 1), repeat=n)
+        if sum(alpha) <= degree
+    ]
+    return json.dumps({"n": n, "indices": indices}).encode()
+
+
+def test_aut_on_a_large_lower_set_is_quick():
+    # m = C(23, 3) = 1771: `aut` lists coordinates and builds no span.
+    start = time.perf_counter()
+    proc = run_cli(["aut", "-"], stdin=lower_set_json(3, 20))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr.decode()
+    data = json.loads(proc.stdout)
+    assert data["m"] == 1771 and len(data["additive_coordinates"]) == 1770
+    assert elapsed < 5.0
+
+
+def test_closed_pipe_ends_without_traceback(tmp_path):
+    # About 218 kB of output (m = 5456), far more than a pipe buffers: the
+    # child is still writing when the reader closes after two lines.
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nilmod.cli", "aut", "-"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=err,
+            cwd=GOLDEN,
+            env=child_env(),
+        )
+        try:
+            proc.stdin.write(lower_set_json(3, 30))
+            proc.stdin.close()
+            assert proc.stdout.readline() == b"{\n"
+            assert proc.stdout.readline() == b'  "m": 5456,\n'
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err.seek(0)
+        stderr = err.read().decode()
+    assert code == 1, stderr
+    assert "Traceback" not in stderr, stderr
+    assert "BrokenPipeError" not in stderr, stderr
 
 
 def test_missing_file_is_io_error():

@@ -3,8 +3,9 @@ built on them: coefficient extraction, composition, exp/log, submodule
 restriction, isomorphism extension, and automorphism groups.
 
 Oracles: the falling-factorial formula for d^alpha on monomials,
-operator composition checked pointwise, and matrix products for the
-group structure.
+operator composition checked pointwise, matrix products for the group
+structure, and the library's earlier loops for exp, log, application and
+the automorphism group, kept below as reference implementations.
 """
 
 import math
@@ -49,6 +50,7 @@ from nilmod.multipoly import (
     Poly,
     lower_set_closure,
     monomials_up_to_degree,
+    multi_factorial,
 )
 
 
@@ -74,6 +76,83 @@ def random_poly(rng, n, degree):
             if rng.random() < 0.5
         },
     )
+
+
+# --- reference implementations -------------------------------------------------
+# The library's earlier loops, kept as oracles for the closed forms: exp and
+# log as sums of k-fold compositions, application through chains of single
+# partial derivatives, and the automorphism group through full truncated
+# series, series_exp/series_log of those, and `restrict`.
+
+
+def reference_exp(s):
+    acc = DiffOpSeries.identity(s.n, s.trunc)
+    power = DiffOpSeries.identity(s.n, s.trunc)
+    fact = 1
+    for k in range(1, s.trunc + 1):
+        power = power.compose(s)
+        fact *= k
+        acc = acc + power.scale(Fraction(1, fact))
+    return acc
+
+
+def reference_log(s):
+    u = s - DiffOpSeries.identity(s.n, s.trunc)
+    acc = DiffOpSeries.zero(s.n, s.trunc)
+    power = DiffOpSeries.identity(s.n, s.trunc)
+    for k in range(1, s.trunc + 1):
+        power = power.compose(u)
+        acc = acc + power.scale(Fraction(-1 if k % 2 == 0 else 1, k))
+    return acc
+
+
+def reference_apply(s, p):
+    out = Poly.zero(s.n)
+    for alpha, c in s.coeffs.items():
+        term = p.partial_multi(alpha)
+        if not term.is_zero():
+            out = out + term.scale(c)
+    return out
+
+
+def reference_aut_matrix(module, desc):
+    log_part = DiffOpSeries(module.n, module.max_degree, desc.additive)
+    return restrict(reference_exp(log_part).scale(desc.unit), module).images
+
+
+def reference_descriptor_of(module, matrix):
+    order = module.monomials_descending()
+    origin_row = order.index((0,) * module.n)
+    coeffs = {}
+    for col, alpha in enumerate(order):
+        c = matrix.entries[origin_row][col] / multi_factorial(alpha)
+        if c != 0:
+            coeffs[alpha] = c
+    unit = coeffs.get((0,) * module.n, Fraction(0))
+    if unit == 0:
+        raise ValueError("not an automorphism: zero unit coefficient")
+    series = DiffOpSeries(module.n, module.max_degree, coeffs)
+    logs = reference_log(series.scale(1 / unit))
+    additive = {alpha: logs.coeff(alpha) for alpha in module.indices if any(alpha)}
+    desc = AutDescriptor(unit, additive)
+    if reference_aut_matrix(module, desc) != matrix:
+        raise ValueError("matrix is not the restriction of any series")
+    return desc
+
+
+def random_fraction(rng):
+    return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 7]), rng.randint(1, 6))
+
+
+def sparse_series(rng, n, trunc, unit=0):
+    """A series on a few random exponents, which need not form a lower set."""
+    coeffs = {}
+    for _ in range(rng.randint(0, 3)):
+        alpha = tuple(rng.randint(0, trunc) for _ in range(n))
+        if 0 < sum(alpha) <= trunc:
+            coeffs[alpha] = random_fraction(rng)
+    coeffs[(0,) * n] = unit
+    return DiffOpSeries(n, trunc, coeffs)
 
 
 def falling_derivative(beta, alpha, n):
@@ -189,6 +268,25 @@ def test_apply_never_raises_variable_degrees():
         image = s.apply(p)
         for i in range(1, n + 1):
             assert image.degree_in(i) <= p.degree_in(i)
+
+
+def test_apply_matches_partial_derivative_reference():
+    rng = random.Random(601)
+    for n in (1, 2, 3):
+        for trunc in range(5):
+            for _ in range(6):
+                s = random_series(rng, n, trunc)
+                p = random_poly(rng, n, trunc)
+                assert s.apply(p) == reference_apply(s, p)
+            s = sparse_series(rng, n, trunc, unit=random_fraction(rng))
+            p = random_poly(rng, n, trunc)
+            assert s.apply(p) == reference_apply(s, p)
+            assert DiffOpSeries.zero(n, trunc).apply(p) == Poly.zero(n)
+            assert s.apply(Poly.zero(n)) == Poly.zero(n)
+            assert monomial_images(s) == {
+                alpha: reference_apply(s, Poly.monomial(n, alpha))
+                for alpha in monomials_up_to_degree(n, trunc)
+            }
 
 
 def test_apply_rejects_polynomials_beyond_truncation():
@@ -343,6 +441,53 @@ def test_exp_turns_sums_into_compositions():
         a = random_series(rng, 2, 3, zero_unit=True)
         b = random_series(rng, 2, 3, zero_unit=True)
         assert series_exp(a + b) == series_exp(a).compose(series_exp(b))
+
+
+def test_exp_log_match_convolution_reference():
+    rng = random.Random(607)
+    for n in (1, 2, 3):
+        for trunc in range(5 if n < 3 else 4):
+            cases = [
+                DiffOpSeries.zero(n, trunc),
+                random_series(rng, n, trunc, zero_unit=True),
+                random_series(rng, n, trunc, zero_unit=True),
+                sparse_series(rng, n, trunc),
+                sparse_series(rng, n, trunc),
+            ]
+            for s in cases:
+                e = series_exp(s)
+                assert e == reference_exp(s)
+                assert series_log(e) == reference_log(e) == s
+            for u in (
+                DiffOpSeries.identity(n, trunc),
+                random_series(rng, n, trunc, unit_one=True),
+                sparse_series(rng, n, trunc, unit=1),
+            ):
+                assert series_log(u) == reference_log(u)
+
+
+def test_exp_log_on_supports_that_are_not_lower_sets():
+    for coeffs in ({(2, 0): Fraction(3, 2)}, {(2, 0): 1, (0, 3): Fraction(-1, 5)}):
+        s = DiffOpSeries(2, 7, coeffs)
+        assert series_exp(s) == reference_exp(s)
+        assert series_log(series_exp(s)) == s
+    # exp(3/2 d1^2) lives on the even powers of d1 alone
+    e = series_exp(DiffOpSeries(2, 7, {(2, 0): Fraction(3, 2)}))
+    assert set(e.coeffs) == {(0, 0), (2, 0), (4, 0), (6, 0)}
+    assert e.coeff((6, 0)) == Fraction(3, 2) ** 3 / 6
+
+
+def test_exp_log_sparse_high_truncation_is_fast():
+    # Only the 41 powers of d1 are sums of the support; a pass over all
+    # C(43, 3) = 12341 monomials of degree <= 40 would be far slower.
+    d1 = DiffOpSeries.derivative(3, 40, 1)
+    start = time.perf_counter()
+    shift = series_exp(d1)
+    back = series_log(shift)
+    elapsed = time.perf_counter() - start
+    assert shift.coeffs == {(k, 0, 0): Fraction(1, math.factorial(k)) for k in range(41)}
+    assert back == d1
+    assert elapsed < 0.5
 
 
 def test_exp_log_constant_term_guards():
@@ -583,6 +728,20 @@ def test_extend_step_rejects_bad_maps():
         extend_iso_step(sub, sub, swap)
 
 
+def test_extend_iso_checks_the_callers_map_once(monkeypatch):
+    calls = []
+    real = ModuleMap.is_isomorphism
+    monkeypatch.setattr(
+        ModuleMap, "is_isomorphism", lambda self: calls.append(self) or real(self)
+    )
+    sub = submodule_from_polys(2, [Poly(2, {(1, 0): 1, (0, 1): -2})])
+    goal = MonomialSubmodule(2, lower_set_closure([(2, 0), (1, 1)]))
+    phi = identity_map(sub)
+    extended = extend_iso(sub, sub, phi, goal)
+    assert extended.source.dim - sub.dim == 3
+    assert calls == [phi]
+
+
 def test_extend_iso_noop_when_goal_covered():
     sub = submodule_from_polys(2, [Poly(2, {(1, 1): 1})])
     goal = MonomialSubmodule(2, lower_set_closure([(1, 1)]))
@@ -708,6 +867,49 @@ def test_aut_descriptor_of_rejects_non_restrictions():
     zero_unit = QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
         group.descriptor_of(zero_unit)
+
+
+def test_aut_group_matches_series_reference():
+    rng = random.Random(613)
+    for n in (1, 2, 3):
+        modules = [MonomialSubmodule(n, [(0,) * n])]
+        modules += [random_lower_set(rng, n) for _ in range(6)]
+        for module in modules:
+            group = AutGroup(module)
+            inner = [alpha for alpha in module.indices if any(alpha)]
+            for density in (0.0, 0.3, 1.0):
+                desc = AutDescriptor(
+                    random_fraction(rng),
+                    {alpha: random_fraction(rng) for alpha in inner if rng.random() < density},
+                )
+                matrix = group.matrix_of(desc)
+                assert matrix == reference_aut_matrix(module, desc)
+                mapping = group.parametrize(desc)
+                assert mapping.images == matrix
+                assert mapping.source == mapping.target == module.as_poly_submodule()
+                assert group.descriptor_of(mapping) == desc
+                assert group.descriptor_of(matrix) == reference_descriptor_of(module, matrix)
+                if module.m > 1:
+                    # a perturbed entry above the diagonal: both refuse it alike
+                    entries = [list(row) for row in matrix.entries]
+                    entries[0][-1] += 1
+                    bent = QMatrix(entries)
+                    with pytest.raises(ValueError) as ours:
+                        group.descriptor_of(bent)
+                    with pytest.raises(ValueError) as theirs:
+                        reference_descriptor_of(module, bent)
+                    assert str(ours.value) == str(theirs.value)
+
+
+def test_aut_group_builds_no_space_for_descriptor_ops():
+    # `aut` and the descriptor group law never need the polynomial span.
+    group = AutGroup(MonomialSubmodule(3, lower_set_closure([(2, 2, 2)])))
+    a = AutDescriptor(2, {(1, 0, 0): 1})
+    assert group.inverse(group.compose(a, group.identity())).unit == Fraction(1, 2)
+    assert group.descriptor_of(group.matrix_of(a)) == a
+    assert "space" not in vars(group)
+    assert group.parametrize(a).source.dim == 27
+    assert "space" in vars(group)
 
 
 def test_aut_descriptor_json_round_trip():
