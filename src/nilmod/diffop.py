@@ -1,11 +1,17 @@
 """Truncated differential-operator series and what they do to submodules.
 
 Every endomorphism of the derivative module is a (formal) series
-sum c_alpha d^alpha with the convolution product; truncating at a total
-degree gives an exact finite model.  This module implements application,
-coefficient extraction from monomial-image tables, composition, formal
-exp/log, isomorphism extension between polynomial submodules, and the
-automorphism groups of monomial submodules.
+sum c_alpha d^alpha, an element of the power series ring in d; truncating
+at a total degree D leaves a polynomial in d of degree <= D, so sums,
+composition (the product, cut at D) and JSON are those of `Poly`.  This
+module implements application, coefficient extraction from monomial-image
+tables, composition, formal exp/log, isomorphism extension between
+polynomial submodules, and the automorphism groups of monomial submodules.
+
+On a polynomial submodule M the series give every endomorphism: M
+contains 1 and is closed under d, so its socle is the constants and M is
+the Matlis dual of A = K[d]/Ann(M), whence End(M) = A and
+dim End(M) = dim M (Eisenbud, Commutative Algebra, 21.2).
 
 The series layer rests on three closed forms:
 
@@ -36,7 +42,7 @@ from .errors import (
     WrongConstantTerm,
 )
 from .exactalg import QMatrix, as_fraction, as_int, format_rational, parse_rational
-from .modcore import ModuleMap, PolySubmodule, _intertwiner_kernel
+from .modcore import ModuleMap, PolySubmodule
 from .multipoly import (
     MultiIndex,
     Poly,
@@ -45,32 +51,27 @@ from .multipoly import (
     monomials_of_degree,
     monomials_up_to_degree,
     multi_factorial,
+    truncated_product,
 )
 
 
 class DiffOpSeries:
-    """sum c_alpha d^alpha with all |alpha| <= trunc; zeros not stored."""
+    """sum c_alpha d^alpha with all |alpha| <= trunc; zeros not stored.
+
+    A truncated element of K[d]: read as a polynomial in d, its sums,
+    products and JSON are those of `Poly`.
+    """
 
     __slots__ = ("n", "trunc", "coeffs")
 
     def __init__(self, n: int, trunc: int, coeffs: Optional[Mapping[MultiIndex, object]] = None):
         n, trunc = as_int(n), as_int(trunc)
-        if n < 1:
-            raise ValueError("variable count must be at least 1")
+        clean = Poly(n, coeffs).terms
         if trunc < 0:
             raise ValueError("truncation degree must be non-negative")
-        clean: dict[MultiIndex, Fraction] = {}
-        for alpha, c in (coeffs or {}).items():
-            alpha = tuple(alpha)
-            if len(alpha) != n or any(
-                isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha
-            ):
-                raise ValueError(f"bad operator index {alpha}")
+        for alpha in clean:
             if sum(alpha) > trunc:
                 raise ValueError(f"index {alpha} exceeds truncation {trunc}")
-            c = as_fraction(c)
-            if c != 0:
-                clean[alpha] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "coeffs", clean)
@@ -90,6 +91,11 @@ class DiffOpSeries:
     def derivative(cls, n: int, trunc: int, i: int) -> "DiffOpSeries":
         alpha = tuple(1 if k == i - 1 else 0 for k in range(n))
         return cls(n, trunc, {alpha: 1})
+
+    @property
+    def _poly(self) -> Poly:
+        """The coefficients as a polynomial in d_1, ..., d_n."""
+        return Poly(self.n, self.coeffs)
 
     def coeff(self, alpha: MultiIndex) -> Fraction:
         return self.coeffs.get(tuple(alpha), Fraction(0))
@@ -116,50 +122,25 @@ class DiffOpSeries:
     def __repr__(self) -> str:
         return f"DiffOpSeries(n={self.n}, trunc={self.trunc}, {len(self.coeffs)} terms)"
 
-    def _check_n(self, other: "DiffOpSeries") -> None:
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-
     def __add__(self, other: "DiffOpSeries") -> "DiffOpSeries":
-        self._check_n(other)
         trunc = min(self.trunc, other.trunc)
-        out = {a: c for a, c in self.coeffs.items() if sum(a) <= trunc}
-        for a, c in other.coeffs.items():
-            if sum(a) > trunc:
-                continue
-            s = out.get(a, Fraction(0)) + c
-            if s == 0:
-                out.pop(a, None)
-            else:
-                out[a] = s
-        return DiffOpSeries(self.n, trunc, out)
+        total = (self._poly + other._poly).terms
+        return DiffOpSeries(self.n, trunc, {a: c for a, c in total.items() if sum(a) <= trunc})
 
     def __neg__(self) -> "DiffOpSeries":
-        return DiffOpSeries(self.n, self.trunc, {a: -c for a, c in self.coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "DiffOpSeries") -> "DiffOpSeries":
         return self + (-other)
 
     def scale(self, c) -> "DiffOpSeries":
-        c = as_fraction(c)
-        return DiffOpSeries(self.n, self.trunc, {a: c * v for a, v in self.coeffs.items()})
+        return DiffOpSeries(self.n, self.trunc, self._poly.scale(c).terms)
 
     def compose(self, other: "DiffOpSeries") -> "DiffOpSeries":
-        """Operator composition = convolution of coefficients (commutative)."""
-        self._check_n(other)
+        """Operator composition: the product in K[d], truncated at the
+        lower of the two truncations (commutative)."""
         trunc = min(self.trunc, other.trunc)
-        out: dict[MultiIndex, Fraction] = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                g = tuple(x + y for x, y in zip(a, b))
-                if sum(g) > trunc:
-                    continue
-                s = out.get(g, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(g, None)
-                else:
-                    out[g] = s
-        return DiffOpSeries(self.n, trunc, out)
+        return DiffOpSeries(self.n, trunc, truncated_product(self._poly, other._poly, trunc).terms)
 
     def apply(self, p: Poly) -> Poly:
         """sum c_gamma d^gamma p; refuses polynomials beyond the truncation.
@@ -191,29 +172,12 @@ class DiffOpSeries:
         )
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "trunc": self.trunc,
-            "coeffs": [
-                {"exps": list(a), "coef": format_rational(self.coeffs[a])}
-                for a in sorted(self.coeffs, key=grlex_key, reverse=True)
-            ],
-        }
+        return {"n": self.n, "trunc": self.trunc, "coeffs": self._poly.to_json()}
 
     @classmethod
     def from_json(cls, data) -> "DiffOpSeries":
-        n = data["n"]
-        trunc = data["trunc"]
-        coeffs: dict[MultiIndex, Fraction] = {}
-        for item in data["coeffs"]:
-            alpha = tuple(item["exps"])
-            if alpha in coeffs:
-                raise ValueError(f"duplicate operator index {alpha}")
-            c = parse_rational(item["coef"])
-            if c == 0:
-                raise ValueError("zero coefficient in series JSON")
-            coeffs[alpha] = c
-        return cls(n, trunc, coeffs)
+        n = as_int(data["n"])
+        return cls(n, data["trunc"], Poly.from_json(data["coeffs"], n).terms)
 
 
 def _graded_solve(
@@ -686,14 +650,9 @@ class AutGroup:
         """The group law: units multiply, additive coordinates add."""
         self._check_descriptor(a)
         self._check_descriptor(b)
-        total = dict(a.additive)
-        for alpha, c in b.additive.items():
-            s = total.get(alpha, Fraction(0)) + c
-            if s == 0:
-                total.pop(alpha, None)
-            else:
-                total[alpha] = s
-        return AutDescriptor(a.unit * b.unit, total)
+        n = self.module.n
+        total = Poly(n, a.additive) + Poly(n, b.additive)
+        return AutDescriptor(a.unit * b.unit, total.terms)
 
     def inverse(self, a: AutDescriptor) -> AutDescriptor:
         self._check_descriptor(a)
@@ -747,51 +706,6 @@ class AutGroup:
 
 def aut_structure(module: MonomialSubmodule) -> AutGroup:
     return AutGroup(module)
-
-
-# --- reporters for the questions the theory leaves open -----------------
-
-def endomorphism_space_dim(module: PolySubmodule) -> int:
-    """Dimension of the space of all linear maps commuting with every
-    partial-derivative action on the submodule."""
-    mats = module.action_matrices()
-    return _intertwiner_kernel(mats, mats, module.dim).dim
-
-
-def restricted_series_dim(module: PolySubmodule) -> int:
-    """Dimension of the span of the restrictions of all d^beta."""
-    d = module.dim
-    degree = 0
-    for p in module.basis:
-        t = p.total_degree()
-        if isinstance(t, int):
-            degree = max(degree, t)
-    flat = []
-    for beta in monomials_up_to_degree(module.n, degree):
-        columns = []
-        for p in module.basis:
-            coords = module.coordinates_of(p.partial_multi(beta))
-            if coords is None:
-                raise AssertionError("the submodule is closed under differentiation")
-            columns.append(coords)
-        mat = QMatrix.from_columns(columns, rows=d)
-        flat.append([mat.entries[r][c] for r in range(d) for c in range(d)])
-    return QMatrix(flat, cols=d * d).rank()
-
-
-def endomorphism_gap(module: PolySubmodule) -> dict:
-    """Compare End(M) with the span of restricted operator series.
-
-    Whether the two always agree for non-monomial submodules is left
-    open by the theory; this reports what exhaustive small searches see.
-    """
-    end_dim = endomorphism_space_dim(module)
-    series_dim = restricted_series_dim(module)
-    return {
-        "end_dim": end_dim,
-        "series_dim": series_dim,
-        "gap": end_dim - series_dim,
-    }
 
 
 def restriction_kernel_dim(module: MonomialSubmodule, trunc: int) -> int:

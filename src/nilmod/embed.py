@@ -47,7 +47,6 @@ from .modcore import (
     FDModule,
     ModuleMap,
     PolySubmodule,
-    _intertwiner_kernel,
     _joint_kernel,
     is_nilpotent,
     socle_eigenvalues,
@@ -220,9 +219,19 @@ def is_isomorphic(first: FDModule, second: FDModule) -> bool:
 
 
 def _intertwiner_space(first: FDModule, second: FDModule) -> list[QMatrix]:
-    """Basis of {P : P S_i = T_i P for all i} as d x d matrices."""
+    """Basis of {P : P S_i = T_i P for all i} as d x d matrices, from the
+    kernel of the linear system in the d^2 entries of P, row by row."""
     d = first.dim
-    kernel = _intertwiner_kernel(first.matrices, second.matrices, d)
+    rows = []
+    for s, t in zip(first.matrices, second.matrices):
+        for a in range(d):
+            for c in range(d):
+                row = [Fraction(0)] * (d * d)
+                for b in range(d):
+                    row[a * d + b] += s.entries[b][c]
+                    row[b * d + c] -= t.entries[a][b]
+                rows.append(row)
+    kernel = QMatrix(rows, cols=d * d).kernel()
     return [
         QMatrix([v[r * d : (r + 1) * d] for r in range(d)], cols=d)
         for v in kernel.basis

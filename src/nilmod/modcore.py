@@ -5,6 +5,10 @@ matrices giving the action of the variables.  This layer owns
 validation, nilpotency, socles, twisting by a rational shift of the
 variables, the bridge to derivative-closed polynomial subspaces, and
 seeded random generators for tests.
+
+The polynomials form a module over K[d], x_i acting as d_i, and the
+submodule generated by g is K[d] g: the span of the d^beta g with beta
+in the lower-set closure of g's exponents, every other d^beta g being 0.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class FDModule:
         n = as_int(data["n"])
         matrices = [QMatrix.from_json(m) for m in data["matrices"]]
         mod = cls(n, matrices)
-        if "dim" in data and data["dim"] != mod.dim:
+        if "dim" in data and as_int(data["dim"]) != mod.dim:
             raise ValueError("declared dim disagrees with the matrices")
         return mod
 
@@ -142,25 +146,6 @@ def _joint_kernel(module: FDModule) -> Subspace:
     """Common kernel of the action matrices: the kernel of their stack."""
     stacked = [row for m in module.matrices for row in m.entries]
     return QMatrix(stacked, cols=module.dim).kernel()
-
-
-def _intertwiner_kernel(
-    sources: Sequence[QMatrix], targets: Sequence[QMatrix], d: int
-) -> Subspace:
-    """Solution space of P S_i = T_i P for all i, over d x d matrices P
-    flattened row by row."""
-    rows = []
-    for s, t in zip(sources, targets):
-        for a in range(d):
-            for c in range(d):
-                row = [Fraction(0)] * (d * d)
-                for b in range(d):
-                    row[a * d + b] += s.entries[b][c]
-                    row[b * d + c] -= t.entries[a][b]
-                rows.append(row)
-    if not rows:
-        return Subspace.full(d * d)
-    return QMatrix(rows, cols=d * d).kernel()
 
 
 def twist(module: FDModule, shift: Sequence) -> FDModule:
@@ -283,28 +268,22 @@ class PolySubmodule:
 
 
 def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
-    """Smallest derivative-closed subspace containing the generators and 1."""
-    support: set[MultiIndex] = {(0,) * n}
+    """Smallest derivative-closed subspace containing the generators and 1.
+
+    That is K[d] g_1 + ... + K[d] g_k + K: it is spanned by 1 and every
+    d^beta g with beta in the lower-set closure of g's support, and every
+    other d^beta g is zero.  Each d^beta g is one partial derivative of a
+    d^beta' g of lower degree, taken in ascending degree.
+    """
+    members = [Poly.one(n)]
     for g in gens:
         if g.n != n:
             raise ValueError("variable count mismatch")
-        support |= lower_set_closure(g.monomials())
-    monomial_list = tuple(sorted(support, key=grlex_key, reverse=True))
-    width = len(monomial_list)
-    span = Subspace.zero(width)
-    queue = [Poly.one(n)] + [g for g in gens if not g.is_zero()]
-    members: list[Poly] = []
-    while queue:
-        p = queue.pop()
-        v = poly_to_vector(p, monomial_list)
-        if v is None:
-            raise AssertionError("derivatives stay inside the lower-set closure")
-        if span.contains(v):
-            continue
-        span = span.sum(Subspace.from_vectors(width, [v]))
-        members.append(p)
-        for i in range(1, n + 1):
-            queue.append(p.partial(i))
+        derived = {(0,) * n: g}
+        for beta in sorted(lower_set_closure(g.monomials()), key=sum)[1:]:
+            i = next(k for k, b in enumerate(beta) if b)
+            derived[beta] = derived[beta[:i] + (beta[i] - 1,) + beta[i + 1 :]].partial(i + 1)
+        members += derived.values()
     return PolySubmodule(n, members)
 
 
@@ -377,10 +356,6 @@ def action_matrices(module: ModuleLike) -> tuple[QMatrix, ...]:
     return module.action_matrices()
 
 
-def module_dim(module: ModuleLike) -> int:
-    return module.dim
-
-
 class ModuleMap:
     """A linear map between modules, stored as exact coordinates.
 
@@ -393,7 +368,7 @@ class ModuleMap:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source: ModuleLike, target: ModuleLike, images: QMatrix):
-        if images.cols != module_dim(source) or images.rows != module_dim(target):
+        if images.cols != source.dim or images.rows != target.dim:
             raise ValueError("image matrix shape disagrees with the modules")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -404,7 +379,7 @@ class ModuleMap:
 
     @classmethod
     def identity(cls, module: ModuleLike) -> "ModuleMap":
-        return cls(module, module, QMatrix.identity(module_dim(module)))
+        return cls(module, module, QMatrix.identity(module.dim))
 
     def is_intertwining(self) -> bool:
         """Whether map(x_i . v) = x_i . map(v) for all i, as matrices."""
@@ -602,24 +577,21 @@ def _integer_roots(g: list[int]) -> list[int]:
     return roots
 
 
-def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], bool]:
+def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """Distinct rational roots of a nonzero rational polynomial, in
-    increasing order, plus whether it splits completely into rational
-    linear factors.
+    increasing order.
 
     With f the squarefree part, primitive of degree k and leading
     coefficient a, the substitution t = u / a makes
     g(u) = a^(k-1) f(u / a) monic with integer coefficients, so the
-    rational roots of f are the integer roots of g divided by a.  The
-    polynomial splits when f has k of them.
+    rational roots of f are the integer roots of g divided by a.
     """
     f = _squarefree_part(_primitive(coeffs))
     k, a = len(f) - 1, f[-1]
     if k == 0:
-        return [], True
+        return []
     g = [c * a ** (k - 1 - i) for i, c in enumerate(f[:-1])] + [1]
-    roots = sorted(Fraction(u, a) for u in _integer_roots(g))
-    return roots, len(roots) == k
+    return sorted(Fraction(u, a) for u in _integer_roots(g))
 
 
 def socle_eigenvalues(module: FDModule) -> tuple[Fraction, ...]:
@@ -639,7 +611,7 @@ def socle_eigenvalues(module: FDModule) -> tuple[Fraction, ...]:
     eye = QMatrix.identity(d)
     survivors: list[tuple[tuple[Fraction, ...], list]] = [((), [])]
     for m in module.matrices:
-        roots, _ = _rational_roots(_char_poly(m))
+        roots = _rational_roots(_char_poly(m))
         extended = []
         for values, rows in survivors:
             for a in roots:

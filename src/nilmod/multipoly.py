@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .exactalg import as_fraction, format_rational, parse_rational
@@ -36,6 +37,8 @@ def multi_factorial(alpha: MultiIndex) -> int:
 
 def monomials_of_degree(n: int, degree: int) -> Iterator[MultiIndex]:
     """All exponent vectors of length n with total degree exactly `degree`."""
+    if n < 1:
+        raise ValueError("variable count must be at least 1")
     if n == 1:
         yield (degree,)
         return
@@ -176,17 +179,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            self._check_compatible(other)
-            out: dict[MultiIndex, Fraction] = {}
-            for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    g = tuple(x + y for x, y in zip(a, b))
-                    s = out.get(g, Fraction(0)) + ca * cb
-                    if s == 0:
-                        out.pop(g, None)
-                    else:
-                        out[g] = s
-            return Poly(self.n, out)
+            return truncated_product(self, other, self.total_degree() + other.total_degree())
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -273,6 +266,27 @@ class Poly:
                 raise ValueError("zero coefficient in polynomial JSON")
             terms[alpha] = c
         return cls(n, terms)
+
+
+def truncated_product(p: Poly, q: Poly, bound) -> Poly:
+    """The terms of p * q of total degree at most `bound`.
+
+    This is the product of K[x] and, read with x_i as d_i, the
+    composition of truncated operator series.  q's terms are visited in
+    ascending degree, so each term of p stops at the first one that
+    overshoots the bound.
+    """
+    p._check_compatible(q)
+    by_degree = sorted(((b, sum(b), c) for b, c in q.terms.items()), key=lambda t: t[1])
+    out: dict[MultiIndex, Fraction] = {}
+    for a, ca in p.terms.items():
+        room = bound - sum(a)
+        for b, b_deg, cb in by_degree:
+            if b_deg > room:
+                break
+            g = tuple(map(add, a, b))
+            out[g] = out.get(g, 0) + ca * cb
+    return Poly(p.n, out)
 
 
 def _check_var(n: int, i: int) -> None:

@@ -124,6 +124,16 @@ def test_gen_degree_bound_zero_is_dim_one():
     assert data["dim"] == 1
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gen_refuses_fewer_than_one_variable(n):
+    proc = run_cli(["gen", "--n", n, "--degree-bound", "2", "--seed", "1"])
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert json.loads(proc.stdout) == {
+        "error": {"kind": "ParseError", "detail": "variable count must be at least 1"}
+    }
+    assert b"Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv,payload",
     [
@@ -131,6 +141,8 @@ def test_gen_degree_bound_zero_is_dim_one():
         # they are malformed input.
         (["aut", "-"], {"n": 1, "indices": [[True], [False]]}),
         (["validate", "-"], {"n": True, "dim": 1, "matrices": [[["0"]]]}),
+        (["validate", "-"], {"n": 1, "dim": True, "matrices": [[["0"]]]}),
+        (["validate", "-"], {"n": 1, "dim": 1.0, "matrices": [[["0"]]]}),
         (
             ["extract-endo", "-"],
             {
@@ -143,7 +155,13 @@ def test_gen_degree_bound_zero_is_dim_one():
             },
         ),
     ],
-    ids=["aut_bool_exponents", "validate_bool_n", "extract_endo_bool_degree"],
+    ids=[
+        "aut_bool_exponents",
+        "validate_bool_n",
+        "validate_bool_dim",
+        "validate_float_dim",
+        "extract_endo_bool_degree",
+    ],
 )
 def test_booleans_are_not_integers(argv, payload):
     proc = run_cli(argv, stdin=json.dumps(payload).encode())

@@ -4,8 +4,9 @@ restriction, isomorphism extension, and automorphism groups.
 
 Oracles: the falling-factorial formula for d^alpha on monomials,
 operator composition checked pointwise, matrix products for the group
-structure, and the library's earlier loops for exp, log, application and
-the automorphism group, kept below as reference implementations.
+structure, and the library's earlier loops for sums, composition, exp,
+log, application, the automorphism group and the endomorphism space,
+kept below as reference implementations.
 """
 
 import math
@@ -25,14 +26,11 @@ from nilmod.diffop import (
     DiffOpSeries,
     MonomialSubmodule,
     aut_structure,
-    endomorphism_gap,
-    endomorphism_space_dim,
     extend_iso,
     extend_iso_step,
     extract_coeffs,
     monomial_images,
     restrict,
-    restricted_series_dim,
     restriction_kernel_dim,
     series_exp,
     series_log,
@@ -79,10 +77,75 @@ def random_poly(rng, n, degree):
 
 
 # --- reference implementations -------------------------------------------------
-# The library's earlier loops, kept as oracles for the closed forms: exp and
-# log as sums of k-fold compositions, application through chains of single
-# partial derivatives, and the automorphism group through full truncated
-# series, series_exp/series_log of those, and `restrict`.
+# The library's earlier loops, kept as oracles for the closed forms: sums and
+# composition as sparse loops of their own, exp and log as sums of k-fold
+# compositions, application through chains of single partial derivatives,
+# the automorphism group through full truncated series, series_exp/series_log
+# of those, and `restrict`, and the endomorphism space as the d^2-unknown
+# intertwiner system.
+
+
+def reference_add(a, b):
+    if a.n != b.n:
+        raise ValueError("variable count mismatch")
+    trunc = min(a.trunc, b.trunc)
+    out = {k: c for k, c in a.coeffs.items() if sum(k) <= trunc}
+    for k, c in b.coeffs.items():
+        if sum(k) > trunc:
+            continue
+        total = out.get(k, Fraction(0)) + c
+        if total == 0:
+            out.pop(k, None)
+        else:
+            out[k] = total
+    return DiffOpSeries(a.n, trunc, out)
+
+
+def reference_compose(a, b):
+    if a.n != b.n:
+        raise ValueError("variable count mismatch")
+    trunc = min(a.trunc, b.trunc)
+    out = {}
+    for k, ca in a.coeffs.items():
+        for m, cb in b.coeffs.items():
+            g = tuple(x + y for x, y in zip(k, m))
+            if sum(g) > trunc:
+                continue
+            total = out.get(g, Fraction(0)) + ca * cb
+            if total == 0:
+                out.pop(g, None)
+            else:
+                out[g] = total
+    return DiffOpSeries(a.n, trunc, out)
+
+
+def reference_endomorphism_dim(sub):
+    """dim of {P : P D_i = D_i P for all i}, the d^2 unknowns of P read
+    row by row, where D_i is the action of d_i on the submodule."""
+    d = sub.dim
+    rows = []
+    for m in sub.action_matrices():
+        for a in range(d):
+            for c in range(d):
+                row = [Fraction(0)] * (d * d)
+                for b in range(d):
+                    row[a * d + b] += m.entries[b][c]
+                    row[b * d + c] -= m.entries[a][b]
+                rows.append(row)
+    return QMatrix(rows, cols=d * d).kernel().dim
+
+
+def reference_restricted_series_dim(sub):
+    """dim of the span of the restrictions of every d^beta, |beta| at most
+    the top degree of the submodule."""
+    d = sub.dim
+    degree = max(sum(alpha) for alpha in sub.monomial_list)
+    flat = []
+    for beta in monomials_up_to_degree(sub.n, degree):
+        columns = [sub.coordinates_of(p.partial_multi(beta)) for p in sub.basis]
+        mat = QMatrix.from_columns(columns, rows=d)
+        flat.append([x for row in mat.entries for x in row])
+    return QMatrix(flat, cols=d * d).rank()
 
 
 def reference_exp(s):
@@ -202,6 +265,46 @@ def test_series_add_truncates_to_min():
     total = a + b
     assert total.trunc == 2
     assert total.coeffs == {(1,): Fraction(1)}
+
+
+def test_add_and_compose_match_loop_reference():
+    rng = random.Random(617)
+    for n in (1, 2, 3):
+        for _ in range(12):
+            trunc_a, trunc_b = rng.randint(0, 4), rng.randint(0, 4)
+            pairs = [
+                (random_series(rng, n, trunc_a), random_series(rng, n, trunc_b)),
+                (sparse_series(rng, n, trunc_a, unit=random_fraction(rng)),
+                 random_series(rng, n, trunc_b)),
+                (DiffOpSeries.zero(n, trunc_a), sparse_series(rng, n, trunc_b)),
+            ]
+            for a, b in pairs:
+                assert a + b == reference_add(a, b)
+                assert a - b == reference_add(a, -b)
+                assert a + (-a) == DiffOpSeries.zero(n, a.trunc)
+                assert a.compose(b) == reference_compose(a, b)
+                assert b.compose(a) == reference_compose(b, a)
+    other = DiffOpSeries.identity(2, 2)
+    for op in (DiffOpSeries.__add__, DiffOpSeries.compose, reference_add, reference_compose):
+        with pytest.raises(ValueError, match="^variable count mismatch$"):
+            op(DiffOpSeries.identity(1, 2), other)
+
+
+def test_series_validation_messages_come_from_poly():
+    with pytest.raises(ValueError, match=r"^bad exponent vector \(1,\) for n=2$"):
+        DiffOpSeries(2, 3, {(1,): 1})
+    with pytest.raises(ValueError, match=r"^index \(1, 1\) exceeds truncation 1$"):
+        DiffOpSeries(2, 1, {(1, 1): 1})
+    with pytest.raises(ValueError, match="^truncation degree must be non-negative$"):
+        DiffOpSeries(1, -1)
+    with pytest.raises(ValueError, match="^variable count must be at least 1$"):
+        DiffOpSeries(0, 1)
+    dup = {"n": 1, "trunc": 2, "coeffs": [{"exps": [1], "coef": "1"}] * 2}
+    with pytest.raises(ValueError, match=r"^duplicate exponent vector \(1,\)$"):
+        DiffOpSeries.from_json(dup)
+    zero = {"n": 1, "trunc": 2, "coeffs": [{"exps": [1], "coef": "0"}]}
+    with pytest.raises(ValueError, match="^zero coefficient in polynomial JSON$"):
+        DiffOpSeries.from_json(zero)
 
 
 def test_series_json_round_trip():
@@ -922,27 +1025,41 @@ def test_every_plane_automorphism_is_a_series_restriction():
     # dimension 3 = m, so invertible intertwiners all carry descriptors
     module = MonomialSubmodule(2, [(0, 0), (1, 0), (0, 1)])
     sub = module.as_poly_submodule()
-    assert endomorphism_space_dim(sub) == 3
-    assert restricted_series_dim(sub) == 3
+    assert reference_endomorphism_dim(sub) == 3
+    assert reference_restricted_series_dim(sub) == 3
 
 
-# --- reporters ---------------------------------------------------------------------------
+# --- End(M) = K[d]/Ann(M) -------------------------------------------------------------
+# A submodule contains 1 and is closed under d, so its socle is the
+# constants and M is the Matlis dual of A = K[d]/Ann(M).  Then End(M) = A:
+# every intertwiner is a restricted series, and dim End(M) = dim M.  The
+# library no longer computes either side; these check the identity on the
+# reference systems.
 
 def test_endomorphism_gap_on_diagonal_line():
     sub = submodule_from_polys(2, [Poly(2, {(1, 0): 1, (0, 1): 1})])
-    report = endomorphism_gap(sub)
-    assert set(report) == {"end_dim", "series_dim", "gap"}
-    assert report["end_dim"] == 2
-    assert report["gap"] == 0
+    assert sub.dim == 2
+    assert reference_endomorphism_dim(sub) == 2
+    assert reference_restricted_series_dim(sub) == 2
 
 
 def test_endomorphism_gap_small_search_sees_no_gap():
     rng = random.Random(509)
     for _ in range(8):
         sub = submodule_from_polys(2, [random_poly(rng, 2, 2)])
-        report = endomorphism_gap(sub)
-        assert report["end_dim"] >= report["series_dim"]
-        assert report["gap"] == 0
+        assert reference_endomorphism_dim(sub) == reference_restricted_series_dim(sub) == sub.dim
+
+
+def test_endomorphism_space_dimension_is_the_module_dimension():
+    rng = random.Random(619)
+    # dimensions 1 to 13; the reference system has d^2 unknowns
+    top = {1: 13, 2: 4, 3: 3}
+    for n in (1, 2, 3):
+        for count in (1, 2):
+            for _ in range(5):
+                gens = [random_poly(rng, n, rng.randint(1, top[n])) for _ in range(count)]
+                sub = submodule_from_polys(n, gens)
+                assert reference_endomorphism_dim(sub) == sub.dim
 
 
 def test_restriction_kernel_dimensions():

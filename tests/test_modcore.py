@@ -1,8 +1,9 @@
 """Tests for the module layer (commuting tuples, socle, twisting, bridges).
 
 Independent oracles: a from-scratch nullspace routine for socle checks,
-and brute-force enumeration of all iterated derivatives for the
-generated submodules.
+brute-force enumeration of all iterated derivatives for the generated
+submodules, and the library's earlier breadth-first closure, kept below
+as a reference implementation.
 """
 
 import random
@@ -19,6 +20,7 @@ from nilmod.errors import (
     NotNilpotent,
     SocleNotOneDimensional,
 )
+import nilmod.exactalg as exactalg
 from nilmod.exactalg import QMatrix, Subspace, standard_basis_vector
 from nilmod.modcore import (
     ExpSubmodule,
@@ -29,13 +31,14 @@ from nilmod.modcore import (
     as_matrices,
     is_nilpotent,
     random_nilpotent_module,
+    random_poly,
     socle,
     socle_eigenvalues,
     submodule_from_polys,
     twist,
     validate,
 )
-from nilmod.multipoly import Poly, poly_to_vector
+from nilmod.multipoly import Poly, grlex_key, lower_set_closure, poly_to_vector
 
 E12 = QMatrix([[0, 1], [0, 0]])
 E21 = QMatrix([[0, 0], [1, 0]])
@@ -282,6 +285,59 @@ def test_submodule_matches_brute_force_closure():
         rows = [poly_to_vector(q, sub.monomial_list) for q in derived]
         assert all(r is not None for r in rows)
         assert naive_rank(rows) == sub.dim
+
+
+def reference_closure(n, gens):
+    """The library's earlier closure: breadth-first over derivatives,
+    keeping each polynomial outside the span found so far."""
+    support = {(0,) * n}
+    for g in gens:
+        support |= lower_set_closure(g.monomials())
+    monomial_list = tuple(sorted(support, key=grlex_key, reverse=True))
+    width = len(monomial_list)
+    span = Subspace.zero(width)
+    queue = [Poly.one(n)] + [g for g in gens if not g.is_zero()]
+    members = []
+    while queue:
+        p = queue.pop()
+        v = poly_to_vector(p, monomial_list)
+        if span.contains(v):
+            continue
+        span = span.sum(Subspace.from_vectors(width, [v]))
+        members.append(p)
+        for i in range(1, n + 1):
+            queue.append(p.partial(i))
+    return PolySubmodule(n, members)
+
+
+def test_submodule_matches_breadth_first_reference():
+    rng = random.Random(257)
+    top = {1: 9, 2: 4, 3: 3}
+    cases = [(1, []), (2, [Poly.zero(2)]), (3, [Poly.zero(3), Poly.variable(3, 2)])]
+    for n in (1, 2, 3):
+        for count in (1, 2):
+            for _ in range(6):
+                cases.append((n, [random_poly(n, rng.randint(0, top[n]), rng) for _ in range(count)]))
+    # the generators behind `nilmod gen --n N --degree-bound B --seed S`
+    for n, bound, seed in [(2, 2, 7), (3, 2, 11), (2, 0, 3), (1, 5, 1), (3, 1, 2), (2, 7, 5), (3, 4, 6)]:
+        cases.append((n, [random_poly(n, bound, random.Random(seed))]))
+    for n, gens in cases:
+        assert submodule_from_polys(n, gens) == reference_closure(n, gens)
+
+
+def test_submodule_runs_one_elimination(monkeypatch):
+    calls = []
+    real = exactalg._rref_int
+    monkeypatch.setattr(exactalg, "_rref_int", lambda *a: calls.append(a) or real(*a))
+    gens = [Poly(2, {(3, 1): 2, (0, 2): -1}), Poly(2, {(1, 2): 1})]
+    sub = submodule_from_polys(2, gens)
+    assert len(calls) == 1
+    assert sub == reference_closure(2, gens)
+
+
+def test_submodule_rejects_mixed_variable_counts():
+    with pytest.raises(ValueError, match="^variable count mismatch$"):
+        submodule_from_polys(2, [Poly.variable(2, 1), Poly.variable(1, 1)])
 
 
 def test_submodule_closed_under_partials():
@@ -551,6 +607,31 @@ def poly_times(a, b):
     return out
 
 
+def squarefree_degree(coeffs):
+    """deg f - deg gcd(f, f'): the number of distinct complex roots."""
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p = p[:-1]
+        return p
+
+    def remainder(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for k, c in enumerate(b):
+                a[shift + k] -= q * c
+            a = trim(a)
+        return a
+
+    f = trim([Fraction(c) for c in coeffs])
+    g, h = f, trim([k * c for k, c in enumerate(f)][1:])
+    while h:
+        g, h = h, remainder(g, h)
+    return len(f) - len(g)
+
+
 def test_rational_roots_match_brute_force():
     from nilmod.modcore import _rational_roots
 
@@ -566,7 +647,11 @@ def test_rational_roots_match_brute_force():
             factor = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(2, 3))]
             factor.append(Fraction(rng.randint(1, 3)))
             poly = poly_times(poly, factor)
-        assert _rational_roots(poly) == brute_force_rational_roots(poly)
+        roots = _rational_roots(poly)
+        expected_roots, splits = brute_force_rational_roots(poly)
+        assert roots == expected_roots
+        # f splits over Q iff its distinct rational roots are all its roots
+        assert (len(roots) == squarefree_degree(poly)) == splits
 
 
 def test_rational_roots_fixed_cases():
@@ -575,19 +660,24 @@ def test_rational_roots_fixed_cases():
     def f(*cs):
         return [Fraction(c) for c in cs]
 
-    assert _rational_roots(f(1)) == ([], True)
-    assert _rational_roots(f(0, 0, 1)) == ([Fraction(0)], True)
-    assert _rational_roots(f(1, 0, 1)) == ([], False)  # t^2 + 1
-    assert _rational_roots(f(-2, 0, 1)) == ([], False)  # t^2 - 2
-    assert _rational_roots(f(-1, 0, 4)) == ([Fraction(-1, 2), Fraction(1, 2)], True)
+    def check(poly, roots, splits):
+        assert _rational_roots(poly) == roots
+        assert (len(roots) == squarefree_degree(poly)) == splits
+
+    check(f(1), [], True)
+    check(f(0, 0, 1), [Fraction(0)], True)
+    check(f(1, 0, 1), [], False)  # t^2 + 1
+    check(f(-2, 0, 1), [], False)  # t^2 - 2
+    check(f(-1, 0, 4), [Fraction(-1, 2), Fraction(1, 2)], True)
     # (t - 1/3)^2 (t^2 - 2): a double rational root beside two irrational ones.
     poly = poly_times(poly_times(f(Fraction(-1, 3), 1), f(Fraction(-1, 3), 1)), f(-2, 0, 1))
-    assert _rational_roots(poly) == ([Fraction(1, 3)], False)
+    check(poly, [Fraction(1, 3)], False)
     # 99/70 lies within 1/70 of sqrt(2): scaled by the leading coefficient
     # 70, both roots fall in the same unit interval (98, 99].
     poly = poly_times(f(-2, 0, 1), f(-99, 70))
-    assert _rational_roots(poly) == ([Fraction(99, 70)], False)
-    assert _rational_roots(poly_times(poly, f(-99, 70))) == ([Fraction(99, 70)], False)
+    check(poly, [Fraction(99, 70)], False)
+    check(poly_times(poly, f(-99, 70)), [Fraction(99, 70)], False)
+    check(poly_times(f(-99, 70), f(-99, 70)), [Fraction(99, 70)], True)
 
 
 # --- serialization ------------------------------------------------------------------
@@ -602,6 +692,14 @@ def test_fdmodule_json_rejects_bad_dim():
     blob["dim"] = 3
     with pytest.raises(ValueError):
         FDModule.from_json(blob)
+
+
+@pytest.mark.parametrize("dim", [True, 1.0, "1"])
+def test_fdmodule_json_refuses_non_integer_dim(dim):
+    # True == 1 and 1.0 == 1 in Python, so a plain comparison let them pass.
+    with pytest.raises(ValueError):
+        FDModule.from_json({"n": 1, "dim": dim, "matrices": [[["0"]]]})
+    assert FDModule.from_json({"n": 1, "dim": 1, "matrices": [[["0"]]]}).dim == 1
 
 
 def test_polysubmodule_json_round_trip():

@@ -22,6 +22,7 @@ from nilmod.multipoly import (
     monomials_up_to_degree,
     multi_factorial,
     poly_to_vector,
+    truncated_product,
     vector_to_poly,
 )
 
@@ -102,6 +103,26 @@ def test_arithmetic_against_evaluation_oracle():
 def test_mul_variable_count_mismatch():
     with pytest.raises(ValueError):
         Poly.one(1) * Poly.one(2)
+    with pytest.raises(ValueError):
+        Poly.zero(1) * Poly.zero(2)
+
+
+def test_truncated_product_keeps_the_low_degree_terms():
+    rng = random.Random(131)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        p = random_poly(rng, n, 3)
+        q = random_poly(rng, n, 3, density=rng.choice([0.0, 0.3, 1.0]))
+        full = p * q
+        assert full == truncated_product(p, q, 6)
+        for bound in range(-1, 7):
+            expected = {a: c for a, c in full.terms.items() if sum(a) <= bound}
+            assert truncated_product(p, q, bound).terms == expected
+    # (1 + x)(1 - x) = 1 - x^2: the cancelled x term is not stored
+    assert truncated_product(Poly(1, {(0,): 1, (1,): 1}), Poly(1, {(0,): 1, (1,): -1}), 2) == Poly(
+        1, {(0,): 1, (2,): -1}
+    )
+    assert Poly.zero(2) * Poly.one(2) == Poly.one(2) * Poly.zero(2) == Poly.zero(2)
 
 
 # --- derivatives and integrals -------------------------------------------
@@ -229,6 +250,14 @@ def test_monomial_counts():
     assert len(list(monomials_of_degree(3, 4))) == math.comb(6, 2)
     assert len(list(monomials_up_to_degree(2, 3))) == 10
     assert list(monomials_of_degree(1, 2)) == [(2,)]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_monomials_need_a_variable(n):
+    with pytest.raises(ValueError, match="^variable count must be at least 1$"):
+        list(monomials_of_degree(n, 2))
+    with pytest.raises(ValueError, match="^variable count must be at least 1$"):
+        list(monomials_up_to_degree(n, 2))
 
 
 # --- lower sets -------------------------------------------------------------
