@@ -37,7 +37,10 @@ from .multipoly import Poly
 
 def _read_json(path: str):
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return json.loads(text)
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("input JSON must be an object")
+    return data
 
 
 def _cmd_validate(args) -> dict:

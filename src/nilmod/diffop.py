@@ -24,6 +24,13 @@ The series layer rests on three closed forms:
   |gamma-delta| L_(gamma-delta) e_delta for L = log(e);
 - restriction to a lower set: the entry in row x^beta and column
   x^alpha is c_(alpha-beta) alpha!/beta!.
+
+An isomorphism between polynomial submodules grows one monomial at a
+time.  Each step adjoins the graded-lex least monomial x^kappa missing
+from the source, whose partials lie inside, and maps it to the potential
+of their images.  One search finds kappa: among the goal's exponents, or
+among all exponents up to one above the top degree of the source's
+support, since every monomial above that degree is missing.
 """
 
 from __future__ import annotations
@@ -41,21 +48,20 @@ from .errors import (
     TruncationTooLow,
     WrongConstantTerm,
 )
-from .exactalg import QMatrix, as_fraction, as_int, format_rational, parse_rational
+from .exactalg import QMatrix, Value, as_fraction, as_int, format_rational, parse_rational
 from .modcore import ModuleMap, PolySubmodule
 from .multipoly import (
     MultiIndex,
     Poly,
     grlex_key,
     is_lower_set,
-    monomials_of_degree,
     monomials_up_to_degree,
     multi_factorial,
     truncated_product,
 )
 
 
-class DiffOpSeries:
+class DiffOpSeries(Value):
     """sum c_alpha d^alpha with all |alpha| <= trunc; zeros not stored.
 
     A truncated element of K[d]: read as a polynomial in d, its sums,
@@ -75,9 +81,6 @@ class DiffOpSeries:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOpSeries is immutable")
 
     @classmethod
     def zero(cls, n: int, trunc: int) -> "DiffOpSeries":
@@ -108,13 +111,8 @@ class DiffOpSeries:
     def is_automorphism(self) -> bool:
         return self.unit != 0
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffOpSeries)
-            and self.n == other.n
-            and self.trunc == other.trunc
-            and self.coeffs == other.coeffs
-        )
+    def _key(self) -> tuple:
+        return self.n, self.trunc, self.coeffs
 
     def __hash__(self) -> int:
         return hash((self.n, self.trunc, frozenset(self.coeffs.items())))
@@ -319,14 +317,14 @@ def extract_coeffs(
     return DiffOpSeries(n, degree, coeffs)
 
 
-class MonomialSubmodule:
+class MonomialSubmodule(Value):
     """A submodule of the derivative module spanned by monomials.
 
     The exponent set is a lower set: closed downward under the
     componentwise order and containing the origin.
     """
 
-    __slots__ = ("n", "indices")
+    __slots__ = ("n", "indices", "_span")
 
     def __init__(self, n: int, indices):
         n = as_int(n)
@@ -342,9 +340,7 @@ class MonomialSubmodule:
             raise ValueError("the exponent set is not a lower set")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "indices", indices)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialSubmodule is immutable")
+        object.__setattr__(self, "_span", None)
 
     @property
     def m(self) -> int:
@@ -358,19 +354,14 @@ class MonomialSubmodule:
         return tuple(sorted(self.indices, key=grlex_key, reverse=True))
 
     def as_poly_submodule(self) -> PolySubmodule:
-        return PolySubmodule(
-            self.n, [Poly.monomial(self.n, a) for a in self.monomials_descending()]
-        )
+        """The span of the monomials, built on the first call."""
+        if self._span is None:
+            monomials = [Poly.monomial(self.n, a) for a in self.monomials_descending()]
+            object.__setattr__(self, "_span", PolySubmodule(self.n, monomials))
+        return self._span
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialSubmodule)
-            and self.n == other.n
-            and self.indices == other.indices
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.indices))
+    def _key(self) -> tuple:
+        return self.n, self.indices
 
     def __repr__(self) -> str:
         return f"MonomialSubmodule(n={self.n}, m={self.m})"
@@ -433,25 +424,21 @@ def _check_iso(source: PolySubmodule, target: PolySubmodule, phi: ModuleMap) -> 
 
 def _least_missing_monomial(
     module: PolySubmodule, within: Optional[MonomialSubmodule]
-) -> MultiIndex:
-    """The monomial-order-least exponent of minimal total degree whose
-    monomial lies outside the submodule."""
+) -> Optional[MultiIndex]:
+    """The grlex-least exponent whose monomial lies outside the
+    submodule, or None when there is none.
+
+    The candidates are within's exponents, or else every exponent up to
+    one above the top degree of the submodule's support: every monomial
+    above that degree is missing, so the least missing one is among them.
+    """
+    n = module.n
     if within is not None:
-        missing = [
-            a
-            for a in within.indices
-            if not module.contains(Poly.monomial(module.n, a))
-        ]
-        if not missing:
-            raise NothingToExtend("the target monomials are already covered")
-        least_degree = min(sum(a) for a in missing)
-        return min((a for a in missing if sum(a) == least_degree), key=grlex_key)
-    degree = 0
-    while True:
-        for alpha in sorted(monomials_of_degree(module.n, degree), key=grlex_key):
-            if not module.contains(Poly.monomial(module.n, alpha)):
-                return alpha
-        degree += 1
+        candidates = within.indices
+    else:
+        candidates = monomials_up_to_degree(n, sum(module.monomial_list[0]) + 1)
+    ordered = sorted(candidates, key=grlex_key)
+    return next((a for a in ordered if not module.contains(Poly.monomial(n, a))), None)
 
 
 def extend_iso_step(
@@ -472,21 +459,20 @@ def extend_iso_step(
     the new target coordinates of their images.
     """
     _check_iso(source, target, phi)
-    return _extend_iso_step(source, target, phi, within)
+    kappa = _least_missing_monomial(source, within)
+    if kappa is None:
+        raise NothingToExtend("the target monomials are already covered")
+    extended = _extend_iso_step(phi, kappa)
+    return extended.source, extended.target, extended
 
 
-def _extend_iso_step(
-    source: PolySubmodule,
-    target: PolySubmodule,
-    phi: ModuleMap,
-    within: Optional[MonomialSubmodule],
-) -> tuple[PolySubmodule, PolySubmodule, ModuleMap]:
-    """extend_iso_step for a phi already known to be an isomorphism
-    between source and target."""
+def _extend_iso_step(phi: ModuleMap, kappa: MultiIndex) -> ModuleMap:
+    """phi, an isomorphism between polynomial submodules, extended to
+    x^kappa, the least monomial missing from its source."""
     from .embed import potential
 
+    source, target = phi.source, phi.target
     n = source.n
-    kappa = _least_missing_monomial(source, within)
 
     def coordinates(space: PolySubmodule, p: Poly, invariant: str) -> tuple:
         coords = space.coordinates_of(p)
@@ -521,7 +507,7 @@ def _extend_iso_step(
     a_inverse = a.inverse()
     if a_inverse is None:
         raise AssertionError("the old basis and x^kappa are a basis of the new source")
-    return new_source, new_target, ModuleMap(new_source, new_target, b * a_inverse)
+    return ModuleMap(new_source, new_target, b * a_inverse)
 
 
 def extend_iso(
@@ -532,25 +518,20 @@ def extend_iso(
 ) -> ModuleMap:
     """Extend an isomorphism until its domain contains the goal's span.
 
-    Finitely many single steps; each adjoins one missing goal monomial,
-    so the loop ends after at most m steps.  The caller's map is checked
-    once: every later map is built by a step from a checked one.
+    Each step adjoins the least goal monomial missing from the source,
+    found by one search, so the loop ends after at most m steps.  The
+    caller's map is checked once: every later map is built by a step
+    from a checked one.
     """
     _check_iso(source, target, phi)
-    current = phi
-    src, tgt = source, target
-    while True:
-        covered = all(
-            src.contains(Poly.monomial(src.n, a)) for a in goal.indices
-        )
-        if covered:
-            return current
-        src, tgt, current = _extend_iso_step(src, tgt, current, goal)
+    while (kappa := _least_missing_monomial(phi.source, goal)) is not None:
+        phi = _extend_iso_step(phi, kappa)
+    return phi
 
 
 # --- automorphism groups of monomial submodules -------------------------
 
-class AutDescriptor:
+class AutDescriptor(Value):
     """Coordinates for an automorphism of a monomial submodule.
 
     One nonzero unit (the scale) and one additive coordinate per
@@ -575,15 +556,8 @@ class AutDescriptor:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "additive", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AutDescriptor is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AutDescriptor)
-            and self.unit == other.unit
-            and self.additive == other.additive
-        )
+    def _key(self) -> tuple:
+        return self.unit, self.additive
 
     def __hash__(self) -> int:
         return hash((self.unit, frozenset(self.additive.items())))

@@ -35,6 +35,7 @@ from .errors import (
     SocleNotOneDimensional,
 )
 from .exactalg import (
+    Immutable,
     QMatrix,
     Vector,
     _columns,
@@ -55,7 +56,7 @@ from .modcore import (
 from .multipoly import MultiIndex, Poly, multi_factorial
 
 
-class EmbeddingResult:
+class EmbeddingResult(Immutable):
     """An isomorphism from a matrix module onto a polynomial submodule."""
 
     __slots__ = ("image", "map")
@@ -63,9 +64,6 @@ class EmbeddingResult:
     def __init__(self, image: PolySubmodule, map: ModuleMap):
         object.__setattr__(self, "image", image)
         object.__setattr__(self, "map", map)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EmbeddingResult is immutable")
 
     def image_polys(self) -> tuple[Poly, ...]:
         """Image polynomial of each source basis vector, in order."""

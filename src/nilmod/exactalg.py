@@ -57,6 +57,33 @@ def as_int(x) -> int:
     return x
 
 
+class Immutable:
+    """Base of the immutable types: fields are set once, in the
+    constructor, through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Value(Immutable):
+    """An immutable value: equal when of the same type with equal
+    `_key()`, hashed by that key.  Fields derived from the key stay out
+    of it."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
 def vector(entries: Iterable) -> Vector:
     return tuple(as_fraction(x) for x in entries)
 
@@ -132,7 +159,7 @@ def _rref_int(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[int], list
     return pivots, reduced
 
 
-class QMatrix:
+class QMatrix(Value):
     """Dense row-major matrix of exact rationals."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -159,9 +186,6 @@ class QMatrix:
         object.__setattr__(out, "cols", cols)
         object.__setattr__(out, "entries", tuple(rows))
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
@@ -194,16 +218,8 @@ class QMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+    def _key(self) -> tuple:
+        return self.rows, self.cols, self.entries
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -372,7 +388,7 @@ class QMatrix:
         return cls([[parse_rational(x) for x in row] for row in data])
 
 
-class Subspace:
+class Subspace(Value):
     """A linear subspace of Q^n held as a canonical RREF basis.
 
     Two subspaces are equal as sets of vectors iff their stored bases are
@@ -386,9 +402,6 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(vector(v) for v in basis))
         object.__setattr__(self, "_membership", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -419,15 +432,8 @@ class Subspace:
     def basis_matrix(self) -> QMatrix:
         return QMatrix(self.basis, cols=self.ambient_dim)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+    def _key(self) -> tuple:
+        return self.ambient_dim, self.basis
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

@@ -25,8 +25,10 @@ from .errors import (
     NotNilpotent,
 )
 from .exactalg import (
+    Immutable,
     QMatrix,
     Subspace,
+    Value,
     Vector,
     _columns,
     _int_matmul,
@@ -47,7 +49,7 @@ from .multipoly import (
 )
 
 
-class FDModule:
+class FDModule(Value):
     """n pairwise-commuting d x d matrices; commutativity is checked."""
 
     __slots__ = ("n", "dim", "matrices")
@@ -68,18 +70,8 @@ class FDModule:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrices", matrices)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FDModule is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FDModule)
-            and self.n == other.n
-            and self.matrices == other.matrices
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.matrices))
+    def _key(self) -> tuple:
+        return self.n, self.matrices
 
     def __repr__(self) -> str:
         return f"FDModule(n={self.n}, dim={self.dim})"
@@ -160,7 +152,7 @@ def twist(module: FDModule, shift: Sequence) -> FDModule:
     )
 
 
-class PolySubmodule:
+class PolySubmodule(Value):
     """A derivative-closed subspace of polynomials containing the constants.
 
     Stored canonically: the list of monomials occurring in any member
@@ -178,13 +170,9 @@ class PolySubmodule:
                 raise ValueError("variable count mismatch")
             support |= p.monomials()
         monomial_list = tuple(sorted(support, key=grlex_key, reverse=True))
-        rows = []
-        for p in polys:
-            v = poly_to_vector(p, monomial_list)
-            if v is None:
-                raise AssertionError("every member lies in the support")
-            rows.append(v)
-        coords = Subspace.from_vectors(len(monomial_list), rows)
+        coords = Subspace.from_vectors(
+            len(monomial_list), [poly_to_vector(p, monomial_list) for p in polys]
+        )
         basis = tuple(
             vector_to_poly(row, monomial_list, n) for row in coords.basis
         )
@@ -192,33 +180,16 @@ class PolySubmodule:
         object.__setattr__(self, "monomial_list", monomial_list)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "basis", basis)
-        self._validate_closed()
-
-    def _validate_closed(self) -> None:
-        if not self.contains(Poly.one(self.n)):
+        if not self.contains(Poly.one(n)):
             raise ValueError("a polynomial submodule must contain the constants")
-        for p in self.basis:
-            for i in range(1, self.n + 1):
-                if not self.contains(p.partial(i)):
-                    raise ValueError("subspace is not closed under differentiation")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolySubmodule is immutable")
+        self.action_matrices()
 
     @property
     def dim(self) -> int:
         return self.coords.dim
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolySubmodule)
-            and self.n == other.n
-            and self.monomial_list == other.monomial_list
-            and self.coords == other.coords
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.monomial_list, self.coords))
+    def _key(self) -> tuple:
+        return self.n, self.monomial_list, self.coords
 
     def __repr__(self) -> str:
         return f"PolySubmodule(n={self.n}, dim={self.dim})"
@@ -246,16 +217,20 @@ class PolySubmodule:
         return out
 
     def action_matrices(self) -> tuple[QMatrix, ...]:
-        """Matrices of the partial derivatives in the canonical basis."""
+        """Matrices of the partial derivatives in the canonical basis.
+
+        This pass is also the constructor's closure check: it raises
+        ValueError when some derivative of a basis member lies outside.
+        """
         out = []
         for i in range(1, self.n + 1):
             columns = []
             for p in self.basis:
                 coords = self.coordinates_of(p.partial(i))
                 if coords is None:
-                    raise AssertionError("the submodule is closed under differentiation")
+                    raise ValueError("subspace is not closed under differentiation")
                 columns.append(coords)
-            out.append(QMatrix.from_columns(columns, rows=self.dim))
+            out.append(QMatrix._trusted(list(zip(*columns)), self.dim))
         return tuple(out)
 
     def to_json(self) -> dict:
@@ -287,7 +262,7 @@ def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
     return PolySubmodule(n, members)
 
 
-class ExpSubmodule:
+class ExpSubmodule(Value):
     """A polynomial submodule shifted by an exponential weight.
 
     Models exp(a . x) * W: the action of x_i on coordinates is
@@ -303,9 +278,6 @@ class ExpSubmodule:
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "part", part)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpSubmodule is immutable")
-
     @property
     def n(self) -> int:
         return self.part.n
@@ -314,15 +286,8 @@ class ExpSubmodule:
     def dim(self) -> int:
         return self.part.dim
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExpSubmodule)
-            and self.eigenvalues == other.eigenvalues
-            and self.part == other.part
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.eigenvalues, self.part))
+    def _key(self) -> tuple:
+        return self.eigenvalues, self.part
 
     def action_matrices(self) -> tuple[QMatrix, ...]:
         eye = QMatrix.identity(self.part.dim)
@@ -356,7 +321,7 @@ def action_matrices(module: ModuleLike) -> tuple[QMatrix, ...]:
     return module.action_matrices()
 
 
-class ModuleMap:
+class ModuleMap(Immutable):
     """A linear map between modules, stored as exact coordinates.
 
     Column j of `images` holds the coordinates (in the target's
@@ -373,9 +338,6 @@ class ModuleMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleMap is immutable")
 
     @classmethod
     def identity(cls, module: ModuleLike) -> "ModuleMap":
@@ -440,6 +402,8 @@ def random_nilpotent_module(n: int, degree_bound: int, seed: int) -> FDModule:
 
     Always nilpotent with one-dimensional socle, by construction.
     """
+    if degree_bound < 0:
+        raise ValueError("degree bound must be non-negative")
     rng = random.Random(seed)
     p = random_poly(n, degree_bound, rng)
     fd, _ = as_matrices(submodule_from_polys(n, [p]))

@@ -15,7 +15,7 @@ from itertools import product
 from operator import add
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactalg import as_fraction, format_rational, parse_rational
+from .exactalg import Value, as_fraction, format_rational, parse_rational
 
 MultiIndex = tuple[int, ...]
 
@@ -36,11 +36,13 @@ def multi_factorial(alpha: MultiIndex) -> int:
 
 
 def monomials_of_degree(n: int, degree: int) -> Iterator[MultiIndex]:
-    """All exponent vectors of length n with total degree exactly `degree`."""
+    """All exponent vectors of length n with total degree exactly `degree`
+    (none for a negative degree)."""
     if n < 1:
         raise ValueError("variable count must be at least 1")
     if n == 1:
-        yield (degree,)
+        if degree >= 0:
+            yield (degree,)
         return
     for first in range(degree, -1, -1):
         for rest in monomials_of_degree(n - 1, degree - first):
@@ -70,7 +72,7 @@ def is_lower_set(indices: Iterable[MultiIndex]) -> bool:
     return True
 
 
-class Poly:
+class Poly(Value):
     """Sparse polynomial; zero coefficients are never stored."""
 
     __slots__ = ("n", "terms")
@@ -90,9 +92,6 @@ class Poly:
                 clean[alpha] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
@@ -122,8 +121,8 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
+    def _key(self) -> tuple:
+        return self.n, self.terms
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))

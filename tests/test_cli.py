@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from nilmod import cli
 from nilmod.diffop import DiffOpSeries
 from nilmod.modcore import FDModule, PolySubmodule
 
@@ -132,6 +133,45 @@ def test_gen_refuses_fewer_than_one_variable(n):
         "error": {"kind": "ParseError", "detail": "variable count must be at least 1"}
     }
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n,bound", [("2", "-3"), ("1", "-1")])
+def test_gen_refuses_a_negative_degree_bound(n, bound):
+    proc = run_cli(["gen", "--n", n, "--degree-bound", bound, "--seed", "1"])
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert json.loads(proc.stdout) == {
+        "error": {"kind": "ParseError", "detail": "degree bound must be non-negative"}
+    }
+
+
+# Every subcommand that reads a file, once per file argument; the other
+# argument of `isomorphic` is a valid module.
+FILE_ARGUMENTS = [
+    ["validate", "FILE"],
+    ["socle", "FILE"],
+    ["embed", "FILE"],
+    ["canonical", "FILE"],
+    ["isomorphic", "FILE", str(GOLDEN / "inputs" / "jordan2.json")],
+    ["isomorphic", str(GOLDEN / "inputs" / "jordan2.json"), "FILE"],
+    ["embed-general", "FILE"],
+    ["extract-endo", "FILE"],
+    ["aut", "FILE"],
+    ["extend-iso", "FILE"],
+]
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"], ids=["list", "string", "number", "null"])
+@pytest.mark.parametrize("argv", FILE_ARGUMENTS, ids=[f"{a[0]}-{a.index('FILE')}" for a in FILE_ARGUMENTS])
+def test_top_level_json_must_be_an_object(argv, text, tmp_path, capsys):
+    # In process, so the 40 cases cost no interpreter start each; main's
+    # return value is the exit code of `python -m nilmod.cli`.
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = cli.main([str(path) if a == "FILE" else a for a in argv])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"kind": "ParseError", "detail": "input JSON must be an object"}
+    }
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ log, application, the automorphism group and the endomorphism space,
 kept below as reference implementations.
 """
 
+import json
 import math
 import os
 import random
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import nilmod.diffop as diffop
 from nilmod.diffop import (
     AutDescriptor,
     AutGroup,
@@ -34,6 +36,8 @@ from nilmod.diffop import (
     restriction_kernel_dim,
     series_exp,
     series_log,
+    _extend_iso_step,
+    _least_missing_monomial,
 )
 from nilmod.errors import (
     IncompatibleMap,
@@ -46,7 +50,9 @@ from nilmod.exactalg import QMatrix
 from nilmod.modcore import ModuleMap, PolySubmodule, submodule_from_polys
 from nilmod.multipoly import (
     Poly,
+    grlex_key,
     lower_set_closure,
+    monomials_of_degree,
     monomials_up_to_degree,
     multi_factorial,
 )
@@ -81,8 +87,9 @@ def random_poly(rng, n, degree):
 # composition as sparse loops of their own, exp and log as sums of k-fold
 # compositions, application through chains of single partial derivatives,
 # the automorphism group through full truncated series, series_exp/series_log
-# of those, and `restrict`, and the endomorphism space as the d^2-unknown
-# intertwiner system.
+# of those, and `restrict`, the endomorphism space as the d^2-unknown
+# intertwiner system, and the extension's two searches for the least missing
+# monomial with its loop that rescans the goal before each step.
 
 
 def reference_add(a, b):
@@ -201,6 +208,39 @@ def reference_descriptor_of(module, matrix):
     if reference_aut_matrix(module, desc) != matrix:
         raise ValueError("matrix is not the restriction of any series")
     return desc
+
+
+def reference_least_missing_monomial(module, within):
+    """Filter `within`, or walk every monomial degree by degree."""
+    if within is not None:
+        missing = [
+            a
+            for a in within.indices
+            if not module.contains(Poly.monomial(module.n, a))
+        ]
+        if not missing:
+            raise NothingToExtend("the target monomials are already covered")
+        least_degree = min(sum(a) for a in missing)
+        return min((a for a in missing if sum(a) == least_degree), key=grlex_key)
+    degree = 0
+    while True:
+        for alpha in sorted(monomials_of_degree(module.n, degree), key=grlex_key):
+            if not module.contains(Poly.monomial(module.n, alpha)):
+                return alpha
+        degree += 1
+
+
+def reference_extend_iso_step(phi, within=None):
+    return _extend_iso_step(phi, reference_least_missing_monomial(phi.source, within))
+
+
+def reference_extend_iso(phi, goal):
+    current = phi
+    while True:
+        src = current.source
+        if all(src.contains(Poly.monomial(src.n, a)) for a in goal.indices):
+            return current
+        current = reference_extend_iso_step(current, goal)
 
 
 def random_fraction(rng):
@@ -831,6 +871,99 @@ def test_extend_step_rejects_bad_maps():
         extend_iso_step(sub, sub, swap)
 
 
+def seeded_isomorphisms(rng, n):
+    """Isomorphisms between polynomial submodules in n variables:
+    identities, restricted automorphism series, a series carrying a
+    submodule onto another, and spans with gaps such as span{1, x1 + x2},
+    where adjoining x2 also covers x1."""
+    x = [Poly.variable(n, i) for i in range(1, n + 1)]
+    one = Poly.one(n)
+    cases = []
+    for _ in range(2):
+        sub = submodule_from_polys(n, [random_poly(rng, n, 3 if n < 3 else 2)])
+        cases.append(identity_map(sub))
+    while True:
+        module = random_lower_set(rng, n)
+        s = random_series(rng, n, module.max_degree)
+        if s.is_automorphism():
+            cases.append(restrict(s, module))
+            break
+    source = submodule_from_polys(n, [random_poly(rng, n, 2)])
+    top = sum(source.monomial_list[0])
+    sigma = series_exp(sparse_series(rng, n, top)).scale(random_fraction(rng))
+    target = PolySubmodule(n, [sigma.apply(q) for q in source.basis])
+    images = [target.coordinates_of(sigma.apply(q)) for q in source.basis]
+    cases.append(ModuleMap(source, target, QMatrix.from_columns(images, rows=target.dim)))
+    line = x[0] + x[-1].scale(-2)
+    gaps = [[x[0]]] if n == 1 else [[x[0] + x[1]], [line, line * line]]
+    for gens in gaps:
+        cases.append(identity_map(PolySubmodule(n, [one] + gens)))
+    return cases
+
+
+def extension_json(phi):
+    return json.dumps(
+        [
+            phi.source.to_json(),
+            phi.target.to_json(),
+            [phi.image_poly(j).to_json() for j in range(phi.source.dim)],
+        ]
+    )
+
+
+def test_extension_matches_the_two_search_reference():
+    rng = random.Random(613)
+    for n in (1, 2, 3):
+        for phi in seeded_isomorphisms(rng, n):
+            assert phi.is_isomorphism()
+            src, tgt = phi.source, phi.target
+            assert _least_missing_monomial(src, None) == reference_least_missing_monomial(src, None)
+            ours = extend_iso_step(src, tgt, phi)
+            assert extension_json(ours[2]) == extension_json(reference_extend_iso_step(phi))
+            assert ours[:2] == (ours[2].source, ours[2].target)
+            for _ in range(3):
+                within = random_lower_set(rng, n)
+                try:
+                    expected = extension_json(reference_extend_iso_step(phi, within))
+                except NothingToExtend:
+                    assert _least_missing_monomial(src, within) is None
+                    with pytest.raises(NothingToExtend):
+                        extend_iso_step(src, tgt, phi, within=within)
+                    continue
+                assert extension_json(extend_iso_step(src, tgt, phi, within=within)[2]) == expected
+                assert extension_json(extend_iso(src, tgt, phi, within)) == extension_json(
+                    reference_extend_iso(phi, within)
+                )
+
+
+def test_search_stops_one_degree_above_the_support():
+    # span{1, x1 + x2}: x2 is the least missing monomial; once it is in,
+    # x1 is too, and the next one missing has degree 2.
+    one, x1, x2 = Poly.one(2), Poly.variable(2, 1), Poly.variable(2, 2)
+    sub = PolySubmodule(2, [one, x1 + x2])
+    assert _least_missing_monomial(sub, None) == (0, 1)
+    grown = PolySubmodule(2, [one, x1 + x2, x2])
+    assert _least_missing_monomial(grown, None) == (0, 2)
+    goal = MonomialSubmodule(2, [(0, 0), (1, 0), (0, 1)])
+    assert _least_missing_monomial(grown, goal) is None
+    extended = extend_iso(sub, sub, identity_map(sub), goal)
+    assert extended.source == grown
+
+
+def test_extend_iso_runs_one_search_per_step(monkeypatch):
+    calls = []
+    real = diffop._least_missing_monomial
+    monkeypatch.setattr(
+        diffop, "_least_missing_monomial", lambda *args: calls.append(args) or real(*args)
+    )
+    sub = submodule_from_polys(2, [Poly(2, {(1, 0): 1, (0, 1): -2})])
+    goal = MonomialSubmodule(2, lower_set_closure([(2, 0), (1, 1)]))
+    extended = extend_iso(sub, sub, identity_map(sub), goal)
+    steps = extended.source.dim - sub.dim
+    assert steps == 3
+    assert len(calls) == steps + 1
+
+
 def test_extend_iso_checks_the_callers_map_once(monkeypatch):
     calls = []
     real = ModuleMap.is_isomorphism
@@ -1002,6 +1135,24 @@ def test_aut_group_matches_series_reference():
                     with pytest.raises(ValueError) as theirs:
                         reference_descriptor_of(module, bent)
                     assert str(ours.value) == str(theirs.value)
+
+
+def test_restrict_builds_the_span_once(monkeypatch):
+    built = []
+    real = PolySubmodule.__init__
+
+    def counting(self, n, polys):
+        built.append(n)
+        real(self, n, polys)
+
+    monkeypatch.setattr(PolySubmodule, "__init__", counting)
+    module = MonomialSubmodule(2, lower_set_closure([(2, 1), (0, 3)]))
+    first = restrict(DiffOpSeries.identity(2, 3), module)
+    second = restrict(series_exp(DiffOpSeries.derivative(2, 3, 1)), module)
+    assert len(built) == 1
+    assert first.source is first.target is second.source is module.as_poly_submodule()
+    assert AutGroup(module).space is first.source
+    assert len(built) == 1
 
 
 def test_aut_group_builds_no_space_for_descriptor_ops():

@@ -369,6 +369,33 @@ def test_polysubmodule_rejects_non_closed_spans():
         PolySubmodule(1, [Poly(1, {(2,): 1}), Poly.one(1)])
 
 
+CONSTANTS = "a polynomial submodule must contain the constants"
+CLOSED = "subspace is not closed under differentiation"
+
+
+@pytest.mark.parametrize(
+    "n,spans,message",
+    [
+        (1, [{(1,): 1}], CONSTANTS),  # closed up to the missing 1
+        (1, [{(2,): 1}], CONSTANTS),  # neither: the constants come first
+        (2, [{(1, 1): 1}, {(0, 1): 1}], CONSTANTS),
+        (1, [{(2,): 1}, {(0,): 1}], CLOSED),
+        (2, [{(1, 1): 1}, {(1, 0): 1}, {(0, 0): 1}], CLOSED),  # misses x2
+        (2, [{(2, 0): 1, (0, 1): 1}, {(0, 0): 1}], CLOSED),
+        (3, [{(0, 0, 1): 1}, {(1, 0, 0): 1, (0, 2, 0): 1}, {(0, 0, 0): 1}], CLOSED),
+    ],
+)
+def test_closure_check_order_and_messages(n, spans, message):
+    polys = [Poly(n, terms) for terms in spans]
+    with pytest.raises(ValueError) as direct:
+        PolySubmodule(n, polys)
+    assert str(direct.value) == message
+    data = {"n": n, "basis": [p.to_json() for p in polys]}
+    with pytest.raises(ValueError) as parsed:
+        PolySubmodule.from_json(data)
+    assert str(parsed.value) == message
+
+
 def test_polysubmodule_canonical_under_basis_change():
     p = Poly(2, {(1, 1): 1})
     sub = submodule_from_polys(2, [p])
@@ -411,12 +438,19 @@ def test_as_matrices_one_jet_line():
 
 
 def test_action_matrices_match_partials():
-    sub = submodule_from_polys(2, [Poly(2, {(2, 1): 1})])
-    mats = action_matrices(sub)
-    for i, m in enumerate(mats, start=1):
-        for j, b in enumerate(sub.basis):
-            expected = sub.coordinates_of(b.partial(i))
-            assert list(m.column(j)) == list(expected)
+    rng = random.Random(419)
+    subs = [submodule_from_polys(2, [Poly(2, {(2, 1): 1})])]
+    for n in (1, 2, 3):
+        for _ in range(4):
+            subs.append(submodule_from_polys(n, [random_poly(n, 3 if n < 3 else 2, rng)]))
+    for sub in subs:
+        mats = action_matrices(sub)
+        assert len(mats) == sub.n
+        for i, m in enumerate(mats, start=1):
+            assert m.rows == m.cols == sub.dim
+            for j, b in enumerate(sub.basis):
+                expected = sub.coordinates_of(b.partial(i))
+                assert list(m.column(j)) == list(expected)
 
 
 def test_exp_submodule_actions_add_scalar():

@@ -260,6 +260,14 @@ def test_monomials_need_a_variable(n):
         list(monomials_up_to_degree(n, 2))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_negative_degrees_have_no_monomials(n):
+    for degree in (-1, -2, -5):
+        assert list(monomials_of_degree(n, degree)) == []
+        assert list(monomials_up_to_degree(n, degree)) == []
+    assert list(monomials_up_to_degree(n, 0)) == [(0,) * n]
+
+
 # --- lower sets -------------------------------------------------------------
 
 def test_lower_set_closure_fixed():

@@ -1,0 +1,110 @@
+"""The immutable value types share one base (`exactalg.Immutable` and
+`exactalg.Value`): assignment after construction raises, values of one
+type compare by their fields, and module maps and embedding results
+compare by identity.  One table covers all eleven types; each row builds
+two equal values from scratch."""
+
+from fractions import Fraction
+
+import pytest
+
+from nilmod.diffop import AutDescriptor, DiffOpSeries, MonomialSubmodule, restrict
+from nilmod.embed import embed_nilpotent
+from nilmod.exactalg import QMatrix, Subspace
+from nilmod.modcore import (
+    ExpSubmodule,
+    FDModule,
+    PolySubmodule,
+    random_nilpotent_module,
+    submodule_from_polys,
+)
+from nilmod.multipoly import Poly
+
+
+def subspace(warm):
+    space = Subspace.from_vectors(3, [[1, 2, 0], [0, 1, 1]])
+    if warm:  # fills the membership cache, which is not part of the value
+        assert space.contains([1, 3, 1])
+    return space
+
+
+def monomial_submodule(warm):
+    module = MonomialSubmodule(2, [(0, 0), (1, 0), (0, 1), (2, 0)])
+    if warm:  # builds the memoised span, which is not part of the value
+        module.as_poly_submodule()
+    return module
+
+
+def poly_submodule(_):
+    return submodule_from_polys(2, [Poly(2, {(2, 1): 1, (0, 1): -3})])
+
+
+VALUES = {
+    "QMatrix": lambda _: QMatrix([[1, Fraction(1, 2)], [0, -3]]),
+    "Subspace": subspace,
+    "Poly": lambda _: Poly(2, {(1, 0): 2, (0, 3): Fraction(-1, 5)}),
+    "FDModule": lambda _: random_nilpotent_module(2, 2, seed=5),
+    "PolySubmodule": poly_submodule,
+    "ExpSubmodule": lambda warm: ExpSubmodule([3, Fraction(1, 2)], poly_submodule(warm)),
+    "DiffOpSeries": lambda _: DiffOpSeries(2, 3, {(0, 0): 1, (1, 1): Fraction(2, 3)}),
+    "MonomialSubmodule": monomial_submodule,
+    "AutDescriptor": lambda _: AutDescriptor(-2, {(1, 0): Fraction(1, 3)}),
+}
+
+# Equal only to themselves: two maps with equal matrices stay distinct.
+IDENTITIES = {
+    "ModuleMap": lambda: restrict(DiffOpSeries.identity(2, 2), monomial_submodule(False)),
+    "EmbeddingResult": lambda: embed_nilpotent(random_nilpotent_module(2, 2, seed=5)),
+}
+
+
+def test_the_table_covers_eleven_types():
+    assert len(VALUES) + len(IDENTITIES) == 11
+    assert {"ModuleMap", "EmbeddingResult"} == set(IDENTITIES)
+
+
+@pytest.mark.parametrize("name", sorted(VALUES) + sorted(IDENTITIES))
+def test_assignment_is_refused(name):
+    value = VALUES[name](False) if name in VALUES else IDENTITIES[name]()
+    assert type(value).__name__ == name
+    for attribute in [*type(value).__slots__, "extra"]:
+        with pytest.raises(AttributeError) as caught:
+            setattr(value, attribute, None)
+        assert str(caught.value) == f"{name} is immutable"
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_equal_values_have_equal_hashes(name):
+    first, second = VALUES[name](False), VALUES[name](True)
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert first != "a string" and first != None  # noqa: E711
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_maps_equal_only_themselves(name):
+    first, second = IDENTITIES[name](), IDENTITIES[name]()
+    assert first == first and hash(first) == hash(first)
+    assert first != second
+    assert len({first, second}) == 2
+
+
+def test_unequal_fields_are_unequal_values():
+    assert QMatrix([], cols=2) != QMatrix([], cols=3)
+    assert Poly(2, {(1, 0): 1}) != Poly(3, {(1, 0, 0): 1})
+    assert DiffOpSeries(1, 2, {(1,): 1}) != DiffOpSeries(1, 3, {(1,): 1})
+    assert AutDescriptor(2) != AutDescriptor(3)
+    base = poly_submodule(False)
+    assert ExpSubmodule([1, 0], base) != ExpSubmodule([0, 1], base)
+    assert FDModule(1, [QMatrix([[0]])]) != FDModule(1, [QMatrix([[0, 1], [0, 0]])])
+    assert PolySubmodule(1, [Poly.one(1)]) != PolySubmodule(2, [Poly.one(2)])
+
+
+def test_a_poly_never_equals_a_series():
+    coeffs = {(0, 0): 1, (1, 2): Fraction(3, 4)}
+    p, s = Poly(2, coeffs), DiffOpSeries(2, 3, coeffs)
+    assert p.terms == s.coeffs
+    assert p != s and s != p
+    assert len({p, s}) == 2
