@@ -28,6 +28,7 @@ from .modcore import (
     FDModule,
     ModuleMap,
     PolySubmodule,
+    _joint_kernel,
     is_nilpotent,
     random_nilpotent_module,
     socle,
@@ -55,7 +56,7 @@ def _cmd_validate(args) -> dict:
         }
     out = {"valid": True, "nilpotent": is_nilpotent(module)}
     if out["nilpotent"]:
-        out["socle_dim"] = socle(module).dim
+        out["socle_dim"] = _joint_kernel(module).dim
     return out
 
 

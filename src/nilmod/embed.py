@@ -17,6 +17,10 @@ not depend on lambda.  The row vectors lambda S^alpha come from one
 breadth-first pass over the exponents alpha, so nothing is restricted,
 inverted or integrated.
 
+The pass certifies nilpotency: a nonzero row at degree dim stops it,
+and an injective phi gives phi(S^N v) = d^N phi(v) = 0 past the top
+degree.  Squaring the matrices only names the error of a failed embedding.
+
 Modules with a rational joint eigenvalue tuple reduce to the nilpotent
 case by twisting and land in an exponentially weighted copy instead.
 """
@@ -102,17 +106,6 @@ def potential(fs: Sequence[Poly], n: int) -> Poly:
     return h
 
 
-def _socle_line(module: FDModule) -> Vector:
-    """The RREF basis vector of the socle of a module already known to
-    be nilpotent; raises unless the socle is a single line."""
-    if module.dim == 0:
-        raise SocleNotOneDimensional("the zero module has no socle line")
-    space = _joint_kernel(module)
-    if space.dim != 1:
-        raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
-    return space.basis[0]
-
-
 def _functional(s: Vector, rng: Optional[random.Random]) -> Vector:
     """A functional that is nonzero on the socle vector s.
 
@@ -129,12 +122,14 @@ def _functional(s: Vector, rng: Optional[random.Random]) -> Vector:
             return lam
 
 
-def _inverse_system(module: FDModule, lam: Vector) -> list[Poly]:
+def _inverse_system(module: FDModule, lam: Vector) -> Optional[list[Poly]]:
     """phi(e_j) = sum over alpha of (lam S^alpha)[j] x^alpha / alpha!.
 
     Breadth-first over alpha with lam S^(alpha + e_i) = (lam S^alpha) S_i.
     The action commutes, so one row per alpha suffices; a zero row has
-    only zero successors and is not extended.  Nilpotency ends the search.
+    only zero successors and is not extended.  A nonzero row at |alpha| = d
+    returns None: commuting nilpotent d x d matrices kill every product of
+    d of them, so the module is not nilpotent.
     The rows are integer vectors: with S_i = M_i / D and lam = l / L over
     common denominators, lam S^alpha = (l M^alpha) / (L D^|alpha|), and
     each coefficient is divided once, when it is written.
@@ -149,12 +144,15 @@ def _inverse_system(module: FDModule, lam: Vector) -> list[Poly]:
     while queue:
         alpha = queue.popleft()
         row = rows[alpha]
+        capped = sum(alpha) + 1 == d
         for i, cols in enumerate(columns):
             beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
             if beta in rows:
                 continue
             (rows[beta],) = _int_matmul([row], cols)
             if any(rows[beta]):
+                if capped:
+                    return None
                 queue.append(beta)
     terms: list[dict[MultiIndex, Fraction]] = [{} for _ in lam]
     for alpha, row in rows.items():
@@ -163,21 +161,6 @@ def _inverse_system(module: FDModule, lam: Vector) -> list[Poly]:
             if c:
                 terms[j][alpha] = Fraction(c, weight)
     return [Poly(n, t) for t in terms]
-
-
-def _embed_checked(
-    module: FDModule, rng: Optional[random.Random]
-) -> EmbeddingResult:
-    """embed_nilpotent for a module already known to be nilpotent."""
-    lam = _functional(_socle_line(module), rng)
-    polys = _inverse_system(module, lam)
-    image = PolySubmodule(module.n, polys)
-    if image.dim != module.dim:
-        raise AssertionError("the embedding must be injective")
-    images = QMatrix.from_columns(
-        [image.coordinates_of(p) for p in polys], rows=image.dim
-    )
-    return EmbeddingResult(image, ModuleMap(module, image, images))
 
 
 def embed_nilpotent(
@@ -192,9 +175,23 @@ def embed_nilpotent(
     until it is nonzero on the socle); the map changes with lambda, the
     image does not.
     """
+    space = _joint_kernel(module)
+    if space.dim == 1:
+        polys = _inverse_system(module, _functional(space.basis[0], rng))
+        if polys is None:
+            raise NotNilpotent("only nilpotent modules embed into the derivative module")
+        image = PolySubmodule(module.n, polys)
+        if image.dim == module.dim:
+            coords = [image.coordinates_of(p) for p in polys]
+            images = QMatrix.from_columns(coords, rows=image.dim)
+            return EmbeddingResult(image, ModuleMap(module, image, images))
     if not is_nilpotent(module):
         raise NotNilpotent("only nilpotent modules embed into the derivative module")
-    return _embed_checked(module, rng)
+    if module.dim == 0:
+        raise SocleNotOneDimensional("the zero module has no socle line")
+    if space.dim != 1:
+        raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
+    raise AssertionError("the embedding must be injective")
 
 
 def canonical_form(
@@ -314,15 +311,16 @@ def embed_general(
     d = module.dim
     if d > 0:
         # S_i - a_i I nilpotent forces trace zero, so a_i = tr(S_i) / d is
-        # the only candidate; one nilpotency check of the twist decides.
+        # the only candidate; embedding the twist decides.
         alpha = tuple(
             sum(m.entries[k][k] for k in range(d)) / d for m in module.matrices
         )
-        twisted = twist(module, alpha)
-        if is_nilpotent(twisted):
-            result = _embed_checked(twisted, rng)
+        try:
+            result = embed_nilpotent(twist(module, alpha), rng)
             weighted = ExpSubmodule(alpha, result.image)
             return weighted, ModuleMap(module, weighted, result.map.images)
+        except NotNilpotent:
+            pass
     # socle_eigenvalues raises the typed error that says why.  If it finds
     # one rational tuple anyway, its twist is not nilpotent: a nilpotent
     # twist would have been the trace candidate above.

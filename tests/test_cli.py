@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from nilmod import cli
+from nilmod import cli, modcore
 from nilmod.diffop import DiffOpSeries
 from nilmod.modcore import FDModule, PolySubmodule
 
@@ -76,9 +76,9 @@ def child_env():
     return env
 
 
-def run_cli(argv, stdin=None):
+def run_cli(argv, stdin=None, flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "nilmod.cli", *argv],
+        [sys.executable, *flags, "-m", "nilmod.cli", *argv],
         capture_output=True,
         cwd=GOLDEN,
         env=child_env(),
@@ -95,6 +95,49 @@ def test_golden(name, argv, code):
     assert first.stdout == expected, first.stderr.decode()
     # determinism, byte for byte
     assert second.stdout == first.stdout, second.stderr.decode()
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_golden_under_optimize(name, argv, code):
+    # Load-bearing checks are explicit raises, not asserts, so `python -O`
+    # gives the same bytes and exit code.
+    proc = run_cli(argv, flags=["-O"])
+    assert proc.returncode == code, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes(), proc.stderr.decode()
+
+
+# [[0, 1], [0, 1]] kills e_1 alone: a joint kernel that is one line, on a
+# module that is not nilpotent, so the inverse-system pass stops at its cap.
+LINE_KERNEL_NOT_NILPOTENT = b'{"n": 1, "dim": 2, "matrices": [[["0", "1"], ["0", "1"]]]}'
+NOT_NILPOTENT_OUTPUT = (
+    b'{\n  "error": {\n    "kind": "NotNilpotent",\n'
+    b'    "detail": "only nilpotent modules embed into the derivative module"\n  }\n}\n'
+)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+@pytest.mark.parametrize("command", ["embed", "canonical"])
+def test_line_kernel_without_nilpotency_is_not_nilpotent(command, flags):
+    proc = run_cli([command, "-"], stdin=LINE_KERNEL_NOT_NILPOTENT, flags=flags)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert proc.stdout == NOT_NILPOTENT_OUTPUT
+
+
+def test_validate_checks_nilpotency_once(monkeypatch, capsys):
+    calls = []
+    real = modcore.is_nilpotent
+
+    def counting(module):
+        calls.append(module)
+        return real(module)
+
+    monkeypatch.setattr(cli, "is_nilpotent", counting)
+    monkeypatch.setattr(modcore, "is_nilpotent", counting)
+    code = cli.main(["validate", str(GOLDEN / "inputs" / "jordan3.json")])
+    assert code == 0
+    assert len(calls) == 1
+    expected = (GOLDEN / "validate_jordan3.json").read_text()
+    assert capsys.readouterr().out == expected
 
 
 def test_outputs_reparse_under_library_schemas():

@@ -7,8 +7,10 @@ isomorphism decision procedure run against the constructive one.
 
 import os
 import random
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import pytest
 
 from nilmod.embed import (
     EmbeddingResult,
+    _functional,
     _inverse_system,
     brute_force_isomorphic,
     canonical_form,
@@ -27,15 +30,23 @@ from nilmod.embed import (
 from nilmod.errors import (
     DimensionTooLarge,
     Incompatible,
+    NilmodError,
     NonRationalEigenvalue,
     NotNilpotent,
     SocleNotOneDimensional,
 )
 from nilmod.exactalg import QMatrix, standard_basis_vector
 from nilmod.modcore import (
+    ExpSubmodule,
+    FDModule,
+    ModuleMap,
+    PolySubmodule,
+    _joint_kernel,
     action_matrices,
     as_matrices,
+    is_nilpotent,
     random_nilpotent_module,
+    socle_eigenvalues,
     submodule_from_polys,
     twist,
     validate,
@@ -309,7 +320,39 @@ def test_embed_rng_changes_the_map_not_the_image():
     assert maps - {default.map.images}
 
 
+# e_1 spans the joint kernel, and lam S^k = (0, 1) for every k >= 1.
+LINE_KERNEL_NOT_NILPOTENT = validate([QMatrix([[0, 1], [0, 1]])])
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after the given wall-clock time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_capped():
+    """Fail within a second if the pass has no degree cap.  Without one it
+    never ends on a non-nilpotent module whose kernel is a line, and its
+    rows fill memory; the tests call this before any such module."""
+    with time_limit(1):
+        assert _inverse_system(LINE_KERNEL_NOT_NILPOTENT, (1, 0)) is None
+
+
 def test_one_nilpotency_check_per_embedding(monkeypatch):
+    # The inverse-system pass certifies nilpotency, so a success squares
+    # no matrix, and neither does a pass stopped at its degree cap.
+    # is_nilpotent runs once, only to name the error, when the joint
+    # kernel is not a line or the image falls short.
     import nilmod.embed
     import nilmod.modcore
 
@@ -320,16 +363,207 @@ def test_one_nilpotency_check_per_embedding(monkeypatch):
         calls.append(module)
         return original(module)
 
+    def count(call, module):
+        calls.clear()
+        try:
+            call(module)
+        except NilmodError:
+            pass
+        return len(calls)
+
     monkeypatch.setattr(nilmod.embed, "is_nilpotent", counting)
     monkeypatch.setattr(nilmod.modcore, "is_nilpotent", counting)
     for seed in range(4):
         mod = random_nilpotent_module(2, 2, seed=seed)
-        calls.clear()
-        embed_nilpotent(mod)
-        assert len(calls) == 1
-        calls.clear()
-        embed_general(twist(mod, [Fraction(-2), Fraction(1, 3)]))
-        assert len(calls) == 1
+        assert count(embed_nilpotent, mod) == 0
+        assert count(canonical_form, mod) == 0
+        assert count(lambda m: is_isomorphic(m, m), mod) == 0
+        assert count(embed_general, twist(mod, [Fraction(-2), Fraction(1, 3)])) == 0
+    assert_capped()
+    assert count(embed_nilpotent, LINE_KERNEL_NOT_NILPOTENT) == 0
+    # Short image: the pass ends, but phi(e_2) = 0.
+    assert count(embed_nilpotent, validate([QMatrix([[0, 0], [0, 1]])])) == 1
+    # No line: a kernel of dimension 0, 2 and 0 (the zero module).
+    assert count(embed_nilpotent, validate([QMatrix.identity(2)])) == 1
+    assert count(embed_nilpotent, validate([QMatrix.zeros(2, 2)])) == 1
+    assert count(embed_nilpotent, FDModule(1, [QMatrix([], cols=0)])) == 1
+    assert count(embed_general, validate([QMatrix.identity(2)])) == 1
+
+
+def reference_embed_nilpotent(module, rng=None):
+    """The embedding with nilpotency decided first by squaring, then the
+    socle line, then the inverse-system pass."""
+    if not is_nilpotent(module):
+        raise NotNilpotent("only nilpotent modules embed into the derivative module")
+    if module.dim == 0:
+        raise SocleNotOneDimensional("the zero module has no socle line")
+    space = _joint_kernel(module)
+    if space.dim != 1:
+        raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
+    polys = reference_inverse_system(module, _functional(space.basis[0], rng))
+    image = PolySubmodule(module.n, polys)
+    if image.dim != module.dim:
+        raise AssertionError("the embedding must be injective")
+    images = QMatrix.from_columns([image.coordinates_of(p) for p in polys], rows=image.dim)
+    return EmbeddingResult(image, ModuleMap(module, image, images))
+
+
+def reference_embed_general(module, rng=None):
+    """embed_general with its own nilpotency check of the trace twist."""
+    d = module.dim
+    if d > 0:
+        alpha = tuple(sum(m.entries[k][k] for k in range(d)) / d for m in module.matrices)
+        twisted = twist(module, alpha)
+        if is_nilpotent(twisted):
+            result = reference_embed_nilpotent(twisted, rng)
+            weighted = ExpSubmodule(alpha, result.image)
+            return weighted, ModuleMap(module, weighted, result.map.images)
+    socle_eigenvalues(module)
+    raise SocleNotOneDimensional(
+        "the action is not nilpotent after twisting by the socle eigenvalues"
+    )
+
+
+def outcome(call, module, seed):
+    """("ok", JSON) for a result, (kind, message) for a typed error."""
+    rng = None if seed is None else random.Random(seed)
+    try:
+        result = call(module, rng)
+    except NilmodError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, EmbeddingResult):
+        return "ok", result.to_json()
+    weighted, bridge = result
+    return "ok", weighted.to_json(), [bridge.image_poly(j).to_json() for j in range(module.dim)]
+
+
+def block_sum(first, second):
+    """The direct sum of two modules in the same variables."""
+    d, e = first.dim, second.dim
+    return validate(
+        [
+            QMatrix(
+                [list(r) + [0] * e for r in a.entries] + [[0] * d + list(r) for r in b.entries],
+                cols=d + e,
+            )
+            for a, b in zip(first.matrices, second.matrices)
+        ]
+    )
+
+
+def jordan_block(d):
+    return QMatrix([[int(c == r + 1) for c in range(d)] for r in range(d)])
+
+
+def comparison_table():
+    """Seeded modules for every outcome of the embedding: nilpotent ones
+    with a line socle, twists, non-nilpotent ones whose joint kernel is a
+    line (the pass stops at the cap, or ends with a short image), and
+    ones whose kernel is not a line."""
+    rng = random.Random(409)
+    cases = []
+    for n, bound in [(1, 5), (2, 3), (3, 2)]:
+        for seed in range(3):
+            mod = random_nilpotent_module(n, bound, seed=seed)
+            cases += [mod, conjugate(mod, random_invertible(rng, mod.dim))]
+            shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            cases.append(twist(cases[-1], shift))
+    for n, terms in PLANTED:
+        plain, _ = as_matrices(submodule_from_polys(n, [Poly(n, terms)]))
+        cases.append(conjugate(plain, random_invertible(rng, plain.dim)))
+        for _ in range(2):
+            c = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)]
+            planted_plus_c = block_sum(plain, validate([QMatrix([[x]]) for x in c]))
+            cases.append(conjugate(planted_plus_c, random_invertible(rng, plain.dim + 1)))
+        cases.append(block_sum(plain, validate([QMatrix.zeros(1, 1)] * n)))
+    jordan_next_to_invertible = block_sum(
+        validate([jordan_block(3)]), validate([QMatrix([[2, 1], [1, 1]])])
+    )
+    cases += [
+        validate([QMatrix([[0, 0], [0, 1]])]),
+        jordan_next_to_invertible,
+        conjugate(jordan_next_to_invertible, random_invertible(rng, 5)),
+        validate([QMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])]),
+        FDModule(1, [QMatrix([], cols=0)]),
+        FDModule(2, [QMatrix([], cols=0)] * 2),
+        validate([QMatrix.identity(2)]),
+        validate([QMatrix([[0, 1], [-1, 0]])]),
+        validate([jordan_block(7)]),
+        validate([jordan_block(7), QMatrix.zeros(7, 7)]),
+    ]
+    return cases
+
+
+def test_embedding_matches_the_nilpotency_first_reference():
+    assert_capped()
+    results = {"embed": set(), "general": set()}
+    capped = short = 0
+    for k, module in enumerate(comparison_table()):
+        for seed in (None, 500 + k):
+            got = outcome(embed_nilpotent, module, seed)
+            assert got == outcome(reference_embed_nilpotent, module, seed), k
+            results["embed"].add(got[0])
+            got = outcome(embed_general, module, seed)
+            assert got == outcome(reference_embed_general, module, seed), k
+            results["general"].add(got[0])
+        space = _joint_kernel(module)
+        if space.dim == 1 and not is_nilpotent(module):
+            if _inverse_system(module, _functional(space.basis[0], None)) is None:
+                capped += 1
+            else:
+                short += 1
+    # Both ways a line kernel can fail, and every error kind.
+    assert capped >= 3 and short >= 2, (capped, short)
+    assert results["embed"] == {"ok", "NotNilpotent", "SocleNotOneDimensional"}
+    assert results["general"] == {
+        "ok",
+        "SocleNotOneDimensional",
+        "NoCommonEigenline",
+        "NonRationalEigenvalue",
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_jordan_block_of_full_length_embeds(d):
+    # lam S^(d-1) is the last nonzero row: a cap at degree d - 1 refuses it.
+    result = embed_nilpotent(validate([jordan_block(d)]))
+    assert result.image == submodule_from_polys(1, [Poly(1, {(d - 1,): 1})])
+    assert result.map.is_isomorphism()
+
+
+def test_line_kernel_without_nilpotency_stops_at_the_cap():
+    # Without the cap the pass never ends on this module.  The child's
+    # timeout and memory limit turn that hang into a failure.
+    code = "\n".join(
+        [
+            "import resource",
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+            "from nilmod.embed import _inverse_system, canonical_form, embed_general, embed_nilpotent",
+            "from nilmod.errors import NilmodError",
+            "from nilmod.exactalg import QMatrix",
+            "from nilmod.modcore import validate",
+            "module = validate([QMatrix([[0, 1], [0, 1]])])",
+            "print(_inverse_system(module, (1, 0)))",
+            "for call in (embed_nilpotent, canonical_form, embed_general):",
+            "    try:",
+            "        call(module)",
+            "    except NilmodError as exc:",
+            "        print(type(exc).__name__, exc)",
+        ]
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "None",
+        "NotNilpotent only nilpotent modules embed into the derivative module",
+        "NotNilpotent only nilpotent modules embed into the derivative module",
+        "NoCommonEigenline 2 distinct joint eigenvalue tuples found",
+    ]
 
 
 # --- canonical forms ----------------------------------------------------------
