@@ -36,7 +36,6 @@ support, since every monomial above that degree is missing.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from operator import add, sub
 from typing import Callable, Container, Mapping, Optional
@@ -328,6 +327,8 @@ class MonomialSubmodule(Value):
 
     def __init__(self, n: int, indices):
         n = as_int(n)
+        if n < 1:
+            raise ValueError("variable count must be at least 1")
         indices = frozenset(tuple(a) for a in indices)
         if not indices:
             raise ValueError("a monomial submodule needs at least the origin")
@@ -604,7 +605,7 @@ class AutGroup:
         self.module = module
         self._order = self.module.monomials_descending()
 
-    @cached_property
+    @property
     def space(self) -> PolySubmodule:
         """The submodule as a PolySubmodule, built when a map first needs it."""
         return self.module.as_poly_submodule()

@@ -15,7 +15,8 @@ nonzero submodule contains the socle line.  Its image is the set of
 polynomials killed by every operator f(d/dx) with f(S) = 0, which does
 not depend on lambda.  The row vectors lambda S^alpha come from one
 breadth-first pass over the exponents alpha, so nothing is restricted,
-inverted or integrated.
+inverted or integrated, and they stay integer rows from the action
+matrices to the image's one elimination.
 
 The pass certifies nilpotency: a nonzero row at degree dim stops it,
 and an injective phi gives phi(S^N v) = d^N phi(v) = 0 past the top
@@ -44,6 +45,7 @@ from .exactalg import (
     Vector,
     _columns,
     _int_matmul,
+    _integer_kernel,
     _integer_rows,
     standard_basis_vector,
 )
@@ -52,12 +54,11 @@ from .modcore import (
     FDModule,
     ModuleMap,
     PolySubmodule,
-    _joint_kernel,
     is_nilpotent,
     socle_eigenvalues,
     twist,
 )
-from .multipoly import MultiIndex, Poly, multi_factorial
+from .multipoly import MultiIndex, Poly, grlex_key, multi_factorial
 
 
 class EmbeddingResult(Immutable):
@@ -122,21 +123,24 @@ def _functional(s: Vector, rng: Optional[random.Random]) -> Vector:
             return lam
 
 
-def _inverse_system(module: FDModule, lam: Vector) -> Optional[list[Poly]]:
-    """phi(e_j) = sum over alpha of (lam S^alpha)[j] x^alpha / alpha!.
+def _inverse_system(stack: list[list[int]], den: int, lam: Vector) -> Optional[tuple]:
+    """phi(e_j) = sum over alpha of (lam S^alpha)[j] x^alpha / alpha!, as
+    integer rows with their weights.
 
-    Breadth-first over alpha with lam S^(alpha + e_i) = (lam S^alpha) S_i.
+    The S_i = M_i / D come stacked, integer rows M_1, ..., M_n over one
+    denominator D.  With lam = l / L, the pass returns the alpha with
+    lam S^alpha nonzero, in descending order, their rows l M^alpha, and
+    their weights L D^|alpha| alpha!: coefficient j of x^alpha is
+    row[j] / weight.  Breadth-first over alpha with
+    l M^(alpha + e_i) = (l M^alpha) M_i.
     The action commutes, so one row per alpha suffices; a zero row has
     only zero successors and is not extended.  A nonzero row at |alpha| = d
     returns None: commuting nilpotent d x d matrices kill every product of
     d of them, so the module is not nilpotent.
-    The rows are integer vectors: with S_i = M_i / D and lam = l / L over
-    common denominators, lam S^alpha = (l M^alpha) / (L D^|alpha|), and
-    each coefficient is divided once, when it is written.
     """
-    n, d = module.n, module.dim
-    ints, den = _integer_rows([row for m in module.matrices for row in m.entries])
-    columns = [_columns(ints[i * d : (i + 1) * d], d) for i in range(n)]
+    d = len(lam)
+    n = len(stack) // d
+    columns = [_columns(stack[i * d : (i + 1) * d], d) for i in range(n)]
     (start,), lam_den = _integer_rows([lam])
     zero = (0,) * n
     rows: dict[MultiIndex, list[int]] = {zero: start}
@@ -154,13 +158,9 @@ def _inverse_system(module: FDModule, lam: Vector) -> Optional[list[Poly]]:
                 if capped:
                     return None
                 queue.append(beta)
-    terms: list[dict[MultiIndex, Fraction]] = [{} for _ in lam]
-    for alpha, row in rows.items():
-        weight = lam_den * den ** sum(alpha) * multi_factorial(alpha)
-        for j, c in enumerate(row):
-            if c:
-                terms[j][alpha] = Fraction(c, weight)
-    return [Poly(n, t) for t in terms]
+    monomials = sorted((a for a, row in rows.items() if any(row)), key=grlex_key, reverse=True)
+    weights = [lam_den * den ** sum(a) * multi_factorial(a) for a in monomials]
+    return monomials, [rows[a] for a in monomials], weights
 
 
 def embed_nilpotent(
@@ -174,16 +174,22 @@ def embed_nilpotent(
     rng draws lambda with small random integer entries instead (redrawn
     until it is nonzero on the socle); the map changes with lambda, the
     image does not.
+
+    The action matrices become integer rows once, for the joint kernel
+    and the pass, whose rows are eliminated as they are.  The map's
+    coordinates are the phi(e_j)'s entries at the image's pivots.
     """
-    space = _joint_kernel(module)
+    stack, den = _integer_rows([row for m in module.matrices for row in m.entries])
+    space = _integer_kernel(stack, module.dim)
     if space.dim == 1:
-        polys = _inverse_system(module, _functional(space.basis[0], rng))
-        if polys is None:
+        found = _inverse_system(stack, den, _functional(space.basis[0], rng))
+        if found is None:
             raise NotNilpotent("only nilpotent modules embed into the derivative module")
-        image = PolySubmodule(module.n, polys)
+        monomials, rows, weights = found
+        image = PolySubmodule._from_integer_rows(module.n, monomials, _columns(rows, module.dim), weights)
         if image.dim == module.dim:
-            coords = [image.coordinates_of(p) for p in polys]
-            images = QMatrix.from_columns(coords, rows=image.dim)
+            pivots = image.coords._membership_data()[0]
+            images = QMatrix([[Fraction(x, weights[c]) for x in rows[c]] for c in pivots])
             return EmbeddingResult(image, ModuleMap(module, image, images))
     if not is_nilpotent(module):
         raise NotNilpotent("only nilpotent modules embed into the derivative module")

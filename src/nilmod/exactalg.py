@@ -159,6 +159,24 @@ def _rref_int(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[int], list
     return pivots, reduced
 
 
+def _integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> "Subspace":
+    """The solutions of rows . x = 0, for integer rows of width cols, as
+    a canonical subspace."""
+    pivots, reduced = _rref_int(rows, cols)
+    # Free column f gives the solution with x_f = 1 and x_c = -R[k][f]
+    # at each pivot c = pivots[k], scaled by the lcm of the pivot entries.
+    scale = lcm(*(row[c] for c, row in zip(pivots, reduced)))
+    multipliers = [scale // row[c] for c, row in zip(pivots, reduced)]
+    vectors = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
+        v[f] = scale
+        for c, row, m in zip(pivots, reduced, multipliers):
+            v[c] = -row[f] * m
+        vectors.append(v)
+    return Subspace._from_integer_rows(cols, vectors)
+
+
 class QMatrix(Value):
     """Dense row-major matrix of exact rationals."""
 
@@ -309,19 +327,7 @@ class QMatrix(Value):
 
     def kernel(self) -> "Subspace":
         """The solution space of m.x = 0 as a canonical subspace."""
-        pivots, reduced = _rref_int(_integer_rows(self.entries)[0], self.cols)
-        # Free column f gives the solution with x_f = 1 and x_c = -R[k][f]
-        # at each pivot c = pivots[k], scaled by the lcm of the pivot entries.
-        scale = lcm(*(row[c] for c, row in zip(pivots, reduced)))
-        multipliers = [scale // row[c] for c, row in zip(pivots, reduced)]
-        vectors = []
-        for f in sorted(set(range(self.cols)) - set(pivots)):
-            v = [0] * self.cols
-            v[f] = scale
-            for c, row, m in zip(pivots, reduced, multipliers):
-                v[c] = -row[f] * m
-            vectors.append(v)
-        return Subspace._from_integer_rows(self.cols, vectors)
+        return _integer_kernel(_integer_rows(self.entries)[0], self.cols)
 
     def solve(self, b: Sequence) -> Optional[Vector]:
         """Some exact solution of m.x = b, or None if inconsistent.
@@ -412,10 +418,19 @@ class Subspace(Value):
         return cls._from_integer_rows(ambient_dim, _integer_rows(rows)[0])
 
     @classmethod
-    def _from_integer_rows(cls, ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Subspace":
-        """The span of integer rows of length ambient_dim."""
+    def _from_integer_rows(
+        cls, ambient_dim: int, rows: Sequence[Sequence[int]], weights: Optional[Sequence[int]] = None
+    ) -> "Subspace":
+        """The span of integer rows of length ambient_dim, entry c divided
+        by the positive weights[c] if given.  Dividing columns moves no
+        zero, so the reduced rows divided the same way, each then by its
+        pivot entry, are the RREF."""
         pivots, reduced = _rref_int(rows, ambient_dim)
-        return cls(ambient_dim, [_fraction_row(row, row[c]) for c, row in zip(pivots, reduced)])
+        weights = weights or (1,) * ambient_dim
+        return cls(ambient_dim, [
+            tuple(Fraction(x * weights[c], row[c] * w) if x else _ZERO for x, w in zip(row, weights))
+            for c, row in zip(pivots, reduced)
+        ])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -438,16 +453,15 @@ class Subspace(Value):
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def _membership_data(self) -> tuple[tuple[int, ...], int, list[tuple[int, tuple[int, ...]]]]:
-        """(pivots, E, checks), computed once: the basis is B / E with
-        integer B, and checks pairs each non-pivot column j with column j
-        of B."""
+    def _membership_data(self) -> tuple[tuple[int, ...], int, list[tuple[int, ...]], list[int]]:
+        """(pivots, E, columns, free), computed once: the basis is B / E
+        with integer B, columns are the columns of B, and free lists the
+        non-pivot columns in order."""
         if self._membership is None:
             ints, den = _integer_rows(self.basis)
             pivots = tuple(next(c for c, x in enumerate(row) if x) for row in ints)
-            columns = _columns(ints, self.ambient_dim)
             free = sorted(set(range(self.ambient_dim)) - set(pivots))
-            object.__setattr__(self, "_membership", (pivots, den, [(j, columns[j]) for j in free]))
+            object.__setattr__(self, "_membership", (pivots, den, _columns(ints, self.ambient_dim), free))
         return self._membership
 
     def coordinates_of(self, v: Sequence) -> Optional[Vector]:
@@ -460,11 +474,11 @@ class Subspace(Value):
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        pivots, den, checks = self._membership_data()
+        pivots, den, columns, free = self._membership_data()
         (w,), _ = _integer_rows([v])
         coeffs = [w[c] for c in pivots]
-        for j, column in checks:
-            if den * w[j] != sum(map(mul, coeffs, column)):
+        for j in free:
+            if den * w[j] != sum(map(mul, coeffs, columns[j])):
                 return None
         return tuple(v[c] for c in pivots)
 

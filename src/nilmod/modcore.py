@@ -6,6 +6,10 @@ validation, nilpotency, socles, twisting by a rational shift of the
 variables, the bridge to derivative-closed polynomial subspaces, and
 seeded random generators for tests.
 
+A derivative-closed subspace is checked by one core on integer rows
+over its monomials, whoever builds it: an elimination, a pivot at the
+origin, and the closure pass, where d_i shifts columns.
+
 The polynomials form a module over K[d], x_i acting as d_i, and the
 submodule generated by g is K[d] g: the span of the d^beta g with beta
 in the lower-set closure of g's exponents, every other d^beta g being 0.
@@ -31,6 +35,7 @@ from .exactalg import (
     Value,
     Vector,
     _columns,
+    _fraction_row,
     _int_matmul,
     _integer_rows,
     as_int,
@@ -44,7 +49,6 @@ from .multipoly import (
     grlex_key,
     lower_set_closure,
     monomials_up_to_degree,
-    poly_to_vector,
     vector_to_poly,
 )
 
@@ -158,10 +162,11 @@ class PolySubmodule(Value):
     Stored canonically: the list of monomials occurring in any member
     (descending monomial order) and the RREF basis of coefficient
     vectors over that list.  Equality of the stored data is equality of
-    the subspaces.
+    the subspaces.  Every instance comes from one checked core on
+    integer rows over that list, `_span`.
     """
 
-    __slots__ = ("n", "monomial_list", "coords", "basis")
+    __slots__ = ("n", "monomial_list", "coords", "basis", "_position")
 
     def __init__(self, n: int, polys: Sequence[Poly]):
         support: set[MultiIndex] = set()
@@ -170,17 +175,31 @@ class PolySubmodule(Value):
                 raise ValueError("variable count mismatch")
             support |= p.monomials()
         monomial_list = tuple(sorted(support, key=grlex_key, reverse=True))
-        coords = Subspace.from_vectors(
-            len(monomial_list), [poly_to_vector(p, monomial_list) for p in polys]
-        )
-        basis = tuple(
-            vector_to_poly(row, monomial_list, n) for row in coords.basis
-        )
+        rows = [[p.terms.get(alpha, 0) for alpha in monomial_list] for p in polys]
+        self._span(n, monomial_list, _integer_rows(rows)[0], None)
+
+    @classmethod
+    def _from_integer_rows(cls, n, monomial_list, rows, weights) -> "PolySubmodule":
+        out = cls.__new__(cls)
+        out._span(n, tuple(monomial_list), rows, weights)
+        return out
+
+    def _span(self, n, monomial_list, rows, weights) -> None:
+        """The checked core: the span of the integer rows, row[c] /
+        weights[c] (or row[c]) being the coefficient at monomial_list[c],
+        a descending list of monomials each nonzero in some row.  One
+        elimination, then the constants check and the closure pass."""
+        if n < 1:
+            raise ValueError("variable count must be at least 1")
+        coords = Subspace._from_integer_rows(len(monomial_list), rows, weights)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "monomial_list", monomial_list)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "basis", basis)
-        if not self.contains(Poly.one(n)):
+        object.__setattr__(self, "basis", tuple(vector_to_poly(v, monomial_list, n) for v in coords.basis))
+        object.__setattr__(self, "_position", {alpha: c for c, alpha in enumerate(monomial_list)})
+        # The origin is the least monomial: 1 is inside iff the last column is a pivot.
+        pivots = coords._membership_data()[0]
+        if not pivots or any(monomial_list[pivots[-1]]):
             raise ValueError("a polynomial submodule must contain the constants")
         self.action_matrices()
 
@@ -198,10 +217,10 @@ class PolySubmodule(Value):
         """Coordinates of p over the canonical basis, or None if outside."""
         if p.n != self.n:
             raise ValueError("variable count mismatch")
-        v = poly_to_vector(p, self.monomial_list)
-        if v is None:
+        if not p.terms.keys() <= self._position.keys():
             return None
-        return self.coords.coordinates_of(v)
+        zero = Fraction(0)
+        return self.coords.coordinates_of([p.terms.get(alpha, zero) for alpha in self.monomial_list])
 
     def contains(self, p: Poly) -> bool:
         return self.coordinates_of(p) is not None
@@ -219,18 +238,28 @@ class PolySubmodule(Value):
     def action_matrices(self) -> tuple[QMatrix, ...]:
         """Matrices of the partial derivatives in the canonical basis.
 
-        This pass is also the constructor's closure check: it raises
-        ValueError when some derivative of a basis member lies outside.
+        With the basis B / E over integer B, d/dx_i moves B's column at
+        alpha to alpha - e_i, times alpha_i.  Entry (k, l) is moved row l
+        at pivot k, over E, and the moved rows lie in the span iff every
+        free column is that combination of B's.  This pass is also the
+        constructor's closure check: it raises ValueError when some
+        derivative of a basis member lies outside.
         """
+        pivots, den, columns, free = self.coords._membership_data()
         out = []
-        for i in range(1, self.n + 1):
-            columns = []
-            for p in self.basis:
-                coords = self.coordinates_of(p.partial(i))
-                if coords is None:
-                    raise ValueError("subspace is not closed under differentiation")
-                columns.append(coords)
-            out.append(QMatrix._trusted(list(zip(*columns)), self.dim))
+        for i in range(self.n):
+            moved = [(0,) * self.dim] * len(columns)
+            for alpha, column in zip(self.monomial_list, columns):
+                if alpha[i]:
+                    target = self._position.get(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
+                    if target is None:
+                        raise ValueError("subspace is not closed under differentiation")
+                    moved[target] = [alpha[i] * x for x in column]
+            at_pivots = [moved[c] for c in pivots]
+            spans = _int_matmul([columns[f] for f in free], _columns(at_pivots, self.dim))
+            if any(row != [den * x for x in moved[f]] for f, row in zip(free, spans)):
+                raise ValueError("subspace is not closed under differentiation")
+            out.append(QMatrix._trusted([_fraction_row(row, den) for row in at_pivots], self.dim))
         return tuple(out)
 
     def to_json(self) -> dict:

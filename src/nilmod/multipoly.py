@@ -309,4 +309,4 @@ def poly_to_vector(p: Poly, monomial_list: Sequence[MultiIndex]) -> Optional[tup
 
 
 def vector_to_poly(v: Sequence, monomial_list: Sequence[MultiIndex], n: int) -> Poly:
-    return Poly(n, {alpha: c for alpha, c in zip(monomial_list, v)})
+    return Poly(n, {alpha: c for alpha, c in zip(monomial_list, v) if c})

@@ -6,6 +6,7 @@ Children find the package through an absolute ``src`` entry on their
 ``PYTHONPATH``, so the tests run from a clean checkout without an install.
 """
 
+import io
 import itertools
 import json
 import os
@@ -176,6 +177,16 @@ def test_gen_refuses_fewer_than_one_variable(n):
         "error": {"kind": "ParseError", "detail": "variable count must be at least 1"}
     }
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_aut_refuses_fewer_than_one_variable(n, monkeypatch, capsys):
+    # As Poly does: n = 0 with the empty exponent vector is no module.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"n": n, "indices": [[]]})))
+    assert cli.main(["aut", "-"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"kind": "ParseError", "detail": "variable count must be at least 1"}
+    }
 
 
 @pytest.mark.parametrize("n,bound", [("2", "-3"), ("1", "-1")])

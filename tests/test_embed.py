@@ -35,7 +35,7 @@ from nilmod.errors import (
     NotNilpotent,
     SocleNotOneDimensional,
 )
-from nilmod.exactalg import QMatrix, standard_basis_vector
+from nilmod.exactalg import QMatrix, _integer_rows, standard_basis_vector
 from nilmod.modcore import (
     ExpSubmodule,
     FDModule,
@@ -284,6 +284,20 @@ def reference_inverse_system(module, lam):
     return [Poly(n, {a: row[j] * weight[a] for a, row in rows.items()}) for j in range(d)]
 
 
+def inverse_system(module, lam):
+    """The integer pass on the module's stacked action matrices, read
+    back as polynomials; None when the pass stops at its cap."""
+    stack, den = _integer_rows([row for m in module.matrices for row in m.entries])
+    found = _inverse_system(stack, den, lam)
+    if found is None:
+        return None
+    monomials, rows, weights = found
+    return [
+        Poly(module.n, {a: Fraction(row[j], w) for a, row, w in zip(monomials, rows, weights)})
+        for j in range(module.dim)
+    ]
+
+
 @pytest.mark.parametrize("n, terms", PLANTED, ids=["n=1", "n=2", "n=3"])
 def test_inverse_system_matches_fraction_reference(n, terms):
     # Rational conjugates and a functional with denominators exercise both
@@ -297,7 +311,7 @@ def test_inverse_system_matches_fraction_reference(n, terms):
                      for _ in range(plain.dim)])
     dense = conjugate(plain, g)
     lam = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(dense.dim))
-    polys = _inverse_system(dense, lam)
+    polys = inverse_system(dense, lam)
     assert polys == reference_inverse_system(dense, lam)
     # d/dx_i phi(e_j) = phi(S_i e_j) = sum_k S_i[k][j] phi(e_k).
     for i, m in enumerate(dense.matrices, start=1):
@@ -306,6 +320,30 @@ def test_inverse_system_matches_fraction_reference(n, terms):
             for k in range(dense.dim):
                 image = image + polys[k].scale(m.entries[k][j])
             assert p.partial(i) == image
+
+
+def test_embedding_converts_the_action_matrices_once(monkeypatch):
+    # The joint kernel and the inverse-system pass share one conversion.
+    import nilmod.exactalg
+    import nilmod.modcore
+
+    plain, _ = as_matrices(submodule_from_polys(2, [Poly(2, PLANTED[1][1])]))
+    dense = conjugate(plain, random_invertible(random.Random(5), plain.dim))
+    real = nilmod.exactalg._integer_rows
+    for module in (plain, dense):
+        stack = [row for m in module.matrices for row in m.entries]
+        calls = []
+
+        def counting(rows):
+            if [tuple(row) for row in rows] == stack:
+                calls.append(rows)
+            return real(rows)
+
+        for owner in (nilmod.exactalg, nilmod.modcore, nilmod.embed):
+            monkeypatch.setattr(owner, "_integer_rows", counting)
+        result = embed_nilpotent(module)
+        assert len(calls) == 1
+        assert result.map.is_isomorphism()
 
 
 def test_embed_rng_changes_the_map_not_the_image():
@@ -345,7 +383,7 @@ def assert_capped():
     never ends on a non-nilpotent module whose kernel is a line, and its
     rows fill memory; the tests call this before any such module."""
     with time_limit(1):
-        assert _inverse_system(LINE_KERNEL_NOT_NILPOTENT, (1, 0)) is None
+        assert inverse_system(LINE_KERNEL_NOT_NILPOTENT, (1, 0)) is None
 
 
 def test_one_nilpotency_check_per_embedding(monkeypatch):
@@ -508,7 +546,7 @@ def test_embedding_matches_the_nilpotency_first_reference():
             results["general"].add(got[0])
         space = _joint_kernel(module)
         if space.dim == 1 and not is_nilpotent(module):
-            if _inverse_system(module, _functional(space.basis[0], None)) is None:
+            if inverse_system(module, _functional(space.basis[0], None)) is None:
                 capped += 1
             else:
                 short += 1
@@ -540,10 +578,10 @@ def test_line_kernel_without_nilpotency_stops_at_the_cap():
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
             "from nilmod.embed import _inverse_system, canonical_form, embed_general, embed_nilpotent",
             "from nilmod.errors import NilmodError",
-            "from nilmod.exactalg import QMatrix",
+            "from nilmod.exactalg import QMatrix, _integer_rows",
             "from nilmod.modcore import validate",
             "module = validate([QMatrix([[0, 1], [0, 1]])])",
-            "print(_inverse_system(module, (1, 0)))",
+            "print(_inverse_system(*_integer_rows(module.matrices[0].entries), (1, 0)))",
             "for call in (embed_nilpotent, canonical_form, embed_general):",
             "    try:",
             "        call(module)",
@@ -733,9 +771,8 @@ def test_injectivity_check_survives_optimize_flag():
             "import nilmod.embed as embed",
             "from nilmod.exactalg import QMatrix",
             "from nilmod.modcore import FDModule",
-            "from nilmod.multipoly import Poly",
             "print(__debug__)",
-            "embed._inverse_system = lambda module, lam: [Poly.one(module.n)] * module.dim",
+            "embed._inverse_system = lambda stack, den, lam: ([(0,)], [[1] * len(lam)], [1])",
             "try:",
             "    embed.embed_nilpotent(FDModule(1, [QMatrix([[0, 1], [0, 0]])]))",
             "except AssertionError as exc:",

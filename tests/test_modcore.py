@@ -2,8 +2,9 @@
 
 Independent oracles: a from-scratch nullspace routine for socle checks,
 brute-force enumeration of all iterated derivatives for the generated
-submodules, and the library's earlier breadth-first closure, kept below
-as a reference implementation.
+submodules, and the library's earlier breadth-first closure and its
+earlier Fraction/Poly `PolySubmodule` constructor, kept below as
+reference implementations.
 """
 
 import random
@@ -38,7 +39,14 @@ from nilmod.modcore import (
     twist,
     validate,
 )
-from nilmod.multipoly import Poly, grlex_key, lower_set_closure, poly_to_vector
+from nilmod.multipoly import (
+    Poly,
+    grlex_key,
+    lower_set_closure,
+    monomials_up_to_degree,
+    poly_to_vector,
+    vector_to_poly,
+)
 
 E12 = QMatrix([[0, 1], [0, 0]])
 E21 = QMatrix([[0, 0], [1, 0]])
@@ -383,6 +391,9 @@ CLOSED = "subspace is not closed under differentiation"
         (2, [{(1, 1): 1}, {(1, 0): 1}, {(0, 0): 1}], CLOSED),  # misses x2
         (2, [{(2, 0): 1, (0, 1): 1}, {(0, 0): 1}], CLOSED),
         (3, [{(0, 0, 1): 1}, {(1, 0, 0): 1, (0, 2, 0): 1}, {(0, 0, 0): 1}], CLOSED),
+        # the support is a lower set, but a derivative leaves the span
+        (1, [{(2,): 1, (1,): 1}, {(0,): 1}], CLOSED),
+        (2, [{(1, 0): 1, (0, 1): 1}, {(2, 0): 1, (0, 2): 1}, {(0, 0): 1}], CLOSED),
     ],
 )
 def test_closure_check_order_and_messages(n, spans, message):
@@ -420,6 +431,173 @@ def test_polysubmodule_membership_and_coordinates():
     coords = sub.coordinates_of(inside)
     assert sub.from_coordinates(coords) == inside
     assert sub.coordinates_of(outside) is None
+
+
+# --- the constructor against the Fraction/Poly reference ----------------------
+
+def reference_polysubmodule(n, polys):
+    """The constructor before the integer core, as (monomial_list, coords,
+    basis, action matrices): Fraction rows, a Poly basis, membership of 1,
+    then a closure pass over the Poly partials of the basis."""
+    support = set()
+    for p in polys:
+        if p.n != n:
+            raise ValueError("variable count mismatch")
+        support |= p.monomials()
+    monomial_list = tuple(sorted(support, key=grlex_key, reverse=True))
+    coords = Subspace.from_vectors(
+        len(monomial_list), [poly_to_vector(p, monomial_list) for p in polys]
+    )
+    basis = tuple(vector_to_poly(row, monomial_list, n) for row in coords.basis)
+
+    def coordinates_of(p):
+        v = poly_to_vector(p, monomial_list)
+        return None if v is None else coords.coordinates_of(v)
+
+    if coordinates_of(Poly.one(n)) is None:
+        raise ValueError("a polynomial submodule must contain the constants")
+    matrices = []
+    for i in range(1, n + 1):
+        columns = []
+        for p in basis:
+            c = coordinates_of(p.partial(i))
+            if c is None:
+                raise ValueError("subspace is not closed under differentiation")
+            columns.append(c)
+        matrices.append(QMatrix.from_columns(columns, rows=len(basis)))
+    return monomial_list, coords, basis, tuple(matrices)
+
+
+def stored(build):
+    """What a construction leaves: the stored fields and the action
+    matrices, or the error's kind and message."""
+    try:
+        out = build()
+    except Exception as exc:  # the kind is part of what is compared
+        return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):
+        return out
+    return out.monomial_list, out.coords, out.basis, out.action_matrices()
+
+
+def recorded_inputs(monkeypatch, run):
+    """Every (n, polys) the library hands to PolySubmodule while run runs."""
+    seen = []
+    real = PolySubmodule.__init__
+
+    def recording(self, n, polys):
+        seen.append((n, list(polys)))
+        real(self, n, polys)
+
+    monkeypatch.setattr(PolySubmodule, "__init__", recording)
+    run()
+    monkeypatch.setattr(PolySubmodule, "__init__", real)
+    return seen
+
+
+def constructor_table(monkeypatch):
+    """(n, polys) inputs of every kind the constructor meets."""
+    from nilmod.diffop import MonomialSubmodule, extend_iso
+
+    rng = random.Random(263)
+    x = [None] + [Poly.variable(2, i) for i in (1, 2)]
+    one = Poly.one(2)
+    table = [
+        # zero and duplicate generators
+        (2, [Poly.zero(2), one, one, x[1], x[1], Poly.zero(2)]),
+        (2, [x[1] * x[2], x[2] * x[1], x[1], x[2], one, x[1] + x[2]]),
+        (1, [Poly(1, {(3,): 2}), Poly(1, {(2,): 6}), Poly(1, {(1,): 12}), Poly.constant(1, 5)]),
+        # lacking 1
+        (2, []),
+        (2, [Poly.zero(2)]),
+        (2, [x[1]]),
+        (1, [Poly(1, {(2,): 1, (1,): 1})]),
+        (2, [x[1] + one, x[1] - one]),  # 1 only through a combination
+        (0, []),
+        (2, [Poly.one(1)]),
+        # not closed
+        (2, [one, x[1] * x[1]]),
+        (2, [one, x[1] * x[2], x[1]]),
+        (2, [one, x[1] * x[1] + x[2]]),
+        (3, [Poly.one(3), Poly(3, {(1, 1, 1): 1, (0, 0, 1): 2}), Poly(3, {(0, 1, 1): 1})]),
+        (2, [one, x[1] + x[2], x[1] * x[1] + x[2] * x[2]]),  # support a lower set
+        (2, [one, x[1], x[2], x[1] * x[2] + x[1] * x[1], x[2] * x[2]]),
+        # closed with 1 as a combination, and in rescaled rows
+        (2, [x[1] + one, x[1] - one, x[2].scale(Fraction(1, 3))]),
+    ]
+    # submodule_from_polys, lower-set spans and extend_iso steps, as the
+    # library calls the constructor.
+    gens = {n: [random_poly(n, {1: 7, 2: 4, 3: 3}[n], rng) for _ in range(2)] for n in (1, 2, 3)}
+    goal = MonomialSubmodule(2, lower_set_closure([(3, 1), (1, 3)]))
+    source = submodule_from_polys(2, [Poly(2, {(1, 1): 1})])
+    target = submodule_from_polys(2, [Poly(2, {(1, 1): 2, (1, 0): 1})])
+    phi_images = QMatrix.from_columns([target.coordinates_of(p.scale(2)) for p in source.basis])
+    phi = ModuleMap(source, target, phi_images)
+
+    def run():
+        for n, polys in gens.items():
+            submodule_from_polys(n, polys)
+            submodule_from_polys(n, polys[:1])
+        for n, tops in [(1, [(6,)]), (2, [(3, 0), (1, 2)]), (3, [(1, 1, 1), (2, 0, 0)])]:
+            MonomialSubmodule(n, lower_set_closure(tops)).as_poly_submodule()
+        extend_iso(source, target, phi, goal)
+
+    recorded = recorded_inputs(monkeypatch, run)
+    # 6 closures, 3 lower sets and two spans per extension step
+    assert len(recorded) >= 9 + 2 * 4, len(recorded)
+    return table + recorded
+
+
+def test_constructor_matches_the_fraction_reference(monkeypatch):
+    table = constructor_table(monkeypatch)
+    kinds = set()
+    for n, polys in table:
+        got = stored(lambda: PolySubmodule(n, polys))
+        assert got == stored(lambda: reference_polysubmodule(n, polys)), (n, polys)
+        kinds.add(got[1] if isinstance(got[0], str) else "ok")
+        if n >= 1 and all(p.n == n for p in polys):
+            # from_json: the same polynomials through the wire format.
+            data = {"n": n, "basis": [p.to_json() for p in polys]}
+            assert stored(lambda: PolySubmodule.from_json(data)) == got
+    assert kinds == {
+        "ok",
+        "variable count mismatch",
+        "variable count must be at least 1",
+        "a polynomial submodule must contain the constants",
+        "subspace is not closed under differentiation",
+    }
+
+
+def test_from_json_errors_match_the_fraction_reference():
+    cases = [
+        (2, [[{"exps": [2, 0], "coef": "1"}], [{"exps": [0, 0], "coef": "1"}]]),
+        (1, [[{"exps": [1], "coef": "1/2"}]]),
+        (2, [[{"exps": [1, 0], "coef": "-3/4"}], [{"exps": [0, 0], "coef": "2"}]]),
+    ]
+    for n, basis in cases:
+        polys = [Poly.from_json(p, n) for p in basis]
+        got = stored(lambda: PolySubmodule.from_json({"n": n, "basis": basis}))
+        assert got == stored(lambda: reference_polysubmodule(n, polys))
+
+
+@pytest.mark.parametrize("n,k", [(1, 9), (2, 4), (3, 3)])
+def test_canonical_images_match_the_fraction_reference(n, k):
+    # The embedding builds its image from integer rows and weights; the
+    # reference builds the same span from the planted form's derivatives.
+    from nilmod.embed import canonical_form
+
+    rng = random.Random(269 + n)
+    form = Poly(n, {a: rng.choice([-2, -1, 1, 2]) for a in monomials_up_to_degree(n, k) if sum(a) == k})
+    members = [Poly.one(n)] + [form.partial_multi(b) for b in lower_set_closure(form.monomials())]
+    plain, _ = as_matrices(submodule_from_polys(n, [form]))
+    g = QMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(plain.dim)]
+                 for _ in range(plain.dim)])
+    while g.det() == 0:
+        g = QMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(plain.dim)]
+                     for _ in range(plain.dim)])
+    dense = validate([g * m * g.inverse() for m in plain.matrices])
+    for module in (plain, dense):
+        assert stored(lambda: canonical_form(module)) == stored(lambda: reference_polysubmodule(n, members))
 
 
 # --- matrix bridge -------------------------------------------------------------
