@@ -92,11 +92,7 @@ def _cmd_isomorphic(args) -> dict:
 def _cmd_embed_general(args) -> dict:
     module = FDModule.from_json(_read_json(args.module))
     weighted, mapping = embed_general(module)
-    return {
-        "eigenvalues": [format_rational(a) for a in weighted.eigenvalues],
-        "part": weighted.part.to_json(),
-        "map": [mapping.image_poly(j).to_json() for j in range(module.dim)],
-    }
+    return {**weighted.to_json(), "map": [mapping.image_poly(j).to_json() for j in range(module.dim)]}
 
 
 def _cmd_extract_endo(args) -> dict:

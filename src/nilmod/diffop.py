@@ -99,9 +99,6 @@ class DiffOpSeries(Value):
         """The coefficients as a polynomial in d_1, ..., d_n."""
         return Poly(self.n, self.coeffs)
 
-    def coeff(self, alpha: MultiIndex) -> Fraction:
-        return self.coeffs.get(tuple(alpha), Fraction(0))
-
     @property
     def unit(self) -> Fraction:
         """The constant-operator coefficient c_(0,...,0)."""

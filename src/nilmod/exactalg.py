@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Matrices, vectors and subspaces take and return `fractions.Fraction`
-entries: reduced row-echelon forms, kernels, solving, determinants and
-a small lattice of subspaces (sum, intersection, membership).  Inside,
-the loops run on integer rows over one common denominator, so no gcd is
-paid per multiply or add.  Elimination is fraction-free (Gauss-Jordan,
-each row kept primitive; Bareiss for determinants), and results are
-turned back into `Fraction`s once, at the end.  Everything is exact: no
-floats, no tolerances.  All values are immutable after construction and
-all operations are pure functions.
+entries: products, ranks, kernels, inverses and determinants, and
+subspaces held as canonical reduced row-echelon bases with membership
+and coordinates.  Inside, the loops run on integer rows over one common
+denominator, so no gcd is paid per multiply or add.  Elimination is
+fraction-free (Gauss-Jordan, each row kept primitive; Bareiss for
+determinants), and results are turned back into `Fraction`s once, at
+the end.  Everything is exact: no floats, no tolerances.  All values
+are immutable after construction and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -224,9 +224,6 @@ class QMatrix(Value):
         height = len(columns[0])
         return cls([[col[i] for col in columns] for i in range(height)], cols=len(columns))
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
@@ -295,32 +292,9 @@ class QMatrix(Value):
             raise ValueError("vector length differs from column count")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def _check_same_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-
-    def rref(self) -> "QMatrix":
-        """The unique reduced row-echelon form (same row space)."""
-        pivots, reduced = _rref_int(_integer_rows(self.entries)[0], self.cols)
-        rows = [_fraction_row(row, row[c]) for c, row in zip(pivots, reduced)]
-        rows += [(_ZERO,) * self.cols] * (self.rows - len(rows))
-        return QMatrix._trusted(rows, self.cols)
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        """Pivot columns of the RREF (assumes `self` is already in RREF)."""
-        pivots = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                if self.entries[r][c] != 0:
-                    pivots.append(c)
-                    break
-        return tuple(pivots)
 
     def rank(self) -> int:
         return len(_rref_int(_integer_rows(self.entries)[0], self.cols)[0])
@@ -328,23 +302,6 @@ class QMatrix(Value):
     def kernel(self) -> "Subspace":
         """The solution space of m.x = 0 as a canonical subspace."""
         return _integer_kernel(_integer_rows(self.entries)[0], self.cols)
-
-    def solve(self, b: Sequence) -> Optional[Vector]:
-        """Some exact solution of m.x = b, or None if inconsistent.
-
-        Free variables are set to zero, so the answer is deterministic.
-        """
-        b = vector(b)
-        if len(b) != self.rows:
-            raise ValueError("right-hand side length differs from row count")
-        aug, _ = _integer_rows([row + (x,) for row, x in zip(self.entries, b)])
-        pivots, reduced = _rref_int(aug, self.cols + 1)
-        if pivots and pivots[-1] == self.cols:
-            return None
-        x = [_ZERO] * self.cols
-        for c, row in zip(pivots, reduced):
-            x[c] = Fraction(row[-1], row[c])
-        return tuple(x)
 
     def inverse(self) -> Optional["QMatrix"]:
         """Exact inverse, or None when singular."""
@@ -395,7 +352,8 @@ class QMatrix(Value):
 
 
 class Subspace(Value):
-    """A linear subspace of Q^n held as a canonical RREF basis.
+    """A linear subspace of Q^n held as a canonical RREF basis, however
+    its spanning vectors were given.
 
     Two subspaces are equal as sets of vectors iff their stored bases are
     identical, which makes equality a structural check.
@@ -403,49 +361,38 @@ class Subspace(Value):
 
     __slots__ = ("ambient_dim", "basis", "_membership")
 
-    def __init__(self, ambient_dim: int, basis: Sequence[Vector]):
-        # Callers must pass canonical RREF rows; use from_vectors otherwise.
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(vector(v) for v in basis))
-        object.__setattr__(self, "_membership", None)
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
+    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
+        """The span of the vectors, each of length ambient_dim."""
         rows = [vector(v) for v in vectors]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length differs from ambient dimension")
-        return cls._from_integer_rows(ambient_dim, _integer_rows(rows)[0])
+        if any(len(v) != ambient_dim for v in rows):
+            raise ValueError("vector length differs from ambient dimension")
+        self._span(ambient_dim, _integer_rows(rows)[0], None)
 
     @classmethod
     def _from_integer_rows(
         cls, ambient_dim: int, rows: Sequence[Sequence[int]], weights: Optional[Sequence[int]] = None
     ) -> "Subspace":
+        out = cls.__new__(cls)
+        out._span(ambient_dim, rows, weights)
+        return out
+
+    def _span(self, ambient_dim: int, rows: Sequence[Sequence[int]], weights: Optional[Sequence[int]]) -> None:
         """The span of integer rows of length ambient_dim, entry c divided
         by the positive weights[c] if given.  Dividing columns moves no
         zero, so the reduced rows divided the same way, each then by its
         pivot entry, are the RREF."""
         pivots, reduced = _rref_int(rows, ambient_dim)
         weights = weights or (1,) * ambient_dim
-        return cls(ambient_dim, [
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", tuple(
             tuple(Fraction(x * weights[c], row[c] * w) if x else _ZERO for x, w in zip(row, weights))
             for c, row in zip(pivots, reduced)
-        ])
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [])
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, QMatrix.identity(ambient_dim).entries)
+        ))
+        object.__setattr__(self, "_membership", None)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def basis_matrix(self) -> QMatrix:
-        return QMatrix(self.basis, cols=self.ambient_dim)
 
     def _key(self) -> tuple:
         return self.ambient_dim, self.basis
@@ -484,44 +431,6 @@ class Subspace(Value):
 
     def contains(self, v: Sequence) -> bool:
         return self.coordinates_of(v) is not None
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains(v) for v in other.basis)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked-basis matrix."""
-        self._check_ambient(other)
-        p, q = self.dim, other.dim
-        if p == 0 or q == 0:
-            return Subspace.zero(self.ambient_dim)
-        # Columns: coefficients (u, w) with u.A = w.B; kernel vectors give
-        # intersection elements u.A.
-        stacked = QMatrix(
-            [
-                [self.basis[k][i] for k in range(p)]
-                + [-other.basis[k][i] for k in range(q)]
-                for i in range(self.ambient_dim)
-            ],
-            cols=p + q,
-        )
-        vectors = []
-        for uv in stacked.kernel().basis:
-            u = uv[:p]
-            vec = [Fraction(0)] * self.ambient_dim
-            for coeff, row in zip(u, self.basis):
-                if coeff != 0:
-                    vec = [x + coeff * y for x, y in zip(vec, row)]
-            vectors.append(tuple(vec))
-        return Subspace.from_vectors(self.ambient_dim, vectors)
-
-    def _check_ambient(self, other: "Subspace") -> None:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
 
 
 def standard_basis_vector(ambient_dim: int, j: int) -> Vector:

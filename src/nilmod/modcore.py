@@ -40,7 +40,6 @@ from .exactalg import (
     _integer_rows,
     as_int,
     format_rational,
-    parse_rational,
     vector,
 )
 from .multipoly import (
@@ -201,7 +200,7 @@ class PolySubmodule(Value):
         pivots = coords._membership_data()[0]
         if not pivots or any(monomial_list[pivots[-1]]):
             raise ValueError("a polynomial submodule must contain the constants")
-        self.action_matrices()
+        self._closure_pass()
 
     @property
     def dim(self) -> int:
@@ -236,12 +235,21 @@ class PolySubmodule(Value):
         return out
 
     def action_matrices(self) -> tuple[QMatrix, ...]:
-        """Matrices of the partial derivatives in the canonical basis.
+        """Matrices of the partial derivatives in the canonical basis."""
+        den = self.coords._membership_data()[1]
+        return tuple(
+            QMatrix._trusted([_fraction_row(row, den) for row in at_pivots], self.dim)
+            for at_pivots in self._closure_pass()
+        )
+
+    def _closure_pass(self) -> list[list[list[int]]]:
+        """For each d/dx_i, E times its matrix in the canonical basis, as
+        integer rows.
 
         With the basis B / E over integer B, d/dx_i moves B's column at
         alpha to alpha - e_i, times alpha_i.  Entry (k, l) is moved row l
         at pivot k, over E, and the moved rows lie in the span iff every
-        free column is that combination of B's.  This pass is also the
+        free column is that combination of B's.  This pass is the
         constructor's closure check: it raises ValueError when some
         derivative of a basis member lies outside.
         """
@@ -259,8 +267,8 @@ class PolySubmodule(Value):
             spans = _int_matmul([columns[f] for f in free], _columns(at_pivots, self.dim))
             if any(row != [den * x for x in moved[f]] for f, row in zip(free, spans)):
                 raise ValueError("subspace is not closed under differentiation")
-            out.append(QMatrix._trusted([_fraction_row(row, den) for row in at_pivots], self.dim))
-        return tuple(out)
+            out.append(at_pivots)
+        return out
 
     def to_json(self) -> dict:
         return {"n": self.n, "basis": [p.to_json() for p in self.basis]}
@@ -330,13 +338,6 @@ class ExpSubmodule(Value):
             "eigenvalues": [format_rational(a) for a in self.eigenvalues],
             "part": self.part.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, data) -> "ExpSubmodule":
-        return cls(
-            [parse_rational(a) for a in data["eigenvalues"]],
-            PolySubmodule.from_json(data["part"]),
-        )
 
 
 ModuleLike = Union[FDModule, PolySubmodule, ExpSubmodule]

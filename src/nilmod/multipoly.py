@@ -130,9 +130,6 @@ class Poly(Value):
     def monomials(self) -> set[MultiIndex]:
         return set(self.terms)
 
-    def coeff(self, alpha: MultiIndex) -> Fraction:
-        return self.terms.get(tuple(alpha), Fraction(0))
-
     def eval_zero(self) -> Fraction:
         """The constant term (the value at the origin)."""
         return self.terms.get((0,) * self.n, Fraction(0))
@@ -147,11 +144,6 @@ class Poly(Value):
         if not self.terms:
             return MINUS_INFINITY
         return max(sum(alpha) for alpha in self.terms)
-
-    def leading_monomial(self) -> Optional[MultiIndex]:
-        if not self.terms:
-            return None
-        return max(self.terms, key=grlex_key)
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
@@ -209,13 +201,6 @@ class Poly(Value):
             beta = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
             out[beta] = c / (alpha[k] + 1)
         return Poly(self.n, out)
-
-    def partial_multi(self, alpha: MultiIndex) -> "Poly":
-        p = self
-        for i, a in enumerate(alpha, start=1):
-            for _ in range(a):
-                p = p.partial(i)
-        return p
 
     def _check_compatible(self, other: "Poly") -> None:
         if self.n != other.n:
@@ -291,21 +276,6 @@ def truncated_product(p: Poly, q: Poly, bound) -> Poly:
 def _check_var(n: int, i: int) -> None:
     if not 1 <= i <= n:
         raise IndexError(f"variable index {i} out of range 1..{n}")
-
-
-def poly_to_vector(p: Poly, monomial_list: Sequence[MultiIndex]) -> Optional[tuple]:
-    """Coefficient vector of p over an ordered monomial list.
-
-    Returns None when p involves a monomial outside the list.
-    """
-    position = {alpha: idx for idx, alpha in enumerate(monomial_list)}
-    out = [Fraction(0)] * len(monomial_list)
-    for alpha, c in p.terms.items():
-        idx = position.get(alpha)
-        if idx is None:
-            return None
-        out[idx] = c
-    return tuple(out)
 
 
 def vector_to_poly(v: Sequence, monomial_list: Sequence[MultiIndex], n: int) -> Poly:
