@@ -15,12 +15,22 @@ nonzero submodule contains the socle line.  Its image is the set of
 polynomials killed by every operator f(d/dx) with f(S) = 0, which does
 not depend on lambda.  The row vectors lambda S^alpha come from one
 breadth-first pass over the exponents alpha, so nothing is restricted,
-inverted or integrated, and they stay integer rows from the action
-matrices to the image's one elimination.
+inverted or integrated, and they stay primitive integer rows from the
+action matrices to the image's one elimination.
+
+By default lambda reads the first nonzero coordinate of the socle line
+mod P, which is the pivot of the socle's RREF basis vector unless P
+divides its entry there.  The line comes from one elimination modulo
+the prime P, and only chooses: an injective phi certifies the choice
+exactly.  The exact joint kernel is computed only when the line mod P
+is missing or the embedding fails.
 
 The pass certifies nilpotency: a nonzero row at degree dim stops it,
 and an injective phi gives phi(S^N v) = d^N phi(v) = 0 past the top
-degree.  Squaring the matrices only names the error of a failed embedding.
+degree.  Squaring the matrices only names the error of a failed
+embedding, and bounds the pass: past a budget of row products of the
+order of the squaring test, it runs once and stops a pass that cannot
+succeed.
 
 Modules with a rational joint eigenvalue tuple reduce to the nilpotent
 case by twisting and land in an exponentially weighted copy instead.
@@ -31,6 +41,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (
@@ -40,6 +51,7 @@ from .errors import (
     SocleNotOneDimensional,
 )
 from .exactalg import (
+    _PRIME,
     Immutable,
     QMatrix,
     Vector,
@@ -47,6 +59,7 @@ from .exactalg import (
     _int_matmul,
     _integer_kernel,
     _integer_rows,
+    _kernel_line_mod,
     standard_basis_vector,
 )
 from .modcore import (
@@ -54,6 +67,7 @@ from .modcore import (
     FDModule,
     ModuleMap,
     PolySubmodule,
+    _is_nilpotent_matrix,
     is_nilpotent,
     socle_eigenvalues,
     twist,
@@ -107,10 +121,11 @@ def potential(fs: Sequence[Poly], n: int) -> Poly:
     return h
 
 
-def _functional(s: Vector, rng: Optional[random.Random]) -> Vector:
-    """A functional that is nonzero on the socle vector s.
+def _functional(s: Sequence, rng: Optional[random.Random], modulus: Optional[int] = None) -> Vector:
+    """A functional that is nonzero on the socle vector s, modulo the
+    modulus when one is given (s then holds residues).
 
-    Without an rng: the coordinate at the pivot of s, where s has entry 1.
+    Without an rng: the coordinate at the first nonzero entry of s.
     With one: small random integers, redrawn until the value on s is
     nonzero.
     """
@@ -119,7 +134,8 @@ def _functional(s: Vector, rng: Optional[random.Random]) -> Vector:
         return standard_basis_vector(len(s), pivot)
     while True:
         lam = tuple(Fraction(rng.randint(-4, 4)) for _ in s)
-        if sum(a * b for a, b in zip(lam, s)) != 0:
+        value = sum(a * b for a, b in zip(lam, s))
+        if (value if modulus is None else value % modulus) != 0:
             return lam
 
 
@@ -128,22 +144,30 @@ def _inverse_system(stack: list[list[int]], den: int, lam: Vector) -> Optional[t
     integer rows with their weights.
 
     The S_i = M_i / D come stacked, integer rows M_1, ..., M_n over one
-    denominator D.  With lam = l / L, the pass returns the alpha with
-    lam S^alpha nonzero, in descending order, their rows l M^alpha, and
-    their weights L D^|alpha| alpha!: coefficient j of x^alpha is
-    row[j] / weight.  Breadth-first over alpha with
-    l M^(alpha + e_i) = (l M^alpha) M_i.
+    denominator D.  The pass returns the alpha with lam S^alpha nonzero,
+    in descending order, primitive integer rows and their weights:
+    lam S^alpha = row / scale, the weight is scale alpha!, and
+    coefficient j of x^alpha is row[j] / weight.  Breadth-first over
+    alpha, lam S^(alpha + e_i) = (row M_i) / (scale D), with the common
+    factor of the new row and scale divided out, so the rows carry no
+    power of D that lam S^alpha does not need.
     The action commutes, so one row per alpha suffices; a zero row has
     only zero successors and is not extended.  A nonzero row at |alpha| = d
     returns None: commuting nilpotent d x d matrices kill every product of
-    d of them, so the module is not nilpotent.
+    d of them, so the module is not nilpotent.  So does a pass past
+    4 d ceil(log2 d) row products whose matrices are not all nilpotent,
+    checked once by squaring.
     """
     d = len(lam)
     n = len(stack) // d
-    columns = [_columns(stack[i * d : (i + 1) * d], d) for i in range(n)]
+    matrices = [stack[i * d : (i + 1) * d] for i in range(n)]
+    columns = [_columns(m, d) for m in matrices]
     (start,), lam_den = _integer_rows([lam])
     zero = (0,) * n
     rows: dict[MultiIndex, list[int]] = {zero: start}
+    scale = {zero: lam_den}
+    budget = 4 * d * (d - 1).bit_length()
+    products = 0
     queue = deque([zero])
     while queue:
         alpha = queue.popleft()
@@ -153,13 +177,22 @@ def _inverse_system(stack: list[list[int]], den: int, lam: Vector) -> Optional[t
             beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
             if beta in rows:
                 continue
-            (rows[beta],) = _int_matmul([row], cols)
-            if any(rows[beta]):
-                if capped:
-                    return None
-                queue.append(beta)
-    monomials = sorted((a for a, row in rows.items() if any(row)), key=grlex_key, reverse=True)
-    weights = [lam_den * den ** sum(a) * multi_factorial(a) for a in monomials]
+            (new,) = _int_matmul([row], cols)
+            products += 1
+            if products == budget + 1 and not all(map(_is_nilpotent_matrix, matrices)):
+                return None
+            if not any(new):
+                rows[beta] = new
+                continue
+            if capped:
+                return None
+            s = scale[alpha] * den
+            g = gcd(s, *new)
+            rows[beta] = [x // g for x in new] if g > 1 else new
+            scale[beta] = s // g
+            queue.append(beta)
+    monomials = sorted(scale, key=grlex_key, reverse=True)
+    weights = [scale[a] * multi_factorial(a) for a in monomials]
     return monomials, [rows[a] for a in monomials], weights
 
 
@@ -170,19 +203,30 @@ def embed_nilpotent(
 
     Basis vector e_j maps to sum over alpha of lambda(S^alpha e_j)
     x^alpha / alpha!, Macaulay's inverse-system map.  By default lambda
-    is the coordinate at the pivot of the socle's RREF basis vector.  An
-    rng draws lambda with small random integer entries instead (redrawn
-    until it is nonzero on the socle); the map changes with lambda, the
-    image does not.
+    reads the first nonzero coordinate of the socle line mod P, which is
+    the pivot of the socle's RREF basis vector unless P divides its
+    entry there.  An rng draws lambda with small random integer entries
+    instead (redrawn until it is nonzero on the socle line mod P); the
+    map changes with lambda, the image does not.
 
-    The action matrices become integer rows once, for the joint kernel
-    and the pass, whose rows are eliminated as they are.  The map's
-    coordinates are the phi(e_j)'s entries at the image's pivots.
+    A line mod P bounds the socle's dimension by one, and lambda is
+    nonzero on it, so an injective phi certifies the choice.  Without a
+    line mod P the exact joint kernel takes its place, with the pivot
+    functional of its RREF basis vector.  The action matrices become
+    integer rows once, for the kernel and the pass, whose rows are
+    eliminated as they are.  The map's coordinates are the phi(e_j)'s
+    entries at the image's pivots.
     """
     stack, den = _integer_rows([row for m in module.matrices for row in m.entries])
-    space = _integer_kernel(stack, module.dim)
-    if space.dim == 1:
-        found = _inverse_system(stack, den, _functional(space.basis[0], rng))
+    line = _kernel_line_mod(stack, module.dim)
+    space = None
+    if line is not None:
+        lam = _functional(line, rng, _PRIME)
+    else:
+        space = _integer_kernel(stack, module.dim)
+        lam = _functional(space.basis[0], rng) if space.dim == 1 else None
+    if lam is not None:
+        found = _inverse_system(stack, den, lam)
         if found is None:
             raise NotNilpotent("only nilpotent modules embed into the derivative module")
         monomials, rows, weights = found
@@ -195,6 +239,8 @@ def embed_nilpotent(
         raise NotNilpotent("only nilpotent modules embed into the derivative module")
     if module.dim == 0:
         raise SocleNotOneDimensional("the zero module has no socle line")
+    if space is None:
+        space = _integer_kernel(stack, module.dim)
     if space.dim != 1:
         raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
     raise AssertionError("the embedding must be injective")

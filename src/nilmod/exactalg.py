@@ -7,8 +7,10 @@ and coordinates.  Inside, the loops run on integer rows over one common
 denominator, so no gcd is paid per multiply or add.  Elimination is
 fraction-free (Gauss-Jordan, each row kept primitive; Bareiss for
 determinants), and results are turned back into `Fraction`s once, at
-the end.  Everything is exact: no floats, no tolerances.  All values
-are immutable after construction and all operations are pure functions.
+the end.  Everything is exact: no floats, no tolerances.  One
+elimination runs modulo a prime, and it only chooses: a caller that
+builds on its answer certifies the result exactly.  All values are
+immutable after construction and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -159,6 +161,49 @@ def _rref_int(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[int], list
     return pivots, reduced
 
 
+# A prime below 2**30, so that every residue is one Python digit.
+_PRIME = 2**30 - 35
+
+
+def _kernel_line_mod(rows: Sequence[Sequence[int]], cols: int) -> Optional[list[int]]:
+    """The solutions of rows . x = 0 modulo _PRIME, for integer rows of
+    width cols: a spanning vector of residues when they form a line,
+    else None.
+
+    A primitive integer solution reduces to a nonzero one, so a line
+    here bounds the exact kernel's dimension by one, and the line is the
+    exact one mod P whenever that has dimension one.  Forward
+    elimination until cols - 1 pivots, back-substitution for the line
+    they leave, and then one dot product checks each remaining row.
+    """
+    p = _PRIME
+    echelon: dict[int, list[int]] = {}  # pivot column -> row, 1 there and 0 before
+    k = 0
+    while len(echelon) < cols - 1 and k < len(rows):
+        r = [x % p for x in rows[k]]
+        k += 1
+        for c in range(cols):
+            if not r[c]:
+                continue
+            prow = echelon.get(c)
+            if prow is None:
+                inverse = pow(r[c], -1, p)
+                echelon[c] = [x * inverse % p for x in r]
+                break
+            f = r[c]
+            r[c:] = [(x - f * y) % p for x, y in zip(r[c:], prow[c:])]
+    if len(echelon) != cols - 1:
+        return None
+    (free,) = set(range(cols)) - set(echelon)
+    line = [0] * cols
+    line[free] = 1
+    for c in sorted(echelon, reverse=True):
+        line[c] = -sum(map(mul, echelon[c][c + 1 :], line[c + 1 :])) % p
+    if any(sum(map(mul, row, line)) % p for row in rows[k:]):
+        return None
+    return line
+
+
 def _integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> "Subspace":
     """The solutions of rows . x = 0, for integer rows of width cols, as
     a canonical subspace."""
@@ -226,9 +271,6 @@ class QMatrix(Value):
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -428,9 +470,6 @@ class Subspace(Value):
             if den * w[j] != sum(map(mul, coeffs, columns[j])):
                 return None
         return tuple(v[c] for c in pivots)
-
-    def contains(self, v: Sequence) -> bool:
-        return self.coordinates_of(v) is not None
 
 
 def standard_basis_vector(ambient_dim: int, j: int) -> Vector:

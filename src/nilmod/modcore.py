@@ -107,11 +107,13 @@ def validate(matrices: Sequence[QMatrix]) -> FDModule:
     return FDModule(len(matrices), matrices)
 
 
-def _is_nilpotent_matrix(m: QMatrix) -> bool:
-    # S is nilpotent iff D S is, for its common denominator D.  Square
-    # the integer matrix: (D S)^(2^k) = 0 for 2^k >= dim iff S is nilpotent.
-    d = m.rows
-    power, _ = _integer_rows(m.entries)
+def _is_nilpotent_matrix(power: Sequence[Sequence[int]]) -> bool:
+    """Whether the square integer matrix with these rows is nilpotent.
+
+    S is nilpotent iff D S is, for its common denominator D, so this
+    also decides a rational matrix.  Square: M^(2^k) = 0 for
+    2^k >= dim iff M is nilpotent."""
+    d = len(power)
     steps = 1
     while steps < d:
         if not any(map(any, power)):
@@ -127,7 +129,7 @@ def is_nilpotent(module: FDModule) -> bool:
     For commuting matrices this is equivalent to every zero-constant
     polynomial acting nilpotently.
     """
-    return all(_is_nilpotent_matrix(m) for m in module.matrices)
+    return all(_is_nilpotent_matrix(_integer_rows(m.entries)[0]) for m in module.matrices)
 
 
 def socle(module: FDModule) -> Subspace:

@@ -5,6 +5,7 @@ conjugation oracle for canonical forms, and the determinant-based
 isomorphism decision procedure run against the constructive one.
 """
 
+import json
 import os
 import random
 import signal
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -35,7 +37,7 @@ from nilmod.errors import (
     NotNilpotent,
     SocleNotOneDimensional,
 )
-from nilmod.exactalg import QMatrix, _integer_rows, standard_basis_vector
+from nilmod.exactalg import _PRIME, QMatrix, _integer_rows, _kernel_line_mod, standard_basis_vector
 from nilmod.modcore import (
     ExpSubmodule,
     FDModule,
@@ -322,6 +324,29 @@ def test_inverse_system_matches_fraction_reference(n, terms):
             assert p.partial(i) == image
 
 
+@pytest.mark.parametrize("n, terms", PLANTED, ids=["n=1", "n=2", "n=3"])
+def test_pass_rows_share_no_factor_with_their_scale(n, terms):
+    # lam S^alpha = row / scale with weight = scale alpha!: the pass
+    # divides out every common factor, so no power of the matrices'
+    # denominator D builds up in the rows.
+    plain, _ = as_matrices(submodule_from_polys(n, [Poly(n, terms)]))
+    rng = random.Random(20 + n)
+    g = QMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(plain.dim)]
+                 for _ in range(plain.dim)])
+    while g.det() == 0:
+        g = QMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(plain.dim)]
+                     for _ in range(plain.dim)])
+    dense = conjugate(plain, g)
+    stack, den = _integer_rows([row for m in dense.matrices for row in m.entries])
+    assert den > 1
+    lam = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(dense.dim))
+    monomials, rows, weights = _inverse_system(stack, den, lam)
+    assert len(monomials) >= dense.dim
+    for alpha, row, weight in zip(monomials, rows, weights):
+        scale, rest = divmod(weight, multi_factorial(alpha))
+        assert rest == 0 and gcd(scale, *row) == 1, alpha
+
+
 def test_embedding_converts_the_action_matrices_once(monkeypatch):
     # The joint kernel and the inverse-system pass share one conversion.
     import nilmod.exactalg
@@ -426,6 +451,162 @@ def test_one_nilpotency_check_per_embedding(monkeypatch):
     assert count(embed_nilpotent, validate([QMatrix.zeros(2, 2)])) == 1
     assert count(embed_nilpotent, FDModule(1, [QMatrix([], cols=0)])) == 1
     assert count(embed_general, validate([QMatrix.identity(2)])) == 1
+
+
+def test_exact_kernel_only_on_failures(monkeypatch):
+    # The socle line mod P chooses the functional, and an injective map
+    # certifies it, so a success computes no exact joint kernel.  A
+    # failure computes it at most once, to name the error.
+    import nilmod.embed
+
+    calls = []
+    original = nilmod.embed._integer_kernel
+
+    def counting(rows, cols):
+        calls.append(cols)
+        return original(rows, cols)
+
+    monkeypatch.setattr(nilmod.embed, "_integer_kernel", counting)
+    counts = {"ok": set(), "NotNilpotent": set(), "SocleNotOneDimensional": set()}
+    for module in comparison_table():
+        calls.clear()
+        kind = outcome(embed_nilpotent, module, None)[0]
+        counts[kind].add(len(calls))
+    assert counts["ok"] == {0}
+    # A pass stopped at its cap, or a short image of a non-nilpotent
+    # module, needs no socle; a socle that is not a line does.
+    assert counts["NotNilpotent"] <= {0, 1}
+    assert counts["SocleNotOneDimensional"] == {1}
+
+
+# The mod-P line misses or moves in these two modules.  Without a line
+# mod P the exact kernel chooses, and a socle entry divisible by P moves
+# the functional off the RREF pivot.
+UNLUCKY_PRIME = validate([QMatrix([[0, _PRIME], [0, 0]])])
+DIVISIBLE_SOCLE = validate([QMatrix([[_PRIME, -(_PRIME**2)], [1, -_PRIME]])])
+
+
+def test_unlucky_prime_embeds_through_the_exact_kernel(monkeypatch):
+    # Mod P the matrix is zero, so the kernel is all of K^2; the exact
+    # kernel is the line of e_1.
+    import nilmod.embed
+
+    assert _kernel_line_mod(_integer_rows(UNLUCKY_PRIME.matrices[0].entries)[0], 2) is None
+    calls = []
+    original = nilmod.embed._integer_kernel
+    monkeypatch.setattr(
+        nilmod.embed, "_integer_kernel", lambda rows, cols: calls.append(cols) or original(rows, cols)
+    )
+    for seed in (None, 3):
+        calls.clear()
+        got = outcome(embed_nilpotent, UNLUCKY_PRIME, seed)
+        assert got == outcome(reference_embed_nilpotent, UNLUCKY_PRIME, seed)
+        assert calls == [2]
+    assert embed_nilpotent(UNLUCKY_PRIME).map.is_isomorphism()
+
+
+def test_socle_entry_divisible_by_p_moves_the_functional():
+    # The socle is the line of (P, 1): the exact RREF pivot is 0, its
+    # residues (0, 1) put lambda on coordinate 1.  The image is the same.
+    assert _kernel_line_mod(_integer_rows(DIVISIBLE_SOCLE.matrices[0].entries)[0], 2) == [0, 1]
+    reference = reference_embed_nilpotent(DIVISIBLE_SOCLE)
+    result = embed_nilpotent(DIVISIBLE_SOCLE)
+    assert result.image == reference.image == submodule_from_polys(1, [Poly(1, {(1,): 1})])
+    assert result.map.is_isomorphism()
+    # lambda = e_2: phi(e_1) = x and phi(e_2) = 1 - P x, in the basis (x, 1).
+    assert result.image_polys() == (Poly(1, {(1,): 1}), Poly(1, {(1,): -_PRIME, (0,): 1}))
+    assert result.map.images == QMatrix([[1, -_PRIME], [0, 1]])
+    for seed in range(4):
+        drawn = embed_nilpotent(DIVISIBLE_SOCLE, rng=random.Random(seed))
+        assert drawn.image == reference.image
+        assert drawn.map.is_isomorphism()
+
+
+def test_unlucky_primes_under_optimize_flag():
+    # Both fallbacks keep their answers under `python -O`.
+    code = "\n".join(
+        [
+            "import json, random",
+            "from nilmod.embed import embed_nilpotent",
+            "from nilmod.exactalg import _PRIME, QMatrix",
+            "from nilmod.modcore import validate",
+            "print(__debug__)",
+            "for m in ([[0, _PRIME], [0, 0]], [[_PRIME, -_PRIME**2], [1, -_PRIME]]):",
+            "    module = validate([QMatrix(m)])",
+            "    for rng in (None, random.Random(3)):",
+            "        result = embed_nilpotent(module, rng)",
+            "        print(json.dumps(result.to_json()), result.map.is_isomorphism())",
+        ]
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = ["False"]
+    for module in (UNLUCKY_PRIME, DIVISIBLE_SOCLE):
+        for rng in (None, random.Random(3)):
+            expected.append(f"{json.dumps(embed_nilpotent(module, rng).to_json())} True")
+    assert proc.stdout.splitlines() == expected
+
+
+def pass_budget(d):
+    """Row products the pass makes before it checks nilpotency once."""
+    return 4 * d * (d - 1).bit_length()
+
+
+def success_table():
+    """Seeded nilpotent modules with a line socle at dimension 3 and up,
+    plain and densely conjugated, as the embedding benchmarks draw them:
+    planted closures and random modules in one to three variables."""
+    rng = random.Random(77)
+    cases = []
+    for n, terms in PLANTED:
+        plain, _ = as_matrices(submodule_from_polys(n, [Poly(n, terms)]))
+        cases += [plain, conjugate(plain, random_invertible(rng, plain.dim))]
+    for n, bound in [(1, 6), (2, 4), (3, 3)]:
+        for seed in range(3):
+            mod = random_nilpotent_module(n, bound, seed=seed)
+            cases += [mod, conjugate(mod, random_invertible(rng, mod.dim))]
+    return [m for m in cases if m.dim >= 3]
+
+
+def test_no_success_reaches_the_pass_budget(monkeypatch):
+    # Below the budget the pass never squares a matrix.  The seeded
+    # successes stay under half of it.
+    import nilmod.embed
+
+    products, checks = [], []
+    matmul, nilpotent = nilmod.embed._int_matmul, nilmod.embed._is_nilpotent_matrix
+    monkeypatch.setattr(nilmod.embed, "_int_matmul", lambda r, c: products.append(1) or matmul(r, c))
+    monkeypatch.setattr(nilmod.embed, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
+    worst = 0
+    for module in success_table():
+        products.clear()
+        assert embed_nilpotent(module).map.is_isomorphism()
+        worst = max(worst, len(products) / pass_budget(module.dim))
+    assert checks == []
+    assert 0 < worst < 0.5, worst
+
+
+def test_non_nilpotent_line_kernel_stops_at_the_budget(monkeypatch):
+    # K[d](x_1 + x_2 + x_3)^20, where every x_i acts by one Jordan block,
+    # plus a line where every x_i acts by 2, densely conjugated: dimension
+    # 22, the joint kernel is a line, and lambda S^alpha never vanishes.
+    # The pass stops one product past its budget, not at degree 22.
+    import nilmod.embed
+
+    plain = validate([jordan_block(21)] * 3)
+    module = conjugate(block_sum(plain, validate([QMatrix([[2]])] * 3)), random_invertible(random.Random(22), 22))
+    products = []
+    matmul = nilmod.embed._int_matmul
+    monkeypatch.setattr(nilmod.embed, "_int_matmul", lambda r, c: products.append(1) or matmul(r, c))
+    with time_limit(10):
+        with pytest.raises(NotNilpotent):
+            embed_nilpotent(module)
+    assert len(products) == pass_budget(22) + 1
 
 
 def reference_embed_nilpotent(module, rng=None):

@@ -12,8 +12,12 @@ from fractions import Fraction
 import pytest
 
 from nilmod.exactalg import (
+    _PRIME,
     QMatrix,
     Subspace,
+    _integer_kernel,
+    _integer_rows,
+    _kernel_line_mod,
     format_rational,
     parse_rational,
     standard_basis_vector,
@@ -262,7 +266,7 @@ def test_full_space_contains_everything():
     rng = random.Random(59)
     full = Subspace(4, QMatrix.identity(4).entries)
     for _ in range(10):
-        assert full.contains([rng.randint(-9, 9) for _ in range(4)])
+        assert full.coordinates_of([rng.randint(-9, 9) for _ in range(4)]) is not None
 
 
 def test_subspace_equality_is_representation_free():
@@ -300,8 +304,8 @@ def test_coordinates_reconstruct():
 def test_coordinates_of_outside_vector():
     s = Subspace(3, [[1, 0, 0]])
     assert s.coordinates_of([0, 1, 0]) is None
-    assert not s.contains([0, 0, 5])
-    assert s.contains([Fraction(-2), 0, 0])
+    assert s.coordinates_of([0, 0, 5]) is None
+    assert s.coordinates_of([Fraction(-2), 0, 0]) is not None
 
 
 def test_ambient_mismatch_raises():
@@ -316,7 +320,7 @@ def test_constructor_canonicalizes_its_vectors():
     assert line.dim == 1
     assert line == Subspace(2, [(1, 1)])
     assert line.basis == ((1, 1),)
-    assert line.contains((1, 1))
+    assert line.coordinates_of((1, 1)) is not None
     assert Subspace(2, [(0, 3), (2, 0)]).basis == ((1, 0), (0, 1))
 
 
@@ -441,6 +445,57 @@ def test_integer_core_rref_kernel_solve_match_reference(seed):
         assert QMatrix(entries, cols=cols).kernel().basis == tuple(reference_kernel(entries, cols))
 
 
+def kernel_table(seed):
+    """Seeded integer matrices of n d rows and d columns, as the joint
+    kernel sees them, with kernels of dimension 0, 1 and more: rows
+    drawn from the span of k random vectors, some with 60-bit entries."""
+    rng = random.Random(seed)
+    cases = [([], 0), ([[0, 0]], 2), ([[0]], 1), ([[5]], 1)]
+    for _ in range(40):
+        d, n = rng.randint(1, 7), rng.randint(1, 3)
+        bits = rng.choice([3, 3, 60])
+        k = rng.choice([d, d - 1, d - 1, max(d - 2, 0)])
+        span = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(d)] for _ in range(k)]
+        rows = []
+        for _ in range(n * d):
+            coeffs = [rng.randint(-2, 2) for _ in span]
+            rows.append([sum(c * v[j] for c, v in zip(coeffs, span)) for j in range(d)])
+        cases.append((rows, d))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_kernel_line_mod_finds_the_exact_line(seed):
+    lines = 0
+    for rows, cols in kernel_table(seed):
+        exact = _integer_kernel(rows, cols)
+        line = _kernel_line_mod(rows, cols)
+        assert (line is not None) == (exact.dim == 1), (rows, cols)
+        if line is None:
+            continue
+        lines += 1
+        assert all(0 <= x < _PRIME for x in line) and any(line)
+        # The exact line, read mod P, is a multiple of the residues.
+        (s,), _ = _integer_rows(exact.basis)
+        j = next(j for j, x in enumerate(line) if x)
+        ratio = s[j] * pow(line[j], -1, _PRIME) % _PRIME
+        assert [x % _PRIME for x in s] == [ratio * x % _PRIME for x in line]
+    assert lines >= 10, lines
+
+
+def test_kernel_line_mod_reads_the_rows_mod_p():
+    # Entries that P divides vanish: the line can be missing, or appear
+    # where the exact kernel is zero.
+    assert _kernel_line_mod([[0, _PRIME], [0, 0]], 2) is None
+    assert _integer_kernel([[0, _PRIME], [0, 0]], 2).dim == 1
+    assert _kernel_line_mod([[_PRIME]], 1) == [1]
+    assert _integer_kernel([[_PRIME]], 1).dim == 0
+    # Socle (P, 1): the residues are (0, 1), the exact RREF pivot is 0.
+    rows = [[_PRIME, -(_PRIME**2)], [1, -_PRIME]]
+    assert _kernel_line_mod(rows, 2) == [0, 1]
+    assert _integer_kernel(rows, 2).basis == ((1, Fraction(1, _PRIME)),)
+
+
 @pytest.mark.parametrize("seed", [4, 5])
 def test_integer_core_square_ops_match_reference(seed):
     rng = random.Random(seed)
@@ -528,12 +583,17 @@ def nilpotent_jordan(blocks):
     return QMatrix(rows, cols=d)
 
 
+def _is_nilpotent_matrix(m):
+    """The integer squaring test, on a rational matrix's integer rows."""
+    from nilmod.modcore import _is_nilpotent_matrix
+
+    return _is_nilpotent_matrix(_integer_rows(m.entries)[0])
+
+
 @pytest.mark.parametrize(
     "blocks", [[1], [2], [3], [5], [2, 3], [4, 1, 2], [6, 1], [3, 3, 3, 3]]
 )
 def test_is_nilpotent_matrix_on_dense_conjugates(blocks):
-    from nilmod.modcore import _is_nilpotent_matrix
-
     rng = random.Random(sum(blocks) * 31 + len(blocks))
     jordan = nilpotent_jordan(blocks)
     d = jordan.rows
@@ -549,8 +609,6 @@ def test_is_nilpotent_matrix_on_dense_conjugates(blocks):
 
 
 def test_is_nilpotent_matrix_edge_cases():
-    from nilmod.modcore import _is_nilpotent_matrix
-
     assert _is_nilpotent_matrix(QMatrix([], cols=0))
     assert _is_nilpotent_matrix(QMatrix.zeros(3, 3))
     assert not _is_nilpotent_matrix(QMatrix.identity(3))

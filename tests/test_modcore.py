@@ -199,7 +199,7 @@ def test_socle_jordan_block():
     jordan = QMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     space = socle(validate([jordan]))
     assert space.dim == 1
-    assert space.contains(standard_basis_vector(3, 0))
+    assert space.coordinates_of(standard_basis_vector(3, 0)) is not None
 
 
 def test_socle_of_x1x2_closure():
@@ -209,7 +209,7 @@ def test_socle_of_x1x2_closure():
     assert space.dim == 1
     # canonical basis is monomials descending, so the constant is last
     one_coords = sub.coordinates_of(Poly.one(2))
-    assert space.contains(one_coords)
+    assert space.coordinates_of(one_coords) is not None
 
 
 def test_socle_matches_stacked_nullspace_oracle():
@@ -238,7 +238,7 @@ def test_twist_scalar_matrix_to_zero():
     alpha = Fraction(3, 2)
     mod = validate([QMatrix.identity(2).scale(alpha)])
     twisted = twist(mod, [alpha])
-    assert twisted.matrices[0].is_zero()
+    assert twisted.matrices[0] == QMatrix.zeros(2, 2)
     assert is_nilpotent(twisted)
 
 
@@ -324,7 +324,7 @@ def reference_closure(n, gens):
     while queue:
         p = queue.pop()
         v = poly_to_vector(p, monomial_list)
-        if span.contains(v):
+        if span.coordinates_of(v) is not None:
             continue
         span = Subspace(width, span.basis + (v,))
         members.append(p)
@@ -713,7 +713,7 @@ def test_random_module_invariants():
 def test_random_module_degree_bound_zero():
     mod = random_nilpotent_module(3, 0, seed=4)
     assert mod.dim == 1
-    assert all(m.is_zero() for m in mod.matrices)
+    assert all(m == QMatrix.zeros(1, 1) for m in mod.matrices)
 
 
 # --- eigenvalue extraction --------------------------------------------------------
