@@ -47,7 +47,7 @@ from .errors import (
     TruncationTooLow,
     WrongConstantTerm,
 )
-from .exactalg import QMatrix, Value, as_fraction, as_int, format_rational, parse_rational
+from .exactalg import QMatrix, Value, as_fraction, as_int
 from .modcore import ModuleMap, PolySubmodule
 from .multipoly import (
     MultiIndex,
@@ -80,10 +80,6 @@ class DiffOpSeries(Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "coeffs", clean)
-
-    @classmethod
-    def zero(cls, n: int, trunc: int) -> "DiffOpSeries":
-        return cls(n, trunc)
 
     @classmethod
     def identity(cls, n: int, trunc: int) -> "DiffOpSeries":
@@ -167,11 +163,6 @@ class DiffOpSeries(Value):
 
     def to_json(self) -> dict:
         return {"n": self.n, "trunc": self.trunc, "coeffs": self._poly.to_json()}
-
-    @classmethod
-    def from_json(cls, data) -> "DiffOpSeries":
-        n = as_int(data["n"])
-        return cls(n, data["trunc"], Poly.from_json(data["coeffs"], n).terms)
 
 
 def _graded_solve(
@@ -562,25 +553,6 @@ class AutDescriptor(Value):
 
     def __repr__(self) -> str:
         return f"AutDescriptor(unit={self.unit}, {len(self.additive)} additive terms)"
-
-    def to_json(self) -> dict:
-        return {
-            "unit": format_rational(self.unit),
-            "additive": [
-                {"exps": list(a), "coef": format_rational(self.additive[a])}
-                for a in sorted(self.additive, key=grlex_key, reverse=True)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "AutDescriptor":
-        additive: dict[MultiIndex, Fraction] = {}
-        for item in data["additive"]:
-            alpha = tuple(item["exps"])
-            if alpha in additive:
-                raise ValueError(f"duplicate additive coordinate {alpha}")
-            additive[alpha] = parse_rational(item["coef"])
-        return cls(parse_rational(data["unit"]), additive)
 
 
 class AutGroup:

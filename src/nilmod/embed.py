@@ -34,6 +34,11 @@ succeed.
 
 Modules with a rational joint eigenvalue tuple reduce to the nilpotent
 case by twisting and land in an exponentially weighted copy instead.
+A nilpotent twist has trace zero, so a_i = tr(S_i) / d is the only
+candidate, and with S_i = M_i / D the twist is written on the stacked
+integer rows in closed form, S_i - a_i I = (d M_i - tr(M_i) I) / (d D).
+Both embeddings enter one core on those rows, and `Fraction`s appear
+only in the map it hands out.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .exactalg import (
     QMatrix,
     Vector,
     _columns,
+    _fraction_row,
     _int_matmul,
     _integer_kernel,
     _integer_rows,
@@ -68,9 +74,7 @@ from .modcore import (
     ModuleMap,
     PolySubmodule,
     _is_nilpotent_matrix,
-    is_nilpotent,
     socle_eigenvalues,
-    twist,
 )
 from .multipoly import MultiIndex, Poly, grlex_key, multi_factorial
 
@@ -155,8 +159,8 @@ def _inverse_system(stack: list[list[int]], den: int, lam: Vector) -> Optional[t
     only zero successors and is not extended.  A nonzero row at |alpha| = d
     returns None: commuting nilpotent d x d matrices kill every product of
     d of them, so the module is not nilpotent.  So does a pass past
-    4 d ceil(log2 d) row products whose matrices are not all nilpotent,
-    checked once by squaring.
+    4 d (floor(log2 d) + 1) row products whose matrices are not all
+    nilpotent, checked once by squaring.
     """
     d = len(lam)
     n = len(stack) // d
@@ -166,7 +170,7 @@ def _inverse_system(stack: list[list[int]], den: int, lam: Vector) -> Optional[t
     zero = (0,) * n
     rows: dict[MultiIndex, list[int]] = {zero: start}
     scale = {zero: lam_den}
-    budget = 4 * d * (d - 1).bit_length()
+    budget = 4 * d * d.bit_length()
     products = 0
     queue = deque([zero])
     while queue:
@@ -196,6 +200,44 @@ def _inverse_system(stack: list[list[int]], den: int, lam: Vector) -> Optional[t
     return monomials, [rows[a] for a in monomials], weights
 
 
+def _embed(n: int, d: int, stack: list[list[int]], den: int, rng: Optional[random.Random]) -> tuple:
+    """The embedding of the module whose S_i = M_i / D come stacked,
+    integer rows M_1, ..., M_n over one denominator D: (image, images),
+    images holding the map's coordinates.  Raises the typed error that
+    says why the module does not embed.
+
+    The kernel and the pass share the stack, and the pass's rows are
+    eliminated as they are.  The map's coordinates are the phi(e_j)'s
+    entries at the image's pivots.  Only a failure squares the
+    matrices, to name its error.
+    """
+    line = _kernel_line_mod(stack, d)
+    space = None
+    if line is not None:
+        lam = _functional(line, rng, _PRIME)
+    else:
+        space = _integer_kernel(stack, d)
+        lam = _functional(space.basis[0], rng) if space.dim == 1 else None
+    if lam is not None:
+        found = _inverse_system(stack, den, lam)
+        if found is None:
+            raise NotNilpotent("only nilpotent modules embed into the derivative module")
+        monomials, rows, weights = found
+        image = PolySubmodule._from_integer_rows(n, monomials, _columns(rows, d), weights)
+        if image.dim == d:
+            images = QMatrix._trusted([_fraction_row(rows[c], weights[c]) for c in image.coords._pivots], d)
+            return image, images
+    if not all(_is_nilpotent_matrix(stack[i * d : (i + 1) * d]) for i in range(n)):
+        raise NotNilpotent("only nilpotent modules embed into the derivative module")
+    if d == 0:
+        raise SocleNotOneDimensional("the zero module has no socle line")
+    if space is None:
+        space = _integer_kernel(stack, d)
+    if space.dim != 1:
+        raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
+    raise AssertionError("the embedding must be injective")
+
+
 def embed_nilpotent(
     module: FDModule, rng: Optional[random.Random] = None
 ) -> EmbeddingResult:
@@ -213,37 +255,11 @@ def embed_nilpotent(
     nonzero on it, so an injective phi certifies the choice.  Without a
     line mod P the exact joint kernel takes its place, with the pivot
     functional of its RREF basis vector.  The action matrices become
-    integer rows once, for the kernel and the pass, whose rows are
-    eliminated as they are.  The map's coordinates are the phi(e_j)'s
-    entries at the image's pivots.
+    integer rows once.
     """
     stack, den = _integer_rows([row for m in module.matrices for row in m.entries])
-    line = _kernel_line_mod(stack, module.dim)
-    space = None
-    if line is not None:
-        lam = _functional(line, rng, _PRIME)
-    else:
-        space = _integer_kernel(stack, module.dim)
-        lam = _functional(space.basis[0], rng) if space.dim == 1 else None
-    if lam is not None:
-        found = _inverse_system(stack, den, lam)
-        if found is None:
-            raise NotNilpotent("only nilpotent modules embed into the derivative module")
-        monomials, rows, weights = found
-        image = PolySubmodule._from_integer_rows(module.n, monomials, _columns(rows, module.dim), weights)
-        if image.dim == module.dim:
-            pivots = image.coords._membership_data()[0]
-            images = QMatrix([[Fraction(x, weights[c]) for x in rows[c]] for c in pivots])
-            return EmbeddingResult(image, ModuleMap(module, image, images))
-    if not is_nilpotent(module):
-        raise NotNilpotent("only nilpotent modules embed into the derivative module")
-    if module.dim == 0:
-        raise SocleNotOneDimensional("the zero module has no socle line")
-    if space is None:
-        space = _integer_kernel(stack, module.dim)
-    if space.dim != 1:
-        raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
-    raise AssertionError("the embedding must be injective")
+    image, images = _embed(module.n, module.dim, stack, den, rng)
+    return EmbeddingResult(image, ModuleMap(module, image, images))
 
 
 def canonical_form(
@@ -360,19 +376,27 @@ def embed_general(
     eigenvalue_i + d/dx_i, and the returned map intertwines exactly that
     action.
     """
-    d = module.dim
+    n, d = module.n, module.dim
     if d > 0:
         # S_i - a_i I nilpotent forces trace zero, so a_i = tr(S_i) / d is
-        # the only candidate; embedding the twist decides.
-        alpha = tuple(
-            sum(m.entries[k][k] for k in range(d)) / d for m in module.matrices
-        )
+        # the only candidate; embedding the twist decides.  With
+        # S_i = M_i / D, S_i - a_i I = (d M_i - tr(M_i) I) / (d D).
+        stack, den = _integer_rows([row for m in module.matrices for row in m.entries])
+        traces = [sum(stack[i * d + k][k] for k in range(d)) for i in range(n)]
+        twisted = [[d * x for x in row] for row in stack]
+        for r, row in enumerate(twisted):
+            row[r % d] -= traces[r // d]
+        # Dividing out the common factor leaves the twist's least common
+        # denominator, so the rows are the twist's own, and so is the
+        # socle line mod P that chooses the functional.
+        g = gcd(d * den, *(x for row in twisted for x in row))
         try:
-            result = embed_nilpotent(twist(module, alpha), rng)
-            weighted = ExpSubmodule(alpha, result.image)
-            return weighted, ModuleMap(module, weighted, result.map.images)
+            image, images = _embed(n, d, [[x // g for x in row] for row in twisted], d * den // g, rng)
         except NotNilpotent:
             pass
+        else:
+            weighted = ExpSubmodule([Fraction(t, d * den) for t in traces], image)
+            return weighted, ModuleMap(module, weighted, images)
     # socle_eigenvalues raises the typed error that says why.  If it finds
     # one rational tuple anyway, its twist is not nilpotent: a nilpotent
     # twist would have been the trace candidate above.

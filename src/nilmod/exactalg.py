@@ -7,7 +7,10 @@ and coordinates.  Inside, the loops run on integer rows over one common
 denominator, so no gcd is paid per multiply or add.  Elimination is
 fraction-free (Gauss-Jordan, each row kept primitive; Bareiss for
 determinants), and results are turned back into `Fraction`s once, at
-the end.  Everything is exact: no floats, no tolerances.  One
+the end.  A subspace keeps its elimination's integer form, pivots,
+common denominator and integer columns, beside its `Fraction` basis, so
+membership, coordinates and callers on integer rows never convert the
+basis back.  Everything is exact: no floats, no tolerances.  One
 elimination runs modulo a prime, and it only chooses: a caller that
 builds on its answer certifies the result exactly.  All values are
 immutable after construction and all operations are pure functions.
@@ -401,7 +404,7 @@ class Subspace(Value):
     identical, which makes equality a structural check.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_membership")
+    __slots__ = ("ambient_dim", "basis", "_pivots", "_den", "_columns", "_free")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
         """The span of the vectors, each of length ambient_dim."""
@@ -420,17 +423,30 @@ class Subspace(Value):
 
     def _span(self, ambient_dim: int, rows: Sequence[Sequence[int]], weights: Optional[Sequence[int]]) -> None:
         """The span of integer rows of length ambient_dim, entry c divided
-        by the positive weights[c] if given.  Dividing columns moves no
-        zero, so the reduced rows divided the same way, each then by its
-        pivot entry, are the RREF."""
+        by the positive weights[c] if given.
+
+        Dividing columns moves no zero, so the reduced rows divided the
+        same way, each then by its pivot entry, are the RREF.  Besides
+        the basis, this keeps its integer form: the basis is B / E with
+        integer B, the columns of B, the pivots and the free columns.
+        A primitive reduced row r over its pivot entry p has least
+        denominator |p|, so E is the lcm of the pivot entries.  With
+        weights, row r first becomes the integer row r[c] L / weights[c],
+        L the weights' lcm, made primitive again by one gcd.
+        """
         pivots, reduced = _rref_int(rows, ambient_dim)
-        weights = weights or (1,) * ambient_dim
+        if weights:
+            scale = lcm(*weights)
+            factors = [scale // w for w in weights]
+            reduced = [_primitive_row(list(map(mul, row, factors))) for row in reduced]
+        den = lcm(*(row[c] for c, row in zip(pivots, reduced)))
+        ints = [[x * (den // row[c]) for x in row] for c, row in zip(pivots, reduced)]
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(
-            tuple(Fraction(x * weights[c], row[c] * w) if x else _ZERO for x, w in zip(row, weights))
-            for c, row in zip(pivots, reduced)
-        ))
-        object.__setattr__(self, "_membership", None)
+        object.__setattr__(self, "basis", tuple(_fraction_row(row, row[c]) for c, row in zip(pivots, reduced)))
+        object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_columns", _columns(ints, ambient_dim))
+        object.__setattr__(self, "_free", sorted(set(range(ambient_dim)) - set(pivots)))
 
     @property
     def dim(self) -> int:
@@ -442,17 +458,6 @@ class Subspace(Value):
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def _membership_data(self) -> tuple[tuple[int, ...], int, list[tuple[int, ...]], list[int]]:
-        """(pivots, E, columns, free), computed once: the basis is B / E
-        with integer B, columns are the columns of B, and free lists the
-        non-pivot columns in order."""
-        if self._membership is None:
-            ints, den = _integer_rows(self.basis)
-            pivots = tuple(next(c for c, x in enumerate(row) if x) for row in ints)
-            free = sorted(set(range(self.ambient_dim)) - set(pivots))
-            object.__setattr__(self, "_membership", (pivots, den, _columns(ints, self.ambient_dim), free))
-        return self._membership
-
     def coordinates_of(self, v: Sequence) -> Optional[Vector]:
         """Coordinates of v in the RREF basis, or None if v is outside.
 
@@ -463,13 +468,12 @@ class Subspace(Value):
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        pivots, den, columns, free = self._membership_data()
         (w,), _ = _integer_rows([v])
-        coeffs = [w[c] for c in pivots]
-        for j in free:
-            if den * w[j] != sum(map(mul, coeffs, columns[j])):
+        coeffs = [w[c] for c in self._pivots]
+        for j in self._free:
+            if self._den * w[j] != sum(map(mul, coeffs, self._columns[j])):
                 return None
-        return tuple(v[c] for c in pivots)
+        return tuple(v[c] for c in self._pivots)
 
 
 def standard_basis_vector(ambient_dim: int, j: int) -> Vector:

@@ -199,7 +199,7 @@ class PolySubmodule(Value):
         object.__setattr__(self, "basis", tuple(vector_to_poly(v, monomial_list, n) for v in coords.basis))
         object.__setattr__(self, "_position", {alpha: c for c, alpha in enumerate(monomial_list)})
         # The origin is the least monomial: 1 is inside iff the last column is a pivot.
-        pivots = coords._membership_data()[0]
+        pivots = coords._pivots
         if not pivots or any(monomial_list[pivots[-1]]):
             raise ValueError("a polynomial submodule must contain the constants")
         self._closure_pass()
@@ -238,9 +238,8 @@ class PolySubmodule(Value):
 
     def action_matrices(self) -> tuple[QMatrix, ...]:
         """Matrices of the partial derivatives in the canonical basis."""
-        den = self.coords._membership_data()[1]
         return tuple(
-            QMatrix._trusted([_fraction_row(row, den) for row in at_pivots], self.dim)
+            QMatrix._trusted([_fraction_row(row, self.coords._den) for row in at_pivots], self.dim)
             for at_pivots in self._closure_pass()
         )
 
@@ -255,7 +254,8 @@ class PolySubmodule(Value):
         constructor's closure check: it raises ValueError when some
         derivative of a basis member lies outside.
         """
-        pivots, den, columns, free = self.coords._membership_data()
+        coords = self.coords
+        pivots, den, columns, free = coords._pivots, coords._den, coords._columns, coords._free
         out = []
         for i in range(self.n):
             moved = [(0,) * self.dim] * len(columns)
@@ -371,10 +371,6 @@ class ModuleMap(Immutable):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", images)
 
-    @classmethod
-    def identity(cls, module: ModuleLike) -> "ModuleMap":
-        return cls(module, module, QMatrix.identity(module.dim))
-
     def is_intertwining(self) -> bool:
         """Whether map(x_i . v) = x_i . map(v) for all i, as matrices."""
         src = action_matrices(self.source)
@@ -404,12 +400,6 @@ class ModuleMap(Immutable):
         if not isinstance(target, PolySubmodule):
             raise TypeError("target does not have a polynomial basis")
         return target.from_coordinates(self.images.column(j))
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("maps are not composable")
-        return ModuleMap(other.source, self.target, self.images * other.images)
 
 
 def as_matrices(module: PolySubmodule) -> tuple[FDModule, ModuleMap]:

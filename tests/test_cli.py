@@ -21,6 +21,7 @@ import pytest
 from nilmod import cli, modcore
 from nilmod.diffop import DiffOpSeries
 from nilmod.modcore import FDModule, PolySubmodule
+from nilmod.multipoly import Poly
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parents[1]
@@ -147,7 +148,7 @@ def test_outputs_reparse_under_library_schemas():
     canon = json.loads((GOLDEN / "canonical_jordan3.json").read_text())
     PolySubmodule.from_json(canon)
     series = json.loads((GOLDEN / "extract_endo_table.json").read_text())
-    DiffOpSeries.from_json(series)
+    DiffOpSeries(series["n"], series["trunc"], Poly.from_json(series["coeffs"], series["n"]).terms)
     extended = json.loads((GOLDEN / "extend_iso_rescale.json").read_text())
     PolySubmodule.from_json(extended["source"])
     PolySubmodule.from_json(extended["target"])

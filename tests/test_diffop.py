@@ -176,7 +176,7 @@ def reference_exp(s):
 
 def reference_log(s):
     u = s - DiffOpSeries.identity(s.n, s.trunc)
-    acc = DiffOpSeries.zero(s.n, s.trunc)
+    acc = DiffOpSeries(s.n, s.trunc)
     power = DiffOpSeries.identity(s.n, s.trunc)
     for k in range(1, s.trunc + 1):
         power = power.compose(u)
@@ -301,7 +301,7 @@ def test_series_arithmetic():
     a = DiffOpSeries(1, 2, {(0,): 1, (2,): 3})
     b = DiffOpSeries(1, 2, {(0,): -1, (1,): 2})
     assert (a + b).coeffs == {(1,): Fraction(2), (2,): Fraction(3)}
-    assert (a - a) == DiffOpSeries.zero(1, 2)
+    assert (a - a) == DiffOpSeries(1, 2)
     assert (-b).coeffs[(1,)] == -2
     assert a.scale(Fraction(1, 3)).coeffs[(2,)] == 1
 
@@ -323,12 +323,12 @@ def test_add_and_compose_match_loop_reference():
                 (random_series(rng, n, trunc_a), random_series(rng, n, trunc_b)),
                 (sparse_series(rng, n, trunc_a, unit=random_fraction(rng)),
                  random_series(rng, n, trunc_b)),
-                (DiffOpSeries.zero(n, trunc_a), sparse_series(rng, n, trunc_b)),
+                (DiffOpSeries(n, trunc_a), sparse_series(rng, n, trunc_b)),
             ]
             for a, b in pairs:
                 assert a + b == reference_add(a, b)
                 assert a - b == reference_add(a, -b)
-                assert a + (-a) == DiffOpSeries.zero(n, a.trunc)
+                assert a + (-a) == DiffOpSeries(n, a.trunc)
                 assert a.compose(b) == reference_compose(a, b)
                 assert b.compose(a) == reference_compose(b, a)
     other = DiffOpSeries.identity(2, 2)
@@ -346,38 +346,35 @@ def test_series_validation_messages_come_from_poly():
         DiffOpSeries(1, -1)
     with pytest.raises(ValueError, match="^variable count must be at least 1$"):
         DiffOpSeries(0, 1)
-    dup = {"n": 1, "trunc": 2, "coeffs": [{"exps": [1], "coef": "1"}] * 2}
-    with pytest.raises(ValueError, match=r"^duplicate exponent vector \(1,\)$"):
-        DiffOpSeries.from_json(dup)
-    zero = {"n": 1, "trunc": 2, "coeffs": [{"exps": [1], "coef": "0"}]}
-    with pytest.raises(ValueError, match="^zero coefficient in polynomial JSON$"):
-        DiffOpSeries.from_json(zero)
 
 
 def test_series_json_round_trip():
+    # The coefficients are written as a polynomial in d and read back so.
     rng = random.Random(401)
     for _ in range(10):
         s = random_series(rng, 2, 3)
-        assert DiffOpSeries.from_json(s.to_json()) == s
+        data = s.to_json()
+        assert DiffOpSeries(data["n"], data["trunc"], Poly.from_json(data["coeffs"], data["n"]).terms) == s
 
 
 @pytest.mark.parametrize(
-    "data",
+    "args",
     [
-        {"n": True, "trunc": 1, "coeffs": []},
-        {"n": 1, "trunc": True, "coeffs": []},
-        {"n": 1, "trunc": 1.0, "coeffs": []},
-        {"n": 1, "trunc": 1, "coeffs": [{"exps": [True], "coef": "1"}]},
-        {"n": 1, "trunc": 1, "coeffs": [{"exps": [1.0], "coef": "1"}]},
-        {"n": 1, "trunc": 1, "coeffs": [{"exps": ["1"], "coef": "1"}]},
+        (True, 1, {}),
+        (1, True, {}),
+        (1, 1.0, {}),
+        (1, 1, {(True,): 1}),
+        (1, 1, {(1.0,): 1}),
+        (1, 1, {("1",): 1}),
     ],
     ids=["bool_n", "bool_trunc", "float_trunc", "bool_exps", "float_exps", "str_exps"],
 )
-def test_series_json_refuses_non_integers(data):
-    # Booleans are ints to Python; as a count, a truncation or an exponent
-    # they are malformed input, like any other non-integer.
+def test_series_json_refuses_non_integers(args):
+    # The constructor checks the fields a series is read from.  Booleans
+    # are ints to Python; as a count, a truncation or an exponent they
+    # are malformed input, like any other non-integer.
     with pytest.raises(ValueError):
-        DiffOpSeries.from_json(data)
+        DiffOpSeries(*args)
 
 
 # --- application -------------------------------------------------------------
@@ -431,7 +428,7 @@ def test_apply_matches_partial_derivative_reference():
             s = sparse_series(rng, n, trunc, unit=random_fraction(rng))
             p = random_poly(rng, n, trunc)
             assert s.apply(p) == reference_apply(s, p)
-            assert DiffOpSeries.zero(n, trunc).apply(p) == Poly.zero(n)
+            assert DiffOpSeries(n, trunc).apply(p) == Poly.zero(n)
             assert s.apply(Poly.zero(n)) == Poly.zero(n)
             assert monomial_images(s) == {
                 alpha: reference_apply(s, Poly.monomial(n, alpha))
@@ -564,8 +561,8 @@ def test_compose_truncates_to_min():
 # --- exponentials and logarithms ------------------------------------------------
 
 def test_exp_log_trivial_cases():
-    assert series_log(DiffOpSeries.identity(2, 3)) == DiffOpSeries.zero(2, 3)
-    assert series_exp(DiffOpSeries.zero(2, 3)) == DiffOpSeries.identity(2, 3)
+    assert series_log(DiffOpSeries.identity(2, 3)) == DiffOpSeries(2, 3)
+    assert series_exp(DiffOpSeries(2, 3)) == DiffOpSeries.identity(2, 3)
 
 
 def test_exp_is_shift_operator():
@@ -598,7 +595,7 @@ def test_exp_log_match_convolution_reference():
     for n in (1, 2, 3):
         for trunc in range(5 if n < 3 else 4):
             cases = [
-                DiffOpSeries.zero(n, trunc),
+                DiffOpSeries(n, trunc),
                 random_series(rng, n, trunc, zero_unit=True),
                 random_series(rng, n, trunc, zero_unit=True),
                 sparse_series(rng, n, trunc),
@@ -644,7 +641,7 @@ def test_exp_log_constant_term_guards():
     with pytest.raises(WrongConstantTerm):
         series_exp(DiffOpSeries.identity(1, 2))
     with pytest.raises(WrongConstantTerm):
-        series_log(DiffOpSeries.zero(1, 2))
+        series_log(DiffOpSeries(1, 2))
     with pytest.raises(WrongConstantTerm):
         series_log(DiffOpSeries(1, 2, {(0,): 2}))
 
@@ -737,7 +734,7 @@ def test_restrict_matches_apply_definition():
 # --- isomorphism extension ----------------------------------------------------------
 
 def identity_map(sub):
-    return ModuleMap.identity(sub)
+    return ModuleMap(sub, sub, QMatrix.identity(sub.dim))
 
 
 def test_extend_step_from_constants():
@@ -839,13 +836,14 @@ def test_extend_step_invariant_survives_optimize_flag():
         [
             "import nilmod.embed as embed",
             "from nilmod.diffop import extend_iso_step",
+            "from nilmod.exactalg import QMatrix",
             "from nilmod.modcore import ModuleMap, submodule_from_polys",
             "from nilmod.multipoly import Poly",
             "print(__debug__)",
             "embed.potential = lambda gs, n: Poly.one(n)",
             "base = submodule_from_polys(1, [])",
             "try:",
-            "    extend_iso_step(base, base, ModuleMap.identity(base))",
+            "    extend_iso_step(base, base, ModuleMap(base, base, QMatrix.identity(1)))",
             "except AssertionError as exc:",
             "    print(exc)",
         ]
@@ -1171,11 +1169,6 @@ def test_aut_group_builds_no_space_for_descriptor_ops():
     assert group.module._span is None
     assert group.parametrize(a).source.dim == 27
     assert group.module._span is group.space
-
-
-def test_aut_descriptor_json_round_trip():
-    desc = AutDescriptor(Fraction(-7, 2), {(1, 0): Fraction(1, 3)})
-    assert AutDescriptor.from_json(desc.to_json()) == desc
 
 
 def test_every_plane_automorphism_is_a_series_restriction():

@@ -413,18 +413,18 @@ def assert_capped():
 
 def test_one_nilpotency_check_per_embedding(monkeypatch):
     # The inverse-system pass certifies nilpotency, so a success squares
-    # no matrix, and neither does a pass stopped at its degree cap.
-    # is_nilpotent runs once, only to name the error, when the joint
-    # kernel is not a line or the image falls short.
+    # no matrix, and neither does a pass stopped at its degree cap.  The
+    # core squares the stack's blocks once, only to name the error, when
+    # the joint kernel is not a line or the image falls short; every
+    # failure here has one variable, so one naming is one call.
     import nilmod.embed
-    import nilmod.modcore
 
     calls = []
-    original = nilmod.modcore.is_nilpotent
+    original = nilmod.embed._is_nilpotent_matrix
 
-    def counting(module):
-        calls.append(module)
-        return original(module)
+    def counting(rows):
+        calls.append(rows)
+        return original(rows)
 
     def count(call, module):
         calls.clear()
@@ -434,8 +434,7 @@ def test_one_nilpotency_check_per_embedding(monkeypatch):
             pass
         return len(calls)
 
-    monkeypatch.setattr(nilmod.embed, "is_nilpotent", counting)
-    monkeypatch.setattr(nilmod.modcore, "is_nilpotent", counting)
+    monkeypatch.setattr(nilmod.embed, "_is_nilpotent_matrix", counting)
     for seed in range(4):
         mod = random_nilpotent_module(2, 2, seed=seed)
         assert count(embed_nilpotent, mod) == 0
@@ -451,6 +450,32 @@ def test_one_nilpotency_check_per_embedding(monkeypatch):
     assert count(embed_nilpotent, validate([QMatrix.zeros(2, 2)])) == 1
     assert count(embed_nilpotent, FDModule(1, [QMatrix([], cols=0)])) == 1
     assert count(embed_general, validate([QMatrix.identity(2)])) == 1
+
+
+def test_embed_general_builds_no_module_for_its_twist(monkeypatch):
+    # The twist is written down on the stacked integer rows in closed
+    # form: no FDModule, so no second commutativity check.  Its rows are
+    # those of the untwisted nilpotent module, so the map is the one
+    # embed_nilpotent gives that module.  For DIVISIBLE_SOCLE shifted by
+    # 1/P the rows over d D are 0 mod P until their common factor is
+    # divided out, which would move the functional off the line mod P.
+    rng = random.Random(13)
+    modules = [(DIVISIBLE_SOCLE, [Fraction(-1, _PRIME)])]
+    for n, bound in [(1, 4), (2, 3), (3, 2)]:
+        for seed in range(2):
+            mod = random_nilpotent_module(n, bound, seed=seed)
+            shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            modules.append((conjugate(mod, random_invertible(rng, mod.dim)), shift))
+    cases = [(twist(mod, shift), shift, embed_nilpotent(mod).map.images) for mod, shift in modules]
+    built = []
+    original = FDModule.__init__
+    monkeypatch.setattr(FDModule, "__init__", lambda self, *args: built.append(1) or original(self, *args))
+    for module, shift, images in cases:
+        weighted, bridge = embed_general(module)
+        assert built == []
+        assert weighted.eigenvalues == tuple(-a for a in shift)
+        assert bridge.images == images
+        assert bridge.is_intertwining()
 
 
 def test_exact_kernel_only_on_failures(monkeypatch):
@@ -554,7 +579,7 @@ def test_unlucky_primes_under_optimize_flag():
 
 def pass_budget(d):
     """Row products the pass makes before it checks nilpotency once."""
-    return 4 * d * (d - 1).bit_length()
+    return 4 * d * d.bit_length()
 
 
 def success_table():
@@ -589,6 +614,27 @@ def test_no_success_reaches_the_pass_budget(monkeypatch):
         worst = max(worst, len(products) / pass_budget(module.dim))
     assert checks == []
     assert 0 < worst < 0.5, worst
+
+
+def test_small_successes_square_nothing(monkeypatch):
+    # Dimensions 1 and 2 in up to three variables: the pass makes at most
+    # n(n + 3)/2 products, below the budget, so a success never squares.
+    import nilmod.embed
+
+    checks = []
+    nilpotent = nilmod.embed._is_nilpotent_matrix
+    monkeypatch.setattr(nilmod.embed, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
+    rng = random.Random(12)
+    seen = set()
+    for n in (1, 2, 3):
+        for bound in (0, 1):
+            for seed in range(3):
+                mod = random_nilpotent_module(n, bound, seed=seed)
+                for module in (mod, conjugate(mod, random_invertible(rng, mod.dim))):
+                    assert embed_nilpotent(module).map.is_isomorphism()
+                    seen.add((n, module.dim))
+    assert checks == []
+    assert seen == {(n, d) for n in (1, 2, 3) for d in (1, 2)}
 
 
 def test_non_nilpotent_line_kernel_stops_at_the_budget(monkeypatch):

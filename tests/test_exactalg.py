@@ -15,8 +15,10 @@ from nilmod.exactalg import (
     _PRIME,
     QMatrix,
     Subspace,
+    _columns,
     _integer_kernel,
     _integer_rows,
+    _rref_int,
     _kernel_line_mod,
     format_rational,
     parse_rational,
@@ -549,10 +551,71 @@ def test_integer_core_coordinates_match_reference(seed):
         for v in members + others:
             got = space.coordinates_of(v)
             assert got == reference_coordinates(space.basis, v)
-            # Repeated calls hit the cached integer basis.
             assert space.coordinates_of(v) == got
         for v in members:
             assert space.coordinates_of(v) is not None
+
+
+def reference_integer_form(space):
+    """(pivots, E, columns of B, free columns) with basis = B / E, read
+    back from the Fraction basis by a pivot scan."""
+    ints, den = _integer_rows(space.basis)
+    pivots = tuple(next(c for c, x in enumerate(row) if x) for row in ints)
+    free = sorted(set(range(space.ambient_dim)) - set(pivots))
+    return pivots, den, _columns(ints, space.ambient_dim), free
+
+
+def integer_form_table(seed):
+    """Seeded (cols, integer rows, weights or None): empty spans, zero
+    and duplicate rows, and positive weights up to 9!, as the image of an
+    embedding divides its columns."""
+    rng = random.Random(seed)
+    cases = [(0, [], None), (3, [], None), (3, [[0, 0, 0]] * 2, None), (2, [], [1, 2]), (4, [[0] * 4], [6] * 4)]
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        bits = rng.choice([3, 3, 40])
+        m = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(cols)] for _ in range(rows)]
+        kind = rng.randrange(3)
+        if kind == 1 and rows > 1:
+            m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+            m[rng.randrange(rows)] = [0] * cols
+        elif kind == 2:
+            m = [[x if rng.random() < 0.3 else 0 for x in row] for row in m]
+        weights = None if rng.random() < 0.4 else [rng.choice([1, 2, 6, 24, 120, 5040, 362880]) for _ in range(cols)]
+        cases.append((cols, m, weights))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [13, 14])
+def test_subspace_integer_form_matches_the_basis(seed):
+    negative = 0
+    for cols, rows, weights in integer_form_table(seed):
+        space = Subspace._from_integer_rows(cols, rows, weights)
+        divided = [[Fraction(x, w) for x, w in zip(row, weights or [1] * cols)] for row in rows]
+        assert space == Subspace(cols, divided)
+        got = (space._pivots, space._den, space._columns, space._free)
+        assert got == reference_integer_form(space)
+        pivots, reduced = _rref_int(rows, cols)
+        negative += any(row[c] < 0 for c, row in zip(pivots, reduced))
+    assert negative >= 5
+
+
+def test_image_integer_forms_match_the_basis():
+    from nilmod.embed import embed_nilpotent
+    from nilmod.modcore import random_nilpotent_module, validate
+
+    rng = random.Random(15)
+    for n, bound in [(1, 6), (2, 4), (3, 3)]:
+        for seed in range(3):
+            module = random_nilpotent_module(n, bound, seed=seed)
+            d = module.dim
+            upper = QMatrix([[rng.randint(-2, 2) if j > i else int(i == j) for j in range(d)] for i in range(d)])
+            lower = QMatrix([[rng.randint(-2, 2) if j < i else int(i == j) for j in range(d)] for i in range(d)])
+            g = upper * lower
+            conjugate = validate([g * m * g.inverse() for m in module.matrices])
+            for mod in (module, conjugate):
+                coords = embed_nilpotent(mod).image.coords
+                assert (coords._pivots, coords._den, coords._columns, coords._free) == reference_integer_form(coords)
 
 
 # --- integer nilpotency squaring ------------------------------------------

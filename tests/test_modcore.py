@@ -658,7 +658,7 @@ def test_exp_submodule_actions_add_scalar():
 
 def test_module_map_identity_intertwines():
     mod = random_nilpotent_module(2, 2, seed=9)
-    ident = ModuleMap.identity(mod)
+    ident = ModuleMap(mod, mod, QMatrix.identity(mod.dim))
     assert ident.is_intertwining()
     assert ident.is_isomorphism()
 
@@ -670,13 +670,11 @@ def test_module_map_detects_non_intertwining():
     assert not bad.is_intertwining()
 
 
-def test_module_map_compose_and_rank():
+def test_module_map_rank():
     mod = validate([E12])
     double = ModuleMap(mod, mod, QMatrix.identity(2).scale(2))
     assert double.is_intertwining()
     assert double.rank() == 2
-    quad = double.compose(double)
-    assert quad.images == QMatrix.identity(2).scale(4)
     collapse = ModuleMap(mod, mod, QMatrix([[0, 1], [0, 0]]))
     assert collapse.is_intertwining()
     assert collapse.rank() == 1
