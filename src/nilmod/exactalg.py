@@ -254,11 +254,6 @@ class QMatrix(Value):
         return out
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        zero = Fraction(0)
-        return cls([[zero] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def identity(cls, d: int) -> "QMatrix":
         return cls(
             [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)],

@@ -3,8 +3,9 @@
 A module is a rational vector space together with n pairwise-commuting
 matrices giving the action of the variables.  This layer owns
 validation, nilpotency, socles, twisting by a rational shift of the
-variables, the bridge to derivative-closed polynomial subspaces, and
-seeded random generators for tests.
+variables, the socle's joint eigenvalues, the bridge to
+derivative-closed polynomial subspaces, and seeded random generators
+for tests.
 
 A derivative-closed subspace is checked by one core on integer rows
 over its monomials, whoever builds it: an elimination, a pivot at the
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -37,7 +37,9 @@ from .exactalg import (
     _columns,
     _fraction_row,
     _int_matmul,
+    _integer_kernel,
     _integer_rows,
+    _rref_int,
     as_int,
     format_rational,
     vector,
@@ -142,7 +144,7 @@ def socle(module: FDModule) -> Subspace:
 def _joint_kernel(module: FDModule) -> Subspace:
     """Common kernel of the action matrices: the kernel of their stack."""
     stacked = [row for m in module.matrices for row in m.entries]
-    return QMatrix(stacked, cols=module.dim).kernel()
+    return _integer_kernel(_integer_rows(stacked)[0], module.dim)
 
 
 def twist(module: FDModule, shift: Sequence) -> FDModule:
@@ -434,64 +436,25 @@ def random_nilpotent_module(n: int, degree_bound: int, seed: int) -> FDModule:
 
 # --- socle eigenvalues -------------------------------------------------
 
-def _char_poly(m: QMatrix) -> list[Fraction]:
-    """Coefficients c_0..c_d (ascending) of det(tI - m), monic."""
-    d = m.rows
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    mk = QMatrix.zeros(d, d)
-    eye = QMatrix.identity(d)
-    last = Fraction(1)
+def _char_poly(m: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients c_0..c_d (ascending) of det(tI - M), monic, for the
+    square integer matrix M with these rows.
+
+    Faddeev-LeVerrier: with B_1 = M, c_(d-k) = -tr(B_k) / k and
+    B_(k+1) = (B_k + c_(d-k) I) M.  Each c is an integer, so each
+    division by k is exact.
+    """
+    d = len(m)
+    coeffs = [0] * d + [1]
+    columns = _columns(m, d)
+    power = m
     for k in range(1, d + 1):
-        mk = m * mk + eye.scale(last)
-        am = m * mk
-        trace = sum(am.entries[i][i] for i in range(d))
-        last = -trace / k
-        coeffs[d - k] = last
+        c = -sum(row[i] for i, row in enumerate(power)) // k
+        coeffs[d - k] = c
+        if k < d:
+            shifted = [row[:i] + [row[i] + c] + row[i + 1 :] for i, row in enumerate(power)]
+            power = _int_matmul(shifted, columns)
     return coeffs
-
-
-def _primitive(coeffs: Sequence) -> list[int]:
-    """The primitive integer multiple of a nonzero rational polynomial
-    (ascending coefficients, trailing zeros dropped) with a positive
-    leading coefficient."""
-    (ints,), _ = _integer_rows([coeffs])
-    while ints[-1] == 0:
-        ints.pop()
-    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-    return [c // content for c in ints]
-
-
-def _poly_divmod(a: Sequence, b: Sequence) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of rational polynomials (ascending, b with
-    a nonzero leading coefficient); the remainder has no trailing zeros."""
-    rem = [Fraction(c) for c in a]
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        q = rem[-1] / lead
-        quot[shift] = q
-        for k, c in enumerate(b):
-            rem[shift + k] -= q * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return quot, rem
-
-
-def _derivative(f: Sequence) -> list:
-    return [k * c for k, c in enumerate(f)][1:]
-
-
-def _squarefree_part(f: list[int]) -> list[int]:
-    """f / gcd(f, f') as a primitive integer polynomial."""
-    # Euclid with each remainder made primitive, which keeps the
-    # coefficients from growing (the primitive remainder sequence).
-    g, h = f, (_primitive(_derivative(f)) if len(f) > 1 else [])
-    while h:
-        rem = _poly_divmod(g, h)[1]
-        g, h = h, (_primitive(rem) if rem else [])
-    return _primitive(_poly_divmod(f, g)[0])
 
 
 def _evaluate(p: Sequence[int], x: int) -> int:
@@ -501,92 +464,58 @@ def _evaluate(p: Sequence[int], x: int) -> int:
     return value
 
 
-def _integer_root_in(g: list[int], lo: int, hi: int) -> Optional[int]:
-    """The integer root of g in (lo, hi], if any, where g has a single
-    simple root there or hi = lo + 1.  In the first case g has one sign
-    on (root, hi] and the other on (lo, root), so bisecting on the sign
-    of g alone finds the root."""
-    high = _evaluate(g, hi)
-    if high == 0:
-        return hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        value = _evaluate(g, mid)
-        if value == 0:
-            return mid
-        if (value > 0) == (high > 0):
-            hi = mid
-        else:
-            lo = mid
-    return None
+def _root_floors(g: Sequence[int]) -> list[int]:
+    """Increasing integers among which is the floor of every real root
+    of the integer polynomial g (ascending, nonzero leading coefficient).
 
-
-def _integer_roots(g: list[int]) -> list[int]:
-    """The integer roots of a squarefree monic integer polynomial.
-
-    A Sturm sequence counts the distinct real roots in (lo, hi] as the
-    drop in sign changes from lo to hi.  Bisecting the Cauchy interval
-    over the integers splits it into pieces holding one root each, and
-    bisecting such a piece on the sign of g ends at the root when it is
-    an integer.  The cost is polynomial in the bit size of g.
+    g is monotone between consecutive real roots of g', so it is on each
+    stretch from one floor of those roots, found the same way, plus 1, to
+    the next: such a stretch holds at most one root of g, and bisecting
+    on the sign of g finds its floor.  The floors of g' stay candidates,
+    because two roots of g can share a unit interval with a root of g'.
     """
-    sturm = [g, _derivative(g)]
-    while len(sturm[-1]) > 1:
-        rem = _poly_divmod(sturm[-2], sturm[-1])[1]
-        # Positive rescaling keeps every sign, and so every count.
-        sturm.append([-c for c in _primitive(rem)] if rem[-1] > 0 else _primitive(rem))
-    changes: dict[int, int] = {}
-
-    def count(x: int) -> int:
-        """Sign changes, zeros dropped, of the Sturm sequence at x."""
-        if x not in changes:
-            signs = [v > 0 for v in (_evaluate(p, x) for p in sturm) if v]
-            changes[x] = sum(a != b for a, b in zip(signs, signs[1:]))
-        return changes[x]
-
-    # Every root has |u| < 2^e once 2^(e i) > k |g_(k-i)| for i = 1..k, the
-    # power-of-two form of Cauchy's bound max_i (k |g_(k-i)|)^(1/i).
     k = len(g) - 1
-    e = max(-(-(abs(c).bit_length() + k.bit_length()) // (k - j)) for j, c in enumerate(g[:-1]))
-    roots = []
-    stack = [(-(1 << e), 1 << e)]
-    while stack:
-        lo, hi = stack.pop()
-        inside = count(lo) - count(hi)
-        if inside > 1 and hi - lo > 1:
-            mid = (lo + hi) // 2
-            stack += [(lo, mid), (mid, hi)]
-        elif inside:
-            root = _integer_root_in(g, lo, hi)
-            if root is not None:
-                roots.append(root)
-    return roots
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """Distinct rational roots of a nonzero rational polynomial, in
-    increasing order.
-
-    With f the squarefree part, primitive of degree k and leading
-    coefficient a, the substitution t = u / a makes
-    g(u) = a^(k-1) f(u / a) monic with integer coefficients, so the
-    rational roots of f are the integer roots of g divided by a.
-    """
-    f = _squarefree_part(_primitive(coeffs))
-    k, a = len(f) - 1, f[-1]
     if k == 0:
         return []
-    g = [c * a ** (k - 1 - i) for i, c in enumerate(f[:-1])] + [1]
-    return sorted(Fraction(u, a) for u in _integer_roots(g))
+    # Every root has |u| < 2^e once 2^(e i) > k |g_(k-i)| for i = 1..k, the
+    # power-of-two form of Cauchy's bound max_i (k |g_(k-i) / g_k|)^(1/i).
+    e = max(-(-(abs(c).bit_length() + k.bit_length()) // (k - j)) for j, c in enumerate(g[:-1]))
+    bound = 1 << e
+    critical = _root_floors([j * c for j, c in enumerate(g)][1:])
+    edges = [-bound] + [c for c in critical if abs(c) < bound] + [bound]
+    floors = set(edges)
+    for lo, hi in zip(edges, edges[1:]):
+        lo += 1
+        low = _evaluate(g, lo)
+        if low and (low > 0) == (_evaluate(g, hi) > 0):
+            continue
+        # A root lies in [lo, hi); g(lo) keeps the sign of low.
+        while low and hi - lo > 1:
+            mid = (lo + hi) // 2
+            value = _evaluate(g, mid)
+            if value == 0 or (value > 0) == (low > 0):
+                lo, low = mid, value
+            else:
+                hi = mid
+        floors.add(lo)
+    return sorted(floors)
+
+
+def _integer_roots(g: Sequence[int]) -> list[int]:
+    """The distinct integer roots, in increasing order, of an integer
+    polynomial (ascending, nonzero leading coefficient)."""
+    return [u for u in _root_floors(g) if _evaluate(g, u) == 0]
 
 
 def socle_eigenvalues(module: FDModule) -> tuple[Fraction, ...]:
     """The joint eigenvalue tuple on the unique common eigenline.
 
-    Candidates for a_k are the rational roots of the characteristic
-    polynomial of S_k.  Tuples grow one variable at a time, and a prefix
-    (a_1, ..., a_k) survives while the stacked S_j - a_j I, j <= k, have
-    a nonzero common kernel.  Exactly one tuple must survive.  When none
+    With S_k = M_k / D_k over integers, the characteristic polynomial of
+    M_k is monic over the integers, so its rational roots are integers u
+    and the candidates for a_k are u / D_k.  Tuples grow one variable at
+    a time, and a prefix (a_1, ..., a_k) survives while the stacked
+    M_j - u_j I, j <= k, whose kernels are those of S_j - a_j I, have a
+    nonzero common kernel.  Exactly one tuple must survive.  When none
     does, some characteristic polynomial does not split over the
     rationals: otherwise every commuting matrix has an eigenvector on
     each nonzero joint eigenspace of the ones before it.
@@ -594,16 +523,16 @@ def socle_eigenvalues(module: FDModule) -> tuple[Fraction, ...]:
     d = module.dim
     if d == 0:
         raise NoCommonEigenline("the zero module has no eigenline")
-    eye = QMatrix.identity(d)
     survivors: list[tuple[tuple[Fraction, ...], list]] = [((), [])]
     for m in module.matrices:
-        roots = _rational_roots(_char_poly(m))
+        ints, den = _integer_rows(m.entries)
+        roots = _integer_roots(_char_poly(ints))
         extended = []
         for values, rows in survivors:
-            for a in roots:
-                stacked = rows + list((m - eye.scale(a)).entries)
-                if QMatrix(stacked, cols=d).rank() < d:
-                    extended.append((values + (a,), stacked))
+            for u in roots:
+                stacked = rows + [row[:i] + [row[i] - u] + row[i + 1 :] for i, row in enumerate(ints)]
+                if len(_rref_int(stacked, d)[0]) < d:
+                    extended.append((values + (Fraction(u, den),), stacked))
         survivors = extended
     if not survivors:
         raise NonRationalEigenvalue(

@@ -33,6 +33,7 @@ from nilmod.errors import (
     DimensionTooLarge,
     Incompatible,
     NilmodError,
+    NoCommonEigenline,
     NonRationalEigenvalue,
     NotNilpotent,
     SocleNotOneDimensional,
@@ -54,6 +55,10 @@ from nilmod.modcore import (
     validate,
 )
 from nilmod.multipoly import Poly, multi_factorial
+
+def zeros(rows, cols):
+    return QMatrix([[0] * cols for _ in range(rows)], cols=cols)
+
 
 X1 = Poly.variable(2, 1)
 X2 = Poly.variable(2, 2)
@@ -174,7 +179,7 @@ def test_potential_length_checks():
 # --- nilpotent embedding ----------------------------------------------------
 
 def test_embed_dim_one():
-    result = embed_nilpotent(validate([QMatrix.zeros(1, 1)]))
+    result = embed_nilpotent(validate([zeros(1, 1)]))
     assert result.image == submodule_from_polys(1, [])
     assert result.map.images == QMatrix.identity(1)
 
@@ -196,7 +201,7 @@ def test_embed_requires_nilpotent():
 
 def test_embed_requires_simple_socle():
     with pytest.raises(SocleNotOneDimensional):
-        embed_nilpotent(validate([QMatrix.zeros(2, 2)]))
+        embed_nilpotent(validate([zeros(2, 2)]))
 
 
 def test_embed_random_modules_give_isomorphisms():
@@ -447,7 +452,7 @@ def test_one_nilpotency_check_per_embedding(monkeypatch):
     assert count(embed_nilpotent, validate([QMatrix([[0, 0], [0, 1]])])) == 1
     # No line: a kernel of dimension 0, 2 and 0 (the zero module).
     assert count(embed_nilpotent, validate([QMatrix.identity(2)])) == 1
-    assert count(embed_nilpotent, validate([QMatrix.zeros(2, 2)])) == 1
+    assert count(embed_nilpotent, validate([zeros(2, 2)])) == 1
     assert count(embed_nilpotent, FDModule(1, [QMatrix([], cols=0)])) == 1
     assert count(embed_general, validate([QMatrix.identity(2)])) == 1
 
@@ -740,7 +745,7 @@ def comparison_table():
             c = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)]
             planted_plus_c = block_sum(plain, validate([QMatrix([[x]]) for x in c]))
             cases.append(conjugate(planted_plus_c, random_invertible(rng, plain.dim + 1)))
-        cases.append(block_sum(plain, validate([QMatrix.zeros(1, 1)] * n)))
+        cases.append(block_sum(plain, validate([zeros(1, 1)] * n)))
     jordan_next_to_invertible = block_sum(
         validate([jordan_block(3)]), validate([QMatrix([[2, 1], [1, 1]])])
     )
@@ -754,7 +759,7 @@ def comparison_table():
         validate([QMatrix.identity(2)]),
         validate([QMatrix([[0, 1], [-1, 0]])]),
         validate([jordan_block(7)]),
-        validate([jordan_block(7), QMatrix.zeros(7, 7)]),
+        validate([jordan_block(7), zeros(7, 7)]),
     ]
     return cases
 
@@ -862,8 +867,8 @@ def test_canonical_form_fixed_point():
 # --- isomorphism decisions -----------------------------------------------------
 
 def test_is_isomorphic_axis_swap_modules_differ():
-    first = validate([QMatrix([[0, 1], [0, 0]]), QMatrix.zeros(2, 2)])
-    second = validate([QMatrix.zeros(2, 2), QMatrix([[0, 1], [0, 0]])])
+    first = validate([QMatrix([[0, 1], [0, 0]]), zeros(2, 2)])
+    second = validate([zeros(2, 2), QMatrix([[0, 1], [0, 0]])])
     assert not is_isomorphic(first, second)
     assert is_isomorphic(first, first)
 
@@ -877,14 +882,14 @@ def test_is_isomorphic_conjugation():
 
 
 def test_is_isomorphic_dim_mismatch_is_false():
-    a = validate([QMatrix.zeros(1, 1)])
+    a = validate([zeros(1, 1)])
     b = validate([QMatrix([[0, 1], [0, 0]])])
     assert not is_isomorphic(a, b)
 
 
 def test_is_isomorphic_variable_count_mismatch_raises():
-    a = validate([QMatrix.zeros(1, 1)])
-    b = validate([QMatrix.zeros(1, 1), QMatrix.zeros(1, 1)])
+    a = validate([zeros(1, 1)])
+    b = validate([zeros(1, 1), zeros(1, 1)])
     with pytest.raises(ValueError):
         is_isomorphic(a, b)
 
@@ -912,14 +917,14 @@ def test_brute_force_matches_constructive_decision():
 
 def test_brute_force_handles_modules_without_simple_socle():
     # the constructive route cannot embed these, brute force still decides
-    a = validate([QMatrix.zeros(2, 2)])
+    a = validate([zeros(2, 2)])
     b = validate([QMatrix([[0, 1], [0, 0]])])
     assert brute_force_isomorphic(a, a)
     assert not brute_force_isomorphic(a, b)
 
 
 def test_brute_force_dimension_guard():
-    big = validate([QMatrix.zeros(7, 7)])
+    big = validate([zeros(7, 7)])
     with pytest.raises(DimensionTooLarge):
         brute_force_isomorphic(big, big)
     # the bound is adjustable
@@ -987,7 +992,63 @@ def test_embed_general_mixed_spectrum_fails():
 
 def test_embed_general_socle_too_big_fails():
     with pytest.raises(SocleNotOneDimensional):
-        embed_general(validate([QMatrix.zeros(2, 2)]))
+        embed_general(validate([zeros(2, 2)]))
+
+
+def shifted_jordan_block(d, a):
+    return QMatrix([[a if c == r else int(c == r + 1) for c in range(d)] for r in range(d)])
+
+
+def two_jordan_blocks():
+    """J_12(2/3) + J_12(-5/2): two rational eigenlines."""
+    return block_sum(
+        validate([shifted_jordan_block(12, Fraction(2, 3))]),
+        validate([shifted_jordan_block(12, Fraction(-5, 2))]),
+    )
+
+
+def rotation_beside_jordan():
+    """A rotation + J_18(3): one rational eigenline, a twist that is not
+    nilpotent."""
+    return block_sum(validate([QMatrix([[0, 1], [-1, 0]])]), validate([shifted_jordan_block(18, 3)]))
+
+
+def nine_rotations():
+    """Nine copies of [[0, 1], [-2, 0]], whose eigenvalues are +-i sqrt(2)."""
+    m = [[0] * 18 for _ in range(18)]
+    for b in range(0, 18, 2):
+        m[b][b + 1], m[b + 1][b] = 1, -2
+    return validate([QMatrix(m)])
+
+
+@pytest.mark.parametrize(
+    "build, kind, message",
+    [
+        (two_jordan_blocks, NoCommonEigenline, "2 distinct joint eigenvalue tuples found"),
+        (
+            rotation_beside_jordan,
+            SocleNotOneDimensional,
+            "the action is not nilpotent after twisting by the socle eigenvalues",
+        ),
+        (
+            nine_rotations,
+            NonRationalEigenvalue,
+            "no rational joint eigenvalue exists; the socle eigenvalues lie in a proper extension field",
+        ),
+    ],
+    ids=["two_jordan_blocks", "rotation_beside_jordan", "nine_rotations"],
+)
+def test_failure_naming_is_bounded_at_large_dims(build, kind, message):
+    # Dense conjugates at dim 24, 20 and 18: embed_general names each
+    # failure kind, with its message, in bounded time.
+    plain = build()
+    module = conjugate(plain, random_invertible(random.Random(plain.dim), plain.dim))
+    with time_limit(10):
+        with pytest.raises(kind) as info:
+            embed_general(module)
+    # NoCommonEigenline subclasses SocleNotOneDimensional.
+    assert info.type is kind
+    assert str(info.value) == message
 
 
 def test_injectivity_check_survives_optimize_flag():

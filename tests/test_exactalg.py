@@ -26,6 +26,10 @@ from nilmod.exactalg import (
 )
 
 
+def zeros(rows, cols):
+    return QMatrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
 # --- independent oracle -------------------------------------------------
 
 def naive_eliminate(rows):
@@ -134,7 +138,7 @@ def test_rref_random_against_oracle():
 # --- kernel -------------------------------------------------------------
 
 def test_kernel_zero_matrix():
-    assert QMatrix.zeros(3, 3).kernel() == Subspace(3, QMatrix.identity(3).entries)
+    assert zeros(3, 3).kernel() == Subspace(3, QMatrix.identity(3).entries)
 
 
 def test_kernel_identity():
@@ -221,7 +225,7 @@ def test_inverse_round_trip_and_singular():
 
 def test_inverse_requires_square():
     with pytest.raises(ValueError):
-        QMatrix.zeros(2, 3).inverse()
+        zeros(2, 3).inverse()
 
 
 # --- matrix plumbing ----------------------------------------------------
@@ -673,7 +677,7 @@ def test_is_nilpotent_matrix_on_dense_conjugates(blocks):
 
 def test_is_nilpotent_matrix_edge_cases():
     assert _is_nilpotent_matrix(QMatrix([], cols=0))
-    assert _is_nilpotent_matrix(QMatrix.zeros(3, 3))
+    assert _is_nilpotent_matrix(zeros(3, 3))
     assert not _is_nilpotent_matrix(QMatrix.identity(3))
     assert not _is_nilpotent_matrix(QMatrix([[0, 1], [1, 0]]))
     # Index exactly the dimension, at a dimension that is not a power of two.

@@ -47,9 +47,13 @@ from nilmod.multipoly import (
     vector_to_poly,
 )
 
+def zeros(rows, cols):
+    return QMatrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
 E12 = QMatrix([[0, 1], [0, 0]])
 E21 = QMatrix([[0, 0], [1, 0]])
-Z2 = QMatrix.zeros(2, 2)
+Z2 = zeros(2, 2)
 
 
 def partial_multi(p, alpha):
@@ -121,7 +125,7 @@ def random_commuting_pair(rng, d):
     eye = QMatrix.identity(d)
 
     def poly_of(m):
-        out = QMatrix.zeros(d, d)
+        out = zeros(d, d)
         power = eye
         for _ in range(3):
             out = out + power.scale(rng.randint(-2, 2))
@@ -160,9 +164,9 @@ def test_validate_random_polynomial_pairs_commute():
 
 def test_validate_size_mismatch():
     with pytest.raises(ValueError):
-        validate([E12, QMatrix.zeros(3, 3)])
+        validate([E12, zeros(3, 3)])
     with pytest.raises(ValueError):
-        validate([QMatrix.zeros(2, 3)])
+        validate([zeros(2, 3)])
     with pytest.raises(ValueError):
         FDModule(2, [E12])
 
@@ -192,7 +196,7 @@ def test_derivative_closure_modules_are_nilpotent():
 # --- socle -----------------------------------------------------------------
 
 def test_socle_zero_module_is_everything():
-    assert socle(validate([QMatrix.zeros(3, 3)])) == Subspace(3, QMatrix.identity(3).entries)
+    assert socle(validate([zeros(3, 3)])) == Subspace(3, QMatrix.identity(3).entries)
 
 
 def test_socle_jordan_block():
@@ -238,7 +242,7 @@ def test_twist_scalar_matrix_to_zero():
     alpha = Fraction(3, 2)
     mod = validate([QMatrix.identity(2).scale(alpha)])
     twisted = twist(mod, [alpha])
-    assert twisted.matrices[0] == QMatrix.zeros(2, 2)
+    assert twisted.matrices[0] == zeros(2, 2)
     assert is_nilpotent(twisted)
 
 
@@ -619,7 +623,7 @@ def test_canonical_images_match_the_fraction_reference(n, k):
 
 def test_as_matrices_constants_module():
     fd, bridge = as_matrices(submodule_from_polys(1, []))
-    assert fd.matrices == (QMatrix.zeros(1, 1),)
+    assert fd.matrices == (zeros(1, 1),)
     assert bridge.images == QMatrix.identity(1)
 
 
@@ -711,7 +715,7 @@ def test_random_module_invariants():
 def test_random_module_degree_bound_zero():
     mod = random_nilpotent_module(3, 0, seed=4)
     assert mod.dim == 1
-    assert all(m == QMatrix.zeros(1, 1) for m in mod.matrices)
+    assert all(m == zeros(1, 1) for m in mod.matrices)
 
 
 # --- eigenvalue extraction --------------------------------------------------------
@@ -857,52 +861,72 @@ def squarefree_degree(coeffs):
     return len(f) - len(g)
 
 
-def test_rational_roots_match_brute_force():
-    from nilmod.modcore import _rational_roots
+def test_integer_roots_match_brute_force():
+    from nilmod.modcore import _integer_roots
 
     rng = random.Random(97)
     for _ in range(300):
-        # A product of rational linear factors (repeats allowed) and of
-        # random small factors that may or may not split further.
-        poly = [Fraction(rng.randint(1, 4), rng.randint(1, 3))]
+        # A product of integer linear factors (repeats allowed) and of
+        # random small monic factors that may or may not split further.
+        poly = [Fraction(1)]
         for _ in range(rng.randint(0, 4)):
-            root = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            poly = poly_times(poly, [-root, Fraction(1)])
+            poly = poly_times(poly, [-rng.randint(-6, 6), 1])
         for _ in range(rng.randint(0, 2)):
-            factor = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(2, 3))]
-            factor.append(Fraction(rng.randint(1, 3)))
+            factor = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [1]
             poly = poly_times(poly, factor)
-        roots = _rational_roots(poly)
+        roots = _integer_roots([int(c) for c in poly])
         expected_roots, splits = brute_force_rational_roots(poly)
         assert roots == expected_roots
         # f splits over Q iff its distinct rational roots are all its roots
         assert (len(roots) == squarefree_degree(poly)) == splits
 
 
-def test_rational_roots_fixed_cases():
-    from nilmod.modcore import _rational_roots
+def test_integer_roots_fixed_cases():
+    from nilmod.modcore import _integer_roots
 
-    def f(*cs):
-        return [Fraction(c) for c in cs]
+    def product_of(*factors):
+        poly = [Fraction(1)]
+        for factor in factors:
+            poly = poly_times(poly, factor)
+        return [int(c) for c in poly]
 
     def check(poly, roots, splits):
-        assert _rational_roots(poly) == roots
+        assert _integer_roots(poly) == roots
         assert (len(roots) == squarefree_degree(poly)) == splits
 
-    check(f(1), [], True)
-    check(f(0, 0, 1), [Fraction(0)], True)
-    check(f(1, 0, 1), [], False)  # t^2 + 1
-    check(f(-2, 0, 1), [], False)  # t^2 - 2
-    check(f(-1, 0, 4), [Fraction(-1, 2), Fraction(1, 2)], True)
-    # (t - 1/3)^2 (t^2 - 2): a double rational root beside two irrational ones.
-    poly = poly_times(poly_times(f(Fraction(-1, 3), 1), f(Fraction(-1, 3), 1)), f(-2, 0, 1))
-    check(poly, [Fraction(1, 3)], False)
-    # 99/70 lies within 1/70 of sqrt(2): scaled by the leading coefficient
-    # 70, both roots fall in the same unit interval (98, 99].
-    poly = poly_times(f(-2, 0, 1), f(-99, 70))
-    check(poly, [Fraction(99, 70)], False)
-    check(poly_times(poly, f(-99, 70)), [Fraction(99, 70)], False)
-    check(poly_times(f(-99, 70), f(-99, 70)), [Fraction(99, 70)], True)
+    check([1], [], True)
+    check([7, 1], [-7], True)
+    check([0, 0, 0, 1], [0], True)  # t^3
+    check([1, 0, 1], [], False)  # t^2 + 1
+    check([-2, 0, 1], [], False)  # t^2 - 2
+    check(product_of([1, 1], [0, 1], [-1, 1]), [-1, 0, 1], True)
+    check(product_of([-2, 1], [-2, 1], [5, 1]), [-5, 2], True)
+    # 1 and sqrt(2) share the unit interval [1, 2) with the critical
+    # point of t^3 - t^2 - 2t + 2 between them.
+    check(product_of([-1, 1], [-2, 0, 1]), [1], False)
+    # 19 falls on a bisection endpoint of its monotone stretch.
+    check(product_of([15, 1], [-19, 1], [-30, 1]), [-15, 19, 30], True)
+    # Two eight-digit primes: nothing trial-divides their product.
+    check(product_of([-10000019, 1], [-10000079, 1]), [10000019, 10000079], True)
+
+
+def test_char_poly_matches_determinants():
+    from nilmod.modcore import _char_poly
+
+    rng = random.Random(421)
+    table = [[[0]], [[7]], [[-3]], [[0] * 4 for _ in range(4)]]
+    for d in range(2, 8):
+        table.append([[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)])
+        # Entries near 10^6.
+        table.append([[rng.choice((-1, 1)) * (10**6 - rng.randint(0, 9)) for _ in range(d)] for _ in range(d)])
+    for m in table:
+        d = len(m)
+        coeffs = _char_poly(m)
+        assert len(coeffs) == d + 1 and coeffs[-1] == 1
+        # d + 1 points pin down a polynomial of degree d.
+        for t in (-3, -2, -1, 0, 1, 2, 5, 10**6):
+            shifted = QMatrix([[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m)])
+            assert sum(c * t**k for k, c in enumerate(coeffs)) == shifted.det()
 
 
 # --- serialization ------------------------------------------------------------------

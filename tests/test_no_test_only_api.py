@@ -1,7 +1,9 @@
 """Every public function and method of nilmod has a caller outside the
 unit tests: the library itself, the CLI, the benchmark or the acceptance
 tests.  A name that only the unit tests reach is test-only API; it goes,
-or it moves into the tests as a reference.
+or it moves into the tests as a reference.  Every private helper is read
+inside the library itself, so a deleted helper does not live on for the
+tests, or the benchmark, alone.
 
 The scan is by name: a definition counts as used when its name occurs
 as a `Name` or an `Attribute` anywhere in those files.  So it misses a
@@ -45,10 +47,9 @@ def used_names(paths):
     return found
 
 
-def public_definitions(paths):
+def definitions(paths):
     """(qualified name, bare name) of the module-level functions and the
-    methods of module-level classes whose names have no leading
-    underscore."""
+    methods of module-level classes, dunder methods left out."""
     out = []
     for path in paths:
         for node in _parse(path).body:
@@ -60,12 +61,19 @@ def public_definitions(paths):
                     for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                 ]
-    return [(qualified, name) for qualified, name in out if not name.startswith("_")]
+    return [(qualified, name) for qualified, name in out if not name.startswith("__")]
 
 
 def unused(package_files, caller_files):
+    """Public definitions that no caller reads."""
     names = used_names(caller_files)
-    return sorted(qualified for qualified, name in public_definitions(package_files) if name not in names)
+    return sorted(q for q, name in definitions(package_files) if not name.startswith("_") and name not in names)
+
+
+def unread_private(package_files):
+    """Private definitions that the package itself never reads."""
+    names = used_names(package_files)
+    return sorted(q for q, name in definitions(package_files) if name.startswith("_") and name not in names)
 
 
 def test_the_scan_reads_the_callers():
@@ -75,6 +83,12 @@ def test_the_scan_reads_the_callers():
 
 def test_only_the_allowlist_has_no_caller():
     assert unused(sorted(PACKAGE.glob("*.py")), CALLERS) == sorted(ALLOWED)
+
+
+def test_every_private_helper_is_read_by_the_library():
+    package = sorted(PACKAGE.glob("*.py"))
+    assert len([name for _, name in definitions(package) if name.startswith("_")]) > 50
+    assert unread_private(package) == []
 
 
 def test_an_uncalled_method_is_caught(tmp_path):
@@ -90,3 +104,16 @@ def test_an_uncalled_method_is_caught(tmp_path):
     caller = tmp_path / "caller.py"
     caller.write_text("from lib import A, helper\nA().used()\nhelper()\n")
     assert unused([lib], [lib, caller]) == ["A.spare", "orphan"]
+
+
+def test_an_unread_private_helper_is_caught(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "class A:\n"
+        "    def __init__(self): self._read()\n"
+        "    def _read(self): pass\n"
+        "    def _spare(self): pass\n"
+        "def _helper(): pass\n"
+        "def _orphan(): _helper()\n"
+    )
+    assert unread_private([lib]) == ["A._spare", "_orphan"]
