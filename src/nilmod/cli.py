@@ -4,7 +4,9 @@ One subcommand per library entry point; every input is a JSON file (or
 `-` for standard input) and every output is deterministic JSON on
 standard output.  Exit codes: 0 success, 1 domain errors (and a
 standard output closed before the answer was written), 2 parse or usage
-errors.
+errors.  An error prints {"error": {"kind", "detail"}}, plus the
+structured "witness" for NotAnEndomorphism ({"derivative", "monomial"}),
+Incompatible and NonCommuting (the pair [i, j]).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .diffop import (
     extract_coeffs,
 )
 from .embed import brute_force_isomorphic, embed_general, embed_nilpotent, is_isomorphic
-from .errors import IncompatibleMap, NilmodError, NonCommuting
+from .errors import Incompatible, IncompatibleMap, NilmodError, NonCommuting, NotAnEndomorphism
 from .exactalg import QMatrix, as_int, format_rational
 from .modcore import (
     FDModule,
@@ -221,12 +223,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _witness(exc: NilmodError):
+    """The structured witness an error carries, or None."""
+    if isinstance(exc, NotAnEndomorphism):
+        return {"derivative": exc.i, "monomial": list(exc.witness)}
+    if isinstance(exc, (Incompatible, NonCommuting)):
+        return [exc.i, exc.j]
+    return None
+
+
 def _run(args) -> tuple[int, dict]:
     """The exit code and the JSON payload of one subcommand."""
     try:
         return 0, args.handler(args)
     except NilmodError as exc:
-        return 1, {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
+        error = {"kind": type(exc).__name__, "detail": str(exc)}
+        witness = _witness(exc)
+        if witness is not None:
+            error["witness"] = witness
+        return 1, {"error": error}
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         return 2, {"error": {"kind": "ParseError", "detail": str(exc)}}
     except OSError as exc:

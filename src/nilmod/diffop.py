@@ -25,6 +25,17 @@ The series layer rests on three closed forms:
 - restriction to a lower set: the entry in row x^beta and column
   x^alpha is c_(alpha-beta) alpha!/beta!.
 
+The kernels built on these forms (application, the monomial-image
+table, the endomorphism check of `extract_coeffs` and the restriction
+matrix) run on integer numerators over one common denominator, as the
+linear algebra of `exactalg` does: `_integer_coeffs` converts a series
+or polynomial once, the loops add and multiply integers, and one
+`Fraction` is built per output term.  The check of `extract_coeffs`
+compares the terms dicts by integer cross-multiplication and builds no
+polynomial.  Results that are canonical by construction go through
+`Poly._trusted` and `DiffOpSeries._trusted`; input from outside goes
+through the validating constructors.
+
 An isomorphism between polynomial submodules grows one monomial at a
 time.  Each step adjoins the graded-lex least monomial x^kappa missing
 from the source, whose partials lie inside, and maps it to the potential
@@ -47,11 +58,14 @@ from .errors import (
     TruncationTooLow,
     WrongConstantTerm,
 )
-from .exactalg import QMatrix, Value, as_fraction, as_int
+from .exactalg import QMatrix, Value, _integer_rows, as_fraction, as_int
 from .modcore import ModuleMap, PolySubmodule
 from .multipoly import (
     MultiIndex,
     Poly,
+    _below,
+    _by_degree,
+    _partial_matches,
     grlex_key,
     is_lower_set,
     monomials_up_to_degree,
@@ -82,6 +96,20 @@ class DiffOpSeries(Value):
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
+    def _trusted(cls, n: int, trunc: int, coeffs: dict[MultiIndex, Fraction]) -> "DiffOpSeries":
+        """A series on coefficients that are already canonical: nonzero
+        `Fraction`s at length-n exponents of total degree <= trunc, in a
+        dict that no one changes afterwards.  Only code of this module
+        that computed them from checked series, polynomials or tables
+        may call it; input from outside goes through
+        `DiffOpSeries(n, trunc, coeffs)`."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "trunc", trunc)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
+    @classmethod
     def identity(cls, n: int, trunc: int) -> "DiffOpSeries":
         return cls(n, trunc, {(0,) * n: 1})
 
@@ -93,7 +121,7 @@ class DiffOpSeries(Value):
     @property
     def _poly(self) -> Poly:
         """The coefficients as a polynomial in d_1, ..., d_n."""
-        return Poly(self.n, self.coeffs)
+        return Poly._trusted(self.n, self.coeffs)
 
     @property
     def unit(self) -> Fraction:
@@ -115,7 +143,7 @@ class DiffOpSeries(Value):
     def __add__(self, other: "DiffOpSeries") -> "DiffOpSeries":
         trunc = min(self.trunc, other.trunc)
         total = (self._poly + other._poly).terms
-        return DiffOpSeries(self.n, trunc, {a: c for a, c in total.items() if sum(a) <= trunc})
+        return DiffOpSeries._trusted(self.n, trunc, {a: c for a, c in total.items() if sum(a) <= trunc})
 
     def __neg__(self) -> "DiffOpSeries":
         return self.scale(-1)
@@ -124,13 +152,15 @@ class DiffOpSeries(Value):
         return self + (-other)
 
     def scale(self, c) -> "DiffOpSeries":
-        return DiffOpSeries(self.n, self.trunc, self._poly.scale(c).terms)
+        return DiffOpSeries._trusted(self.n, self.trunc, self._poly.scale(c).terms)
 
     def compose(self, other: "DiffOpSeries") -> "DiffOpSeries":
         """Operator composition: the product in K[d], truncated at the
         lower of the two truncations (commutative)."""
         trunc = min(self.trunc, other.trunc)
-        return DiffOpSeries(self.n, trunc, truncated_product(self._poly, other._poly, trunc).terms)
+        return DiffOpSeries._trusted(
+            self.n, trunc, truncated_product(self._poly, other._poly, trunc).terms
+        )
 
     def apply(self, p: Poly) -> Poly:
         """sum c_gamma d^gamma p; refuses polynomials beyond the truncation.
@@ -140,8 +170,10 @@ class DiffOpSeries(Value):
         error rather than a silent approximation.
 
         Closed form: d^gamma x^beta = beta!/(beta-gamma)! x^(beta-gamma)
-        when gamma <= beta, else 0.  The terms landing on x^delta are
-        summed times delta! and divided by delta! once at the end.
+        when gamma <= beta, else 0.  With c_gamma = N_gamma/D and
+        b_beta = P_beta/D_p, the integers N_gamma P_beta beta! landing
+        on x^delta are summed, and the sum is divided by D D_p delta!
+        once at the end.
         """
         if p.n != self.n:
             raise ValueError("variable count mismatch")
@@ -150,19 +182,30 @@ class DiffOpSeries(Value):
             raise TruncationTooLow(
                 f"polynomial degree {deg} exceeds truncation {self.trunc}"
             )
-        scaled: dict[MultiIndex, Fraction] = {}
-        for beta, b in p.terms.items():
-            b_fact = b * multi_factorial(beta)
-            for gamma, c in self.coeffs.items():
-                delta = tuple(map(sub, beta, gamma))
-                if min(delta) >= 0:
-                    scaled[delta] = scaled.get(delta, 0) + c * b_fact
-        return Poly(
-            self.n, {delta: v / multi_factorial(delta) for delta, v in scaled.items()}
+        nums, den = _integer_coeffs(self.coeffs)
+        p_nums, p_den = _integer_coeffs(p.terms)
+        gammas = _by_degree(nums)
+        sums: dict[MultiIndex, int] = {}
+        for beta, b in p_nums.items():
+            b *= multi_factorial(beta)
+            for delta, c in _below(gammas, beta):
+                sums[delta] = sums.get(delta, 0) + c * b
+        den *= p_den
+        return Poly._trusted(
+            self.n,
+            {delta: Fraction(v, den * multi_factorial(delta)) for delta, v in sums.items() if v},
         )
 
     def to_json(self) -> dict:
         return {"n": self.n, "trunc": self.trunc, "coeffs": self._poly.to_json()}
+
+
+def _integer_coeffs(coeffs: Mapping[MultiIndex, Fraction]) -> tuple[dict[MultiIndex, int], int]:
+    """Rational coefficients as (integer numerators, D) with
+    coeffs == numerators / D, D the least common denominator: the one
+    row of `exactalg._integer_rows`."""
+    (row,), den = _integer_rows([coeffs.values()])
+    return dict(zip(coeffs, row)), den
 
 
 def _graded_solve(
@@ -183,7 +226,7 @@ def _graded_solve(
     C(n + trunc, n) monomials.  With `within` (a lower set), only its
     monomials are computed; they never need one outside it.
     """
-    terms = sorted(((b, sum(b), c) for b, c in step.items()), key=lambda t: t[1])
+    terms = _by_degree(step)
     pending: list[dict[MultiIndex, Fraction]] = [{} for _ in range(trunc + 1)]
     for g, c in seed.items():
         d = sum(g)
@@ -244,7 +287,7 @@ def series_exp(s: DiffOpSeries) -> DiffOpSeries:
     """
     if s.unit != 0:
         raise WrongConstantTerm("exp needs a zero constant term")
-    return DiffOpSeries(s.n, s.trunc, _exp_coeffs(s.coeffs, s.n, s.trunc))
+    return DiffOpSeries._trusted(s.n, s.trunc, _exp_coeffs(s.coeffs, s.n, s.trunc))
 
 
 def series_log(s: DiffOpSeries) -> DiffOpSeries:
@@ -257,17 +300,33 @@ def series_log(s: DiffOpSeries) -> DiffOpSeries:
     """
     if s.unit != 1:
         raise WrongConstantTerm("log needs constant term one")
-    return DiffOpSeries(s.n, s.trunc, _log_coeffs(s.coeffs, s.trunc))
+    return DiffOpSeries._trusted(s.n, s.trunc, _log_coeffs(s.coeffs, s.trunc))
 
 
 def monomial_images(s: DiffOpSeries, degree: Optional[int] = None) -> dict[MultiIndex, Poly]:
-    """The table alpha -> s(x^alpha) for all |alpha| <= degree, each
-    entry by the closed form of `DiffOpSeries.apply`."""
+    """The table alpha -> s(x^alpha) for all |alpha| <= degree.
+
+    By the closed form of `DiffOpSeries.apply`, with c_gamma = N_gamma/D
+    over one common denominator, the image of x^alpha has the term
+    N_gamma alpha!/(alpha-gamma)! / D at x^(alpha-gamma) for every
+    gamma <= alpha; distinct gamma give distinct monomials, so nothing
+    is summed.
+    """
     if degree is None:
         degree = s.trunc
+    if degree > s.trunc:
+        raise TruncationTooLow(
+            f"polynomial degree {s.trunc + 1} exceeds truncation {s.trunc}"
+        )
+    facts = {alpha: multi_factorial(alpha) for alpha in monomials_up_to_degree(s.n, degree)}
+    nums, den = _integer_coeffs(s.coeffs)
+    gammas = _by_degree(nums)
     return {
-        alpha: s.apply(Poly.monomial(s.n, alpha))
-        for alpha in monomials_up_to_degree(s.n, degree)
+        alpha: Poly._trusted(
+            s.n,
+            {delta: Fraction(c * (fact // facts[delta]), den) for delta, c in _below(gammas, alpha)},
+        )
+        for alpha, fact in facts.items()
     }
 
 
@@ -280,28 +339,35 @@ def extract_coeffs(
     commute with each partial derivative wherever both sides stay
     inside the table; that check is exactly what makes the coefficient
     formula c_alpha = image(x^alpha)(0)/alpha! reproduce the whole map.
+    The first failure in graded-lex order of alpha, then i, is the
+    witness (i, alpha).
     """
-    table: dict[MultiIndex, Poly] = {}
+    n, degree = as_int(n), as_int(degree)
+    if n < 1:
+        raise ValueError("variable count must be at least 1")
+    if degree < 0:
+        raise ValueError("truncation degree must be non-negative")
+    table: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
     for alpha in monomials_up_to_degree(n, degree):
         if alpha not in images:
             raise ValueError(f"image table is missing monomial {alpha}")
         p = images[alpha]
         if p.n != n:
             raise ValueError("variable count mismatch in image table")
-        table[alpha] = p
+        table[alpha] = p.terms
     for alpha in sorted(table, key=grlex_key):
-        for i in range(1, n + 1):
-            lowered = (
-                table[alpha[: i - 1] + (alpha[i - 1] - 1,) + alpha[i:]].scale(alpha[i - 1])
-                if alpha[i - 1] >= 1
-                else Poly.zero(n)
-            )
-            if table[alpha].partial(i) != lowered:
-                raise NotAnEndomorphism(i, alpha)
+        for k, a in enumerate(alpha):
+            # d_(k+1) s(x^alpha) == alpha_k s(x^(alpha - e_k))
+            below = table[alpha[:k] + (a - 1,) + alpha[k + 1 :]] if a else {}
+            if not _partial_matches(table[alpha], k, below, a):
+                raise NotAnEndomorphism(k + 1, alpha)
+    origin = (0,) * n
     coeffs = {
-        alpha: table[alpha].eval_zero() / multi_factorial(alpha) for alpha in table
+        alpha: terms[origin] / multi_factorial(alpha)
+        for alpha, terms in table.items()
+        if origin in terms
     }
-    return DiffOpSeries(n, degree, coeffs)
+    return DiffOpSeries._trusted(n, degree, coeffs)
 
 
 class MonomialSubmodule(Value):
@@ -389,15 +455,18 @@ def _restriction_matrix(
 ) -> QMatrix:
     """The matrix of sum c_gamma d^gamma on the monomials `order` of a
     lower set: row x^beta, column x^alpha holds c_(alpha-beta) alpha!/beta!,
-    which is 0 unless beta <= alpha."""
+    which is 0 unless beta <= alpha.  With c = N/D over one common
+    denominator, a nonzero entry is N (alpha!/beta!) / D, an integer
+    over D."""
+    nums, den = _integer_coeffs(coeffs)
     zero = Fraction(0)
     facts = [(a, multi_factorial(a)) for a in order]
     rows = []
     for beta, beta_fact in facts:
         row = []
         for alpha, alpha_fact in facts:
-            c = coeffs.get(tuple(map(sub, alpha, beta)))
-            row.append(c * alpha_fact / beta_fact if c else zero)
+            c = nums.get(tuple(map(sub, alpha, beta)))
+            row.append(Fraction(c * (alpha_fact // beta_fact), den) if c else zero)
         rows.append(tuple(row))
     return QMatrix._trusted(rows, len(order))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .exactalg import Value, as_fraction, format_rational, parse_rational
@@ -94,6 +94,18 @@ class Poly(Value):
         object.__setattr__(self, "terms", clean)
 
     @classmethod
+    def _trusted(cls, n: int, terms: dict[MultiIndex, Fraction]) -> "Poly":
+        """A polynomial on terms that are already canonical: length-n
+        exponent tuples mapped to nonzero `Fraction`s, in a dict that no
+        one changes afterwards.  Only library code that built the terms
+        itself, from polynomials or series that were already checked,
+        may call it; input from outside goes through `Poly(n, terms)`."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    @classmethod
     def zero(cls, n: int) -> "Poly":
         return cls(n)
 
@@ -130,10 +142,6 @@ class Poly(Value):
     def monomials(self) -> set[MultiIndex]:
         return set(self.terms)
 
-    def eval_zero(self) -> Fraction:
-        """The constant term (the value at the origin)."""
-        return self.terms.get((0,) * self.n, Fraction(0))
-
     def degree_in(self, i: int):
         _check_var(self.n, i)
         if not self.terms:
@@ -154,19 +162,19 @@ class Poly(Value):
                 out.pop(alpha, None)
             else:
                 out[alpha] = s
-        return Poly(self.n, out)
+        return Poly._trusted(self.n, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.n, {alpha: -c for alpha, c in self.terms.items()})
+        return Poly._trusted(self.n, {alpha: -c for alpha, c in self.terms.items()})
 
     def scale(self, c) -> "Poly":
         c = as_fraction(c)
         if c == 0:
             return Poly.zero(self.n)
-        return Poly(self.n, {alpha: c * v for alpha, v in self.terms.items()})
+        return Poly._trusted(self.n, {alpha: c * v for alpha, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -186,7 +194,7 @@ class Poly(Value):
                 continue
             beta = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]
             out[beta] = c * alpha[k]
-        return Poly(self.n, out)
+        return Poly._trusted(self.n, out)
 
     def integrate(self, i: int) -> "Poly":
         """Antiderivative in x_i vanishing at x_i = 0.
@@ -261,7 +269,7 @@ def truncated_product(p: Poly, q: Poly, bound) -> Poly:
     overshoots the bound.
     """
     p._check_compatible(q)
-    by_degree = sorted(((b, sum(b), c) for b, c in q.terms.items()), key=lambda t: t[1])
+    by_degree = _by_degree(q.terms)
     out: dict[MultiIndex, Fraction] = {}
     for a, ca in p.terms.items():
         room = bound - sum(a)
@@ -270,7 +278,47 @@ def truncated_product(p: Poly, q: Poly, bound) -> Poly:
                 break
             g = tuple(map(add, a, b))
             out[g] = out.get(g, 0) + ca * cb
-    return Poly(p.n, out)
+    return Poly._trusted(p.n, {g: c for g, c in out.items() if c})
+
+
+def _by_degree(terms: Mapping[MultiIndex, object]) -> list[tuple[MultiIndex, int, object]]:
+    """(alpha, |alpha|, c_alpha) in ascending degree, so a loop over the
+    terms up to a degree can stop at the first one above it."""
+    return sorted(((a, sum(a), c) for a, c in terms.items()), key=lambda t: t[1])
+
+
+def _below(by_degree: list[tuple[MultiIndex, int, object]], alpha: MultiIndex):
+    """(alpha - gamma, c_gamma) for every gamma <= alpha among the
+    `_by_degree` terms: where d^gamma takes x^alpha."""
+    room = sum(alpha)
+    for gamma, g_deg, c in by_degree:
+        if g_deg > room:
+            return
+        delta = tuple(map(sub, alpha, gamma))
+        if min(delta) >= 0:
+            yield delta, c
+
+
+def _partial_matches(
+    p: Mapping[MultiIndex, Fraction], k: int, q: Mapping[MultiIndex, Fraction], a: int
+) -> bool:
+    """Whether d_(k+1) p == a q for canonical terms dicts p and q,
+    without building a polynomial.
+
+    A term c x^beta of p with b = beta_k > 0 becomes b c x^(beta - e_k);
+    it must equal a d for the term d of q there, compared by integer
+    cross-multiplication, and no term of q may be left unmet.
+    """
+    met = 0
+    for beta, c in p.items():
+        b = beta[k]
+        if not b:
+            continue
+        d = q.get(beta[:k] + (b - 1,) + beta[k + 1 :])
+        if d is None or c.numerator * b * d.denominator != a * d.numerator * c.denominator:
+            return False
+        met += 1
+    return met == len(q)
 
 
 def _check_var(n: int, i: int) -> None:

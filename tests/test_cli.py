@@ -6,6 +6,7 @@ Children find the package through an absolute ``src`` entry on their
 ``PYTHONPATH``, so the tests run from a clean checkout without an install.
 """
 
+import argparse
 import io
 import itertools
 import json
@@ -14,12 +15,14 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from nilmod import cli, modcore
-from nilmod.diffop import DiffOpSeries
+from nilmod.diffop import DiffOpSeries, monomial_images
+from nilmod.embed import potential
 from nilmod.modcore import FDModule, PolySubmodule
 from nilmod.multipoly import Poly
 
@@ -287,6 +290,71 @@ def test_string_exponents_are_parse_errors(argv, payload):
     error = json.loads(proc.stdout)["error"]
     assert error["kind"] == "ParseError"
     assert error["detail"].startswith("bad exponent vector ('0'"), error
+
+
+# --- witnesses in error JSON --------------------------------------------------
+
+def error_bytes(error):
+    return (json.dumps({"error": error}, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_non_commuting_error_names_its_pair(flags):
+    # `validate` reports the pair as a verdict; every other command that
+    # reads the module fails with it, after the detail.
+    proc = run_cli(["socle", "inputs/noncommuting.json"], flags=flags)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert proc.stdout == error_bytes(
+        {"kind": "NonCommuting", "detail": "matrices 1 and 2 do not commute", "witness": [1, 2]}
+    )
+
+
+def image_table_json(series, corrupt):
+    images = monomial_images(series)
+    images.update(corrupt)
+    return json.dumps(
+        {
+            "n": series.n,
+            "degree": series.trunc,
+            "images": [{"exps": list(a), "poly": p.to_json()} for a, p in images.items()],
+        }
+    )
+
+
+def test_not_an_endomorphism_error_names_derivative_and_monomial(monkeypatch, capsys):
+    series = DiffOpSeries(2, 2, {(0, 0): 1, (1, 0): Fraction(1, 2), (0, 1): -3})
+    bad = monomial_images(series)[(1, 1)] + Poly(2, {(1, 0): 1})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(image_table_json(series, {(1, 1): bad})))
+    assert cli.main(["extract-endo", "-"]) == 1
+    assert capsys.readouterr().out.encode() == error_bytes(
+        {
+            "kind": "NotAnEndomorphism",
+            "detail": "map does not commute with derivative 1 at monomial (1, 1)",
+            "witness": {"derivative": 1, "monomial": [1, 1]},
+        }
+    )
+    # The table without the corruption extracts the series.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(image_table_json(series, {})))
+    assert cli.main(["extract-endo", "-"]) == 0
+    assert json.loads(capsys.readouterr().out) == series.to_json()
+
+
+def test_incompatible_error_names_its_pair():
+    # No subcommand reaches potential on its own input; _run serializes
+    # whatever the handler raises.
+    def handler(args):
+        return potential([Poly(2, {(0, 1): 1}), Poly.zero(2)], 2)
+
+    assert cli._run(argparse.Namespace(handler=handler)) == (
+        1,
+        {
+            "error": {
+                "kind": "Incompatible",
+                "detail": "incompatible pair (1, 2): mixed partials differ",
+                "witness": [1, 2],
+            }
+        },
+    )
 
 
 def lower_set_json(n, degree):

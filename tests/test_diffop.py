@@ -506,6 +506,271 @@ def test_extract_requires_full_table():
         extract_coeffs(2, 1, images)
 
 
+def test_extract_rejects_a_table_over_other_variables():
+    images = dict(monomial_images(DiffOpSeries.identity(2, 1)))
+    images[(1, 0)] = Poly(3, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="variable count mismatch in image table"):
+        extract_coeffs(2, 1, images)
+
+
+# --- the integer kernels against the Fraction forms ------------------------------
+# apply and monomial_images by the closed form on Fraction terms, and the
+# endomorphism check of extract_coeffs through Poly.partial and Poly.scale,
+# as the library had them before its series kernels moved to integer
+# numerators over one common denominator.
+
+def reference_closed_form_apply(s, p):
+    if p.n != s.n:
+        raise ValueError("variable count mismatch")
+    deg = p.total_degree()
+    if isinstance(deg, int) and deg > s.trunc:
+        raise TruncationTooLow(f"polynomial degree {deg} exceeds truncation {s.trunc}")
+    scaled = {}
+    for beta, b in p.terms.items():
+        b_fact = b * multi_factorial(beta)
+        for gamma, c in s.coeffs.items():
+            delta = tuple(x - y for x, y in zip(beta, gamma))
+            if min(delta) >= 0:
+                scaled[delta] = scaled.get(delta, 0) + c * b_fact
+    return Poly(s.n, {delta: v / multi_factorial(delta) for delta, v in scaled.items()})
+
+
+def reference_monomial_images(s, degree=None):
+    if degree is None:
+        degree = s.trunc
+    return {
+        alpha: reference_closed_form_apply(s, Poly.monomial(s.n, alpha))
+        for alpha in monomials_up_to_degree(s.n, degree)
+    }
+
+
+def reference_extract(n, degree, images):
+    table = {}
+    for alpha in monomials_up_to_degree(n, degree):
+        if alpha not in images:
+            raise ValueError(f"image table is missing monomial {alpha}")
+        p = images[alpha]
+        if p.n != n:
+            raise ValueError("variable count mismatch in image table")
+        table[alpha] = p
+    for alpha in sorted(table, key=grlex_key):
+        for i in range(1, n + 1):
+            lowered = (
+                table[alpha[: i - 1] + (alpha[i - 1] - 1,) + alpha[i:]].scale(alpha[i - 1])
+                if alpha[i - 1] >= 1
+                else Poly.zero(n)
+            )
+            if table[alpha].partial(i) != lowered:
+                raise NotAnEndomorphism(i, alpha)
+    origin = (0,) * n
+    coeffs = {
+        alpha: table[alpha].terms.get(origin, Fraction(0)) / multi_factorial(alpha)
+        for alpha in table
+    }
+    return DiffOpSeries(n, degree, coeffs)
+
+
+def assert_canonical_poly(p):
+    """What Poly._trusted callers promise: only nonzero Fractions, and
+    the same polynomial as the validated constructor gives."""
+    assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values()), p.terms
+    assert p == Poly(p.n, p.terms)
+
+
+def assert_canonical_series(s):
+    assert all(isinstance(c, Fraction) and c != 0 for c in s.coeffs.values()), s.coeffs
+    assert all(sum(alpha) <= s.trunc for alpha in s.coeffs)
+    assert s == DiffOpSeries(s.n, s.trunc, s.coeffs)
+    assert s._poly == Poly(s.n, s.coeffs)
+
+
+# Coprime denominators near 10^4, so the common denominator is their product.
+LARGE_DENOMINATORS = [Fraction(1, 10007), Fraction(1, 10009), Fraction(-3, 10007), Fraction(5, 10009)]
+
+
+def test_apply_and_images_match_the_fraction_closed_form():
+    rng = random.Random(613)
+    for n in (1, 2, 3):
+        for trunc in range(5):
+            monomials = list(monomials_up_to_degree(n, trunc))
+            large = {a: rng.choice(LARGE_DENOMINATORS) for a in monomials if rng.random() < 0.6}
+            series = [
+                DiffOpSeries(n, trunc),
+                random_series(rng, n, trunc),
+                sparse_series(rng, n, trunc, unit=random_fraction(rng)),
+                DiffOpSeries(n, trunc, large),
+            ]
+            polys = [
+                Poly.zero(n),
+                random_poly(rng, n, trunc),
+                Poly(n, {a: rng.choice(LARGE_DENOMINATORS) for a in monomials if rng.random() < 0.6}),
+            ]
+            for s in series:
+                for p in polys:
+                    out = s.apply(p)
+                    assert_canonical_poly(out)
+                    assert out == reference_closed_form_apply(s, p)
+                for degree in range(-1, trunc + 1):
+                    table = monomial_images(s, degree)
+                    assert table == reference_monomial_images(s, degree)
+                    for image in table.values():
+                        assert_canonical_poly(image)
+                assert monomial_images(s) == reference_monomial_images(s)
+                for degree in (trunc + 1, trunc + 3):
+                    with pytest.raises(TruncationTooLow) as expected:
+                        reference_monomial_images(s, degree)
+                    with pytest.raises(TruncationTooLow) as got:
+                        monomial_images(s, degree)
+                    assert str(got.value) == str(expected.value)
+                    assert str(got.value) == f"polynomial degree {trunc + 1} exceeds truncation {trunc}"
+
+
+def test_apply_drops_output_terms_that_sum_to_zero():
+    # (1 + d1)(x1 - 1) = x1: the constant terms cancel.
+    out = DiffOpSeries(1, 1, {(0,): 1, (1,): 1}).apply(Poly(1, {(1,): 1, (0,): -1}))
+    assert_canonical_poly(out)
+    assert out == Poly(1, {(1,): 1})
+    # (d1 - d2)(x1 + x2) = 1 - 1 = 0
+    out = DiffOpSeries(2, 1, {(1, 0): 1, (0, 1): -1}).apply(Poly(2, {(1, 0): 1, (0, 1): 1}))
+    assert_canonical_poly(out)
+    assert out.terms == {}
+    # with large coprime denominators: (1/10007 d1 - 1/10009 d2)(10007 x1 - 10009 x2)
+    s = DiffOpSeries(2, 1, {(1, 0): Fraction(1, 10007), (0, 1): Fraction(-1, 10009), (0, 0): 1})
+    out = s.apply(Poly(2, {(1, 0): 10007, (0, 1): 10009}))
+    assert_canonical_poly(out)
+    assert out == Poly(2, {(1, 0): 10007, (0, 1): 10009})
+
+
+def test_series_results_store_no_zeros():
+    one_plus = DiffOpSeries(1, 3, {(0,): 1, (1,): 1})
+    one_minus = DiffOpSeries(1, 3, {(0,): 1, (1,): -1})
+    product = one_plus.compose(one_minus)
+    assert_canonical_series(product)
+    assert product.coeffs == {(0,): 1, (2,): -1}
+    rng = random.Random(619)
+    for n in (1, 2, 3):
+        for trunc in range(4):
+            s = random_series(rng, n, trunc)
+            t = random_series(rng, n, trunc)
+            partly = DiffOpSeries(n, trunc, {a: -c for a, c in s.coeffs.items() if rng.random() < 0.5})
+            results = [s + partly, s - s, s - (s + t), -s, s.scale(0), s.scale(Fraction(-7, 3))]
+            results += [s.compose(t), (s + DiffOpSeries.identity(n, trunc)).compose(DiffOpSeries.identity(n, trunc) - s)]
+            lower = max(trunc - 1, 0)
+            results.append(s.compose(DiffOpSeries(n, lower, {a: c for a, c in t.coeffs.items() if sum(a) <= lower})))
+            no_unit = DiffOpSeries(n, trunc, {a: c for a, c in s.coeffs.items() if any(a)})
+            exp = series_exp(no_unit)
+            results += [exp, series_log(exp), extract_coeffs(n, trunc, monomial_images(s))]
+            for out in results:
+                assert_canonical_series(out)
+            assert (s - s).coeffs == {}
+            assert (s + partly).coeffs.keys() == s.coeffs.keys() - partly.coeffs.keys()
+
+
+def corrupted(rng, table, n, degree, how):
+    """The table with one image changed: one coefficient moved, a term
+    added, a term removed, the image zeroed, or its constant term moved."""
+    table = dict(table)
+    alpha = rng.choice(sorted(table, key=grlex_key))
+    terms = dict(table[alpha].terms)
+    present = sorted(terms, key=grlex_key)
+    if how == "change" and present:
+        key = rng.choice(present)
+        terms[key] += random_fraction(rng)
+    elif how == "add":
+        missing = [a for a in monomials_up_to_degree(n, degree) if a not in terms]
+        if missing:
+            terms[rng.choice(missing)] = random_fraction(rng)
+    elif how == "remove" and present:
+        del terms[rng.choice(present)]
+    elif how == "zero":
+        terms = {}
+    elif how == "constant":
+        origin = (0,) * n
+        terms[origin] = terms.get(origin, 0) + random_fraction(rng)
+    table[alpha] = Poly(n, terms)
+    return table
+
+
+def extraction_outcome(extract, n, degree, table):
+    try:
+        return extract(n, degree, table)
+    except NotAnEndomorphism as exc:
+        return exc.i, exc.witness, str(exc)
+
+
+@pytest.mark.parametrize("how,seed", [("change", 631), ("add", 632), ("remove", 633), ("zero", 634), ("constant", 635)])
+def test_extract_witness_matches_the_poly_check(how, seed):
+    rng = random.Random(seed)
+    raised = passed = 0
+    for n in (1, 2, 3):
+        for degree in range(5):
+            for _ in range(6):
+                s = random_series(rng, n, degree, unit_one=rng.random() < 0.5)
+                table = corrupted(rng, monomial_images(s), n, degree, how)
+                got = extraction_outcome(extract_coeffs, n, degree, table)
+                assert got == extraction_outcome(reference_extract, n, degree, table)
+                if isinstance(got, DiffOpSeries):
+                    passed += 1
+                    assert_canonical_series(got)
+                else:
+                    raised += 1
+                    assert got[2] == f"map does not commute with derivative {got[0]} at monomial {got[1]}"
+    assert raised > 0
+    if how in ("constant", "zero", "remove"):
+        # a change at the top degree, or of nothing, is not seen
+        assert passed > 0
+
+
+def test_extract_on_tables_beyond_the_degree_matches_the_poly_check():
+    # Images of higher degree and entries above the extraction degree.
+    rng = random.Random(641)
+    for n in (1, 2, 3):
+        for trunc in range(1, 5):
+            s = random_series(rng, n, trunc)
+            table = monomial_images(s)
+            for degree in range(trunc + 1):
+                got = extraction_outcome(extract_coeffs, n, degree, table)
+                assert got == extraction_outcome(reference_extract, n, degree, table)
+                bad = corrupted(rng, table, n, trunc, "change")
+                got = extraction_outcome(extract_coeffs, n, degree, bad)
+                assert got == extraction_outcome(reference_extract, n, degree, bad)
+
+
+@pytest.mark.parametrize(
+    "n,degree,message",
+    [
+        (0, 1, "variable count must be at least 1"),
+        (0, -1, "variable count must be at least 1"),
+        (2, -1, "truncation degree must be non-negative"),
+        (1, True, "expected an integer, got True"),
+    ],
+)
+def test_extract_refuses_bad_sizes_as_before(n, degree, message):
+    images = {(0,): Poly.one(1), (1,): Poly(1, {(1,): 1})}
+    with pytest.raises(ValueError) as expected:
+        reference_extract(n, degree, images)
+    with pytest.raises(ValueError) as got:
+        extract_coeffs(n, degree, images)
+    assert str(got.value) == str(expected.value) == message
+
+
+def test_image_table_round_trip_validates_no_polynomial(monkeypatch):
+    # n = 3, m = 30: every monomial of degree <= 3 and ten of degree 4.
+    rng = random.Random(643)
+    corners = sorted(monomials_of_degree(3, 4))
+    lower = list(monomials_up_to_degree(3, 3)) + rng.sample(corners, 10)
+    s = DiffOpSeries(3, 4, {a: random_fraction(rng) for a in lower})
+    built = []
+    original = Poly.__init__
+    monkeypatch.setattr(
+        Poly, "__init__", lambda self, *args, **kwargs: built.append(1) or original(self, *args, **kwargs)
+    )
+    out = extract_coeffs(3, 4, monomial_images(s))
+    assert built == []
+    monkeypatch.undo()
+    assert out == s
+
+
 # --- composition ------------------------------------------------------------------
 
 def test_compose_identity_neutral():

@@ -115,6 +115,36 @@ def test_arithmetic_against_evaluation_oracle():
         assert eval_at(-p, pt) == -eval_at(p, pt)
 
 
+def assert_canonical(p: Poly):
+    """p stores only nonzero Fractions and equals the validated Poly on
+    its own terms: what Poly._trusted callers must hand it."""
+    assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values()), p.terms
+    assert p == Poly(p.n, p.terms)
+
+
+def test_trusted_results_store_no_zeros():
+    # Each operation below cancels terms; the results go through
+    # Poly._trusted and must still be canonical.
+    rng = random.Random(137)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        p = random_poly(rng, n, 3)
+        q = random_poly(rng, n, 3)
+        overlap = Poly(n, {a: -c for a, c in p.terms.items() if rng.random() < 0.5})
+        results = [p + overlap, p - p, p - (p + q), -p, p.scale(0), p.scale(Fraction(-2, 3))]
+        results += [p.partial(i) for i in range(1, n + 1)]
+        results += [truncated_product(p, q, bound) for bound in range(-1, 7)]
+        results.append(truncated_product(p + Poly.one(n), p - Poly.one(n), 4))
+        for out in results:
+            assert_canonical(out)
+        assert (p + overlap).terms.keys() == p.terms.keys() - overlap.terms.keys()
+        assert (p - p).is_zero()
+    # (1 + x + y)(1 - x - y) = 1 - x^2 - 2xy - y^2: both linear terms cancel
+    square = truncated_product(Poly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}), Poly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1}), 2)
+    assert_canonical(square)
+    assert square.terms == {(0, 0): 1, (2, 0): -1, (1, 1): -2, (0, 2): -1}
+
+
 def test_mul_variable_count_mismatch():
     with pytest.raises(ValueError):
         Poly.one(1) * Poly.one(2)
@@ -197,11 +227,16 @@ def test_variable_index_out_of_range():
 
 # --- coefficient access and degrees ---------------------------------------
 
+def eval_zero(p):
+    """The constant term of p, its value at the origin."""
+    return p.terms.get((0,) * p.n, 0)
+
+
 def test_eval_zero_and_coeff():
     p = Poly(2, {(0, 0): 3, (1, 0): 1, (0, 1): 0})
-    assert p.eval_zero() == 3
+    assert eval_zero(p) == 3
     assert p.terms == {(0, 0): 3, (1, 0): 1}
-    assert Poly.zero(2).eval_zero() == 0
+    assert eval_zero(Poly.zero(2)) == 0
 
 
 def test_degrees():
@@ -221,7 +256,7 @@ def test_taylor_coefficient_identity():
         n = rng.randint(1, 3)
         p = random_poly(rng, n, 4)
         alpha = tuple(rng.randint(0, 2) for _ in range(n))
-        assert p.terms.get(alpha, 0) * multi_factorial(alpha) == partial_multi(p, alpha).eval_zero()
+        assert p.terms.get(alpha, 0) * multi_factorial(alpha) == eval_zero(partial_multi(p, alpha))
 
 
 def test_multi_factorial():
