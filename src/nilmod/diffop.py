@@ -25,12 +25,14 @@ The series layer rests on three closed forms:
 - restriction to a lower set: the entry in row x^beta and column
   x^alpha is c_(alpha-beta) alpha!/beta!.
 
-The kernels built on these forms (application, the monomial-image
-table, the endomorphism check of `extract_coeffs` and the restriction
-matrix) run on integer numerators over one common denominator, as the
-linear algebra of `exactalg` does: `_integer_coeffs` converts a series
-or polynomial once, the loops add and multiply integers, and one
-`Fraction` is built per output term.  The check of `extract_coeffs`
+The kernels built on these forms (application, composition, exp and
+log, the monomial-image table, the endomorphism check of
+`extract_coeffs` and the restriction matrix) run on integer numerators
+over one common denominator, as the linear algebra of `exactalg` does:
+`_integer_coeffs` converts a series or polynomial once, the loops add
+and multiply integers, and one `Fraction` is built per output term.
+exp and log solve for the integers X_g D^|g| |g|! when s = N/D, so
+their pass divides nothing.  The check of `extract_coeffs`
 compares the terms dicts by integer cross-multiplication and builds no
 polynomial.  Results that are canonical by construction go through
 `Poly._trusted` and `DiffOpSeries._trusted`; input from outside goes
@@ -47,9 +49,10 @@ support, since every monomial above that degree is missing.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, factorial
 from operator import add, sub
-from typing import Callable, Container, Mapping, Optional
+from typing import Container, Mapping, Optional
 
 from .errors import (
     IncompatibleMap,
@@ -58,13 +61,14 @@ from .errors import (
     TruncationTooLow,
     WrongConstantTerm,
 )
-from .exactalg import QMatrix, Value, _integer_rows, as_fraction, as_int
+from .exactalg import QMatrix, Value, as_fraction, as_int
 from .modcore import ModuleMap, PolySubmodule
 from .multipoly import (
     MultiIndex,
     Poly,
     _below,
     _by_degree,
+    _integer_coeffs,
     _partial_matches,
     grlex_key,
     is_lower_set,
@@ -200,81 +204,57 @@ class DiffOpSeries(Value):
         return {"n": self.n, "trunc": self.trunc, "coeffs": self._poly.to_json()}
 
 
-def _integer_coeffs(coeffs: Mapping[MultiIndex, Fraction]) -> tuple[dict[MultiIndex, int], int]:
-    """Rational coefficients as (integer numerators, D) with
-    coeffs == numerators / D, D the least common denominator: the one
-    row of `exactalg._integer_rows`."""
-    (row,), den = _integer_rows([coeffs.values()])
-    return dict(zip(coeffs, row)), den
-
-
 def _graded_solve(
+    coeffs: Mapping[MultiIndex, Fraction],
     trunc: int,
     within: Optional[Container[MultiIndex]],
-    seed: Mapping[MultiIndex, Fraction],
-    step: Mapping[MultiIndex, Fraction],
-    weight: Callable[[int], int],
+    log: bool,
 ) -> dict[MultiIndex, Fraction]:
-    """The nonzero X_g, 0 < |g| <= trunc, of the graded recurrence
+    """The nonzero X_g, 0 < |g| <= trunc, of exp(s), or of log(1 + s)
+    when `log`, for s the non-constant terms of `coeffs`:
 
-        |g| X_g = seed_g + sum_(a + b = g, a != 0) weight(|a|) X_a step_b.
+        |g| X_g = |g| s_g + sum_(a + b = g, a != 0) w X_a s_b,
 
-    Every exponent in `step` has positive degree, so the right side only
-    uses X_a of lower degree, and one pass in ascending degree solves it.
-    Each solved X_a is pushed onto a + b for every b in `step`, so the
-    pass visits only sums of seed and step exponents, never the whole
+    with w = |b| for exp and w = -|a| for log.  Every b has positive
+    degree, so the right side only uses X_a of lower degree, and one
+    pass in ascending degree solves it.  With s = N/D over one common
+    denominator, the pass runs on the integers F_g = X_g D^|g| |g|!:
+
+        F_h = |h|! N_h D^(|h|-1)
+              + sum_(a + b = h, a != 0) w N_b D^(|b|-1) (|h|-1)!/|a|! F_a,
+
+    and builds one Fraction(F_g, D^|g| |g|!) per nonzero F_g.  Each
+    solved F_a is pushed onto a + b for every b in the support, so the
+    pass visits only sums of support exponents, never the whole
     C(n + trunc, n) monomials.  With `within` (a lower set), only its
     monomials are computed; they never need one outside it.
     """
-    terms = _by_degree(step)
-    pending: list[dict[MultiIndex, Fraction]] = [{} for _ in range(trunc + 1)]
-    for g, c in seed.items():
-        d = sum(g)
-        if d <= trunc and (within is None or g in within):
-            pending[d][g] = c
+    nums, den = _integer_coeffs({b: c for b, c in coeffs.items() if any(b)})
+    fact = [factorial(k) for k in range(trunc + 1)]
+    terms = [(b, d, c * den ** (d - 1)) for b, d, c in _by_degree(nums) if d <= trunc]
+    pending: list[dict[MultiIndex, int]] = [{} for _ in range(trunc + 1)]
+    for b, d, c in terms:
+        if within is None or b in within:
+            pending[d][b] = fact[d] * c
+    if not log:
+        terms = [(b, d, d * c) for b, d, c in terms]
     out: dict[MultiIndex, Fraction] = {}
     for d in range(1, trunc + 1):
-        for g, total in pending[d].items():
-            if not total:
+        scale = den**d * fact[d]
+        pushes = [
+            (b, d + k, c * (fact[d + k - 1] // fact[d])) for b, k, c in terms if d + k <= trunc
+        ]
+        for g, f in pending[d].items():
+            if not f:
                 continue
-            x = total / d
-            out[g] = x
-            w = weight(d) * x
-            for b, b_deg, c in terms:
-                e = d + b_deg
-                if e > trunc:
-                    break
+            out[g] = Fraction(f, scale)
+            w = -d * f if log else f
+            for b, e, c in pushes:
                 h = tuple(map(add, g, b))
                 if within is None or h in within:
                     bucket = pending[e]
                     bucket[h] = bucket.get(h, 0) + w * c
     return out
-
-
-def _exp_coeffs(
-    s: Mapping[MultiIndex, Fraction],
-    n: int,
-    trunc: int,
-    within: Optional[Container[MultiIndex]] = None,
-) -> dict[MultiIndex, Fraction]:
-    """exp(s) for s without constant term, by
-    |g| E_g = sum_(0<b<=g) |b| s_b E_(g-b)."""
-    weighted = {b: sum(b) * c for b, c in s.items()}
-    out = {(0,) * n: Fraction(1)}
-    out.update(_graded_solve(trunc, within, weighted, weighted, lambda d: 1))
-    return out
-
-
-def _log_coeffs(
-    e: Mapping[MultiIndex, Fraction],
-    trunc: int,
-    within: Optional[Container[MultiIndex]] = None,
-) -> dict[MultiIndex, Fraction]:
-    """log(e) for e with constant term one, by
-    |g| L_g = |g| e_g - sum_(0<b<g) |g-b| L_(g-b) e_b."""
-    step = {b: c for b, c in e.items() if any(b)}
-    seed = {b: sum(b) * c for b, c in step.items()}
-    return _graded_solve(trunc, within, seed, step, lambda d: -d)
 
 
 def series_exp(s: DiffOpSeries) -> DiffOpSeries:
@@ -287,7 +267,9 @@ def series_exp(s: DiffOpSeries) -> DiffOpSeries:
     """
     if s.unit != 0:
         raise WrongConstantTerm("exp needs a zero constant term")
-    return DiffOpSeries._trusted(s.n, s.trunc, _exp_coeffs(s.coeffs, s.n, s.trunc))
+    coeffs = {(0,) * s.n: Fraction(1)}
+    coeffs.update(_graded_solve(s.coeffs, s.trunc, None, log=False))
+    return DiffOpSeries._trusted(s.n, s.trunc, coeffs)
 
 
 def series_log(s: DiffOpSeries) -> DiffOpSeries:
@@ -300,7 +282,7 @@ def series_log(s: DiffOpSeries) -> DiffOpSeries:
     """
     if s.unit != 1:
         raise WrongConstantTerm("log needs constant term one")
-    return DiffOpSeries._trusted(s.n, s.trunc, _log_coeffs(s.coeffs, s.trunc))
+    return DiffOpSeries._trusted(s.n, s.trunc, _graded_solve(s.coeffs, s.trunc, None, log=True))
 
 
 def monomial_images(s: DiffOpSeries, degree: Optional[int] = None) -> dict[MultiIndex, Poly]:
@@ -377,7 +359,7 @@ class MonomialSubmodule(Value):
     componentwise order and containing the origin.
     """
 
-    __slots__ = ("n", "indices", "_span")
+    __slots__ = ("n", "indices", "_span", "_pairs")
 
     def __init__(self, n: int, indices):
         n = as_int(n)
@@ -396,6 +378,7 @@ class MonomialSubmodule(Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "_span", None)
+        object.__setattr__(self, "_pairs", None)
 
     @property
     def m(self) -> int:
@@ -414,6 +397,34 @@ class MonomialSubmodule(Value):
             monomials = [Poly.monomial(self.n, a) for a in self.monomials_descending()]
             object.__setattr__(self, "_span", PolySubmodule(self.n, monomials))
         return self._span
+
+    def _restriction_matrix(self, coeffs: Mapping[MultiIndex, Fraction]) -> QMatrix:
+        """The matrix of sum c_gamma d^gamma on `monomials_descending()`:
+        row x^beta, column x^alpha holds c_(alpha-beta) alpha!/beta!, 0
+        unless beta <= alpha.  The lower set holds every beta <= alpha,
+        and the comparable pairs, with alpha - beta and alpha!/beta!, are
+        listed on the first call.  With c = N/D over one common
+        denominator, a nonzero entry is N (alpha!/beta!) / D."""
+        if self._pairs is None:
+            order = self.monomials_descending()
+            index = {alpha: i for i, alpha in enumerate(order)}
+            facts = [multi_factorial(alpha) for alpha in order]
+            pairs = []
+            for j, alpha in enumerate(order):
+                for beta in product(*(range(a + 1) for a in alpha)):
+                    i = index[beta]
+                    gamma = order[index[tuple(map(sub, alpha, beta))]]
+                    pairs.append((i, j, gamma, facts[j] // facts[i]))
+            object.__setattr__(self, "_pairs", pairs)
+        nums, den = _integer_coeffs(coeffs)
+        m = self.m
+        zero = Fraction(0)
+        rows = [[zero] * m for _ in range(m)]
+        for i, j, gamma, ratio in self._pairs:
+            c = nums.get(gamma)
+            if c:
+                rows[i][j] = Fraction(c * ratio, den)
+        return QMatrix._trusted([tuple(row) for row in rows], m)
 
     def _key(self) -> tuple:
         return self.n, self.indices
@@ -445,30 +456,9 @@ def restrict(s: DiffOpSeries, module: MonomialSubmodule) -> ModuleMap:
             f"series truncation {s.trunc} below the submodule degree "
             f"{module.max_degree}"
         )
-    matrix = _restriction_matrix(s.coeffs, module.monomials_descending())
+    matrix = module._restriction_matrix(s.coeffs)
     space = module.as_poly_submodule()
     return ModuleMap(space, space, matrix)
-
-
-def _restriction_matrix(
-    coeffs: Mapping[MultiIndex, Fraction], order: tuple[MultiIndex, ...]
-) -> QMatrix:
-    """The matrix of sum c_gamma d^gamma on the monomials `order` of a
-    lower set: row x^beta, column x^alpha holds c_(alpha-beta) alpha!/beta!,
-    which is 0 unless beta <= alpha.  With c = N/D over one common
-    denominator, a nonzero entry is N (alpha!/beta!) / D, an integer
-    over D."""
-    nums, den = _integer_coeffs(coeffs)
-    zero = Fraction(0)
-    facts = [(a, multi_factorial(a)) for a in order]
-    rows = []
-    for beta, beta_fact in facts:
-        row = []
-        for alpha, alpha_fact in facts:
-            c = nums.get(tuple(map(sub, alpha, beta)))
-            row.append(Fraction(c * (alpha_fact // beta_fact), den) if c else zero)
-        rows.append(tuple(row))
-    return QMatrix._trusted(rows, len(order))
 
 
 # --- extension of isomorphisms between polynomial submodules -----------
@@ -614,6 +604,15 @@ class AutDescriptor(Value):
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "additive", clean)
 
+    @classmethod
+    def _trusted(cls, unit: Fraction, additive: dict[MultiIndex, Fraction]) -> "AutDescriptor":
+        """A descriptor on a nonzero `Fraction` unit and nonzero `Fraction`s
+        at non-origin exponents, that `AutGroup` computed from checked input."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "unit", unit)
+        object.__setattr__(out, "additive", additive)
+        return out
+
     def _key(self) -> tuple:
         return self.unit, self.additive
 
@@ -635,13 +634,14 @@ class AutGroup:
 
     A lower set holds gamma - beta with every gamma >= beta in it, so
     exp and log run on its m coefficients alone, by the recurrences of
-    series_exp and series_log, and the matrix is written down entry by
-    entry: row x^beta, column x^alpha holds c_(alpha-beta) alpha!/beta!.
+    series_exp and series_log, and the matrix is written down from the
+    submodule's comparable pairs beta <= alpha, listed once: row x^beta,
+    column x^alpha holds c_(alpha-beta) alpha!/beta!.
     """
 
     def __init__(self, module: MonomialSubmodule):
         self.module = module
-        self._order = self.module.monomials_descending()
+        self._order = module.monomials_descending()
 
     @property
     def space(self) -> PolySubmodule:
@@ -663,9 +663,14 @@ class AutGroup:
         """The group law: units multiply, additive coordinates add."""
         self._check_descriptor(a)
         self._check_descriptor(b)
-        n = self.module.n
-        total = Poly(n, a.additive) + Poly(n, b.additive)
-        return AutDescriptor(a.unit * b.unit, total.terms)
+        total = dict(a.additive)
+        for alpha, c in b.additive.items():
+            c += total.get(alpha, 0)
+            if c:
+                total[alpha] = c
+            else:
+                del total[alpha]
+        return AutDescriptor._trusted(a.unit * b.unit, total)
 
     def inverse(self, a: AutDescriptor) -> AutDescriptor:
         self._check_descriptor(a)
@@ -684,17 +689,19 @@ class AutGroup:
         """The matrix of u * exp(sum t_lambda d^lambda) on the submodule."""
         self._check_descriptor(desc)
         module = self.module
-        series = _exp_coeffs(desc.additive, module.n, module.max_degree, module.indices)
-        return _restriction_matrix(
-            {alpha: desc.unit * c for alpha, c in series.items()}, self._order
-        )
+        series = _graded_solve(desc.additive, module.max_degree, module.indices, log=False)
+        series = {alpha: desc.unit * c for alpha, c in series.items()}
+        series[(0,) * module.n] = desc.unit
+        return module._restriction_matrix(series)
 
     def descriptor_of(self, automorphism) -> AutDescriptor:
         """Inverse of parametrize; accepts the map or its matrix.
 
-        The coefficient c_lambda of the underlying series is read off
-        the constant-monomial row, then the unit is split off and the
-        rest moved to logarithmic coordinates.
+        The coefficients c_lambda of the underlying series are read off
+        the constant-monomial row, and the matrix must be the restriction
+        of that series c.  Then the unit is split off and the rest moved
+        to logarithmic coordinates; on a lower set exp(log(c/u)) is c/u
+        exactly, so the descriptor names the same matrix.
         """
         matrix = automorphism.images if isinstance(automorphism, ModuleMap) else automorphism
         module = self.module
@@ -705,16 +712,12 @@ class AutGroup:
         unit = origin_row[-1]
         if unit == 0:
             raise ValueError("not an automorphism: zero unit coefficient")
-        normalized = {
-            alpha: c / (unit * multi_factorial(alpha))
-            for alpha, c in zip(self._order, origin_row)
-            if c != 0
-        }
-        logs = _log_coeffs(normalized, module.max_degree, module.indices)
-        desc = AutDescriptor(unit, logs)
-        if self.matrix_of(desc) != matrix:
+        series = {alpha: c / multi_factorial(alpha) for alpha, c in zip(self._order, origin_row) if c}
+        if module._restriction_matrix(series) != matrix:
             raise ValueError("matrix is not the restriction of any series")
-        return desc
+        normalized = {alpha: c / unit for alpha, c in series.items()}
+        logs = _graded_solve(normalized, module.max_degree, module.indices, log=True)
+        return AutDescriptor._trusted(unit, logs)
 
 
 def aut_structure(module: MonomialSubmodule) -> AutGroup:

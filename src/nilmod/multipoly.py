@@ -15,7 +15,7 @@ from itertools import product
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactalg import Value, as_fraction, format_rational, parse_rational
+from .exactalg import Value, _integer_rows, as_fraction, format_rational, parse_rational
 
 MultiIndex = tuple[int, ...]
 
@@ -264,21 +264,34 @@ def truncated_product(p: Poly, q: Poly, bound) -> Poly:
     """The terms of p * q of total degree at most `bound`.
 
     This is the product of K[x] and, read with x_i as d_i, the
-    composition of truncated operator series.  q's terms are visited in
-    ascending degree, so each term of p stops at the first one that
-    overshoots the bound.
+    composition of truncated operator series.  With p = P/D_1 and
+    q = Q/D_2 over common denominators, the integer products P_a Q_b
+    are summed per output monomial and one `Fraction(v, D_1 D_2)` is
+    built per nonzero sum.  q's terms are visited in ascending degree,
+    so each term of p stops at the first one that overshoots the bound.
     """
     p._check_compatible(q)
-    by_degree = _by_degree(q.terms)
-    out: dict[MultiIndex, Fraction] = {}
-    for a, ca in p.terms.items():
+    p_nums, p_den = _integer_coeffs(p.terms)
+    q_nums, q_den = _integer_coeffs(q.terms)
+    by_degree = _by_degree(q_nums)
+    out: dict[MultiIndex, int] = {}
+    for a, ca in p_nums.items():
         room = bound - sum(a)
         for b, b_deg, cb in by_degree:
             if b_deg > room:
                 break
             g = tuple(map(add, a, b))
             out[g] = out.get(g, 0) + ca * cb
-    return Poly._trusted(p.n, {g: c for g, c in out.items() if c})
+    den = p_den * q_den
+    return Poly._trusted(p.n, {g: Fraction(c, den) for g, c in out.items() if c})
+
+
+def _integer_coeffs(coeffs: Mapping[MultiIndex, Fraction]) -> tuple[dict[MultiIndex, int], int]:
+    """Rational coefficients as (integer numerators, D) with
+    coeffs == numerators / D, D the least common denominator: the one
+    row of `exactalg._integer_rows`."""
+    (row,), den = _integer_rows([coeffs.values()])
+    return dict(zip(coeffs, row)), den
 
 
 def _by_degree(terms: Mapping[MultiIndex, object]) -> list[tuple[MultiIndex, int, object]]:

@@ -6,7 +6,9 @@ Oracles: the falling-factorial formula for d^alpha on monomials,
 operator composition checked pointwise, matrix products for the group
 structure, and the library's earlier loops for sums, composition, exp,
 log, application, the automorphism group and the endomorphism space,
-kept below as reference implementations.
+kept below as reference implementations.  The product and the graded
+exp/log recurrence are kept in their `Fraction` forms, one product and
+sum per term pair, so no reference runs on the integer kernels.
 """
 
 import json
@@ -17,6 +19,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -55,6 +58,7 @@ from nilmod.multipoly import (
     monomials_of_degree,
     monomials_up_to_degree,
     multi_factorial,
+    truncated_product,
 )
 
 
@@ -91,13 +95,14 @@ def random_poly(rng, n, degree):
 
 
 # --- reference implementations -------------------------------------------------
-# The library's earlier loops, kept as oracles for the closed forms: sums and
-# composition as sparse loops of their own, exp and log as sums of k-fold
-# compositions, application through chains of single partial derivatives,
-# the automorphism group through full truncated series, series_exp/series_log
-# of those, and `restrict`, the endomorphism space as the d^2-unknown
-# intertwiner system, and the extension's two searches for the least missing
-# monomial with its loop that rescans the goal before each step.
+# The library's earlier loops, kept as oracles for the closed forms: sums as a
+# sparse loop of their own, the truncated product and the graded exp/log
+# recurrence on `Fraction`s, exp and log as sums of k-fold products,
+# application through chains of single partial derivatives, the automorphism
+# group through full truncated series and their action on each monomial, the
+# endomorphism space as the d^2-unknown intertwiner system, and the
+# extension's two searches for the least missing monomial with its loop that
+# rescans the goal before each step.
 
 
 def reference_add(a, b):
@@ -116,22 +121,70 @@ def reference_add(a, b):
     return DiffOpSeries(a.n, trunc, out)
 
 
+def reference_truncated_product(p, q, bound):
+    """The terms of p * q of degree <= bound: one `Fraction` product and
+    sum per term pair, q's terms in ascending degree."""
+    if p.n != q.n:
+        raise ValueError("variable count mismatch")
+    by_degree = sorted(((b, sum(b), c) for b, c in q.terms.items()), key=lambda t: t[1])
+    out = {}
+    for a, ca in p.terms.items():
+        room = bound - sum(a)
+        for b, b_deg, cb in by_degree:
+            if b_deg > room:
+                break
+            g = tuple(map(add, a, b))
+            out[g] = out.get(g, 0) + ca * cb
+    return Poly(p.n, out)
+
+
 def reference_compose(a, b):
     if a.n != b.n:
         raise ValueError("variable count mismatch")
     trunc = min(a.trunc, b.trunc)
+    product = reference_truncated_product(Poly(a.n, a.coeffs), Poly(b.n, b.coeffs), trunc)
+    return DiffOpSeries(a.n, trunc, product.terms)
+
+
+def reference_graded_solve(trunc, within, seed, step, weight):
+    """The nonzero X_g, 0 < |g| <= trunc, of
+    |g| X_g = seed_g + sum_(a + b = g, a != 0) weight(|a|) X_a step_b,
+    one ascending pass on `Fraction`s, each solved X_a pushed onto a + b."""
+    terms = sorted(((b, sum(b), c) for b, c in step.items()), key=lambda t: t[1])
+    pending = [{} for _ in range(trunc + 1)]
+    for g, c in seed.items():
+        d = sum(g)
+        if d <= trunc and (within is None or g in within):
+            pending[d][g] = c
     out = {}
-    for k, ca in a.coeffs.items():
-        for m, cb in b.coeffs.items():
-            g = tuple(x + y for x, y in zip(k, m))
-            if sum(g) > trunc:
+    for d in range(1, trunc + 1):
+        for g, total in pending[d].items():
+            if not total:
                 continue
-            total = out.get(g, Fraction(0)) + ca * cb
-            if total == 0:
-                out.pop(g, None)
-            else:
-                out[g] = total
-    return DiffOpSeries(a.n, trunc, out)
+            x = total / d
+            out[g] = x
+            w = weight(d) * x
+            for b, b_deg, c in terms:
+                e = d + b_deg
+                if e > trunc:
+                    break
+                h = tuple(map(add, g, b))
+                if within is None or h in within:
+                    pending[e][h] = pending[e].get(h, 0) + w * c
+    return out
+
+
+def reference_exp_coeffs(s, trunc, within=None):
+    """The non-constant terms of exp(s): |g| E_g = sum_(0<b<=g) |b| s_b E_(g-b)."""
+    weighted = {b: sum(b) * c for b, c in s.items() if any(b)}
+    return reference_graded_solve(trunc, within, weighted, weighted, lambda d: 1)
+
+
+def reference_log_coeffs(e, trunc, within=None):
+    """log(e): |g| L_g = |g| e_g - sum_(0<b<g) |g-b| L_(g-b) e_b."""
+    step = {b: c for b, c in e.items() if any(b)}
+    seed = {b: sum(b) * c for b, c in step.items()}
+    return reference_graded_solve(trunc, within, seed, step, lambda d: -d)
 
 
 def reference_endomorphism_dim(sub):
@@ -168,19 +221,19 @@ def reference_exp(s):
     power = DiffOpSeries.identity(s.n, s.trunc)
     fact = 1
     for k in range(1, s.trunc + 1):
-        power = power.compose(s)
+        power = reference_compose(power, s)
         fact *= k
-        acc = acc + power.scale(Fraction(1, fact))
+        acc = reference_add(acc, power.scale(Fraction(1, fact)))
     return acc
 
 
 def reference_log(s):
-    u = s - DiffOpSeries.identity(s.n, s.trunc)
+    u = reference_add(s, DiffOpSeries.identity(s.n, s.trunc).scale(-1))
     acc = DiffOpSeries(s.n, s.trunc)
     power = DiffOpSeries.identity(s.n, s.trunc)
     for k in range(1, s.trunc + 1):
-        power = power.compose(u)
-        acc = acc + power.scale(Fraction(-1 if k % 2 == 0 else 1, k))
+        power = reference_compose(power, u)
+        acc = reference_add(acc, power.scale(Fraction(-1 if k % 2 == 0 else 1, k)))
     return acc
 
 
@@ -194,8 +247,13 @@ def reference_apply(s, p):
 
 
 def reference_aut_matrix(module, desc):
+    """Row x^beta, column x^alpha: the coefficient at x^beta of
+    u exp(t) applied to x^alpha, one partial derivative at a time."""
     log_part = DiffOpSeries(module.n, module.max_degree, desc.additive)
-    return restrict(reference_exp(log_part).scale(desc.unit), module).images
+    series = reference_exp(log_part).scale(desc.unit)
+    order = module.monomials_descending()
+    images = [reference_apply(series, Poly.monomial(module.n, alpha)).terms for alpha in order]
+    return QMatrix([[image.get(beta, 0) for image in images] for beta in order])
 
 
 def reference_descriptor_of(module, matrix):
@@ -855,29 +913,6 @@ def test_exp_turns_sums_into_compositions():
         assert series_exp(a + b) == series_exp(a).compose(series_exp(b))
 
 
-def test_exp_log_match_convolution_reference():
-    rng = random.Random(607)
-    for n in (1, 2, 3):
-        for trunc in range(5 if n < 3 else 4):
-            cases = [
-                DiffOpSeries(n, trunc),
-                random_series(rng, n, trunc, zero_unit=True),
-                random_series(rng, n, trunc, zero_unit=True),
-                sparse_series(rng, n, trunc),
-                sparse_series(rng, n, trunc),
-            ]
-            for s in cases:
-                e = series_exp(s)
-                assert e == reference_exp(s)
-                assert series_log(e) == reference_log(e) == s
-            for u in (
-                DiffOpSeries.identity(n, trunc),
-                random_series(rng, n, trunc, unit_one=True),
-                sparse_series(rng, n, trunc, unit=1),
-            ):
-                assert series_log(u) == reference_log(u)
-
-
 def test_exp_log_on_supports_that_are_not_lower_sets():
     for coeffs in ({(2, 0): Fraction(3, 2)}, {(2, 0): 1, (0, 3): Fraction(-1, 5)}):
         s = DiffOpSeries(2, 7, coeffs)
@@ -900,6 +935,85 @@ def test_exp_log_sparse_high_truncation_is_fast():
     assert shift.coeffs == {(k, 0, 0): Fraction(1, math.factorial(k)) for k in range(41)}
     assert back == d1
     assert elapsed < 0.5
+
+
+# The seeded table of the integer product and exp/log kernels: the zero
+# series, a dense series on a lower set, two whose supports need not be lower
+# sets, and one over the large coprime denominators 10^12 + 39 and 7.
+SERIES_TABLE_TRUNCS = {1: range(6), 2: range(5), 3: range(4)}
+BIG_DENOMINATORS = (10**12 + 39, 7, 7 * (10**12 + 39))
+
+
+def table_series(rng, n, trunc):
+    big = {
+        alpha: Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.choice(BIG_DENOMINATORS))
+        for alpha in monomials_up_to_degree(n, trunc)
+        if any(alpha) and rng.random() < 0.6
+    }
+    return [
+        DiffOpSeries(n, trunc),
+        random_series(rng, n, trunc, zero_unit=True),
+        sparse_series(rng, n, trunc),
+        sparse_series(rng, n, trunc),
+        DiffOpSeries(n, trunc, big),
+    ]
+
+
+def test_products_match_the_fraction_loop():
+    rng = random.Random(1009)
+    for n, truncs in SERIES_TABLE_TRUNCS.items():
+        zero = Poly.zero(n)
+        for trunc in truncs:
+            table = table_series(rng, n, trunc)
+            table.append(random_series(rng, n, trunc))
+            for a in table:
+                for b in table:
+                    ab = a.compose(b)
+                    assert_canonical_series(ab)
+                    assert ab == reference_compose(a, b)
+                p, q = Poly(n, a.coeffs), Poly(n, table[-2].coeffs)
+                for bound in range(-1, 2 * trunc + 1):
+                    product = truncated_product(p, q, bound)
+                    assert_canonical_poly(product)
+                    assert product == reference_truncated_product(p, q, bound)
+                assert p * q == reference_truncated_product(p, q, p.total_degree() + q.total_degree())
+                # a zero factor has degree -inf, and so has the bound
+                assert p * zero == zero * p == zero * zero == zero
+                assert reference_truncated_product(p, zero, p.total_degree() + zero.total_degree()) == zero
+
+
+def test_exp_log_match_convolution_reference():
+    # Against the power sums and the `Fraction` recurrence, on the whole
+    # series and within a lower set, where the result is the truncation.
+    rng = random.Random(1013)
+    for n, truncs in SERIES_TABLE_TRUNCS.items():
+        origin = (0,) * n
+        for trunc in truncs:
+            lower = random_lower_set(rng, n).indices
+            for s in table_series(rng, n, trunc):
+                e = series_exp(s)
+                assert_canonical_series(e)
+                assert e.coeffs == {origin: 1, **reference_exp_coeffs(s.coeffs, trunc)}
+                assert e == reference_exp(s)
+                back = series_log(e)
+                assert back.coeffs == reference_log_coeffs(e.coeffs, trunc)
+                assert back == reference_log(e) == s
+                # within a lower set: the truncation of the whole series to it
+                inside = diffop._graded_solve(s.coeffs, trunc, lower, log=False)
+                assert inside == reference_exp_coeffs(s.coeffs, trunc, lower)
+                assert inside == {g: c for g, c in e.coeffs.items() if any(g) and g in lower}
+                logs = diffop._graded_solve(e.coeffs, trunc, lower, log=True)
+                assert logs == reference_log_coeffs(e.coeffs, trunc, lower)
+                assert logs == {g: c for g, c in s.coeffs.items() if g in lower}
+            for u in (
+                DiffOpSeries.identity(n, trunc),
+                random_series(rng, n, trunc, unit_one=True),
+                sparse_series(rng, n, trunc, unit=1),
+            ):
+                log = series_log(u)
+                assert_canonical_series(log)
+                assert log.coeffs == reference_log_coeffs(u.coeffs, trunc)
+                assert log == reference_log(u)
 
 
 def test_exp_log_constant_term_guards():
@@ -1395,16 +1509,51 @@ def test_aut_group_matches_series_reference():
                 assert mapping.source == mapping.target == module.as_poly_submodule()
                 assert group.descriptor_of(mapping) == desc
                 assert group.descriptor_of(matrix) == reference_descriptor_of(module, matrix)
-                if module.m > 1:
-                    # a perturbed entry above the diagonal: both refuse it alike
-                    entries = [list(row) for row in matrix.entries]
-                    entries[0][-1] += 1
-                    bent = QMatrix(entries)
+                other = AutDescriptor(
+                    random_fraction(rng),
+                    {alpha: random_fraction(rng) for alpha in inner if rng.random() < density},
+                )
+                for b in (other, group.inverse(desc), desc):
+                    assert group.compose(desc, b) == reference_aut_compose(n, desc, b)
+                for bent in refused_perturbations(rng, module, matrix):
                     with pytest.raises(ValueError) as ours:
                         group.descriptor_of(bent)
                     with pytest.raises(ValueError) as theirs:
                         reference_descriptor_of(module, bent)
                     assert str(ours.value) == str(theirs.value)
+
+
+def reference_aut_compose(n, a, b):
+    """The group law through `Poly` sums and a validated descriptor."""
+    return AutDescriptor(a.unit * b.unit, (Poly(n, a.additive) + Poly(n, b.additive)).terms)
+
+
+def refused_perturbations(rng, module, matrix):
+    """Matrices no series restricts to: a perturbed entry above the
+    diagonal; a nonzero entry below it at beta, alpha with beta not <=
+    alpha (none when n = 1); one entry of a lambda-diagonal changed outside
+    the origin row; and a zero unit."""
+    order = module.monomials_descending()
+    m = len(order)
+
+    def bent(i, j, value):
+        entries = [list(row) for row in matrix.entries]
+        entries[i][j] = value
+        return QMatrix(entries)
+
+    def below(beta, alpha):
+        return all(b <= a for a, b in zip(alpha, beta))
+
+    out = [bent(m - 1, m - 1, 0)]
+    if m > 1:
+        out.append(bent(0, m - 1, matrix.entries[0][m - 1] + 1))
+        off = [(i, j) for j in range(m) for i in range(j + 1, m) if not below(order[i], order[j])]
+        if off:
+            out.append(bent(*rng.choice(off), random_fraction(rng)))
+        on = [(i, j) for j in range(m) for i in range(j, m - 1) if below(order[i], order[j])]
+        i, j = rng.choice(on)
+        out.append(bent(i, j, matrix.entries[i][j] + 1))
+    return out
 
 
 def test_restrict_builds_the_span_once(monkeypatch):
