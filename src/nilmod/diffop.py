@@ -39,11 +39,9 @@ polynomial.  Results that are canonical by construction go through
 through the validating constructors.
 
 An isomorphism between polynomial submodules grows one monomial at a
-time.  Each step adjoins the graded-lex least monomial x^kappa missing
-from the source, whose partials lie inside, and maps it to the potential
-of their images.  One search finds kappa: among the goal's exponents, or
-among all exponents up to one above the top degree of the source's
-support, since every monomial above that degree is missing.
+time, as FGLM grows its basis: each step adds the graded-lex least
+monomial x^kappa missing from the source as one echelon row, and maps
+it to the potential of the images of its partials, which lie inside.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 from operator import add, sub
-from typing import Container, Mapping, Optional
+from typing import Container, Iterable, Mapping, Optional
 
 from .errors import (
     IncompatibleMap,
@@ -61,7 +59,7 @@ from .errors import (
     TruncationTooLow,
     WrongConstantTerm,
 )
-from .exactalg import QMatrix, Value, as_fraction, as_int
+from .exactalg import QMatrix, Value, _integer_rows, as_fraction, as_int
 from .modcore import ModuleMap, PolySubmodule
 from .multipoly import (
     MultiIndex,
@@ -398,13 +396,8 @@ class MonomialSubmodule(Value):
             object.__setattr__(self, "_span", PolySubmodule(self.n, monomials))
         return self._span
 
-    def _restriction_matrix(self, coeffs: Mapping[MultiIndex, Fraction]) -> QMatrix:
-        """The matrix of sum c_gamma d^gamma on `monomials_descending()`:
-        row x^beta, column x^alpha holds c_(alpha-beta) alpha!/beta!, 0
-        unless beta <= alpha.  The lower set holds every beta <= alpha,
-        and the comparable pairs, with alpha - beta and alpha!/beta!, are
-        listed on the first call.  With c = N/D over one common
-        denominator, a nonzero entry is N (alpha!/beta!) / D."""
+    def _comparable_pairs(self) -> list:
+        """(i, j, alpha - beta, alpha!/beta!) per beta <= alpha, listed once."""
         if self._pairs is None:
             order = self.monomials_descending()
             index = {alpha: i for i, alpha in enumerate(order)}
@@ -416,11 +409,18 @@ class MonomialSubmodule(Value):
                     gamma = order[index[tuple(map(sub, alpha, beta))]]
                     pairs.append((i, j, gamma, facts[j] // facts[i]))
             object.__setattr__(self, "_pairs", pairs)
+        return self._pairs
+
+    def _restriction_matrix(self, coeffs: Mapping[MultiIndex, Fraction]) -> QMatrix:
+        """The matrix of sum c_gamma d^gamma on `monomials_descending()`:
+        row x^beta, column x^alpha holds c_(alpha-beta) alpha!/beta!, 0
+        unless beta <= alpha.  With c = N/D over one common denominator,
+        a nonzero entry is N (alpha!/beta!) / D."""
         nums, den = _integer_coeffs(coeffs)
         m = self.m
         zero = Fraction(0)
         rows = [[zero] * m for _ in range(m)]
-        for i, j, gamma, ratio in self._pairs:
+        for i, j, gamma, ratio in self._comparable_pairs():
             c = nums.get(gamma)
             if c:
                 rows[i][j] = Fraction(c * ratio, den)
@@ -470,23 +470,62 @@ def _check_iso(source: PolySubmodule, target: PolySubmodule, phi: ModuleMap) -> 
         raise IncompatibleMap("map is not an intertwining bijection")
 
 
-def _least_missing_monomial(
-    module: PolySubmodule, within: Optional[MonomialSubmodule]
-) -> Optional[MultiIndex]:
-    """The grlex-least exponent whose monomial lies outside the
-    submodule, or None when there is none.
-
-    The candidates are within's exponents, or else every exponent up to
-    one above the top degree of the submodule's support: every monomial
-    above that degree is missing, so the least missing one is among them.
+def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[int]) -> ModuleMap:
+    """phi extended to at most `limit` missing candidates, least first in
+    grlex order, or phi when none is missing.  rows[pi], the source's
+    echelon row led by pi, is monic there and zero at the other leads,
+    with image images[pi]: x^alpha is inside iff rows[alpha] is x^alpha.
     """
-    n = module.n
-    if within is not None:
-        candidates = within.indices
-    else:
-        candidates = monomials_up_to_degree(n, sum(module.monomial_list[0]) + 1)
-    ordered = sorted(candidates, key=grlex_key)
-    return next((a for a in ordered if not module.contains(Poly.monomial(n, a))), None)
+    from .embed import potential
+
+    source, target = phi.source, phi.target
+    n = source.n
+    leads = [source.monomial_list[c] for c in source.coords._pivots]
+    rows = dict(zip(leads, source.basis))
+    images = {pi: phi.image_poly(k) for k, pi in enumerate(leads)}
+    monomials, news = [], []
+
+    def inside(alpha: MultiIndex) -> bool:
+        return alpha in rows and len(rows[alpha].terms) == 1
+
+    for kappa in sorted(candidates, key=grlex_key):
+        if len(monomials) == limit:
+            break
+        if inside(kappa):
+            continue
+        gs = []
+        for i, k in enumerate(kappa):
+            beta = kappa[:i] + (k - 1,) + kappa[i + 1 :]
+            if k and not inside(beta):
+                raise AssertionError("phi is only applied inside the source")
+            gs.append(images[beta].scale(k) if k else Poly.zero(n))
+        g = potential(gs, n)
+        monomials.append(Poly.monomial(n, kappa))
+        news.append(g)
+        new, image = monomials[-1], g
+        if kappa in rows:
+            new, image = new - rows[kappa], image - images[kappa]
+        lead = max(new.terms, key=grlex_key)
+        c = 1 / new.terms[lead]
+        new, image = new.scale(c), image.scale(c)
+        for pi, row in rows.items():
+            f = row.terms.get(lead)
+            if f:
+                rows[pi], images[pi] = row - new.scale(f), images[pi] - image.scale(f)
+        rows[lead], images[lead] = new, image
+    if not monomials:
+        return phi
+    new_source = PolySubmodule(n, list(source.basis) + monomials)
+    new_target = PolySubmodule(n, list(target.basis) + news)
+    if new_source.dim != len(rows):
+        raise AssertionError("one source dimension per row")
+    if new_target.dim != len(rows):
+        raise AssertionError("the extension image must be new")
+    # The rows are new_source's canonical basis.
+    columns = [new_target.coordinates_of(images[new_source.monomial_list[c]]) for c in new_source.coords._pivots]
+    if None in columns:
+        raise AssertionError("every image lies in the new target")
+    return ModuleMap(new_source, new_target, QMatrix.from_columns(columns))
 
 
 def extend_iso_step(
@@ -495,67 +534,19 @@ def extend_iso_step(
     phi: ModuleMap,
     within: Optional[MonomialSubmodule] = None,
 ) -> tuple[PolySubmodule, PolySubmodule, ModuleMap]:
-    """Extend an isomorphism by one dimension.
+    """Extend an isomorphism by one dimension: `extend_iso` with one step.
 
-    Adjoins the least missing monomial x^kappa of minimal total degree
-    to the source; its image is the potential of the images of its
-    derivatives, which lands outside the target.  With `within`, the
-    monomial is chosen among that submodule's exponents only.
-
-    The extended map is B A^-1, where the columns of A are the new
-    source coordinates of the old basis and x^kappa, and those of B are
-    the new target coordinates of their images.
+    Adjoins the least missing monomial x^kappa to the source; its image,
+    the potential of its partials' images, lands outside the target.
+    With `within`, kappa is among its exponents.
     """
     _check_iso(source, target, phi)
-    kappa = _least_missing_monomial(source, within)
-    if kappa is None:
+    # Every monomial one degree above the support's top is missing.
+    top = sum(source.monomial_list[0]) + 1
+    extended = _extend(phi, monomials_up_to_degree(source.n, top) if within is None else within.indices, 1)
+    if extended is phi:
         raise NothingToExtend("the target monomials are already covered")
-    extended = _extend_iso_step(phi, kappa)
     return extended.source, extended.target, extended
-
-
-def _extend_iso_step(phi: ModuleMap, kappa: MultiIndex) -> ModuleMap:
-    """phi, an isomorphism between polynomial submodules, extended to
-    x^kappa, the least monomial missing from its source."""
-    from .embed import potential
-
-    source, target = phi.source, phi.target
-    n = source.n
-
-    def coordinates(space: PolySubmodule, p: Poly, invariant: str) -> tuple:
-        coords = space.coordinates_of(p)
-        if coords is None:
-            raise AssertionError(invariant)
-        return coords
-
-    def phi_of(p: Poly) -> Poly:
-        coords = coordinates(source, p, "phi is only applied inside the source")
-        return target.from_coordinates(phi.apply_coords(coords))
-
-    new_monomial = Poly.monomial(n, kappa)
-    # kappa has minimal degree among missing monomials, so its partials
-    # (one degree lower) all lie inside the source.
-    gs = [phi_of(new_monomial.partial(i)) for i in range(1, n + 1)]
-    g = potential(gs, n)
-    if target.contains(g):
-        raise AssertionError("the extension image must be new")
-
-    new_source = PolySubmodule(n, list(source.basis) + [new_monomial])
-    new_target = PolySubmodule(n, list(target.basis) + [g])
-    images = [phi.image_poly(r) for r in range(source.dim)] + [g]
-    a = QMatrix.from_columns(
-        [
-            coordinates(new_source, p, "the new source holds the old basis and x^kappa")
-            for p in list(source.basis) + [new_monomial]
-        ]
-    )
-    b = QMatrix.from_columns(
-        [coordinates(new_target, q, "every image lies in the new target") for q in images]
-    )
-    a_inverse = a.inverse()
-    if a_inverse is None:
-        raise AssertionError("the old basis and x^kappa are a basis of the new source")
-    return ModuleMap(new_source, new_target, b * a_inverse)
 
 
 def extend_iso(
@@ -566,15 +557,13 @@ def extend_iso(
 ) -> ModuleMap:
     """Extend an isomorphism until its domain contains the goal's span.
 
-    Each step adjoins the least goal monomial missing from the source,
-    found by one search, so the loop ends after at most m steps.  The
-    caller's map is checked once: every later map is built by a step
-    from a checked one.
+    One grlex pass over the goal adds each least missing monomial as one
+    echelon row; each side's span is built once, at the end, and column
+    k of the map is the image of basis vector k: nothing is inverted.
+    phi, checked once, comes back if nothing is missing.
     """
     _check_iso(source, target, phi)
-    while (kappa := _least_missing_monomial(phi.source, goal)) is not None:
-        phi = _extend_iso_step(phi, kappa)
-    return phi
+    return _extend(phi, goal.indices, None)
 
 
 # --- automorphism groups of monomial submodules -------------------------
@@ -707,17 +696,21 @@ class AutGroup:
         module = self.module
         if matrix.rows != module.m or matrix.cols != module.m:
             raise ValueError("matrix size disagrees with the submodule")
-        # The origin is the least monomial, so its row is the last one.
-        origin_row = matrix.entries[-1]
-        unit = origin_row[-1]
-        if unit == 0:
+        ints, _ = _integer_rows(matrix.entries)
+        # The origin's row x is the last: c_gamma = x_gamma / (D gamma!).
+        x = ints[-1]
+        if x[-1] == 0:
             raise ValueError("not an automorphism: zero unit coefficient")
-        series = {alpha: c / multi_factorial(alpha) for alpha, c in zip(self._order, origin_row) if c}
-        if module._restriction_matrix(series) != matrix:
+        series = {alpha: (c, multi_factorial(alpha)) for alpha, c in zip(self._order, x)}
+        pairs = module._comparable_pairs()
+        nonzero = sum(len(row) - row.count(0) for row in ints)
+        if nonzero != sum(1 for i, j, _, _ in pairs if ints[i][j]) or any(
+            ints[i][j] * series[g][1] != series[g][0] * ratio for i, j, g, ratio in pairs
+        ):
             raise ValueError("matrix is not the restriction of any series")
-        normalized = {alpha: c / unit for alpha, c in series.items()}
+        normalized = {alpha: Fraction(c, fact * x[-1]) for alpha, (c, fact) in series.items() if c}
         logs = _graded_solve(normalized, module.max_degree, module.indices, log=True)
-        return AutDescriptor._trusted(unit, logs)
+        return AutDescriptor._trusted(matrix.entries[-1][-1], logs)
 
 
 def aut_structure(module: MonomialSubmodule) -> AutGroup:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -229,14 +230,19 @@ class PolySubmodule(Value):
         return self.coordinates_of(p) is not None
 
     def from_coordinates(self, coords: Sequence) -> Poly:
+        """The member with coordinates N / D over the basis B / E, as
+        N B / (D E) on integers: one `Fraction` per term."""
         coords = vector(coords)
         if len(coords) != self.dim:
             raise ValueError("coordinate length differs from dimension")
-        out = Poly.zero(self.n)
-        for c, p in zip(coords, self.basis):
-            if c != 0:
-                out = out + p.scale(c)
-        return out
+        (nums,), den = _integer_rows([coords])
+        den *= self.coords._den
+        terms = {}
+        for alpha, column in zip(self.monomial_list, self.coords._columns):
+            v = sum(map(mul, nums, column))
+            if v:
+                terms[alpha] = Fraction(v, den)
+        return Poly._trusted(self.n, terms)
 
     def action_matrices(self) -> tuple[QMatrix, ...]:
         """Matrices of the partial derivatives in the canonical basis."""

@@ -5,10 +5,11 @@ restriction, isomorphism extension, and automorphism groups.
 Oracles: the falling-factorial formula for d^alpha on monomials,
 operator composition checked pointwise, matrix products for the group
 structure, and the library's earlier loops for sums, composition, exp,
-log, application, the automorphism group and the endomorphism space,
-kept below as reference implementations.  The product and the graded
-exp/log recurrence are kept in their `Fraction` forms, one product and
-sum per term pair, so no reference runs on the integer kernels.
+log, application, the automorphism group, the endomorphism space and
+the rebuild-per-step isomorphism extension, kept below as reference
+implementations.  The product and the graded exp/log recurrence are
+kept in their `Fraction` forms, one product and sum per term pair, so
+no reference runs on the integer kernels.
 """
 
 import json
@@ -39,8 +40,6 @@ from nilmod.diffop import (
     restriction_kernel_dim,
     series_exp,
     series_log,
-    _extend_iso_step,
-    _least_missing_monomial,
 )
 from nilmod.errors import (
     IncompatibleMap,
@@ -50,6 +49,7 @@ from nilmod.errors import (
     WrongConstantTerm,
 )
 from nilmod.exactalg import QMatrix
+from nilmod.embed import potential
 from nilmod.modcore import ModuleMap, PolySubmodule, submodule_from_polys
 from nilmod.multipoly import (
     Poly,
@@ -296,8 +296,35 @@ def reference_least_missing_monomial(module, within):
         degree += 1
 
 
+def reference_extend_to(phi, kappa):
+    """phi extended to x^kappa, the least monomial missing from its
+    source, by rebuilding both spans and forming B A^-1: the columns of A
+    are the new source coordinates of the old basis and x^kappa, those
+    of B the new target coordinates of their images."""
+    source, target = phi.source, phi.target
+    n = source.n
+
+    def coordinates(space, p):
+        coords = space.coordinates_of(p)
+        assert coords is not None
+        return coords
+
+    def phi_of(p):
+        return target.from_coordinates(phi.apply_coords(coordinates(source, p)))
+
+    new_monomial = Poly.monomial(n, kappa)
+    g = potential([phi_of(new_monomial.partial(i)) for i in range(1, n + 1)], n)
+    assert not target.contains(g)
+    new_source = PolySubmodule(n, list(source.basis) + [new_monomial])
+    new_target = PolySubmodule(n, list(target.basis) + [g])
+    images = [phi.image_poly(r) for r in range(source.dim)] + [g]
+    a = QMatrix.from_columns([coordinates(new_source, p) for p in list(source.basis) + [new_monomial]])
+    b = QMatrix.from_columns([coordinates(new_target, q) for q in images])
+    return ModuleMap(new_source, new_target, b * a.inverse())
+
+
 def reference_extend_iso_step(phi, within=None):
-    return _extend_iso_step(phi, reference_least_missing_monomial(phi.source, within))
+    return reference_extend_to(phi, reference_least_missing_monomial(phi.source, within))
 
 
 def reference_extend_iso(phi, goal):
@@ -1210,11 +1237,12 @@ def test_extend_step_extends_series_automorphisms():
 
 def test_extend_step_invariant_survives_optimize_flag():
     # The invariants are explicit raises, not asserts, so `python -O` keeps
-    # them.  A potential inside the target is patched in to trip one.
+    # them.  A potential inside the target is patched in to trip one, in
+    # one step and in a whole extension.
     code = "\n".join(
         [
             "import nilmod.embed as embed",
-            "from nilmod.diffop import extend_iso_step",
+            "from nilmod.diffop import MonomialSubmodule, extend_iso, extend_iso_step",
             "from nilmod.exactalg import QMatrix",
             "from nilmod.modcore import ModuleMap, submodule_from_polys",
             "from nilmod.multipoly import Poly",
@@ -1223,6 +1251,11 @@ def test_extend_step_invariant_survives_optimize_flag():
             "base = submodule_from_polys(1, [])",
             "try:",
             "    extend_iso_step(base, base, ModuleMap(base, base, QMatrix.identity(1)))",
+            "except AssertionError as exc:",
+            "    print(exc)",
+            "goal = MonomialSubmodule(1, [(0,), (1,), (2,)])",
+            "try:",
+            "    extend_iso(base, base, ModuleMap(base, base, QMatrix.identity(1)), goal)",
             "except AssertionError as exc:",
             "    print(exc)",
         ]
@@ -1234,7 +1267,7 @@ def test_extend_step_invariant_survives_optimize_flag():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False", "the extension image must be new"]
+    assert proc.stdout.splitlines() == ["False"] + ["the extension image must be new"] * 2
 
 
 def test_extend_step_within_exhausted():
@@ -1301,7 +1334,6 @@ def test_extension_matches_the_two_search_reference():
         for phi in seeded_isomorphisms(rng, n):
             assert phi.is_isomorphism()
             src, tgt = phi.source, phi.target
-            assert _least_missing_monomial(src, None) == reference_least_missing_monomial(src, None)
             ours = extend_iso_step(src, tgt, phi)
             assert extension_json(ours[2]) == extension_json(reference_extend_iso_step(phi))
             assert ours[:2] == (ours[2].source, ours[2].target)
@@ -1310,9 +1342,9 @@ def test_extension_matches_the_two_search_reference():
                 try:
                     expected = extension_json(reference_extend_iso_step(phi, within))
                 except NothingToExtend:
-                    assert _least_missing_monomial(src, within) is None
                     with pytest.raises(NothingToExtend):
                         extend_iso_step(src, tgt, phi, within=within)
+                    assert extend_iso(src, tgt, phi, within) is phi
                     continue
                 assert extension_json(extend_iso_step(src, tgt, phi, within=within)[2]) == expected
                 assert extension_json(extend_iso(src, tgt, phi, within)) == extension_json(
@@ -1325,27 +1357,32 @@ def test_search_stops_one_degree_above_the_support():
     # x1 is too, and the next one missing has degree 2.
     one, x1, x2 = Poly.one(2), Poly.variable(2, 1), Poly.variable(2, 2)
     sub = PolySubmodule(2, [one, x1 + x2])
-    assert _least_missing_monomial(sub, None) == (0, 1)
     grown = PolySubmodule(2, [one, x1 + x2, x2])
-    assert _least_missing_monomial(grown, None) == (0, 2)
+    assert extend_iso_step(sub, sub, identity_map(sub))[0] == grown
+    assert extend_iso_step(grown, grown, identity_map(grown))[0] == PolySubmodule(2, [one, x1, x2, x2 * x2])
     goal = MonomialSubmodule(2, [(0, 0), (1, 0), (0, 1)])
-    assert _least_missing_monomial(grown, goal) is None
+    with pytest.raises(NothingToExtend):
+        extend_iso_step(grown, grown, identity_map(grown), within=goal)
     extended = extend_iso(sub, sub, identity_map(sub), goal)
     assert extended.source == grown
 
 
-def test_extend_iso_runs_one_search_per_step(monkeypatch):
-    calls = []
-    real = diffop._least_missing_monomial
-    monkeypatch.setattr(
-        diffop, "_least_missing_monomial", lambda *args: calls.append(args) or real(*args)
-    )
+def test_extend_iso_builds_each_side_once_and_inverts_no_step(monkeypatch):
+    # Three steps build one source and one target span, on all the rows,
+    # and the only inverse is the check of the caller's map.
     sub = submodule_from_polys(2, [Poly(2, {(1, 0): 1, (0, 1): -2})])
     goal = MonomialSubmodule(2, lower_set_closure([(2, 0), (1, 1)]))
+    builds, inverses = [], []
+    real_init, real_inverse = PolySubmodule.__init__, QMatrix.inverse
+    monkeypatch.setattr(
+        PolySubmodule, "__init__", lambda self, n, polys: builds.append(len(polys)) or real_init(self, n, polys)
+    )
+    monkeypatch.setattr(QMatrix, "inverse", lambda self: inverses.append(self.rows) or real_inverse(self))
     extended = extend_iso(sub, sub, identity_map(sub), goal)
     steps = extended.source.dim - sub.dim
     assert steps == 3
-    assert len(calls) == steps + 1
+    assert builds == [sub.dim + steps] * 2
+    assert inverses == [sub.dim]
 
 
 def test_extend_iso_checks_the_callers_map_once(monkeypatch):

@@ -2,9 +2,9 @@
 
 Independent oracles: a from-scratch nullspace routine for socle checks,
 brute-force enumeration of all iterated derivatives for the generated
-submodules, and the library's earlier breadth-first closure and its
-earlier Fraction/Poly `PolySubmodule` constructor, kept below as
-reference implementations.
+submodules, and the library's earlier breadth-first closure, its
+earlier Fraction/Poly `PolySubmodule` constructor and its `Fraction`
+`from_coordinates` loop, kept below as reference implementations.
 """
 
 import random
@@ -452,6 +452,42 @@ def test_polysubmodule_membership_and_coordinates():
     assert sub.coordinates_of(outside) is None
 
 
+def reference_from_coordinates(sub, coords):
+    """The loop before the integer path: one `Fraction` scale and sum per
+    basis member."""
+    out = Poly.zero(sub.n)
+    for c, p in zip(coords, sub.basis):
+        if c != 0:
+            out = out + p.scale(c)
+    return out
+
+
+def test_from_coordinates_matches_the_fraction_loop():
+    rng = random.Random(419)
+    big = 10**12 + 39
+    x1x1, x1x2 = Poly(2, {(2, 0): 1}), Poly(2, {(1, 1): 1})
+    subs = [
+        # a basis with denominator 10^12 + 39
+        submodule_from_polys(2, [x1x1 + x1x2.scale(Fraction(3, big))]),
+        submodule_from_polys(1, [Poly(1, {(4,): Fraction(1, big), (1,): 5})]),
+    ]
+    subs += [
+        submodule_from_polys(n, [random_poly(n, {1: 6, 2: 3, 3: 2}[n], rng)])
+        for n in (1, 2, 3)
+        for _ in range(3)
+    ]
+    for sub in subs:
+        vectors = [[0] * sub.dim]
+        for _ in range(8):
+            vectors.append(
+                [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7, big, big * big])) for _ in range(sub.dim)]
+            )
+        for v in vectors:
+            got = sub.from_coordinates(v)
+            assert got == reference_from_coordinates(sub, [Fraction(c) for c in v])
+            assert sub.coordinates_of(got) == tuple(Fraction(c) for c in v)
+
+
 # --- the constructor against the Fraction/Poly reference ----------------------
 
 def reference_polysubmodule(n, polys):
@@ -562,9 +598,13 @@ def constructor_table(monkeypatch):
         extend_iso(source, target, phi, goal)
 
     recorded = recorded_inputs(monkeypatch, run)
-    # 6 closures, 3 lower sets and two spans per extension step
-    assert len(recorded) >= 9 + 2 * 4, len(recorded)
-    return table + recorded
+    # 6 closures, 3 lower sets and the extension's two final spans
+    assert len(recorded) == 9 + 2, len(recorded)
+    # The extension builds each side once, on all its rows; the spans after
+    # its earlier steps are the prefixes of those rows.
+    prefixes = [(n, polys[:k]) for n, polys in recorded[-2:] for k in range(source.dim + 1, len(polys))]
+    assert len(prefixes) >= 2 * 4, len(prefixes)
+    return table + recorded + prefixes
 
 
 def test_constructor_matches_the_fraction_reference(monkeypatch):
