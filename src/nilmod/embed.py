@@ -37,8 +37,12 @@ case by twisting and land in an exponentially weighted copy instead.
 A nilpotent twist has trace zero, so a_i = tr(S_i) / d is the only
 candidate, and with S_i = M_i / D the twist is written on the stacked
 integer rows in closed form, S_i - a_i I = (d M_i - tr(M_i) I) / (d D).
-Both embeddings enter one core on those rows, and `Fraction`s appear
-only in the map it hands out.
+
+Every path enters one core on the integer rows M_i that the module's
+constructor stored, and nothing converts them again.  The core hands
+back the image and the map's integer rows and weights.  Only
+`embed_nilpotent` and `embed_general` turn those into a `Fraction` map;
+`canonical_form`, and so `is_isomorphic`, build no map at all.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ from .modcore import (
     FDModule,
     ModuleMap,
     PolySubmodule,
+    _blocks,
     _is_nilpotent_matrix,
     socle_eigenvalues,
 )
@@ -143,7 +148,7 @@ def _functional(s: Sequence, rng: Optional[random.Random], modulus: Optional[int
             return lam
 
 
-def _inverse_system(stack: list[list[int]], den: int, lam: Vector) -> Optional[tuple]:
+def _inverse_system(stack: Sequence[Sequence[int]], den: int, lam: Vector) -> Optional[tuple]:
     """phi(e_j) = sum over alpha of (lam S^alpha)[j] x^alpha / alpha!, as
     integer rows with their weights.
 
@@ -164,7 +169,7 @@ def _inverse_system(stack: list[list[int]], den: int, lam: Vector) -> Optional[t
     """
     d = len(lam)
     n = len(stack) // d
-    matrices = [stack[i * d : (i + 1) * d] for i in range(n)]
+    matrices = _blocks(stack, n, d)
     columns = [_columns(m, d) for m in matrices]
     (start,), lam_den = _integer_rows([lam])
     zero = (0,) * n
@@ -200,16 +205,16 @@ def _inverse_system(stack: list[list[int]], den: int, lam: Vector) -> Optional[t
     return monomials, [rows[a] for a in monomials], weights
 
 
-def _embed(n: int, d: int, stack: list[list[int]], den: int, rng: Optional[random.Random]) -> tuple:
+def _embed(n: int, d: int, stack: Sequence[Sequence[int]], den: int, rng: Optional[random.Random]) -> tuple:
     """The embedding of the module whose S_i = M_i / D come stacked,
-    integer rows M_1, ..., M_n over one denominator D: (image, images),
-    images holding the map's coordinates.  Raises the typed error that
-    says why the module does not embed.
+    integer rows M_1, ..., M_n over one denominator D: (image, rows,
+    weights), the pass's rows and weights, from which `_map_images`
+    reads the map.  Raises the typed error that says why the module
+    does not embed.
 
     The kernel and the pass share the stack, and the pass's rows are
-    eliminated as they are.  The map's coordinates are the phi(e_j)'s
-    entries at the image's pivots.  Only a failure squares the
-    matrices, to name its error.
+    eliminated as they are.  Only a failure squares the matrices, to
+    name its error.
     """
     line = _kernel_line_mod(stack, d)
     space = None
@@ -225,9 +230,8 @@ def _embed(n: int, d: int, stack: list[list[int]], den: int, rng: Optional[rando
         monomials, rows, weights = found
         image = PolySubmodule._from_integer_rows(n, monomials, _columns(rows, d), weights)
         if image.dim == d:
-            images = QMatrix._trusted([_fraction_row(rows[c], weights[c]) for c in image.coords._pivots], d)
-            return image, images
-    if not all(_is_nilpotent_matrix(stack[i * d : (i + 1) * d]) for i in range(n)):
+            return image, rows, weights
+    if not all(map(_is_nilpotent_matrix, _blocks(stack, n, d))):
         raise NotNilpotent("only nilpotent modules embed into the derivative module")
     if d == 0:
         raise SocleNotOneDimensional("the zero module has no socle line")
@@ -236,6 +240,12 @@ def _embed(n: int, d: int, stack: list[list[int]], den: int, rng: Optional[rando
     if space.dim != 1:
         raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
     raise AssertionError("the embedding must be injective")
+
+
+def _map_images(image: PolySubmodule, rows: Sequence[Sequence[int]], weights: Sequence[int]) -> QMatrix:
+    """The map's coordinates from `_embed`'s rows and weights: the
+    phi(e_j)'s entries at the image's pivots."""
+    return QMatrix._trusted([_fraction_row(rows[c], weights[c]) for c in image.coords._pivots], image.dim)
 
 
 def embed_nilpotent(
@@ -254,12 +264,11 @@ def embed_nilpotent(
     A line mod P bounds the socle's dimension by one, and lambda is
     nonzero on it, so an injective phi certifies the choice.  Without a
     line mod P the exact joint kernel takes its place, with the pivot
-    functional of its RREF basis vector.  The action matrices become
-    integer rows once.
+    functional of its RREF basis vector.  The pass reads the integer
+    rows that the module's constructor stored.
     """
-    stack, den = _integer_rows([row for m in module.matrices for row in m.entries])
-    image, images = _embed(module.n, module.dim, stack, den, rng)
-    return EmbeddingResult(image, ModuleMap(module, image, images))
+    image, rows, weights = _embed(module.n, module.dim, module._stack, module._den, rng)
+    return EmbeddingResult(image, ModuleMap(module, image, _map_images(image, rows, weights)))
 
 
 def canonical_form(
@@ -268,9 +277,10 @@ def canonical_form(
     """The unique polynomial submodule isomorphic to the module.
 
     A complete isomorphism invariant: two modules are isomorphic exactly
-    when their canonical forms are equal.
+    when their canonical forms are equal.  The image of
+    `embed_nilpotent`, without building its map.
     """
-    return embed_nilpotent(module, rng).image
+    return _embed(module.n, module.dim, module._stack, module._den, rng)[0]
 
 
 def is_isomorphic(first: FDModule, second: FDModule) -> bool:
@@ -381,7 +391,7 @@ def embed_general(
         # S_i - a_i I nilpotent forces trace zero, so a_i = tr(S_i) / d is
         # the only candidate; embedding the twist decides.  With
         # S_i = M_i / D, S_i - a_i I = (d M_i - tr(M_i) I) / (d D).
-        stack, den = _integer_rows([row for m in module.matrices for row in m.entries])
+        stack, den = module._stack, module._den
         traces = [sum(stack[i * d + k][k] for k in range(d)) for i in range(n)]
         twisted = [[d * x for x in row] for row in stack]
         for r, row in enumerate(twisted):
@@ -391,12 +401,12 @@ def embed_general(
         # socle line mod P that chooses the functional.
         g = gcd(d * den, *(x for row in twisted for x in row))
         try:
-            image, images = _embed(n, d, [[x // g for x in row] for row in twisted], d * den // g, rng)
+            image, rows, weights = _embed(n, d, [[x // g for x in row] for row in twisted], d * den // g, rng)
         except NotNilpotent:
             pass
         else:
             weighted = ExpSubmodule([Fraction(t, d * den) for t in traces], image)
-            return weighted, ModuleMap(module, weighted, images)
+            return weighted, ModuleMap(module, weighted, _map_images(image, rows, weights))
     # socle_eigenvalues raises the typed error that says why.  If it finds
     # one rational tuple anyway, its twist is not nilpotent: a nilpotent
     # twist would have been the trace candidate above.

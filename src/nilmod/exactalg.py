@@ -7,10 +7,11 @@ and coordinates.  Inside, the loops run on integer rows over one common
 denominator, so no gcd is paid per multiply or add.  Elimination is
 fraction-free (Gauss-Jordan, each row kept primitive; Bareiss for
 determinants), and results are turned back into `Fraction`s once, at
-the end.  A subspace keeps its elimination's integer form, pivots,
-common denominator and integer columns, beside its `Fraction` basis, so
-membership, coordinates and callers on integer rows never convert the
-basis back.  Everything is exact: no floats, no tolerances.  One
+the end.  A subspace stores only its elimination's integer form: the
+pivots, the common denominator and the integer columns of the reduced
+basis.  Equality and hashing compare that form, membership and
+coordinates read it, and the `Fraction` basis is a view built on first
+read.  Everything is exact: no floats, no tolerances.  One
 elimination runs modulo a prime, and it only chooses: a caller that
 builds on its answer certifies the result exactly.  All values are
 immutable after construction and all operations are pure functions.
@@ -41,7 +42,9 @@ def parse_rational(s: str) -> Fraction:
     """Parse the "p/q" wire format (sign on the numerator only)."""
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {s!r}")
-    return Fraction(s)
+    # The regex has checked the literal, so two ints build the value.
+    num, _, den = s.partition("/")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def as_fraction(x) -> Fraction:
@@ -110,9 +113,9 @@ def _int_matmul(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]])
     return [[sum(map(mul, row, col)) for col in columns] for row in rows]
 
 
-def _columns(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+def _columns(rows: Sequence[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
     """The columns of a matrix given by its rows (width for no rows)."""
-    return list(zip(*rows)) if rows else [()] * width
+    return tuple(zip(*rows)) if rows else ((),) * width
 
 
 def _fraction_row(row: Sequence[int], den: int) -> Vector:
@@ -395,11 +398,13 @@ class Subspace(Value):
     """A linear subspace of Q^n held as a canonical RREF basis, however
     its spanning vectors were given.
 
-    Two subspaces are equal as sets of vectors iff their stored bases are
-    identical, which makes equality a structural check.
+    The basis is stored as B / E: integer columns of B and the least
+    common denominator E of the RREF.  Both are determined by the
+    subspace, so two subspaces are equal as sets of vectors iff their
+    (E, columns) are identical, which makes equality a structural check.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots", "_den", "_columns", "_free")
+    __slots__ = ("ambient_dim", "_pivots", "_den", "_columns", "_free", "_basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
         """The span of the vectors, each of length ambient_dim."""
@@ -421,13 +426,12 @@ class Subspace(Value):
         by the positive weights[c] if given.
 
         Dividing columns moves no zero, so the reduced rows divided the
-        same way, each then by its pivot entry, are the RREF.  Besides
-        the basis, this keeps its integer form: the basis is B / E with
-        integer B, the columns of B, the pivots and the free columns.
-        A primitive reduced row r over its pivot entry p has least
-        denominator |p|, so E is the lcm of the pivot entries.  With
-        weights, row r first becomes the integer row r[c] L / weights[c],
-        L the weights' lcm, made primitive again by one gcd.
+        same way, each then by its pivot entry, are the RREF.  It is kept
+        as B / E with integer B: the columns of B, the pivots and the
+        free columns.  A primitive reduced row r over its pivot entry p
+        has least denominator |p|, so E is the lcm of the pivot entries.
+        With weights, row r first becomes the integer row r[c] L /
+        weights[c], L the weights' lcm, made primitive again by one gcd.
         """
         pivots, reduced = _rref_int(rows, ambient_dim)
         if weights:
@@ -437,18 +441,25 @@ class Subspace(Value):
         den = lcm(*(row[c] for c, row in zip(pivots, reduced)))
         ints = [[x * (den // row[c]) for x in row] for c, row in zip(pivots, reduced)]
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(_fraction_row(row, row[c]) for c, row in zip(pivots, reduced)))
         object.__setattr__(self, "_pivots", tuple(pivots))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_columns", _columns(ints, ambient_dim))
         object.__setattr__(self, "_free", sorted(set(range(ambient_dim)) - set(pivots)))
+        object.__setattr__(self, "_basis", None)
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The RREF basis as `Fraction` rows, built on first read."""
+        if self._basis is None:
+            object.__setattr__(self, "_basis", tuple(_fraction_row(row, self._den) for row in zip(*self._columns)))
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._pivots)
 
     def _key(self) -> tuple:
-        return self.ambient_dim, self.basis
+        return self.ambient_dim, self._den, self._columns
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -51,14 +52,21 @@ from .multipoly import (
     grlex_key,
     lower_set_closure,
     monomials_up_to_degree,
-    vector_to_poly,
 )
 
 
 class FDModule(Value):
-    """n pairwise-commuting d x d matrices; commutativity is checked."""
+    """n pairwise-commuting d x d matrices; commutativity is checked.
 
-    __slots__ = ("n", "dim", "matrices")
+    The constructor turns the matrices into integers once: `_stack`
+    holds the rows of M_1, ..., M_n, read-only, with S_i = M_i / `_den`
+    over the least common denominator of all entries.  S_i S_j = S_j S_i
+    iff M_i M_j = M_j M_i, so commutativity is checked on those blocks,
+    and every integer kernel on the module reads them without converting
+    again.
+    """
+
+    __slots__ = ("n", "dim", "matrices", "_stack", "_den")
 
     def __init__(self, n: int, matrices: Sequence[QMatrix]):
         matrices = tuple(matrices)
@@ -68,13 +76,19 @@ class FDModule(Value):
         for m in matrices:
             if not m.is_square() or m.rows != dim:
                 raise ValueError("action matrices must be square and equal-sized")
+        stack, den = _integer_rows([row for m in matrices for row in m.entries])
+        stack = tuple(map(tuple, stack))
+        blocks = _blocks(stack, n, dim)
+        columns = [_columns(block, dim) for block in blocks]
         for i in range(n):
             for j in range(i + 1, n):
-                if matrices[i] * matrices[j] != matrices[j] * matrices[i]:
+                if _int_matmul(blocks[i], columns[j]) != _int_matmul(blocks[j], columns[i]):
                     raise NonCommuting(i + 1, j + 1)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_den", den)
 
     def _key(self) -> tuple:
         return self.n, self.matrices
@@ -110,20 +124,36 @@ def validate(matrices: Sequence[QMatrix]) -> FDModule:
     return FDModule(len(matrices), matrices)
 
 
+def _blocks(stack: Sequence[Sequence[int]], n: int, d: int) -> list:
+    """The n stacked d x d matrices of a stack, each as its rows."""
+    return [stack[i * d : (i + 1) * d] for i in range(n)]
+
+
 def _is_nilpotent_matrix(power: Sequence[Sequence[int]]) -> bool:
     """Whether the square integer matrix with these rows is nilpotent.
 
-    S is nilpotent iff D S is, for its common denominator D, so this
-    also decides a rational matrix.  Square: M^(2^k) = 0 for
-    2^k >= dim iff M is nilpotent."""
+    S is nilpotent iff c S is, for any nonzero c, so this also decides a
+    rational matrix.  Square: M^(2^k) = 0 for 2^k >= dim iff M is
+    nilpotent.  Each power is divided by its content before squaring,
+    which keeps a conjugate's powers from carrying ever larger powers of
+    a common factor.
+    """
     d = len(power)
     steps = 1
-    while steps < d:
-        if not any(map(any, power)):
+    while True:
+        content = 0
+        for row in power:
+            content = gcd(content, *row)
+            if content == 1:
+                break
+        if content == 0:
             return True
+        if steps >= d:
+            return False
+        if content > 1:
+            power = [[x // content for x in row] for row in power]
         power = _int_matmul(power, _columns(power, d))
         steps *= 2
-    return not any(map(any, power))
 
 
 def is_nilpotent(module: FDModule) -> bool:
@@ -132,7 +162,7 @@ def is_nilpotent(module: FDModule) -> bool:
     For commuting matrices this is equivalent to every zero-constant
     polynomial acting nilpotently.
     """
-    return all(_is_nilpotent_matrix(_integer_rows(m.entries)[0]) for m in module.matrices)
+    return all(map(_is_nilpotent_matrix, _blocks(module._stack, module.n, module.dim)))
 
 
 def socle(module: FDModule) -> Subspace:
@@ -144,8 +174,7 @@ def socle(module: FDModule) -> Subspace:
 
 def _joint_kernel(module: FDModule) -> Subspace:
     """Common kernel of the action matrices: the kernel of their stack."""
-    stacked = [row for m in module.matrices for row in m.entries]
-    return _integer_kernel(_integer_rows(stacked)[0], module.dim)
+    return _integer_kernel(module._stack, module.dim)
 
 
 def twist(module: FDModule, shift: Sequence) -> FDModule:
@@ -167,10 +196,11 @@ class PolySubmodule(Value):
     (descending monomial order) and the RREF basis of coefficient
     vectors over that list.  Equality of the stored data is equality of
     the subspaces.  Every instance comes from one checked core on
-    integer rows over that list, `_span`.
+    integer rows over that list, `_span`.  The basis polynomials are a
+    view of `coords`' integer form, built on first read.
     """
 
-    __slots__ = ("n", "monomial_list", "coords", "basis", "_position")
+    __slots__ = ("n", "monomial_list", "coords", "_position", "_basis")
 
     def __init__(self, n: int, polys: Sequence[Poly]):
         support: set[MultiIndex] = set()
@@ -199,13 +229,25 @@ class PolySubmodule(Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "monomial_list", monomial_list)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "basis", tuple(vector_to_poly(v, monomial_list, n) for v in coords.basis))
         object.__setattr__(self, "_position", {alpha: c for c, alpha in enumerate(monomial_list)})
+        object.__setattr__(self, "_basis", None)
         # The origin is the least monomial: 1 is inside iff the last column is a pivot.
         pivots = coords._pivots
         if not pivots or any(monomial_list[pivots[-1]]):
             raise ValueError("a polynomial submodule must contain the constants")
         self._closure_pass()
+
+    @property
+    def basis(self) -> tuple[Poly, ...]:
+        """The canonical basis B / E as polynomials, built on first read."""
+        if self._basis is None:
+            den = self.coords._den
+            basis = tuple(
+                Poly._trusted(self.n, {alpha: Fraction(x, den) for alpha, x in zip(self.monomial_list, row) if x})
+                for row in zip(*self.coords._columns)
+            )
+            object.__setattr__(self, "_basis", basis)
+        return self._basis
 
     @property
     def dim(self) -> int:
@@ -530,8 +572,10 @@ def socle_eigenvalues(module: FDModule) -> tuple[Fraction, ...]:
     if d == 0:
         raise NoCommonEigenline("the zero module has no eigenline")
     survivors: list[tuple[tuple[Fraction, ...], list]] = [((), [])]
-    for m in module.matrices:
-        ints, den = _integer_rows(m.entries)
+    for block in _blocks(module._stack, module.n, d):
+        # The block over its own least denominator D_k = D / g.
+        g = gcd(module._den, *(x for row in block for x in row))
+        ints, den = [[x // g for x in row] for row in block], module._den // g
         roots = _integer_roots(_char_poly(ints))
         extended = []
         for values, rows in survivors:

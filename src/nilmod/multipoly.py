@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from itertools import product
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .exactalg import Value, _integer_rows, as_fraction, format_rational, parse_rational
 
@@ -107,7 +107,9 @@ class Poly(Value):
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
-        return cls(n)
+        if n < 1:
+            raise ValueError("variable count must be at least 1")
+        return cls._trusted(n, {})
 
     @classmethod
     def one(cls, n: int) -> "Poly":
@@ -208,7 +210,7 @@ class Poly(Value):
         for alpha, c in self.terms.items():
             beta = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
             out[beta] = c / (alpha[k] + 1)
-        return Poly(self.n, out)
+        return Poly._trusted(self.n, out)
 
     def _check_compatible(self, other: "Poly") -> None:
         if self.n != other.n:
@@ -337,7 +339,3 @@ def _partial_matches(
 def _check_var(n: int, i: int) -> None:
     if not 1 <= i <= n:
         raise IndexError(f"variable index {i} out of range 1..{n}")
-
-
-def vector_to_poly(v: Sequence, monomial_list: Sequence[MultiIndex], n: int) -> Poly:
-    return Poly(n, {alpha: c for alpha, c in zip(monomial_list, v) if c})

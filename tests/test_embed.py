@@ -121,6 +121,25 @@ def test_potential_partial_count_short_of_n():
     assert h.partial(1) == X2
 
 
+def test_integrate_and_potential_validate_no_polynomial(monkeypatch):
+    rng = random.Random(353)
+    cases = [(Poly.zero(2), [Poly.zero(2), Poly.zero(2)], 2)]
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        k = rng.randint(1, n)
+        h = random_normalized_poly(rng, n, k, 3)
+        cases.append((h, [h.partial(i) for i in range(1, k + 1)], n))
+    built = []
+    real = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *args: built.append(1) or real(self, *args))
+    results = [(potential(fs, n), [h.integrate(i) for i in range(1, n + 1)]) for h, fs, n in cases]
+    monkeypatch.undo()
+    assert built == []
+    for (h, _, _), (got, integrals) in zip(cases, results):
+        assert got == h
+        assert all(p.partial(i) == h for i, p in enumerate(integrals, start=1))
+
+
 def test_potential_output_is_normalized():
     rng = random.Random(311)
     for _ in range(20):
@@ -353,27 +372,65 @@ def test_pass_rows_share_no_factor_with_their_scale(n, terms):
 
 
 def test_embedding_converts_the_action_matrices_once(monkeypatch):
-    # The joint kernel and the inverse-system pass share one conversion.
+    # The constructor converts the matrices once; every integer kernel on
+    # the module reads the stack it stored.
     import nilmod.exactalg
     import nilmod.modcore
+    from nilmod.modcore import socle
 
     plain, _ = as_matrices(submodule_from_polys(2, [Poly(2, PLANTED[1][1])]))
     dense = conjugate(plain, random_invertible(random.Random(5), plain.dim))
+    shifted = twist(dense, [Fraction(1, 2), Fraction(-3)])
     real = nilmod.exactalg._integer_rows
-    for module in (plain, dense):
+    for module in (plain, dense, shifted):
         stack = [row for m in module.matrices for row in m.entries]
         calls = []
 
         def counting(rows):
-            if [tuple(row) for row in rows] == stack:
+            rows = [tuple(row) for row in rows]
+            if rows == stack or any(rows == list(m.entries) for m in module.matrices):
                 calls.append(rows)
             return real(rows)
 
         for owner in (nilmod.exactalg, nilmod.modcore, nilmod.embed):
             monkeypatch.setattr(owner, "_integer_rows", counting)
-        result = embed_nilpotent(module)
+        built = FDModule(module.n, module.matrices)
         assert len(calls) == 1
-        assert result.map.is_isomorphism()
+        weighted, general = embed_general(built)
+        assert is_nilpotent(built) is (module is not shifted)
+        if module is shifted:
+            eigenvalues = socle_eigenvalues(built)
+        else:
+            result = embed_nilpotent(built)
+            form = canonical_form(built)
+            assert is_isomorphic(built, built)
+            assert socle(built).dim == 1
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert general.is_intertwining()
+        if module is shifted:
+            assert eigenvalues == weighted.eigenvalues == (Fraction(-1, 2), Fraction(3))
+        else:
+            assert result.map.is_isomorphism() and form == result.image == weighted.part
+
+
+def test_canonical_form_builds_no_fraction_row_and_no_poly(monkeypatch):
+    import nilmod.exactalg
+    import nilmod.modcore
+
+    real_row, real_init = nilmod.exactalg._fraction_row, Poly.__init__
+    for n, terms in PLANTED:
+        planted = submodule_from_polys(n, [Poly(n, terms)])
+        dense = conjugate(as_matrices(planted)[0], random_invertible(random.Random(n + 20), planted.dim))
+        built = []
+        for owner in (nilmod.exactalg, nilmod.modcore, nilmod.embed):
+            monkeypatch.setattr(owner, "_fraction_row", lambda *args: built.append("row") or real_row(*args))
+        monkeypatch.setattr(Poly, "__init__", lambda self, *args: built.append("poly") or real_init(self, *args))
+        form = canonical_form(dense)
+        same = is_isomorphic(dense, dense)
+        monkeypatch.undo()
+        assert built == []
+        assert form == planted and same
 
 
 def test_embed_rng_changes_the_map_not_the_image():

@@ -96,6 +96,31 @@ def test_parse_rational_rejects(bad):
         parse_rational(bad)
 
 
+def rational_literal_table(seed):
+    """Seeded wire literals: signed zeros, leading zeros, large
+    numerators and reducible p/q."""
+    rng = random.Random(seed)
+    table = ["0", "-0", "0/7", "-0/3", "007", "-007", "007/10", "6/4", "-10/15", "12/6", "1/1"]
+    table += [str(10**40), f"-{10**50 + 1}/{2 * 10**30}", f"{3**90}/{3**40}"]
+    for _ in range(200):
+        num = rng.randint(0, 10 ** rng.choice([1, 3, 30]))
+        den = rng.randint(1, 10 ** rng.choice([1, 2, 20])) * rng.choice([1, 1, 2, 6, num or 1])
+        literal = rng.choice(["", "-"]) + "0" * rng.choice([0, 0, 0, 2]) + str(num)
+        table.append(literal if rng.random() < 0.3 else f"{literal}/{den}")
+    return table
+
+
+@pytest.mark.parametrize("seed", [16, 17])
+def test_parse_rational_matches_fraction_of_the_literal(seed):
+    reducible = 0
+    for s in rational_literal_table(seed):
+        got, expected = parse_rational(s), Fraction(s)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator), s
+        reducible += "/" in s and expected.denominator != int(s.split("/")[1])
+    assert reducible >= 20
+
+
 # --- rref: the basis of a subspace ----------------------------------------
 
 def test_rref_identity_fixed():
@@ -622,6 +647,46 @@ def test_image_integer_forms_match_the_basis():
                 assert (coords._pivots, coords._den, coords._columns, coords._free) == reference_integer_form(coords)
 
 
+def eager_subspace_key(cols, rows):
+    """The Subspace key before the integer form: the ambient dimension
+    and the RREF basis as `Fraction` rows."""
+    return cols, tuple(row for row in reference_rref(rows, cols) if any(row))
+
+
+def respan(rng, rows):
+    """Another spanning set of the same row space: the rows in reverse,
+    each times a nonzero integer, and one combination of them."""
+    if not rows:
+        return []
+    scaled = [[rng.choice([-3, -1, 2, 5]) * x for x in row] for row in rows[::-1]]
+    return scaled + [[sum(rng.randint(-2, 2) * row[j] for row in rows) for j in range(len(rows[0]))]]
+
+
+@pytest.mark.parametrize("seed", [18, 19])
+def test_subspace_equality_matches_the_eager_key(seed):
+    rng = random.Random(seed)
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    table = integer_form_table(seed) + [
+        (4, eye, None),  # the full space, and again from other rows and weights
+        (4, [[1, 1, 0, 0], [0, -1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 3]], [2, 3, 5, 7]),
+    ]
+    spans = []
+    for cols, rows, weights in table:
+        for twin in (rows, respan(rng, rows)):
+            divided = [[Fraction(x, w) for x, w in zip(row, weights or [1] * cols)] for row in twin]
+            spans.append((Subspace._from_integer_rows(cols, twin, weights), eager_subspace_key(cols, divided)))
+    equal = 0
+    for a, key_a in spans:
+        assert a.basis == key_a[1] and a.dim == len(key_a[1])
+        for b, key_b in spans:
+            assert (a == b) == (key_a == key_b)
+            if a == b:
+                assert hash(a) == hash(b)
+                equal += 1
+    # Beyond a == a: every twin, the zero spaces and the full spaces.
+    assert equal >= 3 * len(spans), equal
+
+
 # --- integer nilpotency squaring ------------------------------------------
 
 def conjugated(rng, matrix, bits=8):
@@ -673,6 +738,43 @@ def test_is_nilpotent_matrix_on_dense_conjugates(blocks):
         bumped[i][i] += Fraction(rng.randint(1, 5), rng.randint(1, 7))
         # A nonzero trace rules out nilpotency.
         assert not _is_nilpotent_matrix(QMatrix(bumped, cols=d))
+
+
+def unstripped_is_nilpotent(power):
+    """The squaring test before content stripping, kept as the
+    reference: M^(2^k) = 0 for 2^k >= dim iff M is nilpotent."""
+    d = len(power)
+    steps = 1
+    while steps < d:
+        if not any(map(any, power)):
+            return True
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*power)] for row in power]
+        steps *= 2
+    return not any(map(any, power))
+
+
+def squaring_table(seed):
+    """Seeded integer matrices: zero, 1x1, already primitive, a common
+    factor, and dense conjugates of J_d(0) and of J_(d-1)(0) + [2]."""
+    rng = random.Random(seed)
+    table = [[], [[0]], [[3]], [[-1]], [[0, 0], [0, 0]], [[0] * 3] * 3]
+    table += [[[0, 1], [0, 0]], [[0, 1], [1, 0]], [[2, 4], [-1, -2]], [[6, 12], [-3, -6]], [[4, 0], [0, 0]]]
+    for d in (2, 3, 5, 8, 11):
+        jordan = nilpotent_jordan([d])
+        shifted = [list(row) for row in nilpotent_jordan([d - 1, 1]).entries]
+        shifted[-1][-1] = 2
+        for m in (jordan, QMatrix(shifted, cols=d)):
+            table.append(_integer_rows(conjugated(rng, m).entries)[0])
+    return table
+
+
+@pytest.mark.parametrize("seed", [20, 21])
+def test_stripped_squaring_matches_the_unstripped_reference(seed):
+    from nilmod.modcore import _is_nilpotent_matrix as stripped
+
+    verdicts = [stripped(m) for m in squaring_table(seed)]
+    assert verdicts == [unstripped_is_nilpotent(m) for m in squaring_table(seed)]
+    assert verdicts.count(True) >= 8 and verdicts.count(False) >= 8
 
 
 def test_is_nilpotent_matrix_edge_cases():

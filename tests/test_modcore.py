@@ -44,7 +44,6 @@ from nilmod.multipoly import (
     grlex_key,
     lower_set_closure,
     monomials_up_to_degree,
-    vector_to_poly,
 )
 
 def zeros(rows, cols):
@@ -72,8 +71,9 @@ def poly_to_vector(p, monomial_list):
     return tuple(p.terms.get(alpha, Fraction(0)) for alpha in monomial_list)
 
 
-def naive_nullspace(rows, cols):
-    """Independent nullspace: eliminate, then read off free columns."""
+def naive_rref(rows, cols):
+    """Independent Gauss-Jordan on Fraction rows: the reduced rows (the
+    nonzero ones first) and {pivot column: row}."""
     m = [[Fraction(x) for x in r] for r in rows]
     pivots = {}
     rank = 0
@@ -89,6 +89,12 @@ def naive_nullspace(rows, cols):
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
         pivots[c] = rank
         rank += 1
+    return m, pivots
+
+
+def naive_nullspace(rows, cols):
+    """Independent nullspace: eliminate, then read off free columns."""
+    m, pivots = naive_rref(rows, cols)
     basis = []
     for free in range(cols):
         if free in pivots:
@@ -153,6 +159,41 @@ def test_validate_reports_first_failing_pair():
     with pytest.raises(NonCommuting) as info:
         validate([E12, Z2, E21])
     assert (info.value.i, info.value.j) == (1, 3)
+
+
+def reference_first_noncommuting(matrices):
+    """The first pair (i, j), i < j in scan order, whose `Fraction`
+    products differ: the check before the integer stack."""
+    for i in range(len(matrices)):
+        for j in range(i + 1, len(matrices)):
+            if matrices[i] * matrices[j] != matrices[j] * matrices[i]:
+                return i + 1, j + 1
+    return None
+
+
+def test_validate_names_the_pair_of_the_fraction_check():
+    rng = random.Random(277)
+    witnesses = set()
+    for _ in range(60):
+        n, d = rng.randint(2, 4), rng.randint(1, 4)
+        a = QMatrix([[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 9])) for _ in range(d)] for _ in range(d)])
+        pool = [a, a * a + a.scale(Fraction(1, 3)), zeros(d, d), QMatrix.identity(d).scale(Fraction(-5, 4))]
+        matrices = []
+        for _ in range(n):
+            if rng.random() < 0.3:
+                pool.append(QMatrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(d)] for _ in range(d)]))
+                matrices.append(pool[-1])
+            else:
+                matrices.append(rng.choice(pool))
+        expected = reference_first_noncommuting(matrices)
+        if expected is None:
+            assert validate(matrices).matrices == tuple(matrices)
+            continue
+        with pytest.raises(NonCommuting) as info:
+            validate(matrices)
+        assert (info.value.i, info.value.j) == expected
+        witnesses.add(expected)
+    assert len(witnesses) >= 4, witnesses
 
 
 def test_validate_random_polynomial_pairs_commute():
@@ -503,7 +544,7 @@ def reference_polysubmodule(n, polys):
     coords = Subspace(
         len(monomial_list), [poly_to_vector(p, monomial_list) for p in polys]
     )
-    basis = tuple(vector_to_poly(row, monomial_list, n) for row in coords.basis)
+    basis = tuple(Poly(n, dict(zip(monomial_list, row))) for row in coords.basis)
 
     def coordinates_of(p):
         v = poly_to_vector(p, monomial_list)
@@ -625,6 +666,39 @@ def test_constructor_matches_the_fraction_reference(monkeypatch):
         "a polynomial submodule must contain the constants",
         "subspace is not closed under differentiation",
     }
+
+
+def eager_key(n, polys):
+    """The PolySubmodule key before the integer form, from the inputs:
+    n, the monomial list, and the coordinate subspace's key then, its
+    ambient dimension and RREF basis as `Fraction` rows."""
+    monomial_list = tuple(sorted(set().union(*(p.monomials() for p in polys)), key=grlex_key, reverse=True))
+    m, pivots = naive_rref([poly_to_vector(p, monomial_list) for p in polys], len(monomial_list))
+    return n, monomial_list, (len(monomial_list), tuple(map(tuple, m[: len(pivots)])))
+
+
+def test_polysubmodule_equality_matches_the_eager_key(monkeypatch):
+    rng = random.Random(281)
+    built = []
+    for n, polys in constructor_table(monkeypatch):
+        # The same space from another spanning set: the generators in
+        # reverse, rescaled, and the sum of the first and the last.
+        twin = [p.scale(Fraction(rng.choice([-3, -1, 2]), rng.choice([1, 5]))) for p in polys[::-1]]
+        for span in (polys, twin + [polys[0] + polys[-1]] if polys else []):
+            try:
+                built.append((PolySubmodule(n, span), eager_key(n, span)))
+            except ValueError:
+                pass
+    equal = 0
+    for a, key_a in built:
+        basis = tuple(Poly(a.n, dict(zip(a.monomial_list, row))) for row in key_a[2][1])
+        assert a.basis == basis and a.dim == len(basis)
+        for b, key_b in built:
+            assert (a == b) == (key_a == key_b)
+            if a == b:
+                assert hash(a) == hash(b)
+                equal += 1
+    assert len(built) >= 40 and equal >= 2 * len(built), (len(built), equal)
 
 
 def test_from_json_errors_match_the_fraction_reference():
