@@ -23,7 +23,7 @@ from .diffop import (
     extend_iso,
     extract_coeffs,
 )
-from .embed import brute_force_isomorphic, embed_general, embed_nilpotent, is_isomorphic
+from .embed import brute_force_isomorphic, canonical_form, embed_general, embed_nilpotent, is_isomorphic
 from .errors import Incompatible, IncompatibleMap, NilmodError, NonCommuting, NotAnEndomorphism
 from .exactalg import QMatrix, as_int, format_rational
 from .modcore import (
@@ -78,7 +78,7 @@ def _cmd_embed(args) -> dict:
 
 def _cmd_canonical(args) -> dict:
     module = FDModule.from_json(_read_json(args.module))
-    return embed_nilpotent(module).image.to_json()
+    return canonical_form(module).to_json()
 
 
 def _cmd_isomorphic(args) -> dict:
@@ -100,7 +100,7 @@ def _cmd_embed_general(args) -> dict:
 def _cmd_extract_endo(args) -> dict:
     data = _read_json(args.table)
     n = as_int(data["n"])
-    degree = args.trunc if args.trunc is not None else as_int(data["degree"])
+    degree = as_int(data["degree"])
     images = {}
     for item in data["images"]:
         alpha = tuple(item["exps"])
@@ -196,12 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         "extract-endo", help="recover an operator series from monomial images"
     )
     p.add_argument("table")
-    p.add_argument(
-        "--trunc",
-        type=int,
-        default=None,
-        help="reconstruction degree (default: the table's degree field)",
-    )
     p.set_defaults(handler=_cmd_extract_endo)
 
     p = sub.add_parser("aut", help="automorphism group of a monomial submodule")

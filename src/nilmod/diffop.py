@@ -283,8 +283,8 @@ def series_log(s: DiffOpSeries) -> DiffOpSeries:
     return DiffOpSeries._trusted(s.n, s.trunc, _graded_solve(s.coeffs, s.trunc, None, log=True))
 
 
-def monomial_images(s: DiffOpSeries, degree: Optional[int] = None) -> dict[MultiIndex, Poly]:
-    """The table alpha -> s(x^alpha) for all |alpha| <= degree.
+def monomial_images(s: DiffOpSeries) -> dict[MultiIndex, Poly]:
+    """The table alpha -> s(x^alpha) for all |alpha| up to the truncation.
 
     By the closed form of `DiffOpSeries.apply`, with c_gamma = N_gamma/D
     over one common denominator, the image of x^alpha has the term
@@ -292,13 +292,7 @@ def monomial_images(s: DiffOpSeries, degree: Optional[int] = None) -> dict[Multi
     gamma <= alpha; distinct gamma give distinct monomials, so nothing
     is summed.
     """
-    if degree is None:
-        degree = s.trunc
-    if degree > s.trunc:
-        raise TruncationTooLow(
-            f"polynomial degree {s.trunc + 1} exceeds truncation {s.trunc}"
-        )
-    facts = {alpha: multi_factorial(alpha) for alpha in monomials_up_to_degree(s.n, degree)}
+    facts = {alpha: multi_factorial(alpha) for alpha in monomials_up_to_degree(s.n, s.trunc)}
     nums, den = _integer_coeffs(s.coeffs)
     gammas = _by_degree(nums)
     return {
@@ -540,6 +534,8 @@ def extend_iso_step(
     the potential of its partials' images, lands outside the target.
     With `within`, kappa is among its exponents.
     """
+    if within is not None and within.n != source.n:
+        raise ValueError("variable count mismatch")
     _check_iso(source, target, phi)
     # Every monomial one degree above the support's top is missing.
     top = sum(source.monomial_list[0]) + 1
@@ -562,6 +558,8 @@ def extend_iso(
     k of the map is the image of basis vector k: nothing is inverted.
     phi, checked once, comes back if nothing is missing.
     """
+    if goal.n != source.n:
+        raise ValueError("variable count mismatch")
     _check_iso(source, target, phi)
     return _extend(phi, goal.indices, None)
 

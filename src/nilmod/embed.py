@@ -63,14 +63,11 @@ from .exactalg import (
     _PRIME,
     Immutable,
     QMatrix,
-    Vector,
     _columns,
     _fraction_row,
     _int_matmul,
     _integer_kernel,
-    _integer_rows,
     _kernel_line_mod,
-    standard_basis_vector,
 )
 from .modcore import (
     ExpSubmodule,
@@ -124,15 +121,21 @@ def potential(fs: Sequence[Poly], n: int) -> Poly:
         for j in range(i + 1, k + 1):
             if fs[i - 1].partial(j) != fs[j - 1].partial(i):
                 raise Incompatible(i, j)
-    h = Poly.zero(n)
-    for i in range(1, k + 1):
-        h = h + (fs[i - 1] - h.partial(i)).integrate(i)
-    return h
+    # A term c x^beta of h puts beta_i c at x^(beta - e_i) in f_i, so h's
+    # coefficient at beta is f_i[beta - e_i] / beta_i for the first i
+    # with beta_i > 0: f_i's terms free of x_1..x_(i-1), one step up in x_i.
+    terms: dict[MultiIndex, Fraction] = {}
+    for i, f in enumerate(fs):
+        for gamma, c in f.terms.items():
+            if not any(gamma[:i]):
+                terms[gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]] = c / (gamma[i] + 1)
+    return Poly._trusted(n, terms)
 
 
-def _functional(s: Sequence, rng: Optional[random.Random], modulus: Optional[int] = None) -> Vector:
+def _functional(s: Sequence, rng: Optional[random.Random], modulus: Optional[int] = None) -> list[int]:
     """A functional that is nonzero on the socle vector s, modulo the
-    modulus when one is given (s then holds residues).
+    modulus when one is given (s then holds residues), as an integer
+    row: lambda has denominator 1.
 
     Without an rng: the coordinate at the first nonzero entry of s.
     With one: small random integers, redrawn until the value on s is
@@ -140,20 +143,21 @@ def _functional(s: Sequence, rng: Optional[random.Random], modulus: Optional[int
     """
     if rng is None:
         pivot = next(j for j, x in enumerate(s) if x != 0)
-        return standard_basis_vector(len(s), pivot)
+        return [int(j == pivot) for j in range(len(s))]
     while True:
-        lam = tuple(Fraction(rng.randint(-4, 4)) for _ in s)
+        lam = [rng.randint(-4, 4) for _ in s]
         value = sum(a * b for a, b in zip(lam, s))
         if (value if modulus is None else value % modulus) != 0:
             return lam
 
 
-def _inverse_system(stack: Sequence[Sequence[int]], den: int, lam: Vector) -> Optional[tuple]:
+def _inverse_system(stack: Sequence[Sequence[int]], den: int, lam: Sequence[int]) -> Optional[tuple]:
     """phi(e_j) = sum over alpha of (lam S^alpha)[j] x^alpha / alpha!, as
     integer rows with their weights.
 
     The S_i = M_i / D come stacked, integer rows M_1, ..., M_n over one
-    denominator D.  The pass returns the alpha with lam S^alpha nonzero,
+    denominator D, and lam is an integer row, so the pass starts from
+    lam over scale 1.  It returns the alpha with lam S^alpha nonzero,
     in descending order, primitive integer rows and their weights:
     lam S^alpha = row / scale, the weight is scale alpha!, and
     coefficient j of x^alpha is row[j] / weight.  Breadth-first over
@@ -171,10 +175,9 @@ def _inverse_system(stack: Sequence[Sequence[int]], den: int, lam: Vector) -> Op
     n = len(stack) // d
     matrices = _blocks(stack, n, d)
     columns = [_columns(m, d) for m in matrices]
-    (start,), lam_den = _integer_rows([lam])
     zero = (0,) * n
-    rows: dict[MultiIndex, list[int]] = {zero: start}
-    scale = {zero: lam_den}
+    rows: dict[MultiIndex, list[int]] = {zero: list(lam)}
+    scale = {zero: 1}
     budget = 4 * d * d.bit_length()
     products = 0
     queue = deque([zero])
@@ -376,9 +379,7 @@ def brute_force_isomorphic(
     return not _symbolic_det(basis, first.dim).is_zero()
 
 
-def embed_general(
-    module: FDModule, rng: Optional[random.Random] = None
-) -> tuple[ExpSubmodule, ModuleMap]:
+def embed_general(module: FDModule) -> tuple[ExpSubmodule, ModuleMap]:
     """Embed a module with a unique rational joint eigenvalue tuple.
 
     Twisting by the socle eigenvalues reduces to the nilpotent case; the
@@ -401,7 +402,7 @@ def embed_general(
         # socle line mod P that chooses the functional.
         g = gcd(d * den, *(x for row in twisted for x in row))
         try:
-            image, rows, weights = _embed(n, d, [[x // g for x in row] for row in twisted], d * den // g, rng)
+            image, rows, weights = _embed(n, d, [[x // g for x in row] for row in twisted], d * den // g, None)
         except NotNilpotent:
             pass
         else:

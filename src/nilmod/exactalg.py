@@ -296,14 +296,7 @@ class QMatrix(Value):
         )
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._check_same_shape(other)
-        return QMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
+        return self + (-other)
 
     def __neg__(self) -> "QMatrix":
         return QMatrix([[-x for x in row] for row in self.entries], cols=self.cols)
@@ -480,7 +473,3 @@ class Subspace(Value):
             if self._den * w[j] != sum(map(mul, coeffs, self._columns[j])):
                 return None
         return tuple(v[c] for c in self._pivots)
-
-
-def standard_basis_vector(ambient_dim: int, j: int) -> Vector:
-    return tuple(Fraction(1 if i == j else 0) for i in range(ambient_dim))

@@ -120,8 +120,8 @@ class Poly(Value):
         return cls(n, {(0,) * n: c})
 
     @classmethod
-    def monomial(cls, n: int, alpha: MultiIndex, coef=1) -> "Poly":
-        return cls(n, {tuple(alpha): coef})
+    def monomial(cls, n: int, alpha: MultiIndex) -> "Poly":
+        return cls(n, {tuple(alpha): 1})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
@@ -196,20 +196,6 @@ class Poly(Value):
                 continue
             beta = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]
             out[beta] = c * alpha[k]
-        return Poly._trusted(self.n, out)
-
-    def integrate(self, i: int) -> "Poly":
-        """Antiderivative in x_i vanishing at x_i = 0.
-
-        Every term of the result has a positive x_i exponent, so
-        partial(integrate(p, i), i) == p.
-        """
-        _check_var(self.n, i)
-        k = i - 1
-        out: dict[MultiIndex, Fraction] = {}
-        for alpha, c in self.terms.items():
-            beta = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
-            out[beta] = c / (alpha[k] + 1)
         return Poly._trusted(self.n, out)
 
     def _check_compatible(self, other: "Poly") -> None:

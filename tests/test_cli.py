@@ -292,6 +292,15 @@ def test_string_exponents_are_parse_errors(argv, payload):
     assert error["detail"].startswith("bad exponent vector ('0'"), error
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_extend_iso_goal_in_other_variables(n):
+    problem = json.loads((GOLDEN / "inputs" / "extend_problem.json").read_text())
+    problem["goal"] = {"n": n, "indices": [[0] * n]}
+    proc = run_cli(["extend-iso", "-"], stdin=json.dumps(problem).encode())
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert json.loads(proc.stdout) == {"error": {"kind": "ParseError", "detail": "variable count mismatch"}}
+
+
 # --- witnesses in error JSON --------------------------------------------------
 
 def error_bytes(error):

@@ -22,12 +22,15 @@ from nilmod.exactalg import (
     _kernel_line_mod,
     format_rational,
     parse_rational,
-    standard_basis_vector,
 )
 
 
 def zeros(rows, cols):
     return QMatrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def standard_basis_vector(ambient_dim, j):
+    return tuple(Fraction(int(i == j)) for i in range(ambient_dim))
 
 
 # --- independent oracle -------------------------------------------------

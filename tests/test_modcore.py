@@ -22,7 +22,7 @@ from nilmod.errors import (
     SocleNotOneDimensional,
 )
 import nilmod.exactalg as exactalg
-from nilmod.exactalg import QMatrix, Subspace, parse_rational, standard_basis_vector
+from nilmod.exactalg import QMatrix, Subspace, parse_rational
 from nilmod.modcore import (
     ExpSubmodule,
     FDModule,
@@ -48,6 +48,10 @@ from nilmod.multipoly import (
 
 def zeros(rows, cols):
     return QMatrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def standard_basis_vector(ambient_dim, j):
+    return tuple(Fraction(int(i == j)) for i in range(ambient_dim))
 
 
 E12 = QMatrix([[0, 1], [0, 0]])

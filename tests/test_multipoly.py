@@ -193,33 +193,11 @@ def test_mixed_partials_commute():
         assert p.partial(1).partial(2) == p.partial(2).partial(1)
 
 
-def test_integrate_fixed_cases():
-    assert Poly.one(1).integrate(1) == Poly(1, {(1,): 1})
-    assert Poly(2, {(1, 1): 2}).integrate(1) == Poly(2, {(2, 1): 1})
-
-
-def test_integrate_partial_round_trips():
-    rng = random.Random(109)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        p = random_poly(rng, n, 5)
-        for i in range(1, n + 1):
-            assert p.integrate(i).partial(i) == p
-            # integrating the derivative drops exactly the x_i-free part
-            kept = Poly(
-                n, {a: c for a, c in p.terms.items() if a[i - 1] > 0}
-            )
-            assert p.partial(i).integrate(i) == kept
-            assert all(a[i - 1] > 0 for a in p.integrate(i).monomials())
-
-
 def test_variable_index_out_of_range():
     p = Poly.one(2)
     for bad in (0, 3, -1):
         with pytest.raises(IndexError):
             p.partial(bad)
-        with pytest.raises(IndexError):
-            p.integrate(bad)
         with pytest.raises(IndexError):
             p.degree_in(bad)
 
