@@ -25,7 +25,7 @@ from .diffop import (
 )
 from .embed import brute_force_isomorphic, canonical_form, embed_general, embed_nilpotent, is_isomorphic
 from .errors import Incompatible, IncompatibleMap, NilmodError, NonCommuting, NotAnEndomorphism
-from .exactalg import QMatrix, as_int, format_rational
+from .exactalg import QMatrix, format_rational
 from .modcore import (
     FDModule,
     ModuleMap,
@@ -35,7 +35,7 @@ from .modcore import (
     random_nilpotent_module,
     socle,
 )
-from .multipoly import Poly
+from .multipoly import Poly, _exponent, _variable_count
 
 
 def _read_json(path: str):
@@ -99,15 +99,14 @@ def _cmd_embed_general(args) -> dict:
 
 def _cmd_extract_endo(args) -> dict:
     data = _read_json(args.table)
-    n = as_int(data["n"])
-    degree = as_int(data["degree"])
+    n = _variable_count(data["n"])
     images = {}
     for item in data["images"]:
-        alpha = tuple(item["exps"])
+        alpha = _exponent(item["exps"], n)
         if alpha in images:
             raise ValueError(f"duplicate monomial {alpha} in image table")
         images[alpha] = Poly.from_json(item["poly"], n)
-    return extract_coeffs(n, degree, images).to_json()
+    return extract_coeffs(n, data["degree"], images).to_json()
 
 
 def _cmd_aut(args) -> dict:

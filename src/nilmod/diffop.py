@@ -59,6 +59,7 @@ from .errors import (
     TruncationTooLow,
     WrongConstantTerm,
 )
+from .embed import potential
 from .exactalg import QMatrix, Value, _integer_rows, as_fraction, as_int
 from .modcore import ModuleMap, PolySubmodule
 from .multipoly import (
@@ -66,8 +67,11 @@ from .multipoly import (
     Poly,
     _below,
     _by_degree,
+    _exponent,
     _integer_coeffs,
     _partial_matches,
+    _same_count,
+    _variable_count,
     grlex_key,
     is_lower_set,
     monomials_up_to_degree,
@@ -113,12 +117,12 @@ class DiffOpSeries(Value):
 
     @classmethod
     def identity(cls, n: int, trunc: int) -> "DiffOpSeries":
-        return cls(n, trunc, {(0,) * n: 1})
+        return cls(n, trunc, Poly.one(n).terms)
 
     @classmethod
     def derivative(cls, n: int, trunc: int, i: int) -> "DiffOpSeries":
-        alpha = tuple(1 if k == i - 1 else 0 for k in range(n))
-        return cls(n, trunc, {alpha: 1})
+        # The count before the index: n < 1 is a bad count, not an empty range.
+        return cls(n, trunc, Poly.variable(_variable_count(n), i).terms)
 
     @property
     def _poly(self) -> Poly:
@@ -135,9 +139,6 @@ class DiffOpSeries(Value):
 
     def _key(self) -> tuple:
         return self.n, self.trunc, self.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.trunc, frozenset(self.coeffs.items())))
 
     def __repr__(self) -> str:
         return f"DiffOpSeries(n={self.n}, trunc={self.trunc}, {len(self.coeffs)} terms)"
@@ -177,8 +178,7 @@ class DiffOpSeries(Value):
         on x^delta are summed, and the sum is divided by D D_p delta!
         once at the end.
         """
-        if p.n != self.n:
-            raise ValueError("variable count mismatch")
+        _same_count(self.n, p)
         deg = p.total_degree()
         if isinstance(deg, int) and deg > self.trunc:
             raise TruncationTooLow(
@@ -316,9 +316,7 @@ def extract_coeffs(
     The first failure in graded-lex order of alpha, then i, is the
     witness (i, alpha).
     """
-    n, degree = as_int(n), as_int(degree)
-    if n < 1:
-        raise ValueError("variable count must be at least 1")
+    n, degree = _variable_count(n), as_int(degree)
     if degree < 0:
         raise ValueError("truncation degree must be non-negative")
     table: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
@@ -354,17 +352,10 @@ class MonomialSubmodule(Value):
     __slots__ = ("n", "indices", "_span", "_pairs")
 
     def __init__(self, n: int, indices):
-        n = as_int(n)
-        if n < 1:
-            raise ValueError("variable count must be at least 1")
-        indices = frozenset(tuple(a) for a in indices)
+        n = _variable_count(n)
+        indices = frozenset(_exponent(a, n) for a in indices)
         if not indices:
             raise ValueError("a monomial submodule needs at least the origin")
-        for alpha in indices:
-            if len(alpha) != n or any(
-                isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha
-            ):
-                raise ValueError(f"bad exponent vector {alpha}")
         if not is_lower_set(indices):
             raise ValueError("the exponent set is not a lower set")
         object.__setattr__(self, "n", n)
@@ -443,8 +434,7 @@ def restrict(s: DiffOpSeries, module: MonomialSubmodule) -> ModuleMap:
     otherwise.  Lower sets are closed under taking derivatives, so the
     matrix depends only on the coefficients c_lambda with lambda in the set.
     """
-    if s.n != module.n:
-        raise ValueError("variable count mismatch")
+    _same_count(s.n, module)
     if s.trunc < module.max_degree:
         raise TruncationTooLow(
             f"series truncation {s.trunc} below the submodule degree "
@@ -470,8 +460,6 @@ def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[in
     echelon row led by pi, is monic there and zero at the other leads,
     with image images[pi]: x^alpha is inside iff rows[alpha] is x^alpha.
     """
-    from .embed import potential
-
     source, target = phi.source, phi.target
     n = source.n
     leads = [source.monomial_list[c] for c in source.coords._pivots]
@@ -534,8 +522,8 @@ def extend_iso_step(
     the potential of its partials' images, lands outside the target.
     With `within`, kappa is among its exponents.
     """
-    if within is not None and within.n != source.n:
-        raise ValueError("variable count mismatch")
+    if within is not None:
+        _same_count(source.n, within)
     _check_iso(source, target, phi)
     # Every monomial one degree above the support's top is missing.
     top = sum(source.monomial_list[0]) + 1
@@ -558,8 +546,7 @@ def extend_iso(
     k of the map is the image of basis vector k: nothing is inverted.
     phi, checked once, comes back if nothing is missing.
     """
-    if goal.n != source.n:
-        raise ValueError("variable count mismatch")
+    _same_count(source.n, goal)
     _check_iso(source, target, phi)
     return _extend(phi, goal.indices, None)
 
@@ -582,7 +569,7 @@ class AutDescriptor(Value):
             raise ValueError("the unit coordinate must be nonzero")
         clean: dict[MultiIndex, Fraction] = {}
         for alpha, c in (additive or {}).items():
-            alpha = tuple(alpha)
+            alpha = _exponent(alpha, len(alpha))
             if all(a == 0 for a in alpha):
                 raise ValueError("the origin is not an additive coordinate")
             c = as_fraction(c)
@@ -602,9 +589,6 @@ class AutDescriptor(Value):
 
     def _key(self) -> tuple:
         return self.unit, self.additive
-
-    def __hash__(self) -> int:
-        return hash((self.unit, frozenset(self.additive.items())))
 
     def __repr__(self) -> str:
         return f"AutDescriptor(unit={self.unit}, {len(self.additive)} additive terms)"

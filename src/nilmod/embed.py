@@ -78,7 +78,7 @@ from .modcore import (
     _is_nilpotent_matrix,
     socle_eigenvalues,
 )
-from .multipoly import MultiIndex, Poly, grlex_key, multi_factorial
+from .multipoly import MultiIndex, Poly, _same_count, grlex_key, multi_factorial
 
 
 class EmbeddingResult(Immutable):
@@ -114,9 +114,7 @@ def potential(fs: Sequence[Poly], n: int) -> Poly:
     k = len(fs)
     if k > n:
         raise ValueError("more prescribed derivatives than variables")
-    for f in fs:
-        if f.n != n:
-            raise ValueError("variable count mismatch")
+    _same_count(n, *fs)
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             if fs[i - 1].partial(j) != fs[j - 1].partial(i):
@@ -287,8 +285,7 @@ def canonical_form(
 
 
 def is_isomorphic(first: FDModule, second: FDModule) -> bool:
-    if first.n != second.n:
-        raise ValueError("variable count mismatch")
+    _same_count(first.n, second)
     if first.dim != second.dim:
         return False
     return canonical_form(first) == canonical_form(second)
@@ -363,8 +360,7 @@ def brute_force_isomorphic(
     over the rationals that is decided by symbolic expansion.  Intended
     as an oracle at small dimensions.
     """
-    if first.n != second.n:
-        raise ValueError("variable count mismatch")
+    _same_count(first.n, second)
     if max(first.dim, second.dim) > max_dim:
         raise DimensionTooLarge(
             f"brute-force oracle is limited to dimension {max_dim}"

@@ -77,8 +77,8 @@ class Immutable:
 
 class Value(Immutable):
     """An immutable value: equal when of the same type with equal
-    `_key()`, hashed by that key.  Fields derived from the key stay out
-    of it."""
+    `_key()`, hashed by that key, each dict field of it as the frozenset
+    of its items.  Fields derived from the key stay out of it."""
 
     __slots__ = ()
 
@@ -89,7 +89,7 @@ class Value(Immutable):
         return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(tuple(frozenset(f.items()) if isinstance(f, dict) else f for f in self._key()))
 
 
 def vector(entries: Iterable) -> Vector:

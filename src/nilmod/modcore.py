@@ -49,6 +49,9 @@ from .exactalg import (
 from .multipoly import (
     MultiIndex,
     Poly,
+    _check_var,
+    _same_count,
+    _variable_count,
     grlex_key,
     lower_set_closure,
     monomials_up_to_degree,
@@ -69,7 +72,7 @@ class FDModule(Value):
     __slots__ = ("n", "dim", "matrices", "_stack", "_den")
 
     def __init__(self, n: int, matrices: Sequence[QMatrix]):
-        matrices = tuple(matrices)
+        n, matrices = as_int(n), tuple(matrices)
         if n < 1 or len(matrices) != n:
             raise ValueError("need one action matrix per variable")
         dim = matrices[0].rows
@@ -98,8 +101,7 @@ class FDModule(Value):
 
     def action(self, i: int) -> QMatrix:
         """Matrix of x_i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"variable index {i} out of range 1..{self.n}")
+        _check_var(self.n, i)
         return self.matrices[i - 1]
 
     def to_json(self) -> dict:
@@ -111,9 +113,7 @@ class FDModule(Value):
 
     @classmethod
     def from_json(cls, data) -> "FDModule":
-        n = as_int(data["n"])
-        matrices = [QMatrix.from_json(m) for m in data["matrices"]]
-        mod = cls(n, matrices)
+        mod = cls(data["n"], [QMatrix.from_json(m) for m in data["matrices"]])
         if "dim" in data and as_int(data["dim"]) != mod.dim:
             raise ValueError("declared dim disagrees with the matrices")
         return mod
@@ -203,10 +203,9 @@ class PolySubmodule(Value):
     __slots__ = ("n", "monomial_list", "coords", "_position", "_basis")
 
     def __init__(self, n: int, polys: Sequence[Poly]):
+        _same_count(n, *polys)
         support: set[MultiIndex] = set()
         for p in polys:
-            if p.n != n:
-                raise ValueError("variable count mismatch")
             support |= p.monomials()
         monomial_list = tuple(sorted(support, key=grlex_key, reverse=True))
         rows = [[p.terms.get(alpha, 0) for alpha in monomial_list] for p in polys]
@@ -223,8 +222,7 @@ class PolySubmodule(Value):
         weights[c] (or row[c]) being the coefficient at monomial_list[c],
         a descending list of monomials each nonzero in some row.  One
         elimination, then the constants check and the closure pass."""
-        if n < 1:
-            raise ValueError("variable count must be at least 1")
+        n = _variable_count(n)
         coords = Subspace._from_integer_rows(len(monomial_list), rows, weights)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "monomial_list", monomial_list)
@@ -261,8 +259,7 @@ class PolySubmodule(Value):
 
     def coordinates_of(self, p: Poly) -> Optional[Vector]:
         """Coordinates of p over the canonical basis, or None if outside."""
-        if p.n != self.n:
-            raise ValueError("variable count mismatch")
+        _same_count(self.n, p)
         if not p.terms.keys() <= self._position.keys():
             return None
         zero = Fraction(0)
@@ -327,7 +324,7 @@ class PolySubmodule(Value):
 
     @classmethod
     def from_json(cls, data) -> "PolySubmodule":
-        n = as_int(data["n"])
+        n = data["n"]
         return cls(n, [Poly.from_json(p, n) for p in data["basis"]])
 
 
@@ -340,9 +337,8 @@ def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
     d^beta' g of lower degree, taken in ascending degree.
     """
     members = [Poly.one(n)]
+    _same_count(n, *gens)
     for g in gens:
-        if g.n != n:
-            raise ValueError("variable count mismatch")
         derived = {(0,) * n: g}
         for beta in sorted(lower_set_closure(g.monomials()), key=sum)[1:]:
             i = next(k for k, b in enumerate(beta) if b)

@@ -15,7 +15,7 @@ from itertools import product
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .exactalg import Value, _integer_rows, as_fraction, format_rational, parse_rational
+from .exactalg import Value, _integer_rows, as_fraction, as_int, format_rational, parse_rational
 
 MultiIndex = tuple[int, ...]
 
@@ -38,9 +38,7 @@ def multi_factorial(alpha: MultiIndex) -> int:
 def monomials_of_degree(n: int, degree: int) -> Iterator[MultiIndex]:
     """All exponent vectors of length n with total degree exactly `degree`
     (none for a negative degree)."""
-    if n < 1:
-        raise ValueError("variable count must be at least 1")
-    if n == 1:
+    if _variable_count(n) == 1:
         if degree >= 0:
             yield (degree,)
         return
@@ -78,15 +76,10 @@ class Poly(Value):
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Optional[Mapping[MultiIndex, object]] = None):
-        if n < 1:
-            raise ValueError("variable count must be at least 1")
+        n = _variable_count(n)
         clean: dict[MultiIndex, Fraction] = {}
         for alpha, c in (terms or {}).items():
-            alpha = tuple(alpha)
-            if len(alpha) != n or any(
-                isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha
-            ):
-                raise ValueError(f"bad exponent vector {alpha} for n={n}")
+            alpha = _exponent(alpha, n)
             c = as_fraction(c)
             if c != 0:
                 clean[alpha] = c
@@ -107,17 +100,15 @@ class Poly(Value):
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
-        if n < 1:
-            raise ValueError("variable count must be at least 1")
-        return cls._trusted(n, {})
+        return cls._trusted(_variable_count(n), {})
 
     @classmethod
     def one(cls, n: int) -> "Poly":
-        return cls(n, {(0,) * n: 1})
+        return cls(n, {(0,) * _variable_count(n): 1})
 
     @classmethod
     def constant(cls, n: int, c) -> "Poly":
-        return cls(n, {(0,) * n: c})
+        return cls(n, {(0,) * _variable_count(n): c})
 
     @classmethod
     def monomial(cls, n: int, alpha: MultiIndex) -> "Poly":
@@ -126,8 +117,7 @@ class Poly(Value):
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
         _check_var(n, i)
-        alpha = tuple(1 if k == i - 1 else 0 for k in range(n))
-        return cls(n, {alpha: 1})
+        return cls(n, {tuple(int(k == i - 1) for k in range(_variable_count(n))): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -137,9 +127,6 @@ class Poly(Value):
 
     def _key(self) -> tuple:
         return self.n, self.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
 
     def monomials(self) -> set[MultiIndex]:
         return set(self.terms)
@@ -156,7 +143,7 @@ class Poly(Value):
         return max(sum(alpha) for alpha in self.terms)
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
+        _same_count(self.n, other)
         out = dict(self.terms)
         for alpha, c in other.terms.items():
             s = out.get(alpha, Fraction(0)) + c
@@ -198,10 +185,6 @@ class Poly(Value):
             out[beta] = c * alpha[k]
         return Poly._trusted(self.n, out)
 
-    def _check_compatible(self, other: "Poly") -> None:
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -236,8 +219,8 @@ class Poly(Value):
         terms: dict[MultiIndex, Fraction] = {}
         for item in data:
             exps = item["exps"]
-            if not isinstance(exps, list) or len(exps) != n:
-                raise ValueError(f"exponent vector {exps} has wrong length")
+            if not isinstance(exps, list):
+                raise ValueError(f"exponent vector {exps} is not a list")
             alpha = tuple(exps)
             if alpha in terms:
                 raise ValueError(f"duplicate exponent vector {alpha}")
@@ -258,7 +241,7 @@ def truncated_product(p: Poly, q: Poly, bound) -> Poly:
     built per nonzero sum.  q's terms are visited in ascending degree,
     so each term of p stops at the first one that overshoots the bound.
     """
-    p._check_compatible(q)
+    _same_count(p.n, q)
     p_nums, p_den = _integer_coeffs(p.terms)
     q_nums, q_den = _integer_coeffs(q.terms)
     by_degree = _by_degree(q_nums)
@@ -322,6 +305,32 @@ def _partial_matches(
     return met == len(q)
 
 
-def _check_var(n: int, i: int) -> None:
-    if not 1 <= i <= n:
+# --- the input rules: each checked here and nowhere else -----------------
+
+def _variable_count(n) -> int:
+    """A variable count: an integer, not a bool, at least 1."""
+    n = as_int(n)
+    if n < 1:
+        raise ValueError("variable count must be at least 1")
+    return n
+
+
+def _same_count(n: int, *values) -> None:
+    """Every value (anything with an `n`) has the variable count n."""
+    for value in values:
+        if value.n != n:
+            raise ValueError("variable count mismatch")
+
+
+def _exponent(alpha, n: int) -> MultiIndex:
+    """An exponent vector in N^n: n integers, none a bool or negative."""
+    alpha = tuple(alpha)
+    if len(alpha) != n or any(isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha):
+        raise ValueError(f"bad exponent vector {alpha} for n={n}")
+    return alpha
+
+
+def _check_var(n: int, i) -> None:
+    """A variable index: an integer, not a bool, in 1..n."""
+    if not 1 <= as_int(i) <= n:
         raise IndexError(f"variable index {i} out of range 1..{n}")

@@ -193,6 +193,20 @@ def test_aut_refuses_fewer_than_one_variable(n, monkeypatch, capsys):
     }
 
 
+@pytest.mark.parametrize("key", [[True], [1.0]], ids=["bool", "float"])
+def test_extract_endo_refuses_a_non_integer_table_key(key, monkeypatch, capsys):
+    # The key [true] used to be read as [1], and the table accepted.
+    images = [
+        {"exps": [0], "poly": [{"exps": [0], "coef": "1"}]},
+        {"exps": key, "poly": [{"exps": [1], "coef": "1"}]},
+    ]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"n": 1, "degree": 1, "images": images})))
+    assert cli.main(["extract-endo", "-"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"kind": "ParseError", "detail": f"bad exponent vector ({key[0]!r},) for n=1"}
+    }
+
+
 @pytest.mark.parametrize("n,bound", [("2", "-3"), ("1", "-1")])
 def test_gen_refuses_a_negative_degree_bound(n, bound):
     proc = run_cli(["gen", "--n", n, "--degree-bound", bound, "--seed", "1"])

@@ -1230,13 +1230,13 @@ def test_extend_step_invariant_survives_optimize_flag():
     # one step and in a whole extension.
     code = "\n".join(
         [
-            "import nilmod.embed as embed",
+            "import nilmod.diffop as diffop",
             "from nilmod.diffop import MonomialSubmodule, extend_iso, extend_iso_step",
             "from nilmod.exactalg import QMatrix",
             "from nilmod.modcore import ModuleMap, submodule_from_polys",
             "from nilmod.multipoly import Poly",
             "print(__debug__)",
-            "embed.potential = lambda gs, n: Poly.one(n)",
+            "diffop.potential = lambda gs, n: Poly.one(n)",
             "base = submodule_from_polys(1, [])",
             "try:",
             "    extend_iso_step(base, base, ModuleMap(base, base, QMatrix.identity(1)))",

@@ -31,7 +31,6 @@ CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"
 # Public API with no caller of its own, each kept for a reason.
 ALLOWED = {
     "Poly.constant": "constructor of the constant polynomial",
-    "Poly.variable": "constructor of the coordinate polynomial x_i",
     "DiffOpSeries.derivative": "constructor of the operator d_i",
     "DiffOpSeries.is_automorphism": "the paper's criterion c_0 != 0, which the README names",
     "AutGroup.additive_count": "the group's number of additive coordinates, m - 1",

@@ -4,6 +4,7 @@ type compare by their fields, and module maps and embedding results
 compare by identity.  One table covers all eleven types; each row builds
 two equal values from scratch."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -108,3 +109,25 @@ def test_a_poly_never_equals_a_series():
     assert p.terms == s.coeffs
     assert p != s and s != p
     assert len({p, s}) == 2
+
+
+def test_dict_fields_hash_as_the_frozenset_of_their_items():
+    # The formula that Poly, DiffOpSeries and AutDescriptor each wrote out
+    # before `Value.__hash__` took it over.
+    rng = random.Random(20)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(n)): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            for _ in range(rng.randint(0, 6))
+        }
+        p = Poly(n, terms)
+        assert hash(p) == hash((p.n, frozenset(p.terms.items())))
+        s = DiffOpSeries(n, 9, terms)
+        assert hash(s) == hash((s.n, s.trunc, frozenset(s.coeffs.items())))
+        d = AutDescriptor(Fraction(rng.randint(1, 9), rng.randint(1, 4)), {a: c for a, c in terms.items() if any(a)})
+        assert hash(d) == hash((d.unit, frozenset(d.additive.items())))
+    # Keys without a dict field hash as they are.
+    for name in set(VALUES) - {"Poly", "DiffOpSeries", "AutDescriptor"}:
+        value = VALUES[name](False)
+        assert hash(value) == hash(value._key()), name
