@@ -40,7 +40,10 @@ from .multipoly import Poly, _exponent, _variable_count
 
 def _read_json(path: str):
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("input JSON must be an object")
     return data

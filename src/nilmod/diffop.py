@@ -38,6 +38,12 @@ polynomial.  Results that are canonical by construction go through
 `Poly._trusted` and `DiffOpSeries._trusted`; input from outside goes
 through the validating constructors.
 
+Application and the image table find the gamma <= alpha of the support
+with `multipoly._below`.  It walks the box of alpha, one lookup per
+cell, when the box has no more cells than the support has terms, and
+the support up to degree |alpha| otherwise, so a one-term series stays
+cheap at a high truncation.
+
 An isomorphism between polynomial submodules grows one monomial at a
 time, as FGLM grows its basis: each step adds the graded-lex least
 monomial x^kappa missing from the source as one echelon row, and maps
@@ -47,7 +53,6 @@ it to the potential of the images of its partials, which lie inside.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial
 from operator import add, sub
 from typing import Container, Iterable, Mapping, Optional
@@ -60,17 +65,19 @@ from .errors import (
     WrongConstantTerm,
 )
 from .embed import potential
-from .exactalg import QMatrix, Value, _integer_rows, as_fraction, as_int
+from .exactalg import QMatrix, Value, _integer_rows, as_fraction
 from .modcore import ModuleMap, PolySubmodule
 from .multipoly import (
     MultiIndex,
     Poly,
     _below,
+    _box,
     _by_degree,
     _exponent,
     _integer_coeffs,
     _partial_matches,
     _same_count,
+    _truncation,
     _variable_count,
     grlex_key,
     is_lower_set,
@@ -90,16 +97,14 @@ class DiffOpSeries(Value):
     __slots__ = ("n", "trunc", "coeffs")
 
     def __init__(self, n: int, trunc: int, coeffs: Optional[Mapping[MultiIndex, object]] = None):
-        n, trunc = as_int(n), as_int(trunc)
-        clean = Poly(n, coeffs).terms
-        if trunc < 0:
-            raise ValueError("truncation degree must be non-negative")
-        for alpha in clean:
+        poly = Poly(n, coeffs)
+        trunc = _truncation(trunc)
+        for alpha in poly.terms:
             if sum(alpha) > trunc:
                 raise ValueError(f"index {alpha} exceeds truncation {trunc}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", poly.n)
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", poly.terms)
 
     @classmethod
     def _trusted(cls, n: int, trunc: int, coeffs: dict[MultiIndex, Fraction]) -> "DiffOpSeries":
@@ -176,7 +181,8 @@ class DiffOpSeries(Value):
         when gamma <= beta, else 0.  With c_gamma = N_gamma/D and
         b_beta = P_beta/D_p, the integers N_gamma P_beta beta! landing
         on x^delta are summed, and the sum is divided by D D_p delta!
-        once at the end.
+        once at the end.  The gamma <= beta come from the box of beta or
+        from the support, whichever is smaller (`multipoly._below`).
         """
         _same_count(self.n, p)
         deg = p.total_degree()
@@ -190,7 +196,7 @@ class DiffOpSeries(Value):
         sums: dict[MultiIndex, int] = {}
         for beta, b in p_nums.items():
             b *= multi_factorial(beta)
-            for delta, c in _below(gammas, beta):
+            for delta, c in _below(gammas, nums, beta):
                 sums[delta] = sums.get(delta, 0) + c * b
         den *= p_den
         return Poly._trusted(
@@ -290,7 +296,8 @@ def monomial_images(s: DiffOpSeries) -> dict[MultiIndex, Poly]:
     over one common denominator, the image of x^alpha has the term
     N_gamma alpha!/(alpha-gamma)! / D at x^(alpha-gamma) for every
     gamma <= alpha; distinct gamma give distinct monomials, so nothing
-    is summed.
+    is summed.  Each alpha walks its box of prod(alpha_i + 1) cells or
+    the support, whichever is smaller (`multipoly._below`).
     """
     facts = {alpha: multi_factorial(alpha) for alpha in monomials_up_to_degree(s.n, s.trunc)}
     nums, den = _integer_coeffs(s.coeffs)
@@ -298,7 +305,7 @@ def monomial_images(s: DiffOpSeries) -> dict[MultiIndex, Poly]:
     return {
         alpha: Poly._trusted(
             s.n,
-            {delta: Fraction(c * (fact // facts[delta]), den) for delta, c in _below(gammas, alpha)},
+            {delta: Fraction(c * (fact // facts[delta]), den) for delta, c in _below(gammas, nums, alpha)},
         )
         for alpha, fact in facts.items()
     }
@@ -309,16 +316,14 @@ def extract_coeffs(
 ) -> DiffOpSeries:
     """Recover the series from a monomial-image table.
 
-    The table must cover every monomial of total degree <= degree and
-    commute with each partial derivative wherever both sides stay
-    inside the table; that check is exactly what makes the coefficient
-    formula c_alpha = image(x^alpha)(0)/alpha! reproduce the whole map.
-    The first failure in graded-lex order of alpha, then i, is the
-    witness (i, alpha).
+    The table must cover every monomial of total degree <= degree, hold
+    none above it, and commute with each partial derivative wherever
+    both sides stay inside the table; that check is exactly what makes
+    the coefficient formula c_alpha = image(x^alpha)(0)/alpha! reproduce
+    the whole map.  The first failure in graded-lex order of alpha, then
+    i, is the witness (i, alpha).
     """
-    n, degree = _variable_count(n), as_int(degree)
-    if degree < 0:
-        raise ValueError("truncation degree must be non-negative")
+    n, degree = _variable_count(n), _truncation(degree)
     table: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
     for alpha in monomials_up_to_degree(n, degree):
         if alpha not in images:
@@ -327,6 +332,9 @@ def extract_coeffs(
         if p.n != n:
             raise ValueError("variable count mismatch in image table")
         table[alpha] = p.terms
+    if len(images) > len(table):
+        alpha = min((_exponent(a, n) for a in images if a not in table), key=grlex_key)
+        raise ValueError(f"image table has monomial {alpha} above degree {degree}")
     for alpha in sorted(table, key=grlex_key):
         for k, a in enumerate(alpha):
             # d_(k+1) s(x^alpha) == alpha_k s(x^(alpha - e_k))
@@ -389,7 +397,7 @@ class MonomialSubmodule(Value):
             facts = [multi_factorial(alpha) for alpha in order]
             pairs = []
             for j, alpha in enumerate(order):
-                for beta in product(*(range(a + 1) for a in alpha)):
+                for beta in _box(alpha):
                     i = index[beta]
                     gamma = order[index[tuple(map(sub, alpha, beta))]]
                     pairs.append((i, j, gamma, facts[j] // facts[i]))
@@ -711,6 +719,7 @@ def restriction_kernel_dim(module: MonomialSubmodule, trunc: int) -> int:
     at (x^beta, x^alpha) belongs to gamma = alpha - beta alone), so the
     restriction has rank m.
     """
+    trunc = _truncation(trunc)
     if trunc < module.max_degree:
         raise TruncationTooLow(
             f"truncation {trunc} below the submodule degree {module.max_degree}"

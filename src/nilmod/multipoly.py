@@ -52,12 +52,16 @@ def monomials_up_to_degree(n: int, bound: int) -> Iterator[MultiIndex]:
         yield from monomials_of_degree(n, d)
 
 
+def _box(alpha: MultiIndex) -> Iterator[MultiIndex]:
+    """Every beta <= alpha componentwise, in lex order."""
+    return product(*(range(a + 1) for a in alpha))
+
+
 def lower_set_closure(indices: Iterable[MultiIndex]) -> set[MultiIndex]:
     """Downward closure under componentwise <=."""
     closed: set[MultiIndex] = set()
     for alpha in indices:
-        for beta in product(*(range(a + 1) for a in alpha)):
-            closed.add(beta)
+        closed.update(_box(alpha))
     return closed
 
 
@@ -271,9 +275,26 @@ def _by_degree(terms: Mapping[MultiIndex, object]) -> list[tuple[MultiIndex, int
     return sorted(((a, sum(a), c) for a, c in terms.items()), key=lambda t: t[1])
 
 
-def _below(by_degree: list[tuple[MultiIndex, int, object]], alpha: MultiIndex):
-    """(alpha - gamma, c_gamma) for every gamma <= alpha among the
-    `_by_degree` terms: where d^gamma takes x^alpha."""
+def _below(
+    by_degree: list[tuple[MultiIndex, int, object]], terms: Mapping[MultiIndex, object], alpha: MultiIndex
+):
+    """(alpha - gamma, c_gamma) for every gamma <= alpha among the terms,
+    with `by_degree` their `_by_degree` list: where d^gamma takes x^alpha.
+
+    It walks the box of alpha, prod(alpha_i + 1) cells with one lookup
+    each, when it has no more cells than there are terms, and otherwise
+    the support up to degree |alpha|, so a sparse series never pays for
+    a large box.
+    """
+    cells = 1
+    for a in alpha:
+        cells *= a + 1
+    if cells <= len(terms):
+        for gamma in _box(alpha):
+            c = terms.get(gamma)
+            if c is not None:
+                yield tuple(map(sub, alpha, gamma)), c
+        return
     room = sum(alpha)
     for gamma, g_deg, c in by_degree:
         if g_deg > room:
@@ -328,6 +349,14 @@ def _exponent(alpha, n: int) -> MultiIndex:
     if len(alpha) != n or any(isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha):
         raise ValueError(f"bad exponent vector {alpha} for n={n}")
     return alpha
+
+
+def _truncation(trunc) -> int:
+    """A truncation degree: an integer, not a bool, at least 0."""
+    trunc = as_int(trunc)
+    if trunc < 0:
+        raise ValueError("truncation degree must be non-negative")
+    return trunc
 
 
 def _check_var(n: int, i) -> None:

@@ -207,6 +207,39 @@ def test_extract_endo_refuses_a_non_integer_table_key(key, monkeypatch, capsys):
     }
 
 
+def test_extract_endo_refuses_an_entry_above_the_degree(monkeypatch, capsys):
+    # The entry at [5] used to be neither checked nor used.
+    images = [
+        {"exps": [0], "poly": [{"exps": [0], "coef": "1"}]},
+        {"exps": [5], "poly": [{"exps": [0], "coef": "7"}]},
+        {"exps": [1], "poly": [{"exps": [1], "coef": "1"}]},
+    ]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"n": 1, "degree": 1, "images": images})))
+    assert cli.main(["extract-endo", "-"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"kind": "ParseError", "detail": "image table has monomial (5,) above degree 1"}
+    }
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_deeply_nested_json_is_a_parse_error(source, flags, tmp_path):
+    # 1000 open brackets exceed the decoder's recursion limit; that used
+    # to end in a RecursionError traceback, exit 1 and no output.
+    text = b"[" * 1000
+    if source == "file":
+        path = tmp_path / "deep.json"
+        path.write_bytes(text)
+        proc = run_cli(["validate", str(path)], flags=flags)
+    else:
+        proc = run_cli(["validate", "-"], stdin=text, flags=flags)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "error": {"kind": "ParseError", "detail": "input JSON is nested too deeply"}
+    }
+
+
 @pytest.mark.parametrize("n,bound", [("2", "-3"), ("1", "-1")])
 def test_gen_refuses_a_negative_degree_bound(n, bound):
     proc = run_cli(["gen", "--n", n, "--degree-bound", bound, "--seed", "1"])

@@ -24,6 +24,7 @@ from operator import add
 from pathlib import Path
 
 import pytest
+from timing import time_limit
 
 import nilmod.diffop as diffop
 from nilmod.diffop import (
@@ -53,6 +54,8 @@ from nilmod.embed import potential
 from nilmod.modcore import ModuleMap, PolySubmodule, submodule_from_polys
 from nilmod.multipoly import (
     Poly,
+    _below,
+    _by_degree,
     grlex_key,
     lower_set_closure,
     monomials_of_degree,
@@ -699,6 +702,86 @@ def test_apply_and_images_match_the_fraction_closed_form():
                     assert_canonical_poly(image)
 
 
+# --- the walk of _below: the box of alpha or the support --------------------------
+
+class Sized(dict):
+    """A terms dict that reports `size` terms and counts its lookups, so
+    `_below` takes the branch the size picks on the same terms."""
+
+    def __init__(self, terms, size=None):
+        super().__init__(terms)
+        self.size = len(terms) if size is None else size
+        self.looked = 0
+
+    def __len__(self):
+        return self.size
+
+    def get(self, key, default=None):
+        self.looked += 1
+        return super().get(key, default)
+
+
+def cells(alpha):
+    return math.prod(a + 1 for a in alpha)
+
+
+def test_below_walks_the_box_up_to_the_switch_point():
+    # Four terms: (1, 1) and (3, 0) have 4 cells, the switch point, and
+    # take the box; (1, 2) and (2, 1) have 6 and walk the support.
+    nums = {(0, 0): 3, (1, 0): -2, (0, 1): 5, (0, 2): 7}
+    by_degree = _by_degree(nums)
+    for alpha in monomials_up_to_degree(2, 3):
+        expected = {
+            (alpha[0] - g[0], alpha[1] - g[1]): c for g, c in nums.items() if g[0] <= alpha[0] and g[1] <= alpha[1]
+        }
+        terms = Sized(nums)
+        assert dict(_below(by_degree, terms, alpha)) == expected
+        assert terms.looked == (cells(alpha) if cells(alpha) <= len(nums) else 0)
+        for size in (0, 10**9):
+            assert dict(_below(by_degree, Sized(nums, size), alpha)) == expected
+
+
+@pytest.mark.parametrize("branch", ["box", "support", "switch"])
+def test_both_walks_match_the_fraction_closed_form(branch, monkeypatch):
+    # The same series and polynomials through the box everywhere, the
+    # support everywhere, and the switch as it stands; the supports run
+    # from one term to the whole box of the truncation.
+    if branch != "switch":
+        size = 10**9 if branch == "box" else 0
+        below = diffop._below
+        monkeypatch.setattr(diffop, "_below", lambda by_degree, terms, alpha: below(by_degree, Sized(terms, size), alpha))
+    rng = random.Random(617)
+    for n in (1, 2, 3):
+        for trunc in range(5):
+            monomials = list(monomials_up_to_degree(n, trunc))
+            for k in sorted({1, 2, 4, len(monomials) // 2, len(monomials)}):
+                support = rng.sample(monomials, min(k, len(monomials)))
+                s = DiffOpSeries(n, trunc, {a: random_fraction(rng) for a in support})
+                p = random_poly(rng, n, trunc)
+                out = s.apply(p)
+                assert_canonical_poly(out)
+                assert out == reference_closed_form_apply(s, p)
+                table = monomial_images(s)
+                assert table == reference_monomial_images(s)
+                for image in table.values():
+                    assert_canonical_poly(image)
+
+
+def test_a_one_term_series_walks_its_support_at_a_high_truncation():
+    # d1 at n = 3, trunc 40: the boxes of the C(43, 3) = 12341 monomials
+    # hold about 9.4 million cells, against one support term each.  Each
+    # call takes about 0.1 s; walking every box took about 1.2 s.
+    d1 = DiffOpSeries.derivative(3, 40, 1)
+    p = Poly(3, {a: 1 for a in monomials_up_to_degree(3, 40)})
+    with time_limit(0.5):
+        table = monomial_images(d1)
+    with time_limit(0.5):
+        out = d1.apply(p)
+    assert table[(2, 1, 0)] == Poly(3, {(1, 1, 0): 2})
+    assert table[(0, 5, 3)] == Poly.zero(3)
+    assert out == Poly(3, {(a[0] - 1,) + a[1:]: a[0] for a in p.terms if a[0]})
+
+
 def test_apply_drops_output_terms_that_sum_to_zero():
     # (1 + d1)(x1 - 1) = x1: the constant terms cancel.
     out = DiffOpSeries(1, 1, {(0,): 1, (1,): 1}).apply(Poly(1, {(1,): 1, (0,): -1}))
@@ -796,18 +879,29 @@ def test_extract_witness_matches_the_poly_check(how, seed):
 
 
 def test_extract_on_tables_beyond_the_degree_matches_the_poly_check():
-    # Images of higher degree and entries above the extraction degree.
+    # Images of higher degree match the poly check; entries above the
+    # extraction degree are refused, naming the least of them, where the
+    # poly check ignored them.
     rng = random.Random(641)
     for n in (1, 2, 3):
         for trunc in range(1, 5):
             s = random_series(rng, n, trunc)
             table = monomial_images(s)
             for degree in range(trunc + 1):
-                got = extraction_outcome(extract_coeffs, n, degree, table)
-                assert got == extraction_outcome(reference_extract, n, degree, table)
-                bad = corrupted(rng, table, n, trunc, "change")
-                got = extraction_outcome(extract_coeffs, n, degree, bad)
-                assert got == extraction_outcome(reference_extract, n, degree, bad)
+                cut = {a: p for a, p in table.items() if sum(a) <= degree}
+                for how in ("change", "add"):
+                    bad = corrupted(rng, cut, n, trunc, how)
+                    got = extraction_outcome(extract_coeffs, n, degree, bad)
+                    assert got == extraction_outcome(reference_extract, n, degree, bad)
+                got = extraction_outcome(extract_coeffs, n, degree, cut)
+                assert got == extraction_outcome(reference_extract, n, degree, cut)
+                if degree == trunc:
+                    assert extract_coeffs(n, degree, table) == s
+                    continue
+                least = min((a for a in table if sum(a) > degree), key=grlex_key)
+                with pytest.raises(ValueError) as caught:
+                    extract_coeffs(n, degree, table)
+                assert str(caught.value) == f"image table has monomial {least} above degree {degree}"
 
 
 @pytest.mark.parametrize(

@@ -8,15 +8,14 @@ isomorphism decision procedure run against the constructive one.
 import json
 import os
 import random
-import signal
 import subprocess
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
+from timing import time_limit
 
 from nilmod.embed import (
     EmbeddingResult,
@@ -531,22 +530,6 @@ def test_embed_rng_changes_the_map_not_the_image():
 
 # e_1 spans the joint kernel, and lam S^k = (0, 1) for every k >= 1.
 LINE_KERNEL_NOT_NILPOTENT = validate([QMatrix([[0, 1], [0, 1]])])
-
-
-@contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block after the given wall-clock time."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_capped():

@@ -6,7 +6,9 @@ that reads such an input calls it:
 - values combined with each other have the same count (`_same_count`);
 - an exponent vector is n integers, none a bool or negative
   (`_exponent`);
-- a variable index is an integer, not a bool, in 1..n (`_check_var`).
+- a variable index is an integer, not a bool, in 1..n (`_check_var`);
+- a truncation degree is an integer, not a bool, at least 0
+  (`_truncation`).
 
 The guard parses the package with `ast`: each rule's message is built in
 its owner alone, and no hand-written copy of a rule's comparison is left.
@@ -28,6 +30,7 @@ from nilmod.diffop import (
     extend_iso_step,
     extract_coeffs,
     restrict,
+    restriction_kernel_dim,
 )
 from nilmod.embed import brute_force_isomorphic, is_isomorphic, potential
 from nilmod.exactalg import QMatrix
@@ -48,6 +51,7 @@ OWNERS = {
     "variable count mismatch": "multipoly._same_count",
     "bad exponent vector": "multipoly._exponent",
     "out of range 1..": "multipoly._check_var",
+    "truncation degree must be non-negative": "multipoly._truncation",
 }
 # `extract_coeffs` names the table in its own message.
 EXCLUDED = "variable count mismatch in image table"
@@ -286,6 +290,30 @@ def test_every_index_entry_refuses_a_bad_index(entry, i):
 def test_every_index_entry_accepts_both_variables(entry):
     INDEX_ENTRIES[entry](1)
     INDEX_ENTRIES[entry](2)
+
+
+# Entries that read a truncation degree d.
+TRUNCATION_ENTRIES = {
+    "DiffOpSeries": lambda d: DiffOpSeries(1, d),
+    "DiffOpSeries.identity": lambda d: DiffOpSeries.identity(1, d),
+    "DiffOpSeries.derivative": lambda d: DiffOpSeries.derivative(1, d, 1),
+    "extract_coeffs": lambda d: extract_coeffs(1, d, {(0,): Poly.one(1), (1,): Poly(1, {(1,): 1})}),
+    "restriction_kernel_dim": lambda d: restriction_kernel_dim(MonomialSubmodule(1, [(0,)]), d),
+}
+
+
+@pytest.mark.parametrize("d", [True, 2.0, -1], ids=["bool", "float", "negative"])
+@pytest.mark.parametrize("entry", sorted(TRUNCATION_ENTRIES))
+def test_every_truncation_entry_refuses_a_bad_degree(entry, d):
+    message = "truncation degree must be non-negative" if d == -1 else f"expected an integer, got {d!r}"
+    with pytest.raises(ValueError) as caught:
+        TRUNCATION_ENTRIES[entry](d)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("entry", sorted(TRUNCATION_ENTRIES))
+def test_every_truncation_entry_accepts_a_degree(entry):
+    TRUNCATION_ENTRIES[entry](1)
 
 
 def _span(n):
