@@ -726,8 +726,9 @@ def cells(alpha):
 
 
 def test_below_walks_the_box_up_to_the_switch_point():
-    # Four terms: (1, 1) and (3, 0) have 4 cells, the switch point, and
-    # take the box; (1, 2) and (2, 1) have 6 and walk the support.
+    # Four terms: (1, 1), (3, 0) and (0, 3) have 4 cells, the switch
+    # point, and take the box; (1, 2) and (2, 1) have 6 and walk the
+    # support.
     nums = {(0, 0): 3, (1, 0): -2, (0, 1): 5, (0, 2): 7}
     by_degree = _by_degree(nums)
     for alpha in monomials_up_to_degree(2, 3):
