@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-dim",
         type=int,
         default=None,
-        help="use the brute-force intertwiner oracle with this dimension bound",
+        help="use the brute-force intertwiner oracle with this dimension bound (at most 10)",
     )
     p.set_defaults(handler=_cmd_isomorphic)
 

@@ -16,21 +16,23 @@ polynomials killed by every operator f(d/dx) with f(S) = 0, which does
 not depend on lambda.  The row vectors lambda S^alpha come from one
 breadth-first pass over the exponents alpha, so nothing is restricted,
 inverted or integrated, and they stay primitive integer rows from the
-action matrices to the image's one elimination.
+action matrices to the image's elimination, when it needs one.
 
-By default lambda reads the first nonzero coordinate of the socle line
-mod P, which is the pivot of the socle's RREF basis vector unless P
-divides its entry there.  The line comes from one elimination modulo
-the prime P, and only chooses: an injective phi certifies the choice
-exactly.  The exact joint kernel is computed only when the line mod P
-is missing or the embedding fails.
+Lambda is nonzero on a vector w that every S_i kills mod a prime P,
+from a walk: from e_1, apply S_1 mod P until the result vanishes, then
+S_2, and so on.  When the kernel mod P is a line, w spans it.  The walk
+only chooses: an injective phi certifies the choice exactly.  Only a
+failure computes the exact joint kernel, to name its error or, when it
+is a line that lambda missed, to run the pass once more.  When the pass
+leaves d monomials whose rows have rank d mod P, a lower bound for the
+exact rank, the image is their span and needs no elimination.
 
-The pass certifies nilpotency: a nonzero row at degree dim stops it,
-and an injective phi gives phi(S^N v) = d^N phi(v) = 0 past the top
-degree.  Squaring the matrices only names the error of a failed
-embedding, and bounds the pass: past a budget of row products of the
-order of the squaring test, it runs once and stops a pass that cannot
-succeed.
+The walk and the pass certify nilpotency: a walk past d - 1 steps or a
+nonzero row at degree dim stops the embedding, and an injective phi
+gives phi(S^N v) = d^N phi(v) = 0 past the top degree.  Squaring the
+matrices only names the error of a failed embedding, and bounds the
+pass: past a budget of row products of the order of the squaring test,
+it runs once and stops a pass that cannot succeed.
 
 Modules with a rational joint eigenvalue tuple reduce to the nilpotent
 case by twisting and land in an exponentially weighted copy instead.
@@ -67,7 +69,7 @@ from .exactalg import (
     _fraction_row,
     _int_matmul,
     _integer_kernel,
-    _kernel_line_mod,
+    _rank_mod,
 )
 from .modcore import (
     ExpSubmodule,
@@ -79,6 +81,8 @@ from .modcore import (
     socle_eigenvalues,
 )
 from .multipoly import MultiIndex, Poly, _same_count, grlex_key, multi_factorial
+
+_NOT_NILPOTENT = "only nilpotent modules embed into the derivative module"
 
 
 class EmbeddingResult(Immutable):
@@ -130,22 +134,20 @@ def potential(fs: Sequence[Poly], n: int) -> Poly:
     return Poly._trusted(n, terms)
 
 
-def _functional(s: Sequence, rng: Optional[random.Random], modulus: Optional[int] = None) -> list[int]:
-    """A functional that is nonzero on the socle vector s, modulo the
-    modulus when one is given (s then holds residues), as an integer
+def _functional(s: Sequence, rng: Optional[random.Random]) -> list[int]:
+    """A functional that is nonzero on the vector s mod P, as an integer
     row: lambda has denominator 1.
 
     Without an rng: the coordinate at the first nonzero entry of s.
     With one: small random integers, redrawn until the value on s is
-    nonzero.
+    nonzero mod P.
     """
     if rng is None:
         pivot = next(j for j, x in enumerate(s) if x != 0)
         return [int(j == pivot) for j in range(len(s))]
     while True:
         lam = [rng.randint(-4, 4) for _ in s]
-        value = sum(a * b for a, b in zip(lam, s))
-        if (value if modulus is None else value % modulus) != 0:
+        if sum(a * b for a, b in zip(lam, s)) % _PRIME != 0:
             return lam
 
 
@@ -206,41 +208,67 @@ def _inverse_system(stack: Sequence[Sequence[int]], den: int, lam: Sequence[int]
     return monomials, [rows[a] for a in monomials], weights
 
 
+def _socle_walk(stack: Sequence[Sequence[int]], d: int) -> list[int]:
+    """Residues w with M_i w = 0 mod P for every i: from e_1, apply M_1
+    mod P until the result vanishes, then M_2, and so on, combining only
+    the columns at w's nonzero entries.  The M_i commute, so M_i w stays
+    0 once it is.  Each w is M^alpha e_1, nonzero mod P and so nonzero:
+    past d - 1 steps |alpha| = d, and the module is not nilpotent.
+    """
+    w, steps = [1] + [0] * (d - 1), 0
+    for block in _blocks(stack, len(stack) // d, d):
+        columns = _columns(block, d)
+        while True:
+            scaled = [[x * c for c in columns[j]] for j, x in enumerate(w) if x]
+            product = [sum(entries) % _PRIME for entries in zip(*scaled)]
+            if not any(product):
+                break
+            steps += 1
+            if steps == d:
+                raise NotNilpotent(_NOT_NILPOTENT)
+            w = product
+    return w
+
+
+def _image(n: int, d: int, stack: Sequence[Sequence[int]], den: int, lam: Sequence[int]) -> Optional[tuple]:
+    """(image, rows, weights) from the pass of lam, or None when phi is
+    not injective.  d monomials whose rows have rank d mod P span the
+    image, and the checked core gets the identity rows for them."""
+    found = _inverse_system(stack, den, lam)
+    if found is None:
+        raise NotNilpotent(_NOT_NILPOTENT)
+    monomials, rows, weights = found
+    if len(monomials) == d and _rank_mod(rows, d) == d:
+        image = PolySubmodule._from_integer_rows(n, monomials, [[int(i == j) for j in range(d)] for i in range(d)], None)
+    else:
+        image = PolySubmodule._from_integer_rows(n, monomials, _columns(rows, d), weights)
+    return (image, rows, weights) if image.dim == d else None
+
+
 def _embed(n: int, d: int, stack: Sequence[Sequence[int]], den: int, rng: Optional[random.Random]) -> tuple:
     """The embedding of the module whose S_i = M_i / D come stacked,
     integer rows M_1, ..., M_n over one denominator D: (image, rows,
     weights), the pass's rows and weights, from which `_map_images`
     reads the map.  Raises the typed error that says why the module
-    does not embed.
-
-    The kernel and the pass share the stack, and the pass's rows are
-    eliminated as they are.  Only a failure squares the matrices, to
-    name its error.
+    does not embed.  Only a failure squares the matrices and computes
+    the exact joint kernel, to name its error or, when that is a line
+    the walk's lambda missed, to run the pass once more.
     """
-    line = _kernel_line_mod(stack, d)
-    space = None
-    if line is not None:
-        lam = _functional(line, rng, _PRIME)
-    else:
-        space = _integer_kernel(stack, d)
-        lam = _functional(space.basis[0], rng) if space.dim == 1 else None
-    if lam is not None:
-        found = _inverse_system(stack, den, lam)
-        if found is None:
-            raise NotNilpotent("only nilpotent modules embed into the derivative module")
-        monomials, rows, weights = found
-        image = PolySubmodule._from_integer_rows(n, monomials, _columns(rows, d), weights)
-        if image.dim == d:
-            return image, rows, weights
+    if d:
+        found = _image(n, d, stack, den, _functional(_socle_walk(stack, d), rng))
+        if found is not None:
+            return found
     if not all(map(_is_nilpotent_matrix, _blocks(stack, n, d))):
-        raise NotNilpotent("only nilpotent modules embed into the derivative module")
+        raise NotNilpotent(_NOT_NILPOTENT)
     if d == 0:
         raise SocleNotOneDimensional("the zero module has no socle line")
-    if space is None:
-        space = _integer_kernel(stack, d)
+    space = _integer_kernel(stack, d)
     if space.dim != 1:
         raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
-    raise AssertionError("the embedding must be injective")
+    found = _image(n, d, stack, den, _functional(space.basis[0], None))
+    if found is None:
+        raise AssertionError("the embedding must be injective")
+    return found
 
 
 def _map_images(image: PolySubmodule, rows: Sequence[Sequence[int]], weights: Sequence[int]) -> QMatrix:
@@ -256,17 +284,17 @@ def embed_nilpotent(
 
     Basis vector e_j maps to sum over alpha of lambda(S^alpha e_j)
     x^alpha / alpha!, Macaulay's inverse-system map.  By default lambda
-    reads the first nonzero coordinate of the socle line mod P, which is
-    the pivot of the socle's RREF basis vector unless P divides its
-    entry there.  An rng draws lambda with small random integer entries
-    instead (redrawn until it is nonzero on the socle line mod P); the
-    map changes with lambda, the image does not.
+    reads the first nonzero coordinate of the walk's vector w, which
+    the stack kills mod P.  When the kernel mod P is a line, w spans the
+    socle line mod P, and lambda reads the pivot of the socle's RREF
+    basis vector unless P divides its entry there.  An rng draws lambda
+    with small random integer entries instead (redrawn until it is
+    nonzero on w mod P); the map changes with lambda, the image does not.
 
-    A line mod P bounds the socle's dimension by one, and lambda is
-    nonzero on it, so an injective phi certifies the choice.  Without a
-    line mod P the exact joint kernel takes its place, with the pivot
-    functional of its RREF basis vector.  The pass reads the integer
-    rows that the module's constructor stored.
+    An injective phi certifies the choice.  When phi is not injective
+    but the exact joint kernel is a line, the kernel mod P was larger,
+    and the pivot functional of the line's RREF basis vector takes the
+    place of lambda, with or without an rng.
     """
     image, rows, weights = _embed(module.n, module.dim, module._stack, module._den, rng)
     return EmbeddingResult(image, ModuleMap(module, image, _map_images(image, rows, weights)))
@@ -358,8 +386,11 @@ def brute_force_isomorphic(
     The solution space is computed exactly; an invertible element exists
     iff the determinant, as a polynomial on that space, is nonzero —
     over the rationals that is decided by symbolic expansion.  Intended
-    as an oracle at small dimensions.
+    as an oracle at small dimensions: its cost grows about 5.5 times per
+    two dimensions, so a max_dim above 10 is refused before any work.
     """
+    if max_dim > 10:
+        raise DimensionTooLarge(f"brute-force oracle accepts max_dim up to 10, not {max_dim}")
     _same_count(first.n, second)
     if max(first.dim, second.dim) > max_dim:
         raise DimensionTooLarge(

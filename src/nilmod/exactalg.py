@@ -12,9 +12,10 @@ pivots, the common denominator and the integer columns of the reduced
 basis.  Equality and hashing compare that form, membership and
 coordinates read it, and the `Fraction` basis is a view built on first
 read.  Everything is exact: no floats, no tolerances.  One
-elimination runs modulo a prime, and it only chooses: a caller that
-builds on its answer certifies the result exactly.  All values are
-immutable after construction and all operations are pure functions.
+elimination runs modulo a prime, and only as a certificate: the rank
+mod P is a lower bound for the rank over the rationals, so full rank
+mod P is full rank.  All values are immutable after construction and
+all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -171,43 +172,26 @@ def _rref_int(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[int], list
 _PRIME = 2**30 - 35
 
 
-def _kernel_line_mod(rows: Sequence[Sequence[int]], cols: int) -> Optional[list[int]]:
-    """The solutions of rows . x = 0 modulo _PRIME, for integer rows of
-    width cols: a spanning vector of residues when they form a line,
-    else None.
-
-    A primitive integer solution reduces to a nonzero one, so a line
-    here bounds the exact kernel's dimension by one, and the line is the
-    exact one mod P whenever that has dimension one.  Forward
-    elimination until cols - 1 pivots, back-substitution for the line
-    they leave, and then one dot product checks each remaining row.
-    """
+def _rank_mod(rows: Sequence[Sequence[int]], cols: int) -> int:
+    """The rank modulo _PRIME of integer rows of width cols: a lower
+    bound for the rank over the rationals, since a minor nonzero mod P is
+    nonzero.  Forward elimination that reduces only each leading entry
+    mod P, against pivot rows kept as their tails, scaled to pivot 1."""
     p = _PRIME
-    echelon: dict[int, list[int]] = {}  # pivot column -> row, 1 there and 0 before
-    k = 0
-    while len(echelon) < cols - 1 and k < len(rows):
-        r = [x % p for x in rows[k]]
-        k += 1
+    tails: dict[int, list[int]] = {}  # pivot column -> the reduced row after it
+    for row in rows:
+        r = list(row)
         for c in range(cols):
-            if not r[c]:
+            f = r[c] % p
+            if not f:
                 continue
-            prow = echelon.get(c)
-            if prow is None:
-                inverse = pow(r[c], -1, p)
-                echelon[c] = [x * inverse % p for x in r]
+            tail = tails.get(c)
+            if tail is None:
+                inverse = pow(f, -1, p)
+                tails[c] = [x * inverse % p for x in r[c + 1 :]]
                 break
-            f = r[c]
-            r[c:] = [(x - f * y) % p for x, y in zip(r[c:], prow[c:])]
-    if len(echelon) != cols - 1:
-        return None
-    (free,) = set(range(cols)) - set(echelon)
-    line = [0] * cols
-    line[free] = 1
-    for c in sorted(echelon, reverse=True):
-        line[c] = -sum(map(mul, echelon[c][c + 1 :], line[c + 1 :])) % p
-    if any(sum(map(mul, row, line)) % p for row in rows[k:]):
-        return None
-    return line
+            r[c + 1 :] = [x - f * y for x, y in zip(r[c + 1 :], tail)]
+    return len(tails)
 
 
 def _integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> "Subspace":

@@ -313,9 +313,13 @@ class PolySubmodule(Value):
                         raise ValueError("subspace is not closed under differentiation")
                     moved[target] = [alpha[i] * x for x in column]
             at_pivots = [moved[c] for c in pivots]
-            spans = _int_matmul([columns[f] for f in free], _columns(at_pivots, self.dim))
-            if any(row != [den * x for x in moved[f]] for f, row in zip(free, spans)):
-                raise ValueError("subspace is not closed under differentiation")
+            for f in free:
+                # Canonical bases are mostly zeros: combine only the free column's nonzero entries.
+                support = [k for k, x in enumerate(columns[f]) if x]
+                coeffs = [columns[f][k] for k in support]
+                span = [sum(map(mul, coeffs, row)) for row in zip(*(at_pivots[k] for k in support))]
+                if span != [den * x for x in moved[f]]:
+                    raise ValueError("subspace is not closed under differentiation")
             out.append(at_pivots)
         return out
 

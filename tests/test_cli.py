@@ -348,6 +348,16 @@ def test_extend_iso_goal_in_other_variables(n):
     assert json.loads(proc.stdout) == {"error": {"kind": "ParseError", "detail": "variable count mismatch"}}
 
 
+def test_brute_force_bound_above_ten_is_refused():
+    # The oracle's cost grows about 5.5 times per two dimensions, so
+    # `--max-dim` stops at 10, whatever the modules' dimension.
+    proc = run_cli(["isomorphic", "inputs/jordan2.json", "inputs/jordan2_conjugate.json", "--max-dim", "11"])
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert proc.stdout == error_bytes(
+        {"kind": "DimensionTooLarge", "detail": "brute-force oracle accepts max_dim up to 10, not 11"}
+    )
+
+
 # --- witnesses in error JSON --------------------------------------------------
 
 def error_bytes(error):

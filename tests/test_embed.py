@@ -21,6 +21,7 @@ from nilmod.embed import (
     EmbeddingResult,
     _functional,
     _inverse_system,
+    _socle_walk,
     brute_force_isomorphic,
     canonical_form,
     embed_general,
@@ -37,7 +38,7 @@ from nilmod.errors import (
     NotNilpotent,
     SocleNotOneDimensional,
 )
-from nilmod.exactalg import _PRIME, QMatrix, _integer_rows, _kernel_line_mod
+from nilmod.exactalg import _PRIME, QMatrix, _integer_rows, _rank_mod
 from nilmod.modcore import (
     ExpSubmodule,
     FDModule,
@@ -542,9 +543,9 @@ def assert_capped():
 
 def test_one_nilpotency_check_per_embedding(monkeypatch):
     # The inverse-system pass certifies nilpotency, so a success squares
-    # no matrix, and neither does a pass stopped at its degree cap.  The
-    # core squares the stack's blocks once, only to name the error, when
-    # the joint kernel is not a line or the image falls short; every
+    # no matrix, and neither does a walk past d - 1 steps or a pass
+    # stopped at its degree cap.  The core squares the stack's blocks
+    # once, only to name the error, when the image falls short; every
     # failure here has one variable, so one naming is one call.
     import nilmod.embed
 
@@ -574,8 +575,9 @@ def test_one_nilpotency_check_per_embedding(monkeypatch):
     assert count(embed_nilpotent, LINE_KERNEL_NOT_NILPOTENT) == 0
     # Short image: the pass ends, but phi(e_2) = 0.
     assert count(embed_nilpotent, validate([QMatrix([[0, 0], [0, 1]])])) == 1
-    # No line: a kernel of dimension 0, 2 and 0 (the zero module).
-    assert count(embed_nilpotent, validate([QMatrix.identity(2)])) == 1
+    # A walk that never vanishes proves non-nilpotency itself.
+    assert count(embed_nilpotent, validate([QMatrix.identity(2)])) == 0
+    # No line: a kernel of dimension 2 and 0 (the zero module).
     assert count(embed_nilpotent, validate([zeros(2, 2)])) == 1
     assert count(embed_nilpotent, FDModule(1, [QMatrix([], cols=0)])) == 1
     assert count(embed_general, validate([QMatrix.identity(2)])) == 1
@@ -608,9 +610,10 @@ def test_embed_general_builds_no_module_for_its_twist(monkeypatch):
 
 
 def test_exact_kernel_only_on_failures(monkeypatch):
-    # The socle line mod P chooses the functional, and an injective map
-    # certifies it, so a success computes no exact joint kernel.  A
-    # failure computes it at most once, to name the error.
+    # The walk's vector chooses the functional, and an injective map
+    # certifies it, so a success computes no exact joint kernel, and
+    # neither does the zero module.  Any other failure computes it at
+    # most once, to name the error.
     import nilmod.embed
 
     calls = []
@@ -621,48 +624,149 @@ def test_exact_kernel_only_on_failures(monkeypatch):
         return original(rows, cols)
 
     monkeypatch.setattr(nilmod.embed, "_integer_kernel", counting)
-    counts = {"ok": set(), "NotNilpotent": set(), "SocleNotOneDimensional": set()}
+    counts = {"ok": set(), "NotNilpotent": set(), "SocleNotOneDimensional": set(), "zero": set()}
     for module in comparison_table():
         calls.clear()
         kind = outcome(embed_nilpotent, module, None)[0]
-        counts[kind].add(len(calls))
+        counts["zero" if module.dim == 0 else kind].add(len(calls))
     assert counts["ok"] == {0}
-    # A pass stopped at its cap, or a short image of a non-nilpotent
-    # module, needs no socle; a socle that is not a line does.
+    assert counts["zero"] == {0}
+    # A walk or pass that proves non-nilpotency, or a short image of a
+    # non-nilpotent module, needs no socle; a socle that is not a line does.
     assert counts["NotNilpotent"] <= {0, 1}
     assert counts["SocleNotOneDimensional"] == {1}
 
 
-# The mod-P line misses or moves in these two modules.  Without a line
-# mod P the exact kernel chooses, and a socle entry divisible by P moves
-# the functional off the RREF pivot.
+# The kernel mod P is larger than the exact one in these three modules,
+# and the line mod P moves in the fourth.  Mod P the first and third
+# are zero, so the walk stops at e_1: in the first it is the exact
+# socle, in the third it misses the socle e_2.
 UNLUCKY_PRIME = validate([QMatrix([[0, _PRIME], [0, 0]])])
 DIVISIBLE_SOCLE = validate([QMatrix([[_PRIME, -(_PRIME**2)], [1, -_PRIME]])])
+MISSED_SOCLE = validate([QMatrix([[0, 0], [_PRIME, 0]])])
+
+
+def count_calls(monkeypatch, names):
+    """Patch each named function of nilmod.embed to record its calls;
+    returns the dict of call lists by name."""
+    import nilmod.embed
+
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(nilmod.embed, name)
+        monkeypatch.setattr(
+            nilmod.embed, name, lambda *args, _f=original, _c=calls[name]: _c.append(args) or _f(*args)
+        )
+    return calls
 
 
 def test_unlucky_prime_embeds_through_the_exact_kernel(monkeypatch):
-    # Mod P the matrix is zero, so the kernel is all of K^2; the exact
-    # kernel is the line of e_1.
-    import nilmod.embed
-
-    assert _kernel_line_mod(_integer_rows(UNLUCKY_PRIME.matrices[0].entries)[0], 2) is None
-    calls = []
-    original = nilmod.embed._integer_kernel
-    monkeypatch.setattr(
-        nilmod.embed, "_integer_kernel", lambda rows, cols: calls.append(cols) or original(rows, cols)
-    )
+    # Mod P the matrix is zero, so the kernel mod P is all of K^2, and the
+    # walk stops at e_1, which spans the exact kernel: the embedding needs
+    # no exact kernel.  The pass rows [[1, 0], [0, P]] have rank 1 mod P,
+    # so the image's exact elimination decides.
+    stack = UNLUCKY_PRIME._stack
+    assert _socle_walk(stack, 2) == [1, 0]
+    calls = count_calls(monkeypatch, ["_integer_kernel", "_inverse_system", "_rank_mod"])
     for seed in (None, 3):
-        calls.clear()
+        for found in calls.values():
+            found.clear()
         got = outcome(embed_nilpotent, UNLUCKY_PRIME, seed)
         assert got == outcome(reference_embed_nilpotent, UNLUCKY_PRIME, seed)
-        assert calls == [2]
+        assert calls["_integer_kernel"] == []
+        assert len(calls["_inverse_system"]) == 1
+        ((rows, cols),) = calls["_rank_mod"]
+        assert _rank_mod(rows, cols) == 1
+        if seed is None:
+            assert rows == [[0, _PRIME], [1, 0]]
     assert embed_nilpotent(UNLUCKY_PRIME).map.is_isomorphism()
+    assert canonical_form(UNLUCKY_PRIME) == submodule_from_polys(1, [Poly(1, {(1,): 1})])
+
+
+def test_missed_socle_costs_one_exact_kernel_and_one_retry(monkeypatch):
+    # The walk stops at e_1, lambda = e_1 kills the exact socle e_2, and
+    # the image falls short.  The exact kernel names the line e_2, and the
+    # pass runs once more on its pivot functional.
+    assert _socle_walk(MISSED_SOCLE._stack, 2) == [1, 0]
+    assert _joint_kernel(MISSED_SOCLE).basis == ((0, 1),)
+    calls = count_calls(monkeypatch, ["_integer_kernel", "_inverse_system"])
+    result = embed_nilpotent(MISSED_SOCLE)
+    assert len(calls["_integer_kernel"]) == 1
+    assert [args[2] for args in calls["_inverse_system"]] == [[1, 0], [0, 1]]
+    assert result.map.is_isomorphism()
+    assert result.image_polys() == (Poly(1, {(1,): _PRIME}), Poly.one(1))
+    assert outcome(embed_nilpotent, MISSED_SOCLE, None) == outcome(reference_embed_nilpotent, MISSED_SOCLE, None)
+    # Seed 3 draws lambda = (-1, 4), nonzero on e_2.  Seed 4 draws
+    # (-1, 0), which misses e_2 too, and the retry reads the pivot
+    # functional whatever the rng drew.
+    for seed, runs in [(3, 1), (4, 2)]:
+        calls["_inverse_system"].clear()
+        drawn = embed_nilpotent(MISSED_SOCLE, random.Random(seed))
+        assert len(calls["_inverse_system"]) == runs
+        assert drawn.image == result.image and drawn.map.is_isomorphism()
+    assert drawn.map.images == result.map.images
+
+
+def test_socle_walk_spans_the_line_mod_p():
+    # The walk ends on residues that the stack kills mod P.  Where the
+    # joint kernel is a line, so is the kernel mod P here, and the walk
+    # spans it; a walk past d - 1 steps proves the module not nilpotent.
+    lines = stopped = 0
+    for module in comparison_table():
+        d = module.dim
+        if d == 0:
+            continue
+        try:
+            w = _socle_walk(module._stack, d)
+        except NotNilpotent:
+            assert not is_nilpotent(module)
+            stopped += 1
+            continue
+        assert all(0 <= x < _PRIME for x in w) and any(w)
+        assert all(sum(a * b for a, b in zip(row, w)) % _PRIME == 0 for row in module._stack)
+        space = _joint_kernel(module)
+        if space.dim == 1:
+            lines += 1
+            (s,), _ = _integer_rows(space.basis)
+            j = next(j for j, x in enumerate(w) if x)
+            ratio = s[j] * pow(w[j], -1, _PRIME) % _PRIME
+            assert [x % _PRIME for x in s] == [ratio * x % _PRIME for x in w]
+    assert lines >= 10 and stopped >= 3, (lines, stopped)
+
+
+def test_monomial_images_skip_the_exact_elimination(monkeypatch):
+    # When the pass leaves d monomials whose rows have rank d mod P, the
+    # checked core gets the identity rows, never the pass's rows.  That
+    # covers every n = 1 success, and the lower-set closures of one
+    # monomial at n = 2 and 3, plain and densely conjugated.
+    calls = []
+    original = PolySubmodule._from_integer_rows
+    monkeypatch.setattr(
+        PolySubmodule,
+        "_from_integer_rows",
+        classmethod(lambda cls, *args: calls.append(args) or original(*args)),
+    )
+    rng = random.Random(31)
+    cases = [validate([jordan_block(d)]) for d in (1, 2, 5, 12)]
+    cases += [as_matrices(submodule_from_polys(1, [Poly(1, PLANTED[0][1])]))[0]]
+    for n, alpha in [(2, (3, 2)), (2, (0, 4)), (3, (1, 2, 1)), (3, (2, 0, 2))]:
+        cases.append(as_matrices(submodule_from_polys(n, [Poly(n, {alpha: 1})]))[0])
+    cases += [conjugate(m, random_invertible(rng, m.dim)) for m in cases]
+    for module in cases:
+        d = module.dim
+        calls.clear()
+        result = embed_nilpotent(module)
+        assert result.map.is_isomorphism()
+        assert len(result.image.monomial_list) == d
+        ((n, monomials, rows, weights),) = calls
+        assert rows == [[int(i == j) for j in range(d)] for i in range(d)] and weights is None
+        assert outcome(embed_nilpotent, module, None) == outcome(reference_embed_nilpotent, module, None)
 
 
 def test_socle_entry_divisible_by_p_moves_the_functional():
     # The socle is the line of (P, 1): the exact RREF pivot is 0, its
     # residues (0, 1) put lambda on coordinate 1.  The image is the same.
-    assert _kernel_line_mod(_integer_rows(DIVISIBLE_SOCLE.matrices[0].entries)[0], 2) == [0, 1]
+    assert _socle_walk(DIVISIBLE_SOCLE._stack, 2) == [0, 1]
     reference = reference_embed_nilpotent(DIVISIBLE_SOCLE)
     result = embed_nilpotent(DIVISIBLE_SOCLE)
     assert result.image == reference.image == submodule_from_polys(1, [Poly(1, {(1,): 1})])
@@ -677,7 +781,7 @@ def test_socle_entry_divisible_by_p_moves_the_functional():
 
 
 def test_unlucky_primes_under_optimize_flag():
-    # Both fallbacks keep their answers under `python -O`.
+    # The walk's fallbacks keep their answers under `python -O`.
     code = "\n".join(
         [
             "import json, random",
@@ -685,7 +789,7 @@ def test_unlucky_primes_under_optimize_flag():
             "from nilmod.exactalg import _PRIME, QMatrix",
             "from nilmod.modcore import validate",
             "print(__debug__)",
-            "for m in ([[0, _PRIME], [0, 0]], [[_PRIME, -_PRIME**2], [1, -_PRIME]]):",
+            "for m in ([[0, _PRIME], [0, 0]], [[_PRIME, -_PRIME**2], [1, -_PRIME]], [[0, 0], [_PRIME, 0]]):",
             "    module = validate([QMatrix(m)])",
             "    for rng in (None, random.Random(3)):",
             "        result = embed_nilpotent(module, rng)",
@@ -700,7 +804,7 @@ def test_unlucky_primes_under_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     expected = ["False"]
-    for module in (UNLUCKY_PRIME, DIVISIBLE_SOCLE):
+    for module in (UNLUCKY_PRIME, DIVISIBLE_SOCLE, MISSED_SOCLE):
         for rng in (None, random.Random(3)):
             expected.append(f"{json.dumps(embed_nilpotent(module, rng).to_json())} True")
     assert proc.stdout.splitlines() == expected
@@ -768,19 +872,39 @@ def test_small_successes_square_nothing(monkeypatch):
 
 def test_non_nilpotent_line_kernel_stops_at_the_budget(monkeypatch):
     # K[d](x_1 + x_2 + x_3)^20, where every x_i acts by one Jordan block,
-    # plus a line where every x_i acts by 2, densely conjugated: dimension
-    # 22, the joint kernel is a line, and lambda S^alpha never vanishes.
-    # The pass stops one product past its budget, not at degree 22.
+    # plus a line where every x_i acts by 2: dimension 22, and the joint
+    # kernel is a line.  Densely conjugated, e_1 has a part on the
+    # eigenvalue-2 line, so the walk never vanishes and stops the
+    # embedding before any pass product.
     import nilmod.embed
 
-    plain = validate([jordan_block(21)] * 3)
-    module = conjugate(block_sum(plain, validate([QMatrix([[2]])] * 3)), random_invertible(random.Random(22), 22))
+    block = block_sum(validate([jordan_block(21)] * 3), validate([QMatrix([[2]])] * 3))
+    dense = conjugate(block, random_invertible(random.Random(22), 22))
     products = []
     matmul = nilmod.embed._int_matmul
     monkeypatch.setattr(nilmod.embed, "_int_matmul", lambda r, c: products.append(1) or matmul(r, c))
     with time_limit(10):
         with pytest.raises(NotNilpotent):
-            embed_nilpotent(module)
+            embed_nilpotent(dense)
+    assert products == []
+    # Conjugated by G^-1 instead, where G e_1 has no part on that line,
+    # the walk reaches a kernel vector.  The seeded lambda is nonzero on
+    # G^-1 e_22, the eigenvector for 2, so lambda S^alpha never vanishes,
+    # and the pass stops one product past its budget, not at degree 22.
+    rng = random.Random(22)
+    while True:
+        g = random_invertible(rng, 22)
+        g = QMatrix([[0 if (r, c) == (21, 0) else x for c, x in enumerate(row)] for r, row in enumerate(g.entries)])
+        if g.det() != 0:
+            break
+    module = conjugate(block, g.inverse())
+    w = _socle_walk(module._stack, 22)
+    assert all(sum(x * y for x, y in zip(row, w)) % _PRIME == 0 for row in module._stack)
+    lam = _functional(w, random.Random(4))
+    assert sum(a * b for a, b in zip(lam, g.inverse().column(21))) != 0
+    with time_limit(10):
+        with pytest.raises(NotNilpotent):
+            embed_nilpotent(module, random.Random(4))
     assert len(products) == pass_budget(22) + 1
 
 
@@ -1052,6 +1176,20 @@ def test_brute_force_dimension_guard():
         brute_force_isomorphic(big, big)
     # the bound is adjustable
     assert brute_force_isomorphic(big, big, max_dim=7)
+
+
+def test_brute_force_refuses_a_bound_above_ten(monkeypatch):
+    # The bound is checked before any work: before the variable counts
+    # are compared and before the intertwiner system is built.
+    import nilmod.embed
+
+    monkeypatch.setattr(nilmod.embed, "_intertwiner_space", lambda *args: pytest.fail("built the system"))
+    one, two = validate([zeros(1, 1)]), validate([zeros(1, 1)] * 2)
+    for first, second in [(one, one), (one, two)]:
+        with pytest.raises(DimensionTooLarge, match="accepts max_dim up to 10, not 11"):
+            brute_force_isomorphic(first, second, max_dim=11)
+    monkeypatch.undo()
+    assert brute_force_isomorphic(one, one, max_dim=10)
 
 
 # --- exponential embeddings ------------------------------------------------------

@@ -1,0 +1,177 @@
+"""Generative differential tests of the embedding at small primes.
+
+Hypothesis draws nilpotent modules in one to three variables, some of
+them summed with a second module (two socle lines) or with a line where
+the variables act invertibly (not nilpotent), and conjugates them by
+rational matrices.  Each module is checked against the exact reference
+of `test_embed`, which decides nilpotency by squaring and the socle by
+exact elimination.  The prime P is patched to 5, 7 or 11 in `exactalg`
+and `embed`, so the kernel mod P is often larger than the exact one
+(the walk can miss the socle line, and the embedding retries) and the
+pass rows often lose rank mod P (the image's exact elimination then
+decides).  Examples are derandomized and their number is fixed, so the
+suite is deterministic.
+"""
+
+import random
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import nilmod.embed  # noqa: E402
+import nilmod.exactalg  # noqa: E402
+from nilmod.embed import canonical_form, embed_nilpotent  # noqa: E402
+from nilmod.errors import NilmodError  # noqa: E402
+from nilmod.exactalg import QMatrix  # noqa: E402
+from nilmod.modcore import as_matrices, submodule_from_polys, validate  # noqa: E402
+from nilmod.multipoly import Poly, monomials_up_to_degree  # noqa: E402
+from test_embed import block_sum, reference_embed_nilpotent  # noqa: E402
+
+PRIMES = (5, 7, 11)
+# Degree bounds per variable count: modules of dimension up to about 10,
+# up to about 17 with a second summand.
+BOUNDS = {1: 6, 2: 3, 3: 2}
+
+
+@contextmanager
+def prime(p):
+    with mock.patch.object(nilmod.exactalg, "_PRIME", p), mock.patch.object(nilmod.embed, "_PRIME", p):
+        yield
+
+
+def closure(n, coeffs):
+    """The matrix module of K[d] g, where g has these coefficients on the
+    first monomials of degree at most BOUNDS[n], in the order that
+    `monomials_up_to_degree` lists them."""
+    monomials = list(monomials_up_to_degree(n, BOUNDS[n]))[: len(coeffs)]
+    return as_matrices(submodule_from_polys(n, [Poly(n, dict(zip(monomials, coeffs)))]))[0]
+
+
+def conjugate(module, g):
+    g_inverse = g.inverse()
+    return validate([g * m * g_inverse for m in module.matrices])
+
+
+def dense_conjugate(module, seed):
+    """G S G^-1 for G = L U, with L unit lower triangular and U upper
+    triangular with a nonzero diagonal, entries small fractions."""
+    d, rng = module.dim, random.Random(seed)
+
+    def entry(r, c):
+        if r == c:
+            return Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+
+    lower = QMatrix([[entry(r, c) if c < r else int(c == r) for c in range(d)] for r in range(d)], cols=d)
+    upper = QMatrix([[entry(r, c) if c >= r else 0 for c in range(d)] for r in range(d)], cols=d)
+    return conjugate(module, lower * upper)
+
+
+def scaled_conjugate(module, p, seed):
+    """G S G^-1 for G a permutation times a diagonal of powers p^e,
+    e in {-1, 0, 1}: many entries turn into multiples of p, and the
+    socle line stays on one coordinate."""
+    d, rng = module.dim, random.Random(seed)
+    order = rng.sample(range(d), d)
+    g = QMatrix([[Fraction(p) ** rng.randint(-1, 1) if c == order[r] else 0 for c in range(d)] for r in range(d)])
+    return conjugate(module, g)
+
+
+def build(n, coeffs, extra, form, p, seed):
+    """A module from drawn parameters: the closure of one polynomial,
+    maybe summed with a second closure or with a line on which x_i acts
+    by extra[i], then left plain or conjugated."""
+    module = closure(n, coeffs)
+    if extra == "second":
+        module = block_sum(module, closure(n, coeffs[:4]))
+    elif extra is not None:
+        module = block_sum(module, validate([QMatrix([[c]]) for c in extra]))
+    if form == "dense":
+        return dense_conjugate(module, seed)
+    if form == "scaled":
+        return scaled_conjugate(module, p, seed)
+    return module
+
+
+@st.composite
+def modules(draw):
+    """(module, p): a drawn module, and the prime its scaled conjugates use."""
+    n = draw(st.integers(1, 3))
+    size = len(list(monomials_up_to_degree(n, BOUNDS[n])))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=size))
+    extra = draw(
+        st.one_of(
+            st.none(),
+            st.just("second"),
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any),
+        )
+    )
+    p = draw(st.sampled_from(PRIMES))
+    form = draw(st.sampled_from(["plain", "dense", "scaled"]))
+    return build(n, coeffs, extra, form, p, draw(st.integers(0, 10**6))), p
+
+
+def attempt(call):
+    """The result, or (kind, message) for a typed error."""
+    try:
+        return call()
+    except NilmodError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def check_against_reference(module, p, seed):
+    """canonical_form and embed_nilpotent (default and seeded lambda) at
+    the prime p agree with the exact reference: the same image and an
+    isomorphism onto it, or the same error."""
+    reference = attempt(lambda: reference_embed_nilpotent(module))
+    with prime(p):
+        form = attempt(lambda: canonical_form(module))
+        results = [attempt(lambda: embed_nilpotent(module, rng)) for rng in (None, random.Random(seed))]
+    if isinstance(reference, tuple):
+        assert form == reference
+        assert results == [reference, reference]
+        return
+    assert form == reference.image
+    for result in results:
+        assert result.image == reference.image
+        assert result.map.is_isomorphism()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(drawn=modules(), seed=st.integers(0, 99))
+def test_embedding_at_small_primes_matches_the_exact_reference(drawn, seed):
+    check_against_reference(*drawn, seed)
+
+
+def test_small_primes_reach_the_retry_and_the_rank_fallback(monkeypatch):
+    # On seeded scaled conjugates at P = 5, the walk misses the socle line
+    # and the pass runs again, and pass rows of d monomials fall short of
+    # rank d mod P, several times each; every answer still matches the
+    # reference.
+    runs, short = [], []
+    inverse_system, rank_mod = nilmod.embed._inverse_system, nilmod.embed._rank_mod
+
+    def counting_rank(rows, cols):
+        rank = rank_mod(rows, cols)
+        short.append(rank < cols)
+        return rank
+
+    monkeypatch.setattr(nilmod.embed, "_inverse_system", lambda *args: runs.append(1) or inverse_system(*args))
+    monkeypatch.setattr(nilmod.embed, "_rank_mod", counting_rank)
+    rng = random.Random(5)
+    retries = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 6))]
+        module = build(n, coeffs, None, "scaled", 5, rng.randint(0, 10**6))
+        with prime(5):
+            runs.clear()
+            embed_nilpotent(module)
+        retries += len(runs) > 1
+        check_against_reference(module, 5, rng.randint(0, 99))
+    assert retries >= 5 and sum(short) >= 5, (retries, sum(short))
