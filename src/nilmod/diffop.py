@@ -65,7 +65,7 @@ from .errors import (
     WrongConstantTerm,
 )
 from .embed import potential
-from .exactalg import QMatrix, Value, _integer_rows, as_fraction
+from .exactalg import QMatrix, Value, as_fraction
 from .modcore import ModuleMap, PolySubmodule
 from .multipoly import (
     MultiIndex,
@@ -408,16 +408,15 @@ class MonomialSubmodule(Value):
         """The matrix of sum c_gamma d^gamma on `monomials_descending()`:
         row x^beta, column x^alpha holds c_(alpha-beta) alpha!/beta!, 0
         unless beta <= alpha.  With c = N/D over one common denominator,
-        a nonzero entry is N (alpha!/beta!) / D."""
+        a nonzero entry is the integer N (alpha!/beta!) over D."""
         nums, den = _integer_coeffs(coeffs)
         m = self.m
-        zero = Fraction(0)
-        rows = [[zero] * m for _ in range(m)]
+        rows = [[0] * m for _ in range(m)]
         for i, j, gamma, ratio in self._comparable_pairs():
             c = nums.get(gamma)
             if c:
-                rows[i][j] = Fraction(c * ratio, den)
-        return QMatrix._trusted([tuple(row) for row in rows], m)
+                rows[i][j] = c * ratio
+        return QMatrix._trusted(rows, den, m)
 
     def _key(self) -> tuple:
         return self.n, self.indices
@@ -686,7 +685,7 @@ class AutGroup:
         module = self.module
         if matrix.rows != module.m or matrix.cols != module.m:
             raise ValueError("matrix size disagrees with the submodule")
-        ints, _ = _integer_rows(matrix.entries)
+        ints = matrix._ints
         # The origin's row x is the last: c_gamma = x_gamma / (D gamma!).
         x = ints[-1]
         if x[-1] == 0:
@@ -700,7 +699,7 @@ class AutGroup:
             raise ValueError("matrix is not the restriction of any series")
         normalized = {alpha: Fraction(c, fact * x[-1]) for alpha, (c, fact) in series.items() if c}
         logs = _graded_solve(normalized, module.max_degree, module.indices, log=True)
-        return AutDescriptor._trusted(matrix.entries[-1][-1], logs)
+        return AutDescriptor._trusted(Fraction(x[-1], matrix._den), logs)
 
 
 def aut_structure(module: MonomialSubmodule) -> AutGroup:

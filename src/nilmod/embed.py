@@ -41,10 +41,10 @@ candidate, and with S_i = M_i / D the twist is written on the stacked
 integer rows in closed form, S_i - a_i I = (d M_i - tr(M_i) I) / (d D).
 
 Every path enters one core on the integer rows M_i that the module's
-constructor stored, and nothing converts them again.  The core hands
-back the image and the map's integer rows and weights.  Only
-`embed_nilpotent` and `embed_general` turn those into a `Fraction` map;
-`canonical_form`, and so `is_isomorphic`, build no map at all.
+constructor stored.  The core hands back the image and the map's
+integer rows and weights.  Only `embed_nilpotent` and `embed_general`
+build a map, as integer rows over the lcm of the pivots' weights;
+`canonical_form`, and so `is_isomorphic`, build none.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ from .exactalg import (
     Immutable,
     QMatrix,
     _columns,
-    _fraction_row,
     _int_matmul,
     _integer_kernel,
+    _over_lcm,
     _rank_mod,
 )
 from .modcore import (
@@ -274,7 +274,8 @@ def _embed(n: int, d: int, stack: Sequence[Sequence[int]], den: int, rng: Option
 def _map_images(image: PolySubmodule, rows: Sequence[Sequence[int]], weights: Sequence[int]) -> QMatrix:
     """The map's coordinates from `_embed`'s rows and weights: the
     phi(e_j)'s entries at the image's pivots."""
-    return QMatrix._trusted([_fraction_row(rows[c], weights[c]) for c in image.coords._pivots], image.dim)
+    pivots = image.coords._pivots
+    return QMatrix._trusted(*_over_lcm([rows[c] for c in pivots], [weights[c] for c in pivots]), image.dim)
 
 
 def embed_nilpotent(
@@ -319,43 +320,31 @@ def is_isomorphic(first: FDModule, second: FDModule) -> bool:
     return canonical_form(first) == canonical_form(second)
 
 
-def _intertwiner_space(first: FDModule, second: FDModule) -> list[QMatrix]:
-    """Basis of {P : P S_i = T_i P for all i} as d x d matrices, from the
-    kernel of the linear system in the d^2 entries of P, row by row."""
-    d = first.dim
+def _intertwiner_space(first: FDModule, second: FDModule) -> tuple:
+    """Basis of {P : P S_i = T_i P for all i}, each P read row by row as
+    a vector of its d^2 entries, from the kernel of the linear system in
+    those entries.  With S_i = M_i / E and T_i = N_i / D on the two
+    stacks, the system is D P M_i = E N_i P."""
+    d, e, f = first.dim, first._den, second._den
     rows = []
-    for s, t in zip(first.matrices, second.matrices):
+    for s, t in zip(_blocks(first._stack, first.n, d), _blocks(second._stack, second.n, d)):
         for a in range(d):
             for c in range(d):
-                row = [Fraction(0)] * (d * d)
+                row = [0] * (d * d)
                 for b in range(d):
-                    row[a * d + b] += s.entries[b][c]
-                    row[b * d + c] -= t.entries[a][b]
+                    row[a * d + b] += f * s[b][c]
+                    row[b * d + c] -= e * t[a][b]
                 rows.append(row)
-    kernel = QMatrix(rows, cols=d * d).kernel()
-    return [
-        QMatrix([v[r * d : (r + 1) * d] for r in range(d)], cols=d)
-        for v in kernel.basis
-    ]
+    return QMatrix._trusted(rows, 1, d * d).kernel().basis
 
 
-def _symbolic_det(mats: list[QMatrix], d: int) -> Poly:
+def _symbolic_det(vectors: Sequence[Sequence], d: int) -> Poly:
     """det(sum t_m B_m) as a polynomial in the t_m, by memoized Laplace
-    expansion along columns."""
-    k = len(mats)
-    entry = [
-        [
-            Poly(
-                k,
-                {
-                    tuple(1 if v == m else 0 for v in range(k)): mats[m].entries[r][c]
-                    for m in range(k)
-                },
-            )
-            for c in range(d)
-        ]
-        for r in range(d)
-    ]
+    expansion along columns; B_m has the entries of vectors[m], row by
+    row."""
+    k = len(vectors)
+    units = [tuple(int(v == m) for v in range(k)) for m in range(k)]
+    entry = [[Poly(k, {u: v[r * d + c] for u, v in zip(units, vectors)}) for c in range(d)] for r in range(d)]
     memo: dict[tuple[int, ...], Poly] = {}
 
     def minor(rows: tuple[int, ...]) -> Poly:

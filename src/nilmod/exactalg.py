@@ -3,19 +3,19 @@
 Matrices, vectors and subspaces take and return `fractions.Fraction`
 entries: products, ranks, kernels, inverses and determinants, and
 subspaces held as canonical reduced row-echelon bases with membership
-and coordinates.  Inside, the loops run on integer rows over one common
-denominator, so no gcd is paid per multiply or add.  Elimination is
-fraction-free (Gauss-Jordan, each row kept primitive; Bareiss for
-determinants), and results are turned back into `Fraction`s once, at
-the end.  A subspace stores only its elimination's integer form: the
-pivots, the common denominator and the integer columns of the reduced
-basis.  Equality and hashing compare that form, membership and
-coordinates read it, and the `Fraction` basis is a view built on first
-read.  Everything is exact: no floats, no tolerances.  One
-elimination runs modulo a prime, and only as a certificate: the rank
-mod P is a lower bound for the rank over the rationals, so full rank
-mod P is full rank.  All values are immutable after construction and
-all operations are pure functions.
+and coordinates.  A matrix is stored in integer form, its rows over the
+least common denominator of its entries, and every kernel reads that
+form instead of converting at each call, so no gcd is paid per multiply
+or add.  Elimination is fraction-free (Gauss-Jordan, each row kept
+primitive; Bareiss for determinants).  A subspace stores only its
+elimination's integer form: the pivots, the common denominator and the
+integer columns of the reduced basis.  For both, equality and hashing
+compare the integer form, and the `Fraction` entries or basis are a
+view built on first read.  Everything is exact: no floats, no
+tolerances.  One elimination runs modulo a prime, and only as a
+certificate: the rank mod P is a lower bound for the rank over the
+rationals, so full rank mod P is full rank.  All values are immutable
+after construction and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -123,6 +123,13 @@ def _fraction_row(row: Sequence[int], den: int) -> Vector:
     return tuple(Fraction(x, den) if x else _ZERO for x in row)
 
 
+def _over_lcm(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> tuple[list[list[int]], int]:
+    """Integer rows, row k over its own nonzero dens[k], as (integer rows,
+    L) over L, the lcm of the dens."""
+    den = lcm(*dens)
+    return [[x * (den // d) for x in row] for row, d in zip(rows, dens)], den
+
+
 def _primitive_row(row: Sequence[int]) -> Optional[Sequence[int]]:
     """row divided by the gcd of its entries; None for a zero row."""
     content = gcd(*row)
@@ -213,12 +220,18 @@ def _integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> "Subspace":
 
 
 class QMatrix(Value):
-    """Dense row-major matrix of exact rationals."""
+    """Dense row-major matrix of exact rationals.
 
-    __slots__ = ("rows", "cols", "entries")
+    Stored as integer rows `_ints` over `_den`, the least common
+    denominator of all entries, so entry (i, j) is _ints[i][j] / _den.
+    That form is canonical: equality and hashing compare it, and every
+    kernel reads it.  The `Fraction` rows are a view built on first read.
+    """
+
+    __slots__ = ("rows", "cols", "_ints", "_den", "_entries")
 
     def __init__(self, entries: Sequence[Sequence], cols: Optional[int] = None):
-        data = tuple(tuple(as_fraction(x) for x in row) for row in entries)
+        data = [[as_fraction(x) for x in row] for row in entries]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -227,32 +240,39 @@ class QMatrix(Value):
             width = cols if cols is not None else 0
         if cols is not None and width != cols:
             raise ValueError("explicit column count disagrees with rows")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", data)
+        self._store(*_integer_rows(data), width)
+
+    def _store(self, ints: Sequence[Sequence[int]], den: int, cols: int) -> None:
+        object.__setattr__(self, "rows", len(ints))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_ints", tuple(map(tuple, ints)))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_entries", None)
 
     @classmethod
-    def _trusted(cls, rows: Sequence[Vector], cols: int) -> "QMatrix":
-        """A matrix of rows that are already `Fraction` tuples of width cols."""
+    def _trusted(cls, ints: Sequence[Sequence[int]], den: int, cols: int) -> "QMatrix":
+        """The matrix ints / den, for integer rows of width cols and a
+        positive den, with the common factor of den and ints divided out."""
+        g = gcd(den, *(x for row in ints for x in row)) if den > 1 else 1
         out = object.__new__(cls)
-        object.__setattr__(out, "rows", len(rows))
-        object.__setattr__(out, "cols", cols)
-        object.__setattr__(out, "entries", tuple(rows))
+        out._store([[x // g for x in row] for row in ints] if g > 1 else ints, den // g, cols)
         return out
 
     @classmethod
     def identity(cls, d: int) -> "QMatrix":
-        return cls(
-            [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)],
-            cols=d,
-        )
+        return cls._trusted([[int(i == j) for j in range(d)] for i in range(d)], 1, d)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], rows: Optional[int] = None) -> "QMatrix":
-        if not columns:
-            return cls([], cols=0) if rows is None else cls([[] for _ in range(rows)], cols=0)
-        height = len(columns[0])
-        return cls([[col[i] for col in columns] for i in range(height)], cols=len(columns))
+        height = len(columns[0]) if columns else rows or 0
+        return QMatrix([[col[i] for col in columns] for i in range(height)], cols=len(columns))
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The rows as `Fraction`s, built on first read."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(_fraction_row(row, self._den) for row in self._ints))
+        return self._entries
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -261,38 +281,34 @@ class QMatrix(Value):
         return self.rows == self.cols
 
     def _key(self) -> tuple:
-        return self.rows, self.cols, self.entries
+        return self.rows, self.cols, self._den, self._ints
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(format_rational(x) for x in row) for row in self.entries
-        )
+        body = "; ".join(" ".join(map(format_rational, row)) for row in self.entries)
         return f"QMatrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
+        if not isinstance(other, QMatrix):
+            return NotImplemented
         self._check_same_shape(other)
-        return QMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        rows = [[a * x + b * y for x, y in zip(ra, rb)] for ra, rb in zip(self._ints, other._ints)]
+        return QMatrix._trusted(rows, den, self.cols)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self + (-other)
+        return self + (-other) if isinstance(other, QMatrix) else NotImplemented
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix([[-x for x in row] for row in self.entries], cols=self.cols)
+        return QMatrix._trusted([[-x for x in row] for row in self._ints], self._den, self.cols)
 
     def scale(self, c) -> "QMatrix":
         c = as_fraction(c)
-        return QMatrix([[c * x for x in row] for row in self.entries], cols=self.cols)
+        rows = [[c.numerator * x for x in row] for row in self._ints]
+        return QMatrix._trusted(rows, self._den * c.denominator, self.cols)
 
     def __mul__(self, other):
-        if isinstance(other, QMatrix):
-            return self.matmul(other)
-        return self.scale(other)
+        return self.matmul(other) if isinstance(other, QMatrix) else self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -300,49 +316,47 @@ class QMatrix(Value):
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        a, da = _integer_rows(self.entries)
-        b, db = _integer_rows(other.entries)
-        product = _int_matmul(a, _columns(b, other.cols))
-        return QMatrix._trusted([_fraction_row(row, da * db) for row in product], other.cols)
+        product = _int_matmul(self._ints, _columns(other._ints, other.cols))
+        return QMatrix._trusted(product, self._den * other._den, other.cols)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product (column-vector convention)."""
         v = vector(v)
         if len(v) != self.cols:
             raise ValueError("vector length differs from column count")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        (w,), den = _integer_rows([v])
+        return _fraction_row([sum(map(mul, row, w)) for row in self._ints], self._den * den)
 
     def _check_same_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
     def rank(self) -> int:
-        return len(_rref_int(_integer_rows(self.entries)[0], self.cols)[0])
+        return len(_rref_int(self._ints, self.cols)[0])
 
     def kernel(self) -> "Subspace":
         """The solution space of m.x = 0 as a canonical subspace."""
-        return _integer_kernel(_integer_rows(self.entries)[0], self.cols)
+        return _integer_kernel(self._ints, self.cols)
 
     def inverse(self) -> Optional["QMatrix"]:
         """Exact inverse, or None when singular."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
-        d = self.rows
-        ints, den = _integer_rows(self.entries)
+        d, den = self.rows, self._den
         # [A | I] scaled by den; its RREF is [I | A^-1] exactly when A is
         # invertible, and otherwise has a pivot in the right half.
-        aug = [row + [den if i == j else 0 for j in range(d)] for i, row in enumerate(ints)]
+        aug = [[*row, *(den if i == j else 0 for j in range(d))] for i, row in enumerate(self._ints)]
         pivots, reduced = _rref_int(aug, 2 * d)
         if pivots and pivots[-1] >= d:
             return None
-        return QMatrix._trusted([_fraction_row(row[d:], row[i]) for i, row in enumerate(reduced)], d)
+        return QMatrix._trusted(*_over_lcm([row[d:] for row in reduced], [row[i] for i, row in enumerate(reduced)]), d)
 
     def det(self) -> Fraction:
         """Exact determinant by Bareiss fraction-free elimination."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         d = self.rows
-        m, den = _integer_rows(self.entries)
+        m = [list(row) for row in self._ints]
         sign, prev = 1, 1
         for k in range(d - 1):
             if m[k][k] == 0:
@@ -359,7 +373,7 @@ class QMatrix(Value):
                     (pivot * row[j] - f * prow[j]) // prev for j in range(k + 1, d)
                 ]
             prev = pivot
-        return Fraction(sign * m[d - 1][d - 1], den**d) if d else Fraction(1)
+        return Fraction(sign * m[d - 1][d - 1], self._den**d) if d else Fraction(1)
 
     def to_json(self) -> list[list[str]]:
         return [[format_rational(x) for x in row] for row in self.entries]
@@ -415,8 +429,7 @@ class Subspace(Value):
             scale = lcm(*weights)
             factors = [scale // w for w in weights]
             reduced = [_primitive_row(list(map(mul, row, factors))) for row in reduced]
-        den = lcm(*(row[c] for c, row in zip(pivots, reduced)))
-        ints = [[x * (den // row[c]) for x in row] for c, row in zip(pivots, reduced)]
+        ints, den = _over_lcm(reduced, [row[c] for c, row in zip(pivots, reduced)])
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_pivots", tuple(pivots))
         object.__setattr__(self, "_den", den)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -37,7 +37,6 @@ from .exactalg import (
     Value,
     Vector,
     _columns,
-    _fraction_row,
     _int_matmul,
     _integer_kernel,
     _integer_rows,
@@ -61,12 +60,11 @@ from .multipoly import (
 class FDModule(Value):
     """n pairwise-commuting d x d matrices; commutativity is checked.
 
-    The constructor turns the matrices into integers once: `_stack`
+    The constructor stacks the matrices' integer rows once: `_stack`
     holds the rows of M_1, ..., M_n, read-only, with S_i = M_i / `_den`
-    over the least common denominator of all entries.  S_i S_j = S_j S_i
-    iff M_i M_j = M_j M_i, so commutativity is checked on those blocks,
-    and every integer kernel on the module reads them without converting
-    again.
+    over the lcm of the matrices' denominators.  S_i S_j = S_j S_i iff
+    M_i M_j = M_j M_i, so commutativity is checked on those blocks, and
+    every integer kernel on the module reads them.
     """
 
     __slots__ = ("n", "dim", "matrices", "_stack", "_den")
@@ -79,8 +77,9 @@ class FDModule(Value):
         for m in matrices:
             if not m.is_square() or m.rows != dim:
                 raise ValueError("action matrices must be square and equal-sized")
-        stack, den = _integer_rows([row for m in matrices for row in m.entries])
-        stack = tuple(map(tuple, stack))
+        den = lcm(*(m._den for m in matrices))
+        scaled = [(m._ints, den // m._den) for m in matrices]
+        stack = tuple(row if k == 1 else tuple(k * x for x in row) for ints, k in scaled for row in ints)
         blocks = _blocks(stack, n, dim)
         columns = [_columns(block, dim) for block in blocks]
         for i in range(n):
@@ -113,6 +112,11 @@ class FDModule(Value):
 
     @classmethod
     def from_json(cls, data) -> "FDModule":
+        for field in ("n", "matrices"):
+            if field not in data:
+                raise ValueError(f'module JSON has no field "{field}"')
+        if not isinstance(data["matrices"], list):
+            raise ValueError('module field "matrices" must be an array of matrices')
         mod = cls(data["n"], [QMatrix.from_json(m) for m in data["matrices"]])
         if "dim" in data and as_int(data["dim"]) != mod.dim:
             raise ValueError("declared dim disagrees with the matrices")
@@ -285,10 +289,7 @@ class PolySubmodule(Value):
 
     def action_matrices(self) -> tuple[QMatrix, ...]:
         """Matrices of the partial derivatives in the canonical basis."""
-        return tuple(
-            QMatrix._trusted([_fraction_row(row, self.coords._den) for row in at_pivots], self.dim)
-            for at_pivots in self._closure_pass()
-        )
+        return tuple(QMatrix._trusted(at_pivots, self.coords._den, self.dim) for at_pivots in self._closure_pass())
 
     def _closure_pass(self) -> list[list[list[int]]]:
         """For each d/dx_i, E times its matrix in the canonical basis, as

@@ -218,6 +218,7 @@ class Poly(Value):
 
     @classmethod
     def from_json(cls, data, n: int) -> "Poly":
+        n = _variable_count(n)
         if not isinstance(data, list):
             raise ValueError("polynomial JSON must be a list of terms")
         terms: dict[MultiIndex, Fraction] = {}
@@ -225,14 +226,14 @@ class Poly(Value):
             exps = item["exps"]
             if not isinstance(exps, list):
                 raise ValueError(f"exponent vector {exps} is not a list")
-            alpha = tuple(exps)
+            alpha = _exponent(exps, n)
             if alpha in terms:
                 raise ValueError(f"duplicate exponent vector {alpha}")
             c = parse_rational(item["coef"])
             if c == 0:
                 raise ValueError("zero coefficient in polynomial JSON")
             terms[alpha] = c
-        return cls(n, terms)
+        return cls._trusted(n, terms)
 
 
 def truncated_product(p: Poly, q: Poly, bound) -> Poly:

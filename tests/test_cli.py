@@ -339,6 +339,34 @@ def test_string_exponents_are_parse_errors(argv, payload):
     assert error["detail"].startswith("bad exponent vector ('0'"), error
 
 
+def poly_table(exps):
+    """An `extract-endo` table whose one image has a term at [1], then one at exps."""
+    poly = [{"exps": [1], "coef": "1"}, {"exps": exps, "coef": "2"}]
+    return {"n": 1, "degree": 1, "images": [{"exps": [0], "poly": poly}]}
+
+
+# Malformed inputs whose detail names the field or the rule, not Python's
+# internals: before, "'NoneType' object is not iterable", "'n'",
+# "'matrices'", "duplicate exponent vector (True,)" and
+# "unhashable type: 'list'".
+MALFORMED = [
+    ("matrices_null", ["validate", "-"], {"n": 1, "matrices": None}, 'module field "matrices" must be an array of matrices'),
+    ("matrices_string", ["canonical", "-"], {"n": 1, "matrices": "x"}, 'module field "matrices" must be an array of matrices'),
+    ("n_missing", ["validate", "-"], {"dim": 1, "matrices": [[["0"]]]}, 'module JSON has no field "n"'),
+    ("matrices_missing", ["socle", "-"], {"n": 1, "dim": 1}, 'module JSON has no field "matrices"'),
+    ("exps_bool_after_one", ["extract-endo", "-"], poly_table([True]), "bad exponent vector (True,) for n=1"),
+    ("exps_float_after_one", ["extract-endo", "-"], poly_table([1.0]), "bad exponent vector (1.0,) for n=1"),
+    ("exps_unhashable", ["extract-endo", "-"], poly_table([[1]]), "bad exponent vector ([1],) for n=1"),
+]
+
+
+@pytest.mark.parametrize("argv,payload,detail", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
+def test_malformed_input_names_its_field(argv, payload, detail, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": {"kind": "ParseError", "detail": detail}}
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_extend_iso_goal_in_other_variables(n):
     problem = json.loads((GOLDEN / "inputs" / "extend_problem.json").read_text())

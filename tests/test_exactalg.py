@@ -6,6 +6,7 @@ plain lists so that elimination and kernel bugs cannot hide behind their
 own implementation.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -549,6 +550,14 @@ def check_square_ops(entries):
         assert inv.entries == tuple(expected)
 
 
+def assert_stored_as(got, reference, cols):
+    """got has the reference's entries, and equals and hashes as the
+    matrix built from them: each way of building reaches one key."""
+    expected = QMatrix(reference, cols=cols)
+    assert got.entries == tuple(map(tuple, reference))
+    assert got == expected and hash(got) == hash(expected)
+
+
 @pytest.mark.parametrize("seed", [6, 7])
 def test_integer_core_matmul_matches_reference(seed):
     rng = random.Random(seed)
@@ -560,7 +569,28 @@ def test_integer_core_matmul_matches_reference(seed):
         b = [[big_rational(rng, bits) for _ in range(cols)] for _ in range(inner)]
         product = QMatrix(a, cols=inner) * QMatrix(b, cols=cols)
         assert (product.rows, product.cols) == (rows, cols)
-        assert product.entries == tuple(reference_matmul(a, b, inner, cols))
+        assert_stored_as(product, reference_matmul(a, b, inner, cols), cols)
+        # A second factor of a's shape whose entries have other denominators.
+        c = [[big_rational(rng, rng.choice([3, 60])) for _ in range(inner)] for _ in range(rows)]
+        k = big_rational(rng, rng.choice([3, 60]))
+        v = [big_rational(rng, bits) for _ in range(inner)]
+        first, second = QMatrix(a, cols=inner), QMatrix(c, cols=inner)
+        assert_stored_as(first + second, [[x + y for x, y in zip(r, s)] for r, s in zip(a, c)], inner)
+        assert_stored_as(first - second, [[x - y for x, y in zip(r, s)] for r, s in zip(a, c)], inner)
+        assert_stored_as(-first, [[-x for x in r] for r in a], inner)
+        assert_stored_as(first.scale(k), [[k * x for x in r] for r in a], inner)
+        assert_stored_as(first.scale(0), [[Fraction(0)] * inner for _ in a], inner)
+        assert first.apply(v) == tuple(sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in a)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+def test_arithmetic_with_a_non_matrix_is_a_type_error(op):
+    # Adding or subtracting a number used to fail inside the shape check
+    # with "'int' object has no attribute 'rows'".
+    with pytest.raises(TypeError, match="^unsupported operand type"):
+        op(QMatrix([[1]]), 1)
+    with pytest.raises(TypeError, match="^unsupported operand type"):
+        op(1, QMatrix([[1]]))
 
 
 @pytest.mark.parametrize("seed", [8, 9])

@@ -239,6 +239,10 @@ EXPONENT_ENTRIES = {
     "Poly": lambda alpha: Poly(2, {alpha: 1}),
     "Poly.monomial": lambda alpha: Poly.monomial(2, alpha),
     "Poly.from_json": lambda alpha: Poly.from_json([{"exps": list(alpha), "coef": "1"}], 2),
+    # (True, 0) and (1.0, 0) equal (1, 0): each vector is read before the duplicate test.
+    "Poly.from_json after (1, 0)": lambda alpha: Poly.from_json(
+        [{"exps": [1, 0], "coef": "1"}, {"exps": list(alpha), "coef": "1"}], 2
+    ),
     "DiffOpSeries": lambda alpha: DiffOpSeries(2, 3, {alpha: 1}),
     "MonomialSubmodule": lambda alpha: MonomialSubmodule(2, [(0, 0), alpha]),
     "AutDescriptor": lambda alpha: AutDescriptor(1, {alpha: 1}),
@@ -262,7 +266,15 @@ def test_every_exponent_entry_refuses_a_bad_vector(entry, kind):
 
 @pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRIES))
 def test_every_exponent_entry_accepts_a_vector(entry):
-    EXPONENT_ENTRIES[entry]((1, 0))
+    EXPONENT_ENTRIES[entry]((0, 1))
+
+
+def test_poly_from_json_reads_an_unhashable_vector_as_a_bad_one():
+    # [[1], 0] used to reach the duplicate test and fail there with
+    # "unhashable type: 'list'".
+    with pytest.raises(ValueError) as caught:
+        EXPONENT_ENTRIES["Poly.from_json after (1, 0)"]([[1], 0])
+    assert str(caught.value) == "bad exponent vector ([1], 0) for n=2"
 
 
 # Entries that read a variable index i with n = 2.

@@ -36,12 +36,19 @@ def monomial_submodule(warm):
     return module
 
 
+def qmatrix(warm):
+    matrix = QMatrix([[1, Fraction(1, 2)], [0, -3]])
+    if warm:  # builds the Fraction view, which is not part of the value
+        assert matrix.entries[0][1] == Fraction(1, 2)
+    return matrix
+
+
 def poly_submodule(_):
     return submodule_from_polys(2, [Poly(2, {(2, 1): 1, (0, 1): -3})])
 
 
 VALUES = {
-    "QMatrix": lambda _: QMatrix([[1, Fraction(1, 2)], [0, -3]]),
+    "QMatrix": qmatrix,
     "Subspace": subspace,
     "Poly": lambda _: Poly(2, {(1, 0): 2, (0, 3): Fraction(-1, 5)}),
     "FDModule": lambda _: random_nilpotent_module(2, 2, seed=5),
