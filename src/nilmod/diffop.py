@@ -25,18 +25,18 @@ The series layer rests on three closed forms:
 - restriction to a lower set: the entry in row x^beta and column
   x^alpha is c_(alpha-beta) alpha!/beta!.
 
-The kernels built on these forms (application, composition, exp and
-log, the monomial-image table, the endomorphism check of
-`extract_coeffs` and the restriction matrix) run on integer numerators
-over one common denominator, as the linear algebra of `exactalg` does:
-`_integer_coeffs` converts a series or polynomial once, the loops add
-and multiply integers, and one `Fraction` is built per output term.
-exp and log solve for the integers X_g D^|g| |g|! when s = N/D, so
-their pass divides nothing.  The check of `extract_coeffs`
-compares the terms dicts by integer cross-multiplication and builds no
-polynomial.  Results that are canonical by construction go through
-`Poly._trusted` and `DiffOpSeries._trusted`; input from outside goes
-through the validating constructors.
+A series stores its polynomial in d, which stores integer numerators
+over one denominator.  The kernels built on these forms (application,
+composition, exp and log, the monomial-image table, the endomorphism
+check of `extract_coeffs` and the restriction matrix) read and write
+that form, as the linear algebra of `exactalg` does: the loops add and
+multiply integers, and a result whose terms carry their own
+denominators takes each over their lcm (`Poly._over_lcm`).  exp and
+log solve for the integers X_g D^|g| |g|! when s = N/D, so their pass
+divides nothing.  The check of `extract_coeffs` compares numerators by
+integer cross-multiplication and builds no polynomial.  Results go
+through `Poly._trusted` and `DiffOpSeries._trusted`; input from
+outside goes through the validating constructors.
 
 Application and the image table find the gamma <= alpha of the support
 with `multipoly._below`.  It walks the box of alpha, one lookup per
@@ -74,7 +74,7 @@ from .multipoly import (
     _box,
     _by_degree,
     _exponent,
-    _integer_coeffs,
+    _fields,
     _partial_matches,
     _same_count,
     _truncation,
@@ -90,85 +90,84 @@ from .multipoly import (
 class DiffOpSeries(Value):
     """sum c_alpha d^alpha with all |alpha| <= trunc; zeros not stored.
 
-    A truncated element of K[d]: read as a polynomial in d, its sums,
-    products and JSON are those of `Poly`.
+    A truncated element of K[d], stored as that polynomial in d: its
+    sums, products and JSON are those of `Poly`.
     """
 
-    __slots__ = ("n", "trunc", "coeffs")
+    __slots__ = ("n", "trunc", "_poly")
 
     def __init__(self, n: int, trunc: int, coeffs: Optional[Mapping[MultiIndex, object]] = None):
         poly = Poly(n, coeffs)
         trunc = _truncation(trunc)
-        for alpha in poly.terms:
+        for alpha in poly._nums:
             if sum(alpha) > trunc:
                 raise ValueError(f"index {alpha} exceeds truncation {trunc}")
+        self._store(trunc, poly)
+
+    def _store(self, trunc: int, poly: Poly) -> None:
         object.__setattr__(self, "n", poly.n)
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "coeffs", poly.terms)
+        object.__setattr__(self, "_poly", poly)
 
     @classmethod
-    def _trusted(cls, n: int, trunc: int, coeffs: dict[MultiIndex, Fraction]) -> "DiffOpSeries":
-        """A series on coefficients that are already canonical: nonzero
-        `Fraction`s at length-n exponents of total degree <= trunc, in a
-        dict that no one changes afterwards.  Only code of this module
-        that computed them from checked series, polynomials or tables
-        may call it; input from outside goes through
-        `DiffOpSeries(n, trunc, coeffs)`."""
+    def _trusted(cls, trunc: int, poly: Poly) -> "DiffOpSeries":
+        """The series of a polynomial in d of total degree <= trunc that
+        code of this module computed from checked series, polynomials or
+        tables; input goes through `DiffOpSeries(n, trunc, coeffs)`."""
         out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "trunc", trunc)
-        object.__setattr__(out, "coeffs", coeffs)
+        out._store(trunc, poly)
         return out
 
     @classmethod
     def identity(cls, n: int, trunc: int) -> "DiffOpSeries":
-        return cls(n, trunc, Poly.one(n).terms)
+        return cls(n, trunc, {(0,) * _variable_count(n): 1})
 
     @classmethod
     def derivative(cls, n: int, trunc: int, i: int) -> "DiffOpSeries":
         # The count before the index: n < 1 is a bad count, not an empty range.
-        return cls(n, trunc, Poly.variable(_variable_count(n), i).terms)
+        return cls(n, trunc, dict.fromkeys(Poly.variable(_variable_count(n), i).monomials(), 1))
 
     @property
-    def _poly(self) -> Poly:
-        """The coefficients as a polynomial in d_1, ..., d_n."""
-        return Poly._trusted(self.n, self.coeffs)
+    def coeffs(self) -> dict[MultiIndex, Fraction]:
+        """The coefficients as `Fraction`s: the polynomial's view."""
+        return self._poly.terms
 
     @property
     def unit(self) -> Fraction:
         """The constant-operator coefficient c_(0,...,0)."""
-        return self.coeffs.get((0,) * self.n, Fraction(0))
+        return Fraction(self._poly._nums.get((0,) * self.n, 0), self._poly._den)
 
     def is_automorphism(self) -> bool:
         return self.unit != 0
 
     def _key(self) -> tuple:
-        return self.n, self.trunc, self.coeffs
+        return self.trunc, self._poly
 
     def __repr__(self) -> str:
-        return f"DiffOpSeries(n={self.n}, trunc={self.trunc}, {len(self.coeffs)} terms)"
+        return f"DiffOpSeries(n={self.n}, trunc={self.trunc}, {len(self._poly._nums)} terms)"
 
     def __add__(self, other: "DiffOpSeries") -> "DiffOpSeries":
+        if not isinstance(other, DiffOpSeries):
+            return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        total = (self._poly + other._poly).terms
-        return DiffOpSeries._trusted(self.n, trunc, {a: c for a, c in total.items() if sum(a) <= trunc})
+        total = self._poly + other._poly
+        nums = {a: c for a, c in total._nums.items() if sum(a) <= trunc}
+        return DiffOpSeries._trusted(trunc, Poly._trusted(self.n, nums, total._den))
 
     def __neg__(self) -> "DiffOpSeries":
         return self.scale(-1)
 
     def __sub__(self, other: "DiffOpSeries") -> "DiffOpSeries":
-        return self + (-other)
+        return self + (-other) if isinstance(other, DiffOpSeries) else NotImplemented
 
     def scale(self, c) -> "DiffOpSeries":
-        return DiffOpSeries._trusted(self.n, self.trunc, self._poly.scale(c).terms)
+        return DiffOpSeries._trusted(self.trunc, self._poly.scale(c))
 
     def compose(self, other: "DiffOpSeries") -> "DiffOpSeries":
         """Operator composition: the product in K[d], truncated at the
         lower of the two truncations (commutative)."""
         trunc = min(self.trunc, other.trunc)
-        return DiffOpSeries._trusted(
-            self.n, trunc, truncated_product(self._poly, other._poly, trunc).terms
-        )
+        return DiffOpSeries._trusted(trunc, truncated_product(self._poly, other._poly, trunc))
 
     def apply(self, p: Poly) -> Poly:
         """sum c_gamma d^gamma p; refuses polynomials beyond the truncation.
@@ -180,9 +179,9 @@ class DiffOpSeries(Value):
         Closed form: d^gamma x^beta = beta!/(beta-gamma)! x^(beta-gamma)
         when gamma <= beta, else 0.  With c_gamma = N_gamma/D and
         b_beta = P_beta/D_p, the integers N_gamma P_beta beta! landing
-        on x^delta are summed, and the sum is divided by D D_p delta!
-        once at the end.  The gamma <= beta come from the box of beta or
-        from the support, whichever is smaller (`multipoly._below`).
+        on x^delta are summed, and the sum is over D D_p delta!.  The
+        gamma <= beta come from the box of beta or from the support,
+        whichever is smaller (`multipoly._below`).
         """
         _same_count(self.n, p)
         deg = p.total_degree()
@@ -190,59 +189,51 @@ class DiffOpSeries(Value):
             raise TruncationTooLow(
                 f"polynomial degree {deg} exceeds truncation {self.trunc}"
             )
-        nums, den = _integer_coeffs(self.coeffs)
-        p_nums, p_den = _integer_coeffs(p.terms)
+        nums = self._poly._nums
         gammas = _by_degree(nums)
         sums: dict[MultiIndex, int] = {}
-        for beta, b in p_nums.items():
+        for beta, b in p._nums.items():
             b *= multi_factorial(beta)
             for delta, c in _below(gammas, nums, beta):
                 sums[delta] = sums.get(delta, 0) + c * b
-        den *= p_den
-        return Poly._trusted(
-            self.n,
-            {delta: Fraction(v, den * multi_factorial(delta)) for delta, v in sums.items() if v},
-        )
+        den = self._poly._den * p._den
+        return Poly._over_lcm(self.n, {delta: (v, den * multi_factorial(delta)) for delta, v in sums.items()})
 
     def to_json(self) -> dict:
         return {"n": self.n, "trunc": self.trunc, "coeffs": self._poly.to_json()}
 
 
-def _graded_solve(
-    coeffs: Mapping[MultiIndex, Fraction],
-    trunc: int,
-    within: Optional[Container[MultiIndex]],
-    log: bool,
-) -> dict[MultiIndex, Fraction]:
-    """The nonzero X_g, 0 < |g| <= trunc, of exp(s), or of log(1 + s)
-    when `log`, for s the non-constant terms of `coeffs`:
+def _graded_solve(s: Poly, trunc: int, within: Optional[Container[MultiIndex]], log: bool) -> Poly:
+    """exp(s), or log(1 + s) when `log`, up to degree trunc, for s the
+    non-constant terms of the given polynomial: X_0 = 1 for exp and 0
+    for log, and for 0 < |g| <= trunc
 
         |g| X_g = |g| s_g + sum_(a + b = g, a != 0) w X_a s_b,
 
     with w = |b| for exp and w = -|a| for log.  Every b has positive
     degree, so the right side only uses X_a of lower degree, and one
-    pass in ascending degree solves it.  With s = N/D over one common
-    denominator, the pass runs on the integers F_g = X_g D^|g| |g|!:
+    pass in ascending degree solves it.  With s = N/D, the pass runs on
+    the integers F_g = X_g D^|g| |g|!:
 
         F_h = |h|! N_h D^(|h|-1)
               + sum_(a + b = h, a != 0) w N_b D^(|b|-1) (|h|-1)!/|a|! F_a,
 
-    and builds one Fraction(F_g, D^|g| |g|!) per nonzero F_g.  Each
-    solved F_a is pushed onto a + b for every b in the support, so the
-    pass visits only sums of support exponents, never the whole
-    C(n + trunc, n) monomials.  With `within` (a lower set), only its
-    monomials are computed; they never need one outside it.
+    and each F_g is taken over D^|g| |g|!.  Each solved F_a is pushed
+    onto a + b for every b in the support, so the pass visits only sums
+    of support exponents, never the whole C(n + trunc, n) monomials.
+    With `within` (a lower set), only its monomials are computed; they
+    never need one outside it.
     """
-    nums, den = _integer_coeffs({b: c for b, c in coeffs.items() if any(b)})
+    den = s._den
     fact = [factorial(k) for k in range(trunc + 1)]
-    terms = [(b, d, c * den ** (d - 1)) for b, d, c in _by_degree(nums) if d <= trunc]
+    terms = [(b, d, c * den ** (d - 1)) for b, d, c in _by_degree(s._nums) if 0 < d <= trunc]
     pending: list[dict[MultiIndex, int]] = [{} for _ in range(trunc + 1)]
     for b, d, c in terms:
         if within is None or b in within:
             pending[d][b] = fact[d] * c
     if not log:
         terms = [(b, d, d * c) for b, d, c in terms]
-    out: dict[MultiIndex, Fraction] = {}
+    out = {} if log else {(0,) * s.n: (1, 1)}
     for d in range(1, trunc + 1):
         scale = den**d * fact[d]
         pushes = [
@@ -251,14 +242,14 @@ def _graded_solve(
         for g, f in pending[d].items():
             if not f:
                 continue
-            out[g] = Fraction(f, scale)
+            out[g] = (f, scale)
             w = -d * f if log else f
             for b, e, c in pushes:
                 h = tuple(map(add, g, b))
                 if within is None or h in within:
                     bucket = pending[e]
                     bucket[h] = bucket.get(h, 0) + w * c
-    return out
+    return Poly._over_lcm(s.n, out)
 
 
 def series_exp(s: DiffOpSeries) -> DiffOpSeries:
@@ -271,9 +262,7 @@ def series_exp(s: DiffOpSeries) -> DiffOpSeries:
     """
     if s.unit != 0:
         raise WrongConstantTerm("exp needs a zero constant term")
-    coeffs = {(0,) * s.n: Fraction(1)}
-    coeffs.update(_graded_solve(s.coeffs, s.trunc, None, log=False))
-    return DiffOpSeries._trusted(s.n, s.trunc, coeffs)
+    return DiffOpSeries._trusted(s.trunc, _graded_solve(s._poly, s.trunc, None, log=False))
 
 
 def series_log(s: DiffOpSeries) -> DiffOpSeries:
@@ -286,7 +275,7 @@ def series_log(s: DiffOpSeries) -> DiffOpSeries:
     """
     if s.unit != 1:
         raise WrongConstantTerm("log needs constant term one")
-    return DiffOpSeries._trusted(s.n, s.trunc, _graded_solve(s.coeffs, s.trunc, None, log=True))
+    return DiffOpSeries._trusted(s.trunc, _graded_solve(s._poly, s.trunc, None, log=True))
 
 
 def monomial_images(s: DiffOpSeries) -> dict[MultiIndex, Poly]:
@@ -300,13 +289,10 @@ def monomial_images(s: DiffOpSeries) -> dict[MultiIndex, Poly]:
     the support, whichever is smaller (`multipoly._below`).
     """
     facts = {alpha: multi_factorial(alpha) for alpha in monomials_up_to_degree(s.n, s.trunc)}
-    nums, den = _integer_coeffs(s.coeffs)
+    nums, den = s._poly._nums, s._poly._den
     gammas = _by_degree(nums)
     return {
-        alpha: Poly._trusted(
-            s.n,
-            {delta: Fraction(c * (fact // facts[delta]), den) for delta, c in _below(gammas, nums, alpha)},
-        )
+        alpha: Poly._trusted(s.n, {delta: c * (fact // facts[delta]) for delta, c in _below(gammas, nums, alpha)}, den)
         for alpha, fact in facts.items()
     }
 
@@ -324,30 +310,31 @@ def extract_coeffs(
     i, is the witness (i, alpha).
     """
     n, degree = _variable_count(n), _truncation(degree)
-    table: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
+    table: dict[MultiIndex, Poly] = {}
     for alpha in monomials_up_to_degree(n, degree):
         if alpha not in images:
             raise ValueError(f"image table is missing monomial {alpha}")
         p = images[alpha]
         if p.n != n:
             raise ValueError("variable count mismatch in image table")
-        table[alpha] = p.terms
+        table[alpha] = p
     if len(images) > len(table):
         alpha = min((_exponent(a, n) for a in images if a not in table), key=grlex_key)
         raise ValueError(f"image table has monomial {alpha} above degree {degree}")
+    zero = Poly.zero(n)
     for alpha in sorted(table, key=grlex_key):
         for k, a in enumerate(alpha):
             # d_(k+1) s(x^alpha) == alpha_k s(x^(alpha - e_k))
-            below = table[alpha[:k] + (a - 1,) + alpha[k + 1 :]] if a else {}
+            below = table[alpha[:k] + (a - 1,) + alpha[k + 1 :]] if a else zero
             if not _partial_matches(table[alpha], k, below, a):
                 raise NotAnEndomorphism(k + 1, alpha)
     origin = (0,) * n
     coeffs = {
-        alpha: terms[origin] / multi_factorial(alpha)
-        for alpha, terms in table.items()
-        if origin in terms
+        alpha: (p._nums[origin], p._den * multi_factorial(alpha))
+        for alpha, p in table.items()
+        if origin in p._nums
     }
-    return DiffOpSeries._trusted(n, degree, coeffs)
+    return DiffOpSeries._trusted(degree, Poly._over_lcm(n, coeffs))
 
 
 class MonomialSubmodule(Value):
@@ -404,19 +391,19 @@ class MonomialSubmodule(Value):
             object.__setattr__(self, "_pairs", pairs)
         return self._pairs
 
-    def _restriction_matrix(self, coeffs: Mapping[MultiIndex, Fraction]) -> QMatrix:
-        """The matrix of sum c_gamma d^gamma on `monomials_descending()`:
-        row x^beta, column x^alpha holds c_(alpha-beta) alpha!/beta!, 0
-        unless beta <= alpha.  With c = N/D over one common denominator,
-        a nonzero entry is the integer N (alpha!/beta!) over D."""
-        nums, den = _integer_coeffs(coeffs)
+    def _restriction_matrix(self, series: Poly) -> QMatrix:
+        """The matrix of sum c_gamma d^gamma, the polynomial in d given,
+        on `monomials_descending()`: row x^beta, column x^alpha holds
+        c_(alpha-beta) alpha!/beta!, 0 unless beta <= alpha.  With
+        c = N/D, a nonzero entry is the integer N (alpha!/beta!) over D."""
+        nums = series._nums
         m = self.m
         rows = [[0] * m for _ in range(m)]
         for i, j, gamma, ratio in self._comparable_pairs():
             c = nums.get(gamma)
             if c:
                 rows[i][j] = c * ratio
-        return QMatrix._trusted(rows, den, m)
+        return QMatrix._trusted(rows, series._den, m)
 
     def _key(self) -> tuple:
         return self.n, self.indices
@@ -429,7 +416,10 @@ class MonomialSubmodule(Value):
 
     @classmethod
     def from_json(cls, data) -> "MonomialSubmodule":
-        return cls(data["n"], data["indices"])
+        n, indices = _fields(data, "submodule JSON", "n", "indices")
+        if not isinstance(indices, list):
+            raise ValueError('submodule field "indices" must be an array of exponent vectors')
+        return cls(n, indices)
 
 
 def restrict(s: DiffOpSeries, module: MonomialSubmodule) -> ModuleMap:
@@ -447,7 +437,7 @@ def restrict(s: DiffOpSeries, module: MonomialSubmodule) -> ModuleMap:
             f"series truncation {s.trunc} below the submodule degree "
             f"{module.max_degree}"
         )
-    matrix = module._restriction_matrix(s.coeffs)
+    matrix = module._restriction_matrix(s._poly)
     space = module.as_poly_submodule()
     return ModuleMap(space, space, matrix)
 
@@ -475,7 +465,7 @@ def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[in
     monomials, news = [], []
 
     def inside(alpha: MultiIndex) -> bool:
-        return alpha in rows and len(rows[alpha].terms) == 1
+        return alpha in rows and len(rows[alpha]._nums) == 1
 
     for kappa in sorted(candidates, key=grlex_key):
         if len(monomials) == limit:
@@ -494,12 +484,13 @@ def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[in
         new, image = monomials[-1], g
         if kappa in rows:
             new, image = new - rows[kappa], image - images[kappa]
-        lead = max(new.terms, key=grlex_key)
-        c = 1 / new.terms[lead]
+        lead = max(new._nums, key=grlex_key)
+        c = Fraction(new._den, new._nums[lead])
         new, image = new.scale(c), image.scale(c)
         for pi, row in rows.items():
-            f = row.terms.get(lead)
+            f = row._nums.get(lead)
             if f:
+                f = Fraction(f, row._den)
                 rows[pi], images[pi] = row - new.scale(f), images[pi] - image.scale(f)
         rows[lead], images[lead] = new, image
     if not monomials:
@@ -667,10 +658,8 @@ class AutGroup:
         """The matrix of u * exp(sum t_lambda d^lambda) on the submodule."""
         self._check_descriptor(desc)
         module = self.module
-        series = _graded_solve(desc.additive, module.max_degree, module.indices, log=False)
-        series = {alpha: desc.unit * c for alpha, c in series.items()}
-        series[(0,) * module.n] = desc.unit
-        return module._restriction_matrix(series)
+        series = _graded_solve(Poly(module.n, desc.additive), module.max_degree, module.indices, log=False)
+        return module._restriction_matrix(series.scale(desc.unit))
 
     def descriptor_of(self, automorphism) -> AutDescriptor:
         """Inverse of parametrize; accepts the map or its matrix.
@@ -697,9 +686,9 @@ class AutGroup:
             ints[i][j] * series[g][1] != series[g][0] * ratio for i, j, g, ratio in pairs
         ):
             raise ValueError("matrix is not the restriction of any series")
-        normalized = {alpha: Fraction(c, fact * x[-1]) for alpha, (c, fact) in series.items() if c}
+        normalized = Poly._over_lcm(module.n, {alpha: (c, fact * x[-1]) for alpha, (c, fact) in series.items()})
         logs = _graded_solve(normalized, module.max_degree, module.indices, log=True)
-        return AutDescriptor._trusted(Fraction(x[-1], matrix._den), logs)
+        return AutDescriptor._trusted(Fraction(x[-1], matrix._den), logs.terms)
 
 
 def aut_structure(module: MonomialSubmodule) -> AutGroup:

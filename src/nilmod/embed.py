@@ -126,12 +126,12 @@ def potential(fs: Sequence[Poly], n: int) -> Poly:
     # A term c x^beta of h puts beta_i c at x^(beta - e_i) in f_i, so h's
     # coefficient at beta is f_i[beta - e_i] / beta_i for the first i
     # with beta_i > 0: f_i's terms free of x_1..x_(i-1), one step up in x_i.
-    terms: dict[MultiIndex, Fraction] = {}
+    terms: dict[MultiIndex, tuple[int, int]] = {}
     for i, f in enumerate(fs):
-        for gamma, c in f.terms.items():
+        for gamma, c in f._nums.items():
             if not any(gamma[:i]):
-                terms[gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]] = c / (gamma[i] + 1)
-    return Poly._trusted(n, terms)
+                terms[gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]] = (c, f._den * (gamma[i] + 1))
+    return Poly._over_lcm(n, terms)
 
 
 def _functional(s: Sequence, rng: Optional[random.Random]) -> list[int]:

@@ -464,9 +464,13 @@ class Subspace(Value):
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        (w,), _ = _integer_rows([v])
+        (w,), den = _integer_rows([v])
+        return self._integer_coordinates(w, den)
+
+    def _integer_coordinates(self, w: Sequence[int], den: int) -> Optional[Vector]:
+        """`coordinates_of` for the vector w / den, on integer w."""
         coeffs = [w[c] for c in self._pivots]
         for j in self._free:
             if self._den * w[j] != sum(map(mul, coeffs, self._columns[j])):
                 return None
-        return tuple(v[c] for c in self._pivots)
+        return tuple(Fraction(x, den) for x in coeffs)

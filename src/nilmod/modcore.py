@@ -49,6 +49,7 @@ from .multipoly import (
     MultiIndex,
     Poly,
     _check_var,
+    _fields,
     _same_count,
     _variable_count,
     grlex_key,
@@ -112,12 +113,10 @@ class FDModule(Value):
 
     @classmethod
     def from_json(cls, data) -> "FDModule":
-        for field in ("n", "matrices"):
-            if field not in data:
-                raise ValueError(f'module JSON has no field "{field}"')
-        if not isinstance(data["matrices"], list):
+        n, matrices = _fields(data, "module JSON", "n", "matrices")
+        if not isinstance(matrices, list):
             raise ValueError('module field "matrices" must be an array of matrices')
-        mod = cls(data["n"], [QMatrix.from_json(m) for m in data["matrices"]])
+        mod = cls(n, [QMatrix.from_json(m) for m in matrices])
         if "dim" in data and as_int(data["dim"]) != mod.dim:
             raise ValueError("declared dim disagrees with the matrices")
         return mod
@@ -212,8 +211,9 @@ class PolySubmodule(Value):
         for p in polys:
             support |= p.monomials()
         monomial_list = tuple(sorted(support, key=grlex_key, reverse=True))
-        rows = [[p.terms.get(alpha, 0) for alpha in monomial_list] for p in polys]
-        self._span(n, monomial_list, _integer_rows(rows)[0], None)
+        # Row k is polys[k] times its denominator: the same span.
+        rows = [[p._nums.get(alpha, 0) for alpha in monomial_list] for p in polys]
+        self._span(n, monomial_list, rows, None)
 
     @classmethod
     def _from_integer_rows(cls, n, monomial_list, rows, weights) -> "PolySubmodule":
@@ -245,8 +245,7 @@ class PolySubmodule(Value):
         if self._basis is None:
             den = self.coords._den
             basis = tuple(
-                Poly._trusted(self.n, {alpha: Fraction(x, den) for alpha, x in zip(self.monomial_list, row) if x})
-                for row in zip(*self.coords._columns)
+                Poly._trusted(self.n, dict(zip(self.monomial_list, row)), den) for row in zip(*self.coords._columns)
             )
             object.__setattr__(self, "_basis", basis)
         return self._basis
@@ -264,28 +263,22 @@ class PolySubmodule(Value):
     def coordinates_of(self, p: Poly) -> Optional[Vector]:
         """Coordinates of p over the canonical basis, or None if outside."""
         _same_count(self.n, p)
-        if not p.terms.keys() <= self._position.keys():
+        if not p._nums.keys() <= self._position.keys():
             return None
-        zero = Fraction(0)
-        return self.coords.coordinates_of([p.terms.get(alpha, zero) for alpha in self.monomial_list])
+        return self.coords._integer_coordinates([p._nums.get(alpha, 0) for alpha in self.monomial_list], p._den)
 
     def contains(self, p: Poly) -> bool:
         return self.coordinates_of(p) is not None
 
     def from_coordinates(self, coords: Sequence) -> Poly:
         """The member with coordinates N / D over the basis B / E, as
-        N B / (D E) on integers: one `Fraction` per term."""
+        N B over D E."""
         coords = vector(coords)
         if len(coords) != self.dim:
             raise ValueError("coordinate length differs from dimension")
         (nums,), den = _integer_rows([coords])
-        den *= self.coords._den
-        terms = {}
-        for alpha, column in zip(self.monomial_list, self.coords._columns):
-            v = sum(map(mul, nums, column))
-            if v:
-                terms[alpha] = Fraction(v, den)
-        return Poly._trusted(self.n, terms)
+        terms = {alpha: sum(map(mul, nums, column)) for alpha, column in zip(self.monomial_list, self.coords._columns)}
+        return Poly._trusted(self.n, terms, den * self.coords._den)
 
     def action_matrices(self) -> tuple[QMatrix, ...]:
         """Matrices of the partial derivatives in the canonical basis."""
@@ -329,8 +322,10 @@ class PolySubmodule(Value):
 
     @classmethod
     def from_json(cls, data) -> "PolySubmodule":
-        n = data["n"]
-        return cls(n, [Poly.from_json(p, n) for p in data["basis"]])
+        n, basis = _fields(data, "submodule JSON", "n", "basis")
+        if not isinstance(basis, list):
+            raise ValueError('submodule field "basis" must be an array of polynomials')
+        return cls(n, [Poly.from_json(p, n) for p in basis])
 
 
 def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:

@@ -1,10 +1,11 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial is a finite map from exponent multi-indices to nonzero
-rational coefficients.  The module fixes one global monomial order
-(graded lexicographic with x_1 > x_2 > ... > x_n) that every canonical
-basis and serialization in the library relies on.  Variable indices in
-the public API are 1-based.
+integer numerators over one positive denominator, coprime to them all,
+as in FLINT's fmpq_poly; its rational coefficients are a view.  The
+module fixes one global monomial order (graded lexicographic with
+x_1 > x_2 > ... > x_n) that every canonical basis and serialization in
+the library relies on.  Variable indices in the public API are 1-based.
 """
 
 from __future__ import annotations
@@ -75,36 +76,46 @@ def is_lower_set(indices: Iterable[MultiIndex]) -> bool:
 
 
 class Poly(Value):
-    """Sparse polynomial; zero coefficients are never stored."""
+    """Sparse polynomial: nonzero integer numerators `_nums` over one
+    positive denominator `_den` coprime to them, the form that equality,
+    hashing and every kernel read.  `terms` is a `Fraction` view."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_nums", "_den", "_terms")
 
     def __init__(self, n: int, terms: Optional[Mapping[MultiIndex, object]] = None):
         n = _variable_count(n)
-        clean: dict[MultiIndex, Fraction] = {}
-        for alpha, c in (terms or {}).items():
-            alpha = _exponent(alpha, n)
-            c = as_fraction(c)
-            if c != 0:
-                clean[alpha] = c
+        clean = {_exponent(alpha, n): as_fraction(c) for alpha, c in (terms or {}).items()}
+        self._store(n, *_integer_coeffs(clean))
+
+    def _store(self, n: int, nums: dict[MultiIndex, int], den: int) -> None:
+        g = math.gcd(den, *nums.values()) if den > 1 else 1
+        if g > 1 or 0 in nums.values():
+            nums = {alpha: c // g for alpha, c in nums.items() if c}
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den // g)
+        object.__setattr__(self, "_terms", None)
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[MultiIndex, Fraction]) -> "Poly":
-        """A polynomial on terms that are already canonical: length-n
-        exponent tuples mapped to nonzero `Fraction`s, in a dict that no
-        one changes afterwards.  Only library code that built the terms
-        itself, from polynomials or series that were already checked,
-        may call it; input from outside goes through `Poly(n, terms)`."""
+    def _trusted(cls, n: int, nums: dict[MultiIndex, int], den: int) -> "Poly":
+        """nums / den, for integers at length-n exponents and den > 0, in a
+        dict no one changes afterwards, with zeros and the common factor
+        dropped.  Only library code that computed nums from checked values
+        may call it; input goes through `Poly(n, terms)`."""
         out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "terms", terms)
+        out._store(n, nums, den)
         return out
 
     @classmethod
+    def _over_lcm(cls, n: int, terms: Mapping[MultiIndex, tuple[int, int]]) -> "Poly":
+        """The polynomial with coefficient num / den at alpha, for terms
+        alpha -> (num, den), den nonzero, taken over the lcm of the dens."""
+        den = math.lcm(*(d for _, d in terms.values()))
+        return cls._trusted(n, {alpha: c * (den // d) for alpha, (c, d) in terms.items()}, den)
+
+    @classmethod
     def zero(cls, n: int) -> "Poly":
-        return cls._trusted(_variable_count(n), {})
+        return cls._trusted(_variable_count(n), {}, 1)
 
     @classmethod
     def one(cls, n: int) -> "Poly":
@@ -123,51 +134,56 @@ class Poly(Value):
         _check_var(n, i)
         return cls(n, {tuple(int(k == i - 1) for k in range(_variable_count(n))): 1})
 
+    @property
+    def terms(self) -> dict[MultiIndex, Fraction]:
+        """The coefficients as `Fraction`s, built on first read."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", {alpha: Fraction(c, self._den) for alpha, c in self._nums.items()})
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def _key(self) -> tuple:
-        return self.n, self.terms
+        return self.n, self._den, self._nums
 
     def monomials(self) -> set[MultiIndex]:
-        return set(self.terms)
+        return set(self._nums)
 
     def degree_in(self, i: int):
         _check_var(self.n, i)
-        if not self.terms:
+        if not self._nums:
             return MINUS_INFINITY
-        return max(alpha[i - 1] for alpha in self.terms)
+        return max(alpha[i - 1] for alpha in self._nums)
 
     def total_degree(self):
-        if not self.terms:
+        if not self._nums:
             return MINUS_INFINITY
-        return max(sum(alpha) for alpha in self.terms)
+        return max(sum(alpha) for alpha in self._nums)
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         _same_count(self.n, other)
-        out = dict(self.terms)
-        for alpha, c in other.terms.items():
-            s = out.get(alpha, Fraction(0)) + c
-            if s == 0:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = s
-        return Poly._trusted(self.n, out)
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        out = {alpha: a * c for alpha, c in self._nums.items()}
+        for alpha, c in other._nums.items():
+            out[alpha] = out.get(alpha, 0) + b * c
+        return Poly._trusted(self.n, out, den)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, Poly) else NotImplemented
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.n, {alpha: -c for alpha, c in self.terms.items()})
+        return Poly._trusted(self.n, {alpha: -c for alpha, c in self._nums.items()}, self._den)
 
     def scale(self, c) -> "Poly":
         c = as_fraction(c)
-        if c == 0:
-            return Poly.zero(self.n)
-        return Poly._trusted(self.n, {alpha: c * v for alpha, v in self.terms.items()})
+        return Poly._trusted(self.n, {alpha: c.numerator * v for alpha, v in self._nums.items()}, self._den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -181,16 +197,16 @@ class Poly(Value):
         """Exact partial derivative with respect to x_i (1-based)."""
         _check_var(self.n, i)
         k = i - 1
-        out: dict[MultiIndex, Fraction] = {}
-        for alpha, c in self.terms.items():
+        out: dict[MultiIndex, int] = {}
+        for alpha, c in self._nums.items():
             if alpha[k] == 0:
                 continue
             beta = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]
             out[beta] = c * alpha[k]
-        return Poly._trusted(self.n, out)
+        return Poly._trusted(self.n, out, self._den)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._nums:
             return "0"
         parts = []
         for alpha in sorted(self.terms, key=grlex_key, reverse=True):
@@ -223,17 +239,17 @@ class Poly(Value):
             raise ValueError("polynomial JSON must be a list of terms")
         terms: dict[MultiIndex, Fraction] = {}
         for item in data:
-            exps = item["exps"]
+            exps, coef = _fields(item, "polynomial term", "exps", "coef")
             if not isinstance(exps, list):
                 raise ValueError(f"exponent vector {exps} is not a list")
             alpha = _exponent(exps, n)
             if alpha in terms:
                 raise ValueError(f"duplicate exponent vector {alpha}")
-            c = parse_rational(item["coef"])
+            c = parse_rational(coef)
             if c == 0:
                 raise ValueError("zero coefficient in polynomial JSON")
             terms[alpha] = c
-        return cls._trusted(n, terms)
+        return cls._trusted(n, *_integer_coeffs(terms))
 
 
 def truncated_product(p: Poly, q: Poly, bound) -> Poly:
@@ -241,29 +257,25 @@ def truncated_product(p: Poly, q: Poly, bound) -> Poly:
 
     This is the product of K[x] and, read with x_i as d_i, the
     composition of truncated operator series.  With p = P/D_1 and
-    q = Q/D_2 over common denominators, the integer products P_a Q_b
-    are summed per output monomial and one `Fraction(v, D_1 D_2)` is
-    built per nonzero sum.  q's terms are visited in ascending degree,
+    q = Q/D_2, the integer products P_a Q_b are summed per output
+    monomial, over D_1 D_2.  q's terms are visited in ascending degree,
     so each term of p stops at the first one that overshoots the bound.
     """
     _same_count(p.n, q)
-    p_nums, p_den = _integer_coeffs(p.terms)
-    q_nums, q_den = _integer_coeffs(q.terms)
-    by_degree = _by_degree(q_nums)
+    by_degree = _by_degree(q._nums)
     out: dict[MultiIndex, int] = {}
-    for a, ca in p_nums.items():
+    for a, ca in p._nums.items():
         room = bound - sum(a)
         for b, b_deg, cb in by_degree:
             if b_deg > room:
                 break
             g = tuple(map(add, a, b))
             out[g] = out.get(g, 0) + ca * cb
-    den = p_den * q_den
-    return Poly._trusted(p.n, {g: Fraction(c, den) for g, c in out.items() if c})
+    return Poly._trusted(p.n, out, p._den * q._den)
 
 
 def _integer_coeffs(coeffs: Mapping[MultiIndex, Fraction]) -> tuple[dict[MultiIndex, int], int]:
-    """Rational coefficients as (integer numerators, D) with
+    """Rational input coefficients as (integer numerators, D) with
     coeffs == numerators / D, D the least common denominator: the one
     row of `exactalg._integer_rows`."""
     (row,), den = _integer_rows([coeffs.values()])
@@ -305,26 +317,26 @@ def _below(
             yield delta, c
 
 
-def _partial_matches(
-    p: Mapping[MultiIndex, Fraction], k: int, q: Mapping[MultiIndex, Fraction], a: int
-) -> bool:
-    """Whether d_(k+1) p == a q for canonical terms dicts p and q,
-    without building a polynomial.
+def _partial_matches(p: Poly, k: int, q: Poly, a: int) -> bool:
+    """Whether d_(k+1) p == a q, without building a polynomial.
 
-    A term c x^beta of p with b = beta_k > 0 becomes b c x^(beta - e_k);
-    it must equal a d for the term d of q there, compared by integer
-    cross-multiplication, and no term of q may be left unmet.
+    A term P x^beta / D_p of p with b = beta_k > 0 becomes
+    b P x^(beta - e_k) / D_p; it must equal a Q / D_q for the term of q
+    there, compared as b P D_q == a Q D_p, and no term of q may be left
+    unmet.
     """
+    q_nums = q._nums
+    left, right = q._den, a * p._den
     met = 0
-    for beta, c in p.items():
+    for beta, c in p._nums.items():
         b = beta[k]
         if not b:
             continue
-        d = q.get(beta[:k] + (b - 1,) + beta[k + 1 :])
-        if d is None or c.numerator * b * d.denominator != a * d.numerator * c.denominator:
+        d = q_nums.get(beta[:k] + (b - 1,) + beta[k + 1 :])
+        if d is None or c * b * left != d * right:
             return False
         met += 1
-    return met == len(q)
+    return met == len(q_nums)
 
 
 # --- the input rules: each checked here and nowhere else -----------------
@@ -350,6 +362,16 @@ def _exponent(alpha, n: int) -> MultiIndex:
     if len(alpha) != n or any(isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha):
         raise ValueError(f"bad exponent vector {alpha} for n={n}")
     return alpha
+
+
+def _fields(data, what: str, *names) -> list:
+    """The named fields of a JSON object, each one required."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object")
+    for name in names:
+        if name not in data:
+            raise ValueError(f'{what} has no field "{name}"')
+    return [data[name] for name in names]
 
 
 def _truncation(trunc) -> int:

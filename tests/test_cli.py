@@ -345,10 +345,27 @@ def poly_table(exps):
     return {"n": 1, "degree": 1, "images": [{"exps": [0], "poly": poly}]}
 
 
+def extend_problem(side, field, value):
+    """The golden `extend-iso` problem with one field of a side changed,
+    or dropped when the value is `...`."""
+    problem = json.loads((GOLDEN / "inputs" / "extend_problem.json").read_text())
+    if value is ...:
+        del problem[side][field]
+    else:
+        problem[side][field] = value
+    return problem
+
+
+def term_table(term):
+    """An `extract-endo` table whose one image is the one term given."""
+    return {"n": 1, "degree": 0, "images": [{"exps": [0], "poly": [term]}]}
+
+
 # Malformed inputs whose detail names the field or the rule, not Python's
 # internals: before, "'NoneType' object is not iterable", "'n'",
-# "'matrices'", "duplicate exponent vector (True,)" and
-# "unhashable type: 'list'".
+# "'matrices'", "'basis'", "'indices'", "'exps'", "'coef'",
+# "'int' object is not subscriptable", "duplicate exponent vector (True,)"
+# and "unhashable type: 'list'".
 MALFORMED = [
     ("matrices_null", ["validate", "-"], {"n": 1, "matrices": None}, 'module field "matrices" must be an array of matrices'),
     ("matrices_string", ["canonical", "-"], {"n": 1, "matrices": "x"}, 'module field "matrices" must be an array of matrices'),
@@ -357,6 +374,18 @@ MALFORMED = [
     ("exps_bool_after_one", ["extract-endo", "-"], poly_table([True]), "bad exponent vector (True,) for n=1"),
     ("exps_float_after_one", ["extract-endo", "-"], poly_table([1.0]), "bad exponent vector (1.0,) for n=1"),
     ("exps_unhashable", ["extract-endo", "-"], poly_table([[1]]), "bad exponent vector ([1],) for n=1"),
+    ("source_n_missing", ["extend-iso", "-"], extend_problem("source", "n", ...), 'submodule JSON has no field "n"'),
+    ("target_basis_missing", ["extend-iso", "-"], extend_problem("target", "basis", ...), 'submodule JSON has no field "basis"'),
+    ("source_basis_null", ["extend-iso", "-"], extend_problem("source", "basis", None), 'submodule field "basis" must be an array of polynomials'),
+    ("goal_n_missing", ["extend-iso", "-"], extend_problem("goal", "n", ...), 'submodule JSON has no field "n"'),
+    ("goal_indices_null", ["extend-iso", "-"], extend_problem("goal", "indices", None), 'submodule field "indices" must be an array of exponent vectors'),
+    ("aut_n_missing", ["aut", "-"], {"indices": [[0]]}, 'submodule JSON has no field "n"'),
+    ("aut_indices_missing", ["aut", "-"], {"n": 1}, 'submodule JSON has no field "indices"'),
+    ("aut_indices_null", ["aut", "-"], {"n": 1, "indices": None}, 'submodule field "indices" must be an array of exponent vectors'),
+    ("term_not_an_object", ["extract-endo", "-"], term_table(1), "polynomial term must be an object"),
+    ("term_a_string", ["extract-endo", "-"], term_table("exps coef"), "polynomial term must be an object"),
+    ("term_exps_missing", ["extract-endo", "-"], term_table({"coef": "1"}), 'polynomial term has no field "exps"'),
+    ("term_coef_missing", ["extract-endo", "-"], term_table({"exps": [0]}), 'polynomial term has no field "coef"'),
 ]
 
 

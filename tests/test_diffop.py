@@ -14,6 +14,7 @@ no reference runs on the integer kernels.
 
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -425,6 +426,20 @@ def test_add_and_compose_match_loop_reference():
             op(DiffOpSeries.identity(1, 2), other)
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+@pytest.mark.parametrize(
+    "value", [Poly(1, {(1,): 1}), DiffOpSeries(1, 2, {(1,): 1})], ids=["poly", "series"]
+)
+def test_arithmetic_with_a_foreign_operand_is_a_type_error(op, value):
+    # Adding or subtracting a number used to fail inside the count check
+    # with "'int' object has no attribute 'n'" (or 'trunc').
+    for other in (1, Fraction(1, 2), Poly(1, {(1,): 1}) if isinstance(value, DiffOpSeries) else DiffOpSeries(1, 2)):
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            op(value, other)
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            op(other, value)
+
+
 def test_series_validation_messages_come_from_poly():
     with pytest.raises(ValueError, match=r"^bad exponent vector \(1,\) for n=2$"):
         DiffOpSeries(2, 3, {(1,): 1})
@@ -657,14 +672,18 @@ def reference_extract(n, degree, images):
 
 
 def assert_canonical_poly(p):
-    """What Poly._trusted callers promise: only nonzero Fractions, and
-    the same polynomial as the validated constructor gives."""
+    """What Poly._trusted makes of what its callers hand it: nonzero
+    integer numerators over a positive denominator coprime to them all,
+    and the same polynomial as the validated constructor gives."""
+    assert p._den > 0 and all(type(c) is int and c != 0 for c in p._nums.values()), (p._den, p._nums)
+    assert math.gcd(p._den, *p._nums.values()) == 1, (p._den, p._nums)
     assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values()), p.terms
     assert p == Poly(p.n, p.terms)
 
 
 def assert_canonical_series(s):
-    assert all(isinstance(c, Fraction) and c != 0 for c in s.coeffs.values()), s.coeffs
+    assert_canonical_poly(s._poly)
+    assert s.n == s._poly.n
     assert all(sum(alpha) <= s.trunc for alpha in s.coeffs)
     assert s == DiffOpSeries(s.n, s.trunc, s.coeffs)
     assert s._poly == Poly(s.n, s.coeffs)
@@ -1110,12 +1129,14 @@ def test_exp_log_match_convolution_reference():
                 assert back.coeffs == reference_log_coeffs(e.coeffs, trunc)
                 assert back == reference_log(e) == s
                 # within a lower set: the truncation of the whole series to it
-                inside = diffop._graded_solve(s.coeffs, trunc, lower, log=False)
-                assert inside == reference_exp_coeffs(s.coeffs, trunc, lower)
-                assert inside == {g: c for g, c in e.coeffs.items() if any(g) and g in lower}
-                logs = diffop._graded_solve(e.coeffs, trunc, lower, log=True)
-                assert logs == reference_log_coeffs(e.coeffs, trunc, lower)
-                assert logs == {g: c for g, c in s.coeffs.items() if g in lower}
+                inside = diffop._graded_solve(s._poly, trunc, lower, log=False)
+                assert_canonical_poly(inside)
+                assert inside.terms == {origin: 1, **reference_exp_coeffs(s.coeffs, trunc, lower)}
+                assert inside.terms == {g: c for g, c in e.coeffs.items() if g in lower}
+                logs = diffop._graded_solve(e._poly, trunc, lower, log=True)
+                assert_canonical_poly(logs)
+                assert logs.terms == reference_log_coeffs(e.coeffs, trunc, lower)
+                assert logs.terms == {g: c for g, c in s.coeffs.items() if g in lower}
             for u in (
                 DiffOpSeries.identity(n, trunc),
                 random_series(rng, n, trunc, unit_one=True),
@@ -1316,7 +1337,10 @@ def test_extend_step_extends_series_automorphisms():
             assert extended.is_isomorphism()
             for j, p in enumerate(space.basis):
                 image = tgt.from_coordinates(extended.apply_coords(src.coordinates_of(p)))
+                assert_canonical_poly(image)
                 assert image == phi.image_poly(j)
+            for p in src.basis + tgt.basis:
+                assert_canonical_poly(p)
 
 
 def test_extend_step_invariant_survives_optimize_flag():
@@ -1627,7 +1651,11 @@ def test_aut_descriptor_of_rejects_non_restrictions():
         group.descriptor_of(zero_unit)
 
 
-def test_aut_group_matches_series_reference():
+def test_aut_group_matches_series_reference(monkeypatch):
+    # Every exp of `matrix_of` and log of `descriptor_of` is canonical.
+    solved = []
+    solve = diffop._graded_solve
+    monkeypatch.setattr(diffop, "_graded_solve", lambda *args, **kwargs: solved.append(solve(*args, **kwargs)) or solved[-1])
     rng = random.Random(613)
     for n in (1, 2, 3):
         modules = [MonomialSubmodule(n, [(0,) * n])]
@@ -1659,6 +1687,9 @@ def test_aut_group_matches_series_reference():
                     with pytest.raises(ValueError) as theirs:
                         reference_descriptor_of(module, bent)
                     assert str(ours.value) == str(theirs.value)
+    assert len(solved) > 100
+    for series in solved:
+        assert_canonical_poly(series)
 
 
 def reference_aut_compose(n, a, b):

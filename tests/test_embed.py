@@ -116,8 +116,11 @@ def reference_potential(fs, n):
 
 
 def assert_canonical_poly(p):
-    """Only nonzero Fractions at exponent tuples of length n, the same
-    polynomial as the validated constructor gives."""
+    """Nonzero integer numerators over a positive denominator coprime to
+    them all, at exponent tuples of length n, the same polynomial as the
+    validated constructor gives."""
+    assert p._den > 0 and all(type(c) is int and c != 0 for c in p._nums.values()), (p._den, p._nums)
+    assert gcd(p._den, *p._nums.values()) == 1, (p._den, p._nums)
     assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values()), p.terms
     assert all(len(a) == p.n for a in p.terms)
     assert p == Poly(p.n, p.terms)

@@ -115,8 +115,11 @@ def test_arithmetic_against_evaluation_oracle():
 
 
 def assert_canonical(p: Poly):
-    """p stores only nonzero Fractions and equals the validated Poly on
-    its own terms: what Poly._trusted callers must hand it."""
+    """p stores nonzero integer numerators over a positive denominator
+    coprime to them all, and equals the validated Poly on its own terms:
+    what Poly._trusted must make of what its callers hand it."""
+    assert p._den > 0 and all(type(c) is int and c != 0 for c in p._nums.values()), (p._den, p._nums)
+    assert math.gcd(p._den, *p._nums.values()) == 1, (p._den, p._nums)
     assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values()), p.terms
     assert p == Poly(p.n, p.terms)
 

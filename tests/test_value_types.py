@@ -43,6 +43,20 @@ def qmatrix(warm):
     return matrix
 
 
+def poly(warm):
+    p = Poly(2, {(1, 0): 2, (0, 3): Fraction(-1, 5)})
+    if warm:  # builds the Fraction view, which is not part of the value
+        assert p.terms[(0, 3)] == Fraction(-1, 5)
+    return p
+
+
+def series(warm):
+    s = DiffOpSeries(2, 3, {(0, 0): 1, (1, 1): Fraction(2, 3)})
+    if warm:  # builds the Fraction view, which is not part of the value
+        assert s.coeffs[(1, 1)] == Fraction(2, 3)
+    return s
+
+
 def poly_submodule(_):
     return submodule_from_polys(2, [Poly(2, {(2, 1): 1, (0, 1): -3})])
 
@@ -50,11 +64,11 @@ def poly_submodule(_):
 VALUES = {
     "QMatrix": qmatrix,
     "Subspace": subspace,
-    "Poly": lambda _: Poly(2, {(1, 0): 2, (0, 3): Fraction(-1, 5)}),
+    "Poly": poly,
     "FDModule": lambda _: random_nilpotent_module(2, 2, seed=5),
     "PolySubmodule": poly_submodule,
     "ExpSubmodule": lambda warm: ExpSubmodule([3, Fraction(1, 2)], poly_submodule(warm)),
-    "DiffOpSeries": lambda _: DiffOpSeries(2, 3, {(0, 0): 1, (1, 1): Fraction(2, 3)}),
+    "DiffOpSeries": series,
     "MonomialSubmodule": monomial_submodule,
     "AutDescriptor": lambda _: AutDescriptor(-2, {(1, 0): Fraction(1, 3)}),
 }
@@ -119,8 +133,9 @@ def test_a_poly_never_equals_a_series():
 
 
 def test_dict_fields_hash_as_the_frozenset_of_their_items():
-    # The formula that Poly, DiffOpSeries and AutDescriptor each wrote out
-    # before `Value.__hash__` took it over.
+    # The formula that Poly and AutDescriptor each wrote out before
+    # `Value.__hash__` took it over.  A polynomial's key is its integer
+    # form (n, _den, _nums), and a series' key holds its polynomial.
     rng = random.Random(20)
     for _ in range(60):
         n = rng.randint(1, 3)
@@ -129,12 +144,14 @@ def test_dict_fields_hash_as_the_frozenset_of_their_items():
             for _ in range(rng.randint(0, 6))
         }
         p = Poly(n, terms)
-        assert hash(p) == hash((p.n, frozenset(p.terms.items())))
+        assert p._key() == (p.n, p._den, p._nums)
+        assert hash(p) == hash((p.n, p._den, frozenset(p._nums.items())))
         s = DiffOpSeries(n, 9, terms)
-        assert hash(s) == hash((s.n, s.trunc, frozenset(s.coeffs.items())))
+        assert s._key() == (s.trunc, p)
+        assert hash(s) == hash((s.trunc, p))
         d = AutDescriptor(Fraction(rng.randint(1, 9), rng.randint(1, 4)), {a: c for a, c in terms.items() if any(a)})
         assert hash(d) == hash((d.unit, frozenset(d.additive.items())))
     # Keys without a dict field hash as they are.
-    for name in set(VALUES) - {"Poly", "DiffOpSeries", "AutDescriptor"}:
+    for name in set(VALUES) - {"Poly", "AutDescriptor"}:
         value = VALUES[name](False)
         assert hash(value) == hash(value._key()), name
