@@ -37,11 +37,11 @@ it runs once and stops a pass that cannot succeed.
 Modules with a rational joint eigenvalue tuple reduce to the nilpotent
 case by twisting and land in an exponentially weighted copy instead.
 A nilpotent twist has trace zero, so a_i = tr(S_i) / d is the only
-candidate, and with S_i = M_i / D the twist is written on the stacked
-integer rows in closed form, S_i - a_i I = (d M_i - tr(M_i) I) / (d D).
+candidate, and `twist` builds that module on the integer blocks,
+without checking commutativity again.
 
-Every path enters one core on the integer rows M_i that the module's
-constructor stored.  The core hands back the image and the map's
+Every path enters one core on a module, and the core reads the module's
+integer blocks M_i, S_i = M_i / D.  It hands back the image and the map's
 integer rows and weights.  Only `embed_nilpotent` and `embed_general`
 build a map, as integer rows over the lcm of the pivots' weights;
 `canonical_form`, and so `is_isomorphic`, build none.
@@ -67,7 +67,6 @@ from .exactalg import (
     QMatrix,
     _columns,
     _int_matmul,
-    _integer_kernel,
     _over_lcm,
     _rank_mod,
 )
@@ -76,9 +75,11 @@ from .modcore import (
     FDModule,
     ModuleMap,
     PolySubmodule,
-    _blocks,
     _is_nilpotent_matrix,
+    _joint_kernel,
+    is_nilpotent,
     socle_eigenvalues,
+    twist,
 )
 from .multipoly import MultiIndex, Poly, _same_count, grlex_key, multi_factorial
 
@@ -151,11 +152,11 @@ def _functional(s: Sequence, rng: Optional[random.Random]) -> list[int]:
             return lam
 
 
-def _inverse_system(stack: Sequence[Sequence[int]], den: int, lam: Sequence[int]) -> Optional[tuple]:
+def _inverse_system(blocks: Sequence[Sequence[Sequence[int]]], den: int, lam: Sequence[int]) -> Optional[tuple]:
     """phi(e_j) = sum over alpha of (lam S^alpha)[j] x^alpha / alpha!, as
     integer rows with their weights.
 
-    The S_i = M_i / D come stacked, integer rows M_1, ..., M_n over one
+    The S_i = M_i / D come as the integer blocks M_1, ..., M_n over one
     denominator D, and lam is an integer row, so the pass starts from
     lam over scale 1.  It returns the alpha with lam S^alpha nonzero,
     in descending order, primitive integer rows and their weights:
@@ -172,10 +173,8 @@ def _inverse_system(stack: Sequence[Sequence[int]], den: int, lam: Sequence[int]
     nilpotent, checked once by squaring.
     """
     d = len(lam)
-    n = len(stack) // d
-    matrices = _blocks(stack, n, d)
-    columns = [_columns(m, d) for m in matrices]
-    zero = (0,) * n
+    columns = [_columns(m, d) for m in blocks]
+    zero = (0,) * len(blocks)
     rows: dict[MultiIndex, list[int]] = {zero: list(lam)}
     scale = {zero: 1}
     budget = 4 * d * d.bit_length()
@@ -191,7 +190,7 @@ def _inverse_system(stack: Sequence[Sequence[int]], den: int, lam: Sequence[int]
                 continue
             (new,) = _int_matmul([row], cols)
             products += 1
-            if products == budget + 1 and not all(map(_is_nilpotent_matrix, matrices)):
+            if products == budget + 1 and not all(map(_is_nilpotent_matrix, blocks)):
                 return None
             if not any(new):
                 rows[beta] = new
@@ -208,15 +207,16 @@ def _inverse_system(stack: Sequence[Sequence[int]], den: int, lam: Sequence[int]
     return monomials, [rows[a] for a in monomials], weights
 
 
-def _socle_walk(stack: Sequence[Sequence[int]], d: int) -> list[int]:
+def _socle_walk(blocks: Sequence[Sequence[Sequence[int]]]) -> list[int]:
     """Residues w with M_i w = 0 mod P for every i: from e_1, apply M_1
     mod P until the result vanishes, then M_2, and so on, combining only
     the columns at w's nonzero entries.  The M_i commute, so M_i w stays
     0 once it is.  Each w is M^alpha e_1, nonzero mod P and so nonzero:
     past d - 1 steps |alpha| = d, and the module is not nilpotent.
     """
+    d = len(blocks[0])
     w, steps = [1] + [0] * (d - 1), 0
-    for block in _blocks(stack, len(stack) // d, d):
+    for block in blocks:
         columns = _columns(block, d)
         while True:
             scaled = [[x * c for c in columns[j]] for j, x in enumerate(w) if x]
@@ -230,14 +230,15 @@ def _socle_walk(stack: Sequence[Sequence[int]], d: int) -> list[int]:
     return w
 
 
-def _image(n: int, d: int, stack: Sequence[Sequence[int]], den: int, lam: Sequence[int]) -> Optional[tuple]:
+def _image(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
     """(image, rows, weights) from the pass of lam, or None when phi is
     not injective.  d monomials whose rows have rank d mod P span the
     image, and the checked core gets the identity rows for them."""
-    found = _inverse_system(stack, den, lam)
+    found = _inverse_system(module._blocks, module._den, lam)
     if found is None:
         raise NotNilpotent(_NOT_NILPOTENT)
     monomials, rows, weights = found
+    n, d = module.n, module.dim
     if len(monomials) == d and _rank_mod(rows, d) == d:
         image = PolySubmodule._from_integer_rows(n, monomials, [[int(i == j) for j in range(d)] for i in range(d)], None)
     else:
@@ -245,27 +246,25 @@ def _image(n: int, d: int, stack: Sequence[Sequence[int]], den: int, lam: Sequen
     return (image, rows, weights) if image.dim == d else None
 
 
-def _embed(n: int, d: int, stack: Sequence[Sequence[int]], den: int, rng: Optional[random.Random]) -> tuple:
-    """The embedding of the module whose S_i = M_i / D come stacked,
-    integer rows M_1, ..., M_n over one denominator D: (image, rows,
-    weights), the pass's rows and weights, from which `_map_images`
-    reads the map.  Raises the typed error that says why the module
-    does not embed.  Only a failure squares the matrices and computes
-    the exact joint kernel, to name its error or, when that is a line
-    the walk's lambda missed, to run the pass once more.
+def _embed(module: FDModule, rng: Optional[random.Random]) -> tuple:
+    """The embedding of the module: (image, rows, weights) of the pass,
+    from which `_map_images` reads the map.  Raises the typed error that
+    says why the module does not embed.  Only a failure squares the
+    matrices and computes the exact joint kernel, to name its error or,
+    when that is a line the walk's lambda missed, to run the pass again.
     """
-    if d:
-        found = _image(n, d, stack, den, _functional(_socle_walk(stack, d), rng))
+    if module.dim:
+        found = _image(module, _functional(_socle_walk(module._blocks), rng))
         if found is not None:
             return found
-    if not all(map(_is_nilpotent_matrix, _blocks(stack, n, d))):
+    if not is_nilpotent(module):
         raise NotNilpotent(_NOT_NILPOTENT)
-    if d == 0:
+    if module.dim == 0:
         raise SocleNotOneDimensional("the zero module has no socle line")
-    space = _integer_kernel(stack, d)
+    space = _joint_kernel(module)
     if space.dim != 1:
         raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
-    found = _image(n, d, stack, den, _functional(space.basis[0], None))
+    found = _image(module, _functional(space.basis[0], None))
     if found is None:
         raise AssertionError("the embedding must be injective")
     return found
@@ -286,7 +285,7 @@ def embed_nilpotent(
     Basis vector e_j maps to sum over alpha of lambda(S^alpha e_j)
     x^alpha / alpha!, Macaulay's inverse-system map.  By default lambda
     reads the first nonzero coordinate of the walk's vector w, which
-    the stack kills mod P.  When the kernel mod P is a line, w spans the
+    every block kills mod P.  When the kernel mod P is a line, w spans the
     socle line mod P, and lambda reads the pivot of the socle's RREF
     basis vector unless P divides its entry there.  An rng draws lambda
     with small random integer entries instead (redrawn until it is
@@ -297,7 +296,7 @@ def embed_nilpotent(
     and the pivot functional of the line's RREF basis vector takes the
     place of lambda, with or without an rng.
     """
-    image, rows, weights = _embed(module.n, module.dim, module._stack, module._den, rng)
+    image, rows, weights = _embed(module, rng)
     return EmbeddingResult(image, ModuleMap(module, image, _map_images(image, rows, weights)))
 
 
@@ -310,7 +309,7 @@ def canonical_form(
     when their canonical forms are equal.  The image of
     `embed_nilpotent`, without building its map.
     """
-    return _embed(module.n, module.dim, module._stack, module._den, rng)[0]
+    return _embed(module, rng)[0]
 
 
 def is_isomorphic(first: FDModule, second: FDModule) -> bool:
@@ -324,10 +323,10 @@ def _intertwiner_space(first: FDModule, second: FDModule) -> tuple:
     """Basis of {P : P S_i = T_i P for all i}, each P read row by row as
     a vector of its d^2 entries, from the kernel of the linear system in
     those entries.  With S_i = M_i / E and T_i = N_i / D on the two
-    stacks, the system is D P M_i = E N_i P."""
+    modules' blocks, the system is D P M_i = E N_i P."""
     d, e, f = first.dim, first._den, second._den
     rows = []
-    for s, t in zip(_blocks(first._stack, first.n, d), _blocks(second._stack, second.n, d)):
+    for s, t in zip(first._blocks, second._blocks):
         for a in range(d):
             for c in range(d):
                 row = [0] * (d * d)
@@ -403,26 +402,17 @@ def embed_general(module: FDModule) -> tuple[ExpSubmodule, ModuleMap]:
     eigenvalue_i + d/dx_i, and the returned map intertwines exactly that
     action.
     """
-    n, d = module.n, module.dim
+    d = module.dim
     if d > 0:
-        # S_i - a_i I nilpotent forces trace zero, so a_i = tr(S_i) / d is
-        # the only candidate; embedding the twist decides.  With
-        # S_i = M_i / D, S_i - a_i I = (d M_i - tr(M_i) I) / (d D).
-        stack, den = module._stack, module._den
-        traces = [sum(stack[i * d + k][k] for k in range(d)) for i in range(n)]
-        twisted = [[d * x for x in row] for row in stack]
-        for r, row in enumerate(twisted):
-            row[r % d] -= traces[r // d]
-        # Dividing out the common factor leaves the twist's least common
-        # denominator, so the rows are the twist's own, and so is the
-        # socle line mod P that chooses the functional.
-        g = gcd(d * den, *(x for row in twisted for x in row))
+        # S_i - a_i I nilpotent forces trace zero, so a_i = tr(S_i) / d =
+        # tr(M_i) / (d D) is the only candidate; embedding the twist decides.
+        eigenvalues = [Fraction(sum(row[k] for k, row in enumerate(block)), d * module._den) for block in module._blocks]
         try:
-            image, rows, weights = _embed(n, d, [[x // g for x in row] for row in twisted], d * den // g, None)
+            image, rows, weights = _embed(twist(module, eigenvalues), None)
         except NotNilpotent:
             pass
         else:
-            weighted = ExpSubmodule([Fraction(t, d * den) for t in traces], image)
+            weighted = ExpSubmodule(eigenvalues, image)
             return weighted, ModuleMap(module, weighted, _map_images(image, rows, weights))
     # socle_eigenvalues raises the typed error that says why.  If it finds
     # one rational tuple anyway, its twist is not nilpotent: a nilpotent

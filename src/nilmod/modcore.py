@@ -61,14 +61,14 @@ from .multipoly import (
 class FDModule(Value):
     """n pairwise-commuting d x d matrices; commutativity is checked.
 
-    The constructor stacks the matrices' integer rows once: `_stack`
-    holds the rows of M_1, ..., M_n, read-only, with S_i = M_i / `_den`
-    over the lcm of the matrices' denominators.  S_i S_j = S_j S_i iff
-    M_i M_j = M_j M_i, so commutativity is checked on those blocks, and
-    every integer kernel on the module reads them.
+    Stored once, as the read-only integer blocks `_blocks`, M_1, ..., M_n
+    with S_i = M_i / `_den` over the least common denominator of all
+    entries: the form that equality, hashing and every integer kernel
+    read.  S_i S_j = S_j S_i iff M_i M_j = M_j M_i, so commutativity is
+    checked on the blocks.  `matrices` is a view built on first read.
     """
 
-    __slots__ = ("n", "dim", "matrices", "_stack", "_den")
+    __slots__ = ("n", "dim", "_blocks", "_den", "_matrices")
 
     def __init__(self, n: int, matrices: Sequence[QMatrix]):
         n, matrices = as_int(n), tuple(matrices)
@@ -80,21 +80,40 @@ class FDModule(Value):
                 raise ValueError("action matrices must be square and equal-sized")
         den = lcm(*(m._den for m in matrices))
         scaled = [(m._ints, den // m._den) for m in matrices]
-        stack = tuple(row if k == 1 else tuple(k * x for x in row) for ints, k in scaled for row in ints)
-        blocks = _blocks(stack, n, dim)
+        blocks = tuple(tuple(row if k == 1 else tuple(k * x for x in row) for row in ints) for ints, k in scaled)
         columns = [_columns(block, dim) for block in blocks]
         for i in range(n):
             for j in range(i + 1, n):
                 if _int_matmul(blocks[i], columns[j]) != _int_matmul(blocks[j], columns[i]):
                     raise NonCommuting(i + 1, j + 1)
+        self._store(n, dim, blocks, den, matrices)
+
+    def _store(self, n: int, dim: int, blocks: tuple, den: int, matrices: Optional[tuple]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_blocks", blocks)
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_matrices", matrices)
+
+    @classmethod
+    def _trusted(cls, n: int, dim: int, blocks: Sequence[Sequence[Sequence[int]]], den: int) -> "FDModule":
+        """The module S_i = blocks[i] / den, for n integer d x d blocks that
+        commute by construction and a positive den, with the common factor
+        divided out.  Checks nothing; input goes through `FDModule(...)`."""
+        g = gcd(den, *(x for block in blocks for row in block for x in row)) if den > 1 else 1
+        out = object.__new__(cls)
+        out._store(n, dim, tuple(tuple(tuple(x // g for x in row) for row in block) for block in blocks), den // g, None)
+        return out
+
+    @property
+    def matrices(self) -> tuple[QMatrix, ...]:
+        """The action matrices, built on first read."""
+        if self._matrices is None:
+            object.__setattr__(self, "_matrices", tuple(QMatrix._trusted(b, self._den, self.dim) for b in self._blocks))
+        return self._matrices
 
     def _key(self) -> tuple:
-        return self.n, self.matrices
+        return self.n, self.dim, self._den, self._blocks
 
     def __repr__(self) -> str:
         return f"FDModule(n={self.n}, dim={self.dim})"
@@ -125,11 +144,6 @@ class FDModule(Value):
 def validate(matrices: Sequence[QMatrix]) -> FDModule:
     """Build an FDModule from candidate matrices, checking commutativity."""
     return FDModule(len(matrices), matrices)
-
-
-def _blocks(stack: Sequence[Sequence[int]], n: int, d: int) -> list:
-    """The n stacked d x d matrices of a stack, each as its rows."""
-    return [stack[i * d : (i + 1) * d] for i in range(n)]
 
 
 def _is_nilpotent_matrix(power: Sequence[Sequence[int]]) -> bool:
@@ -165,7 +179,7 @@ def is_nilpotent(module: FDModule) -> bool:
     For commuting matrices this is equivalent to every zero-constant
     polynomial acting nilpotently.
     """
-    return all(map(_is_nilpotent_matrix, _blocks(module._stack, module.n, module.dim)))
+    return all(map(_is_nilpotent_matrix, module._blocks))
 
 
 def socle(module: FDModule) -> Subspace:
@@ -176,8 +190,8 @@ def socle(module: FDModule) -> Subspace:
 
 
 def _joint_kernel(module: FDModule) -> Subspace:
-    """Common kernel of the action matrices: the kernel of their stack."""
-    return _integer_kernel(module._stack, module.dim)
+    """Common kernel of the action matrices: the kernel of their blocks' stack."""
+    return _integer_kernel([row for block in module._blocks for row in block], module.dim)
 
 
 def twist(module: FDModule, shift: Sequence) -> FDModule:
@@ -185,11 +199,13 @@ def twist(module: FDModule, shift: Sequence) -> FDModule:
     shift = vector(shift)
     if len(shift) != module.n:
         raise ValueError("shift length differs from the variable count")
-    eye = QMatrix.identity(module.dim)
-    return FDModule(
-        module.n,
-        [m - eye.scale(a) for m, a in zip(module.matrices, shift)],
-    )
+    # With S_i = M_i / D and shift = A / E: (L/D M_i - L/E A_i I) / L, L = lcm(D, E).
+    (nums,), e = _integer_rows([shift])
+    den = lcm(module._den, e)
+    k, c = den // module._den, den // e
+    blocks = [[[k * x - c * a * (i == j) for j, x in enumerate(row)] for i, row in enumerate(block)]
+              for block, a in zip(module._blocks, nums)]
+    return FDModule._trusted(module.n, module.dim, blocks, den)
 
 
 class PolySubmodule(Value):
@@ -375,11 +391,7 @@ class ExpSubmodule(Value):
         return self.eigenvalues, self.part
 
     def action_matrices(self) -> tuple[QMatrix, ...]:
-        eye = QMatrix.identity(self.part.dim)
-        return tuple(
-            d + eye.scale(a)
-            for d, a in zip(self.part.action_matrices(), self.eigenvalues)
-        )
+        return twist(as_matrices(self.part)[0], [-a for a in self.eigenvalues]).matrices
 
     def to_json(self) -> dict:
         return {
@@ -451,7 +463,7 @@ class ModuleMap(Immutable):
 def as_matrices(module: PolySubmodule) -> tuple[FDModule, ModuleMap]:
     """The matrix module of the derivative action on a polynomial
     submodule, plus the identifying map onto it."""
-    fd = FDModule(module.n, module.action_matrices())
+    fd = FDModule._trusted(module.n, module.dim, module._closure_pass(), module.coords._den)
     return fd, ModuleMap(fd, module, QMatrix.identity(module.dim))
 
 
@@ -568,10 +580,8 @@ def socle_eigenvalues(module: FDModule) -> tuple[Fraction, ...]:
     if d == 0:
         raise NoCommonEigenline("the zero module has no eigenline")
     survivors: list[tuple[tuple[Fraction, ...], list]] = [((), [])]
-    for block in _blocks(module._stack, module.n, d):
-        # The block over its own least denominator D_k = D / g.
-        g = gcd(module._den, *(x for row in block for x in row))
-        ints, den = [[x // g for x in row] for row in block], module._den // g
+    for m in module.matrices:
+        ints, den = [list(row) for row in m._ints], m._den
         roots = _integer_roots(_char_poly(ints))
         extended = []
         for values, rows in survivors:

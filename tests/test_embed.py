@@ -398,9 +398,9 @@ def reference_inverse_system(module, lam):
 
 
 def inverse_system(module, lam):
-    """The integer pass on the module's stacked action matrices, read
-    back as polynomials; None when the pass stops at its cap."""
-    found = _inverse_system(module._stack, module._den, lam)
+    """The integer pass on the module's integer blocks, read back as
+    polynomials; None when the pass stops at its cap."""
+    found = _inverse_system(module._blocks, module._den, lam)
     if found is None:
         return None
     monomials, rows, weights = found
@@ -449,7 +449,7 @@ def test_pass_rows_share_no_factor_with_their_scale(n, terms):
     dense = conjugate(plain, g)
     assert dense._den > 1
     lam = tuple(rng.randint(-5, 5) for _ in range(dense.dim))
-    monomials, rows, weights = _inverse_system(dense._stack, dense._den, lam)
+    monomials, rows, weights = _inverse_system(dense._blocks, dense._den, lam)
     assert len(monomials) >= dense.dim
     for alpha, row, weight in zip(monomials, rows, weights):
         scale, rest = divmod(weight, multi_factorial(alpha))
@@ -457,9 +457,10 @@ def test_pass_rows_share_no_factor_with_their_scale(n, terms):
 
 
 def test_embedding_converts_the_action_matrices_once(monkeypatch):
-    # The matrices already hold integer rows: the constructor stacks them
-    # without converting, and every integer kernel on the module reads
-    # the stack it stored, so no matrix's rows are converted at all.
+    # The matrices already hold integer rows: the constructor scales them
+    # into blocks without converting, and every integer kernel on the
+    # module reads the blocks it stored, so no matrix's rows are
+    # converted at all.
     import nilmod.exactalg
     import nilmod.modcore
     from nilmod.modcore import socle
@@ -482,7 +483,7 @@ def test_embedding_converts_the_action_matrices_once(monkeypatch):
         for owner in (nilmod.exactalg, nilmod.modcore):
             monkeypatch.setattr(owner, "_integer_rows", counting)
         built = FDModule(module.n, module.matrices)
-        assert built._stack == tuple(tuple(x * built._den for x in row) for row in stack)
+        assert built._blocks == tuple(tuple(tuple(x * built._den for x in row) for row in m.entries) for m in module.matrices)
         weighted, general = embed_general(built)
         assert is_nilpotent(built) is (module is not shifted)
         if module is shifted:
@@ -545,10 +546,12 @@ def assert_capped():
 def test_one_nilpotency_check_per_embedding(monkeypatch):
     # The inverse-system pass certifies nilpotency, so a success squares
     # no matrix, and neither does a walk past d - 1 steps or a pass
-    # stopped at its degree cap.  The core squares the stack's blocks
-    # once, only to name the error, when the image falls short; every
-    # failure here has one variable, so one naming is one call.
+    # stopped at its degree cap.  The core squares the module's blocks
+    # once, through is_nilpotent, only to name the error, when the image
+    # falls short; every failure here has one variable, so one naming is
+    # one call.
     import nilmod.embed
+    import nilmod.modcore
 
     calls = []
     original = nilmod.embed._is_nilpotent_matrix
@@ -565,7 +568,8 @@ def test_one_nilpotency_check_per_embedding(monkeypatch):
             pass
         return len(calls)
 
-    monkeypatch.setattr(nilmod.embed, "_is_nilpotent_matrix", counting)
+    for owner in (nilmod.embed, nilmod.modcore):
+        monkeypatch.setattr(owner, "_is_nilpotent_matrix", counting)
     for seed in range(4):
         mod = random_nilpotent_module(2, 2, seed=seed)
         assert count(embed_nilpotent, mod) == 0
@@ -618,13 +622,13 @@ def test_exact_kernel_only_on_failures(monkeypatch):
     import nilmod.embed
 
     calls = []
-    original = nilmod.embed._integer_kernel
+    original = nilmod.embed._joint_kernel
 
-    def counting(rows, cols):
-        calls.append(cols)
-        return original(rows, cols)
+    def counting(module):
+        calls.append(module.dim)
+        return original(module)
 
-    monkeypatch.setattr(nilmod.embed, "_integer_kernel", counting)
+    monkeypatch.setattr(nilmod.embed, "_joint_kernel", counting)
     counts = {"ok": set(), "NotNilpotent": set(), "SocleNotOneDimensional": set(), "zero": set()}
     for module in comparison_table():
         calls.clear()
@@ -666,15 +670,14 @@ def test_unlucky_prime_embeds_through_the_exact_kernel(monkeypatch):
     # walk stops at e_1, which spans the exact kernel: the embedding needs
     # no exact kernel.  The pass rows [[1, 0], [0, P]] have rank 1 mod P,
     # so the image's exact elimination decides.
-    stack = UNLUCKY_PRIME._stack
-    assert _socle_walk(stack, 2) == [1, 0]
-    calls = count_calls(monkeypatch, ["_integer_kernel", "_inverse_system", "_rank_mod"])
+    assert _socle_walk(UNLUCKY_PRIME._blocks) == [1, 0]
+    calls = count_calls(monkeypatch, ["_joint_kernel", "_inverse_system", "_rank_mod"])
     for seed in (None, 3):
         for found in calls.values():
             found.clear()
         got = outcome(embed_nilpotent, UNLUCKY_PRIME, seed)
         assert got == outcome(reference_embed_nilpotent, UNLUCKY_PRIME, seed)
-        assert calls["_integer_kernel"] == []
+        assert calls["_joint_kernel"] == []
         assert len(calls["_inverse_system"]) == 1
         ((rows, cols),) = calls["_rank_mod"]
         assert _rank_mod(rows, cols) == 1
@@ -688,11 +691,11 @@ def test_missed_socle_costs_one_exact_kernel_and_one_retry(monkeypatch):
     # The walk stops at e_1, lambda = e_1 kills the exact socle e_2, and
     # the image falls short.  The exact kernel names the line e_2, and the
     # pass runs once more on its pivot functional.
-    assert _socle_walk(MISSED_SOCLE._stack, 2) == [1, 0]
+    assert _socle_walk(MISSED_SOCLE._blocks) == [1, 0]
     assert _joint_kernel(MISSED_SOCLE).basis == ((0, 1),)
-    calls = count_calls(monkeypatch, ["_integer_kernel", "_inverse_system"])
+    calls = count_calls(monkeypatch, ["_joint_kernel", "_inverse_system"])
     result = embed_nilpotent(MISSED_SOCLE)
-    assert len(calls["_integer_kernel"]) == 1
+    assert len(calls["_joint_kernel"]) == 1
     assert [args[2] for args in calls["_inverse_system"]] == [[1, 0], [0, 1]]
     assert result.map.is_isomorphism()
     assert result.image_polys() == (Poly(1, {(1,): _PRIME}), Poly.one(1))
@@ -709,7 +712,7 @@ def test_missed_socle_costs_one_exact_kernel_and_one_retry(monkeypatch):
 
 
 def test_socle_walk_spans_the_line_mod_p():
-    # The walk ends on residues that the stack kills mod P.  Where the
+    # The walk ends on residues that every block kills mod P.  Where the
     # joint kernel is a line, so is the kernel mod P here, and the walk
     # spans it; a walk past d - 1 steps proves the module not nilpotent.
     lines = stopped = 0
@@ -718,13 +721,13 @@ def test_socle_walk_spans_the_line_mod_p():
         if d == 0:
             continue
         try:
-            w = _socle_walk(module._stack, d)
+            w = _socle_walk(module._blocks)
         except NotNilpotent:
             assert not is_nilpotent(module)
             stopped += 1
             continue
         assert all(0 <= x < _PRIME for x in w) and any(w)
-        assert all(sum(a * b for a, b in zip(row, w)) % _PRIME == 0 for row in module._stack)
+        assert all(sum(a * b for a, b in zip(row, w)) % _PRIME == 0 for block in module._blocks for row in block)
         space = _joint_kernel(module)
         if space.dim == 1:
             lines += 1
@@ -767,7 +770,7 @@ def test_monomial_images_skip_the_exact_elimination(monkeypatch):
 def test_socle_entry_divisible_by_p_moves_the_functional():
     # The socle is the line of (P, 1): the exact RREF pivot is 0, its
     # residues (0, 1) put lambda on coordinate 1.  The image is the same.
-    assert _socle_walk(DIVISIBLE_SOCLE._stack, 2) == [0, 1]
+    assert _socle_walk(DIVISIBLE_SOCLE._blocks) == [0, 1]
     reference = reference_embed_nilpotent(DIVISIBLE_SOCLE)
     result = embed_nilpotent(DIVISIBLE_SOCLE)
     assert result.image == reference.image == submodule_from_polys(1, [Poly(1, {(1,): 1})])
@@ -837,10 +840,13 @@ def test_no_success_reaches_the_pass_budget(monkeypatch):
     # successes stay under half of it.
     import nilmod.embed
 
+    import nilmod.modcore
+
     products, checks = [], []
     matmul, nilpotent = nilmod.embed._int_matmul, nilmod.embed._is_nilpotent_matrix
     monkeypatch.setattr(nilmod.embed, "_int_matmul", lambda r, c: products.append(1) or matmul(r, c))
-    monkeypatch.setattr(nilmod.embed, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
+    for owner in (nilmod.embed, nilmod.modcore):
+        monkeypatch.setattr(owner, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
     worst = 0
     for module in success_table():
         products.clear()
@@ -854,10 +860,12 @@ def test_small_successes_square_nothing(monkeypatch):
     # Dimensions 1 and 2 in up to three variables: the pass makes at most
     # n(n + 3)/2 products, below the budget, so a success never squares.
     import nilmod.embed
+    import nilmod.modcore
 
     checks = []
     nilpotent = nilmod.embed._is_nilpotent_matrix
-    monkeypatch.setattr(nilmod.embed, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
+    for owner in (nilmod.embed, nilmod.modcore):
+        monkeypatch.setattr(owner, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
     rng = random.Random(12)
     seen = set()
     for n in (1, 2, 3):
@@ -899,8 +907,8 @@ def test_non_nilpotent_line_kernel_stops_at_the_budget(monkeypatch):
         if g.det() != 0:
             break
     module = conjugate(block, g.inverse())
-    w = _socle_walk(module._stack, 22)
-    assert all(sum(x * y for x, y in zip(row, w)) % _PRIME == 0 for row in module._stack)
+    w = _socle_walk(module._blocks)
+    assert all(sum(x * y for x, y in zip(row, w)) % _PRIME == 0 for block in module._blocks for row in block)
     lam = _functional(w, random.Random(4))
     assert sum(a * b for a, b in zip(lam, g.inverse().column(21))) != 0
     with time_limit(10):
@@ -1061,7 +1069,7 @@ def test_line_kernel_without_nilpotency_stops_at_the_cap():
             "from nilmod.exactalg import QMatrix",
             "from nilmod.modcore import validate",
             "module = validate([QMatrix([[0, 1], [0, 1]])])",
-            "print(_inverse_system(module._stack, module._den, (1, 0)))",
+            "print(_inverse_system(module._blocks, module._den, (1, 0)))",
             "for call in (embed_nilpotent, canonical_form, embed_general):",
             "    try:",
             "        call(module)",
@@ -1322,7 +1330,7 @@ def test_injectivity_check_survives_optimize_flag():
             "from nilmod.exactalg import QMatrix",
             "from nilmod.modcore import FDModule",
             "print(__debug__)",
-            "embed._inverse_system = lambda stack, den, lam: ([(0,)], [[1] * len(lam)], [1])",
+            "embed._inverse_system = lambda blocks, den, lam: ([(0,)], [[1] * len(lam)], [1])",
             "try:",
             "    embed.embed_nilpotent(FDModule(1, [QMatrix([[0, 1], [0, 0]])]))",
             "except AssertionError as exc:",
