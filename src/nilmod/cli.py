@@ -35,7 +35,7 @@ from .modcore import (
     random_nilpotent_module,
     socle,
 )
-from .multipoly import Poly, _exponent, _variable_count
+from .multipoly import Poly, _exponent, _fields, _variable_count
 
 
 def _read_json(path: str):
@@ -101,15 +101,18 @@ def _cmd_embed_general(args) -> dict:
 
 
 def _cmd_extract_endo(args) -> dict:
-    data = _read_json(args.table)
-    n = _variable_count(data["n"])
+    n, degree, table = _fields(_read_json(args.table), "image table", "n", "degree", "images")
+    n = _variable_count(n)
+    if not isinstance(table, list):
+        raise ValueError('image table field "images" must be an array')
     images = {}
-    for item in data["images"]:
-        alpha = _exponent(item["exps"], n)
+    for item in table:
+        exps, poly = _fields(item, "image table entry", "exps", "poly")
+        alpha = _exponent(exps, n)
         if alpha in images:
             raise ValueError(f"duplicate monomial {alpha} in image table")
-        images[alpha] = Poly.from_json(item["poly"], n)
-    return extract_coeffs(n, data["degree"], images).to_json()
+        images[alpha] = Poly.from_json(poly, n)
+    return extract_coeffs(n, degree, images).to_json()
 
 
 def _cmd_aut(args) -> dict:
@@ -126,15 +129,16 @@ def _cmd_aut(args) -> dict:
 
 
 def _cmd_extend_iso(args) -> dict:
-    data = _read_json(args.problem)
-    source = PolySubmodule.from_json(data["source"])
-    target = PolySubmodule.from_json(data["target"])
-    goal = MonomialSubmodule.from_json(data["goal"])
-    image_json = data["map"]
-    if len(image_json) != source.dim:
+    source, target, goal, images = _fields(_read_json(args.problem), "problem", "source", "target", "goal", "map")
+    source = PolySubmodule.from_json(source)
+    target = PolySubmodule.from_json(target)
+    goal = MonomialSubmodule.from_json(goal)
+    if not isinstance(images, list):
+        raise ValueError('problem field "map" must be an array of polynomials')
+    if len(images) != source.dim:
         raise IncompatibleMap("one image polynomial per source basis vector")
     columns = []
-    for item in image_json:
+    for item in images:
         coords = target.coordinates_of(Poly.from_json(item, source.n))
         if coords is None:
             raise IncompatibleMap("an image polynomial lies outside the target")

@@ -41,11 +41,15 @@ def format_rational(x: Fraction) -> str:
 
 def parse_rational(s: str) -> Fraction:
     """Parse the "p/q" wire format (sign on the numerator only)."""
+    return Fraction(*_split_rational(s))
+
+
+def _split_rational(s) -> tuple[int, int]:
+    """A "p/q" literal as the integers (p, q), not reduced; q = 1 for "p"."""
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {s!r}")
-    # The regex has checked the literal, so two ints build the value.
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    return int(num), int(den or 1)
 
 
 def as_fraction(x) -> Fraction:
@@ -106,6 +110,16 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     if den == 1:
         return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _width(rows: Sequence[Sequence], cols: Optional[int]) -> int:
+    """The rows' common length, or cols (0 if None) for no rows; a given cols must match."""
+    width = len(rows[0]) if rows else cols or 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged rows")
+    if cols is not None and width != cols:
+        raise ValueError("explicit column count disagrees with rows")
+    return width
 
 
 def _int_matmul(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -232,15 +246,7 @@ class QMatrix(Value):
 
     def __init__(self, entries: Sequence[Sequence], cols: Optional[int] = None):
         data = [[as_fraction(x) for x in row] for row in entries]
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-        else:
-            width = cols if cols is not None else 0
-        if cols is not None and width != cols:
-            raise ValueError("explicit column count disagrees with rows")
-        self._store(*_integer_rows(data), width)
+        self._store(*_integer_rows(data), _width(data, cols))
 
     def _store(self, ints: Sequence[Sequence[int]], den: int, cols: int) -> None:
         object.__setattr__(self, "rows", len(ints))
@@ -382,7 +388,9 @@ class QMatrix(Value):
     def from_json(cls, data) -> "QMatrix":
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ValueError("matrix JSON must be a nested array")
-        return cls([[parse_rational(x) for x in row] for row in data])
+        pairs = [[_split_rational(x) for x in row] for row in data]
+        den = lcm(*(q for row in pairs for _, q in row))
+        return cls._trusted([[p * (den // q) for p, q in row] for row in pairs], den, _width(pairs, None))
 
 
 class Subspace(Value):

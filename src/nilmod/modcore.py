@@ -97,9 +97,8 @@ class FDModule(Value):
 
     @classmethod
     def _trusted(cls, n: int, dim: int, blocks: Sequence[Sequence[Sequence[int]]], den: int) -> "FDModule":
-        """The module S_i = blocks[i] / den, for n integer d x d blocks that
-        commute by construction and a positive den, with the common factor
-        divided out.  Checks nothing; input goes through `FDModule(...)`."""
+        """The module S_i = blocks[i] / den of n integer d x d blocks that commute by
+        construction, den > 0, the common factor divided out; checks nothing."""
         g = gcd(den, *(x for block in blocks for row in block for x in row)) if den > 1 else 1
         out = object.__new__(cls)
         out._store(n, dim, tuple(tuple(tuple(x // g for x in row) for row in block) for block in blocks), den // g, None)

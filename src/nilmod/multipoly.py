@@ -16,7 +16,7 @@ from itertools import product
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .exactalg import Value, _integer_rows, as_fraction, as_int, format_rational, parse_rational
+from .exactalg import Value, _integer_rows, _split_rational, as_fraction, as_int, format_rational
 
 MultiIndex = tuple[int, ...]
 
@@ -237,7 +237,7 @@ class Poly(Value):
         n = _variable_count(n)
         if not isinstance(data, list):
             raise ValueError("polynomial JSON must be a list of terms")
-        terms: dict[MultiIndex, Fraction] = {}
+        terms: dict[MultiIndex, tuple[int, int]] = {}
         for item in data:
             exps, coef = _fields(item, "polynomial term", "exps", "coef")
             if not isinstance(exps, list):
@@ -245,11 +245,11 @@ class Poly(Value):
             alpha = _exponent(exps, n)
             if alpha in terms:
                 raise ValueError(f"duplicate exponent vector {alpha}")
-            c = parse_rational(coef)
-            if c == 0:
+            num, den = _split_rational(coef)
+            if num == 0:
                 raise ValueError("zero coefficient in polynomial JSON")
-            terms[alpha] = c
-        return cls._trusted(n, *_integer_coeffs(terms))
+            terms[alpha] = num, den
+        return cls._over_lcm(n, terms)
 
 
 def truncated_product(p: Poly, q: Poly, bound) -> Poly:

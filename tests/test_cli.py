@@ -346,13 +346,15 @@ def poly_table(exps):
 
 
 def extend_problem(side, field, value):
-    """The golden `extend-iso` problem with one field of a side changed,
-    or dropped when the value is `...`."""
+    """The golden `extend-iso` problem with one field of a side (of the
+    problem itself, for side None) changed, or dropped when the value is
+    `...`."""
     problem = json.loads((GOLDEN / "inputs" / "extend_problem.json").read_text())
+    owner = problem if side is None else problem[side]
     if value is ...:
-        del problem[side][field]
+        del owner[field]
     else:
-        problem[side][field] = value
+        owner[field] = value
     return problem
 
 
@@ -363,9 +365,10 @@ def term_table(term):
 
 # Malformed inputs whose detail names the field or the rule, not Python's
 # internals: before, "'NoneType' object is not iterable", "'n'",
-# "'matrices'", "'basis'", "'indices'", "'exps'", "'coef'",
-# "'int' object is not subscriptable", "duplicate exponent vector (True,)"
-# and "unhashable type: 'list'".
+# "'matrices'", "'basis'", "'indices'", "'exps'", "'coef'", "'images'",
+# "'map'", "'int' object is not subscriptable", "'int' object is not
+# iterable", "object of type 'int' has no len()", "duplicate exponent
+# vector (True,)" and "unhashable type: 'list'".
 MALFORMED = [
     ("matrices_null", ["validate", "-"], {"n": 1, "matrices": None}, 'module field "matrices" must be an array of matrices'),
     ("matrices_string", ["canonical", "-"], {"n": 1, "matrices": "x"}, 'module field "matrices" must be an array of matrices'),
@@ -386,6 +389,17 @@ MALFORMED = [
     ("term_a_string", ["extract-endo", "-"], term_table("exps coef"), "polynomial term must be an object"),
     ("term_exps_missing", ["extract-endo", "-"], term_table({"coef": "1"}), 'polynomial term has no field "exps"'),
     ("term_coef_missing", ["extract-endo", "-"], term_table({"exps": [0]}), 'polynomial term has no field "coef"'),
+    ("table_images_missing", ["extract-endo", "-"], {"n": 1, "degree": 0}, 'image table has no field "images"'),
+    ("table_degree_missing", ["extract-endo", "-"], {"n": 1, "images": []}, 'image table has no field "degree"'),
+    ("table_images_int", ["extract-endo", "-"], {"n": 1, "degree": 0, "images": 5}, 'image table field "images" must be an array'),
+    ("table_images_object", ["extract-endo", "-"], {"n": 1, "degree": 0, "images": {"exps": [0]}}, 'image table field "images" must be an array'),
+    ("entry_exps_missing", ["extract-endo", "-"], {"n": 1, "degree": 0, "images": [{"poly": []}]}, 'image table entry has no field "exps"'),
+    ("entry_poly_missing", ["extract-endo", "-"], {"n": 1, "degree": 0, "images": [{"exps": [0]}]}, 'image table entry has no field "poly"'),
+    ("entry_a_number", ["extract-endo", "-"], {"n": 1, "degree": 0, "images": [3]}, "image table entry must be an object"),
+    ("problem_map_missing", ["extend-iso", "-"], extend_problem(None, "map", ...), 'problem has no field "map"'),
+    ("problem_goal_missing", ["extend-iso", "-"], extend_problem(None, "goal", ...), 'problem has no field "goal"'),
+    ("problem_map_int", ["extend-iso", "-"], extend_problem(None, "map", 3), 'problem field "map" must be an array of polynomials'),
+    ("problem_map_string", ["extend-iso", "-"], extend_problem(None, "map", "xy"), 'problem field "map" must be an array of polynomials'),
 ]
 
 

@@ -589,12 +589,13 @@ def test_one_nilpotency_check_per_embedding(monkeypatch):
 
 
 def test_embed_general_builds_no_module_for_its_twist(monkeypatch):
-    # The twist is written down on the stacked integer rows in closed
-    # form: no FDModule, so no second commutativity check.  Its rows are
-    # those of the untwisted nilpotent module, so the map is the one
-    # embed_nilpotent gives that module.  For DIVISIBLE_SOCLE shifted by
-    # 1/P the rows over d D are 0 mod P until their common factor is
-    # divided out, which would move the functional off the line mod P.
+    # The twist is `twist`'s trusted module, written on the integer
+    # blocks: the validating FDModule constructor never runs, so there is
+    # no second commutativity check.  Its blocks are those of the
+    # untwisted nilpotent module, so the map is the one embed_nilpotent
+    # gives that module.  For DIVISIBLE_SOCLE shifted by 1/P the rows
+    # over d D are 0 mod P until their common factor is divided out,
+    # which would move the functional off the line mod P.
     rng = random.Random(13)
     modules = [(DIVISIBLE_SOCLE, [Fraction(-1, _PRIME)])]
     for n, bound in [(1, 4), (2, 3), (3, 2)]:

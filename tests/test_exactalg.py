@@ -24,6 +24,7 @@ from nilmod.exactalg import (
     format_rational,
     parse_rational,
 )
+from nilmod.multipoly import Poly
 
 
 def zeros(rows, cols):
@@ -123,6 +124,86 @@ def test_parse_rational_matches_fraction_of_the_literal(seed):
         assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator), s
         reducible += "/" in s and expected.denominator != int(s.split("/")[1])
     assert reducible >= 20
+
+
+def reference_matrix_from_json(data):
+    """`QMatrix.from_json` as it read literals before: one `Fraction` per
+    entry, through the validating constructor."""
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise ValueError("matrix JSON must be a nested array")
+    return QMatrix([[parse_rational(x) for x in row] for row in data])
+
+
+def reference_poly_from_json(data, n):
+    """`Poly.from_json` as it read terms before, over `Fraction`s."""
+    terms = {}
+    for item in data:
+        alpha = tuple(item["exps"])
+        if alpha in terms:
+            raise ValueError(f"duplicate exponent vector {alpha}")
+        c = parse_rational(item["coef"])
+        if c == 0:
+            raise ValueError("zero coefficient in polynomial JSON")
+        terms[alpha] = c
+    return Poly(n, terms)
+
+
+def outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("seed", [16, 17])
+def test_wire_readers_keep_their_values(seed):
+    # Matrices and polynomials read their literals straight into integers
+    # over the lcm of the literals' denominators; values and stored forms
+    # are those of the Fraction route.
+    table = rational_literal_table(seed)
+    rng = random.Random(seed)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        data = [[rng.choice(table) for _ in range(cols)] for _ in range(rows)]
+        got, expected = QMatrix.from_json(data), reference_matrix_from_json(data)
+        assert got == expected and (got._den, got._ints) == (expected._den, expected._ints)
+        assert got.entries == tuple(tuple(Fraction(x) for x in row) for row in data)
+        terms = [{"exps": [k, rng.randint(0, 3)], "coef": c} for k, c in enumerate(rng.sample(table, 6))]
+        assert outcome(Poly.from_json, terms, 2) == outcome(reference_poly_from_json, terms, 2)
+    nonzero = [{"exps": [k], "coef": c} for k, c in enumerate(table) if Fraction(c) != 0]
+    got = Poly.from_json(nonzero, 1)
+    assert got == reference_poly_from_json(nonzero, 1)
+    assert got.terms == {(k,): Fraction(c) for k, c in enumerate(table) if Fraction(c) != 0}
+    assert QMatrix.from_json([]) == reference_matrix_from_json([]) == QMatrix([], cols=0)
+
+
+BAD_LITERALS = ["", "1/0", "1/-2", "2/4x", "1.5", "+3", "--2", "3 /2", 3, None, ["1"], Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("bad", BAD_LITERALS, ids=repr)
+def test_wire_readers_keep_their_errors(bad):
+    # The same check and message, first among the reader's checks: a bad
+    # literal in a ragged matrix, or at a duplicate exponent, is named as
+    # a bad literal, where the reference named it too.
+    message = f"not a rational literal: {bad!r}"
+    for data in ([["1", bad]], [["1"], [bad, "2"]], [[bad]]):
+        assert outcome(QMatrix.from_json, data) == outcome(reference_matrix_from_json, data) == ("ValueError", message)
+    terms = [{"exps": [1], "coef": "1"}, {"exps": [2], "coef": bad}]
+    assert outcome(Poly.from_json, terms, 1) == outcome(reference_poly_from_json, terms, 1) == ("ValueError", message)
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational(bad)
+
+
+def test_wire_readers_keep_their_shape_errors():
+    for data in ([["1"], ["1", "2"]], [["1", "2"], []], [[], ["0"]]):
+        assert outcome(QMatrix.from_json, data) == outcome(reference_matrix_from_json, data) == ("ValueError", "ragged rows")
+    for data in (["1"], [["1"], "2"], "1", {"rows": []}):
+        expected = ("ValueError", "matrix JSON must be a nested array")
+        assert outcome(QMatrix.from_json, data) == outcome(reference_matrix_from_json, data) == expected
+    duplicate = [{"exps": [1], "coef": "1/2"}, {"exps": [1], "coef": "0"}]
+    zero = [{"exps": [1], "coef": "1/2"}, {"exps": [2], "coef": "-0/5"}]
+    for terms, message in [(duplicate, "duplicate exponent vector (1,)"), (zero, "zero coefficient in polynomial JSON")]:
+        assert outcome(Poly.from_json, terms, 1) == outcome(reference_poly_from_json, terms, 1) == ("ValueError", message)
 
 
 # --- rref: the basis of a subspace ----------------------------------------

@@ -14,6 +14,11 @@ The guard parses the package with `ast`: each rule's message is built in
 its owner alone, and no hand-written copy of a rule's comparison is left.
 The tables then feed every public entry `True`, `2.0` and out-of-range
 values, and expect the rule's one error kind.
+
+Commutativity of a module's matrices is checked at one boundary too:
+only the readers of outside input call the validating `FDModule(...)`,
+and every module that commutes by construction comes from
+`FDModule._trusted`.
 """
 
 import ast
@@ -180,6 +185,68 @@ def test_the_guard_catches_a_copy(tmp_path):
     assert count_comparisons(nodes) == ["lib.A.method", "lib.copy"]
     assert index_ranges(nodes) == ["lib.index.inner"]
     assert below_one(nodes) == ["lib.index"]
+
+
+# --- one validating boundary for modules ----------------------------------
+
+# `FDModule(n, matrices)` checks commutativity.  Only the readers of
+# outside input call it; a module that commutes by construction comes
+# from `FDModule._trusted`.
+VALIDATING = ["modcore.FDModule.from_json", "modcore.validate"]
+TRUSTED = ["modcore.as_matrices", "modcore.twist"]
+
+
+def _called(node):
+    """The name a call's function ends in, or None."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def module_builders(nodes):
+    """(validating, trusted): the functions that call `FDModule(...)`
+    (`cls(...)` in a method of FDModule), and those that call
+    `FDModule._trusted(...)`."""
+    validating, trusted = set(), set()
+    for owner, node in nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        name = _called(node)
+        in_class = owner is not None and owner.split(".")[-2:-1] == ["FDModule"]
+        if name == "FDModule" or (name == "cls" and in_class):
+            validating.add(owner)
+        elif name == "_trusted" and isinstance(node.func.value, ast.Name) and node.func.value.id == "FDModule":
+            trusted.add(owner)
+    return sorted(validating), sorted(trusted)
+
+
+def test_only_the_readers_of_input_validate_a_module():
+    assert module_builders(package_nodes()) == (VALIDATING, TRUSTED)
+
+
+def test_the_module_guard_catches_a_planted_call(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        '"""FDModule(n, matrices), in a docstring, is no call."""\n'
+        "from . import modcore\n"
+        "def shifted(module, eye):\n"
+        "    return FDModule(module.n, [m - eye for m in module.matrices])\n"
+        "def qualified(module):\n"
+        "    return modcore.FDModule(module.n, module.matrices)\n"
+        "class FDModule:\n"
+        "    @classmethod\n"
+        "    def read(cls, n, matrices):\n"
+        "        return cls(n, matrices)\n"
+        "class Other:\n"
+        "    @classmethod\n"
+        "    def read(cls, n):\n"
+        "        return cls(n)\n"
+        "def fine(module, blocks):\n"
+        "    return FDModule._trusted(module.n, module.dim, blocks, 1)\n"
+    )
+    assert module_builders(list(_nodes_by_function(lib))) == (
+        ["lib.FDModule.read", "lib.qualified", "lib.shifted"],
+        ["lib.fine"],
+    )
 
 
 # --- the tables -----------------------------------------------------------

@@ -10,7 +10,7 @@ earlier Fraction/Poly `PolySubmodule` constructor and its `Fraction`
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -1082,3 +1082,129 @@ def test_exp_submodule_json_round_trip():
     assert list(data) == ["eigenvalues", "part"]
     back = ExpSubmodule([parse_rational(a) for a in data["eigenvalues"]], PolySubmodule.from_json(data["part"]))
     assert back == exp
+
+
+# --- one stored form ---------------------------------------------------------
+
+def reference_twist(module, shift):
+    """The twist by QMatrix arithmetic, as the library built it before it
+    wrote the twist on the integer blocks."""
+    eye = QMatrix.identity(module.dim)
+    return [m - eye.scale(a) for m, a in zip(module.matrices, shift)]
+
+
+def rational_conjugate(module, rng):
+    d = module.dim
+    while True:
+        g = QMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)] for _ in range(d)])
+        if g.det() != 0:
+            return validate([g * m * g.inverse() for m in module.matrices])
+
+
+def stored_form_table():
+    """Seeded modules in one to three variables, plain (over 1) and
+    rationally conjugated (over a denominator D > 1), and the zero
+    modules."""
+    rng = random.Random(2501)
+    cases = [FDModule(1, [QMatrix([], cols=0)]), FDModule(3, [QMatrix([], cols=0)] * 3)]
+    for n, bound in [(1, 4), (2, 3), (3, 2)]:
+        for seed in range(2):
+            plain = random_nilpotent_module(n, bound, seed=seed)
+            cases += [plain, rational_conjugate(plain, rng)]
+    return cases
+
+
+def test_every_route_to_a_module_gives_one_value():
+    # The constructor, the JSON reader, the trusted twist and the trusted
+    # derivative module store the same blocks over the same denominator
+    # whenever their matrices agree, so they are equal and hash equal.
+    rng = random.Random(2502)
+    for module in stored_form_table():
+        built = FDModule(module.n, module.matrices)
+        read = FDModule.from_json(module.to_json())
+        untwisted = twist(twist(module, [Fraction(1, 7)] * module.n), [Fraction(-1, 7)] * module.n)
+        shift = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(module.n)]
+        twisted = twist(module, shift)
+        validated = validate(reference_twist(module, shift))
+        for one, other in [(module, built), (module, read), (module, untwisted), (twisted, validated)]:
+            assert one == other and hash(one) == hash(other)
+            assert (one._den, one._blocks) == (other._den, other._blocks)
+            assert one.matrices == other.matrices
+    for n, terms in [(1, {(5,): 1}), (2, {(2, 1): 1, (0, 3): -2}), (3, {(1, 1, 1): 1, (2, 0, 0): 3})]:
+        sub = submodule_from_polys(n, [Poly(n, terms)])
+        fd, _ = as_matrices(sub)
+        validated = FDModule(n, sub.action_matrices())
+        assert fd == validated and hash(fd) == hash(validated)
+        assert fd.matrices == validated.matrices
+
+
+def test_the_stored_denominator_is_the_least_one():
+    # D is the least common denominator of all entries: no factor is
+    # shared by D and every entry of the blocks.
+    rng = random.Random(2503)
+    for module in stored_form_table():
+        shift = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(module.n)]
+        for value in (module, twist(module, shift), twist(module, [0] * module.n)):
+            entries = [x for block in value._blocks for row in block for x in row]
+            assert value._den > 0 and gcd(value._den, *entries) == 1
+            assert all(type(x) is int for x in entries)
+            assert type(value._blocks) is tuple and all(type(row) is tuple for b in value._blocks for row in b)
+            assert value._den == lcm(*(m._den for m in value.matrices))
+
+
+def test_matrices_are_built_once_and_equal_the_given_tuple(monkeypatch):
+    mats = (QMatrix([[0, Fraction(1, 2)], [0, 0]]), QMatrix([[0, 3], [0, 0]]))
+    module = FDModule(2, mats)
+    # A constructed module keeps the matrices it was given.
+    assert module.matrices == mats and all(a is b for a, b in zip(module.matrices, mats))
+    assert module.action(1) is mats[0]
+    # A trusted module builds them on first read, and only then.
+    built = []
+    real = QMatrix._trusted
+    monkeypatch.setattr(QMatrix, "_trusted", classmethod(lambda cls, *args: built.append(1) or real(*args)))
+    twisted = twist(module, [Fraction(1, 3), 2])
+    assert built == []
+    first = twisted.matrices
+    assert len(built) == 2
+    assert twisted.matrices is first and twisted.action(2) is first[1]
+    assert len(built) == 2
+    monkeypatch.undo()
+    assert first == tuple(reference_twist(module, [Fraction(1, 3), 2]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_twist_matches_the_matrix_reference(n, monkeypatch):
+    # Over the blocks' D, shifts with denominators coprime to D, and ones
+    # that share a factor with it; the trusted module re-checks nothing.
+    rng = random.Random(2504 + n)
+    plain = random_nilpotent_module(n, 3 if n < 3 else 2, seed=n)
+    modules = (plain, rational_conjugate(plain, rng), FDModule(n, [QMatrix([], cols=0)] * n))
+    checks = []
+    real = FDModule.__init__
+    monkeypatch.setattr(FDModule, "__init__", lambda self, *args: checks.append(1) or real(self, *args))
+    for module in modules:
+        coprime = [q for q in range(2, 40) if gcd(q, module._den) == 1][:3]
+        shifts = [[Fraction(rng.randint(-9, 9), rng.choice(coprime)) for _ in range(n)] for _ in range(4)]
+        shifts += [[Fraction(rng.randint(-9, 9), module._den * rng.randint(1, 3)) for _ in range(n)]]
+        shifts += [[0] * n, [Fraction(1, module._den)] * n]
+        for shift in shifts:
+            twisted = twist(module, shift)
+            assert checks == []
+            assert twisted.matrices == tuple(reference_twist(module, shift))
+            assert (twisted.n, twisted.dim) == (module.n, module.dim)
+    with pytest.raises(ValueError):
+        twist(plain, [1] * (n + 1))
+    with pytest.raises(TypeError):
+        twist(plain, [0.5] * n)
+
+
+def test_exp_submodule_actions_match_identity_plus_scale():
+    # The old form: the derivative matrices plus a_i I, by QMatrix arithmetic.
+    rng = random.Random(2505)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            part = submodule_from_polys(n, [random_poly(n, 3 if n < 3 else 2, rng)])
+            eigenvalues = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+            eye = QMatrix.identity(part.dim)
+            old = tuple(d + eye.scale(a) for d, a in zip(part.action_matrices(), eigenvalues))
+            assert ExpSubmodule(eigenvalues, part).action_matrices() == old

@@ -35,6 +35,7 @@ ALLOWED = {
     "DiffOpSeries.is_automorphism": "the paper's criterion c_0 != 0, which the README names",
     "AutGroup.additive_count": "the group's number of additive coordinates, m - 1",
     "restriction_kernel_dim": "the kernel in the quotient description of the group",
+    "parse_rational": "the reader of one wire literal, inverse of format_rational; the JSON readers split literals",
 }
 
 # Options that no caller sets, each kept for a reason.

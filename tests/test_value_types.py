@@ -57,6 +57,13 @@ def series(warm):
     return s
 
 
+def fd_module(warm):
+    module = random_nilpotent_module(2, 2, seed=5)
+    if warm:  # builds the QMatrix view, which is not part of the value
+        assert len(module.matrices) == 2
+    return module
+
+
 def poly_submodule(_):
     return submodule_from_polys(2, [Poly(2, {(2, 1): 1, (0, 1): -3})])
 
@@ -65,7 +72,7 @@ VALUES = {
     "QMatrix": qmatrix,
     "Subspace": subspace,
     "Poly": poly,
-    "FDModule": lambda _: random_nilpotent_module(2, 2, seed=5),
+    "FDModule": fd_module,
     "PolySubmodule": poly_submodule,
     "ExpSubmodule": lambda warm: ExpSubmodule([3, Fraction(1, 2)], poly_submodule(warm)),
     "DiffOpSeries": series,
