@@ -100,8 +100,9 @@ class FDModule(Value):
         """The module S_i = blocks[i] / den of n integer d x d blocks that commute by
         construction, den > 0, the common factor divided out; checks nothing."""
         g = gcd(den, *(x for block in blocks for row in block for x in row)) if den > 1 else 1
+        blocks = [[[x // g for x in row] for row in block] for block in blocks] if g > 1 else blocks
         out = object.__new__(cls)
-        out._store(n, dim, tuple(tuple(tuple(x // g for x in row) for row in block) for block in blocks), den // g, None)
+        out._store(n, dim, tuple(tuple(map(tuple, block)) for block in blocks), den // g, None)
         return out
 
     @property
@@ -198,12 +199,13 @@ def twist(module: FDModule, shift: Sequence) -> FDModule:
     shift = vector(shift)
     if len(shift) != module.n:
         raise ValueError("shift length differs from the variable count")
-    # With S_i = M_i / D and shift = A / E: (L/D M_i - L/E A_i I) / L, L = lcm(D, E).
-    (nums,), e = _integer_rows([shift])
-    den = lcm(module._den, e)
-    k, c = den // module._den, den // e
-    blocks = [[[k * x - c * a * (i == j) for j, x in enumerate(row)] for i, row in enumerate(block)]
-              for block, a in zip(module._blocks, nums)]
+    # S_i = M_i / D and shift_i = p_i / q_i: (L/D M_i - p_i L/q_i I) / L, L = lcm(D, q_1, ..., q_n).
+    den = lcm(module._den, *(a.denominator for a in shift))
+    k = den // module._den
+    blocks = [[[k * x for x in row] for row in block] for block in module._blocks]
+    for block, a in zip(blocks, shift):
+        for i, row in enumerate(block):
+            row[i] -= a.numerator * (den // a.denominator)
     return FDModule._trusted(module.n, module.dim, blocks, den)
 
 
