@@ -45,11 +45,13 @@ def parse_rational(s: str) -> Fraction:
 
 
 def _split_rational(s) -> tuple[int, int]:
-    """A "p/q" literal as the integers (p, q), not reduced; q = 1 for "p"."""
+    """A "p/q" literal as the integers (p, q) in lowest terms, q > 0."""
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {s!r}")
     num, _, den = s.partition("/")
-    return int(num), int(den or 1)
+    num, den = int(num), int(den or 1)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def as_fraction(x) -> Fraction:
@@ -388,9 +390,12 @@ class QMatrix(Value):
     def from_json(cls, data) -> "QMatrix":
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ValueError("matrix JSON must be a nested array")
+        # Reduced literals over the lcm of their denominators need no gcd.
         pairs = [[_split_rational(x) for x in row] for row in data]
         den = lcm(*(q for row in pairs for _, q in row))
-        return cls._trusted([[p * (den // q) for p, q in row] for row in pairs], den, _width(pairs, None))
+        out = cls.__new__(cls)
+        out._store([[p * (den // q) for p, q in row] for row in pairs], den, _width(pairs, None))
+        return out
 
 
 class Subspace(Value):

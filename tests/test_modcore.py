@@ -774,6 +774,16 @@ def test_exp_submodule_actions_add_scalar():
     plain = action_matrices(base)
     shifted = action_matrices(exp)
     assert shifted[0] == plain[0] + QMatrix.identity(2).scale(5)
+    # A twist of the derivative module: the same matrices as the identity
+    # plus scale form, for rational eigenvalues in one to three variables.
+    rng = random.Random(2505)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            part = submodule_from_polys(n, [random_poly(n, 3 if n < 3 else 2, rng)])
+            eigenvalues = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+            eye = QMatrix.identity(part.dim)
+            old = tuple(d + eye.scale(a) for d, a in zip(part.action_matrices(), eigenvalues))
+            assert ExpSubmodule(eigenvalues, part).action_matrices() == old
 
 
 # --- module maps ----------------------------------------------------------------
@@ -1196,15 +1206,3 @@ def test_twist_matches_the_matrix_reference(n, monkeypatch):
         twist(plain, [1] * (n + 1))
     with pytest.raises(TypeError):
         twist(plain, [0.5] * n)
-
-
-def test_exp_submodule_actions_match_identity_plus_scale():
-    # The old form: the derivative matrices plus a_i I, by QMatrix arithmetic.
-    rng = random.Random(2505)
-    for n in (1, 2, 3):
-        for _ in range(3):
-            part = submodule_from_polys(n, [random_poly(n, 3 if n < 3 else 2, rng)])
-            eigenvalues = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
-            eye = QMatrix.identity(part.dim)
-            old = tuple(d + eye.scale(a) for d, a in zip(part.action_matrices(), eigenvalues))
-            assert ExpSubmodule(eigenvalues, part).action_matrices() == old
