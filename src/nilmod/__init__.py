@@ -10,142 +10,28 @@ differential-operator series, isomorphism extension, and automorphism
 groups of monomial submodules.
 """
 
-from .errors import (
-    DimensionTooLarge,
-    Incompatible,
-    IncompatibleMap,
-    NilmodError,
-    NoCommonEigenline,
-    NonCommuting,
-    NonRationalEigenvalue,
-    NotAnEndomorphism,
-    NothingToExtend,
-    NotNilpotent,
-    SocleNotOneDimensional,
-    TruncationTooLow,
-    WrongConstantTerm,
-)
-from .exactalg import (
-    QMatrix,
-    Subspace,
-    Vector,
-    format_rational,
-    parse_rational,
-    vector,
-)
-from .multipoly import (
-    MINUS_INFINITY,
-    MultiIndex,
-    Poly,
-    grlex_key,
-    is_lower_set,
-    lower_set_closure,
-    monomials_of_degree,
-    monomials_up_to_degree,
-    multi_factorial,
-)
-from .modcore import (
-    ExpSubmodule,
-    FDModule,
-    ModuleMap,
-    PolySubmodule,
-    action_matrices,
-    as_matrices,
-    is_nilpotent,
-    random_nilpotent_module,
-    socle,
-    socle_eigenvalues,
-    submodule_from_polys,
-    twist,
-    validate,
-)
-from .embed import (
-    EmbeddingResult,
-    brute_force_isomorphic,
-    canonical_form,
-    embed_general,
-    embed_nilpotent,
-    is_isomorphic,
-    potential,
-)
-from .diffop import (
-    AutDescriptor,
-    AutGroup,
-    DiffOpSeries,
-    MonomialSubmodule,
-    aut_structure,
-    extend_iso,
-    extend_iso_step,
-    extract_coeffs,
-    monomial_images,
-    restrict,
-    restriction_kernel_dim,
-    series_exp,
-    series_log,
-)
+from importlib import import_module
 
+# Each layer, imported in dependency order, and the names it exports.
+_EXPORTS = {
+    "errors": """DimensionTooLarge Incompatible IncompatibleMap NilmodError NoCommonEigenline
+        NonCommuting NonRationalEigenvalue NotAnEndomorphism NothingToExtend NotNilpotent
+        SocleNotOneDimensional TruncationTooLow WrongConstantTerm""",
+    "exactalg": "QMatrix Subspace Vector format_rational parse_rational vector",
+    "multipoly": """MINUS_INFINITY MultiIndex Poly grlex_key is_lower_set lower_set_closure
+        monomials_of_degree monomials_up_to_degree multi_factorial""",
+    "modcore": """ExpSubmodule FDModule ModuleMap PolySubmodule action_matrices as_matrices
+        is_nilpotent random_nilpotent_module socle socle_eigenvalues submodule_from_polys twist validate""",
+    "embed": """EmbeddingResult brute_force_isomorphic canonical_form embed_general embed_nilpotent
+        is_isomorphic potential""",
+    "diffop": """AutDescriptor AutGroup DiffOpSeries MonomialSubmodule aut_structure extend_iso
+        extend_iso_step extract_coeffs monomial_images restrict restriction_kernel_dim series_exp series_log""",
+}
+
+for _layer, _names in _EXPORTS.items():
+    _module = import_module(f".{_layer}", __name__)
+    globals().update((name, getattr(_module, name)) for name in _names.split())
+del _layer, _names, _module
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names.split())
 __version__ = "0.1.0"
-
-__all__ = [
-    "AutDescriptor",
-    "AutGroup",
-    "DiffOpSeries",
-    "DimensionTooLarge",
-    "EmbeddingResult",
-    "ExpSubmodule",
-    "FDModule",
-    "Incompatible",
-    "IncompatibleMap",
-    "MINUS_INFINITY",
-    "ModuleMap",
-    "MonomialSubmodule",
-    "MultiIndex",
-    "NilmodError",
-    "NoCommonEigenline",
-    "NonCommuting",
-    "NonRationalEigenvalue",
-    "NotAnEndomorphism",
-    "NothingToExtend",
-    "NotNilpotent",
-    "Poly",
-    "PolySubmodule",
-    "QMatrix",
-    "SocleNotOneDimensional",
-    "Subspace",
-    "TruncationTooLow",
-    "Vector",
-    "WrongConstantTerm",
-    "action_matrices",
-    "as_matrices",
-    "aut_structure",
-    "brute_force_isomorphic",
-    "canonical_form",
-    "embed_general",
-    "embed_nilpotent",
-    "extend_iso",
-    "extend_iso_step",
-    "extract_coeffs",
-    "format_rational",
-    "grlex_key",
-    "is_isomorphic",
-    "is_lower_set",
-    "is_nilpotent",
-    "lower_set_closure",
-    "monomial_images",
-    "monomials_of_degree",
-    "monomials_up_to_degree",
-    "multi_factorial",
-    "parse_rational",
-    "potential",
-    "random_nilpotent_module",
-    "restrict",
-    "restriction_kernel_dim",
-    "series_exp",
-    "series_log",
-    "socle",
-    "socle_eigenvalues",
-    "submodule_from_polys",
-    "twist",
-    "validate",
-    "vector",
-]

@@ -66,7 +66,7 @@ from .errors import (
 )
 from .embed import potential
 from .exactalg import QMatrix, Value, as_fraction
-from .modcore import ModuleMap, PolySubmodule
+from .modcore import ModuleMap, PolySubmodule, _poly_rows
 from .multipoly import (
     MultiIndex,
     Poly,
@@ -370,10 +370,12 @@ class MonomialSubmodule(Value):
         return tuple(sorted(self.indices, key=grlex_key, reverse=True))
 
     def as_poly_submodule(self) -> PolySubmodule:
-        """The span of the monomials, built on the first call."""
+        """The span of the monomials, built on the first call.  A lower
+        set's span is closed by construction: d_i x^alpha is a multiple
+        of x^(alpha - e_i), which lies in the set."""
         if self._span is None:
             monomials = [Poly.monomial(self.n, a) for a in self.monomials_descending()]
-            object.__setattr__(self, "_span", PolySubmodule(self.n, monomials))
+            object.__setattr__(self, "_span", PolySubmodule._trusted(self.n, *_poly_rows(monomials), None))
         return self._span
 
     def _comparable_pairs(self) -> list:
@@ -495,8 +497,10 @@ def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[in
         rows[lead], images[lead] = new, image
     if not monomials:
         return phi
-    new_source = PolySubmodule(n, list(source.basis) + monomials)
-    new_target = PolySubmodule(n, list(target.basis) + news)
+    # Both spans are closed by construction: d_i x^kappa is k x^beta with
+    # x^beta inside, and d_i g = k phi(x^beta), checked by `potential`.
+    new_source = PolySubmodule._trusted(n, *_poly_rows(list(source.basis) + monomials), None)
+    new_target = PolySubmodule._trusted(n, *_poly_rows(list(target.basis) + news), None)
     if new_source.dim != len(rows):
         raise AssertionError("one source dimension per row")
     if new_target.dim != len(rows):

@@ -232,17 +232,19 @@ def _socle_walk(blocks: Sequence[Sequence[Sequence[int]]]) -> list[int]:
 
 def _image(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
     """(image, rows, weights) from the pass of lam, or None when phi is
-    not injective.  d monomials whose rows have rank d mod P span the
-    image, and the checked core gets the identity rows for them."""
+    not injective.  The image is closed by construction, as
+    d_i phi(v) = phi(S_i v), so it takes the trusted constructor.  d
+    monomials whose rows have rank d mod P span the image, and the core
+    gets the identity rows for them."""
     found = _inverse_system(module._blocks, module._den, lam)
     if found is None:
         raise NotNilpotent(_NOT_NILPOTENT)
     monomials, rows, weights = found
     n, d = module.n, module.dim
     if len(monomials) == d and _rank_mod(rows, d) == d:
-        image = PolySubmodule._from_integer_rows(n, monomials, [[int(i == j) for j in range(d)] for i in range(d)], None)
+        image = PolySubmodule._trusted(n, monomials, [[int(i == j) for j in range(d)] for i in range(d)], None)
     else:
-        image = PolySubmodule._from_integer_rows(n, monomials, _columns(rows, d), weights)
+        image = PolySubmodule._trusted(n, monomials, _columns(rows, d), weights)
     return (image, rows, weights) if image.dim == d else None
 
 

@@ -7,9 +7,10 @@ variables, the socle's joint eigenvalues, the bridge to
 derivative-closed polynomial subspaces, and seeded random generators
 for tests.
 
-A derivative-closed subspace is checked by one core on integer rows
-over its monomials, whoever builds it: an elimination, a pivot at the
-origin, and the closure pass, where d_i shifts columns.
+A derivative-closed subspace is built by one core on integer rows over
+its monomials: an elimination and a pivot at the origin.  The closure
+pass, where d_i shifts columns, checks outside input once, in the
+public constructor; the library's own spans are closed by construction.
 
 The polynomials form a module over K[d], x_i acting as d_i, and the
 submodule generated by g is K[d] g: the span of the d^beta g with beta
@@ -215,34 +216,33 @@ class PolySubmodule(Value):
     Stored canonically: the list of monomials occurring in any member
     (descending monomial order) and the RREF basis of coefficient
     vectors over that list.  Equality of the stored data is equality of
-    the subspaces.  Every instance comes from one checked core on
-    integer rows over that list, `_span`.  The basis polynomials are a
-    view of `coords`' integer form, built on first read.
+    the subspaces.  Every instance comes from one core on integer rows
+    over that list, `_span`.  The public constructor, and so `from_json`,
+    then runs the closure check; `_trusted` serves spans that are closed
+    by construction.  The basis polynomials are a view of `coords`'
+    integer form, built on first read.
     """
 
     __slots__ = ("n", "monomial_list", "coords", "_position", "_basis")
 
     def __init__(self, n: int, polys: Sequence[Poly]):
         _same_count(n, *polys)
-        support: set[MultiIndex] = set()
-        for p in polys:
-            support |= p.monomials()
-        monomial_list = tuple(sorted(support, key=grlex_key, reverse=True))
-        # Row k is polys[k] times its denominator: the same span.
-        rows = [[p._nums.get(alpha, 0) for alpha in monomial_list] for p in polys]
-        self._span(n, monomial_list, rows, None)
+        self._span(n, *_poly_rows(polys), None)
+        self._closure_pass()
 
     @classmethod
-    def _from_integer_rows(cls, n, monomial_list, rows, weights) -> "PolySubmodule":
+    def _trusted(cls, n, monomial_list, rows, weights) -> "PolySubmodule":
+        """The span of integer rows that is closed under differentiation by
+        construction: `_span` without the closure check."""
         out = cls.__new__(cls)
         out._span(n, tuple(monomial_list), rows, weights)
         return out
 
     def _span(self, n, monomial_list, rows, weights) -> None:
-        """The checked core: the span of the integer rows, row[c] /
-        weights[c] (or row[c]) being the coefficient at monomial_list[c],
-        a descending list of monomials each nonzero in some row.  One
-        elimination, then the constants check and the closure pass."""
+        """The core: the span of the integer rows, row[c] / weights[c]
+        (or row[c]) being the coefficient at monomial_list[c], a
+        descending list of monomials each nonzero in some row.  One
+        elimination, then the constants check."""
         n = _variable_count(n)
         coords = Subspace._from_integer_rows(len(monomial_list), rows, weights)
         object.__setattr__(self, "n", n)
@@ -254,7 +254,6 @@ class PolySubmodule(Value):
         pivots = coords._pivots
         if not pivots or any(monomial_list[pivots[-1]]):
             raise ValueError("a polynomial submodule must contain the constants")
-        self._closure_pass()
 
     @property
     def basis(self) -> tuple[Poly, ...]:
@@ -308,9 +307,10 @@ class PolySubmodule(Value):
         With the basis B / E over integer B, d/dx_i moves B's column at
         alpha to alpha - e_i, times alpha_i.  Entry (k, l) is moved row l
         at pivot k, over E, and the moved rows lie in the span iff every
-        free column is that combination of B's.  This pass is the
-        constructor's closure check: it raises ValueError when some
-        derivative of a basis member lies outside.
+        free column is that combination of B's.  The public constructor
+        runs this pass as its closure check: it raises ValueError when
+        some derivative of a basis member lies outside.  On a trusted span
+        it only reads the matrices, for `action_matrices` and `as_matrices`.
         """
         coords = self.coords
         pivots, den, columns, free = coords._pivots, coords._den, coords._columns, coords._free
@@ -345,13 +345,22 @@ class PolySubmodule(Value):
         return cls(n, [Poly.from_json(p, n) for p in basis])
 
 
+def _poly_rows(polys: Sequence[Poly]) -> tuple[tuple[MultiIndex, ...], list[list[int]]]:
+    """The monomials occurring in the polynomials, in descending order,
+    and each polynomial times its denominator as an integer row over
+    them: rows with the same span."""
+    monomial_list = tuple(sorted(set().union(*(p._nums for p in polys)), key=grlex_key, reverse=True))
+    return monomial_list, [[p._nums.get(alpha, 0) for alpha in monomial_list] for p in polys]
+
+
 def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
     """Smallest derivative-closed subspace containing the generators and 1.
 
     That is K[d] g_1 + ... + K[d] g_k + K: it is spanned by 1 and every
     d^beta g with beta in the lower-set closure of g's support, and every
     other d^beta g is zero.  Each d^beta g is one partial derivative of a
-    d^beta' g of lower degree, taken in ascending degree.
+    d^beta' g of lower degree, taken in ascending degree.  The span is
+    closed by construction: d_i d^beta g is d^(beta + e_i) g or 0.
     """
     members = [Poly.one(n)]
     _same_count(n, *gens)
@@ -361,7 +370,7 @@ def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
             i = next(k for k, b in enumerate(beta) if b)
             derived[beta] = derived[beta[:i] + (beta[i] - 1,) + beta[i + 1 :]].partial(i + 1)
         members += derived.values()
-    return PolySubmodule(n, members)
+    return PolySubmodule._trusted(n, *_poly_rows(members), None)
 
 
 class ExpSubmodule(Value):
@@ -567,29 +576,29 @@ def _integer_roots(g: Sequence[int]) -> list[int]:
 def socle_eigenvalues(module: FDModule) -> tuple[Fraction, ...]:
     """The joint eigenvalue tuple on the unique common eigenline.
 
-    With S_k = M_k / D_k over integers, the characteristic polynomial of
-    M_k is monic over the integers, so its rational roots are integers u
-    and the candidates for a_k are u / D_k.  Tuples grow one variable at
-    a time, and a prefix (a_1, ..., a_k) survives while the stacked
-    M_j - u_j I, j <= k, whose kernels are those of S_j - a_j I, have a
-    nonzero common kernel.  Exactly one tuple must survive.  When none
-    does, some characteristic polynomial does not split over the
-    rationals: otherwise every commuting matrix has an eigenvector on
-    each nonzero joint eigenspace of the ones before it.
+    With S_k = M_k / D over the integer blocks, the characteristic
+    polynomial of M_k is monic over the integers, so its rational roots
+    are integers u and the candidates for a_k are u / D.  Tuples grow
+    one variable at a time, and a prefix (a_1, ..., a_k) survives while
+    the stacked M_j - u_j I, j <= k, whose kernels are those of
+    S_j - a_j I, have a nonzero common kernel.  Exactly one tuple must
+    survive.  When none does, some characteristic polynomial does not
+    split over the rationals: otherwise every commuting matrix has an
+    eigenvector on each nonzero joint eigenspace of the ones before it.
     """
     d = module.dim
     if d == 0:
         raise NoCommonEigenline("the zero module has no eigenline")
     survivors: list[tuple[tuple[Fraction, ...], list]] = [((), [])]
-    for m in module.matrices:
-        ints, den = [list(row) for row in m._ints], m._den
+    for block in module._blocks:
+        ints = [list(row) for row in block]
         roots = _integer_roots(_char_poly(ints))
         extended = []
         for values, rows in survivors:
             for u in roots:
                 stacked = rows + [row[:i] + [row[i] - u] + row[i + 1 :] for i, row in enumerate(ints)]
                 if len(_rref_int(stacked, d)[0]) < d:
-                    extended.append((values + (Fraction(u, den),), stacked))
+                    extended.append((values + (Fraction(u, module._den),), stacked))
         survivors = extended
     if not survivors:
         raise NonRationalEigenvalue(

@@ -741,14 +741,14 @@ def test_socle_walk_spans_the_line_mod_p():
 
 def test_monomial_images_skip_the_exact_elimination(monkeypatch):
     # When the pass leaves d monomials whose rows have rank d mod P, the
-    # checked core gets the identity rows, never the pass's rows.  That
+    # trusted constructor gets the identity rows, never the pass's rows.  That
     # covers every n = 1 success, and the lower-set closures of one
     # monomial at n = 2 and 3, plain and densely conjugated.
     calls = []
-    original = PolySubmodule._from_integer_rows
+    original = PolySubmodule._trusted
     monkeypatch.setattr(
         PolySubmodule,
-        "_from_integer_rows",
+        "_trusted",
         classmethod(lambda cls, *args: calls.append(args) or original(*args)),
     )
     rng = random.Random(31)

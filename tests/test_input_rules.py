@@ -189,11 +189,17 @@ def test_the_guard_catches_a_copy(tmp_path):
 
 # --- one validating boundary for modules ----------------------------------
 
-# `FDModule(n, matrices)` checks commutativity.  Only the readers of
-# outside input call it; a module that commutes by construction comes
-# from `FDModule._trusted`.
-VALIDATING = ["modcore.FDModule.from_json", "modcore.validate"]
-TRUSTED = ["modcore.as_matrices", "modcore.twist"]
+# `FDModule(n, matrices)` checks commutativity, and `PolySubmodule(n, polys)`
+# closure under differentiation.  Only the readers of outside input call
+# them; a module that commutes, or a span that is closed, by construction
+# comes from the class's `_trusted`.
+BUILDERS = {
+    "FDModule": (["modcore.FDModule.from_json", "modcore.validate"], ["modcore.as_matrices", "modcore.twist"]),
+    "PolySubmodule": (
+        ["modcore.PolySubmodule.from_json"],
+        ["diffop.MonomialSubmodule.as_poly_submodule", "diffop._extend", "embed._image", "modcore.submodule_from_polys"],
+    ),
+}
 
 
 def _called(node):
@@ -202,25 +208,26 @@ def _called(node):
     return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
 
 
-def module_builders(nodes):
-    """(validating, trusted): the functions that call `FDModule(...)`
-    (`cls(...)` in a method of FDModule), and those that call
-    `FDModule._trusted(...)`."""
+def module_builders(nodes, cls):
+    """(validating, trusted): the functions that call `cls(...)` by the
+    class's name (or as `cls(...)` in a method of the class), and those
+    that call `<cls>._trusted(...)`."""
     validating, trusted = set(), set()
     for owner, node in nodes:
         if not isinstance(node, ast.Call):
             continue
         name = _called(node)
-        in_class = owner is not None and owner.split(".")[-2:-1] == ["FDModule"]
-        if name == "FDModule" or (name == "cls" and in_class):
+        in_class = owner is not None and owner.split(".")[-2:-1] == [cls]
+        if name == cls or (name == "cls" and in_class):
             validating.add(owner)
-        elif name == "_trusted" and isinstance(node.func.value, ast.Name) and node.func.value.id == "FDModule":
+        elif name == "_trusted" and isinstance(node.func.value, ast.Name) and node.func.value.id == cls:
             trusted.add(owner)
     return sorted(validating), sorted(trusted)
 
 
 def test_only_the_readers_of_input_validate_a_module():
-    assert module_builders(package_nodes()) == (VALIDATING, TRUSTED)
+    nodes = package_nodes()
+    assert {cls: module_builders(nodes, cls) for cls in BUILDERS} == BUILDERS
 
 
 def test_the_module_guard_catches_a_planted_call(tmp_path):
@@ -242,11 +249,17 @@ def test_the_module_guard_catches_a_planted_call(tmp_path):
         "        return cls(n)\n"
         "def fine(module, blocks):\n"
         "    return FDModule._trusted(module.n, module.dim, blocks, 1)\n"
+        "def closure(sub, p):\n"
+        "    return modcore.PolySubmodule(sub.n, list(sub.basis) + [p])\n"
+        "def span(n, monomials, rows):\n"
+        "    return PolySubmodule._trusted(n, monomials, rows, None)\n"
     )
-    assert module_builders(list(_nodes_by_function(lib))) == (
+    nodes = list(_nodes_by_function(lib))
+    assert module_builders(nodes, "FDModule") == (
         ["lib.FDModule.read", "lib.qualified", "lib.shifted"],
         ["lib.fine"],
     )
+    assert module_builders(nodes, "PolySubmodule") == (["lib.closure"], ["lib.span"])
 
 
 # --- the tables -----------------------------------------------------------

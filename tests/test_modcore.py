@@ -580,18 +580,20 @@ def stored(build):
     return out.monomial_list, out.coords, out.basis, out.action_matrices()
 
 
-def recorded_inputs(monkeypatch, run):
-    """Every (n, polys) the library hands to PolySubmodule while run runs."""
+def recorded_products(monkeypatch, run):
+    """(n, basis) of every span the library builds through the trusted
+    constructor while run runs."""
     seen = []
-    real = PolySubmodule.__init__
+    real = PolySubmodule._trusted
 
-    def recording(self, n, polys):
-        seen.append((n, list(polys)))
-        real(self, n, polys)
+    def recording(cls, *args):
+        out = real(*args)
+        seen.append((out.n, list(out.basis)))
+        return out
 
-    monkeypatch.setattr(PolySubmodule, "__init__", recording)
+    monkeypatch.setattr(PolySubmodule, "_trusted", classmethod(recording))
     run()
-    monkeypatch.setattr(PolySubmodule, "__init__", real)
+    monkeypatch.setattr(PolySubmodule, "_trusted", real)
     return seen
 
 
@@ -625,8 +627,9 @@ def constructor_table(monkeypatch):
         # closed with 1 as a combination, and in rescaled rows
         (2, [x[1] + one, x[1] - one, x[2].scale(Fraction(1, 3))]),
     ]
-    # submodule_from_polys, lower-set spans and extend_iso steps, as the
-    # library calls the constructor.
+    # The products of submodule_from_polys, lower-set spans and extend_iso
+    # steps, which the library builds without the closure check: the
+    # validating constructor must accept each of them.
     gens = {n: [random_poly(n, {1: 7, 2: 4, 3: 3}[n], rng) for _ in range(2)] for n in (1, 2, 3)}
     goal = MonomialSubmodule(2, lower_set_closure([(3, 1), (1, 3)]))
     source = submodule_from_polys(2, [Poly(2, {(1, 1): 1})])
@@ -642,13 +645,17 @@ def constructor_table(monkeypatch):
             MonomialSubmodule(n, lower_set_closure(tops)).as_poly_submodule()
         extend_iso(source, target, phi, goal)
 
-    recorded = recorded_inputs(monkeypatch, run)
+    recorded = recorded_products(monkeypatch, run)
     # 6 closures, 3 lower sets and the extension's two final spans
     assert len(recorded) == 9 + 2, len(recorded)
-    # The extension builds each side once, on all its rows; the spans after
-    # its earlier steps are the prefixes of those rows.
-    prefixes = [(n, polys[:k]) for n, polys in recorded[-2:] for k in range(source.dim + 1, len(polys))]
+    # The extension builds each side once.  Read from the constant up, every
+    # prefix of a canonical basis spans a submodule: a derivative of a row
+    # has lower degree than the row's lead, so it lies in the span of the
+    # rows led by monomials of lower degree.
+    prefixes = [(n, polys[::-1][:k]) for n, polys in recorded[-2:] for k in range(source.dim + 1, len(polys))]
     assert len(prefixes) >= 2 * 4, len(prefixes)
+    for n, polys in recorded + prefixes:
+        PolySubmodule(n, polys)  # closed: the validating constructor accepts it
     return table + recorded + prefixes
 
 
