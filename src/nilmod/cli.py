@@ -4,9 +4,11 @@ One subcommand per library entry point; every input is a JSON file (or
 `-` for standard input) and every output is deterministic JSON on
 standard output.  Exit codes: 0 success, 1 domain errors (and a
 standard output closed before the answer was written), 2 parse or usage
-errors.  An error prints {"error": {"kind", "detail"}}, plus the
-structured "witness" for NotAnEndomorphism ({"derivative", "monomial"}),
-Incompatible and NonCommuting (the pair [i, j]).
+errors.  An error prints {"error": {"kind", "detail"}}, plus a "witness"
+where the error's `witness_json` (see `errors.py`) is set: for
+NotAnEndomorphism ({"derivative", "monomial"}), Incompatible and
+NonCommuting (the pair [i, j]).  The subcommands are the rows of one
+table, `_COMMANDS`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .diffop import (
     extract_coeffs,
 )
 from .embed import brute_force_isomorphic, canonical_form, embed_general, embed_nilpotent, is_isomorphic
-from .errors import Incompatible, IncompatibleMap, NilmodError, NonCommuting, NotAnEndomorphism
+from .errors import IncompatibleMap, NilmodError, NonCommuting
 from .exactalg import QMatrix, format_rational
 from .modcore import (
     FDModule,
@@ -56,7 +58,7 @@ def _cmd_validate(args) -> dict:
         return {
             "valid": False,
             "commuting": False,
-            "witness": [exc.i, exc.j],
+            "witness": exc.witness_json,
             "detail": str(exc),
         }
     out = {"valid": True, "nilpotent": is_nilpotent(module)}
@@ -97,7 +99,7 @@ def _cmd_isomorphic(args) -> dict:
 def _cmd_embed_general(args) -> dict:
     module = FDModule.from_json(_read_json(args.module))
     weighted, mapping = embed_general(module)
-    return {**weighted.to_json(), "map": [mapping.image_poly(j).to_json() for j in range(module.dim)]}
+    return {**weighted.to_json(), "map": [p.to_json() for p in mapping.image_polys()]}
 
 
 def _cmd_extract_endo(args) -> dict:
@@ -148,14 +150,27 @@ def _cmd_extend_iso(args) -> dict:
     return {
         "source": extended.source.to_json(),
         "target": extended.target.to_json(),
-        "map": [
-            extended.image_poly(j).to_json() for j in range(extended.source.dim)
-        ],
+        "map": [p.to_json() for p in extended.image_polys()],
     }
 
 
 def _cmd_gen(args) -> dict:
     return random_nilpotent_module(args.n, args.degree_bound, args.seed).to_json()
+
+
+# Each subcommand: its help, its handler and its positionals with their help.
+_COMMANDS = {
+    "validate": ("check commutativity, nilpotency, socle", _cmd_validate, {"module": "module JSON path, or - for stdin"}),
+    "socle": ("basis of the socle of a nilpotent module", _cmd_socle, {"module": None}),
+    "embed": ("embed into the derivative module", _cmd_embed, {"module": None}),
+    "canonical": ("canonical polynomial submodule", _cmd_canonical, {"module": None}),
+    "isomorphic": ("decide isomorphism of two modules", _cmd_isomorphic, {"first": None, "second": None}),
+    "embed-general": ("embed a module with rational socle eigenvalues", _cmd_embed_general, {"module": None}),
+    "extract-endo": ("recover an operator series from monomial images", _cmd_extract_endo, {"table": None}),
+    "aut": ("automorphism group of a monomial submodule", _cmd_aut, {"submodule": None}),
+    "extend-iso": ("extend an isomorphism to cover a monomial submodule", _cmd_extend_iso, {"problem": None}),
+    "gen": ("seeded random nilpotent module", _cmd_gen, {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,72 +179,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with modules over polynomial rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check commutativity, nilpotency, socle")
-    p.add_argument("module", help="module JSON path, or - for stdin")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("socle", help="basis of the socle of a nilpotent module")
-    p.add_argument("module")
-    p.set_defaults(handler=_cmd_socle)
-
-    p = sub.add_parser("embed", help="embed into the derivative module")
-    p.add_argument("module")
-    p.set_defaults(handler=_cmd_embed)
-
-    p = sub.add_parser("canonical", help="canonical polynomial submodule")
-    p.add_argument("module")
-    p.set_defaults(handler=_cmd_canonical)
-
-    p = sub.add_parser("isomorphic", help="decide isomorphism of two modules")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument(
+    for name, (summary, handler, positionals) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for arg, arg_help in positionals.items():
+            p.add_argument(arg, help=arg_help)
+        p.set_defaults(handler=handler)
+    sub.choices["isomorphic"].add_argument(
         "--max-dim",
         type=int,
         default=None,
         help="use the brute-force intertwiner oracle with this dimension bound (at most 10)",
     )
-    p.set_defaults(handler=_cmd_isomorphic)
-
-    p = sub.add_parser(
-        "embed-general", help="embed a module with rational socle eigenvalues"
-    )
-    p.add_argument("module")
-    p.set_defaults(handler=_cmd_embed_general)
-
-    p = sub.add_parser(
-        "extract-endo", help="recover an operator series from monomial images"
-    )
-    p.add_argument("table")
-    p.set_defaults(handler=_cmd_extract_endo)
-
-    p = sub.add_parser("aut", help="automorphism group of a monomial submodule")
-    p.add_argument("submodule")
-    p.set_defaults(handler=_cmd_aut)
-
-    p = sub.add_parser(
-        "extend-iso", help="extend an isomorphism to cover a monomial submodule"
-    )
-    p.add_argument("problem")
-    p.set_defaults(handler=_cmd_extend_iso)
-
-    p = sub.add_parser("gen", help="seeded random nilpotent module")
-    p.add_argument("--n", type=int, default=2, help="variable count")
-    p.add_argument("--degree-bound", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_gen)
-
+    gen = sub.choices["gen"]
+    gen.add_argument("--n", type=int, default=2, help="variable count")
+    gen.add_argument("--degree-bound", type=int, default=3)
+    gen.add_argument("--seed", type=int, default=0)
     return parser
-
-
-def _witness(exc: NilmodError):
-    """The structured witness an error carries, or None."""
-    if isinstance(exc, NotAnEndomorphism):
-        return {"derivative": exc.i, "monomial": list(exc.witness)}
-    if isinstance(exc, (Incompatible, NonCommuting)):
-        return [exc.i, exc.j]
-    return None
 
 
 def _run(args) -> tuple[int, dict]:
@@ -238,9 +203,8 @@ def _run(args) -> tuple[int, dict]:
         return 0, args.handler(args)
     except NilmodError as exc:
         error = {"kind": type(exc).__name__, "detail": str(exc)}
-        witness = _witness(exc)
-        if witness is not None:
-            error["witness"] = witness
+        if exc.witness_json is not None:
+            error["witness"] = exc.witness_json
         return 1, {"error": error}
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         return 2, {"error": {"kind": "ParseError", "detail": str(exc)}}

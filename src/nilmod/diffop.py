@@ -124,8 +124,7 @@ class DiffOpSeries(Value):
 
     @classmethod
     def derivative(cls, n: int, trunc: int, i: int) -> "DiffOpSeries":
-        # The count before the index: n < 1 is a bad count, not an empty range.
-        return cls(n, trunc, dict.fromkeys(Poly.variable(_variable_count(n), i).monomials(), 1))
+        return cls(n, trunc, dict.fromkeys(Poly.variable(n, i).monomials(), 1))
 
     @property
     def coeffs(self) -> dict[MultiIndex, Fraction]:
@@ -463,7 +462,7 @@ def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[in
     n = source.n
     leads = [source.monomial_list[c] for c in source.coords._pivots]
     rows = dict(zip(leads, source.basis))
-    images = {pi: phi.image_poly(k) for k, pi in enumerate(leads)}
+    images = dict(zip(leads, phi.image_polys()))
     monomials, news = [], []
 
     def inside(alpha: MultiIndex) -> bool:
@@ -570,8 +569,10 @@ class AutDescriptor(Value):
         if unit == 0:
             raise ValueError("the unit coordinate must be nonzero")
         clean: dict[MultiIndex, Fraction] = {}
-        for alpha, c in (additive or {}).items():
-            alpha = _exponent(alpha, len(alpha))
+        additive = additive or {}
+        n = len(next(iter(additive), ()))  # every exponent has the first one's length
+        for alpha, c in additive.items():
+            alpha = _exponent(alpha, n)
             if all(a == 0 for a in alpha):
                 raise ValueError("the origin is not an additive coordinate")
             c = as_fraction(c)

@@ -97,9 +97,7 @@ class EmbeddingResult(Immutable):
 
     def image_polys(self) -> tuple[Poly, ...]:
         """Image polynomial of each source basis vector, in order."""
-        return tuple(
-            self.map.image_poly(j) for j in range(self.map.images.cols)
-        )
+        return self.map.image_polys()
 
     def to_json(self) -> dict:
         return {

@@ -1,7 +1,8 @@
 """Typed domain errors raised across the library.
 
 Every error carries enough structure for a machine-readable report: the
-CLI serializes the class name as the error kind.
+CLI serializes the class name as the error kind, and `witness_json`, where
+it is not None, as the error's witness.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 class NilmodError(Exception):
     """Base class for all domain errors."""
 
+    witness_json = None
+
 
 class NonCommuting(NilmodError):
     """A pair of action matrices fails to commute (1-based indices)."""
@@ -17,6 +20,7 @@ class NonCommuting(NilmodError):
     def __init__(self, i: int, j: int):
         self.i = i
         self.j = j
+        self.witness_json = [i, j]
         super().__init__(f"matrices {i} and {j} do not commute")
 
 
@@ -46,6 +50,7 @@ class Incompatible(NilmodError):
     def __init__(self, i: int, j: int):
         self.i = i
         self.j = j
+        self.witness_json = [i, j]
         super().__init__(f"incompatible pair ({i}, {j}): mixed partials differ")
 
 
@@ -59,6 +64,7 @@ class NotAnEndomorphism(NilmodError):
     def __init__(self, i: int, witness: tuple[int, ...]):
         self.i = i
         self.witness = witness
+        self.witness_json = {"derivative": i, "monomial": list(witness)}
         super().__init__(
             f"map does not commute with derivative {i} at monomial {witness}"
         )

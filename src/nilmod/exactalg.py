@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 _ZERO = Fraction(0)
 
 
@@ -46,7 +46,7 @@ def parse_rational(s: str) -> Fraction:
 
 def _split_rational(s) -> tuple[int, int]:
     """A "p/q" literal as the integers (p, q) in lowest terms, q > 0."""
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a rational literal: {s!r}")
     num, _, den = s.partition("/")
     num, den = int(num), int(den or 1)
@@ -272,7 +272,8 @@ class QMatrix(Value):
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], rows: Optional[int] = None) -> "QMatrix":
-        height = len(columns[0]) if columns else rows or 0
+        # The columns are checked as the constructor checks rows.
+        height = _width(columns, rows)
         return QMatrix([[col[i] for col in columns] for i in range(height)], cols=len(columns))
 
     @property

@@ -469,6 +469,10 @@ class ModuleMap(Immutable):
             raise TypeError("target does not have a polynomial basis")
         return target.from_coordinates(self.images.column(j))
 
+    def image_polys(self) -> tuple[Poly, ...]:
+        """The image polynomial of each source basis vector, in order."""
+        return tuple(self.image_poly(j) for j in range(self.images.cols))
+
 
 def as_matrices(module: PolySubmodule) -> tuple[FDModule, ModuleMap]:
     """The matrix module of the derivative action on a polynomial

@@ -131,8 +131,10 @@ class Poly(Value):
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
+        # The count before the index: n < 1 is a bad count, not an empty range.
+        n = _variable_count(n)
         _check_var(n, i)
-        return cls(n, {tuple(int(k == i - 1) for k in range(_variable_count(n))): 1})
+        return cls(n, {tuple(int(k == i - 1) for k in range(n)): 1})
 
     @property
     def terms(self) -> dict[MultiIndex, Fraction]:

@@ -178,6 +178,8 @@ def test_wire_readers_keep_their_values(seed):
 
 
 BAD_LITERALS = ["", "1/0", "1/-2", "2/4x", "1.5", "+3", "--2", "3 /2", 3, None, ["1"], Fraction(1, 2)]
+# A trailing newline, and digits outside ASCII, which `int` would read.
+BAD_LITERALS += ["12\n", "0/5\n", "\u0663", "-\uff13/7"]
 
 
 @pytest.mark.parametrize("bad", BAD_LITERALS, ids=repr)
@@ -366,6 +368,22 @@ def test_from_columns():
     m = QMatrix.from_columns([(Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))])
     assert m == QMatrix([[1, 3], [2, 4]])
     assert QMatrix.from_columns([], rows=2).rows == 2
+
+
+@pytest.mark.parametrize(
+    "columns, rows, message",
+    [
+        ([(1,), (2, 3)], None, "ragged rows"),
+        ([(1, 2), (3,)], None, "ragged rows"),
+        ([(1, 2)], 3, "explicit column count disagrees with rows"),
+    ],
+    ids=["longer", "shorter", "count"],
+)
+def test_from_columns_refuses_ragged_columns_and_a_disagreeing_count(columns, rows, message):
+    # The first case dropped the 3, the second raised IndexError and the
+    # third returned a 2 x 1 matrix.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QMatrix.from_columns(columns, rows=rows)
 
 
 # --- subspaces ----------------------------------------------------------
