@@ -114,13 +114,14 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _width(rows: Sequence[Sequence], cols: Optional[int]) -> int:
-    """The rows' common length, or cols (0 if None) for no rows; a given cols must match."""
+def _width(rows: Sequence[Sequence], cols: Optional[int], axes: tuple[str, str] = ("rows", "column")) -> int:
+    """The rows' common length, or cols (0 if None) for no rows; a given cols
+    must match.  The errors name the axes as given: (the lines, the count)."""
     width = len(rows[0]) if rows else cols or 0
     if any(len(row) != width for row in rows):
-        raise ValueError("ragged rows")
+        raise ValueError(f"ragged {axes[0]}")
     if cols is not None and width != cols:
-        raise ValueError("explicit column count disagrees with rows")
+        raise ValueError(f"explicit {axes[1]} count disagrees with {axes[0]}")
     return width
 
 
@@ -272,8 +273,7 @@ class QMatrix(Value):
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], rows: Optional[int] = None) -> "QMatrix":
-        # The columns are checked as the constructor checks rows.
-        height = _width(columns, rows)
+        height = _width(columns, rows, ("columns", "row"))
         return QMatrix([[col[i] for col in columns] for i in range(height)], cols=len(columns))
 
     @property

@@ -373,9 +373,9 @@ def test_from_columns():
 @pytest.mark.parametrize(
     "columns, rows, message",
     [
-        ([(1,), (2, 3)], None, "ragged rows"),
-        ([(1, 2), (3,)], None, "ragged rows"),
-        ([(1, 2)], 3, "explicit column count disagrees with rows"),
+        ([(1,), (2, 3)], None, "ragged columns"),
+        ([(1, 2), (3,)], None, "ragged columns"),
+        ([(1, 2)], 3, "explicit row count disagrees with columns"),
     ],
     ids=["longer", "shorter", "count"],
 )
