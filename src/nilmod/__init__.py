@@ -28,10 +28,19 @@ _EXPORTS = {
         extend_iso_step extract_coeffs monomial_images restrict restriction_kernel_dim series_exp series_log""",
 }
 
-for _layer, _names in _EXPORTS.items():
-    _module = import_module(f".{_layer}", __name__)
-    globals().update((name, getattr(_module, name)) for name in _names.split())
-del _layer, _names, _module
-
 __all__ = sorted(name for names in _EXPORTS.values() for name in names.split())
 __version__ = "0.1.0"
+
+
+# PEP 562: the first exported name asked for loads every layer and binds all their names.
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for layer, names in _EXPORTS.items():
+        module = import_module(f".{layer}", __name__)
+        globals().update((export, getattr(module, export)) for export in names.split())
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,9 @@ where the error's `witness_json` (see `errors.py`) is set: for
 NotAnEndomorphism ({"derivative", "monomial"}), Incompatible and
 NonCommuting (the pair [i, j]).  The subcommands are the rows of one
 table, `_COMMANDS`.
+
+Each handler imports the layers it runs once its JSON input is read, so
+a usage error or an unreadable or malformed file loads no algebra layer.
 """
 
 from __future__ import annotations
@@ -19,25 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .diffop import (
-    MonomialSubmodule,
-    aut_structure,
-    extend_iso,
-    extract_coeffs,
-)
-from .embed import brute_force_isomorphic, canonical_form, embed_general, embed_nilpotent, is_isomorphic
 from .errors import IncompatibleMap, NilmodError, NonCommuting
-from .exactalg import QMatrix, format_rational
-from .modcore import (
-    FDModule,
-    ModuleMap,
-    PolySubmodule,
-    _joint_kernel,
-    is_nilpotent,
-    random_nilpotent_module,
-    socle,
-)
-from .multipoly import Poly, _exponent, _fields, _variable_count
 
 
 def _read_json(path: str):
@@ -51,9 +36,15 @@ def _read_json(path: str):
     return data
 
 
+def _read_module(path: str):
+    data = _read_json(path)
+    from .modcore import FDModule
+    return FDModule.from_json(data)
+
+
 def _cmd_validate(args) -> dict:
     try:
-        module = FDModule.from_json(_read_json(args.module))
+        module = _read_module(args.module)
     except NonCommuting as exc:
         return {
             "valid": False,
@@ -61,6 +52,7 @@ def _cmd_validate(args) -> dict:
             "witness": exc.witness_json,
             "detail": str(exc),
         }
+    from .modcore import _joint_kernel, is_nilpotent
     out = {"valid": True, "nilpotent": is_nilpotent(module)}
     if out["nilpotent"]:
         out["socle_dim"] = _joint_kernel(module).dim
@@ -68,7 +60,9 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_socle(args) -> dict:
-    module = FDModule.from_json(_read_json(args.module))
+    module = _read_module(args.module)
+    from .exactalg import format_rational
+    from .modcore import socle
     space = socle(module)
     return {
         "dim": space.dim,
@@ -77,18 +71,21 @@ def _cmd_socle(args) -> dict:
 
 
 def _cmd_embed(args) -> dict:
-    module = FDModule.from_json(_read_json(args.module))
+    module = _read_module(args.module)
+    from .embed import embed_nilpotent
     return embed_nilpotent(module).to_json()
 
 
 def _cmd_canonical(args) -> dict:
-    module = FDModule.from_json(_read_json(args.module))
+    module = _read_module(args.module)
+    from .embed import canonical_form
     return canonical_form(module).to_json()
 
 
 def _cmd_isomorphic(args) -> dict:
-    first = FDModule.from_json(_read_json(args.first))
-    second = FDModule.from_json(_read_json(args.second))
+    first = _read_module(args.first)
+    second = _read_module(args.second)
+    from .embed import brute_force_isomorphic, is_isomorphic
     if args.max_dim is not None:
         verdict = brute_force_isomorphic(first, second, max_dim=args.max_dim)
     else:
@@ -97,13 +94,17 @@ def _cmd_isomorphic(args) -> dict:
 
 
 def _cmd_embed_general(args) -> dict:
-    module = FDModule.from_json(_read_json(args.module))
+    module = _read_module(args.module)
+    from .embed import embed_general
     weighted, mapping = embed_general(module)
     return {**weighted.to_json(), "map": [p.to_json() for p in mapping.image_polys()]}
 
 
 def _cmd_extract_endo(args) -> dict:
-    n, degree, table = _fields(_read_json(args.table), "image table", "n", "degree", "images")
+    data = _read_json(args.table)
+    from .diffop import extract_coeffs
+    from .multipoly import Poly, _exponent, _fields, _variable_count
+    n, degree, table = _fields(data, "image table", "n", "degree", "images")
     n = _variable_count(n)
     if not isinstance(table, list):
         raise ValueError('image table field "images" must be an array')
@@ -118,7 +119,9 @@ def _cmd_extract_endo(args) -> dict:
 
 
 def _cmd_aut(args) -> dict:
-    module = MonomialSubmodule.from_json(_read_json(args.submodule))
+    data = _read_json(args.submodule)
+    from .diffop import MonomialSubmodule, aut_structure
+    module = MonomialSubmodule.from_json(data)
     group = aut_structure(module)
     additive = [
         list(a) for a in module.monomials_descending() if any(x != 0 for x in a)
@@ -131,7 +134,12 @@ def _cmd_aut(args) -> dict:
 
 
 def _cmd_extend_iso(args) -> dict:
-    source, target, goal, images = _fields(_read_json(args.problem), "problem", "source", "target", "goal", "map")
+    data = _read_json(args.problem)
+    from .diffop import MonomialSubmodule, extend_iso
+    from .exactalg import QMatrix
+    from .modcore import ModuleMap, PolySubmodule
+    from .multipoly import Poly, _fields
+    source, target, goal, images = _fields(data, "problem", "source", "target", "goal", "map")
     source = PolySubmodule.from_json(source)
     target = PolySubmodule.from_json(target)
     goal = MonomialSubmodule.from_json(goal)
@@ -155,6 +163,7 @@ def _cmd_extend_iso(args) -> dict:
 
 
 def _cmd_gen(args) -> dict:
+    from .modcore import random_nilpotent_module
     return random_nilpotent_module(args.n, args.degree_bound, args.seed).to_json()
 
 

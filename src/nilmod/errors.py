@@ -75,7 +75,8 @@ class WrongConstantTerm(NilmodError):
 
 
 class DimensionTooLarge(NilmodError):
-    """Input exceeds the configured bound of the brute-force oracle."""
+    """Input exceeds a documented size bound: the brute-force oracle's
+    `max_dim`, or the random generator's GEN_LIMIT."""
 
 
 class NothingToExtend(NilmodError):

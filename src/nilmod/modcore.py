@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    DimensionTooLarge,
     NoCommonEigenline,
     NonCommuting,
     NonRationalEigenvalue,
@@ -491,13 +492,23 @@ def random_poly(n: int, degree_bound: int, rng: random.Random) -> Poly:
     return Poly(n, terms)
 
 
+# The most variables, and monomials C(n + d, n) of degree at most d, that
+# `random_nilpotent_module` builds on; the slowest case, n = 1, takes ~1 s.
+GEN_LIMIT = 150
+
+
 def random_nilpotent_module(n: int, degree_bound: int, seed: int) -> FDModule:
     """Seeded generator: the derivative module of a random polynomial.
 
-    Always nilpotent with one-dimensional socle, by construction.
+    Always nilpotent with one-dimensional socle, by construction.  Past
+    GEN_LIMIT it raises DimensionTooLarge before enumerating anything.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
+    # C(n + d, n) > GEN_LIMIT for every d >= GEN_LIMIT, so the min keeps comb small.
+    if _variable_count(n) > GEN_LIMIT or comb(n + min(degree_bound, GEN_LIMIT), n) > GEN_LIMIT:
+        raise DimensionTooLarge(f"random modules take at most {GEN_LIMIT} variables and monomials, "
+                                f"not n = {n} with degree bound {degree_bound}")
     rng = random.Random(seed)
     p = random_poly(n, degree_bound, rng)
     fd, _ = as_matrices(submodule_from_polys(n, [p]))

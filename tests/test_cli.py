@@ -81,13 +81,14 @@ def child_env():
     return env
 
 
-def run_cli(argv, stdin=None, flags=()):
+def run_cli(argv, stdin=None, flags=(), timeout=None):
     return subprocess.run(
         [sys.executable, *flags, "-m", "nilmod.cli", *argv],
         capture_output=True,
         cwd=GOLDEN,
         env=child_env(),
         input=stdin,
+        timeout=timeout,
     )
 
 
@@ -136,7 +137,7 @@ def test_validate_checks_nilpotency_once(monkeypatch, capsys):
         calls.append(module)
         return real(module)
 
-    monkeypatch.setattr(cli, "is_nilpotent", counting)
+    # The handler imports `is_nilpotent` from modcore when it runs.
     monkeypatch.setattr(modcore, "is_nilpotent", counting)
     code = cli.main(["validate", str(GOLDEN / "inputs" / "jordan3.json")])
     assert code == 0
@@ -181,6 +182,18 @@ def test_gen_refuses_fewer_than_one_variable(n):
         "error": {"kind": "ParseError", "detail": "variable count must be at least 1"}
     }
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n,bound", [("30", "12"), ("2", "30"), ("3", "14"), ("5000", "0"), ("1", "9" * 40)])
+def test_gen_refuses_a_large_module_at_once(n, bound):
+    # Each ran for seconds to minutes (30 variables at degree 12 passed
+    # 2 GB), and 5000 variables at degree 0 ended in a RecursionError.
+    proc = run_cli(["gen", "--n", n, "--degree-bound", bound, "--seed", "1"], timeout=10)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert json.loads(proc.stdout) == {"error": {
+        "kind": "DimensionTooLarge",
+        "detail": f"random modules take at most 150 variables and monomials, not n = {n} with degree bound {bound}",
+    }}
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -427,6 +440,50 @@ def test_brute_force_bound_above_ten_is_refused():
     assert proc.stdout == error_bytes(
         {"kind": "DimensionTooLarge", "detail": "brute-force oracle accepts max_dim up to 10, not 11"}
     )
+
+
+# --- what each child imports ----------------------------------------------
+
+# Calls nilmod.cli.main on its own argv and prints, as JSON, the nilmod
+# modules then loaded.
+LOADED = """
+import contextlib, io, json, sys
+from nilmod import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "nilmod")))
+"""
+
+FRONT = ["nilmod", "nilmod.cli", "nilmod.errors"]
+BASE = sorted(FRONT + ["nilmod.exactalg", "nilmod.multipoly", "nilmod.modcore"])
+
+
+def loaded_modules(argv):
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True, cwd=GOLDEN, env=child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["validate", "inputs/jordan3.json"], BASE),
+    (["socle", "inputs/jordan3.json"], BASE),
+    (["gen", "--n", "2"], BASE),
+    (["embed", "inputs/jordan3.json"], sorted(BASE + ["nilmod.embed"])),
+    (["canonical", "inputs/jordan3.json"], sorted(BASE + ["nilmod.embed"])),
+    (["isomorphic", "inputs/jordan2.json", "inputs/jordan2_conjugate.json"], sorted(BASE + ["nilmod.embed"])),
+    (["embed-general", "inputs/shifted.json"], sorted(BASE + ["nilmod.embed"])),
+    (["extract-endo", "inputs/endo_table.json"], sorted(BASE + ["nilmod.embed", "nilmod.diffop"])),
+    (["aut", "inputs/plane_lambda.json"], sorted(BASE + ["nilmod.embed", "nilmod.diffop"])),
+    (["validate", "inputs/malformed.json"], FRONT),
+    (["socle", "inputs/no_such_file.json"], FRONT),
+    (["extract-endo"], FRONT),
+], ids=["validate", "socle", "gen", "embed", "canonical", "isomorphic", "embed-general", "extract-endo",
+        "aut", "malformed", "missing", "usage"])
+def test_a_child_loads_only_the_layers_its_subcommand_runs(argv, expected):
+    assert loaded_modules(argv) == expected
 
 
 # --- witnesses in error JSON --------------------------------------------------

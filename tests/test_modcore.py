@@ -10,11 +10,12 @@ earlier Fraction/Poly `PolySubmodule` constructor and its `Fraction`
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
 from nilmod.errors import (
+    DimensionTooLarge,
     NoCommonEigenline,
     NonCommuting,
     NonRationalEigenvalue,
@@ -24,6 +25,7 @@ from nilmod.errors import (
 import nilmod.exactalg as exactalg
 from nilmod.exactalg import QMatrix, Subspace, parse_rational
 from nilmod.modcore import (
+    GEN_LIMIT,
     ExpSubmodule,
     FDModule,
     ModuleMap,
@@ -851,6 +853,25 @@ def test_random_module_degree_bound_zero():
     mod = random_nilpotent_module(3, 0, seed=4)
     assert mod.dim == 1
     assert all(m == zeros(1, 1) for m in mod.matrices)
+
+
+@pytest.mark.parametrize("n,bound", [(2, 15), (3, 7), (GEN_LIMIT, 0), (GEN_LIMIT - 1, 1)])
+def test_random_module_at_the_limit_is_built(n, bound):
+    assert comb(n + bound, n) <= GEN_LIMIT
+    assert is_nilpotent(random_nilpotent_module(n, bound, seed=1))
+
+
+@pytest.mark.parametrize("n,bound", [(2, 16), (3, 8), (GEN_LIMIT + 1, 0), (GEN_LIMIT, 1), (1, 10**100)])
+def test_random_module_past_the_limit_is_refused(n, bound):
+    with pytest.raises(DimensionTooLarge, match=f"^random modules take at most {GEN_LIMIT} variables"):
+        random_nilpotent_module(n, bound, seed=1)
+
+
+def test_random_module_checks_degree_then_count_then_size():
+    with pytest.raises(ValueError, match="^degree bound must be non-negative$"):
+        random_nilpotent_module(10**6, -1, seed=1)
+    with pytest.raises(ValueError, match="^variable count must be at least 1$"):
+        random_nilpotent_module(0, 10**6, seed=1)
 
 
 # --- eigenvalue extraction --------------------------------------------------------
