@@ -16,7 +16,10 @@ polynomials killed by every operator f(d/dx) with f(S) = 0, which does
 not depend on lambda.  The row vectors lambda S^alpha come from one
 breadth-first pass over the exponents alpha, so nothing is restricted,
 inverted or integrated, and they stay primitive integer rows from the
-action matrices to the image's elimination, when it needs one.
+action matrices to the image's elimination, when it needs one.  A
+block at most a quarter nonzero, as in a canonical basis, combines its
+rows at the row's nonzero entries; denser ones keep the dot products,
+which were no slower on dense conjugates.
 
 Lambda is nonzero on a vector w that every S_i kills mod a prime P,
 from a walk: from e_1, apply S_1 mod P until the result vanishes, then
@@ -53,6 +56,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -66,7 +70,6 @@ from .exactalg import (
     Immutable,
     QMatrix,
     _columns,
-    _int_matmul,
     _over_lcm,
     _rank_mod,
 )
@@ -84,6 +87,7 @@ from .modcore import (
 from .multipoly import MultiIndex, Poly, _same_count, grlex_key, multi_factorial
 
 _NOT_NILPOTENT = "only nilpotent modules embed into the derivative module"
+_SPARSE_SHARE = Fraction(1, 4)  # largest nonzero share of a sparse block; crossover ~0.7-1
 
 
 class EmbeddingResult(Immutable):
@@ -150,6 +154,28 @@ def _functional(s: Sequence, rng: Optional[random.Random]) -> list[int]:
             return lam
 
 
+def _row_form(block: Sequence[Sequence[int]], d: int) -> tuple:
+    """M for `_row_product`: (True, its rows as (column, entry) pairs) if at most `_SPARSE_SHARE`
+    of its d * d entries are nonzero, else (False, its columns)."""
+    nonzero = sum(d - r.count(0) for r in block)
+    if nonzero * _SPARSE_SHARE.denominator > _SPARSE_SHARE.numerator * d * d:
+        return False, _columns(block, d)
+    return True, [[(j, x) for j, x in enumerate(r) if x] for r in block]
+
+
+def _row_product(row: Sequence[int], form: tuple) -> list[int]:
+    """row M for the form of M from `_row_form`: a combination of M's rows
+    at row's nonzero entries, or one dot product per column."""
+    sparse, parts = form
+    if not sparse:
+        return [sum(map(mul, row, col)) for col in parts]
+    new = [0] * len(row)
+    for x, pairs in zip(row, parts):
+        for j, y in pairs if x else ():
+            new[j] += x * y
+    return new
+
+
 def _inverse_system(blocks: Sequence[Sequence[Sequence[int]]], den: int, lam: Sequence[int]) -> Optional[tuple]:
     """phi(e_j) = sum over alpha of (lam S^alpha)[j] x^alpha / alpha!, as
     integer rows with their weights.
@@ -168,10 +194,13 @@ def _inverse_system(blocks: Sequence[Sequence[Sequence[int]]], den: int, lam: Se
     returns None: commuting nilpotent d x d matrices kill every product of
     d of them, so the module is not nilpotent.  So does a pass past
     4 d (floor(log2 d) + 1) row products whose matrices are not all
-    nilpotent, checked once by squaring.
+    nilpotent, checked once by squaring.  Each block is prepared once,
+    by `_row_form`: a sparse one (at most a quarter nonzero) combines its
+    rows at the row's nonzero entries, and a dense one keeps one dot
+    product per column, as on dense conjugates combining was no faster.
     """
     d = len(lam)
-    columns = [_columns(m, d) for m in blocks]
+    forms = [_row_form(m, d) for m in blocks]
     zero = (0,) * len(blocks)
     rows: dict[MultiIndex, list[int]] = {zero: list(lam)}
     scale = {zero: 1}
@@ -182,11 +211,11 @@ def _inverse_system(blocks: Sequence[Sequence[Sequence[int]]], den: int, lam: Se
         alpha = queue.popleft()
         row = rows[alpha]
         capped = sum(alpha) + 1 == d
-        for i, cols in enumerate(columns):
+        for i, form in enumerate(forms):
             beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
             if beta in rows:
                 continue
-            (new,) = _int_matmul([row], cols)
+            new = _row_product(row, form)
             products += 1
             if products == budget + 1 and not all(map(_is_nilpotent_matrix, blocks)):
                 return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -37,15 +37,16 @@ def multi_factorial(alpha: MultiIndex) -> int:
 
 
 def monomials_of_degree(n: int, degree: int) -> Iterator[MultiIndex]:
-    """All exponent vectors of length n with total degree exactly `degree`
-    (none for a negative degree)."""
-    if _variable_count(n) == 1:
-        if degree >= 0:
-            yield (degree,)
+    """All exponent vectors of length n with total degree exactly `degree`,
+    in descending lex order (none for a negative degree)."""
+    n = _variable_count(n)
+    if degree < 0:
         return
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(n - 1, degree - first):
-            yield (first,) + rest
+    for variables in combinations_with_replacement(range(n), degree):
+        alpha = [0] * n
+        for i in variables:
+            alpha[i] += 1
+        yield tuple(alpha)
 
 
 def monomials_up_to_degree(n: int, bound: int) -> Iterator[MultiIndex]:

@@ -253,6 +253,16 @@ def test_deeply_nested_json_is_a_parse_error(source, flags, tmp_path):
     }
 
 
+def test_extract_endo_in_many_variables_answers_in_json():
+    # One degree-0 entry in 3000 variables: the monomial enumeration used
+    # to recurse once per variable and end in a RecursionError traceback.
+    table = {"n": 3000, "degree": 0, "images": [{"exps": [0] * 3000, "poly": []}]}
+    proc = run_cli(["extract-endo", "-"], stdin=json.dumps(table).encode(), timeout=30)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+    assert proc.returncode in (0, 1)
+    json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize("n,bound", [("2", "-3"), ("1", "-1")])
 def test_gen_refuses_a_negative_degree_bound(n, bound):
     proc = run_cli(["gen", "--n", n, "--degree-bound", bound, "--seed", "1"])

@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from timing import time_limit
@@ -21,6 +22,7 @@ from nilmod.embed import (
     EmbeddingResult,
     _functional,
     _inverse_system,
+    _row_form,
     _socle_walk,
     brute_force_isomorphic,
     canonical_form,
@@ -54,7 +56,7 @@ from nilmod.modcore import (
     twist,
     validate,
 )
-from nilmod.multipoly import Poly, multi_factorial
+from nilmod.multipoly import Poly, monomials_of_degree, monomials_up_to_degree, multi_factorial
 
 def zeros(rows, cols):
     return QMatrix([[0] * cols for _ in range(rows)], cols=cols)
@@ -456,6 +458,66 @@ def test_pass_rows_share_no_factor_with_their_scale(n, terms):
         assert rest == 0 and gcd(scale, *row) == 1, alpha
 
 
+def in_both_forms(module, lam):
+    """The pass of lam and the canonical form (or its typed error), once
+    with every block in the sparse form and once with every block in the
+    dense form."""
+    import nilmod.embed
+
+    out = []
+    for share in (1, -1):
+        with mock.patch.object(nilmod.embed, "_SPARSE_SHARE", share):
+            found = _inverse_system(module._blocks, module._den, lam)
+            try:
+                form = canonical_form(module)
+            except NilmodError as exc:
+                form = type(exc).__name__, str(exc)
+        out.append((found, form))
+    return out
+
+
+def planted_closures():
+    """(planted, plain): closures of seeded polynomials at n = 1, 2, 3,
+    dimensions 8-30, and their action matrices."""
+    rng = random.Random(6)
+    polys = [Poly(n, terms) for n, terms in PLANTED]
+    for n, degree in [(1, 19), (1, 29), (2, 7), (3, 5)]:
+        terms = {a: rng.choice([-3, -2, -1, 1, 2, 3]) for a in monomials_of_degree(n, degree)}
+        terms.update({a: rng.randint(-3, 3) for a in monomials_up_to_degree(n, degree - 1) if rng.random() < 0.5})
+        polys.append(Poly(n, terms))
+    planted = [submodule_from_polys(p.n, [p]) for p in polys]
+    return [(p, as_matrices(p)[0]) for p in planted]
+
+
+def test_sparse_and_dense_row_products_agree_on_planted_closures():
+    rng = random.Random(7)
+    for planted, plain in planted_closures():
+        for module in (plain, conjugate(plain, random_invertible(rng, plain.dim))):
+            lam = [rng.randint(-4, 4) for _ in range(module.dim)]
+            sparse, dense = in_both_forms(module, lam)
+            assert sparse == dense
+            assert sparse[0] is not None and sparse[1] == planted
+
+
+def test_plain_blocks_are_sparse_and_dense_conjugates_dense():
+    rng = random.Random(8)
+    for _, plain in planted_closures():
+        d = plain.dim
+        assert all(_row_form(block, d)[0] for block in plain._blocks)
+        dense = conjugate(plain, random_invertible(rng, d))
+        assert not any(_row_form(block, d)[0] for block in dense._blocks)
+
+
+def test_a_block_at_the_threshold_is_sparse():
+    # At most a quarter of the entries nonzero is sparse: 4 of 16 is, 5 is not.
+    block = [[1, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0], [0, 0, 0, -1]]
+    assert _row_form(block, 4) == (True, [[(0, 1), (1, 2)], [(2, 3)], [], [(3, -1)]])
+    block[2][0] = 5
+    assert _row_form(block, 4) == (False, tuple(zip(*block)))
+    assert _row_form([[0, 1], [0, 0]], 2)[0]
+    assert not _row_form([[0, 1], [1, 0]], 2)[0]
+
+
 def test_embedding_converts_the_action_matrices_once(monkeypatch):
     # The matrices already hold integer rows: the constructor scales them
     # into blocks without converting, and every integer kernel on the
@@ -844,8 +906,8 @@ def test_no_success_reaches_the_pass_budget(monkeypatch):
     import nilmod.modcore
 
     products, checks = [], []
-    matmul, nilpotent = nilmod.embed._int_matmul, nilmod.embed._is_nilpotent_matrix
-    monkeypatch.setattr(nilmod.embed, "_int_matmul", lambda r, c: products.append(1) or matmul(r, c))
+    product, nilpotent = nilmod.embed._row_product, nilmod.embed._is_nilpotent_matrix
+    monkeypatch.setattr(nilmod.embed, "_row_product", lambda r, f: products.append(1) or product(r, f))
     for owner in (nilmod.embed, nilmod.modcore):
         monkeypatch.setattr(owner, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
     worst = 0
@@ -891,8 +953,8 @@ def test_non_nilpotent_line_kernel_stops_at_the_budget(monkeypatch):
     block = block_sum(validate([jordan_block(21)] * 3), validate([QMatrix([[2]])] * 3))
     dense = conjugate(block, random_invertible(random.Random(22), 22))
     products = []
-    matmul = nilmod.embed._int_matmul
-    monkeypatch.setattr(nilmod.embed, "_int_matmul", lambda r, c: products.append(1) or matmul(r, c))
+    product = nilmod.embed._row_product
+    monkeypatch.setattr(nilmod.embed, "_row_product", lambda r, f: products.append(1) or product(r, f))
     with time_limit(10):
         with pytest.raises(NotNilpotent):
             embed_nilpotent(dense)

@@ -30,7 +30,7 @@ from nilmod.errors import NilmodError  # noqa: E402
 from nilmod.exactalg import QMatrix  # noqa: E402
 from nilmod.modcore import as_matrices, submodule_from_polys, validate  # noqa: E402
 from nilmod.multipoly import Poly, monomials_up_to_degree  # noqa: E402
-from test_embed import block_sum, reference_embed_nilpotent  # noqa: E402
+from test_embed import block_sum, in_both_forms, reference_embed_nilpotent  # noqa: E402
 
 PRIMES = (5, 7, 11)
 # Degree bounds per variable count: modules of dimension up to about 10,
@@ -146,6 +146,17 @@ def check_against_reference(module, p, seed):
 @given(drawn=modules(), seed=st.integers(0, 99))
 def test_embedding_at_small_primes_matches_the_exact_reference(drawn, seed):
     check_against_reference(*drawn, seed)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(drawn=modules(), seed=st.integers(0, 99))
+def test_sparse_and_dense_row_products_agree(drawn, seed):
+    # The pass's two forms of row product give the same monomials, rows
+    # and weights, and the same canonical form or error.
+    module = drawn[0]
+    rng = random.Random(seed)
+    sparse, dense = in_both_forms(module, [rng.randint(-4, 4) for _ in range(module.dim)])
+    assert sparse == dense
 
 
 def test_small_primes_reach_the_retry_and_the_rank_fallback(monkeypatch):

@@ -275,6 +275,25 @@ def test_monomial_counts():
     assert list(monomials_of_degree(1, 2)) == [(2,)]
 
 
+def recursive_monomials_of_degree(n, degree):
+    """The recursive enumeration: the first exponent from degree down to
+    0, then the rest in the same order."""
+    if n == 1:
+        return [(degree,)] if degree >= 0 else []
+    return [(first,) + rest for first in range(degree, -1, -1) for rest in recursive_monomials_of_degree(n - 1, degree - first)]
+
+
+def test_monomials_of_degree_keep_the_recursive_order():
+    for n in range(1, 6):
+        for degree in range(-1, 8):
+            assert list(monomials_of_degree(n, degree)) == recursive_monomials_of_degree(n, degree)
+
+
+def test_monomials_of_degree_do_not_recurse_per_variable():
+    assert list(monomials_of_degree(3000, 0)) == [(0,) * 3000]
+    assert list(monomials_of_degree(3000, 1))[-1] == (0,) * 2999 + (1,)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_monomials_need_a_variable(n):
     with pytest.raises(ValueError, match="^variable count must be at least 1$"):
