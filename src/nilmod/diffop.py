@@ -369,12 +369,11 @@ class MonomialSubmodule(Value):
         return tuple(sorted(self.indices, key=grlex_key, reverse=True))
 
     def as_poly_submodule(self) -> PolySubmodule:
-        """The span of the monomials, built on the first call.  A lower
-        set's span is closed by construction: d_i x^alpha is a multiple
-        of x^(alpha - e_i), which lies in the set."""
+        """The whole space over the monomials, built on the first call with
+        no elimination.  A lower set's span is closed by construction:
+        d_i x^alpha is a multiple of x^(alpha - e_i), in the set."""
         if self._span is None:
-            monomials = [Poly.monomial(self.n, a) for a in self.monomials_descending()]
-            object.__setattr__(self, "_span", PolySubmodule._trusted(self.n, *_poly_rows(monomials), None))
+            object.__setattr__(self, "_span", PolySubmodule._trusted(self.n, self.monomials_descending(), None, None))
         return self._span
 
     def _comparable_pairs(self) -> list:
@@ -660,10 +659,12 @@ class AutGroup:
         return ModuleMap(self.space, self.space, self.matrix_of(desc))
 
     def matrix_of(self, desc: AutDescriptor) -> QMatrix:
-        """The matrix of u * exp(sum t_lambda d^lambda) on the submodule."""
+        """The matrix of u * exp(sum t_lambda d^lambda) on the submodule,
+        from the descriptor's checked coefficients, not validated again."""
         self._check_descriptor(desc)
         module = self.module
-        series = _graded_solve(Poly(module.n, desc.additive), module.max_degree, module.indices, log=False)
+        additive = Poly._over_lcm(module.n, {a: (c.numerator, c.denominator) for a, c in desc.additive.items()})
+        series = _graded_solve(additive, module.max_degree, module.indices, log=False)
         return module._restriction_matrix(series.scale(desc.unit))
 
     def descriptor_of(self, automorphism) -> AutDescriptor:

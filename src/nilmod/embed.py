@@ -27,8 +27,10 @@ S_2, and so on.  When the kernel mod P is a line, w spans it.  The walk
 only chooses: an injective phi certifies the choice exactly.  Only a
 failure computes the exact joint kernel, to name its error or, when it
 is a line that lambda missed, to run the pass once more.  When the pass
-leaves d monomials whose rows have rank d mod P, a lower bound for the
-exact rank, the image is their span and needs no elimination.
+leaves d monomials with independent rows, the image is their whole span
+and needs no elimination; fewer mean phi is not injective.  At n = 1,
+one Jordan block, that is every polynomial of degree < d; at n >= 2 rank
+d mod P, a lower bound for the exact rank, certifies independence.
 
 The walk and the pass certify nilpotency: a walk past d - 1 steps or a
 nonzero row at degree dim stops the embedding, and an injective phi
@@ -260,18 +262,22 @@ def _socle_walk(blocks: Sequence[Sequence[Sequence[int]]]) -> list[int]:
 def _image(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
     """(image, rows, weights) from the pass of lam, or None when phi is
     not injective.  The image is closed by construction, as
-    d_i phi(v) = phi(S_i v), so it takes the trusted constructor.  d
-    monomials whose rows have rank d mod P span the image, and the core
-    gets the identity rows for them."""
+    d_i phi(v) = phi(S_i v), so it takes the trusted constructor.  Fewer
+    than d monomials give None, and d with independent rows (at n = 1
+    always, else of rank d mod P) the whole space over them, with no
+    elimination.  Only the rest is eliminated."""
     found = _inverse_system(module._blocks, module._den, lam)
     if found is None:
         raise NotNilpotent(_NOT_NILPOTENT)
     monomials, rows, weights = found
     n, d = module.n, module.dim
-    if len(monomials) == d and _rank_mod(rows, d) == d:
-        image = PolySubmodule._trusted(n, monomials, [[int(i == j) for j in range(d)] for i in range(d)], None)
-    else:
-        image = PolySubmodule._trusted(n, monomials, _columns(rows, d), weights)
+    if len(monomials) < d:
+        return None
+    # At n = 1 the rows lam S^k, k < d, are nonzero and lam S^d = 0: a relation with
+    # lowest index k, times S^(d-1-k), would leave a nonzero multiple of lam S^(d-1).
+    if len(monomials) == d and (n == 1 or _rank_mod(rows, d) == d):
+        return PolySubmodule._trusted(n, monomials, None, None), rows, weights
+    image = PolySubmodule._trusted(n, monomials, _columns(rows, d), weights)
     return (image, rows, weights) if image.dim == d else None
 
 

@@ -426,6 +426,13 @@ class Subspace(Value):
         out._span(ambient_dim, rows, weights)
         return out
 
+    @classmethod
+    def _whole(cls, d: int) -> "Subspace":
+        """All of Q^d, with no elimination: the identity over E = 1, as `_span` makes it."""
+        out = cls.__new__(cls)
+        out._store(d, range(d), 1, tuple(tuple(int(i == j) for i in range(d)) for j in range(d)))
+        return out
+
     def _span(self, ambient_dim: int, rows: Sequence[Sequence[int]], weights: Optional[Sequence[int]]) -> None:
         """The span of integer rows of length ambient_dim, entry c divided
         by the positive weights[c] if given.
@@ -444,11 +451,14 @@ class Subspace(Value):
             factors = [scale // w for w in weights]
             reduced = [_primitive_row(list(map(mul, row, factors))) for row in reduced]
         ints, den = _over_lcm(reduced, [row[c] for c, row in zip(pivots, reduced)])
+        self._store(ambient_dim, pivots, den, _columns(ints, ambient_dim))
+
+    def _store(self, ambient_dim: int, pivots: Iterable[int], den: int, columns: tuple) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_pivots", tuple(pivots))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_columns", _columns(ints, ambient_dim))
-        object.__setattr__(self, "_free", sorted(set(range(ambient_dim)) - set(pivots)))
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_free", sorted(set(range(ambient_dim)) - set(self._pivots)))
         object.__setattr__(self, "_basis", None)
 
     @property

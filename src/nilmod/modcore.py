@@ -242,10 +242,12 @@ class PolySubmodule(Value):
     def _span(self, n, monomial_list, rows, weights) -> None:
         """The core: the span of the integer rows, row[c] / weights[c]
         (or row[c]) being the coefficient at monomial_list[c], a
-        descending list of monomials each nonzero in some row.  One
-        elimination, then the constants check."""
+        descending list of monomials each nonzero in some row, or rows None
+        for all of their span.  One elimination (none for rows None), then
+        the constants check."""
         n = _variable_count(n)
-        coords = Subspace._from_integer_rows(len(monomial_list), rows, weights)
+        width = len(monomial_list)
+        coords = Subspace._whole(width) if rows is None else Subspace._from_integer_rows(width, rows, weights)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "monomial_list", monomial_list)
         object.__setattr__(self, "coords", coords)
@@ -361,10 +363,15 @@ def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
     d^beta g with beta in the lower-set closure of g's support, and every
     other d^beta g is zero.  Each d^beta g is one partial derivative of a
     d^beta' g of lower degree, taken in ascending degree.  The span is
-    closed by construction: d_i d^beta g is d^(beta + e_i) g or 0.
+    closed by construction: d_i d^beta g is d^(beta + e_i) g or 0.  At
+    n = 1 those of a g of degree t have degrees t, ..., 0: the span is all
+    of degree at most the top one, written down with no elimination.
     """
     members = [Poly.one(n)]
     _same_count(n, *gens)
+    if n == 1:
+        top = max((alpha[0] for g in gens for alpha in g._nums), default=0)
+        return PolySubmodule._trusted(1, [(k,) for k in range(top, -1, -1)], None, None)
     for g in gens:
         derived = {(0,) * n: g}
         for beta in sorted(lower_set_closure(g.monomials()), key=sum)[1:]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -38,15 +38,21 @@ def multi_factorial(alpha: MultiIndex) -> int:
 
 def monomials_of_degree(n: int, degree: int) -> Iterator[MultiIndex]:
     """All exponent vectors of length n with total degree exactly `degree`,
-    in descending lex order (none for a negative degree)."""
+    in descending lex order (none for a negative degree).  Each follows
+    from the last in one step: the last entry, plus one unit from the
+    rightmost other nonzero entry, moves to the entry after that one."""
     n = _variable_count(n)
     if degree < 0:
         return
-    for variables in combinations_with_replacement(range(n), degree):
-        alpha = [0] * n
-        for i in variables:
-            alpha[i] += 1
+    alpha = [degree] + [0] * (n - 1)
+    while True:
         yield tuple(alpha)
+        i = n - 2
+        while i >= 0 and not alpha[i]:
+            i -= 1
+        if i < 0:
+            return
+        alpha[-1], alpha[i], alpha[i + 1] = 0, alpha[i] - 1, alpha[-1] + 1
 
 
 def monomials_up_to_degree(n: int, bound: int) -> Iterator[MultiIndex]:

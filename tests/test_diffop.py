@@ -1749,6 +1749,33 @@ def test_aut_group_builds_no_space_for_descriptor_ops():
     assert group.module._span is group.space
 
 
+def test_lower_set_spans_and_descriptor_matrices_check_nothing_again(monkeypatch):
+    # A lower set's span is the whole space over its monomials, built with
+    # no elimination, and `matrix_of` reads its checked descriptor without
+    # building a validated polynomial; both equal the checked constructions.
+    import nilmod.exactalg
+
+    rng = random.Random(41)
+    cases = []
+    for n, top in [(1, 9), (2, 5), (3, 3), (3, 1)]:
+        corners = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(2)]
+        module = MonomialSubmodule(n, lower_set_closure(corners))
+        additive = {a: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for a in module.indices if any(a)}
+        desc = AutDescriptor(Fraction(-3, 2), additive)
+        span = PolySubmodule(n, [Poly.monomial(n, a) for a in module.indices])
+        series = diffop._graded_solve(Poly(n, desc.additive), module.max_degree, module.indices, log=False)
+        cases.append((module, desc, span, module._restriction_matrix(series.scale(desc.unit))))
+    calls = []
+    real = nilmod.exactalg._rref_int
+    monkeypatch.setattr(nilmod.exactalg, "_rref_int", lambda *a: calls.append(a) or real(*a))
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *a: calls.append(a) or init(self, *a))
+    for module, desc, span, matrix in cases:
+        assert module.as_poly_submodule() == span
+        assert AutGroup(module).matrix_of(desc) == matrix
+    assert calls == []
+
+
 def test_every_plane_automorphism_is_a_series_restriction():
     # the commutant of the derivative action on span{1, x1, x2} has
     # dimension 3 = m, so invertible intertwiners all carry descriptors

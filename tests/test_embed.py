@@ -21,6 +21,7 @@ from timing import time_limit
 from nilmod.embed import (
     EmbeddingResult,
     _functional,
+    _image,
     _inverse_system,
     _row_form,
     _socle_walk,
@@ -712,6 +713,12 @@ def test_exact_kernel_only_on_failures(monkeypatch):
 UNLUCKY_PRIME = validate([QMatrix([[0, _PRIME], [0, 0]])])
 DIVISIBLE_SOCLE = validate([QMatrix([[_PRIME, -(_PRIME**2)], [1, -_PRIME]])])
 MISSED_SOCLE = validate([QMatrix([[0, 0], [_PRIME, 0]])])
+# In two variables: S_1 e_2 = P e_3 and S_2 e_1 = e_3, the module of
+# span{x_1, x_2, 1} with x_1 scaled by P.  Every pass row lam S_1 is a
+# multiple of P, so the rows of its three monomials have rank 2 mod P.
+SHORT_RANK = validate(
+    [QMatrix([[0, 0, 0], [0, 0, 0], [0, _PRIME, 0]]), QMatrix([[0, 0, 0], [0, 0, 0], [1, 0, 0]])]
+)
 
 
 def count_calls(monkeypatch, names):
@@ -731,8 +738,8 @@ def count_calls(monkeypatch, names):
 def test_unlucky_prime_embeds_through_the_exact_kernel(monkeypatch):
     # Mod P the matrix is zero, so the kernel mod P is all of K^2, and the
     # walk stops at e_1, which spans the exact kernel: the embedding needs
-    # no exact kernel.  The pass rows [[1, 0], [0, P]] have rank 1 mod P,
-    # so the image's exact elimination decides.
+    # no exact kernel.  The pass rows [[0, P], [1, 0]] have rank 1 mod P,
+    # but at n = 1 two monomials have independent rows, so no rank is read.
     assert _socle_walk(UNLUCKY_PRIME._blocks) == [1, 0]
     calls = count_calls(monkeypatch, ["_joint_kernel", "_inverse_system", "_rank_mod"])
     for seed in (None, 3):
@@ -742,12 +749,30 @@ def test_unlucky_prime_embeds_through_the_exact_kernel(monkeypatch):
         assert got == outcome(reference_embed_nilpotent, UNLUCKY_PRIME, seed)
         assert calls["_joint_kernel"] == []
         assert len(calls["_inverse_system"]) == 1
-        ((rows, cols),) = calls["_rank_mod"]
-        assert _rank_mod(rows, cols) == 1
-        if seed is None:
-            assert rows == [[0, _PRIME], [1, 0]]
+        assert calls["_rank_mod"] == []
     assert embed_nilpotent(UNLUCKY_PRIME).map.is_isomorphism()
     assert canonical_form(UNLUCKY_PRIME) == submodule_from_polys(1, [Poly(1, {(1,): 1})])
+
+
+def test_rank_short_mod_p_leaves_the_image_to_the_exact_elimination(monkeypatch):
+    # At n = 2 rank d mod P is the certificate: the pass rows of SHORT_RANK's
+    # three monomials have rank 2 mod P, so the image's exact elimination
+    # decides, and finds rank 3.
+    assert _socle_walk(SHORT_RANK._blocks) == [0, 0, 1]
+    calls = count_calls(monkeypatch, ["_joint_kernel", "_inverse_system", "_rank_mod"])
+    for seed in (None, 3):
+        for found in calls.values():
+            found.clear()
+        got = outcome(embed_nilpotent, SHORT_RANK, seed)
+        assert got == outcome(reference_embed_nilpotent, SHORT_RANK, seed)
+        assert calls["_joint_kernel"] == []
+        assert len(calls["_inverse_system"]) == 1
+        ((rows, cols),) = calls["_rank_mod"]
+        assert _rank_mod(rows, cols) == 2 and len(rows) == cols == 3
+        if seed is None:
+            assert rows == [[0, _PRIME, 0], [1, 0, 0], [0, 0, 1]]
+    assert embed_nilpotent(SHORT_RANK).map.is_isomorphism()
+    assert canonical_form(SHORT_RANK) == PolySubmodule(2, [X1, X2, Poly.one(2)])
 
 
 def test_missed_socle_costs_one_exact_kernel_and_one_retry(monkeypatch):
@@ -801,33 +826,93 @@ def test_socle_walk_spans_the_line_mod_p():
     assert lines >= 10 and stopped >= 3, (lines, stopped)
 
 
-def test_monomial_images_skip_the_exact_elimination(monkeypatch):
-    # When the pass leaves d monomials whose rows have rank d mod P, the
-    # trusted constructor gets the identity rows, never the pass's rows.  That
-    # covers every n = 1 success, and the lower-set closures of one
-    # monomial at n = 2 and 3, plain and densely conjugated.
+def count_eliminations(monkeypatch):
+    """Patch `_rref_int` where the library calls it to record its calls;
+    returns the list of calls."""
+    import nilmod.exactalg
+    import nilmod.modcore
+
     calls = []
-    original = PolySubmodule._trusted
-    monkeypatch.setattr(
-        PolySubmodule,
-        "_trusted",
-        classmethod(lambda cls, *args: calls.append(args) or original(*args)),
-    )
+    original = nilmod.exactalg._rref_int
+    for layer in (nilmod.exactalg, nilmod.modcore):
+        monkeypatch.setattr(layer, "_rref_int", lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_monomial_images_skip_the_exact_elimination(monkeypatch):
+    # When the pass leaves d monomials with independent rows, the image is
+    # the whole space over them and nothing is eliminated.  That covers
+    # every n = 1 success, and the lower-set closures of one monomial at
+    # n = 2 and 3, plain and densely conjugated.
     rng = random.Random(31)
     cases = [validate([jordan_block(d)]) for d in (1, 2, 5, 12)]
     cases += [as_matrices(submodule_from_polys(1, [Poly(1, PLANTED[0][1])]))[0]]
     for n, alpha in [(2, (3, 2)), (2, (0, 4)), (3, (1, 2, 1)), (3, (2, 0, 2))]:
         cases.append(as_matrices(submodule_from_polys(n, [Poly(n, {alpha: 1})]))[0])
     cases += [conjugate(m, random_invertible(rng, m.dim)) for m in cases]
+    calls = count_eliminations(monkeypatch)
     for module in cases:
         d = module.dim
         calls.clear()
         result = embed_nilpotent(module)
+        form = canonical_form(module)
+        assert calls == []
         assert result.map.is_isomorphism()
-        assert len(result.image.monomial_list) == d
-        ((n, monomials, rows, weights),) = calls
-        assert rows == [[int(i == j) for j in range(d)] for i in range(d)] and weights is None
+        assert len(result.image.monomial_list) == d and form == result.image
         assert outcome(embed_nilpotent, module, None) == outcome(reference_embed_nilpotent, module, None)
+
+
+@pytest.mark.parametrize("p", [None, 5, 7, 11])
+def test_single_variable_images_take_no_rank_and_no_elimination(monkeypatch, p):
+    # In one variable a nilpotent module with a line socle is one Jordan
+    # block, so its image is span{x^k : k < d}, at the real prime and at
+    # small ones.  A pass that succeeds at once reads no rank mod P and
+    # eliminates nothing; a retry after a missed socle computes the exact
+    # kernel, so only its outcome is checked.  At a small prime the walk
+    # can choose another lambda than the reference, which moves the map.
+    import nilmod.embed
+    import nilmod.exactalg
+
+    rng = random.Random(53)
+    cases = []
+    for d in (1, 2, 3, 7, 16):
+        block = validate([jordan_block(d)])
+        while True:
+            g = QMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)] for _ in range(d)])
+            if g.det() != 0:
+                break
+        cases += [block, conjugate(block, g)]
+    if p is not None:
+        monkeypatch.setattr(nilmod.exactalg, "_PRIME", p)
+        monkeypatch.setattr(nilmod.embed, "_PRIME", p)
+    expected = [PolySubmodule(1, [Poly.monomial(1, (k,)) for k in range(m.dim)]) for m in cases]
+    references = [[outcome(reference_embed_nilpotent, m, seed) for seed in (None, 3)] for m in cases]
+    calls = count_calls(monkeypatch, ["_rank_mod", "_inverse_system"])
+    eliminations = count_eliminations(monkeypatch)
+    at_once = 0
+    for module, image, reference in zip(cases, expected, references):
+        for seed, want in zip((None, 3), reference):
+            for found in (calls["_rank_mod"], calls["_inverse_system"], eliminations):
+                found.clear()
+            result = embed_nilpotent(module, None if seed is None else random.Random(seed))
+            assert calls["_rank_mod"] == []
+            if len(calls["_inverse_system"]) == 1:
+                at_once += 1
+                assert eliminations == []
+            assert result.image == image == canonical_form(module)
+            if p is None:
+                assert ("ok", result.to_json()) == want
+            assert want[1]["image"] == image.to_json() and result.map.is_isomorphism()
+    assert at_once >= len(cases)
+
+
+def test_a_short_pass_is_refused_before_any_elimination(monkeypatch):
+    # Fewer monomials than d cannot hold an image of dimension d.
+    calls = count_eliminations(monkeypatch)
+    assert _image(MISSED_SOCLE, [1, 0]) is None
+    assert _image(SHORT_RANK, [1, 0, 0]) is None
+    assert _image(block_sum(validate([jordan_block(3)]), validate([jordan_block(2)])), [0, 0, 1, 0, 1]) is None
+    assert calls == []
 
 
 def test_socle_entry_divisible_by_p_moves_the_functional():

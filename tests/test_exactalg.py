@@ -610,6 +610,26 @@ def test_rank_mod_bounds_the_exact_rank(seed):
     assert full >= 10, full
 
 
+def test_whole_space_is_the_eliminated_identity():
+    # The whole space, built with no elimination, has the integer form that
+    # elimination gives the identity and a full-rank integer basis with weights.
+    rng = random.Random(16)
+    for d in range(0, 31):
+        whole = Subspace._whole(d)
+        got = (whole.ambient_dim, whole._pivots, whole._den, whole._columns, whole._free)
+        identity = [[int(i == j) for j in range(d)] for i in range(d)]
+        spans = [Subspace._from_integer_rows(d, identity)]
+        while d:
+            rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+            if QMatrix(rows).det() != 0:
+                spans.append(Subspace._from_integer_rows(d, rows, [rng.randint(1, 6) for _ in range(d)]))
+                break
+        for space in spans:
+            assert got == (space.ambient_dim, space._pivots, space._den, space._columns, space._free)
+            assert whole == space and hash(whole) == hash(space)
+        assert whole.basis == Subspace(d, identity).basis
+
+
 def test_rank_mod_reads_the_rows_mod_p():
     # Entries that P divides vanish, so the rank can fall mod P, and only
     # fall: full rank mod P is full rank.

@@ -399,6 +399,29 @@ def test_submodule_matches_breadth_first_reference():
         assert submodule_from_polys(n, gens) == reference_closure(n, gens)
 
 
+def test_single_variable_submodule_is_every_polynomial_up_to_the_top_degree(monkeypatch):
+    # At n = 1 the derivatives of g have every degree up to deg g, so the
+    # closure is written down with no elimination.
+    rng = random.Random(263)
+    cases = [[], [Poly.zero(1)], [Poly.constant(1, Fraction(-5, 3))], [Poly.zero(1), Poly.one(1)]]
+    cases += [[Poly.monomial(1, (k,))] for k in (1, 2, 13)]
+    for count in (1, 2, 3, 5):
+        cases += [[random_poly(1, rng.randint(0, 12), rng) for _ in range(count)] for _ in range(4)]
+    references = [reference_closure(1, gens) for gens in cases]
+    calls = []
+    real = exactalg._rref_int
+    monkeypatch.setattr(exactalg, "_rref_int", lambda *a: calls.append(a) or real(*a))
+    for gens, reference in zip(cases, references):
+        top = max([0] + [p.total_degree() for p in gens if not p.is_zero()])
+        sub = submodule_from_polys(1, gens)
+        assert sub == reference and sub.monomial_list == tuple((k,) for k in range(top, -1, -1))
+    assert calls == []
+    refusals = [(True, "expected an integer, got True"), (1.0, "expected an integer, got 1.0")]
+    for bad, message in refusals + [(0, "variable count must be at least 1")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            submodule_from_polys(bad, [Poly.one(1)])
+
+
 def test_submodule_runs_one_elimination(monkeypatch):
     calls = []
     real = exactalg._rref_int
