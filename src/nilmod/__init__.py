@@ -19,11 +19,11 @@ _EXPORTS = {
         SocleNotOneDimensional TruncationTooLow WrongConstantTerm""",
     "exactalg": "QMatrix Subspace Vector format_rational parse_rational vector",
     "multipoly": """MINUS_INFINITY MultiIndex Poly grlex_key is_lower_set lower_set_closure
-        monomials_of_degree monomials_up_to_degree multi_factorial""",
+        monomials_of_degree monomials_up_to_degree multi_factorial potential""",
     "modcore": """ExpSubmodule FDModule ModuleMap PolySubmodule action_matrices as_matrices
         is_nilpotent random_nilpotent_module socle socle_eigenvalues submodule_from_polys twist validate""",
     "embed": """EmbeddingResult brute_force_isomorphic canonical_form embed_general embed_nilpotent
-        is_isomorphic potential""",
+        is_isomorphic""",
     "diffop": """AutDescriptor AutGroup DiffOpSeries MonomialSubmodule aut_structure extend_iso
         extend_iso_step extract_coeffs monomial_images restrict restriction_kernel_dim series_exp series_log""",
 }

@@ -64,7 +64,6 @@ from .errors import (
     TruncationTooLow,
     WrongConstantTerm,
 )
-from .embed import potential
 from .exactalg import QMatrix, Value, as_fraction
 from .modcore import ModuleMap, PolySubmodule, _poly_rows
 from .multipoly import (
@@ -83,6 +82,7 @@ from .multipoly import (
     is_lower_set,
     monomials_up_to_degree,
     multi_factorial,
+    potential,
     truncated_product,
 )
 
@@ -647,7 +647,7 @@ class AutGroup:
 
     def inverse(self, a: AutDescriptor) -> AutDescriptor:
         self._check_descriptor(a)
-        return AutDescriptor(1 / a.unit, {k: -v for k, v in a.additive.items()})
+        return AutDescriptor._trusted(1 / a.unit, {k: -v for k, v in a.additive.items()})
 
     def _check_descriptor(self, desc: AutDescriptor) -> None:
         for alpha in desc.additive:

@@ -14,30 +14,28 @@ satisfies d/dx_i phi(v) = phi(S_i v).  It is injective because every
 nonzero submodule contains the socle line.  Its image is the set of
 polynomials killed by every operator f(d/dx) with f(S) = 0, which does
 not depend on lambda.  The row vectors lambda S^alpha come from one
-breadth-first pass over the exponents alpha, so nothing is restricted,
-inverted or integrated, and they stay primitive integer rows from the
-action matrices to the image's elimination, when it needs one.  A
-block at most a quarter nonzero, as in a canonical basis, combines its
-rows at the row's nonzero entries; denser ones keep the dot products,
-which were no slower on dense conjugates.
+breadth-first pass over the exponents alpha, `modcore`'s inverse-system
+pass, so nothing is restricted, inverted or integrated, and they stay
+primitive integer rows from the action matrices to the image's
+elimination, when it needs one.
 
 Lambda is nonzero on a vector w that every S_i kills mod a prime P,
-from a walk: from e_1, apply S_1 mod P until the result vanishes, then
-S_2, and so on.  When the kernel mod P is a line, w spans it.  The walk
-only chooses: an injective phi certifies the choice exactly.  Only a
-failure computes the exact joint kernel, to name its error or, when it
-is a line that lambda missed, to run the pass once more.  When the pass
-leaves d monomials with independent rows, the image is their whole span
-and needs no elimination; fewer mean phi is not injective.  At n = 1,
-one Jordan block, that is every polynomial of degree < d; at n >= 2 rank
-d mod P, a lower bound for the exact rank, certifies independence.
+from `exactalg`'s walk: from e_1, apply S_1 mod P until the result
+vanishes, then S_2, and so on.  When the kernel mod P is a line, w
+spans it.  The walk only chooses: an injective phi certifies the choice
+exactly.  Only a failure computes the exact joint kernel, to name its
+error or, when it is a line that lambda missed, to run the pass once
+more.  When the pass leaves d monomials with independent rows, the
+image is their whole span and needs no elimination; fewer mean phi is
+not injective.  At n = 1, one Jordan block, that is every polynomial of
+degree < d; at n >= 2 rank d mod P, a lower bound for the exact rank,
+certifies independence.
 
 The walk and the pass certify nilpotency: a walk past d - 1 steps or a
 nonzero row at degree dim stops the embedding, and an injective phi
 gives phi(S^N v) = d^N phi(v) = 0 past the top degree.  Squaring the
 matrices only names the error of a failed embedding, and bounds the
-pass: past a budget of row products of the order of the squaring test,
-it runs once and stops a pass that cannot succeed.
+pass.
 
 Modules with a rational joint eigenvalue tuple reduce to the nilpotent
 case by twisting and land in an exponentially weighted copy instead.
@@ -55,41 +53,25 @@ build a map, as integer rows over the lcm of the pivots' weights;
 from __future__ import annotations
 
 import random
-from collections import deque
 from fractions import Fraction
-from math import gcd
-from operator import mul
 from typing import Optional, Sequence
 
-from .errors import (
-    DimensionTooLarge,
-    Incompatible,
-    NotNilpotent,
-    SocleNotOneDimensional,
-)
-from .exactalg import (
-    _PRIME,
-    Immutable,
-    QMatrix,
-    _columns,
-    _over_lcm,
-    _rank_mod,
-)
+from .errors import DimensionTooLarge, NotNilpotent, SocleNotOneDimensional
+from .exactalg import Immutable, QMatrix, _columns, _functional, _over_lcm, _rank_mod, _socle_walk
 from .modcore import (
     ExpSubmodule,
     FDModule,
     ModuleMap,
     PolySubmodule,
-    _is_nilpotent_matrix,
+    _inverse_system,
     _joint_kernel,
     is_nilpotent,
     socle_eigenvalues,
     twist,
 )
-from .multipoly import MultiIndex, Poly, _same_count, grlex_key, multi_factorial
+from .multipoly import Poly, _same_count
 
 _NOT_NILPOTENT = "only nilpotent modules embed into the derivative module"
-_SPARSE_SHARE = Fraction(1, 4)  # largest nonzero share of a sparse block; crossover ~0.7-1
 
 
 class EmbeddingResult(Immutable):
@@ -112,153 +94,6 @@ class EmbeddingResult(Immutable):
         }
 
 
-def potential(fs: Sequence[Poly], n: int) -> Poly:
-    """The polynomial h with dh/dx_i = fs[i-1] for i = 1..len(fs).
-
-    Mixed partials are checked first; the witness is the lexicographically
-    first failing pair.  The output is normalized so that every term
-    involves one of x_1..x_k — in particular the constant term is zero —
-    which pins down the one representative of the solution class.
-    """
-    k = len(fs)
-    if k > n:
-        raise ValueError("more prescribed derivatives than variables")
-    _same_count(n, *fs)
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            if fs[i - 1].partial(j) != fs[j - 1].partial(i):
-                raise Incompatible(i, j)
-    # A term c x^beta of h puts beta_i c at x^(beta - e_i) in f_i, so h's
-    # coefficient at beta is f_i[beta - e_i] / beta_i for the first i
-    # with beta_i > 0: f_i's terms free of x_1..x_(i-1), one step up in x_i.
-    terms: dict[MultiIndex, tuple[int, int]] = {}
-    for i, f in enumerate(fs):
-        for gamma, c in f._nums.items():
-            if not any(gamma[:i]):
-                terms[gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]] = (c, f._den * (gamma[i] + 1))
-    return Poly._over_lcm(n, terms)
-
-
-def _functional(s: Sequence, rng: Optional[random.Random]) -> list[int]:
-    """A functional that is nonzero on the vector s mod P, as an integer
-    row: lambda has denominator 1.
-
-    Without an rng: the coordinate at the first nonzero entry of s.
-    With one: small random integers, redrawn until the value on s is
-    nonzero mod P.
-    """
-    if rng is None:
-        pivot = next(j for j, x in enumerate(s) if x != 0)
-        return [int(j == pivot) for j in range(len(s))]
-    while True:
-        lam = [rng.randint(-4, 4) for _ in s]
-        if sum(a * b for a, b in zip(lam, s)) % _PRIME != 0:
-            return lam
-
-
-def _row_form(block: Sequence[Sequence[int]], d: int) -> tuple:
-    """M for `_row_product`: (True, its rows as (column, entry) pairs) if at most `_SPARSE_SHARE`
-    of its d * d entries are nonzero, else (False, its columns)."""
-    nonzero = sum(d - r.count(0) for r in block)
-    if nonzero * _SPARSE_SHARE.denominator > _SPARSE_SHARE.numerator * d * d:
-        return False, _columns(block, d)
-    return True, [[(j, x) for j, x in enumerate(r) if x] for r in block]
-
-
-def _row_product(row: Sequence[int], form: tuple) -> list[int]:
-    """row M for the form of M from `_row_form`: a combination of M's rows
-    at row's nonzero entries, or one dot product per column."""
-    sparse, parts = form
-    if not sparse:
-        return [sum(map(mul, row, col)) for col in parts]
-    new = [0] * len(row)
-    for x, pairs in zip(row, parts):
-        for j, y in pairs if x else ():
-            new[j] += x * y
-    return new
-
-
-def _inverse_system(blocks: Sequence[Sequence[Sequence[int]]], den: int, lam: Sequence[int]) -> Optional[tuple]:
-    """phi(e_j) = sum over alpha of (lam S^alpha)[j] x^alpha / alpha!, as
-    integer rows with their weights.
-
-    The S_i = M_i / D come as the integer blocks M_1, ..., M_n over one
-    denominator D, and lam is an integer row, so the pass starts from
-    lam over scale 1.  It returns the alpha with lam S^alpha nonzero,
-    in descending order, primitive integer rows and their weights:
-    lam S^alpha = row / scale, the weight is scale alpha!, and
-    coefficient j of x^alpha is row[j] / weight.  Breadth-first over
-    alpha, lam S^(alpha + e_i) = (row M_i) / (scale D), with the common
-    factor of the new row and scale divided out, so the rows carry no
-    power of D that lam S^alpha does not need.
-    The action commutes, so one row per alpha suffices; a zero row has
-    only zero successors and is not extended.  A nonzero row at |alpha| = d
-    returns None: commuting nilpotent d x d matrices kill every product of
-    d of them, so the module is not nilpotent.  So does a pass past
-    4 d (floor(log2 d) + 1) row products whose matrices are not all
-    nilpotent, checked once by squaring.  Each block is prepared once,
-    by `_row_form`: a sparse one (at most a quarter nonzero) combines its
-    rows at the row's nonzero entries, and a dense one keeps one dot
-    product per column, as on dense conjugates combining was no faster.
-    """
-    d = len(lam)
-    forms = [_row_form(m, d) for m in blocks]
-    zero = (0,) * len(blocks)
-    rows: dict[MultiIndex, list[int]] = {zero: list(lam)}
-    scale = {zero: 1}
-    budget = 4 * d * d.bit_length()
-    products = 0
-    queue = deque([zero])
-    while queue:
-        alpha = queue.popleft()
-        row = rows[alpha]
-        capped = sum(alpha) + 1 == d
-        for i, form in enumerate(forms):
-            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-            if beta in rows:
-                continue
-            new = _row_product(row, form)
-            products += 1
-            if products == budget + 1 and not all(map(_is_nilpotent_matrix, blocks)):
-                return None
-            if not any(new):
-                rows[beta] = new
-                continue
-            if capped:
-                return None
-            s = scale[alpha] * den
-            g = gcd(s, *new)
-            rows[beta] = [x // g for x in new] if g > 1 else new
-            scale[beta] = s // g
-            queue.append(beta)
-    monomials = sorted(scale, key=grlex_key, reverse=True)
-    weights = [scale[a] * multi_factorial(a) for a in monomials]
-    return monomials, [rows[a] for a in monomials], weights
-
-
-def _socle_walk(blocks: Sequence[Sequence[Sequence[int]]]) -> list[int]:
-    """Residues w with M_i w = 0 mod P for every i: from e_1, apply M_1
-    mod P until the result vanishes, then M_2, and so on, combining only
-    the columns at w's nonzero entries.  The M_i commute, so M_i w stays
-    0 once it is.  Each w is M^alpha e_1, nonzero mod P and so nonzero:
-    past d - 1 steps |alpha| = d, and the module is not nilpotent.
-    """
-    d = len(blocks[0])
-    w, steps = [1] + [0] * (d - 1), 0
-    for block in blocks:
-        columns = _columns(block, d)
-        while True:
-            scaled = [[x * c for c in columns[j]] for j, x in enumerate(w) if x]
-            product = [sum(entries) % _PRIME for entries in zip(*scaled)]
-            if not any(product):
-                break
-            steps += 1
-            if steps == d:
-                raise NotNilpotent(_NOT_NILPOTENT)
-            w = product
-    return w
-
-
 def _image(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
     """(image, rows, weights) from the pass of lam, or None when phi is
     not injective.  The image is closed by construction, as
@@ -266,7 +101,7 @@ def _image(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
     than d monomials give None, and d with independent rows (at n = 1
     always, else of rank d mod P) the whole space over them, with no
     elimination.  Only the rest is eliminated."""
-    found = _inverse_system(module._blocks, module._den, lam)
+    found = _inverse_system(module, lam)
     if found is None:
         raise NotNilpotent(_NOT_NILPOTENT)
     monomials, rows, weights = found
@@ -289,7 +124,10 @@ def _embed(module: FDModule, rng: Optional[random.Random]) -> tuple:
     when that is a line the walk's lambda missed, to run the pass again.
     """
     if module.dim:
-        found = _image(module, _functional(_socle_walk(module._blocks), rng))
+        w = _socle_walk(module._blocks)
+        if w is None:
+            raise NotNilpotent(_NOT_NILPOTENT)
+        found = _image(module, _functional(w, rng))
         if found is not None:
             return found
     if not is_nilpotent(module):
@@ -312,9 +150,7 @@ def _map_images(image: PolySubmodule, rows: Sequence[Sequence[int]], weights: Se
     return QMatrix._trusted(*_over_lcm([rows[c] for c in pivots], [weights[c] for c in pivots]), image.dim)
 
 
-def embed_nilpotent(
-    module: FDModule, rng: Optional[random.Random] = None
-) -> EmbeddingResult:
+def embed_nilpotent(module: FDModule, rng: Optional[random.Random] = None) -> EmbeddingResult:
     """Embed a nilpotent module with one-dimensional socle.
 
     Basis vector e_j maps to sum over alpha of lambda(S^alpha e_j)
@@ -335,9 +171,7 @@ def embed_nilpotent(
     return EmbeddingResult(image, ModuleMap(module, image, _map_images(image, rows, weights)))
 
 
-def canonical_form(
-    module: FDModule, rng: Optional[random.Random] = None
-) -> PolySubmodule:
+def canonical_form(module: FDModule, rng: Optional[random.Random] = None) -> PolySubmodule:
     """The unique polynomial submodule isomorphic to the module.
 
     A complete isomorphism invariant: two modules are isomorphic exactly

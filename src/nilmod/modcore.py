@@ -7,6 +7,10 @@ variables, the socle's joint eigenvalues, the bridge to
 derivative-closed polynomial subspaces, and seeded random generators
 for tests.
 
+Squaring decides nilpotency.  The inverse-system pass, which reads the
+rows lambda S^alpha of the embedding's map, certifies it: on a nilpotent
+module they vanish past |alpha| = dim - 1.
+
 A derivative-closed subspace is built by one core on integer rows over
 its monomials: an elimination and a pivot at the origin.  The closure
 pass, where d_i shifts columns, checks outside input once, in the
@@ -20,6 +24,7 @@ in the lower-set closure of g's exponents, every other d^beta g being 0.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
@@ -57,6 +62,7 @@ from .multipoly import (
     grlex_key,
     lower_set_closure,
     monomials_up_to_degree,
+    multi_factorial,
 )
 
 
@@ -182,6 +188,86 @@ def is_nilpotent(module: FDModule) -> bool:
     polynomial acting nilpotently.
     """
     return all(map(_is_nilpotent_matrix, module._blocks))
+
+
+_SPARSE_SHARE = Fraction(1, 4)  # largest nonzero share of a sparse block; crossover ~0.7-1
+
+
+def _row_form(block: Sequence[Sequence[int]], d: int) -> tuple:
+    """M for `_row_product`: (True, its rows as (column, entry) pairs) if at most `_SPARSE_SHARE`
+    of its d * d entries are nonzero, as in a canonical basis, else (False, its columns): on dense
+    conjugates, combining rows was no faster than the dot products."""
+    nonzero = sum(d - r.count(0) for r in block)
+    if nonzero * _SPARSE_SHARE.denominator > _SPARSE_SHARE.numerator * d * d:
+        return False, _columns(block, d)
+    return True, [[(j, x) for j, x in enumerate(r) if x] for r in block]
+
+
+def _row_product(row: Sequence[int], form: tuple) -> list[int]:
+    """row M for the form of M from `_row_form`: a combination of M's rows
+    at row's nonzero entries, or one dot product per column."""
+    sparse, parts = form
+    if not sparse:
+        return [sum(map(mul, row, col)) for col in parts]
+    new = [0] * len(row)
+    for x, pairs in zip(row, parts):
+        for j, y in pairs if x else ():
+            new[j] += x * y
+    return new
+
+
+def _inverse_system(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
+    """phi(e_j) = sum over alpha of (lam S^alpha)[j] x^alpha / alpha!, as
+    integer rows with their weights.
+
+    The S_i = M_i / D come as the module's integer blocks M_1, ..., M_n
+    over one denominator D, and lam is an integer row, so the pass starts
+    from lam over scale 1.  It returns the alpha with lam S^alpha nonzero,
+    in descending order, primitive integer rows and their weights:
+    lam S^alpha = row / scale, the weight is scale alpha!, and
+    coefficient j of x^alpha is row[j] / weight.  Breadth-first over
+    alpha, lam S^(alpha + e_i) = (row M_i) / (scale D), with the common
+    factor of the new row and scale divided out, so the rows carry no
+    power of D that lam S^alpha does not need.
+    The action commutes, so one row per alpha suffices; a zero row has
+    only zero successors and is not extended.  A nonzero row at |alpha| = d
+    returns None: commuting nilpotent d x d matrices kill every product of
+    d of them, so the module is not nilpotent.  So does a pass past
+    4 d (floor(log2 d) + 1) row products on a module that `is_nilpotent`
+    refuses, checked once.  Each block is prepared once, by `_row_form`.
+    """
+    d, den = len(lam), module._den
+    forms = [_row_form(m, d) for m in module._blocks]
+    zero = (0,) * module.n
+    rows: dict[MultiIndex, list[int]] = {zero: list(lam)}
+    scale = {zero: 1}
+    budget, products = 4 * d * d.bit_length(), 0
+    queue = deque([zero])
+    while queue:
+        alpha = queue.popleft()
+        row = rows[alpha]
+        capped = sum(alpha) + 1 == d
+        for i, form in enumerate(forms):
+            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+            if beta in rows:
+                continue
+            new = _row_product(row, form)
+            products += 1
+            if products == budget + 1 and not is_nilpotent(module):
+                return None
+            if not any(new):
+                rows[beta] = new
+                continue
+            if capped:
+                return None
+            s = scale[alpha] * den
+            g = gcd(s, *new)
+            rows[beta] = [x // g for x in new] if g > 1 else new
+            scale[beta] = s // g
+            queue.append(beta)
+    monomials = sorted(scale, key=grlex_key, reverse=True)
+    weights = [scale[a] * multi_factorial(a) for a in monomials]
+    return monomials, [rows[a] for a in monomials], weights
 
 
 def socle(module: FDModule) -> Subspace:

@@ -14,8 +14,9 @@ import math
 from fractions import Fraction
 from itertools import product
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from .errors import Incompatible
 from .exactalg import Value, _integer_rows, _split_rational, as_fraction, as_int, format_rational
 
 MultiIndex = tuple[int, ...]
@@ -281,6 +282,33 @@ def truncated_product(p: Poly, q: Poly, bound) -> Poly:
             g = tuple(map(add, a, b))
             out[g] = out.get(g, 0) + ca * cb
     return Poly._trusted(p.n, out, p._den * q._den)
+
+
+def potential(fs: Sequence[Poly], n: int) -> Poly:
+    """The polynomial h with dh/dx_i = fs[i-1] for i = 1..len(fs).
+
+    Mixed partials are checked first; the witness is the lexicographically
+    first failing pair.  The output is normalized so that every term
+    involves one of x_1..x_k — in particular the constant term is zero —
+    which pins down the one representative of the solution class.
+    """
+    k = len(fs)
+    if k > n:
+        raise ValueError("more prescribed derivatives than variables")
+    _same_count(n, *fs)
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            if fs[i - 1].partial(j) != fs[j - 1].partial(i):
+                raise Incompatible(i, j)
+    # A term c x^beta of h puts beta_i c at x^(beta - e_i) in f_i, so h's
+    # coefficient at beta is f_i[beta - e_i] / beta_i for the first i
+    # with beta_i > 0: f_i's terms free of x_1..x_(i-1), one step up in x_i.
+    terms: dict[MultiIndex, tuple[int, int]] = {}
+    for i, f in enumerate(fs):
+        for gamma, c in f._nums.items():
+            if not any(gamma[:i]):
+                terms[gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]] = (c, f._den * (gamma[i] + 1))
+    return Poly._over_lcm(n, terms)
 
 
 def _integer_coeffs(coeffs: Mapping[MultiIndex, Fraction]) -> tuple[dict[MultiIndex, int], int]:

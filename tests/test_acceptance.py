@@ -33,7 +33,6 @@ from nilmod.embed import (
     embed_general,
     embed_nilpotent,
     is_isomorphic,
-    potential,
 )
 from nilmod.errors import Incompatible, NonRationalEigenvalue
 from nilmod.exactalg import QMatrix
@@ -46,7 +45,7 @@ from nilmod.modcore import (
     twist,
     validate,
 )
-from nilmod.multipoly import Poly, lower_set_closure, monomials_up_to_degree
+from nilmod.multipoly import Poly, lower_set_closure, monomials_up_to_degree, potential
 
 
 def _report(capsys, num, label, ok, elapsed, budget):

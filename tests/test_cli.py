@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -22,9 +23,8 @@ import pytest
 
 from nilmod import cli, modcore
 from nilmod.diffop import DiffOpSeries, monomial_images
-from nilmod.embed import potential
 from nilmod.modcore import FDModule, PolySubmodule
-from nilmod.multipoly import Poly
+from nilmod.multipoly import Poly, potential
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,6 +127,29 @@ def test_line_kernel_without_nilpotency_is_not_nilpotent(command, flags):
     proc = run_cli([command, "-"], stdin=LINE_KERNEL_NOT_NILPOTENT, flags=flags)
     assert proc.returncode == 1, proc.stderr.decode()
     assert proc.stdout == NOT_NILPOTENT_OUTPUT
+
+
+def large_answer_module(transpose):
+    """A strictly upper-triangular 4 x 4 module in one variable, or its
+    transpose, with 3000-digit entries: each literal is under Python's
+    limit on printing an integer, but the embedding's coefficients are not."""
+    rng = random.Random(3000)
+    rows = [[str(rng.randrange(10**2999, 10**3000)) if j > i else "0" for j in range(4)] for i in range(4)]
+    if transpose:
+        rows = [list(column) for column in zip(*rows)]
+    return json.dumps({"n": 1, "matrices": [rows]}).encode()
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+@pytest.mark.parametrize("command,transpose", [("embed", False), ("embed-general", True)])
+def test_an_answer_past_the_digit_limit_is_a_typed_error(command, transpose, flags):
+    # The payload is built before anything is printed, so stdout holds the
+    # error alone, and the limit stays in place.
+    proc = run_cli([command, "-"], stdin=large_answer_module(transpose), flags=flags)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    detail = f"an output number has more than {sys.get_int_max_str_digits()} digits, Python's print limit"
+    assert proc.stdout == error_bytes({"kind": "DimensionTooLarge", "detail": detail})
 
 
 def test_validate_checks_nilpotency_once(monkeypatch, capsys):
@@ -485,13 +508,14 @@ def loaded_modules(argv):
     (["canonical", "inputs/jordan3.json"], sorted(BASE + ["nilmod.embed"])),
     (["isomorphic", "inputs/jordan2.json", "inputs/jordan2_conjugate.json"], sorted(BASE + ["nilmod.embed"])),
     (["embed-general", "inputs/shifted.json"], sorted(BASE + ["nilmod.embed"])),
-    (["extract-endo", "inputs/endo_table.json"], sorted(BASE + ["nilmod.embed", "nilmod.diffop"])),
-    (["aut", "inputs/plane_lambda.json"], sorted(BASE + ["nilmod.embed", "nilmod.diffop"])),
+    (["extract-endo", "inputs/endo_table.json"], sorted(BASE + ["nilmod.diffop"])),
+    (["aut", "inputs/plane_lambda.json"], sorted(BASE + ["nilmod.diffop"])),
+    (["extend-iso", "inputs/extend_problem.json"], sorted(BASE + ["nilmod.diffop"])),
     (["validate", "inputs/malformed.json"], FRONT),
     (["socle", "inputs/no_such_file.json"], FRONT),
     (["extract-endo"], FRONT),
 ], ids=["validate", "socle", "gen", "embed", "canonical", "isomorphic", "embed-general", "extract-endo",
-        "aut", "malformed", "missing", "usage"])
+        "aut", "extend-iso", "malformed", "missing", "usage"])
 def test_a_child_loads_only_the_layers_its_subcommand_runs(argv, expected):
     assert loaded_modules(argv) == expected
 

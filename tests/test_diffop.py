@@ -51,7 +51,6 @@ from nilmod.errors import (
     WrongConstantTerm,
 )
 from nilmod.exactalg import QMatrix
-from nilmod.embed import potential
 from nilmod.modcore import ModuleMap, PolySubmodule, submodule_from_polys
 from nilmod.multipoly import (
     Poly,
@@ -62,6 +61,7 @@ from nilmod.multipoly import (
     monomials_of_degree,
     monomials_up_to_degree,
     multi_factorial,
+    potential,
     truncated_product,
 )
 
@@ -1747,6 +1747,26 @@ def test_aut_group_builds_no_space_for_descriptor_ops():
     assert group.module._span is None
     assert group.parametrize(a).source.dim == 27
     assert group.module._span is group.space
+
+
+def test_aut_group_inverse_validates_nothing_again(monkeypatch):
+    # `inverse` negates a checked descriptor and builds the result as
+    # `compose` does, without the validating constructor.
+    rng = random.Random(617)
+    module = MonomialSubmodule(2, lower_set_closure([(2, 1)]))
+    group = AutGroup(module)
+    additive = {a: Fraction(rng.randint(1, 4) * rng.choice([-1, 1]), rng.randint(1, 3)) for a in module.indices if any(a)}
+    descs = [AutDescriptor(Fraction(-3, 2), additive), AutDescriptor(5), group.identity()]
+    built = []
+    init = AutDescriptor.__init__
+    monkeypatch.setattr(AutDescriptor, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    inverses = [group.inverse(d) for d in descs]
+    assert built == []
+    monkeypatch.undo()
+    for desc, inverse in zip(descs, inverses):
+        assert inverse == AutDescriptor(1 / desc.unit, {k: -v for k, v in desc.additive.items()})
+        assert group.compose(desc, inverse) == group.identity()
+        assert group.matrix_of(inverse) == group.matrix_of(desc).inverse()
 
 
 def test_lower_set_spans_and_descriptor_matrices_check_nothing_again(monkeypatch):

@@ -20,17 +20,12 @@ from timing import time_limit
 
 from nilmod.embed import (
     EmbeddingResult,
-    _functional,
     _image,
-    _inverse_system,
-    _row_form,
-    _socle_walk,
     brute_force_isomorphic,
     canonical_form,
     embed_general,
     embed_nilpotent,
     is_isomorphic,
-    potential,
 )
 from nilmod.errors import (
     DimensionTooLarge,
@@ -41,13 +36,15 @@ from nilmod.errors import (
     NotNilpotent,
     SocleNotOneDimensional,
 )
-from nilmod.exactalg import _PRIME, QMatrix, _integer_rows, _rank_mod
+from nilmod.exactalg import _PRIME, QMatrix, _functional, _integer_rows, _rank_mod, _socle_walk
 from nilmod.modcore import (
     ExpSubmodule,
     FDModule,
     ModuleMap,
     PolySubmodule,
+    _inverse_system,
     _joint_kernel,
+    _row_form,
     action_matrices,
     as_matrices,
     is_nilpotent,
@@ -57,7 +54,7 @@ from nilmod.modcore import (
     twist,
     validate,
 )
-from nilmod.multipoly import Poly, monomials_of_degree, monomials_up_to_degree, multi_factorial
+from nilmod.multipoly import Poly, monomials_of_degree, monomials_up_to_degree, multi_factorial, potential
 
 def zeros(rows, cols):
     return QMatrix([[0] * cols for _ in range(rows)], cols=cols)
@@ -403,7 +400,7 @@ def reference_inverse_system(module, lam):
 def inverse_system(module, lam):
     """The integer pass on the module's integer blocks, read back as
     polynomials; None when the pass stops at its cap."""
-    found = _inverse_system(module._blocks, module._den, lam)
+    found = _inverse_system(module, lam)
     if found is None:
         return None
     monomials, rows, weights = found
@@ -452,7 +449,7 @@ def test_pass_rows_share_no_factor_with_their_scale(n, terms):
     dense = conjugate(plain, g)
     assert dense._den > 1
     lam = tuple(rng.randint(-5, 5) for _ in range(dense.dim))
-    monomials, rows, weights = _inverse_system(dense._blocks, dense._den, lam)
+    monomials, rows, weights = _inverse_system(dense, lam)
     assert len(monomials) >= dense.dim
     for alpha, row, weight in zip(monomials, rows, weights):
         scale, rest = divmod(weight, multi_factorial(alpha))
@@ -463,12 +460,12 @@ def in_both_forms(module, lam):
     """The pass of lam and the canonical form (or its typed error), once
     with every block in the sparse form and once with every block in the
     dense form."""
-    import nilmod.embed
+    import nilmod.modcore
 
     out = []
     for share in (1, -1):
-        with mock.patch.object(nilmod.embed, "_SPARSE_SHARE", share):
-            found = _inverse_system(module._blocks, module._den, lam)
+        with mock.patch.object(nilmod.modcore, "_SPARSE_SHARE", share):
+            found = _inverse_system(module, lam)
             try:
                 form = canonical_form(module)
             except NilmodError as exc:
@@ -613,11 +610,10 @@ def test_one_nilpotency_check_per_embedding(monkeypatch):
     # once, through is_nilpotent, only to name the error, when the image
     # falls short; every failure here has one variable, so one naming is
     # one call.
-    import nilmod.embed
     import nilmod.modcore
 
     calls = []
-    original = nilmod.embed._is_nilpotent_matrix
+    original = nilmod.modcore._is_nilpotent_matrix
 
     def counting(rows):
         calls.append(rows)
@@ -631,8 +627,7 @@ def test_one_nilpotency_check_per_embedding(monkeypatch):
             pass
         return len(calls)
 
-    for owner in (nilmod.embed, nilmod.modcore):
-        monkeypatch.setattr(owner, "_is_nilpotent_matrix", counting)
+    monkeypatch.setattr(nilmod.modcore, "_is_nilpotent_matrix", counting)
     for seed in range(4):
         mod = random_nilpotent_module(2, 2, seed=seed)
         assert count(embed_nilpotent, mod) == 0
@@ -784,7 +779,7 @@ def test_missed_socle_costs_one_exact_kernel_and_one_retry(monkeypatch):
     calls = count_calls(monkeypatch, ["_joint_kernel", "_inverse_system"])
     result = embed_nilpotent(MISSED_SOCLE)
     assert len(calls["_joint_kernel"]) == 1
-    assert [args[2] for args in calls["_inverse_system"]] == [[1, 0], [0, 1]]
+    assert [args[1] for args in calls["_inverse_system"]] == [[1, 0], [0, 1]]
     assert result.map.is_isomorphism()
     assert result.image_polys() == (Poly(1, {(1,): _PRIME}), Poly.one(1))
     assert outcome(embed_nilpotent, MISSED_SOCLE, None) == outcome(reference_embed_nilpotent, MISSED_SOCLE, None)
@@ -802,15 +797,15 @@ def test_missed_socle_costs_one_exact_kernel_and_one_retry(monkeypatch):
 def test_socle_walk_spans_the_line_mod_p():
     # The walk ends on residues that every block kills mod P.  Where the
     # joint kernel is a line, so is the kernel mod P here, and the walk
-    # spans it; a walk past d - 1 steps proves the module not nilpotent.
+    # spans it; a walk past d - 1 steps, which returns None, proves the
+    # module not nilpotent.
     lines = stopped = 0
     for module in comparison_table():
         d = module.dim
         if d == 0:
             continue
-        try:
-            w = _socle_walk(module._blocks)
-        except NotNilpotent:
+        w = _socle_walk(module._blocks)
+        if w is None:
             assert not is_nilpotent(module)
             stopped += 1
             continue
@@ -870,7 +865,6 @@ def test_single_variable_images_take_no_rank_and_no_elimination(monkeypatch, p):
     # eliminates nothing; a retry after a missed socle computes the exact
     # kernel, so only its outcome is checked.  At a small prime the walk
     # can choose another lambda than the reference, which moves the map.
-    import nilmod.embed
     import nilmod.exactalg
 
     rng = random.Random(53)
@@ -884,7 +878,6 @@ def test_single_variable_images_take_no_rank_and_no_elimination(monkeypatch, p):
         cases += [block, conjugate(block, g)]
     if p is not None:
         monkeypatch.setattr(nilmod.exactalg, "_PRIME", p)
-        monkeypatch.setattr(nilmod.embed, "_PRIME", p)
     expected = [PolySubmodule(1, [Poly.monomial(1, (k,)) for k in range(m.dim)]) for m in cases]
     references = [[outcome(reference_embed_nilpotent, m, seed) for seed in (None, 3)] for m in cases]
     calls = count_calls(monkeypatch, ["_rank_mod", "_inverse_system"])
@@ -986,15 +979,12 @@ def success_table():
 def test_no_success_reaches_the_pass_budget(monkeypatch):
     # Below the budget the pass never squares a matrix.  The seeded
     # successes stay under half of it.
-    import nilmod.embed
-
     import nilmod.modcore
 
     products, checks = [], []
-    product, nilpotent = nilmod.embed._row_product, nilmod.embed._is_nilpotent_matrix
-    monkeypatch.setattr(nilmod.embed, "_row_product", lambda r, f: products.append(1) or product(r, f))
-    for owner in (nilmod.embed, nilmod.modcore):
-        monkeypatch.setattr(owner, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
+    product, nilpotent = nilmod.modcore._row_product, nilmod.modcore._is_nilpotent_matrix
+    monkeypatch.setattr(nilmod.modcore, "_row_product", lambda r, f: products.append(1) or product(r, f))
+    monkeypatch.setattr(nilmod.modcore, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
     worst = 0
     for module in success_table():
         products.clear()
@@ -1007,13 +997,11 @@ def test_no_success_reaches_the_pass_budget(monkeypatch):
 def test_small_successes_square_nothing(monkeypatch):
     # Dimensions 1 and 2 in up to three variables: the pass makes at most
     # n(n + 3)/2 products, below the budget, so a success never squares.
-    import nilmod.embed
     import nilmod.modcore
 
     checks = []
-    nilpotent = nilmod.embed._is_nilpotent_matrix
-    for owner in (nilmod.embed, nilmod.modcore):
-        monkeypatch.setattr(owner, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
+    nilpotent = nilmod.modcore._is_nilpotent_matrix
+    monkeypatch.setattr(nilmod.modcore, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
     rng = random.Random(12)
     seen = set()
     for n in (1, 2, 3):
@@ -1033,13 +1021,13 @@ def test_non_nilpotent_line_kernel_stops_at_the_budget(monkeypatch):
     # kernel is a line.  Densely conjugated, e_1 has a part on the
     # eigenvalue-2 line, so the walk never vanishes and stops the
     # embedding before any pass product.
-    import nilmod.embed
+    import nilmod.modcore
 
     block = block_sum(validate([jordan_block(21)] * 3), validate([QMatrix([[2]])] * 3))
     dense = conjugate(block, random_invertible(random.Random(22), 22))
     products = []
-    product = nilmod.embed._row_product
-    monkeypatch.setattr(nilmod.embed, "_row_product", lambda r, f: products.append(1) or product(r, f))
+    product = nilmod.modcore._row_product
+    monkeypatch.setattr(nilmod.modcore, "_row_product", lambda r, f: products.append(1) or product(r, f))
     with time_limit(10):
         with pytest.raises(NotNilpotent):
             embed_nilpotent(dense)
@@ -1212,12 +1200,12 @@ def test_line_kernel_without_nilpotency_stops_at_the_cap():
         [
             "import resource",
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
-            "from nilmod.embed import _inverse_system, canonical_form, embed_general, embed_nilpotent",
+            "from nilmod.embed import canonical_form, embed_general, embed_nilpotent",
             "from nilmod.errors import NilmodError",
             "from nilmod.exactalg import QMatrix",
-            "from nilmod.modcore import validate",
+            "from nilmod.modcore import _inverse_system, validate",
             "module = validate([QMatrix([[0, 1], [0, 1]])])",
-            "print(_inverse_system(module._blocks, module._den, (1, 0)))",
+            "print(_inverse_system(module, (1, 0)))",
             "for call in (embed_nilpotent, canonical_form, embed_general):",
             "    try:",
             "        call(module)",
@@ -1478,7 +1466,7 @@ def test_injectivity_check_survives_optimize_flag():
             "from nilmod.exactalg import QMatrix",
             "from nilmod.modcore import FDModule",
             "print(__debug__)",
-            "embed._inverse_system = lambda blocks, den, lam: ([(0,)], [[1] * len(lam)], [1])",
+            "embed._inverse_system = lambda module, lam: ([(0,)], [[1] * len(lam)], [1])",
             "try:",
             "    embed.embed_nilpotent(FDModule(1, [QMatrix([[0, 1], [0, 0]])]))",
             "except AssertionError as exc:",

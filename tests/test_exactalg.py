@@ -8,10 +8,12 @@ own implementation.
 
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from nilmod.errors import DimensionTooLarge
 from nilmod.exactalg import (
     _PRIME,
     QMatrix,
@@ -86,6 +88,16 @@ def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-7, 2)) == "-7/2"
     assert format_rational(Fraction(0)) == "0"
+
+
+def test_format_rational_refuses_a_number_past_the_digit_limit():
+    # Python's limit on printing an integer stays; the number past it is
+    # a typed domain error that names the limit, not a ValueError.
+    limit = sys.get_int_max_str_digits()
+    assert format_rational(Fraction(-(10 ** (limit - 1)), 7)) == f"-1{'0' * (limit - 1)}/7"
+    for x in (Fraction(10**limit), Fraction(1, 10**limit), Fraction(-(10**limit) - 1, 3)):
+        with pytest.raises(DimensionTooLarge, match=f"more than {limit} digits"):
+            format_rational(x)
 
 
 def test_parse_rational_round_trip():

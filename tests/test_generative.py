@@ -40,7 +40,7 @@ BOUNDS = {1: 6, 2: 3, 3: 2}
 
 @contextmanager
 def prime(p):
-    with mock.patch.object(nilmod.exactalg, "_PRIME", p), mock.patch.object(nilmod.embed, "_PRIME", p):
+    with mock.patch.object(nilmod.exactalg, "_PRIME", p):
         yield
 
 

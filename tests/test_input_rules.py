@@ -37,7 +37,7 @@ from nilmod.diffop import (
     restrict,
     restriction_kernel_dim,
 )
-from nilmod.embed import brute_force_isomorphic, is_isomorphic, potential
+from nilmod.embed import brute_force_isomorphic, is_isomorphic
 from nilmod.exactalg import QMatrix
 from nilmod.modcore import (
     FDModule,
@@ -46,7 +46,7 @@ from nilmod.modcore import (
     random_nilpotent_module,
     submodule_from_polys,
 )
-from nilmod.multipoly import Poly, monomials_of_degree, monomials_up_to_degree, truncated_product
+from nilmod.multipoly import Poly, monomials_of_degree, monomials_up_to_degree, potential, truncated_product
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "nilmod"
 
