@@ -6,8 +6,9 @@ standard output.  Exit codes: 0 success, 1 domain errors (and a
 standard output closed before the answer was written), 2 parse or usage
 errors.  An error prints {"error": {"kind", "detail"}}, plus a "witness"
 where the error's `witness_json` (see `errors.py`) is set: for
-NotAnEndomorphism ({"derivative", "monomial"}), Incompatible and
-NonCommuting (the pair [i, j]).  The subcommands are the rows of one
+NotAnEndomorphism ({"derivative", "monomial"}), TruncationTooLow
+({"truncation", "degree"}), Incompatible and NonCommuting (the pair
+[i, j]).  The subcommands are the rows of one
 table, `_COMMANDS`.
 
 Each handler imports the layers it runs once its JSON input is read, so

@@ -38,11 +38,10 @@ integer cross-multiplication and builds no polynomial.  Results go
 through `Poly._trusted` and `DiffOpSeries._trusted`; input from
 outside goes through the validating constructors.
 
-Application and the image table find the gamma <= alpha of the support
-with `multipoly._below`.  It walks the box of alpha, one lookup per
-cell, when the box has no more cells than the support has terms, and
-the support up to degree |alpha| otherwise, so a one-term series stays
-cheap at a high truncation.
+Composition, exp and log, application and the image table run on the
+packed keys of `multipoly._packing`, one integer per exponent: a sum of
+exponents is one add and gamma <= beta one mask test.  Operands are
+packed once on entry and the result's tuples built once on exit.
 
 An isomorphism between polynomial submodules grows one monomial at a
 time, as FGLM grows its basis: each step adds the graded-lex least
@@ -53,8 +52,8 @@ it to the potential of the images of its partials, which lie inside.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from operator import add, sub
+from math import comb, factorial, lcm, prod
+from operator import sub
 from typing import Container, Iterable, Mapping, Optional
 
 from .errors import (
@@ -69,11 +68,11 @@ from .modcore import ModuleMap, PolySubmodule, _poly_rows
 from .multipoly import (
     MultiIndex,
     Poly,
-    _below,
     _box,
     _by_degree,
     _exponent,
     _fields,
+    _packing,
     _partial_matches,
     _same_count,
     _truncation,
@@ -178,25 +177,42 @@ class DiffOpSeries(Value):
         Closed form: d^gamma x^beta = beta!/(beta-gamma)! x^(beta-gamma)
         when gamma <= beta, else 0.  With c_gamma = N_gamma/D and
         b_beta = P_beta/D_p, the integers N_gamma P_beta beta! landing
-        on x^delta are summed, and the sum is over D D_p delta!.  The
-        gamma <= beta come from the box of beta or from the support,
-        whichever is smaller (`multipoly._below`).
+        on x^delta are summed, and the sum is over D D_p delta!.  Each
+        beta looks up the packed cells of its box when it has no more of
+        them than the series has terms, and otherwise tests the support
+        up to degree |beta|, so a one-term series stays cheap.
         """
         _same_count(self.n, p)
         deg = p.total_degree()
         if isinstance(deg, int) and deg > self.trunc:
-            raise TruncationTooLow(
-                f"polynomial degree {deg} exceeds truncation {self.trunc}"
-            )
+            raise TruncationTooLow(f"polynomial degree {deg} exceeds truncation {self.trunc}", self.trunc, deg)
         nums = self._poly._nums
-        gammas = _by_degree(nums)
-        sums: dict[MultiIndex, int] = {}
+        pack, unpack, weights, high = _packing(self.n, self.trunc)
+        gammas = _by_degree(nums, pack, self.trunc)
+        table = {k: c for k, _, c in gammas}
+        sums: dict[int, int] = {}
         for beta, b in p._nums.items():
             b *= multi_factorial(beta)
-            for delta, c in _below(gammas, nums, beta):
-                sums[delta] = sums.get(delta, 0) + c * b
-        den = self._poly._den * p._den
-        return Poly._over_lcm(self.n, {delta: (v, den * multi_factorial(delta)) for delta, v in sums.items()})
+            key, room = pack(beta), sum(beta)
+            # A box has at least |beta| + 1 cells.
+            if room < len(nums) and prod(a + 1 for a in beta) <= len(nums):
+                box = [0]
+                for a, weight in zip(beta, weights):
+                    box = [k + j for k in box for j in range(0, (a + 1) * weight, weight)]
+                for k in box:
+                    if k in table:
+                        sums[key - k] = sums.get(key - k, 0) + table[k] * b
+                continue
+            for k, d, c in gammas:
+                if d > room:
+                    break
+                if (key + high - k) & high == high:
+                    sums[key - k] = sums.get(key - k, 0) + c * b
+        deltas = list(map(unpack, sums))
+        facts = list(map(multi_factorial, deltas))
+        top = lcm(*facts)
+        out = {delta: v * (top // f) for delta, v, f in zip(deltas, sums.values(), facts)}
+        return Poly._trusted(self.n, out, self._poly._den * p._den * top)
 
     def to_json(self) -> dict:
         return {"n": self.n, "trunc": self.trunc, "coeffs": self._poly.to_json()}
@@ -224,9 +240,12 @@ def _graded_solve(s: Poly, trunc: int, within: Optional[Container[MultiIndex]], 
     never need one outside it.
     """
     den = s._den
+    pack, unpack, _, _ = _packing(s.n, trunc)
     fact = [factorial(k) for k in range(trunc + 1)]
-    terms = [(b, d, c * den ** (d - 1)) for b, d, c in _by_degree(s._nums) if 0 < d <= trunc]
-    pending: list[dict[MultiIndex, int]] = [{} for _ in range(trunc + 1)]
+    terms = [(b, d, c * den ** (d - 1)) for b, d, c in _by_degree(s._nums, pack, trunc) if d]
+    if within is not None:
+        within = {pack(a) for a in within if sum(a) <= trunc}
+    pending: list[dict[int, int]] = [{} for _ in range(trunc + 1)]
     for b, d, c in terms:
         if within is None or b in within:
             pending[d][b] = fact[d] * c
@@ -241,10 +260,10 @@ def _graded_solve(s: Poly, trunc: int, within: Optional[Container[MultiIndex]], 
         for g, f in pending[d].items():
             if not f:
                 continue
-            out[g] = (f, scale)
+            out[unpack(g)] = (f, scale)
             w = -d * f if log else f
             for b, e, c in pushes:
-                h = tuple(map(add, g, b))
+                h = g + b
                 if within is None or h in within:
                     bucket = pending[e]
                     bucket[h] = bucket.get(h, 0) + w * c
@@ -284,16 +303,23 @@ def monomial_images(s: DiffOpSeries) -> dict[MultiIndex, Poly]:
     over one common denominator, the image of x^alpha has the term
     N_gamma alpha!/(alpha-gamma)! / D at x^(alpha-gamma) for every
     gamma <= alpha; distinct gamma give distinct monomials, so nothing
-    is summed.  Each alpha walks its box of prod(alpha_i + 1) cells or
-    the support, whichever is smaller (`multipoly._below`).
+    is summed.  Each support term gamma is pushed onto every delta with
+    |gamma + delta| <= trunc, the first C(n + trunc - |gamma|, n) of the
+    monomials in ascending degree, and finds the image of x^(gamma +
+    delta) by packed key: only contributing pairs are visited.
     """
-    facts = {alpha: multi_factorial(alpha) for alpha in monomials_up_to_degree(s.n, s.trunc)}
-    nums, den = s._poly._nums, s._poly._den
-    gammas = _by_degree(nums)
-    return {
-        alpha: Poly._trusted(s.n, {delta: c * (fact // facts[delta]) for delta, c in _below(gammas, nums, alpha)}, den)
-        for alpha, fact in facts.items()
-    }
+    n, trunc = s.n, s.trunc
+    pack, _, _, _ = _packing(n, trunc)
+    alphas = list(monomials_up_to_degree(n, trunc))
+    facts = list(map(multi_factorial, alphas))
+    rows = {pack(alpha): (fact, {}) for alpha, fact in zip(alphas, facts)}
+    deltas = list(zip(rows, alphas, facts))
+    for gamma, c in s._poly._nums.items():
+        key = pack(gamma)
+        for k, delta, fact in deltas[: comb(n + trunc - sum(gamma), n)]:
+            top, row = rows[key + k]
+            row[delta] = c * (top // fact)
+    return {alpha: Poly._trusted(n, row, s._poly._den) for alpha, (_, row) in zip(alphas, rows.values())}
 
 
 def extract_coeffs(
@@ -434,8 +460,7 @@ def restrict(s: DiffOpSeries, module: MonomialSubmodule) -> ModuleMap:
     _same_count(s.n, module)
     if s.trunc < module.max_degree:
         raise TruncationTooLow(
-            f"series truncation {s.trunc} below the submodule degree "
-            f"{module.max_degree}"
+            f"series truncation {s.trunc} below the submodule degree {module.max_degree}", s.trunc, module.max_degree
         )
     matrix = module._restriction_matrix(s._poly)
     space = module.as_poly_submodule()
@@ -716,6 +741,6 @@ def restriction_kernel_dim(module: MonomialSubmodule, trunc: int) -> int:
     trunc = _truncation(trunc)
     if trunc < module.max_degree:
         raise TruncationTooLow(
-            f"truncation {trunc} below the submodule degree {module.max_degree}"
+            f"truncation {trunc} below the submodule degree {module.max_degree}", trunc, module.max_degree
         )
     return comb(module.n + trunc, module.n) - module.m

@@ -55,7 +55,12 @@ class Incompatible(NilmodError):
 
 
 class TruncationTooLow(NilmodError):
-    """A series' truncation degree cannot accommodate the operand."""
+    """A series' truncation is below its operand's degree; both are the witness."""
+
+    def __init__(self, message: str, truncation: int, degree: int):
+        self.truncation, self.degree = truncation, degree
+        self.witness_json = {"truncation": truncation, "degree": degree}
+        super().__init__(message)
 
 
 class NotAnEndomorphism(NilmodError):
@@ -75,8 +80,9 @@ class WrongConstantTerm(NilmodError):
 
 
 class DimensionTooLarge(NilmodError):
-    """Input exceeds a documented size bound: the brute-force oracle's
-    `max_dim`, or the random generator's GEN_LIMIT."""
+    """Input or output past a documented size bound: the brute-force
+    oracle's `max_dim`, the random generator's GEN_LIMIT, or Python's
+    limit on the digits of an integer read or printed as a string."""
 
 
 class NothingToExtend(NilmodError):

@@ -54,11 +54,16 @@ def parse_rational(s: str) -> Fraction:
 
 
 def _split_rational(s) -> tuple[int, int]:
-    """A "p/q" literal as the integers (p, q) in lowest terms, q > 0."""
+    """A "p/q" literal as the integers (p, q) in lowest terms, q > 0; one
+    past Python's digit limit, as `format_rational`, `DimensionTooLarge`."""
     if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a rational literal: {s!r}")
     num, _, den = s.partition("/")
-    num, den = int(num), int(den or 1)
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DimensionTooLarge(f"an input number has more than {limit} digits, Python's read limit") from None
     g = gcd(num, den)
     return num // g, den // g
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from operator import add, sub
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import Incompatible
@@ -263,25 +264,35 @@ class Poly(Value):
 
 
 def truncated_product(p: Poly, q: Poly, bound) -> Poly:
-    """The terms of p * q of total degree at most `bound`.
+    """The terms of p * q of total degree at most `bound`, which is
+    `MINUS_INFINITY` when an operand is zero.
 
     This is the product of K[x] and, read with x_i as d_i, the
     composition of truncated operator series.  With p = P/D_1 and
     q = Q/D_2, the integer products P_a Q_b are summed per output
-    monomial, over D_1 D_2.  q's terms are visited in ascending degree,
-    so each term of p stops at the first one that overshoots the bound.
+    monomial, over D_1 D_2, at packed keys key(a) + key(b).  The longer
+    factor's terms are visited in ascending degree, so each term of the
+    other stops at the first one that overshoots the bound.
     """
     _same_count(p.n, q)
-    by_degree = _by_degree(q._nums)
-    out: dict[MultiIndex, int] = {}
+    if bound < 0:
+        return Poly._trusted(p.n, {}, 1)
+    if len(p._nums) > len(q._nums):
+        p, q = q, p
+    pack, unpack, _, _ = _packing(p.n, bound)
+    qs = _by_degree(q._nums, pack, bound)
+    out: dict[int, int] = {}
     for a, ca in p._nums.items():
         room = bound - sum(a)
-        for b, b_deg, cb in by_degree:
-            if b_deg > room:
+        if room < 0:
+            continue
+        ka = pack(a)
+        for kb, d, cb in qs:
+            if d > room:
                 break
-            g = tuple(map(add, a, b))
+            g = ka + kb
             out[g] = out.get(g, 0) + ca * cb
-    return Poly._trusted(p.n, out, p._den * q._den)
+    return Poly._trusted(p.n, dict(zip(map(unpack, out), out.values())), p._den * q._den)
 
 
 def potential(fs: Sequence[Poly], n: int) -> Poly:
@@ -319,39 +330,44 @@ def _integer_coeffs(coeffs: Mapping[MultiIndex, Fraction]) -> tuple[dict[MultiIn
     return dict(zip(coeffs, row)), den
 
 
-def _by_degree(terms: Mapping[MultiIndex, object]) -> list[tuple[MultiIndex, int, object]]:
-    """(alpha, |alpha|, c_alpha) in ascending degree, so a loop over the
-    terms up to a degree can stop at the first one above it."""
-    return sorted(((a, sum(a), c) for a, c in terms.items()), key=lambda t: t[1])
+def _by_degree(terms: Mapping[MultiIndex, object], pack, bound: int) -> list[tuple[int, int, object]]:
+    """(pack(alpha), |alpha|, c_alpha) for the terms up to degree bound, in
+    ascending degree, so a loop up to a degree can stop at the first above."""
+    return sorted([(pack(a), d, c) for a, c in terms.items() if (d := sum(a)) <= bound], key=itemgetter(1))
 
 
-def _below(
-    by_degree: list[tuple[MultiIndex, int, object]], terms: Mapping[MultiIndex, object], alpha: MultiIndex
-):
-    """(alpha - gamma, c_gamma) for every gamma <= alpha among the terms,
-    with `by_degree` their `_by_degree` list: where d^gamma takes x^alpha.
+@lru_cache(maxsize=128)
+def _packing(n: int, bound: int):
+    """Keys for the exponents of length n and total degree <= bound, one
+    integer each: (pack, unpack, weights, H), weights[i] = key(e_(i+1)).
 
-    It walks the box of alpha, prod(alpha_i + 1) cells with one lookup
-    each, when it has no more cells than there are terms, and otherwise
-    the support up to degree |alpha|, so a sparse series never pays for
-    a large box.
+    Each exponent is a field of w = bound.bit_length() + 1 bits, x_1 in
+    the top one, and H is the top bit of every field.  Entries are at
+    most bound < 2^(w-1), so no field carries into or borrows from the
+    next, and for exponents up to the bound:
+    - key(a + b) = key(a) + key(b) whenever |a + b| <= bound;
+    - g <= b iff (key(b) + H - key(g)) & H == H, and then key(b - g) is
+      that value minus H;
+    - within one degree, key order is lex order.
+    An exponent above the bound can spill into the next field and
+    collide with another key, so kernels pack none.  The helpers are
+    pure, so one set is kept per (n, bound).
     """
-    cells = 1
-    for a in alpha:
-        cells *= a + 1
-    if cells <= len(terms):
-        for gamma in _box(alpha):
-            c = terms.get(gamma)
-            if c is not None:
-                yield tuple(map(sub, alpha, gamma)), c
-        return
-    room = sum(alpha)
-    for gamma, g_deg, c in by_degree:
-        if g_deg > room:
-            return
-        delta = tuple(map(sub, alpha, gamma))
-        if min(delta) >= 0:
-            yield delta, c
+    w = bound.bit_length() + 1
+    shifts = range(w * (n - 1), -1, -w)
+    weights = tuple(1 << s for s in shifts)
+    mask = (1 << w) - 1
+
+    def pack(alpha: MultiIndex) -> int:
+        return sum(map(mul, alpha, weights))
+
+    def unpack(key: int) -> MultiIndex:
+        alpha = []
+        for s in shifts:
+            alpha.append(key >> s & mask)
+        return tuple(alpha)
+
+    return pack, unpack, weights, sum(weights) << (w - 1)
 
 
 def _partial_matches(p: Poly, k: int, q: Poly, a: int) -> bool:

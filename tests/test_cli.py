@@ -152,6 +152,19 @@ def test_an_answer_past_the_digit_limit_is_a_typed_error(command, transpose, fla
     assert proc.stdout == error_bytes({"kind": "DimensionTooLarge", "detail": detail})
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_an_input_literal_past_the_digit_limit_is_a_typed_error(flags):
+    # A 5001-digit entry is past Python's limit on reading an integer
+    # (4300 digits by default): a size bound that exits 1 and names the
+    # limit, not a parse error that tells the user to lift it.
+    module = json.dumps({"n": 1, "matrices": [[["0", "1" * 5001], ["0", "0"]]]}).encode()
+    proc = run_cli(["validate", "-"], stdin=module, flags=flags)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert proc.stderr == b""
+    detail = f"an input number has more than {sys.get_int_max_str_digits()} digits, Python's read limit"
+    assert proc.stdout == error_bytes({"kind": "DimensionTooLarge", "detail": detail})
+
+
 def test_validate_checks_nilpotency_once(monkeypatch, capsys):
     calls = []
     real = modcore.is_nilpotent

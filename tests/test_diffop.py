@@ -54,8 +54,6 @@ from nilmod.exactalg import QMatrix
 from nilmod.modcore import ModuleMap, PolySubmodule, submodule_from_polys
 from nilmod.multipoly import (
     Poly,
-    _below,
-    _by_degree,
     grlex_key,
     lower_set_closure,
     monomials_of_degree,
@@ -545,6 +543,28 @@ def test_apply_rejects_polynomials_beyond_truncation():
         s.apply(Poly(1, {(3,): 1}))
 
 
+PLANE = MonomialSubmodule(2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)])
+
+
+@pytest.mark.parametrize(
+    "call,message,truncation,degree",
+    [
+        (lambda: DiffOpSeries.identity(2, 2).apply(Poly(2, {(1, 3): 1})), "polynomial degree 4 exceeds truncation 2", 2, 4),
+        (lambda: restrict(DiffOpSeries.identity(2, 1), PLANE), "series truncation 1 below the submodule degree 2", 1, 2),
+        (lambda: restriction_kernel_dim(PLANE, 0), "truncation 0 below the submodule degree 2", 0, 2),
+    ],
+    ids=["apply", "restrict", "restriction_kernel_dim"],
+)
+def test_truncation_too_low_carries_its_witness(call, message, truncation, degree):
+    # Each raise site names the truncation and the operand's degree, as
+    # attributes and as the JSON witness; the message is as it was.
+    with pytest.raises(TruncationTooLow) as info:
+        call()
+    assert str(info.value) == message
+    assert (info.value.truncation, info.value.degree) == (truncation, degree)
+    assert info.value.witness_json == {"truncation": truncation, "degree": degree}
+
+
 def test_apply_preserves_derivative_closed_submodules():
     rng = random.Random(421)
     for seed in range(10):
@@ -627,7 +647,7 @@ def reference_closed_form_apply(s, p):
         raise ValueError("variable count mismatch")
     deg = p.total_degree()
     if isinstance(deg, int) and deg > s.trunc:
-        raise TruncationTooLow(f"polynomial degree {deg} exceeds truncation {s.trunc}")
+        raise TruncationTooLow(f"polynomial degree {deg} exceeds truncation {s.trunc}", s.trunc, deg)
     scaled = {}
     for beta, b in p.terms.items():
         b_fact = b * multi_factorial(beta)
@@ -721,55 +741,25 @@ def test_apply_and_images_match_the_fraction_closed_form():
                     assert_canonical_poly(image)
 
 
-# --- the walk of _below: the box of alpha or the support --------------------------
+# --- application's walk: the box of beta or the support --------------------------
 
 class Sized(dict):
-    """A terms dict that reports `size` terms and counts its lookups, so
-    `_below` takes the branch the size picks on the same terms."""
+    """A terms dict that reports `size` terms, so `DiffOpSeries.apply`
+    takes the branch the size picks on the same terms."""
 
-    def __init__(self, terms, size=None):
+    def __init__(self, terms, size):
         super().__init__(terms)
-        self.size = len(terms) if size is None else size
-        self.looked = 0
+        self.size = size
 
     def __len__(self):
         return self.size
 
-    def get(self, key, default=None):
-        self.looked += 1
-        return super().get(key, default)
-
-
-def cells(alpha):
-    return math.prod(a + 1 for a in alpha)
-
-
-def test_below_walks_the_box_up_to_the_switch_point():
-    # Four terms: (1, 1), (3, 0) and (0, 3) have 4 cells, the switch
-    # point, and take the box; (1, 2) and (2, 1) have 6 and walk the
-    # support.
-    nums = {(0, 0): 3, (1, 0): -2, (0, 1): 5, (0, 2): 7}
-    by_degree = _by_degree(nums)
-    for alpha in monomials_up_to_degree(2, 3):
-        expected = {
-            (alpha[0] - g[0], alpha[1] - g[1]): c for g, c in nums.items() if g[0] <= alpha[0] and g[1] <= alpha[1]
-        }
-        terms = Sized(nums)
-        assert dict(_below(by_degree, terms, alpha)) == expected
-        assert terms.looked == (cells(alpha) if cells(alpha) <= len(nums) else 0)
-        for size in (0, 10**9):
-            assert dict(_below(by_degree, Sized(nums, size), alpha)) == expected
-
 
 @pytest.mark.parametrize("branch", ["box", "support", "switch"])
-def test_both_walks_match_the_fraction_closed_form(branch, monkeypatch):
+def test_both_walks_match_the_fraction_closed_form(branch):
     # The same series and polynomials through the box everywhere, the
     # support everywhere, and the switch as it stands; the supports run
     # from one term to the whole box of the truncation.
-    if branch != "switch":
-        size = 10**9 if branch == "box" else 0
-        below = diffop._below
-        monkeypatch.setattr(diffop, "_below", lambda by_degree, terms, alpha: below(by_degree, Sized(terms, size), alpha))
     rng = random.Random(617)
     for n in (1, 2, 3):
         for trunc in range(5):
@@ -777,8 +767,13 @@ def test_both_walks_match_the_fraction_closed_form(branch, monkeypatch):
             for k in sorted({1, 2, 4, len(monomials) // 2, len(monomials)}):
                 support = rng.sample(monomials, min(k, len(monomials)))
                 s = DiffOpSeries(n, trunc, {a: random_fraction(rng) for a in support})
+                walked = s
+                if branch != "switch":
+                    nums = Sized(s._poly._nums, 10**9 if branch == "box" else 0)
+                    walked = DiffOpSeries._trusted(trunc, Poly._trusted(n, nums, s._poly._den))
+                    assert walked._poly._nums is nums
                 p = random_poly(rng, n, trunc)
-                out = s.apply(p)
+                out = walked.apply(p)
                 assert_canonical_poly(out)
                 assert out == reference_closed_form_apply(s, p)
                 table = monomial_images(s)

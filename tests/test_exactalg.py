@@ -23,6 +23,7 @@ from nilmod.exactalg import (
     _integer_rows,
     _rank_mod,
     _rref_int,
+    _split_rational,
     format_rational,
     parse_rational,
 )
@@ -98,6 +99,18 @@ def test_format_rational_refuses_a_number_past_the_digit_limit():
     for x in (Fraction(10**limit), Fraction(1, 10**limit), Fraction(-(10**limit) - 1, 3)):
         with pytest.raises(DimensionTooLarge, match=f"more than {limit} digits"):
             format_rational(x)
+
+
+def test_a_literal_past_the_digit_limit_is_a_typed_error():
+    # The reader keeps Python's limit on reading an integer, numerator or
+    # denominator, and names it: a size bound, not a malformed literal.
+    limit = sys.get_int_max_str_digits()
+    assert _split_rational("7" * limit + "/3") == (int("7" * limit), 3)
+    for literal in ("1" * (limit + 1), "-" + "9" * (limit + 1), "1/" + "3" * (limit + 1)):
+        with pytest.raises(DimensionTooLarge, match=f"^an input number has more than {limit} digits, Python's read limit$"):
+            _split_rational(literal)
+        with pytest.raises(DimensionTooLarge):
+            Poly.from_json([{"exps": [0], "coef": literal}], 1)
 
 
 def test_parse_rational_round_trip():

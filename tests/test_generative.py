@@ -5,12 +5,12 @@ them summed with a second module (two socle lines) or with a line where
 the variables act invertibly (not nilpotent), and conjugates them by
 rational matrices.  Each module is checked against the exact reference
 of `test_embed`, which decides nilpotency by squaring and the socle by
-exact elimination.  The prime P is patched to 5, 7 or 11 in `exactalg`
-and `embed`, so the kernel mod P is often larger than the exact one
-(the walk can miss the socle line, and the embedding retries) and, at
-n >= 2, the pass rows often lose rank mod P (the image's exact
-elimination then decides).  Examples are derandomized and their number is fixed, so the
-suite is deterministic.
+exact elimination.  The prime P is patched to 5, 7 or 11 in `exactalg`,
+the one module that holds it, so the kernel mod P is often larger than
+the exact one (the walk can miss the socle line, and the embedding
+retries) and, at n >= 2, the pass rows often lose rank mod P (the
+image's exact elimination then decides).  Examples are derandomized and
+their number is fixed, so the suite is deterministic.
 """
 
 import random
