@@ -23,13 +23,22 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import IncompatibleMap, NilmodError, NonCommuting
+from .errors import DimensionTooLarge, IncompatibleMap, NilmodError, NonCommuting
+
+
+def _parse_int(literal: str) -> int:
+    """A JSON integer; one past Python's digit limit, as a "p/q" literal
+    in `exactalg`, is `DimensionTooLarge`."""
+    try:
+        return int(literal)
+    except ValueError:
+        raise DimensionTooLarge.past_digit_limit(reading=True) from None
 
 
 def _read_json(path: str):
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_parse_int)
     except RecursionError:
         raise ValueError("input JSON is nested too deeply") from None
     if not isinstance(data, dict):

@@ -48,6 +48,13 @@ integer blocks M_i, S_i = M_i / D.  It hands back the image and the map's
 integer rows and weights.  Only `embed_nilpotent` and `embed_general`
 build a map, as integer rows over the lcm of the pivots' weights;
 `canonical_form`, and so `is_isomorphic`, build none.
+
+In one variable `canonical_form` needs neither the walk nor the pass:
+a module with M^(d-1) e_1 != 0 and M^d e_1 = 0 is one Jordan block,
+whose image is every polynomial of degree < d, and one exact chain from
+e_1, `modcore._one_jordan_block`, decides that.  Any other outcome of
+the chain runs the core.  The embeddings keep the walk, as their map
+depends on its lambda.
 """
 
 from __future__ import annotations
@@ -63,8 +70,10 @@ from .modcore import (
     FDModule,
     ModuleMap,
     PolySubmodule,
+    _degree_span,
     _inverse_system,
     _joint_kernel,
+    _one_jordan_block,
     is_nilpotent,
     socle_eigenvalues,
     twist,
@@ -177,7 +186,14 @@ def canonical_form(module: FDModule, rng: Optional[random.Random] = None) -> Pol
     A complete isomorphism invariant: two modules are isomorphic exactly
     when their canonical forms are equal.  The image of
     `embed_nilpotent`, without building its map.
+
+    In one variable a module whose exact chain e_1, S e_1, ... certifies
+    one Jordan block of length d has the image of every polynomial of
+    degree < d, with no walk and no pass; any other outcome of the chain
+    (e_1 in the image of S, or S^d e_1 != 0) runs the embedding's core.
     """
+    if module.n == 1 and _one_jordan_block(module._blocks[0]):
+        return _degree_span(module.dim - 1)
     return _embed(module, rng)[0]
 
 

@@ -7,6 +7,8 @@ it is not None, as the error's witness.
 
 from __future__ import annotations
 
+import sys
+
 
 class NilmodError(Exception):
     """Base class for all domain errors."""
@@ -83,6 +85,13 @@ class DimensionTooLarge(NilmodError):
     """Input or output past a documented size bound: the brute-force
     oracle's `max_dim`, the random generator's GEN_LIMIT, or Python's
     limit on the digits of an integer read or printed as a string."""
+
+    @classmethod
+    def past_digit_limit(cls, reading: bool) -> "DimensionTooLarge":
+        """A number read (or printed) past Python's limit on int-str
+        conversion, which stays in place against CVE-2020-10735."""
+        side, verb = ("input", "read") if reading else ("output", "print")
+        return cls(f"an {side} number has more than {sys.get_int_max_str_digits()} digits, Python's {verb} limit")
 
 
 class NothingToExtend(NilmodError):

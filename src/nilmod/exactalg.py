@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 import re
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -44,8 +43,7 @@ def format_rational(x: Fraction) -> str:
     try:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise DimensionTooLarge(f"an output number has more than {limit} digits, Python's print limit") from None
+        raise DimensionTooLarge.past_digit_limit(reading=False) from None
 
 
 def parse_rational(s: str) -> Fraction:
@@ -62,8 +60,7 @@ def _split_rational(s) -> tuple[int, int]:
     try:
         num, den = int(num), int(den or 1)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise DimensionTooLarge(f"an input number has more than {limit} digits, Python's read limit") from None
+        raise DimensionTooLarge.past_digit_limit(reading=True) from None
     g = gcd(num, den)
     return num // g, den // g
 
@@ -485,7 +482,7 @@ class Subspace(Value):
     def _whole(cls, d: int) -> "Subspace":
         """All of Q^d, with no elimination: the identity over E = 1, as `_span` makes it."""
         out = cls.__new__(cls)
-        out._store(d, range(d), 1, tuple(tuple(int(i == j) for i in range(d)) for j in range(d)))
+        out._store(d, range(d), 1, tuple((0,) * j + (1,) + (0,) * (d - 1 - j) for j in range(d)))
         return out
 
     def _span(self, ambient_dim: int, rows: Sequence[Sequence[int]], weights: Optional[Sequence[int]]) -> None:

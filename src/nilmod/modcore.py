@@ -270,6 +270,28 @@ def _inverse_system(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
     return monomials, [rows[a] for a in monomials], weights
 
 
+def _one_jordan_block(block: Sequence[Sequence[int]]) -> bool:
+    """True when the d x d integer block M has M^(d-1) e_1 != 0 and
+    M^d e_1 = 0: the module in one variable is then K[x]/(x^d), one Jordan
+    block, as the e_1, ..., M^(d-1) e_1 are a basis (a relation with
+    lowest index k, times M^(d-1-k), would leave a nonzero multiple of
+    M^(d-1) e_1) that M^d kills.  The chain is exact, each vector's content
+    divided out, and M e_1 is column 1, read before `_row_form` prepares
+    M's columns, so a chain that stops there costs O(d).  False on any
+    other outcome, d = 0 included."""
+    d = len(block)
+    v = [row[0] for row in block]
+    if not d or (d > 1 and not any(v)):
+        return False
+    form = _row_form(_columns(block, d), d)
+    for _ in range(d - 1):
+        if not any(v):
+            return False
+        g = gcd(*v)
+        v = _row_product([x // g for x in v] if g > 1 else v, form)
+    return not any(v)
+
+
 def socle(module: FDModule) -> Subspace:
     """Intersection of the kernels of all action matrices."""
     if not is_nilpotent(module):
@@ -456,8 +478,7 @@ def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
     members = [Poly.one(n)]
     _same_count(n, *gens)
     if n == 1:
-        top = max((alpha[0] for g in gens for alpha in g._nums), default=0)
-        return PolySubmodule._trusted(1, [(k,) for k in range(top, -1, -1)], None, None)
+        return _degree_span(max((alpha[0] for g in gens for alpha in g._nums), default=0))
     for g in gens:
         derived = {(0,) * n: g}
         for beta in sorted(lower_set_closure(g.monomials()), key=sum)[1:]:
@@ -465,6 +486,12 @@ def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
             derived[beta] = derived[beta[:i] + (beta[i] - 1,) + beta[i + 1 :]].partial(i + 1)
         members += derived.values()
     return PolySubmodule._trusted(n, *_poly_rows(members), None)
+
+
+def _degree_span(top: int) -> PolySubmodule:
+    """Every polynomial in one variable of degree at most top, the whole
+    space over x^top, ..., 1, with no elimination."""
+    return PolySubmodule._trusted(1, [(k,) for k in range(top, -1, -1)], None, None)
 
 
 class ExpSubmodule(Value):

@@ -165,6 +165,26 @@ def test_an_input_literal_past_the_digit_limit_is_a_typed_error(flags):
     assert proc.stdout == error_bytes({"kind": "DimensionTooLarge", "detail": detail})
 
 
+BIG_COUNT = ('{"n": ' + "1" * 5001 + ', "matrices": []}').encode()
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_a_json_number_past_the_digit_limit_is_a_typed_error(flags):
+    # A JSON number, such as the variable count, is read by `json.loads`,
+    # before any literal reader: its hook gives the same typed error.
+    proc = run_cli(["validate", "-"], stdin=BIG_COUNT, flags=flags)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert proc.stderr == b""
+    detail = f"an input number has more than {sys.get_int_max_str_digits()} digits, Python's read limit"
+    assert proc.stdout == error_bytes({"kind": "DimensionTooLarge", "detail": detail})
+
+
+def test_a_json_number_past_the_digit_limit_loads_no_algebra_layer(tmp_path):
+    path = tmp_path / "big_count.json"
+    path.write_bytes(BIG_COUNT)
+    assert loaded_modules(["validate", str(path)]) == FRONT
+
+
 def test_validate_checks_nilpotency_once(monkeypatch, capsys):
     calls = []
     real = modcore.is_nilpotent

@@ -44,6 +44,7 @@ from nilmod.modcore import (
     PolySubmodule,
     _inverse_system,
     _joint_kernel,
+    _one_jordan_block,
     _row_form,
     action_matrices,
     as_matrices,
@@ -1254,6 +1255,104 @@ def test_canonical_form_fixed_point():
 
     fd, _ = as_matrices(form)
     assert canonical_form(fd) == form
+
+
+# --- the chain certificate in one variable -------------------------------------
+
+def subdiagonal_jordan(d):
+    """S e_k = e_(k+1): e_1 is cyclic, so the chain certifies the block."""
+    return QMatrix([[int(r == c + 1) for c in range(d)] for r in range(d)], cols=d)
+
+
+def rational_invertible(rng, d, corner=None):
+    """An invertible matrix of small fractions, with entry (1, 1) the
+    corner if one is given."""
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)] for _ in range(d)]
+        if corner is not None:
+            rows[0][0] = corner
+        h = QMatrix(rows, cols=d)
+        if h.det() != 0:
+            return h
+
+
+def single_variable_table():
+    """(module, whether the chain certifies it): seeded modules in one
+    variable of dimension 0 to 12.  Both Jordan blocks, and dense
+    conjugates H^-1 J H of the subdiagonal one: e_1 lies in the image of
+    H^-1 J H iff H e_1 lies in that of J, iff H's entry (1, 1) is 0, and
+    then the chain stops early.  Sums of two blocks, whose e_1 chain stops
+    early, and modules that are not nilpotent, whose chain stops early or
+    never vanishes."""
+    rng = random.Random(1193)
+    cases = [(FDModule(1, [QMatrix([], cols=0)]), False)]
+    for d in range(1, 13):
+        cases += [(validate([subdiagonal_jordan(d)]), True), (validate([jordan_block(d)]), d == 1)]
+        for corner in (1, 0) if d > 1 else (1,):
+            h = rational_invertible(rng, d, corner)
+            cases.append((conjugate(validate([subdiagonal_jordan(d)]), h.inverse()), corner == 1))
+    for seed in range(6):
+        planted = random_nilpotent_module(1, rng.randint(1, 11), seed=seed)
+        cases += [(planted, True), (conjugate(planted, rational_invertible(rng, planted.dim)), None)]
+    for a, b in [(1, 1), (2, 1), (1, 3), (4, 4), (6, 5)]:
+        two = block_sum(validate([subdiagonal_jordan(a)]), validate([subdiagonal_jordan(b)]))
+        cases += [(two, False), (conjugate(two, rational_invertible(rng, a + b)), False)]
+    for d, c in [(1, 3), (3, 2), (7, -1), (11, Fraction(1, 2))]:
+        beside = block_sum(validate([subdiagonal_jordan(d)]), validate([QMatrix([[c]])]))
+        cases += [(beside, False), (conjugate(beside, rational_invertible(rng, d + 1)), False)]
+    cases += [
+        (validate([QMatrix([[3]])]), False),
+        (validate([QMatrix.identity(4)]), False),
+        (LINE_KERNEL_NOT_NILPOTENT, False),
+        (validate([QMatrix([[0, 1], [-1, 0]])]), False),
+    ]
+    return cases
+
+
+def test_the_chain_certificate_matches_the_embedding_core(monkeypatch):
+    # Where the chain certifies one Jordan block, canonical_form returns
+    # the span of x^(d-1), ..., 1 without entering the core, and the core
+    # gives the same form; anywhere else it runs the core, and the form or
+    # the error's kind and message is the core's.
+    import nilmod.embed
+
+    def attempt(call):
+        try:
+            return call()
+        except NilmodError as exc:
+            return type(exc).__name__, str(exc)
+
+    core = nilmod.embed._embed
+    entered = []
+    monkeypatch.setattr(nilmod.embed, "_embed", lambda *args: entered.append(1) or core(*args))
+    outcomes = {True: set(), False: set()}
+    dims = set()
+    for k, (module, certified) in enumerate(single_variable_table()):
+        chain = _one_jordan_block(module._blocks[0])
+        if certified is not None:
+            assert chain is certified, k
+        reference = attempt(lambda: core(module, None)[0])
+        entered.clear()
+        assert attempt(lambda: canonical_form(module)) == reference, k
+        assert entered == ([] if chain else [1]), k
+        if chain:
+            assert reference == submodule_from_polys(1, [Poly.monomial(1, (module.dim - 1,))])
+        outcomes[chain].add(reference[0] if isinstance(reference, tuple) else "ok")
+        dims.add(module.dim)
+    assert dims == set(range(13))
+    assert outcomes == {True: {"ok"}, False: {"ok", "NotNilpotent", "SocleNotOneDimensional"}}
+
+
+def test_a_chain_stopped_at_column_one_builds_no_form(monkeypatch):
+    # The superdiagonal block kills e_1: the chain reads column 1 and
+    # falls back before preparing the block's columns.
+    import nilmod.modcore
+
+    forms = []
+    monkeypatch.setattr(nilmod.modcore, "_row_form", lambda *args: forms.append(1) or _row_form(*args))
+    assert not _one_jordan_block(validate([jordan_block(50)])._blocks[0])
+    assert forms == []
+    assert canonical_form(validate([jordan_block(50)])) == submodule_from_polys(1, [Poly.monomial(1, (49,))])
 
 
 # --- isomorphism decisions -----------------------------------------------------

@@ -9,8 +9,10 @@ exact elimination.  The prime P is patched to 5, 7 or 11 in `exactalg`,
 the one module that holds it, so the kernel mod P is often larger than
 the exact one (the walk can miss the socle line, and the embedding
 retries) and, at n >= 2, the pass rows often lose rank mod P (the
-image's exact elimination then decides).  Examples are derandomized and
-their number is fixed, so the suite is deterministic.
+image's exact elimination then decides).  The canonical form is also
+drawn against conjugation by rational matrices with large entries, at the
+real prime.  Examples are derandomized and their number is fixed, so the
+suite is deterministic.
 """
 
 import random
@@ -99,9 +101,10 @@ def build(n, coeffs, extra, form, p, seed):
 
 
 @st.composite
-def modules(draw):
-    """(module, p): a drawn module, and the prime its scaled conjugates use."""
-    n = draw(st.integers(1, 3))
+def modules(draw, n=None):
+    """(module, p): a drawn module in n variables (drawn too if None), and
+    the prime its scaled conjugates use."""
+    n = draw(st.integers(1, 3)) if n is None else n
     size = len(list(monomials_up_to_degree(n, BOUNDS[n])))
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=size))
     extra = draw(
@@ -187,3 +190,24 @@ def test_small_primes_reach_the_retry_and_the_rank_fallback(monkeypatch):
         retries += len(runs) > 1
         check_against_reference(module, 5, rng.randint(0, 99))
     assert retries >= 5 and sum(short) >= 5, (retries, sum(short))
+
+
+@st.composite
+def large_conjugators(draw, d):
+    """An invertible d x d matrix of fractions whose numerators reach 10^12
+    and denominators 10^6."""
+    entries = st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6)
+    g = QMatrix(draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d)), cols=d)
+    hypothesis.assume(g.det() != 0)
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_canonical_form_is_invariant_under_large_rational_conjugation(n, data):
+    # canonical_form(G S G^-1) == canonical_form(S), or the same error; at
+    # n = 1 the chain certifies most of the forms that exist.
+    module, _ = data.draw(modules(n))
+    g = data.draw(large_conjugators(module.dim))
+    assert attempt(lambda: canonical_form(conjugate(module, g))) == attempt(lambda: canonical_form(module))

@@ -197,7 +197,13 @@ BUILDERS = {
     "FDModule": (["modcore.FDModule.from_json", "modcore.validate"], ["modcore.as_matrices", "modcore.twist"]),
     "PolySubmodule": (
         ["modcore.PolySubmodule.from_json"],
-        ["diffop.MonomialSubmodule.as_poly_submodule", "diffop._extend", "embed._image", "modcore.submodule_from_polys"],
+        [
+            "diffop.MonomialSubmodule.as_poly_submodule",
+            "diffop._extend",
+            "embed._image",
+            "modcore._degree_span",
+            "modcore.submodule_from_polys",
+        ],
     ),
 }
 
