@@ -47,7 +47,18 @@ Every path enters one core on a module, and the core reads the module's
 integer blocks M_i, S_i = M_i / D.  It hands back the image and the map's
 integer rows and weights.  Only `embed_nilpotent` and `embed_general`
 build a map, as integer rows over the lcm of the pivots' weights;
-`canonical_form`, and so `is_isomorphic`, build none.
+`canonical_form` and `is_isomorphic` build none.
+
+At n >= 2 `is_isomorphic` shares the core's start, the walk and the
+pass, and decides from the two passes with at most one elimination.  An
+injective phi's monomials are its image's, an invariant: two maps
+certified injective (rows of rank d mod P) with different monomials are
+not isomorphic, with no elimination.  With equal monomials the first
+image is built, and each phi_2(e_j) is tested against it exactly, on
+integers: all inside, with coordinates of rank d mod P, is isomorphic;
+one outside, under a certified second map, is not.  Any other outcome
+compares the two canonical forms, so the errors and their order are
+those of `canonical_form`.
 
 In one variable `canonical_form` needs neither the walk nor the pass:
 a module with M^(d-1) e_1 != 0 and M^d e_1 = 0 is one Jordan block,
@@ -64,7 +75,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionTooLarge, NotNilpotent, SocleNotOneDimensional
-from .exactalg import Immutable, QMatrix, _columns, _functional, _over_lcm, _rank_mod, _socle_walk
+from .exactalg import Immutable, QMatrix, _columns, _functional, _over_lcm, _rank_mod, _socle_walk, as_int
 from .modcore import (
     ExpSubmodule,
     FDModule,
@@ -103,26 +114,30 @@ class EmbeddingResult(Immutable):
         }
 
 
-def _image(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
-    """(image, rows, weights) from the pass of lam, or None when phi is
-    not injective.  The image is closed by construction, as
+def _walk_and_pass(module: FDModule, rng: Optional[random.Random]) -> Optional[tuple]:
+    """The inverse-system pass of a functional nonzero on the walk's vector
+    (drawn with the rng, if given): (monomials, rows, weights), or None when
+    the walk or the pass shows that the module is not nilpotent."""
+    w = _socle_walk(module._blocks)
+    return None if w is None else _inverse_system(module, _functional(w, rng))
+
+
+def _image(module: FDModule, monomials, rows, weights) -> Optional[PolySubmodule]:
+    """The image of phi from the pass's monomials, rows and weights, or None
+    when phi is not injective.  The image is closed by construction, as
     d_i phi(v) = phi(S_i v), so it takes the trusted constructor.  Fewer
     than d monomials give None, and d with independent rows (at n = 1
     always, else of rank d mod P) the whole space over them, with no
     elimination.  Only the rest is eliminated."""
-    found = _inverse_system(module, lam)
-    if found is None:
-        raise NotNilpotent(_NOT_NILPOTENT)
-    monomials, rows, weights = found
     n, d = module.n, module.dim
     if len(monomials) < d:
         return None
     # At n = 1 the rows lam S^k, k < d, are nonzero and lam S^d = 0: a relation with
     # lowest index k, times S^(d-1-k), would leave a nonzero multiple of lam S^(d-1).
     if len(monomials) == d and (n == 1 or _rank_mod(rows, d) == d):
-        return PolySubmodule._trusted(n, monomials, None, None), rows, weights
+        return PolySubmodule._trusted(n, monomials, None, None)
     image = PolySubmodule._trusted(n, monomials, _columns(rows, d), weights)
-    return (image, rows, weights) if image.dim == d else None
+    return image if image.dim == d else None
 
 
 def _embed(module: FDModule, rng: Optional[random.Random]) -> tuple:
@@ -133,12 +148,12 @@ def _embed(module: FDModule, rng: Optional[random.Random]) -> tuple:
     when that is a line the walk's lambda missed, to run the pass again.
     """
     if module.dim:
-        w = _socle_walk(module._blocks)
-        if w is None:
+        found = _walk_and_pass(module, rng)
+        if found is None:
             raise NotNilpotent(_NOT_NILPOTENT)
-        found = _image(module, _functional(w, rng))
-        if found is not None:
-            return found
+        image = _image(module, *found)
+        if image is not None:
+            return image, found[1], found[2]
     if not is_nilpotent(module):
         raise NotNilpotent(_NOT_NILPOTENT)
     if module.dim == 0:
@@ -146,10 +161,11 @@ def _embed(module: FDModule, rng: Optional[random.Random]) -> tuple:
     space = _joint_kernel(module)
     if space.dim != 1:
         raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
-    found = _image(module, _functional(space.basis[0], None))
-    if found is None:
+    found = _inverse_system(module, _functional(space.basis[0], None))
+    image = None if found is None else _image(module, *found)
+    if image is None:
         raise AssertionError("the embedding must be injective")
-    return found
+    return image, found[1], found[2]
 
 
 def _map_images(image: PolySubmodule, rows: Sequence[Sequence[int]], weights: Sequence[int]) -> QMatrix:
@@ -198,10 +214,61 @@ def canonical_form(module: FDModule, rng: Optional[random.Random] = None) -> Pol
 
 
 def is_isomorphic(first: FDModule, second: FDModule) -> bool:
+    """Whether the two modules are isomorphic, that is, whether their
+    canonical forms are equal; a module without one raises its typed
+    error, the first module's before the second's.
+
+    Modules of different dimensions are not isomorphic.  At n >= 2 the
+    verdict comes from the walk and pass of each module when they certify
+    it, with at most one exact elimination (see `_pass_verdict`).  Any
+    other outcome, and every module in one variable or of dimension 0,
+    compares the two canonical forms, which raises each error as
+    `canonical_form` does.
+    """
     _same_count(first.n, second)
     if first.dim != second.dim:
         return False
+    if first.n > 1 and first.dim:
+        verdict = _pass_verdict(first, second)
+        if verdict is not None:
+            return verdict
     return canonical_form(first) == canonical_form(second)
+
+
+def _certified_injective(found: tuple, d: int) -> bool:
+    """Whether the pass's rows certify phi injective: rank d mod P, a lower
+    bound for the exact rank, which needs d monomials or more."""
+    return _rank_mod(found[1], d) == d
+
+
+def _pass_verdict(first: FDModule, second: FDModule) -> Optional[bool]:
+    """The verdict of `is_isomorphic` on two modules of dimension d > 0 at
+    n >= 2 from their walks and passes, or None when they certify none.
+
+    An injective phi's image is the canonical form, and its monomials are
+    the pass's, an invariant.  Two certified maps with different monomials
+    are not isomorphic, with no elimination.  With equal monomials, the
+    first image, of dimension d, certifies the first map; the second
+    module is isomorphic when every phi_2(e_j) lies in it and their
+    coordinates at its pivots have rank d mod P, and is not when some
+    phi_2(e_j) is outside and the second map is certified injective.  The
+    membership test is exact, on integers.
+    """
+    found = _walk_and_pass(first, None)
+    other = None if found is None else _walk_and_pass(second, None)
+    if other is None:
+        return None
+    d = first.dim
+    if found[0] != other[0]:
+        return False if _certified_injective(found, d) and _certified_injective(other, d) else None
+    image = _image(first, *found)
+    if image is None:
+        return None
+    coords, rows = image.coords, other[1]
+    # phi_2(e_j) has coefficient rows[c][j] / weights[c] at monomial c.
+    if all(coords._pivot_entries(v) is not None for v in _columns(_over_lcm(rows, other[2])[0], d)):
+        return True if _rank_mod([rows[c] for c in coords._pivots], d) == d else None
+    return False if _certified_injective(other, d) else None
 
 
 def _intertwiner_space(first: FDModule, second: FDModule) -> tuple:
@@ -260,8 +327,12 @@ def brute_force_isomorphic(
     iff the determinant, as a polynomial on that space, is nonzero —
     over the rationals that is decided by symbolic expansion.  Intended
     as an oracle at small dimensions: its cost grows about 5.5 times per
-    two dimensions, so a max_dim above 10 is refused before any work.
+    two dimensions, so a max_dim above 10 is refused before any work,
+    as is one that is not an integer of at least 0 (with ValueError).
     """
+    max_dim = as_int(max_dim)
+    if max_dim < 0:
+        raise ValueError(f"brute-force oracle needs a max_dim of at least 0, not {max_dim}")
     if max_dim > 10:
         raise DimensionTooLarge(f"brute-force oracle accepts max_dim up to 10, not {max_dim}")
     _same_count(first.n, second)

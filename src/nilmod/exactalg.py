@@ -545,8 +545,15 @@ class Subspace(Value):
 
     def _integer_coordinates(self, w: Sequence[int], den: int) -> Optional[Vector]:
         """`coordinates_of` for the vector w / den, on integer w."""
+        coeffs = self._pivot_entries(w)
+        return None if coeffs is None else tuple(Fraction(x, den) for x in coeffs)
+
+    def _pivot_entries(self, w: Sequence[int]) -> Optional[list[int]]:
+        """The integer vector w's entries at the pivots, its coordinates
+        times its denominator, or None if w is outside: one integer dot
+        product per free column, and no `Fraction`."""
         coeffs = [w[c] for c in self._pivots]
         for j in self._free:
             if self._den * w[j] != sum(map(mul, coeffs, self._columns[j])):
                 return None
-        return tuple(Fraction(x, den) for x in coeffs)
+        return coeffs

@@ -508,6 +508,17 @@ def test_brute_force_bound_above_ten_is_refused():
     )
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_a_negative_brute_force_bound_is_a_parse_error(flags):
+    # `--max-dim` is read as a bound of at least 0, before any work.
+    proc = run_cli(["isomorphic", "inputs/jordan2.json", "inputs/jordan2_conjugate.json", "--max-dim", "-3"], flags=flags)
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == error_bytes(
+        {"kind": "ParseError", "detail": "brute-force oracle needs a max_dim of at least 0, not -3"}
+    )
+
+
 # --- what each child imports ----------------------------------------------
 
 # Calls nilmod.cli.main on its own argv and prints, as JSON, the nilmod

@@ -903,9 +903,9 @@ def test_single_variable_images_take_no_rank_and_no_elimination(monkeypatch, p):
 def test_a_short_pass_is_refused_before_any_elimination(monkeypatch):
     # Fewer monomials than d cannot hold an image of dimension d.
     calls = count_eliminations(monkeypatch)
-    assert _image(MISSED_SOCLE, [1, 0]) is None
-    assert _image(SHORT_RANK, [1, 0, 0]) is None
-    assert _image(block_sum(validate([jordan_block(3)]), validate([jordan_block(2)])), [0, 0, 1, 0, 1]) is None
+    summed = block_sum(validate([jordan_block(3)]), validate([jordan_block(2)]))
+    for module, lam in [(MISSED_SOCLE, [1, 0]), (SHORT_RANK, [1, 0, 0]), (summed, [0, 0, 1, 0, 1])]:
+        assert _image(module, *_inverse_system(module, lam)) is None
     assert calls == []
 
 
@@ -1385,6 +1385,102 @@ def test_is_isomorphic_variable_count_mismatch_raises():
         is_isomorphic(a, b)
 
 
+def closure_module(n, terms):
+    """The derivative action on the closure of one polynomial."""
+    return as_matrices(submodule_from_polys(n, [Poly(n, terms)]))[0]
+
+
+SUM_OF_SQUARES = closure_module(2, {(2, 0): 1, (0, 2): 1})  # five monomials, dimension 4
+WEIGHTED_SQUARES = closure_module(2, {(2, 0): 1, (0, 2): 2})  # the same monomials, another image
+CUBE = closure_module(2, {(3, 0): 1})  # dimension 4, four monomials
+
+
+def verdict(first, second):
+    """("ok", the verdict of is_isomorphic), or (kind, message) for a typed error."""
+    try:
+        return "ok", is_isomorphic(first, second)
+    except NilmodError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def conjugates(module, seed, count=2):
+    rng = random.Random(seed)
+    return [conjugate(module, random_invertible(rng, module.dim)) for _ in range(count)]
+
+
+def test_a_true_verdict_at_two_or_more_variables_costs_one_elimination(monkeypatch):
+    # The pass of each module is run once; only the first image, whose
+    # monomials outnumber its dimension, is eliminated, and every
+    # phi_2(e_j) is tested against it on integers.
+    squares3 = closure_module(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    cases = [SUM_OF_SQUARES, squares3, closure_module(*PLANTED[1]), closure_module(*PLANTED[2])]
+    for seed, module in enumerate(cases):
+        first, second = conjugates(module, seed + 350)
+        passes = count_calls(monkeypatch, ["_inverse_system"])["_inverse_system"]
+        calls = count_eliminations(monkeypatch)
+        assert is_isomorphic(first, second)
+        assert len(calls) == 1 and [args[0] for args in passes] == [first, second]
+        monkeypatch.undo()
+
+
+def test_a_support_mismatch_costs_no_elimination(monkeypatch):
+    # Different monomials under two certified maps decide False at once.
+    pairs = [(SUM_OF_SQUARES, CUBE), (CUBE, SUM_OF_SQUARES)]
+    pairs.append((closure_module(3, {(1, 1, 1): 1}), closure_module(3, {(7, 0, 0): 1})))
+    for seed, (p, q) in enumerate(pairs):
+        first, second = conjugates(p, seed + 360)[0], conjugates(q, seed + 370)[0]
+        calls = count_eliminations(monkeypatch)
+        assert not is_isomorphic(first, second)
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_equal_supports_with_different_images_cost_one_elimination(monkeypatch):
+    # x^2 + y^2 and x^2 + 2 y^2 have the same monomials: the first image
+    # is eliminated, and a phi_2(e_j) outside it decides False.
+    first, second = conjugates(SUM_OF_SQUARES, 380)[0], conjugates(WEIGHTED_SQUARES, 381)[0]
+    calls = count_eliminations(monkeypatch)
+    assert not is_isomorphic(first, second)
+    assert len(calls) == 1
+
+
+def test_a_forced_fallback_gives_the_same_verdict_or_error(monkeypatch):
+    # The first three pairs are decided by the passes; each other pair
+    # compares its two canonical forms, the first module's error first.
+    # Among them, a second module with two socle lines whose phi_2(e_j) all
+    # lie in the first image (the whole space over x^2, y^2, x, y, 1), and
+    # one whose phi_2(e_j) do not, as (x + y)^2 is outside the closure of
+    # x^2 + xy + y^2.  With every rank mod P read as 0 nothing is
+    # certified, and every pair compares the canonical forms.
+    import nilmod.embed
+
+    zero_line = validate([zeros(1, 1)] * 2)
+    not_nilpotent = block_sum(SUM_OF_SQUARES, validate([QMatrix([[1]]), QMatrix([[0]])]))
+    two_lines = block_sum(SUM_OF_SQUARES, zero_line)
+    squares_apart = as_matrices(submodule_from_polys(2, [X1 * X1, X2 * X2]))[0]
+    square_of_sum = block_sum(closure_module(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}), zero_line)
+    pairs = [
+        (SUM_OF_SQUARES, conjugates(SUM_OF_SQUARES, 390)[0]),
+        (conjugates(SUM_OF_SQUARES, 391)[0], WEIGHTED_SQUARES),
+        (CUBE, conjugates(SUM_OF_SQUARES, 392)[0]),
+        (not_nilpotent, two_lines),
+        (two_lines, not_nilpotent),
+        (closure_module(2, {(4, 0): 1}), not_nilpotent),
+        (squares_apart, two_lines),
+        (closure_module(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1}), square_of_sum),
+    ]
+    calls = count_calls(monkeypatch, ["canonical_form"])
+    routed = [verdict(*pair) for pair in pairs]
+    assert calls["canonical_form"] == [pairs[3][:1], pairs[4][:1], *((m,) for pair in pairs[5:] for m in pair)]
+    monkeypatch.setattr(nilmod.embed, "_rank_mod", lambda rows, cols: 0)
+    calls["canonical_form"].clear()
+    forced = [verdict(*pair) for pair in pairs]
+    assert len(calls["canonical_form"]) == 2 * 3 + 1 + 1 + 2 * 3
+    no_line = ("SocleNotOneDimensional", "socle has dimension 2, not 1")
+    refused = ("NotNilpotent", "only nilpotent modules embed into the derivative module")
+    assert routed == forced == [("ok", True), ("ok", False), ("ok", False), refused, no_line, refused, no_line, no_line]
+
+
 def test_brute_force_matches_constructive_decision():
     rng = random.Random(337)
     mods = [random_nilpotent_module(2, 2, seed=s) for s in range(12)]
@@ -1434,6 +1530,28 @@ def test_brute_force_refuses_a_bound_above_ten(monkeypatch):
             brute_force_isomorphic(first, second, max_dim=11)
     monkeypatch.undo()
     assert brute_force_isomorphic(one, one, max_dim=10)
+
+
+def test_brute_force_reads_max_dim_as_an_integer_bound(monkeypatch):
+    # max_dim is input: a bool, a non-integer and a negative value are
+    # refused with ValueError, before the variable counts are compared
+    # and before the intertwiner system is built.
+    import nilmod.embed
+
+    monkeypatch.setattr(nilmod.embed, "_intertwiner_space", lambda *args: pytest.fail("built the system"))
+    one, two = validate([zeros(1, 1)]), validate([zeros(1, 1)] * 2)
+    refusals = [
+        (True, "expected an integer, got True"),
+        (2.5, "expected an integer, got 2.5"),
+        (-3, "brute-force oracle needs a max_dim of at least 0, not -3"),
+    ]
+    for first, second in [(one, one), (one, two)]:
+        for bound, message in refusals:
+            with pytest.raises(ValueError) as caught:
+                brute_force_isomorphic(first, second, max_dim=bound)
+            assert str(caught.value) == message
+    with pytest.raises(DimensionTooLarge, match="limited to dimension 0"):
+        brute_force_isomorphic(one, one, max_dim=0)
 
 
 # --- exponential embeddings ------------------------------------------------------

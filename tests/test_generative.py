@@ -11,8 +11,10 @@ the exact one (the walk can miss the socle line, and the embedding
 retries) and, at n >= 2, the pass rows often lose rank mod P (the
 image's exact elimination then decides).  The canonical form is also
 drawn against conjugation by rational matrices with large entries, at the
-real prime.  Examples are derandomized and their number is fixed, so the
-suite is deterministic.
+real prime.  `is_isomorphic` is drawn against the comparison of the two
+canonical forms, at the real prime and at the small ones, where its
+certificates often fail and it falls back.  Examples are derandomized
+and their number is fixed, so the suite is deterministic.
 """
 
 import random
@@ -27,7 +29,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import nilmod.embed  # noqa: E402
 import nilmod.exactalg  # noqa: E402
-from nilmod.embed import canonical_form, embed_nilpotent  # noqa: E402
+from nilmod.embed import canonical_form, embed_nilpotent, is_isomorphic  # noqa: E402
 from nilmod.errors import NilmodError  # noqa: E402
 from nilmod.exactalg import QMatrix  # noqa: E402
 from nilmod.modcore import as_matrices, submodule_from_polys, validate  # noqa: E402
@@ -211,3 +213,122 @@ def test_canonical_form_is_invariant_under_large_rational_conjugation(n, data):
     module, _ = data.draw(modules(n))
     g = data.draw(large_conjugators(module.dim))
     assert attempt(lambda: canonical_form(conjugate(module, g))) == attempt(lambda: canonical_form(module))
+
+
+# --- is_isomorphic against the canonical forms ------------------------------
+
+PAIR_KINDS = ("conjugates", "same support", "other support", "faulty")
+
+
+def monomial_closure(n, d):
+    """The closure of x_1^(d-1): a module of dimension d with a line socle."""
+    return as_matrices(submodule_from_polys(n, [Poly.monomial(n, (d - 1,) + (0,) * (n - 1))]))[0]
+
+
+def iso_pair(n, kind, rng, p=None):
+    """Two modules in n variables of one kind: conjugates of one closure;
+    closures of two polynomials with the same support, so with the same
+    monomials; a closure and the closure of a monomial of the same
+    dimension; or a module that is not nilpotent or has two socle lines,
+    with a module of the same dimension.  Their order is shuffled, and
+    each is left plain or conjugated by a rational matrix, dense or
+    scaled by the prime p (drawn from PRIMES if None)."""
+    size = len(list(monomials_up_to_degree(n, BOUNDS[n])))
+    coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, size))]
+    if kind == "conjugates":
+        pair = [closure(n, coeffs)] * 2
+    elif kind == "same support":
+        support = [c != 0 for c in coeffs]
+        pair = [closure(n, [rng.choice([-3, -2, -1, 1, 2, 3]) if s else 0 for s in support]) for _ in "ab"]
+    elif kind == "other support":
+        module = closure(n, coeffs)
+        pair = [module, monomial_closure(n, module.dim)]
+    else:
+        module = closure(n, coeffs)
+        line = [rng.randint(-2, 2) for _ in range(n)]
+        line[rng.randrange(n)] = rng.choice([-2, -1, 1, 2])
+        faulty = [
+            block_sum(module, validate([QMatrix([[c]]) for c in line])),
+            block_sum(module, validate([QMatrix([[0]])] * n)),
+        ]
+        pair = [rng.choice(faulty), rng.choice(faulty + [monomial_closure(n, module.dim + 1)])]
+    rng.shuffle(pair)
+    forms = {"plain": lambda m: m, "dense": lambda m: dense_conjugate(m, rng.randint(0, 10**6))}
+    forms["scaled"] = lambda m: scaled_conjugate(m, p or rng.choice(PRIMES), rng.randint(0, 10**6))
+    return [forms[rng.choice(sorted(forms))](module) for module in pair]
+
+
+def canonical_verdict(first, second):
+    """is_isomorphic by its definition: False on different dimensions,
+    else the comparison of the two canonical forms, the first module's
+    error first."""
+    return first.dim == second.dim and canonical_form(first) == canonical_form(second)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(2, 3), kind=st.sampled_from(PAIR_KINDS), seed=st.integers(0, 10**6))
+def test_is_isomorphic_matches_the_canonical_forms(n, kind, seed):
+    # The same verdict, or the same error kind and message, at the real
+    # prime and at each small one.
+    first, second = iso_pair(n, kind, random.Random(seed))
+    reference = attempt(lambda: canonical_verdict(first, second))
+    assert attempt(lambda: is_isomorphic(first, second)) == reference
+    for p in PRIMES:
+        with prime(p):
+            assert attempt(lambda: is_isomorphic(first, second)) == reference
+
+
+def pass_route(events):
+    """The route of one `_pass_verdict` call from its callees' outcomes,
+    (name, truthy), up to its own (name, verdict)."""
+    verdict = events[-1][1]
+    names = ("_walk_and_pass", "_image", "_certified_injective")
+    outcomes = {name: [ok for called, ok in events if called == name] for name in names}
+    if verdict is not None:
+        return "inside" if verdict else "outside" if outcomes["_image"] else "other support"
+    if not all(outcomes["_walk_and_pass"]):
+        return "no pass"
+    if not outcomes["_image"]:
+        return "other support, uncertified"
+    if not outcomes["_image"][0]:
+        return "first not injective"
+    return "outside, uncertified" if outcomes["_certified_injective"] else "rank short"
+
+
+def test_every_route_of_is_isomorphic_is_reached(monkeypatch):
+    # On seeded pairs of every kind, at the real prime and at P = 5, 7 and
+    # 11, each verdict of the passes and each fallback occurs, and every
+    # answer matches the canonical forms.
+    events = []
+
+    def spy(name):
+        original = getattr(nilmod.embed, name)
+
+        def recorded(*args):
+            out = original(*args)
+            events.append((name, out if name == "_pass_verdict" else out not in (None, False)))
+            return out
+
+        monkeypatch.setattr(nilmod.embed, name, recorded)
+
+    for name in ("_walk_and_pass", "_image", "_certified_injective", "_pass_verdict"):
+        spy(name)
+    rng = random.Random(41)
+    routes = {}
+    for p in (None,) + PRIMES:
+        for kind in PAIR_KINDS:
+            for _ in range(40):
+                first, second = iso_pair(rng.randint(2, 3), kind, rng, p)
+                reference = attempt(lambda: canonical_verdict(first, second))
+                events.clear()
+                with prime(p or nilmod.exactalg._PRIME):
+                    assert attempt(lambda: is_isomorphic(first, second)) == reference
+                ends = [k for k, (name, _) in enumerate(events) if name == "_pass_verdict"]
+                if ends:
+                    route = pass_route(events[: ends[0] + 1])
+                    routes[route] = routes.get(route, 0) + 1
+    expected = {
+        "inside", "outside", "other support", "no pass", "other support, uncertified",
+        "first not injective", "outside, uncertified", "rank short",
+    }
+    assert set(routes) == expected and min(routes.values()) >= 2, sorted(routes.items())
