@@ -8,8 +8,10 @@ errors.  An error prints {"error": {"kind", "detail"}}, plus a "witness"
 where the error's `witness_json` (see `errors.py`) is set: for
 NotAnEndomorphism ({"derivative", "monomial"}), TruncationTooLow
 ({"truncation", "degree"}), Incompatible and NonCommuting (the pair
-[i, j]).  The subcommands are the rows of one
-table, `_COMMANDS`.
+[i, j]), NonRationalEigenvalue ({"block", "char_poly"}, the
+coefficients ascending as strings) and NoCommonEigenline (the surviving
+eigenvalue tuples, as "p/q" strings).  The subcommands are the rows of
+one table, `_COMMANDS`.
 
 Each handler imports the layers it runs once its JSON input is read, so
 a usage error or an unreadable or malformed file loads no algebra layer.

@@ -27,21 +27,21 @@ The series layer rests on three closed forms:
 
 A series stores its polynomial in d, which stores integer numerators
 over one denominator.  The kernels built on these forms (application,
-composition, exp and log, the monomial-image table, the endomorphism
-check of `extract_coeffs` and the restriction matrix) read and write
-that form, as the linear algebra of `exactalg` does: the loops add and
-multiply integers, and a result whose terms carry their own
-denominators takes each over their lcm (`Poly._over_lcm`).  exp and
+composition, exp and log, the monomial-image table and its check in
+`extract_coeffs`, the restriction matrix and isomorphism extension)
+read and write that form, as the linear algebra of `exactalg` does: the
+loops add and multiply integers, and a result whose terms carry their
+own denominators takes each over their lcm (`Poly._over_lcm`).  exp and
 log solve for the integers X_g D^|g| |g|! when s = N/D, so their pass
-divides nothing.  The check of `extract_coeffs` compares numerators by
-integer cross-multiplication and builds no polynomial.  Results go
-through `Poly._trusted` and `DiffOpSeries._trusted`; input from
-outside goes through the validating constructors.
+divides nothing.  A table passes the check of `extract_coeffs` when it
+is the image table of the series its constant terms name, compared in
+one pass of integer cross-multiplications.  Results go through
+`Poly._trusted` and `DiffOpSeries._trusted`; input goes through the
+validating constructors.
 
-Composition, exp and log, application and the image table run on the
-packed keys of `multipoly._packing`, one integer per exponent: a sum of
-exponents is one add and gamma <= beta one mask test.  Operands are
-packed once on entry and the result's tuples built once on exit.
+Composition, exp and log, application, the image table and its check
+run on the packed keys of `multipoly._packing`, one integer per
+exponent: a sum of exponents is one add and gamma <= beta one mask test.
 
 An isomorphism between polynomial submodules grows one monomial at a
 time, as FGLM grows its basis: each step adds the graded-lex least
@@ -63,7 +63,7 @@ from .errors import (
     TruncationTooLow,
     WrongConstantTerm,
 )
-from .exactalg import QMatrix, Value, as_fraction
+from .exactalg import QMatrix, Value, _columns, _over_lcm, as_fraction
 from .modcore import ModuleMap, PolySubmodule, _poly_rows
 from .multipoly import (
     MultiIndex,
@@ -72,8 +72,8 @@ from .multipoly import (
     _by_degree,
     _exponent,
     _fields,
+    _is_image_table,
     _packing,
-    _partial_matches,
     _same_count,
     _truncation,
     _variable_count,
@@ -328,11 +328,13 @@ def extract_coeffs(
     """Recover the series from a monomial-image table.
 
     The table must cover every monomial of total degree <= degree, hold
-    none above it, and commute with each partial derivative wherever
-    both sides stay inside the table; that check is exactly what makes
-    the coefficient formula c_alpha = image(x^alpha)(0)/alpha! reproduce
-    the whole map.  The first failure in graded-lex order of alpha, then
-    i, is the witness (i, alpha).
+    none above it, and be the image table of the series c_alpha =
+    image(x^alpha)(0)/alpha!, which is what commuting with each d_i
+    means; `multipoly._is_image_table` checks that in one pass.  The
+    witness (i, alpha) of a failure is the first alpha in grlex order
+    whose image differs, x_i the first variable in the difference: every
+    lower image agrees, so d_i s(x^alpha) == alpha_i s(x^(alpha - e_i))
+    first fails there, and it is d_i of a difference with no constant term.
     """
     n, degree = _variable_count(n), _truncation(degree)
     table: dict[MultiIndex, Poly] = {}
@@ -346,20 +348,17 @@ def extract_coeffs(
     if len(images) > len(table):
         alpha = min((_exponent(a, n) for a in images if a not in table), key=grlex_key)
         raise ValueError(f"image table has monomial {alpha} above degree {degree}")
-    zero = Poly.zero(n)
-    for alpha in sorted(table, key=grlex_key):
-        for k, a in enumerate(alpha):
-            # d_(k+1) s(x^alpha) == alpha_k s(x^(alpha - e_k))
-            below = table[alpha[:k] + (a - 1,) + alpha[k + 1 :]] if a else zero
-            if not _partial_matches(table[alpha], k, below, a):
-                raise NotAnEndomorphism(k + 1, alpha)
     origin = (0,) * n
-    coeffs = {
-        alpha: (p._nums[origin], p._den * multi_factorial(alpha))
-        for alpha, p in table.items()
-        if origin in p._nums
-    }
-    return DiffOpSeries._trusted(degree, Poly._over_lcm(n, coeffs))
+    facts = list(map(multi_factorial, table))
+    series = DiffOpSeries._trusted(degree, Poly._over_lcm(n, {
+        alpha: (p._nums[origin], p._den * f) for (alpha, p), f in zip(table.items(), facts) if origin in p._nums
+    }))
+    if not _is_image_table(series._poly, degree, table, facts):
+        expected = monomial_images(series)
+        alpha = min((a for a, p in table.items() if p != expected[a]), key=grlex_key)
+        i = min(next(k for k, e in enumerate(delta) if e) for delta in (table[alpha] - expected[alpha])._nums)
+        raise NotAnEndomorphism(i + 1, alpha)
+    return series
 
 
 class MonomialSubmodule(Value):
@@ -480,20 +479,20 @@ def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[in
     """phi extended to at most `limit` missing candidates, least first in
     grlex order, or phi when none is missing.  rows[pi], the source's
     echelon row led by pi, is monic there and zero at the other leads,
-    with image images[pi]: x^alpha is inside iff rows[alpha] is x^alpha.
-    """
-    source, target = phi.source, phi.target
-    n = source.n
+    with image images[pi], both combined by integer scalars: x^alpha is
+    inside iff rows[alpha] is x^alpha.  The rows are the new source's
+    basis; the map's column k is row k's image's target pivot entries."""
+    source, target, n = phi.source, phi.target, phi.source.n
     leads = [source.monomial_list[c] for c in source.coords._pivots]
     rows = dict(zip(leads, source.basis))
     images = dict(zip(leads, phi.image_polys()))
-    monomials, news = [], []
+    zero, news = Poly._trusted(n, {}, 1), []
 
     def inside(alpha: MultiIndex) -> bool:
         return alpha in rows and len(rows[alpha]._nums) == 1
 
     for kappa in sorted(candidates, key=grlex_key):
-        if len(monomials) == limit:
+        if len(news) == limit:
             break
         if inside(kappa):
             continue
@@ -502,37 +501,33 @@ def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[in
             beta = kappa[:i] + (k - 1,) + kappa[i + 1 :]
             if k and not inside(beta):
                 raise AssertionError("phi is only applied inside the source")
-            gs.append(images[beta].scale(k) if k else Poly.zero(n))
-        g = potential(gs, n)
-        monomials.append(Poly.monomial(n, kappa))
-        news.append(g)
-        new, image = monomials[-1], g
+            gs.append(zero._plus(k, 1, images[beta]) if k else zero)
+        news.append(potential(gs, n))
+        new, image = Poly._trusted(n, {kappa: 1}, 1), news[-1]
         if kappa in rows:
-            new, image = new - rows[kappa], image - images[kappa]
+            new, image = new._plus(-1, 1, rows[kappa]), image._plus(-1, 1, images[kappa])
         lead = max(new._nums, key=grlex_key)
-        c = Fraction(new._den, new._nums[lead])
-        new, image = new.scale(c), image.scale(c)
+        c = new._nums[lead]  # new / (c / D) is monic at lead
+        new, image = zero._plus(new._den, c, new), zero._plus(new._den, c, image)
         for pi, row in rows.items():
             f = row._nums.get(lead)
             if f:
-                f = Fraction(f, row._den)
-                rows[pi], images[pi] = row - new.scale(f), images[pi] - image.scale(f)
+                rows[pi], images[pi] = row._plus(-f, row._den, new), images[pi]._plus(-f, row._den, image)
         rows[lead], images[lead] = new, image
-    if not monomials:
+    if not news:
         return phi
     # Both spans are closed by construction: d_i x^kappa is k x^beta with
     # x^beta inside, and d_i g = k phi(x^beta), checked by `potential`.
-    new_source = PolySubmodule._trusted(n, *_poly_rows(list(source.basis) + monomials), None)
+    new_source = PolySubmodule._reduced(n, rows)
     new_target = PolySubmodule._trusted(n, *_poly_rows(list(target.basis) + news), None)
-    if new_source.dim != len(rows):
-        raise AssertionError("one source dimension per row")
     if new_target.dim != len(rows):
         raise AssertionError("the extension image must be new")
-    # The rows are new_source's canonical basis.
-    columns = [new_target.coordinates_of(images[new_source.monomial_list[c]]) for c in new_source.coords._pivots]
+    order = [images[new_source.monomial_list[c]] for c in new_source.coords._pivots]
+    columns = [new_target.coords._pivot_entries([p._nums.get(a, 0) for a in new_target.monomial_list]) for p in order]
     if None in columns:
         raise AssertionError("every image lies in the new target")
-    return ModuleMap(new_source, new_target, QMatrix.from_columns(columns))
+    ints, den = _over_lcm(columns, [p._den for p in order])
+    return ModuleMap(new_source, new_target, QMatrix._trusted(_columns(ints, len(rows)), den, len(rows)))
 
 
 def extend_iso_step(
@@ -567,9 +562,9 @@ def extend_iso(
     """Extend an isomorphism until its domain contains the goal's span.
 
     One grlex pass over the goal adds each least missing monomial as one
-    echelon row; each side's span is built once, at the end, and column
-    k of the map is the image of basis vector k: nothing is inverted.
-    phi, checked once, comes back if nothing is missing.
+    echelon row.  The rows are the new source's basis, the target's span
+    is built once, and column k of the map is the image of basis vector
+    k: nothing is inverted.  phi, checked once, comes back if none is missing.
     """
     _same_count(source.n, goal)
     _check_iso(source, target, phi)

@@ -38,12 +38,29 @@ class NoCommonEigenline(SocleNotOneDimensional):
     """No unique common eigenline exists for the action matrices.
 
     This is a special case of the socle failing to be one-dimensional
-    under the general (possibly non-nilpotent) action.
+    under the general (possibly non-nilpotent) action.  When several
+    joint eigenvalue tuples survive, they are the witness, each a list
+    of "p/q" strings.
     """
+
+    def __init__(self, message: str, tuples: list[list[str]] | None = None):
+        self.tuples = self.witness_json = tuples
+        super().__init__(message)
 
 
 class NonRationalEigenvalue(NilmodError):
-    """A required eigenvalue lies outside the rational field."""
+    """A required eigenvalue lies outside the rational field.
+
+    The witness is the block (1-based) at which no joint eigenvalue
+    tuple survives, and the characteristic polynomial of that integer
+    block, D S_block over the module's denominator D: its coefficients
+    c_0..c_d, ascending, as decimal strings.
+    """
+
+    def __init__(self, message: str, block: int, char_poly: list[str]):
+        self.block, self.char_poly = block, char_poly
+        self.witness_json = {"block": block, "char_poly": char_poly}
+        super().__init__(message)
 
 
 class Incompatible(NilmodError):

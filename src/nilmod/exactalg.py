@@ -158,6 +158,16 @@ def _over_lcm(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> tuple[list[
     return [[x * (den // d) for x in row] for row, d in zip(rows, dens)], den
 
 
+def _common_factor(den: int, rows: Iterable[Sequence[int]]) -> int:
+    """gcd(den, every entry of the rows) for den > 0, folded row by row and
+    stopped once it is 1, so a reduced form reads only its first rows."""
+    for row in rows if den > 1 else ():
+        den = gcd(den, *row)
+        if den == 1:
+            break
+    return den
+
+
 def _primitive_row(row: Sequence[int]) -> Optional[Sequence[int]]:
     """row divided by the gcd of its entries; None for a zero row."""
     content = gcd(*row)
@@ -314,7 +324,7 @@ class QMatrix(Value):
     def _trusted(cls, ints: Sequence[Sequence[int]], den: int, cols: int) -> "QMatrix":
         """The matrix ints / den, for integer rows of width cols and a
         positive den, with the common factor of den and ints divided out."""
-        g = gcd(den, *(x for row in ints for x in row)) if den > 1 else 1
+        g = _common_factor(den, ints)
         out = object.__new__(cls)
         out._store([[x // g for x in row] for row in ints] if g > 1 else ints, den // g, cols)
         return out
@@ -479,6 +489,15 @@ class Subspace(Value):
         return out
 
     @classmethod
+    def _from_reduced(cls, ambient_dim: int, pivots: Sequence[int], reduced: Sequence[Sequence[int]]) -> "Subspace":
+        """The span of integer rows already in reduced echelon form, as
+        `_rref_int` returns them: primitive, row k nonzero at pivots[k],
+        ascending, and zero at every other pivot.  No elimination."""
+        out = cls.__new__(cls)
+        out._store_reduced(ambient_dim, pivots, reduced)
+        return out
+
+    @classmethod
     def _whole(cls, d: int) -> "Subspace":
         """All of Q^d, with no elimination: the identity over E = 1, as `_span` makes it."""
         out = cls.__new__(cls)
@@ -490,18 +509,22 @@ class Subspace(Value):
         by the positive weights[c] if given.
 
         Dividing columns moves no zero, so the reduced rows divided the
-        same way, each then by its pivot entry, are the RREF.  It is kept
-        as B / E with integer B: the columns of B, the pivots and the
-        free columns.  A primitive reduced row r over its pivot entry p
-        has least denominator |p|, so E is the lcm of the pivot entries.
-        With weights, row r first becomes the integer row r[c] L /
-        weights[c], L the weights' lcm, made primitive again by one gcd.
+        same way, each then by its pivot entry, are the RREF.  With
+        weights, row r first becomes the integer row r[c] L / weights[c],
+        L the weights' lcm, made primitive again by one gcd.
         """
         pivots, reduced = _rref_int(rows, ambient_dim)
         if weights:
             scale = lcm(*weights)
             factors = [scale // w for w in weights]
             reduced = [_primitive_row(list(map(mul, row, factors))) for row in reduced]
+        self._store_reduced(ambient_dim, pivots, reduced)
+
+    def _store_reduced(self, ambient_dim: int, pivots: Sequence[int], reduced: Sequence[Sequence[int]]) -> None:
+        """Keep primitive reduced rows as B / E with integer B: the columns
+        of B, the pivots and the free columns.  A primitive reduced row r
+        over its pivot entry p has least denominator |p|, so E is the lcm
+        of the pivot entries."""
         ints, den = _over_lcm(reduced, [row[c] for c, row in zip(pivots, reduced)])
         self._store(ambient_dim, pivots, den, _columns(ints, ambient_dim))
 

@@ -44,6 +44,7 @@ from .exactalg import (
     Value,
     Vector,
     _columns,
+    _common_factor,
     _int_matmul,
     _integer_kernel,
     _integer_rows,
@@ -107,7 +108,7 @@ class FDModule(Value):
     def _trusted(cls, n: int, dim: int, blocks: Sequence[Sequence[Sequence[int]]], den: int) -> "FDModule":
         """The module S_i = blocks[i] / den of n integer d x d blocks that commute by
         construction, den > 0, the common factor divided out; checks nothing."""
-        g = gcd(den, *(x for block in blocks for row in block for x in row)) if den > 1 else 1
+        g = _common_factor(den, (row for block in blocks for row in block))
         blocks = [[[x // g for x in row] for row in block] for block in blocks] if g > 1 else blocks
         out = object.__new__(cls)
         out._store(n, dim, tuple(tuple(map(tuple, block)) for block in blocks), den // g, None)
@@ -347,15 +348,31 @@ class PolySubmodule(Value):
         out._span(n, tuple(monomial_list), rows, weights)
         return out
 
+    @classmethod
+    def _reduced(cls, n: int, rows: dict[MultiIndex, Poly]) -> "PolySubmodule":
+        """The span of a reduced echelon form that is closed by
+        construction: rows[pi] monic at its leading monomial pi and zero
+        at every other pi.  The rows are its canonical basis, so nothing
+        is eliminated."""
+        leads = sorted(rows, key=grlex_key, reverse=True)
+        monomial_list, ints = _poly_rows([rows[pi] for pi in leads])
+        position = {alpha: c for c, alpha in enumerate(monomial_list)}
+        out = cls.__new__(cls)
+        out._store(n, monomial_list, Subspace._from_reduced(len(monomial_list), [position[pi] for pi in leads], ints))
+        return out
+
     def _span(self, n, monomial_list, rows, weights) -> None:
         """The core: the span of the integer rows, row[c] / weights[c]
         (or row[c]) being the coefficient at monomial_list[c], a
         descending list of monomials each nonzero in some row, or rows None
         for all of their span.  One elimination (none for rows None), then
         the constants check."""
-        n = _variable_count(n)
         width = len(monomial_list)
         coords = Subspace._whole(width) if rows is None else Subspace._from_integer_rows(width, rows, weights)
+        self._store(n, monomial_list, coords)
+
+    def _store(self, n, monomial_list, coords: Subspace) -> None:
+        n = _variable_count(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "monomial_list", monomial_list)
         object.__setattr__(self, "coords", coords)
@@ -404,6 +421,10 @@ class PolySubmodule(Value):
         if len(coords) != self.dim:
             raise ValueError("coordinate length differs from dimension")
         (nums,), den = _integer_rows([coords])
+        return self._combination(nums, den)
+
+    def _combination(self, nums: Sequence[int], den: int) -> Poly:
+        """`from_coordinates` for the integer coordinates nums over den > 0."""
         terms = {alpha: sum(map(mul, nums, column)) for alpha, column in zip(self.monomial_list, self.coords._columns)}
         return Poly._trusted(self.n, terms, den * self.coords._den)
 
@@ -588,7 +609,8 @@ class ModuleMap(Immutable):
             target = target.part
         if not isinstance(target, PolySubmodule):
             raise TypeError("target does not have a polynomial basis")
-        return target.from_coordinates(self.images.column(j))
+        images = self.images
+        return target._combination([row[j] for row in images._ints], images._den)
 
     def image_polys(self) -> tuple[Poly, ...]:
         """The image polynomial of each source basis vector, in order."""
@@ -720,14 +742,19 @@ def socle_eigenvalues(module: FDModule) -> tuple[Fraction, ...]:
     survive.  When none does, some characteristic polynomial does not
     split over the rationals: otherwise every commuting matrix has an
     eigenvector on each nonzero joint eigenspace of the ones before it.
+    The first block that leaves none, with its characteristic
+    polynomial, is the witness, and so are the tuples when several
+    survive; a number past Python's digit limit in either gives
+    `DimensionTooLarge`, as `format_rational` does.
     """
     d = module.dim
     if d == 0:
         raise NoCommonEigenline("the zero module has no eigenline")
     survivors: list[tuple[tuple[Fraction, ...], list]] = [((), [])]
-    for block in module._blocks:
+    for k, block in enumerate(module._blocks, 1):
         ints = [list(row) for row in block]
-        roots = _integer_roots(_char_poly(ints))
+        char_poly = _char_poly(ints)
+        roots = _integer_roots(char_poly)
         extended = []
         for values, rows in survivors:
             for u in roots:
@@ -735,13 +762,14 @@ def socle_eigenvalues(module: FDModule) -> tuple[Fraction, ...]:
                 if len(_rref_int(stacked, d)[0]) < d:
                     extended.append((values + (Fraction(u, module._den),), stacked))
         survivors = extended
-    if not survivors:
-        raise NonRationalEigenvalue(
-            "no rational joint eigenvalue exists; the socle eigenvalues "
-            "lie in a proper extension field"
-        )
+        if not survivors:
+            raise NonRationalEigenvalue(
+                "no rational joint eigenvalue exists; the socle eigenvalues "
+                "lie in a proper extension field", k, list(map(format_rational, char_poly))
+            )
     if len(survivors) > 1:
         raise NoCommonEigenline(
-            f"{len(survivors)} distinct joint eigenvalue tuples found"
+            f"{len(survivors)} distinct joint eigenvalue tuples found",
+            [list(map(format_rational, values)) for values, _ in survivors],
         )
     return survivors[0][0]

@@ -179,12 +179,17 @@ class Poly(Value):
         if not isinstance(other, Poly):
             return NotImplemented
         _same_count(self.n, other)
-        den = math.lcm(self._den, other._den)
-        a, b = den // self._den, den // other._den
+        return self._plus(1, 1, other)
+
+    def _plus(self, num: int, den: int, other: "Poly") -> "Poly":
+        """self + (num/den) other, for integers num and den != 0, over the
+        lcm of the denominators (positive): integer scalars, no `Fraction`."""
+        lcd = math.lcm(self._den, den * other._den)
+        a, b = lcd // self._den, num * (lcd // (den * other._den))
         out = {alpha: a * c for alpha, c in self._nums.items()}
         for alpha, c in other._nums.items():
             out[alpha] = out.get(alpha, 0) + b * c
-        return Poly._trusted(self.n, out, den)
+        return Poly._trusted(self.n, out, lcd)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other) if isinstance(other, Poly) else NotImplemented
@@ -370,26 +375,26 @@ def _packing(n: int, bound: int):
     return pack, unpack, weights, sum(weights) << (w - 1)
 
 
-def _partial_matches(p: Poly, k: int, q: Poly, a: int) -> bool:
-    """Whether d_(k+1) p == a q, without building a polynomial.
-
-    A term P x^beta / D_p of p with b = beta_k > 0 becomes
-    b P x^(beta - e_k) / D_p; it must equal a Q / D_q for the term of q
-    there, compared as b P D_q == a Q D_p, and no term of q may be left
-    unmet.
-    """
-    q_nums = q._nums
-    left, right = q._den, a * p._den
-    met = 0
-    for beta, c in p._nums.items():
-        b = beta[k]
-        if not b:
-            continue
-        d = q_nums.get(beta[:k] + (b - 1,) + beta[k + 1 :])
-        if d is None or c * b * left != d * right:
-            return False
-        met += 1
-    return met == len(q_nums)
+def _is_image_table(series: Poly, degree: int, table: Mapping[MultiIndex, Poly], facts: Sequence[int]) -> bool:
+    """Whether the table (alpha -> image in `monomials_up_to_degree` order,
+    alpha! in facts) is `diffop.monomial_images` of the series c = N/D:
+    each gamma in supp c is pushed onto each delta with |gamma + delta| <=
+    degree, and x^(gamma + delta) must have N_gamma (gamma + delta)!/(D
+    delta!) at x^delta, one cross-multiplication; a term total of
+    sum_gamma C(n + degree - |gamma|, n) leaves no room for others."""
+    n, nums = series.n, series._nums
+    if sum(len(p._nums) for p in table.values()) != sum(math.comb(n + degree - sum(g), n) for g in nums):
+        return False
+    pack = _packing(n, degree)[0]
+    rows = {pack(alpha): (p._nums, f * p._den) for (alpha, p), f in zip(table.items(), facts)}
+    deltas = [(k, delta, series._den * f) for k, delta, f in zip(rows, table, facts)]
+    for gamma, c in nums.items():
+        key = pack(gamma)
+        for k, delta, weight in deltas[: math.comb(n + degree - sum(gamma), n)]:
+            terms, top = rows[key + k]
+            if terms.get(delta, 0) * weight != c * top:
+                return False
+    return True
 
 
 # --- the input rules: each checked here and nowhere else -----------------

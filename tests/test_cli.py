@@ -629,6 +629,35 @@ def test_incompatible_error_names_its_pair():
     )
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+@pytest.mark.parametrize(
+    "matrix,error",
+    [
+        (
+            [["0", "-1"], ["1", "0"]],
+            {
+                "kind": "NonRationalEigenvalue",
+                "detail": "no rational joint eigenvalue exists; the socle eigenvalues lie in a proper extension field",
+                "witness": {"block": 1, "char_poly": ["1", "0", "1"]},
+            },
+        ),
+        (
+            [["1", "0"], ["0", "2"]],
+            {
+                "kind": "NoCommonEigenline",
+                "detail": "2 distinct joint eigenvalue tuples found",
+                "witness": [["1"], ["2"]],
+            },
+        ),
+    ],
+    ids=["rotation", "two-eigenlines"],
+)
+def test_eigenvalue_errors_name_their_witness(matrix, error, flags):
+    proc = run_cli(["embed-general", "-"], stdin=json.dumps({"n": 1, "matrices": [matrix]}).encode(), flags=flags)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert proc.stdout == error_bytes(error)
+
+
 def lower_set_json(n, degree):
     """Every exponent vector of n variables with total degree <= degree."""
     indices = [

@@ -44,14 +44,16 @@ from nilmod.diffop import (
     series_log,
 )
 from nilmod.errors import (
+    Incompatible,
     IncompatibleMap,
+    NilmodError,
     NotAnEndomorphism,
     NothingToExtend,
     TruncationTooLow,
     WrongConstantTerm,
 )
 from nilmod.exactalg import QMatrix
-from nilmod.modcore import ModuleMap, PolySubmodule, submodule_from_polys
+from nilmod.modcore import ModuleMap, PolySubmodule, _poly_rows, submodule_from_polys
 from nilmod.multipoly import (
     Poly,
     grlex_key,
@@ -859,6 +861,10 @@ def corrupted(rng, table, n, degree, how):
     elif how == "constant":
         origin = (0,) * n
         terms[origin] = terms.get(origin, 0) + random_fraction(rng)
+    elif how == "outside":
+        # a term at delta with delta_k > alpha_k, so not delta <= alpha
+        k = rng.randrange(n)
+        terms[tuple(a + (i == k) * rng.randint(1, 2) for i, a in enumerate(alpha))] = random_fraction(rng)
     table[alpha] = Poly(n, terms)
     return table
 
@@ -870,27 +876,38 @@ def extraction_outcome(extract, n, degree, table):
         return exc.i, exc.witness, str(exc)
 
 
-@pytest.mark.parametrize("how,seed", [("change", 631), ("add", 632), ("remove", 633), ("zero", 634), ("constant", 635)])
+@pytest.mark.parametrize(
+    "how,seed",
+    [("change", 631), ("add", 632), ("remove", 633), ("zero", 634), ("constant", 635), ("outside", 636)],
+)
 def test_extract_witness_matches_the_poly_check(how, seed):
     rng = random.Random(seed)
     raised = passed = 0
-    for n in (1, 2, 3):
-        for degree in range(5):
-            for _ in range(6):
-                s = random_series(rng, n, degree, unit_one=rng.random() < 0.5)
-                table = corrupted(rng, monomial_images(s), n, degree, how)
-                got = extraction_outcome(extract_coeffs, n, degree, table)
-                assert got == extraction_outcome(reference_extract, n, degree, table)
-                if isinstance(got, DiffOpSeries):
-                    passed += 1
-                    assert_canonical_series(got)
-                else:
-                    raised += 1
-                    assert got[2] == f"map does not commute with derivative {got[0]} at monomial {got[1]}"
+    # Random series up to n = 4, and the one-term d1 at a high degree,
+    # whose table is mostly zero images.
+    cases = [(n, degree) for n in (1, 2, 3, 4) for degree in range(5 if n < 4 else 4) for _ in range(6)]
+    for n, degree in cases + [(3, 12)] * 2:
+        if degree == 12:
+            s = DiffOpSeries.derivative(n, degree, 1)
+        else:
+            s = random_series(rng, n, degree, unit_one=rng.random() < 0.5)
+        table = monomial_images(s)
+        assert extract_coeffs(n, degree, table) == s
+        table = corrupted(rng, table, n, degree, how)
+        got = extraction_outcome(extract_coeffs, n, degree, table)
+        assert got == extraction_outcome(reference_extract, n, degree, table)
+        if isinstance(got, DiffOpSeries):
+            passed += 1
+            assert_canonical_series(got)
+        else:
+            raised += 1
+            assert got[2] == f"map does not commute with derivative {got[0]} at monomial {got[1]}"
     assert raised > 0
     if how in ("constant", "zero", "remove"):
         # a change at the top degree, or of nothing, is not seen
         assert passed > 0
+    if how == "outside":
+        assert passed == 0
 
 
 def test_extract_on_tables_beyond_the_degree_matches_the_poly_check():
@@ -1455,6 +1472,135 @@ def test_extension_matches_the_two_search_reference():
                 )
 
 
+def fraction_extend(phi, candidates, limit):
+    """The extension as the library computed it on `Fraction` scalars:
+    rows and images scaled by `Fraction`s, the new source eliminated
+    again from the old basis and the monomials, and the map from
+    `coordinates_of` columns through `QMatrix.from_columns`."""
+    source, target = phi.source, phi.target
+    n = source.n
+    leads = [source.monomial_list[c] for c in source.coords._pivots]
+    rows = dict(zip(leads, source.basis))
+    images = dict(zip(leads, (target.from_coordinates(phi.images.column(j)) for j in range(source.dim))))
+    monomials, news = [], []
+
+    def inside(alpha):
+        return alpha in rows and len(rows[alpha].terms) == 1
+
+    for kappa in sorted(candidates, key=grlex_key):
+        if len(monomials) == limit:
+            break
+        if inside(kappa):
+            continue
+        gs = []
+        for i, k in enumerate(kappa):
+            beta = kappa[:i] + (k - 1,) + kappa[i + 1 :]
+            if k and not inside(beta):
+                raise AssertionError("phi is only applied inside the source")
+            gs.append(images[beta].scale(k) if k else Poly.zero(n))
+        g = potential(gs, n)
+        monomials.append(Poly.monomial(n, kappa))
+        news.append(g)
+        new, image = monomials[-1], g
+        if kappa in rows:
+            new, image = new - rows[kappa], image - images[kappa]
+        lead = max(new.terms, key=grlex_key)
+        c = 1 / new.terms[lead]
+        new, image = new.scale(c), image.scale(c)
+        for pi, row in rows.items():
+            f = row.terms.get(lead)
+            if f:
+                rows[pi], images[pi] = row - new.scale(f), images[pi] - image.scale(f)
+        rows[lead], images[lead] = new, image
+    if not monomials:
+        return phi
+    new_source = PolySubmodule._trusted(n, *_poly_rows(list(source.basis) + monomials), None)
+    new_target = PolySubmodule._trusted(n, *_poly_rows(list(target.basis) + news), None)
+    if new_source.dim != len(rows):
+        raise AssertionError("one source dimension per row")
+    if new_target.dim != len(rows):
+        raise AssertionError("the extension image must be new")
+    columns = [new_target.coordinates_of(images[new_source.monomial_list[c]]) for c in new_source.coords._pivots]
+    if None in columns:
+        raise AssertionError("every image lies in the new target")
+    return ModuleMap(new_source, new_target, QMatrix.from_columns(columns))
+
+
+def fraction_extend_iso_step(source, target, phi, within=None):
+    diffop._check_iso(source, target, phi)
+    top = sum(source.monomial_list[0]) + 1
+    extended = fraction_extend(phi, monomials_up_to_degree(source.n, top) if within is None else within.indices, 1)
+    if extended is phi:
+        raise NothingToExtend("the target monomials are already covered")
+    return extended.source, extended.target, extended
+
+
+def fraction_extend_iso(source, target, phi, goal):
+    diffop._check_iso(source, target, phi)
+    return fraction_extend(phi, goal.indices, None)
+
+
+def extension_outcome(call):
+    """The map a call returns, as its source, target and matrix, or the
+    type and message of what it raises."""
+    try:
+        phi = call()
+    except (NilmodError, AssertionError) as exc:
+        return type(exc), str(exc)
+    phi = phi[2] if isinstance(phi, tuple) else phi
+    return phi.source, phi.target, phi.images
+
+
+def test_extension_matches_the_fraction_extension():
+    rng = random.Random(619)
+    kinds = []
+    for n in (1, 2, 3):
+        for phi in seeded_isomorphisms(rng, n):
+            src, tgt = phi.source, phi.target
+            got = extension_outcome(lambda: extend_iso_step(src, tgt, phi))
+            assert got == extension_outcome(lambda: fraction_extend_iso_step(src, tgt, phi))
+            kinds.append(got[0])
+            for _ in range(3):
+                within = random_lower_set(rng, n)
+                got = extension_outcome(lambda: extend_iso_step(src, tgt, phi, within))
+                assert got == extension_outcome(lambda: fraction_extend_iso_step(src, tgt, phi, within))
+                kinds.append(got[0])
+                got = extension_outcome(lambda: extend_iso(src, tgt, phi, within))
+                assert got == extension_outcome(lambda: fraction_extend_iso(src, tgt, phi, within))
+                for limit in (1, 2, None):
+                    got = extension_outcome(lambda: diffop._extend(phi, within.indices, limit))
+                    assert got == extension_outcome(lambda: fraction_extend(phi, within.indices, limit))
+    assert NothingToExtend in kinds and kinds.count(NothingToExtend) < len(kinds) // 2, kinds
+
+
+def test_extension_of_a_map_that_does_not_intertwine_matches_the_fraction_extension():
+    # No public entry takes such a map (`_check_iso`); `_extend` then stops
+    # where `potential` refuses the images of a new monomial's partials.
+    rng = random.Random(621)
+    refused = 0
+    for n in (1, 2, 3):
+        for phi in seeded_isomorphisms(rng, n):
+            d = phi.source.dim
+            order = rng.sample(range(d), d)
+            shuffle = QMatrix([[int(i == order[j]) for j in range(d)] for i in range(d)])
+            wrong = ModuleMap(phi.source, phi.target, phi.images * shuffle.scale(rng.choice([1, 2, Fraction(-1, 3)])))
+            within = random_lower_set(rng, n)
+            for limit in (1, None):
+                got = extension_outcome(lambda: diffop._extend(wrong, within.indices, limit))
+                assert got == extension_outcome(lambda: fraction_extend(wrong, within.indices, limit))
+                refused += got[0] is Incompatible
+    assert refused > 0
+    # x1 and x2 swapped: the partials of x2^2 map to 0 and 2 x1, whose
+    # mixed partials differ.
+    sub = MonomialSubmodule(2, [(0, 0), (1, 0), (0, 1)]).as_poly_submodule()
+    swap = ModuleMap(sub, sub, QMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    goal = MonomialSubmodule(2, lower_set_closure([(0, 2)]))
+    for limit in (1, None):
+        got = extension_outcome(lambda: diffop._extend(swap, goal.indices, limit))
+        assert got == extension_outcome(lambda: fraction_extend(swap, goal.indices, limit))
+        assert got == (Incompatible, "incompatible pair (1, 2): mixed partials differ")
+
+
 def test_search_stops_one_degree_above_the_support():
     # span{1, x1 + x2}: x2 is the least missing monomial; once it is in,
     # x1 is too, and the next one missing has degree 2.
@@ -1472,19 +1618,23 @@ def test_search_stops_one_degree_above_the_support():
 
 def test_extend_iso_builds_each_side_once_and_inverts_no_step(monkeypatch):
     # Three steps build one source and one target span, on all the rows,
-    # and the only inverse is the check of the caller's map.
+    # and the only inverse is the check of the caller's map.  The source
+    # is the echelon rows the steps hold, so only the target is eliminated.
     sub = submodule_from_polys(2, [Poly(2, {(1, 0): 1, (0, 1): -2})])
     goal = MonomialSubmodule(2, lower_set_closure([(2, 0), (1, 1)]))
-    builds, inverses = [], []
-    real_trusted, real_inverse = PolySubmodule._trusted, QMatrix.inverse
+    builds, reduced, inverses = [], [], []
+    real_trusted, real_reduced, real_inverse = PolySubmodule._trusted, PolySubmodule._reduced, QMatrix.inverse
     monkeypatch.setattr(
         PolySubmodule, "_trusted", classmethod(lambda cls, *args: builds.append(len(args[2])) or real_trusted(*args))
+    )
+    monkeypatch.setattr(
+        PolySubmodule, "_reduced", classmethod(lambda cls, n, rows: reduced.append(len(rows)) or real_reduced(n, rows))
     )
     monkeypatch.setattr(QMatrix, "inverse", lambda self: inverses.append(self.rows) or real_inverse(self))
     extended = extend_iso(sub, sub, identity_map(sub), goal)
     steps = extended.source.dim - sub.dim
     assert steps == 3
-    assert builds == [sub.dim + steps] * 2
+    assert reduced == builds == [sub.dim + steps]
     assert inverses == [sub.dim]
 
 

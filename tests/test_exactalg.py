@@ -6,6 +6,7 @@ plain lists so that elimination and kernel bugs cannot hide behind their
 own implementation.
 """
 
+import math
 import operator
 import random
 import sys
@@ -19,6 +20,7 @@ from nilmod.exactalg import (
     QMatrix,
     Subspace,
     _columns,
+    _common_factor,
     _integer_kernel,
     _integer_rows,
     _rank_mod,
@@ -958,3 +960,22 @@ def test_is_nilpotent_matrix_edge_cases():
     assert not _is_nilpotent_matrix(QMatrix([[0, 1], [1, 0]]))
     # Index exactly the dimension, at a dimension that is not a power of two.
     assert _is_nilpotent_matrix(nilpotent_jordan([7]))
+
+
+def test_common_factor_is_the_gcd_and_stops_at_one():
+    rng = random.Random(701)
+    for _ in range(300):
+        den = rng.choice([1, 2, 6, 36, 10**12])
+        rows = [[rng.choice([0, 2, 3, 6, -12, 10**6]) * rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]
+                for _ in range(rng.randint(0, 5))]
+        assert _common_factor(den, rows) == math.gcd(den, *(x for row in rows for x in row))
+
+    def rows_then_fail():
+        yield [4, 6]
+        yield [3]  # the factor is 1 now
+        raise AssertionError("read past the row that made the factor 1")
+
+    assert _common_factor(12, rows_then_fail()) == 1
+    assert _common_factor(1, rows_then_fail()) == 1
+    # The trusted constructors divide the factor out as the checked ones do.
+    assert QMatrix._trusted([[2, 4], [6, 8]], 4, 2) == QMatrix([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])

@@ -607,18 +607,22 @@ def stored(build):
 
 def recorded_products(monkeypatch, run):
     """(n, basis) of every span the library builds through the trusted
-    constructor while run runs."""
+    constructors, `_trusted` and `_reduced`, while run runs."""
     seen = []
-    real = PolySubmodule._trusted
+    reals = {name: getattr(PolySubmodule, name) for name in ("_trusted", "_reduced")}
 
-    def recording(cls, *args):
-        out = real(*args)
-        seen.append((out.n, list(out.basis)))
-        return out
+    def recording(real):
+        def record(cls, *args):
+            out = real(*args)
+            seen.append((out.n, list(out.basis)))
+            return out
+        return classmethod(record)
 
-    monkeypatch.setattr(PolySubmodule, "_trusted", classmethod(recording))
+    for name, real in reals.items():
+        monkeypatch.setattr(PolySubmodule, name, recording(real))
     run()
-    monkeypatch.setattr(PolySubmodule, "_trusted", real)
+    for name, real in reals.items():
+        monkeypatch.setattr(PolySubmodule, name, real)
     return seen
 
 
@@ -967,6 +971,30 @@ def test_no_common_eigenline_for_large_prime_eigenvalues():
         embed_general(mod)
     with pytest.raises(NoCommonEigenline, match="^2 distinct joint eigenvalue tuples found$"):
         socle_eigenvalues(mod)
+
+
+def test_eigenvalue_errors_carry_their_witness():
+    # The block that leaves no tuple, with the characteristic polynomial
+    # of D S_k ascending; the surviving tuples as "p/q" strings.
+    cases = [
+        ([QMatrix([[0, 1], [-1, 0]])], NonRationalEigenvalue, {"block": 1, "char_poly": ["1", "0", "1"]}),
+        # x_1 = I/2 keeps the tuple (1/2,) alive; x_2 is half a rotation,
+        # so over D = 2 the block D S_2 is the rotation, with t^2 + 1.
+        (
+            [QMatrix.identity(2).scale(Fraction(1, 2)), QMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])],
+            NonRationalEigenvalue,
+            {"block": 2, "char_poly": ["1", "0", "1"]},
+        ),
+        ([QMatrix([[1, 0], [0, 2]])], NoCommonEigenline, [["1"], ["2"]]),
+        ([QMatrix.identity(2), QMatrix([[0, 0], [0, Fraction(-1, 3)]])], NoCommonEigenline, [["1", "-1/3"], ["1", "0"]]),
+    ]
+    for matrices, kind, witness in cases:
+        with pytest.raises(kind) as caught:
+            socle_eigenvalues(validate(matrices))
+        assert caught.value.witness_json == witness
+    with pytest.raises(NoCommonEigenline) as caught:
+        socle_eigenvalues(validate([QMatrix([], cols=0)]))
+    assert caught.value.witness_json is None
 
 
 def brute_force_rational_roots(coeffs):

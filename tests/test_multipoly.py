@@ -369,3 +369,19 @@ def test_poly_vector_round_trip():
         assert v is not None
         assert Poly(2, dict(zip(order, v))) == p
     assert poly_to_vector(Poly(2, {(5, 5): 1}), order) is None
+
+
+def test_plus_is_the_fraction_sum():
+    # p + (num/den) q on the integer forms, den of either sign, against
+    # the `Fraction` view.
+    rng = random.Random(703)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        p, q = (Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)): Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+                         for _ in range(rng.randint(0, 4))}) for _ in range(2))
+        num, den = rng.randint(-5, 5), rng.choice([-7, -2, -1, 1, 3, 10])
+        got = p._plus(num, den, q)
+        c = Fraction(num, den)
+        expected = {a: p.terms.get(a, 0) + c * q.terms.get(a, 0) for a in p.terms.keys() | q.terms.keys()}
+        assert got == Poly(n, expected)
+        assert got._den > 0 and math.gcd(got._den, *got._nums.values()) == 1

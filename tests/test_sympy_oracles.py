@@ -6,7 +6,8 @@ elimination `_rref_int` and `_integer_kernel` must agree with
 `sympy.Matrix.rref`.  `_rank_mod` must never exceed the exact rank, at
 the real prime or a small one, and must equal it at the real prime on
 random integer matrices: the certificates of `embed`, where rank d mod P
-proves a map injective, rest on that lower bound.
+proves a map injective, rest on that lower bound.  `modcore._char_poly`
+must agree with `sympy.Matrix.charpoly`.
 """
 
 import random
@@ -21,7 +22,7 @@ sympy = pytest.importorskip("sympy")
 import nilmod.embed  # noqa: E402
 import nilmod.exactalg  # noqa: E402
 from nilmod.exactalg import _integer_kernel, _rank_mod, _rref_int  # noqa: E402
-from nilmod.modcore import random_nilpotent_module  # noqa: E402
+from nilmod.modcore import _char_poly, random_nilpotent_module  # noqa: E402
 
 SMALL_PRIMES = (2, 3, 5, 7, 11)
 
@@ -104,3 +105,36 @@ def test_a_certified_injective_pass_has_full_exact_rank(p):
                 certified += 1
                 assert sympy_matrix(found[1], module.dim).rank() == module.dim
     assert certified >= 10, certified
+
+
+def unimodular(rng, d):
+    """L U with integer unit-triangular factors: determinant 1, so its
+    inverse has integer entries too."""
+    lower = sympy.Matrix(d, d, lambda i, j: int(i == j) or (rng.randint(-2, 2) if i > j else 0))
+    upper = sympy.Matrix(d, d, lambda i, j: int(i == j) or (rng.randint(-2, 2) if i < j else 0))
+    return lower * upper
+
+
+def char_poly_cases(seed):
+    """(kind, matrix) up to d = 12: nilpotent and planted triangular
+    matrices conjugated densely by unimodular ones, and random 60-bit ones."""
+    rng = random.Random(seed)
+    for d in range(1, 13):
+        g = unimodular(rng, d)
+        strict = sympy.Matrix(d, d, lambda i, j: rng.randint(-3, 3) if i < j else 0)
+        planted = sympy.Matrix(d, d, lambda i, j: rng.randint(-3, 3) if i <= j else 0)
+        yield "nilpotent", g * strict * g.inv()
+        yield "planted", g * planted * g.inv()
+        yield "60-bit", sympy.Matrix(d, d, lambda i, j: rng.randint(-(2**60), 2**60))
+
+
+def test_char_poly_agrees_with_sympy():
+    t = sympy.Symbol("t")
+    for kind, m in char_poly_cases(17):
+        rows = [[int(x) for x in m.row(i)] for i in range(m.rows)]
+        coeffs = _char_poly(rows)
+        assert coeffs == [int(c) for c in reversed(m.charpoly(t).all_coeffs())], (kind, rows)
+        if kind == "nilpotent":
+            assert coeffs == [0] * m.rows + [1]
+        if kind == "60-bit" and m.rows > 1:
+            assert max(abs(c) for c in coeffs) > 2**64  # past machine words
