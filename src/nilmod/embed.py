@@ -19,15 +19,16 @@ pass, so nothing is restricted, inverted or integrated, and they stay
 primitive integer rows from the action matrices to the image's
 elimination, when it needs one.
 
-Lambda is nonzero on a vector w that every S_i kills mod a prime P,
-from `exactalg`'s walk: from e_1, apply S_1 mod P until the result
-vanishes, then S_2, and so on.  When the kernel mod P is a line, w
-spans it.  The walk only chooses: an injective phi certifies the choice
-exactly.  Only a failure computes the exact joint kernel, to name its
-error or, when it is a line that lambda missed, to run the pass once
-more.  When the pass leaves d monomials with independent rows, the
-image is their whole span and needs no elimination; fewer mean phi is
-not injective.  At n = 1, one Jordan block, that is every polynomial of
+Lambda is nonzero on the vector w of `modcore`'s socle walk: from e_1,
+apply S_1 until the result vanishes, then S_2, and so on, each vector's
+content divided out.  The walk is exact, so every S_i kills w, and on a
+nilpotent module with a line socle w spans that line: lambda(w) != 0
+makes phi injective, with no second pass.  Without an rng lambda reads
+w's first nonzero entry, the pivot of the socle's RREF basis vector.
+Only a failure computes the exact joint kernel, to name its error.
+When the pass leaves d monomials with independent rows, the image is
+their whole span and needs no elimination; fewer mean phi is not
+injective.  At n = 1, one Jordan block, that is every polynomial of
 degree < d; at n >= 2 rank d mod P, a lower bound for the exact rank,
 certifies independence.
 
@@ -60,12 +61,10 @@ one outside, under a certified second map, is not.  Any other outcome
 compares the two canonical forms, so the errors and their order are
 those of `canonical_form`.
 
-In one variable `canonical_form` needs neither the walk nor the pass:
-a module with M^(d-1) e_1 != 0 and M^d e_1 = 0 is one Jordan block,
-whose image is every polynomial of degree < d, and one exact chain from
-e_1, `modcore._one_jordan_block`, decides that.  Any other outcome of
-the chain runs the core.  The embeddings keep the walk, as their map
-depends on its lambda.
+In one variable `canonical_form` reads the walk alone when it can: a
+walk of d - 1 steps, M^(d-1) e_1 != 0 and M^d e_1 = 0, makes the module
+one Jordan block, whose image is every polynomial of degree < d, with no
+pass.  Any other walk goes on to the core, which does not walk again.
 """
 
 from __future__ import annotations
@@ -75,16 +74,17 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionTooLarge, NotNilpotent, SocleNotOneDimensional
-from .exactalg import Immutable, QMatrix, _columns, _functional, _over_lcm, _rank_mod, _socle_walk, as_int
+from .exactalg import Immutable, QMatrix, _columns, _over_lcm, _rank_mod, as_int
 from .modcore import (
     ExpSubmodule,
     FDModule,
     ModuleMap,
     PolySubmodule,
     _degree_span,
+    _functional,
     _inverse_system,
     _joint_kernel,
-    _one_jordan_block,
+    _socle_walk,
     is_nilpotent,
     socle_eigenvalues,
     twist,
@@ -114,12 +114,11 @@ class EmbeddingResult(Immutable):
         }
 
 
-def _walk_and_pass(module: FDModule, rng: Optional[random.Random]) -> Optional[tuple]:
+def _pass(module: FDModule, walk: Optional[tuple], rng: Optional[random.Random]) -> Optional[tuple]:
     """The inverse-system pass of a functional nonzero on the walk's vector
     (drawn with the rng, if given): (monomials, rows, weights), or None when
     the walk or the pass shows that the module is not nilpotent."""
-    w = _socle_walk(module._blocks)
-    return None if w is None else _inverse_system(module, _functional(w, rng))
+    return None if walk is None else _inverse_system(module, _functional(walk[0], rng))
 
 
 def _image(module: FDModule, monomials, rows, weights) -> Optional[PolySubmodule]:
@@ -140,15 +139,16 @@ def _image(module: FDModule, monomials, rows, weights) -> Optional[PolySubmodule
     return image if image.dim == d else None
 
 
-def _embed(module: FDModule, rng: Optional[random.Random]) -> tuple:
-    """The embedding of the module: (image, rows, weights) of the pass,
-    from which `_map_images` reads the map.  Raises the typed error that
-    says why the module does not embed.  Only a failure squares the
-    matrices and computes the exact joint kernel, to name its error or,
-    when that is a line the walk's lambda missed, to run the pass again.
+def _embed(module: FDModule, rng: Optional[random.Random], walk: Optional[tuple]) -> tuple:
+    """The embedding of the module from its walk: (image, rows, weights)
+    of the pass, from which `_map_images` reads the map.  Raises the typed
+    error that says why the module does not embed.  Only a failure squares
+    the matrices and computes the exact joint kernel, to name its error:
+    the walk's w lies in that kernel, so on a nilpotent module with a line
+    socle phi is injective, and the check that it is stays as a safety net.
     """
     if module.dim:
-        found = _walk_and_pass(module, rng)
+        found = _pass(module, walk, rng)
         if found is None:
             raise NotNilpotent(_NOT_NILPOTENT)
         image = _image(module, *found)
@@ -161,11 +161,7 @@ def _embed(module: FDModule, rng: Optional[random.Random]) -> tuple:
     space = _joint_kernel(module)
     if space.dim != 1:
         raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
-    found = _inverse_system(module, _functional(space.basis[0], None))
-    image = None if found is None else _image(module, *found)
-    if image is None:
-        raise AssertionError("the embedding must be injective")
-    return image, found[1], found[2]
+    raise AssertionError("the embedding must be injective")
 
 
 def _map_images(image: PolySubmodule, rows: Sequence[Sequence[int]], weights: Sequence[int]) -> QMatrix:
@@ -180,19 +176,13 @@ def embed_nilpotent(module: FDModule, rng: Optional[random.Random] = None) -> Em
 
     Basis vector e_j maps to sum over alpha of lambda(S^alpha e_j)
     x^alpha / alpha!, Macaulay's inverse-system map.  By default lambda
-    reads the first nonzero coordinate of the walk's vector w, which
-    every block kills mod P.  When the kernel mod P is a line, w spans the
-    socle line mod P, and lambda reads the pivot of the socle's RREF
-    basis vector unless P divides its entry there.  An rng draws lambda
-    with small random integer entries instead (redrawn until it is
-    nonzero on w mod P); the map changes with lambda, the image does not.
-
-    An injective phi certifies the choice.  When phi is not injective
-    but the exact joint kernel is a line, the kernel mod P was larger,
-    and the pivot functional of the line's RREF basis vector takes the
-    place of lambda, with or without an rng.
+    reads the first nonzero coordinate of the walk's vector w, which every
+    block kills exactly, so it spans the socle line, and lambda reads the
+    pivot of the socle's RREF basis vector.  An rng draws lambda with
+    small random integer entries instead (redrawn until it is nonzero on
+    w); the map changes with lambda, the image does not.
     """
-    image, rows, weights = _embed(module, rng)
+    image, rows, weights = _embed(module, rng, _socle_walk(module))
     return EmbeddingResult(image, ModuleMap(module, image, _map_images(image, rows, weights)))
 
 
@@ -203,14 +193,16 @@ def canonical_form(module: FDModule, rng: Optional[random.Random] = None) -> Pol
     when their canonical forms are equal.  The image of
     `embed_nilpotent`, without building its map.
 
-    In one variable a module whose exact chain e_1, S e_1, ... certifies
-    one Jordan block of length d has the image of every polynomial of
-    degree < d, with no walk and no pass; any other outcome of the chain
-    (e_1 in the image of S, or S^d e_1 != 0) runs the embedding's core.
+    In one variable a module whose walk takes d - 1 steps is one Jordan
+    block of length d, with the image of every polynomial of degree < d,
+    and takes no pass; any other walk (e_1 in the image of S, or
+    S^d e_1 != 0) goes on to the embedding's core, which does not walk
+    again.
     """
-    if module.n == 1 and _one_jordan_block(module._blocks[0]):
+    walk = _socle_walk(module)
+    if module.n == 1 and walk is not None and walk[1] == module.dim - 1:
         return _degree_span(module.dim - 1)
-    return _embed(module, rng)[0]
+    return _embed(module, rng, walk)[0]
 
 
 def is_isomorphic(first: FDModule, second: FDModule) -> bool:
@@ -254,8 +246,8 @@ def _pass_verdict(first: FDModule, second: FDModule) -> Optional[bool]:
     phi_2(e_j) is outside and the second map is certified injective.  The
     membership test is exact, on integers.
     """
-    found = _walk_and_pass(first, None)
-    other = None if found is None else _walk_and_pass(second, None)
+    found = _pass(first, _socle_walk(first), None)
+    other = None if found is None else _pass(second, _socle_walk(second), None)
     if other is None:
         return None
     d = first.dim
@@ -364,7 +356,8 @@ def embed_general(module: FDModule) -> tuple[ExpSubmodule, ModuleMap]:
         # tr(M_i) / (d D) is the only candidate; embedding the twist decides.
         eigenvalues = [Fraction(sum(row[k] for k, row in enumerate(block)), d * module._den) for block in module._blocks]
         try:
-            image, rows, weights = _embed(twist(module, eigenvalues), None)
+            twisted = twist(module, eigenvalues)
+            image, rows, weights = _embed(twisted, None, _socle_walk(twisted))
         except NotNilpotent:
             pass
         else:

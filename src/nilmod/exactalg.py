@@ -12,16 +12,14 @@ elimination's integer form: the pivots, the common denominator and the
 integer columns of the reduced basis.  For both, equality and hashing
 compare the integer form, and the `Fraction` entries or basis are a
 view built on first read.  Everything is exact: no floats, no
-tolerances.  The code modulo a prime P, which only chooses or
-certifies, lives here too: the rank mod P, a lower bound for the rank
-over the rationals, and a walk to a vector that commuting blocks kill
-mod P, with a functional nonzero on it.  All values are immutable after
-construction and all operations are pure functions.
+tolerances.  The one piece of code modulo a prime P lives here too:
+the rank mod P, a lower bound for the rank over the rationals, which
+only certifies full rank.  All values are immutable after construction
+and all operations are pure functions.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -237,47 +235,6 @@ def _rank_mod(rows: Sequence[Sequence[int]], cols: int) -> int:
                 break
             r[c + 1 :] = [x - f * y for x, y in zip(r[c + 1 :], tail)]
     return len(tails)
-
-
-def _socle_walk(blocks: Sequence[Sequence[Sequence[int]]]) -> Optional[list[int]]:
-    """Residues w with M_i w = 0 mod P for every i: from e_1, apply M_1
-    mod P until the result vanishes, then M_2, and so on, combining only
-    the columns at w's nonzero entries.  The M_i commute, so M_i w stays
-    0 once it is.  Each w is M^alpha e_1, nonzero mod P and so nonzero:
-    past d - 1 steps |alpha| = d, the blocks are not nilpotent, and the
-    walk returns None.
-    """
-    d = len(blocks[0])
-    w, steps = [1] + [0] * (d - 1), 0
-    for block in blocks:
-        columns = _columns(block, d)
-        while True:
-            scaled = [[x * c for c in columns[j]] for j, x in enumerate(w) if x]
-            product = [sum(entries) % _PRIME for entries in zip(*scaled)]
-            if not any(product):
-                break
-            steps += 1
-            if steps == d:
-                return None
-            w = product
-    return w
-
-
-def _functional(s: Sequence, rng: Optional[random.Random]) -> list[int]:
-    """A functional that is nonzero on the vector s mod P, as an integer
-    row: lambda has denominator 1.
-
-    Without an rng: the coordinate at the first nonzero entry of s.
-    With one: small random integers, redrawn until the value on s is
-    nonzero mod P.
-    """
-    if rng is None:
-        pivot = next(j for j, x in enumerate(s) if x != 0)
-        return [int(j == pivot) for j in range(len(s))]
-    while True:
-        lam = [rng.randint(-4, 4) for _ in s]
-        if sum(a * b for a, b in zip(lam, s)) % _PRIME != 0:
-            return lam
 
 
 def _integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> "Subspace":

@@ -7,9 +7,9 @@ variables, the socle's joint eigenvalues, the bridge to
 derivative-closed polynomial subspaces, and seeded random generators
 for tests.
 
-Squaring decides nilpotency.  The inverse-system pass, which reads the
-rows lambda S^alpha of the embedding's map, certifies it: on a nilpotent
-module they vanish past |alpha| = dim - 1.
+Squaring decides nilpotency.  The exact socle walk, M^alpha e_1, and
+the inverse-system pass, the rows lambda S^alpha of the embedding's map,
+certify it: on a nilpotent module both vanish past |alpha| = dim - 1.
 
 A derivative-closed subspace is built by one core on integer rows over
 its monomials: an elimination and a pivot at the origin.  The closure
@@ -271,26 +271,49 @@ def _inverse_system(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
     return monomials, [rows[a] for a in monomials], weights
 
 
-def _one_jordan_block(block: Sequence[Sequence[int]]) -> bool:
-    """True when the d x d integer block M has M^(d-1) e_1 != 0 and
-    M^d e_1 = 0: the module in one variable is then K[x]/(x^d), one Jordan
-    block, as the e_1, ..., M^(d-1) e_1 are a basis (a relation with
-    lowest index k, times M^(d-1-k), would leave a nonzero multiple of
-    M^(d-1) e_1) that M^d kills.  The chain is exact, each vector's content
-    divided out, and M e_1 is column 1, read before `_row_form` prepares
-    M's columns, so a chain that stops there costs O(d).  False on any
-    other outcome, d = 0 included."""
-    d = len(block)
-    v = [row[0] for row in block]
-    if not d or (d > 1 and not any(v)):
-        return False
-    form = _row_form(_columns(block, d), d)
-    for _ in range(d - 1):
-        if not any(v):
-            return False
-        g = gcd(*v)
-        v = _row_product([x // g for x in v] if g > 1 else v, form)
-    return not any(v)
+def _socle_walk(module: FDModule) -> Optional[tuple[list[int], int]]:
+    """(w, k): a primitive integer vector w that every block kills, a
+    multiple of M^alpha e_1 with |alpha| = k.  From e_1, apply M_1 until
+    the product vanishes, then M_2, and so on, each vector's content
+    divided out, by `_row_product` on each block's columns.  The blocks
+    commute, so M_i w stays 0 once it is, and w spans the joint kernel
+    when that is a line.  Past d - 1 steps |alpha| = d: the module is not
+    nilpotent, and the walk returns None.  In one variable k = d - 1 makes
+    the module one Jordan block, as e_1, ..., M^(d-1) e_1 are a basis (a
+    relation with lowest index k, times M^(d-1-k), would leave a nonzero
+    multiple of M^(d-1) e_1) that M^d kills."""
+    d = module.dim
+    w, steps = [int(j == 0) for j in range(d)], 0
+    for block in module._blocks:
+        form = _row_form(_columns(block, d), d)
+        while True:
+            product = _row_product(w, form)
+            if not any(product):
+                break
+            steps += 1
+            if steps == d:
+                return None
+            g = gcd(*product)
+            w = [x // g for x in product] if g > 1 else product
+    return w, steps
+
+
+def _functional(w: Sequence, rng: Optional[random.Random]) -> list[int]:
+    """A functional that is nonzero on the vector w, as an integer row:
+    lambda has denominator 1.
+
+    Without an rng: the coordinate at the first nonzero entry of w, which
+    for w on the socle line is the pivot of the line's RREF basis vector.
+    With one: small random integers, redrawn until the value on w is
+    nonzero.
+    """
+    if rng is None:
+        pivot = next(j for j, x in enumerate(w) if x)
+        return [int(j == pivot) for j in range(len(w))]
+    while True:
+        lam = [rng.randint(-4, 4) for _ in w]
+        if sum(map(mul, lam, w)):
+            return lam
 
 
 def socle(module: FDModule) -> Subspace:
@@ -593,11 +616,8 @@ class ModuleMap(Immutable):
         return self.images.rank()
 
     def is_isomorphism(self) -> bool:
-        return (
-            self.images.is_square()
-            and self.images.inverse() is not None
-            and self.is_intertwining()
-        )
+        images = self.images
+        return images.is_square() and self.rank() == images.rows and self.is_intertwining()
 
     def apply_coords(self, v: Sequence) -> Vector:
         return self.images.apply(v)

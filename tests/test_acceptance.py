@@ -462,13 +462,12 @@ def test_criterion_11_general_embedding(capsys):
 
 def test_criterion_12_cli_determinism(capsys):
     start = time.perf_counter()
-    from test_cli import CASES, GOLDEN, run_cli
+    from test_cli import CASES, GOLDEN, golden_runs
 
     ok = True
     for name, argv, code in CASES:
         expected = (GOLDEN / f"{name}.json").read_bytes()
-        first = run_cli(argv)
-        second = run_cli(argv)
+        first, second = golden_runs(tuple(argv))
         ok = ok and first.returncode == code
         ok = ok and first.stdout == expected
         ok = ok and second.stdout == expected

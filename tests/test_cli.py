@@ -7,6 +7,7 @@ Children find the package through an absolute ``src`` entry on their
 """
 
 import argparse
+import functools
 import io
 import itertools
 import json
@@ -92,11 +93,18 @@ def run_cli(argv, stdin=None, flags=(), timeout=None):
     )
 
 
+@functools.cache
+def golden_runs(argv):
+    """Two plain runs of one golden case's argv (a tuple), made once per
+    session: `test_golden` and `test_acceptance`'s criterion 12 both read
+    them."""
+    return run_cli(argv), run_cli(argv)
+
+
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_golden(name, argv, code):
     expected = (GOLDEN / f"{name}.json").read_bytes()
-    first = run_cli(argv)
-    second = run_cli(argv)
+    first, second = golden_runs(tuple(argv))
     assert first.returncode == code, first.stderr.decode()
     assert first.stdout == expected, first.stderr.decode()
     # determinism, byte for byte

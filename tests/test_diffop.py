@@ -1618,8 +1618,9 @@ def test_search_stops_one_degree_above_the_support():
 
 def test_extend_iso_builds_each_side_once_and_inverts_no_step(monkeypatch):
     # Three steps build one source and one target span, on all the rows,
-    # and the only inverse is the check of the caller's map.  The source
-    # is the echelon rows the steps hold, so only the target is eliminated.
+    # and nothing is inverted: the check of the caller's map reads its
+    # rank.  The source is the echelon rows the steps hold, so only the
+    # target is eliminated.
     sub = submodule_from_polys(2, [Poly(2, {(1, 0): 1, (0, 1): -2})])
     goal = MonomialSubmodule(2, lower_set_closure([(2, 0), (1, 1)]))
     builds, reduced, inverses = [], [], []
@@ -1635,7 +1636,7 @@ def test_extend_iso_builds_each_side_once_and_inverts_no_step(monkeypatch):
     steps = extended.source.dim - sub.dim
     assert steps == 3
     assert reduced == builds == [sub.dim + steps]
-    assert inverses == [sub.dim]
+    assert inverses == []
 
 
 def test_extend_iso_checks_the_callers_map_once(monkeypatch):

@@ -36,16 +36,17 @@ from nilmod.errors import (
     NotNilpotent,
     SocleNotOneDimensional,
 )
-from nilmod.exactalg import _PRIME, QMatrix, _functional, _integer_rows, _rank_mod, _socle_walk
+from nilmod.exactalg import _PRIME, QMatrix, Subspace, _rank_mod
 from nilmod.modcore import (
     ExpSubmodule,
     FDModule,
     ModuleMap,
     PolySubmodule,
+    _functional,
     _inverse_system,
     _joint_kernel,
-    _one_jordan_block,
     _row_form,
+    _socle_walk,
     action_matrices,
     as_matrices,
     is_nilpotent,
@@ -652,9 +653,9 @@ def test_embed_general_builds_no_module_for_its_twist(monkeypatch):
     # blocks: the validating FDModule constructor never runs, so there is
     # no second commutativity check.  Its blocks are those of the
     # untwisted nilpotent module, so the map is the one embed_nilpotent
-    # gives that module.  For DIVISIBLE_SOCLE shifted by 1/P the rows
-    # over d D are 0 mod P until their common factor is divided out,
-    # which would move the functional off the line mod P.
+    # gives that module.  For DIVISIBLE_SOCLE shifted by 1/P the blocks
+    # come back as P M over P; the walk and the pass divide out each
+    # vector's content, so that factor moves neither lambda nor the map.
     rng = random.Random(13)
     modules = [(DIVISIBLE_SOCLE, [Fraction(-1, _PRIME)])]
     for n, bound in [(1, 4), (2, 3), (3, 2)]:
@@ -704,8 +705,9 @@ def test_exact_kernel_only_on_failures(monkeypatch):
 
 # The kernel mod P is larger than the exact one in these three modules,
 # and the line mod P moves in the fourth.  Mod P the first and third
-# are zero, so the walk stops at e_1: in the first it is the exact
-# socle, in the third it misses the socle e_2.
+# are zero, so a walk mod P would stop at e_1: in the first that is the
+# exact socle, in the third it misses the socle e_2.  The exact walk ends
+# on the socle in all of them.
 UNLUCKY_PRIME = validate([QMatrix([[0, _PRIME], [0, 0]])])
 DIVISIBLE_SOCLE = validate([QMatrix([[_PRIME, -(_PRIME**2)], [1, -_PRIME]])])
 MISSED_SOCLE = validate([QMatrix([[0, 0], [_PRIME, 0]])])
@@ -732,11 +734,11 @@ def count_calls(monkeypatch, names):
 
 
 def test_unlucky_prime_embeds_through_the_exact_kernel(monkeypatch):
-    # Mod P the matrix is zero, so the kernel mod P is all of K^2, and the
-    # walk stops at e_1, which spans the exact kernel: the embedding needs
-    # no exact kernel.  The pass rows [[0, P], [1, 0]] have rank 1 mod P,
-    # but at n = 1 two monomials have independent rows, so no rank is read.
-    assert _socle_walk(UNLUCKY_PRIME._blocks) == [1, 0]
+    # The matrix kills e_1, so the walk stops there, on the exact kernel:
+    # the embedding needs no exact kernel.  The pass rows [[0, P], [1, 0]]
+    # have rank 1 mod P, but at n = 1 two monomials have independent rows,
+    # so no rank is read.
+    assert _socle_walk(UNLUCKY_PRIME) == ([1, 0], 0)
     calls = count_calls(monkeypatch, ["_joint_kernel", "_inverse_system", "_rank_mod"])
     for seed in (None, 3):
         for found in calls.values():
@@ -754,7 +756,7 @@ def test_rank_short_mod_p_leaves_the_image_to_the_exact_elimination(monkeypatch)
     # At n = 2 rank d mod P is the certificate: the pass rows of SHORT_RANK's
     # three monomials have rank 2 mod P, so the image's exact elimination
     # decides, and finds rank 3.
-    assert _socle_walk(SHORT_RANK._blocks) == [0, 0, 1]
+    assert _socle_walk(SHORT_RANK) == ([0, 0, 1], 1)
     calls = count_calls(monkeypatch, ["_joint_kernel", "_inverse_system", "_rank_mod"])
     for seed in (None, 3):
         for found in calls.values():
@@ -771,55 +773,60 @@ def test_rank_short_mod_p_leaves_the_image_to_the_exact_elimination(monkeypatch)
     assert canonical_form(SHORT_RANK) == PolySubmodule(2, [X1, X2, Poly.one(2)])
 
 
-def test_missed_socle_costs_one_exact_kernel_and_one_retry(monkeypatch):
-    # The walk stops at e_1, lambda = e_1 kills the exact socle e_2, and
-    # the image falls short.  The exact kernel names the line e_2, and the
-    # pass runs once more on its pivot functional.
-    assert _socle_walk(MISSED_SOCLE._blocks) == [1, 0]
+def test_missed_socle_takes_one_pass_and_no_exact_kernel(monkeypatch):
+    # Mod P the matrix is zero, so a walk mod P would stop at e_1 and miss
+    # the socle e_2.  The exact walk goes on to M e_1 = P e_2, divides out
+    # P, and stops on the socle: lambda = e_2, one pass, and no exact kernel.
+    assert _socle_walk(MISSED_SOCLE) == ([0, 1], 1)
     assert _joint_kernel(MISSED_SOCLE).basis == ((0, 1),)
     calls = count_calls(monkeypatch, ["_joint_kernel", "_inverse_system"])
     result = embed_nilpotent(MISSED_SOCLE)
-    assert len(calls["_joint_kernel"]) == 1
-    assert [args[1] for args in calls["_inverse_system"]] == [[1, 0], [0, 1]]
+    assert calls["_joint_kernel"] == []
+    assert [args[1] for args in calls["_inverse_system"]] == [[0, 1]]
     assert result.map.is_isomorphism()
     assert result.image_polys() == (Poly(1, {(1,): _PRIME}), Poly.one(1))
-    assert outcome(embed_nilpotent, MISSED_SOCLE, None) == outcome(reference_embed_nilpotent, MISSED_SOCLE, None)
-    # Seed 3 draws lambda = (-1, 4), nonzero on e_2.  Seed 4 draws
-    # (-1, 0), which misses e_2 too, and the retry reads the pivot
-    # functional whatever the rng drew.
-    for seed, runs in [(3, 1), (4, 2)]:
+    # Seed 3 draws lambda = (-1, 4), nonzero on e_2.  Seed 4 draws (-1, 0)
+    # first, which is zero on e_2, and draws again.
+    for seed in (None, 3, 4):
         calls["_inverse_system"].clear()
-        drawn = embed_nilpotent(MISSED_SOCLE, random.Random(seed))
-        assert len(calls["_inverse_system"]) == runs
-        assert drawn.image == result.image and drawn.map.is_isomorphism()
-    assert drawn.map.images == result.map.images
+        drawn = outcome(embed_nilpotent, MISSED_SOCLE, seed)
+        assert drawn == outcome(reference_embed_nilpotent, MISSED_SOCLE, seed)
+        assert len(calls["_inverse_system"]) == 1
+        assert drawn[1]["image"] == result.image.to_json()
+    assert calls["_joint_kernel"] == []
 
 
-def test_socle_walk_spans_the_line_mod_p():
-    # The walk ends on residues that every block kills mod P.  Where the
-    # joint kernel is a line, so is the kernel mod P here, and the walk
-    # spans it; a walk past d - 1 steps, which returns None, proves the
-    # module not nilpotent.
-    lines = stopped = 0
-    for module in comparison_table():
-        d = module.dim
-        if d == 0:
-            continue
-        w = _socle_walk(module._blocks)
-        if w is None:
+def test_socle_walk_ends_in_the_exact_socle():
+    # The walk ends on a nonzero primitive integer vector that every block
+    # kills exactly, so it spans the joint kernel whenever that is a line;
+    # a walk past d - 1 steps, which returns None, proves the module not
+    # nilpotent, and in one variable d - 1 steps prove one Jordan block.
+    # Without an rng, lambda is then the pivot of the socle's RREF basis
+    # vector, as in the reference, however P divides the socle's entries.
+    modules = comparison_table() + success_table() + [m for m, _ in single_variable_table()]
+    lines = stopped = blocks = 0
+    for module in modules:
+        d, walk = module.dim, _socle_walk(module)
+        if walk is None:
             assert not is_nilpotent(module)
             stopped += 1
             continue
-        assert all(0 <= x < _PRIME for x in w) and any(w)
-        assert all(sum(a * b for a, b in zip(row, w)) % _PRIME == 0 for block in module._blocks for row in block)
+        w, k = walk
+        if d == 0:
+            assert walk == ([], 0)
+            continue
+        assert any(w) and gcd(*w) == 1 and 0 <= k < d
+        assert all(sum(x * y for x, y in zip(row, w)) == 0 for block in module._blocks for row in block)
         space = _joint_kernel(module)
         if space.dim == 1:
             lines += 1
-            (s,), _ = _integer_rows(space.basis)
-            j = next(j for j, x in enumerate(w) if x)
-            ratio = s[j] * pow(w[j], -1, _PRIME) % _PRIME
-            assert [x % _PRIME for x in s] == [ratio * x % _PRIME for x in w]
-    assert lines >= 10 and stopped >= 3, (lines, stopped)
+            assert space == Subspace(d, [w])
+        if module.n == 1 and k == d - 1:
+            blocks += 1
+            assert is_nilpotent(module) and space.dim == 1
+    assert lines >= 100 and stopped >= 20 and blocks >= 45, (lines, stopped, blocks)
+    for module in modules + [UNLUCKY_PRIME, DIVISIBLE_SOCLE, MISSED_SOCLE, SHORT_RANK]:
+        assert outcome(embed_nilpotent, module, None) == outcome(reference_embed_nilpotent, module, None)
 
 
 def count_eliminations(monkeypatch):
@@ -862,10 +869,8 @@ def test_monomial_images_skip_the_exact_elimination(monkeypatch):
 def test_single_variable_images_take_no_rank_and_no_elimination(monkeypatch, p):
     # In one variable a nilpotent module with a line socle is one Jordan
     # block, so its image is span{x^k : k < d}, at the real prime and at
-    # small ones.  A pass that succeeds at once reads no rank mod P and
-    # eliminates nothing; a retry after a missed socle computes the exact
-    # kernel, so only its outcome is checked.  At a small prime the walk
-    # can choose another lambda than the reference, which moves the map.
+    # small ones.  Its one pass reads no rank mod P and eliminates
+    # nothing, and the map is the reference's at every prime.
     import nilmod.exactalg
 
     rng = random.Random(53)
@@ -883,21 +888,16 @@ def test_single_variable_images_take_no_rank_and_no_elimination(monkeypatch, p):
     references = [[outcome(reference_embed_nilpotent, m, seed) for seed in (None, 3)] for m in cases]
     calls = count_calls(monkeypatch, ["_rank_mod", "_inverse_system"])
     eliminations = count_eliminations(monkeypatch)
-    at_once = 0
     for module, image, reference in zip(cases, expected, references):
         for seed, want in zip((None, 3), reference):
             for found in (calls["_rank_mod"], calls["_inverse_system"], eliminations):
                 found.clear()
             result = embed_nilpotent(module, None if seed is None else random.Random(seed))
-            assert calls["_rank_mod"] == []
-            if len(calls["_inverse_system"]) == 1:
-                at_once += 1
-                assert eliminations == []
+            assert calls["_rank_mod"] == [] and eliminations == []
+            assert len(calls["_inverse_system"]) == 1
             assert result.image == image == canonical_form(module)
-            if p is None:
-                assert ("ok", result.to_json()) == want
+            assert ("ok", result.to_json()) == want
             assert want[1]["image"] == image.to_json() and result.map.is_isomorphism()
-    assert at_once >= len(cases)
 
 
 def test_a_short_pass_is_refused_before_any_elimination(monkeypatch):
@@ -909,25 +909,28 @@ def test_a_short_pass_is_refused_before_any_elimination(monkeypatch):
     assert calls == []
 
 
-def test_socle_entry_divisible_by_p_moves_the_functional():
-    # The socle is the line of (P, 1): the exact RREF pivot is 0, its
-    # residues (0, 1) put lambda on coordinate 1.  The image is the same.
-    assert _socle_walk(DIVISIBLE_SOCLE._blocks) == [0, 1]
+def test_socle_entry_divisible_by_p_keeps_the_pivot_functional():
+    # The socle is the line of (P, 1), whose residues mod P are (0, 1).
+    # The exact walk ends on (P, 1) itself, so lambda = e_1, the pivot of
+    # the RREF basis vector, as in the reference.  The image is the same.
+    assert _socle_walk(DIVISIBLE_SOCLE) == ([_PRIME, 1], 1)
     reference = reference_embed_nilpotent(DIVISIBLE_SOCLE)
     result = embed_nilpotent(DIVISIBLE_SOCLE)
+    assert result.to_json() == reference.to_json()
     assert result.image == reference.image == submodule_from_polys(1, [Poly(1, {(1,): 1})])
     assert result.map.is_isomorphism()
-    # lambda = e_2: phi(e_1) = x and phi(e_2) = 1 - P x, in the basis (x, 1).
-    assert result.image_polys() == (Poly(1, {(1,): 1}), Poly(1, {(1,): -_PRIME, (0,): 1}))
-    assert result.map.images == QMatrix([[1, -_PRIME], [0, 1]])
+    # lambda = e_1: phi(e_1) = 1 + P x and phi(e_2) = -P^2 x, in the basis (x, 1).
+    assert result.image_polys() == (Poly(1, {(1,): _PRIME, (0,): 1}), Poly(1, {(1,): -(_PRIME**2)}))
+    assert result.map.images == QMatrix([[_PRIME, -(_PRIME**2)], [1, 0]])
     for seed in range(4):
         drawn = embed_nilpotent(DIVISIBLE_SOCLE, rng=random.Random(seed))
+        assert ("ok", drawn.to_json()) == outcome(reference_embed_nilpotent, DIVISIBLE_SOCLE, seed)
         assert drawn.image == reference.image
         assert drawn.map.is_isomorphism()
 
 
 def test_unlucky_primes_under_optimize_flag():
-    # The walk's fallbacks keep their answers under `python -O`.
+    # The modules whose entries P divides keep their answers under `python -O`.
     code = "\n".join(
         [
             "import json, random",
@@ -961,6 +964,28 @@ def pass_budget(d):
     return 4 * d * d.bit_length()
 
 
+def count_pass_products(monkeypatch):
+    """Patch the pass, where `embed` calls it, to record the row products
+    of each call, which the walk's products do not enter; returns the list
+    of counts, one per pass."""
+    import nilmod.embed
+    import nilmod.modcore
+
+    products, passes = [], []
+    product, inverse_system = nilmod.modcore._row_product, nilmod.embed._inverse_system
+
+    def counted(*args):
+        start = len(products)
+        try:
+            return inverse_system(*args)
+        finally:
+            passes.append(len(products) - start)
+
+    monkeypatch.setattr(nilmod.modcore, "_row_product", lambda r, f: products.append(1) or product(r, f))
+    monkeypatch.setattr(nilmod.embed, "_inverse_system", counted)
+    return passes
+
+
 def success_table():
     """Seeded nilpotent modules with a line socle at dimension 3 and up,
     plain and densely conjugated, as the embedding benchmarks draw them:
@@ -982,15 +1007,16 @@ def test_no_success_reaches_the_pass_budget(monkeypatch):
     # successes stay under half of it.
     import nilmod.modcore
 
-    products, checks = [], []
-    product, nilpotent = nilmod.modcore._row_product, nilmod.modcore._is_nilpotent_matrix
-    monkeypatch.setattr(nilmod.modcore, "_row_product", lambda r, f: products.append(1) or product(r, f))
+    checks = []
+    nilpotent = nilmod.modcore._is_nilpotent_matrix
+    passes = count_pass_products(monkeypatch)
     monkeypatch.setattr(nilmod.modcore, "_is_nilpotent_matrix", lambda m: checks.append(1) or nilpotent(m))
     worst = 0
     for module in success_table():
-        products.clear()
+        passes.clear()
         assert embed_nilpotent(module).map.is_isomorphism()
-        worst = max(worst, len(products) / pass_budget(module.dim))
+        (products,) = passes
+        worst = max(worst, products / pass_budget(module.dim))
     assert checks == []
     assert 0 < worst < 0.5, worst
 
@@ -1021,18 +1047,15 @@ def test_non_nilpotent_line_kernel_stops_at_the_budget(monkeypatch):
     # plus a line where every x_i acts by 2: dimension 22, and the joint
     # kernel is a line.  Densely conjugated, e_1 has a part on the
     # eigenvalue-2 line, so the walk never vanishes and stops the
-    # embedding before any pass product.
-    import nilmod.modcore
-
+    # embedding before any pass.
     block = block_sum(validate([jordan_block(21)] * 3), validate([QMatrix([[2]])] * 3))
     dense = conjugate(block, random_invertible(random.Random(22), 22))
-    products = []
-    product = nilmod.modcore._row_product
-    monkeypatch.setattr(nilmod.modcore, "_row_product", lambda r, f: products.append(1) or product(r, f))
+    passes = count_pass_products(monkeypatch)
+    assert _socle_walk(dense) is None
     with time_limit(10):
         with pytest.raises(NotNilpotent):
             embed_nilpotent(dense)
-    assert products == []
+    assert passes == []
     # Conjugated by G^-1 instead, where G e_1 has no part on that line,
     # the walk reaches a kernel vector.  The seeded lambda is nonzero on
     # G^-1 e_22, the eigenvector for 2, so lambda S^alpha never vanishes,
@@ -1044,14 +1067,14 @@ def test_non_nilpotent_line_kernel_stops_at_the_budget(monkeypatch):
         if g.det() != 0:
             break
     module = conjugate(block, g.inverse())
-    w = _socle_walk(module._blocks)
-    assert all(sum(x * y for x, y in zip(row, w)) % _PRIME == 0 for block in module._blocks for row in block)
+    w, _ = _socle_walk(module)
+    assert all(sum(x * y for x, y in zip(row, w)) == 0 for block in module._blocks for row in block)
     lam = _functional(w, random.Random(4))
     assert sum(a * b for a, b in zip(lam, g.inverse().column(21))) != 0
     with time_limit(10):
         with pytest.raises(NotNilpotent):
             embed_nilpotent(module, random.Random(4))
-    assert len(products) == pass_budget(22) + 1
+    assert passes == [pass_budget(22) + 1]
 
 
 def reference_embed_nilpotent(module, rng=None):
@@ -1257,10 +1280,10 @@ def test_canonical_form_fixed_point():
     assert canonical_form(fd) == form
 
 
-# --- the chain certificate in one variable -------------------------------------
+# --- the walk's certificate in one variable -------------------------------------
 
 def subdiagonal_jordan(d):
-    """S e_k = e_(k+1): e_1 is cyclic, so the chain certifies the block."""
+    """S e_k = e_(k+1): e_1 is cyclic, so the walk certifies the block."""
     return QMatrix([[int(r == c + 1) for c in range(d)] for r in range(d)], cols=d)
 
 
@@ -1277,13 +1300,13 @@ def rational_invertible(rng, d, corner=None):
 
 
 def single_variable_table():
-    """(module, whether the chain certifies it): seeded modules in one
+    """(module, whether the walk certifies it): seeded modules in one
     variable of dimension 0 to 12.  Both Jordan blocks, and dense
     conjugates H^-1 J H of the subdiagonal one: e_1 lies in the image of
     H^-1 J H iff H e_1 lies in that of J, iff H's entry (1, 1) is 0, and
-    then the chain stops early.  Sums of two blocks, whose e_1 chain stops
-    early, and modules that are not nilpotent, whose chain stops early or
-    never vanishes."""
+    then the walk stops early.  Sums of two blocks, whose walk from e_1
+    stops early, and modules that are not nilpotent, whose walk stops
+    early or never vanishes."""
     rng = random.Random(1193)
     cases = [(FDModule(1, [QMatrix([], cols=0)]), False)]
     for d in range(1, 13):
@@ -1310,10 +1333,10 @@ def single_variable_table():
 
 
 def test_the_chain_certificate_matches_the_embedding_core(monkeypatch):
-    # Where the chain certifies one Jordan block, canonical_form returns
-    # the span of x^(d-1), ..., 1 without entering the core, and the core
-    # gives the same form; anywhere else it runs the core, and the form or
-    # the error's kind and message is the core's.
+    # Where the walk's d - 1 steps certify one Jordan block, canonical_form
+    # returns the span of x^(d-1), ..., 1 without entering the core, and
+    # the core gives the same form; anywhere else it runs the core on that
+    # walk, and the form or the error's kind and message is the core's.
     import nilmod.embed
 
     def attempt(call):
@@ -1328,10 +1351,11 @@ def test_the_chain_certificate_matches_the_embedding_core(monkeypatch):
     outcomes = {True: set(), False: set()}
     dims = set()
     for k, (module, certified) in enumerate(single_variable_table()):
-        chain = _one_jordan_block(module._blocks[0])
+        walk = _socle_walk(module)
+        chain = walk is not None and walk[1] == module.dim - 1
         if certified is not None:
             assert chain is certified, k
-        reference = attempt(lambda: core(module, None)[0])
+        reference = attempt(lambda: core(module, None, walk)[0])
         entered.clear()
         assert attempt(lambda: canonical_form(module)) == reference, k
         assert entered == ([] if chain else [1]), k
@@ -1343,16 +1367,24 @@ def test_the_chain_certificate_matches_the_embedding_core(monkeypatch):
     assert outcomes == {True: {"ok"}, False: {"ok", "NotNilpotent", "SocleNotOneDimensional"}}
 
 
-def test_a_chain_stopped_at_column_one_builds_no_form(monkeypatch):
-    # The superdiagonal block kills e_1: the chain reads column 1 and
-    # falls back before preparing the block's columns.
-    import nilmod.modcore
-
-    forms = []
-    monkeypatch.setattr(nilmod.modcore, "_row_form", lambda *args: forms.append(1) or _row_form(*args))
-    assert not _one_jordan_block(validate([jordan_block(50)])._blocks[0])
-    assert forms == []
-    assert canonical_form(validate([jordan_block(50)])) == submodule_from_polys(1, [Poly.monomial(1, (49,))])
+def test_canonical_form_walks_each_module_once(monkeypatch):
+    # The superdiagonal block kills e_1: the walk stops there, with k = 0,
+    # and the core runs its one pass from that walk, not from a second
+    # one.  Every other module, in one variable or more, is walked once
+    # too, whatever the outcome.
+    calls = count_calls(monkeypatch, ["_socle_walk", "_inverse_system"])
+    superdiagonal = validate([jordan_block(50)])
+    assert _socle_walk(superdiagonal) == ([1] + [0] * 49, 0)
+    assert canonical_form(superdiagonal) == submodule_from_polys(1, [Poly.monomial(1, (49,))])
+    assert len(calls["_socle_walk"]) == len(calls["_inverse_system"]) == 1
+    for module in [m for m, _ in single_variable_table()] + comparison_table():
+        for found in calls.values():
+            found.clear()
+        try:
+            canonical_form(module)
+        except NilmodError:
+            pass
+        assert len(calls["_socle_walk"]) == 1 and len(calls["_inverse_system"]) <= 1
 
 
 # --- isomorphism decisions -----------------------------------------------------

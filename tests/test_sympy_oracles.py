@@ -21,6 +21,7 @@ sympy = pytest.importorskip("sympy")
 
 import nilmod.embed  # noqa: E402
 import nilmod.exactalg  # noqa: E402
+import nilmod.modcore  # noqa: E402
 from nilmod.exactalg import _integer_kernel, _rank_mod, _rref_int  # noqa: E402
 from nilmod.modcore import _char_poly, random_nilpotent_module  # noqa: E402
 
@@ -100,7 +101,7 @@ def test_a_certified_injective_pass_has_full_exact_rank(p):
     with prime(p or nilmod.exactalg._PRIME):
         for seed in range(30):
             module = random_nilpotent_module(2 + seed % 2, 3, seed)
-            found = nilmod.embed._walk_and_pass(module, random.Random(seed))
+            found = nilmod.embed._pass(module, nilmod.modcore._socle_walk(module), random.Random(seed))
             if found is not None and nilmod.embed._certified_injective(found, module.dim):
                 certified += 1
                 assert sympy_matrix(found[1], module.dim).rank() == module.dim
