@@ -55,11 +55,11 @@ pass, and decides from the two passes with at most one elimination.  An
 injective phi's monomials are its image's, an invariant: two maps
 certified injective (rows of rank d mod P) with different monomials are
 not isomorphic, with no elimination.  With equal monomials the first
-image is built, and each phi_2(e_j) is tested against it exactly, on
-integers: all inside, with coordinates of rank d mod P, is isomorphic;
-one outside, under a certified second map, is not.  Any other outcome
-compares the two canonical forms, so the errors and their order are
-those of `canonical_form`.
+image is built, and the second map is certified one way: its rows at
+that image's pivots have rank d mod P.  Then each phi_2(e_j) is tested
+against the first image exactly, on integers: all inside is isomorphic,
+one outside is not.  Any other outcome compares the two canonical forms,
+so the errors and their order are those of `canonical_form`.
 
 In one variable `canonical_form` reads the walk alone when it can: a
 walk of d - 1 steps, M^(d-1) e_1 != 0 and M^d e_1 = 0, makes the module
@@ -212,10 +212,10 @@ def is_isomorphic(first: FDModule, second: FDModule) -> bool:
 
     Modules of different dimensions are not isomorphic.  At n >= 2 the
     verdict comes from the walk and pass of each module when they certify
-    it, with at most one exact elimination (see `_pass_verdict`).  Any
-    other outcome, and every module in one variable or of dimension 0,
-    compares the two canonical forms, which raises each error as
-    `canonical_form` does.
+    it, each map certified once, with at most one exact elimination (see
+    `_pass_verdict`).  Any other outcome, and every module in one variable
+    or of dimension 0, compares the two canonical forms, which raises each
+    error as `canonical_form` does.
     """
     _same_count(first.n, second)
     if first.dim != second.dim:
@@ -227,40 +227,32 @@ def is_isomorphic(first: FDModule, second: FDModule) -> bool:
     return canonical_form(first) == canonical_form(second)
 
 
-def _certified_injective(found: tuple, d: int) -> bool:
-    """Whether the pass's rows certify phi injective: rank d mod P, a lower
-    bound for the exact rank, which needs d monomials or more."""
-    return _rank_mod(found[1], d) == d
-
-
 def _pass_verdict(first: FDModule, second: FDModule) -> Optional[bool]:
     """The verdict of `is_isomorphic` on two modules of dimension d > 0 at
     n >= 2 from their walks and passes, or None when they certify none.
 
     An injective phi's image is the canonical form, and its monomials are
-    the pass's, an invariant.  Two certified maps with different monomials
-    are not isomorphic, with no elimination.  With equal monomials, the
-    first image, of dimension d, certifies the first map; the second
-    module is isomorphic when every phi_2(e_j) lies in it and their
-    coordinates at its pivots have rank d mod P, and is not when some
-    phi_2(e_j) is outside and the second map is certified injective.  The
-    membership test is exact, on integers.
+    the pass's, an invariant.  Rows of rank d mod P, a lower bound for the
+    exact rank, certify a map injective.  Two certified maps with different
+    monomials are not isomorphic, with no elimination.  With equal
+    monomials, the first image, of dimension d, certifies the first map,
+    and the second map's rows at that image's pivots certify the second:
+    then im phi_2 has dimension d too, so it is the first image exactly
+    when every phi_2(e_j) lies in it.  The membership test is exact, on
+    integers.
     """
     found = _pass(first, _socle_walk(first), None)
     other = None if found is None else _pass(second, _socle_walk(second), None)
     if other is None:
         return None
-    d = first.dim
+    d, rows = first.dim, other[1]
     if found[0] != other[0]:
-        return False if _certified_injective(found, d) and _certified_injective(other, d) else None
+        return False if _rank_mod(found[1], d) == d and _rank_mod(rows, d) == d else None
     image = _image(first, *found)
-    if image is None:
+    if image is None or _rank_mod([rows[c] for c in image.coords._pivots], d) < d:
         return None
-    coords, rows = image.coords, other[1]
     # phi_2(e_j) has coefficient rows[c][j] / weights[c] at monomial c.
-    if all(coords._pivot_entries(v) is not None for v in _columns(_over_lcm(rows, other[2])[0], d)):
-        return True if _rank_mod([rows[c] for c in coords._pivots], d) == d else None
-    return False if _certified_injective(other, d) else None
+    return all(image.coords._pivot_entries(v) is not None for v in _columns(_over_lcm(rows, other[2])[0], d))
 
 
 def _intertwiner_space(first: FDModule, second: FDModule) -> tuple:

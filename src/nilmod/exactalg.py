@@ -302,9 +302,6 @@ class QMatrix(Value):
             object.__setattr__(self, "_entries", tuple(_fraction_row(row, self._den) for row in self._ints))
         return self._entries
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 

@@ -1481,7 +1481,7 @@ def fraction_extend(phi, candidates, limit):
     n = source.n
     leads = [source.monomial_list[c] for c in source.coords._pivots]
     rows = dict(zip(leads, source.basis))
-    images = dict(zip(leads, (target.from_coordinates(phi.images.column(j)) for j in range(source.dim))))
+    images = dict(zip(leads, (target.from_coordinates(column) for column in zip(*phi.images.entries))))
     monomials, news = [], []
 
     def inside(alpha):

@@ -331,7 +331,7 @@ def test_embed_intertwining_unpacked_by_hand():
         s = mod.action(i)
         for j in range(mod.dim):
             mapped = result.image.from_coordinates(
-                result.map.apply_coords(s.column(j))
+                result.map.apply_coords([row[j] for row in s.entries])
             )
             assert mapped == polys[j].partial(i)
 
@@ -1070,7 +1070,7 @@ def test_non_nilpotent_line_kernel_stops_at_the_budget(monkeypatch):
     w, _ = _socle_walk(module)
     assert all(sum(x * y for x, y in zip(row, w)) == 0 for block in module._blocks for row in block)
     lam = _functional(w, random.Random(4))
-    assert sum(a * b for a, b in zip(lam, g.inverse().column(21))) != 0
+    assert sum(a * b for a, b in zip(lam, (row[21] for row in g.inverse().entries))) != 0
     with time_limit(10):
         with pytest.raises(NotNilpotent):
             embed_nilpotent(module, random.Random(4))
@@ -1619,7 +1619,7 @@ def test_embed_general_action_identity_by_hand():
             s = mod.action(i)
             for j in range(mod.dim):
                 mapped = image.part.from_coordinates(
-                    bridge.apply_coords(s.column(j))
+                    bridge.apply_coords([row[j] for row in s.entries])
                 )
                 expected = polys[j].scale(alpha[i - 1]) + polys[j].partial(i)
                 assert mapped == expected

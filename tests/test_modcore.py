@@ -801,7 +801,7 @@ def test_action_matrices_match_partials():
             assert m.rows == m.cols == sub.dim
             for j, b in enumerate(sub.basis):
                 expected = sub.coordinates_of(b.partial(i))
-                assert list(m.column(j)) == list(expected)
+                assert [row[j] for row in m.entries] == list(expected)
 
 
 def test_exp_submodule_actions_add_scalar():

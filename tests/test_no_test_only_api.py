@@ -5,10 +5,12 @@ or it moves into the tests as a reference.  Every private helper is read
 inside the library itself, so a deleted helper does not live on for the
 tests, or the benchmark, alone.
 
-The scan is by name: a definition counts as used when its name occurs
-as a `Name` or an `Attribute` anywhere in those files.  So it misses a
-dead method that shares its name with a live one (`sum`, `zero`,
-`from_json`), and it never reports a live one.
+The scan is by name: a function counts as used when its name occurs
+as a `Name` or an `Attribute` anywhere in those files, and a method only
+when it occurs as an `Attribute`, the one way a caller reaches it.  So a
+local variable of the same name (`column`) does not keep a method alive.
+It still misses a dead method that shares its name with a live attribute
+(`sum`, `zero`, `from_json`), and it never reports a live one.
 
 Options get the same scan: every defaulted parameter of a public
 function or method must be set, by keyword or by position, in some call
@@ -49,44 +51,55 @@ def _parse(path):
 
 
 def used_names(paths):
-    """Every identifier read as a name or an attribute in the files."""
-    found = set()
+    """(names, attributes): every identifier read as a name, and every one
+    read as an attribute, in the files."""
+    names, attributes = set(), set()
     for path in paths:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name):
-                found.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-    return found
+                attributes.add(node.attr)
+    return names, attributes
 
 
 def definitions(paths):
-    """(qualified name, bare name) of the module-level functions and the
-    methods of module-level classes, dunder methods left out."""
+    """(qualified name, bare name, is a method) of the module-level
+    functions and the methods of module-level classes, dunder methods
+    left out."""
     out = []
     for path in paths:
         for node in _parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.append((node.name, node.name))
+                out.append((node.name, node.name, False))
             elif isinstance(node, ast.ClassDef):
                 out += [
-                    (f"{node.name}.{item.name}", item.name)
+                    (f"{node.name}.{item.name}", item.name, True)
                     for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                 ]
-    return [(qualified, name) for qualified, name in out if not name.startswith("__")]
+    return [d for d in out if not d[1].startswith("__")]
+
+
+def unreached(package_files, caller_files, private):
+    """Definitions, private or public, that no caller reaches: a method as
+    an attribute, a function as a name or an attribute."""
+    names, attributes = used_names(caller_files)
+    return sorted(
+        q
+        for q, name, method in definitions(package_files)
+        if name.startswith("_") == private and name not in (attributes if method else names | attributes)
+    )
 
 
 def unused(package_files, caller_files):
-    """Public definitions that no caller reads."""
-    names = used_names(caller_files)
-    return sorted(q for q, name in definitions(package_files) if not name.startswith("_") and name not in names)
+    """Public definitions that no caller reaches."""
+    return unreached(package_files, caller_files, False)
 
 
 def unread_private(package_files):
-    """Private definitions that the package itself never reads."""
-    names = used_names(package_files)
-    return sorted(q for q, name in definitions(package_files) if name.startswith("_") and name not in names)
+    """Private definitions that the package itself never reaches."""
+    return unreached(package_files, package_files, True)
 
 
 def _defaulted(fn, skip):
@@ -170,7 +183,7 @@ def test_every_public_option_is_set_by_a_caller():
 
 def test_every_private_helper_is_read_by_the_library():
     package = sorted(PACKAGE.glob("*.py"))
-    assert len([name for _, name in definitions(package) if name.startswith("_")]) > 50
+    assert len([name for _, name, _ in definitions(package) if name.startswith("_")]) > 50
     assert unread_private(package) == []
 
 
@@ -185,7 +198,7 @@ def test_an_uncalled_method_is_caught(tmp_path):
         "def orphan(): pass\n"
     )
     caller = tmp_path / "caller.py"
-    caller.write_text("from lib import A, helper\nA().used()\nhelper()\n")
+    caller.write_text("from lib import A, helper\nspare = A()\nspare.used()\nhelper()\n")
     assert unused([lib], [lib, caller]) == ["A.spare", "orphan"]
 
 

@@ -95,14 +95,14 @@ def test_rank_mod_is_a_lower_bound_that_the_real_prime_meets():
 
 @pytest.mark.parametrize("p", (None,) + SMALL_PRIMES[2:])
 def test_a_certified_injective_pass_has_full_exact_rank(p):
-    # `embed._certified_injective` reads rank d mod P from the pass rows;
-    # whenever it holds, the rows have rank d over the rationals.
+    # `embed._pass_verdict` certifies a map by rank d mod P of pass rows;
+    # whenever that holds, the rows have rank d over the rationals.
     certified = 0
     with prime(p or nilmod.exactalg._PRIME):
         for seed in range(30):
             module = random_nilpotent_module(2 + seed % 2, 3, seed)
             found = nilmod.embed._pass(module, nilmod.modcore._socle_walk(module), random.Random(seed))
-            if found is not None and nilmod.embed._certified_injective(found, module.dim):
+            if found is not None and _rank_mod(found[1], module.dim) == module.dim:
                 certified += 1
                 assert sympy_matrix(found[1], module.dim).rank() == module.dim
     assert certified >= 10, certified
