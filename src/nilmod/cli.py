@@ -10,8 +10,11 @@ NotAnEndomorphism ({"derivative", "monomial"}), TruncationTooLow
 ({"truncation", "degree"}), Incompatible and NonCommuting (the pair
 [i, j]), NonRationalEigenvalue ({"block", "char_poly"}, the
 coefficients ascending as strings) and NoCommonEigenline (the surviving
-eigenvalue tuples, as "p/q" strings).  The subcommands are the rows of
-one table, `_COMMANDS`.
+eigenvalue tuples, as "p/q" strings).  The subcommands, with their
+help, handlers, positionals and integer options (each with its default
+and help), are the rows of one table, `_COMMANDS`, from which `_parse`
+reads a command line: `-h`/`--help` prints help and exits 0; a usage
+error prints a usage line and the error on standard error and exits 2.
 
 Each handler imports the layers it runs once its JSON input is read, so
 a usage error or an unreadable or malformed file loads no algebra layer.
@@ -19,11 +22,11 @@ a usage error or an unreadable or malformed file loads no algebra layer.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import DimensionTooLarge, IncompatibleMap, NilmodError, NonCommuting
 
@@ -179,43 +182,139 @@ def _cmd_gen(args) -> dict:
     return random_nilpotent_module(args.n, args.degree_bound, args.seed).to_json()
 
 
-# Each subcommand: its help, its handler and its positionals with their help.
+# Each subcommand: its help, its handler, its positionals with their help,
+# and its integer options with their default and help.
 _COMMANDS = {
-    "validate": ("check commutativity, nilpotency, socle", _cmd_validate, {"module": "module JSON path, or - for stdin"}),
-    "socle": ("basis of the socle of a nilpotent module", _cmd_socle, {"module": None}),
-    "embed": ("embed into the derivative module", _cmd_embed, {"module": None}),
-    "canonical": ("canonical polynomial submodule", _cmd_canonical, {"module": None}),
-    "isomorphic": ("decide isomorphism of two modules", _cmd_isomorphic, {"first": None, "second": None}),
-    "embed-general": ("embed a module with rational socle eigenvalues", _cmd_embed_general, {"module": None}),
-    "extract-endo": ("recover an operator series from monomial images", _cmd_extract_endo, {"table": None}),
-    "aut": ("automorphism group of a monomial submodule", _cmd_aut, {"submodule": None}),
-    "extend-iso": ("extend an isomorphism to cover a monomial submodule", _cmd_extend_iso, {"problem": None}),
-    "gen": ("seeded random nilpotent module", _cmd_gen, {}),
+    "validate": ("check commutativity, nilpotency, socle", _cmd_validate, {"module": "module JSON path, or - for stdin"}, {}),
+    "socle": ("basis of the socle of a nilpotent module", _cmd_socle, {"module": None}, {}),
+    "embed": ("embed into the derivative module", _cmd_embed, {"module": None}, {}),
+    "canonical": ("canonical polynomial submodule", _cmd_canonical, {"module": None}, {}),
+    "isomorphic": ("decide isomorphism of two modules", _cmd_isomorphic, {"first": None, "second": None}, {
+        "--max-dim": (None, "use the brute-force intertwiner oracle with this dimension bound (at most 10)"),
+    }),
+    "embed-general": ("embed a module with rational socle eigenvalues", _cmd_embed_general, {"module": None}, {}),
+    "extract-endo": ("recover an operator series from monomial images", _cmd_extract_endo, {"table": None}, {}),
+    "aut": ("automorphism group of a monomial submodule", _cmd_aut, {"submodule": None}, {}),
+    "extend-iso": ("extend an isomorphism to cover a monomial submodule", _cmd_extend_iso, {"problem": None}, {}),
+    "gen": ("seeded random nilpotent module", _cmd_gen, {}, {
+        "--n": (2, "variable count"),
+        "--degree-bound": (3, "total degree bound of the random polynomial"),
+        "--seed": (0, "random seed"),
+    }),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nilmod",
-        description="Exact computations with modules over polynomial rings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, handler, positionals) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        for arg, arg_help in positionals.items():
-            p.add_argument(arg, help=arg_help)
-        p.set_defaults(handler=handler)
-    sub.choices["isomorphic"].add_argument(
-        "--max-dim",
-        type=int,
-        default=None,
-        help="use the brute-force intertwiner oracle with this dimension bound (at most 10)",
-    )
-    gen = sub.choices["gen"]
-    gen.add_argument("--n", type=int, default=2, help="variable count")
-    gen.add_argument("--degree-bound", type=int, default=3)
-    gen.add_argument("--seed", type=int, default=0)
-    return parser
+class _Stop(Exception):
+    """Parsing ends without a command to run: help (code 0, on stdout) or
+    a usage error (code 2, on stderr)."""
+
+    def __init__(self, code: int, text: str):
+        self.code = code
+        self.text = text
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _metavar(option: str) -> str:
+    return _dest(option).upper()
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return f"usage: nilmod [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, _, positionals, options = _COMMANDS[name]
+    words = ["[-h]", *(f"[{o} {_metavar(o)}]" for o in options), *positionals]
+    return f"usage: nilmod {name} {' '.join(words)}"
+
+
+def _table(title: str, rows) -> str:
+    width = max(len(left) for left, _ in rows)
+    lines = [f"  {left:<{width}}  {right or ''}".rstrip() for left, right in rows]
+    return "\n".join([f"{title}:", *lines])
+
+
+def _help(name: str | None) -> str:
+    if name is None:
+        summary, options = "Exact computations with modules over polynomial rings.", {}
+        sections = [_table("commands", [(c, row[0]) for c, row in _COMMANDS.items()])]
+    else:
+        summary, _, positionals, options = _COMMANDS[name]
+        sections = [_table("positional arguments", positionals.items())] if positionals else []
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(f"{o} {_metavar(o)}", text) for o, (_, text) in options.items()]
+    return "\n\n".join([_usage(name), summary, *sections, _table("options", rows)])
+
+
+def _error(name: str | None, message: str) -> _Stop:
+    prog = "nilmod" if name is None else f"nilmod {name}"
+    return _Stop(2, f"{_usage(name)}\n{prog}: error: {message}")
+
+
+def _is_option(token: str) -> bool:
+    """Whether a token names an option: a dash and more, but not a
+    negative integer, which is a value."""
+    return token.startswith("-") and token != "-" and not token[1:].isdecimal()
+
+
+def _option(name: str | None, token: str, options) -> str:
+    """The option a token names: exactly, or as the unique prefix of a
+    long option; "--help" for help."""
+    if token == "-h":
+        return "--help"
+    names = ["--help", *options]
+    if token in names:
+        return token
+    long = token.startswith("--") and len(token) > 2
+    found = [o for o in names if o.startswith(token)] if long else []
+    if len(found) != 1:
+        raise _error(name, f"unrecognized arguments: {token}")
+    return found[0]
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The handler and arguments that one command line names, from `_COMMANDS`.
+
+    Raises `_Stop` for help and for a usage error.
+    """
+    if not argv:
+        raise _error(None, "the following arguments are required: command")
+    name, rest = argv[0], iter(argv[1:])
+    if _is_option(name):
+        _option(None, name, {})  # the one top-level option is help
+        raise _Stop(0, _help(None))
+    if name not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _error(None, f"argument command: invalid choice: {name!r} (choose from {choices})")
+    _, handler, positionals, options = _COMMANDS[name]
+    values = {_dest(o): default for o, (default, _) in options.items()}
+    words = []
+    for token in rest:
+        if token == "--":
+            words.extend(rest)
+            break
+        if not _is_option(token):
+            words.append(token)
+            continue
+        option, eq, value = token.partition("=")
+        option = _option(name, option, options)
+        if option == "--help":
+            raise _Stop(0, _help(name))
+        if not eq:
+            value = next(rest, None)
+            if value is None or _is_option(value):
+                raise _error(name, f"argument {option}: expected one argument")
+        try:
+            values[_dest(option)] = int(value)
+        except ValueError:
+            raise _error(name, f"argument {option}: invalid int value: {value!r}") from None
+    if len(words) < len(positionals):
+        missing = ", ".join(list(positionals)[len(words):])
+        raise _error(name, f"the following arguments are required: {missing}")
+    if len(words) > len(positionals):
+        raise _error(name, f"unrecognized arguments: {' '.join(words[len(positionals):])}")
+    return SimpleNamespace(handler=handler, **dict(zip(positionals, words)), **values)
 
 
 def _run(args) -> tuple[int, dict]:
@@ -234,7 +333,11 @@ def _run(args) -> tuple[int, dict]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Stop as stop:
+        print(stop.text, file=sys.stderr if stop.code else sys.stdout)
+        return stop.code
     code, payload = _run(args)
     try:
         print(json.dumps(payload, indent=2))

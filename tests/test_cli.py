@@ -7,6 +7,7 @@ Children find the package through an absolute ``src`` entry on their
 """
 
 import argparse
+import contextlib
 import functools
 import io
 import itertools
@@ -530,16 +531,16 @@ def test_a_negative_brute_force_bound_is_a_parse_error(flags):
 # --- what each child imports ----------------------------------------------
 
 # Calls nilmod.cli.main on its own argv and prints, as JSON, the nilmod
-# modules then loaded.
+# modules then loaded, and which of argparse, gettext and locale are.
 LOADED = """
 import contextlib, io, json, sys
 from nilmod import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    try:
-        cli.main(sys.argv[1:])
-    except SystemExit:
-        pass
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "nilmod")))
+    cli.main(sys.argv[1:])
+print(json.dumps([
+    sorted(m for m in sys.modules if m.partition(".")[0] == "nilmod"),
+    [m for m in ("argparse", "gettext", "locale") if m in sys.modules],
+]))
 """
 
 FRONT = ["nilmod", "nilmod.cli", "nilmod.errors"]
@@ -547,9 +548,13 @@ BASE = sorted(FRONT + ["nilmod.exactalg", "nilmod.multipoly", "nilmod.modcore"])
 
 
 def loaded_modules(argv):
+    """The nilmod modules a child has loaded after `cli.main(argv)`; it
+    must have loaded no argument-parsing or locale machinery."""
     proc = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True, cwd=GOLDEN, env=child_env())
     assert proc.returncode == 0, proc.stderr.decode()
-    return json.loads(proc.stdout)
+    nilmod_modules, parsing_modules = json.loads(proc.stdout)
+    assert parsing_modules == []
+    return nilmod_modules
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -566,8 +571,9 @@ def loaded_modules(argv):
     (["validate", "inputs/malformed.json"], FRONT),
     (["socle", "inputs/no_such_file.json"], FRONT),
     (["extract-endo"], FRONT),
+    (["--help"], FRONT),
 ], ids=["validate", "socle", "gen", "embed", "canonical", "isomorphic", "embed-general", "extract-endo",
-        "aut", "extend-iso", "malformed", "missing", "usage"])
+        "aut", "extend-iso", "malformed", "missing", "usage", "help"])
 def test_a_child_loads_only_the_layers_its_subcommand_runs(argv, expected):
     assert loaded_modules(argv) == expected
 
@@ -726,6 +732,163 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2, proc.stderr.decode()
     proc = run_cli(["not-a-command"])
     assert proc.returncode == 2, proc.stderr.decode()
+
+
+# --- the argument parser ------------------------------------------------------
+
+def main_in_process(argv, stdin=""):
+    """`cli.main` on argv in this interpreter: its code, stdout and stderr
+    (bytes), with `stdin` as standard input."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+# The same, for each [argv, stdin] read as JSON from standard input, in a
+# child; prints the list of [code, stdout, stderr] as JSON.
+MAIN_CASES = """
+import contextlib, io, json, sys
+from nilmod import cli
+results = []
+for argv, stdin in json.loads(sys.stdin.read()):
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def child_agrees_with_main(monkeypatch, argv, stdin=""):
+    """Run argv as a `python -m nilmod.cli` child and through `cli.main` in
+    process (both in GOLDEN); they must agree on code, stdout and stderr."""
+    proc = run_cli(argv, stdin=stdin.encode())
+    monkeypatch.chdir(GOLDEN)
+    assert main_in_process(argv, stdin) == (proc.returncode, proc.stdout, proc.stderr)
+    return proc
+
+
+JORDAN2 = ["inputs/jordan2.json", "inputs/jordan2_conjugate.json"]
+
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["not-a-command"],
+    "top-level-option": ["--max-dim", "6", "isomorphic", *JORDAN2],
+    "missing-positional": ["isomorphic", JORDAN2[0]],
+    "no-positional": ["validate"],
+    "extra-positional": ["validate", "inputs/jordan3.json", "inputs/jordan2.json"],
+    "unknown-option": ["validate", "--frobnicate", "inputs/jordan3.json"],
+    "option-without-value": ["isomorphic", *JORDAN2, "--max-dim"],
+    "option-before-option": ["gen", "--seed", "--n", "2"],
+    "non-integer": ["gen", "--seed", "1.5"],
+    "empty-value": ["gen", "--seed="],
+    "past-digit-limit": ["gen", "--seed", "1" * (sys.get_int_max_str_digits() + 1)],
+    "other-subcommand-option": ["validate", "inputs/jordan3.json", "--max-dim", "6"],
+    "other-subcommand-option-gen": ["gen", "--max-dim", "6"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_a_usage_error_prints_usage_on_stderr_and_exits_2(argv, monkeypatch):
+    proc = child_agrees_with_main(monkeypatch, argv)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    first, second = proc.stderr.decode().splitlines()
+    assert first.startswith("usage: nilmod ")
+    assert second.startswith("nilmod") and ": error: " in second
+
+
+ACCEPTED = {
+    "max-dim": (["isomorphic", *JORDAN2, "--max-dim", "6"], "", "isomorphic_brute_force"),
+    "max-dim-equals": (["isomorphic", *JORDAN2, "--max-dim=6"], "", "isomorphic_brute_force"),
+    "option-first": (["isomorphic", "--max-dim", "6", *JORDAN2], "", "isomorphic_brute_force"),
+    "unique-prefix": (["isomorphic", *JORDAN2, "--max", "6"], "", "isomorphic_brute_force"),
+    "prefixes-equals": (["gen", "--s=7", "--deg", "2"], "", "gen_seed7"),
+    "stdin": (["validate", "-"], (GOLDEN / "inputs" / "jordan3.json").read_text(), "validate_jordan3"),
+    "end-of-options": (["validate", "--", "-"], (GOLDEN / "inputs" / "jordan3.json").read_text(), "validate_jordan3"),
+    "negative-value": (["gen", "--n", "2", "--degree-bound", "-1"], "", None),
+}
+
+
+@pytest.mark.parametrize("argv,stdin,golden", ACCEPTED.values(), ids=ACCEPTED.keys())
+def test_accepted_option_spellings(argv, stdin, golden, monkeypatch):
+    proc = child_agrees_with_main(monkeypatch, argv, stdin)
+    assert proc.stderr == b""
+    if golden is not None:
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN / f"{golden}.json").read_bytes()
+    else:
+        # A negative value reaches the library, which refuses it.
+        assert proc.returncode == 2
+        assert proc.stdout == error_bytes({"kind": "ParseError", "detail": "degree bound must be non-negative"})
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"]], ids=["h", "help", "prefix"])
+def test_top_level_help_lists_every_subcommand(argv, monkeypatch):
+    proc = child_agrees_with_main(monkeypatch, argv)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    listed = [line.split()[0] for line in proc.stdout.decode().partition("commands:\n")[2].split("\n\n")[0].splitlines()]
+    assert listed == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_subcommand_help_names_its_arguments(name):
+    _, _, positionals, options = cli._COMMANDS[name]
+    for argv in ([name, "-h"], [name, *(["x"] * len(positionals)), "--help"]):
+        code, out, err = main_in_process(argv)
+        assert (code, err) == (0, b"")
+        text = out.decode()
+        assert text.startswith(f"usage: nilmod {name} [-h]")
+        for word in [*positionals, *options]:
+            assert f"\n  {word}" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["isomorphic", "--help"],
+    ["gen", "--n", "2", "-h"],
+    ["validate", "inputs/no_such_file.json", "-h"],
+], ids=["isomorphic", "gen-after-option", "validate-after-positional"])
+def test_subcommand_help_in_a_child(argv, monkeypatch):
+    proc = child_agrees_with_main(monkeypatch, argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(f"usage: nilmod {argv[0]} [-h]".encode())
+
+
+def test_the_parser_agrees_under_optimize(monkeypatch):
+    # Every parser case above, in one `python -O` child: the parser has no
+    # assert, so it gives the same codes and bytes as in process.
+    cases = [[argv, ""] for argv in USAGE_ERRORS.values()]
+    cases += [[argv, stdin] for argv, stdin, _ in ACCEPTED.values()]
+    cases += [[["--help"], ""], [["gen", "--n", "2", "-h"], ""]]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MAIN_CASES],
+        capture_output=True,
+        cwd=GOLDEN,
+        env=child_env(),
+        input=json.dumps(cases).encode(),
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    monkeypatch.chdir(GOLDEN)
+    expected = [list(main_in_process(argv, stdin)) for argv, stdin in cases]
+    assert [[c, o.encode(), e.encode()] for c, o, e in json.loads(proc.stdout)] == expected
+
+
+def test_a_prefix_of_two_options_is_a_usage_error(monkeypatch):
+    summary, handler, positionals, options = cli._COMMANDS["gen"]
+    monkeypatch.setitem(cli._COMMANDS, "gen", (summary, handler, positionals, {**options, "--seeds": (0, None)}))
+    code, out, err = main_in_process(["gen", "--see", "1"])
+    assert (code, out) == (2, b"")
+    assert err.decode().splitlines()[1] == "nilmod gen: error: unrecognized arguments: --see"
+    # An exact name is never ambiguous.
+    assert main_in_process(["gen", "--seed", "1", "--n", "1", "--degree-bound", "1"])[0] == 0
 
 
 def declared_entry_point():
