@@ -54,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from operator import sub
-from typing import Container, Iterable, Mapping, Optional
+from typing import Container, Iterable, Mapping, Optional, Sized
 
 from .errors import (
     IncompatibleMap,
@@ -589,7 +589,10 @@ class AutDescriptor(Value):
             raise ValueError("the unit coordinate must be nonzero")
         clean: dict[MultiIndex, Fraction] = {}
         additive = additive or {}
-        n = len(next(iter(additive), ()))  # every exponent has the first one's length
+        # Every exponent has the first one's length; one with no length is
+        # read against n = 1.
+        first = next(iter(additive), ())
+        n = len(first) if isinstance(first, Sized) else 1
         for alpha, c in additive.items():
             alpha = _exponent(alpha, n)
             if all(a == 0 for a in alpha):

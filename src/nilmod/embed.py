@@ -50,15 +50,16 @@ integer rows and weights.  Only `embed_nilpotent` and `embed_general`
 build a map, as integer rows over the lcm of the pivots' weights;
 `canonical_form` and `is_isomorphic` build none.
 
-At n >= 2 `is_isomorphic` shares the core's start, the walk and the
-pass, and decides from the two passes with at most one elimination.  An
-injective phi's monomials are its image's, an invariant: two maps
-certified injective (rows of rank d mod P) with different monomials are
-not isomorphic, with no elimination.  With equal monomials the first
-image is built, and the second map is certified one way: its rows at
-that image's pivots have rank d mod P.  Then each phi_2(e_j) is tested
+At n >= 2 `is_isomorphic` walks and passes each module once, and the
+core builds each image it needs from that pass.  An injective phi's
+monomials are its image's, an invariant: two maps certified injective
+(rows of rank d mod P) with different monomials are not isomorphic, with
+no elimination.  Otherwise the core builds the first image, and with
+equal monomials the second map is certified one way: its rows at that
+image's pivots have rank d mod P.  Then each phi_2(e_j) is tested
 against the first image exactly, on integers: all inside is isomorphic,
-one outside is not.  Any other outcome compares the two canonical forms,
+one outside is not.  Any other outcome has the core build the second
+image and compares the two.  Each image is the module's canonical form,
 so the errors and their order are those of `canonical_form`.
 
 In one variable `canonical_form` reads the walk alone when it can: a
@@ -116,9 +117,10 @@ class EmbeddingResult(Immutable):
 
 def _pass(module: FDModule, walk: Optional[tuple], rng: Optional[random.Random]) -> Optional[tuple]:
     """The inverse-system pass of a functional nonzero on the walk's vector
-    (drawn with the rng, if given): (monomials, rows, weights), or None when
-    the walk or the pass shows that the module is not nilpotent."""
-    return None if walk is None else _inverse_system(module, _functional(walk[0], rng))
+    (drawn with the rng, if given): (monomials, rows, weights), or None at
+    dimension 0 and when the walk or the pass shows that the module is not
+    nilpotent."""
+    return None if walk is None or not module.dim else _inverse_system(module, _functional(walk[0], rng))
 
 
 def _image(module: FDModule, monomials, rows, weights) -> Optional[PolySubmodule]:
@@ -139,21 +141,20 @@ def _image(module: FDModule, monomials, rows, weights) -> Optional[PolySubmodule
     return image if image.dim == d else None
 
 
-def _embed(module: FDModule, rng: Optional[random.Random], walk: Optional[tuple]) -> tuple:
-    """The embedding of the module from its walk: (image, rows, weights)
-    of the pass, from which `_map_images` reads the map.  Raises the typed
-    error that says why the module does not embed.  Only a failure squares
-    the matrices and computes the exact joint kernel, to name its error:
-    the walk's w lies in that kernel, so on a nilpotent module with a line
+def _embed(module: FDModule, found: Optional[tuple]) -> tuple:
+    """The embedding of the module from its pass: (image, rows, weights),
+    from which `_map_images` reads the map.  Raises the typed error that
+    says why the module does not embed.  Only a failure squares the
+    matrices and computes the exact joint kernel, to name its error: the
+    walk's w lies in that kernel, so on a nilpotent module with a line
     socle phi is injective, and the check that it is stays as a safety net.
     """
-    if module.dim:
-        found = _pass(module, walk, rng)
-        if found is None:
-            raise NotNilpotent(_NOT_NILPOTENT)
+    if found is not None:
         image = _image(module, *found)
         if image is not None:
             return image, found[1], found[2]
+    elif module.dim:
+        raise NotNilpotent(_NOT_NILPOTENT)
     if not is_nilpotent(module):
         raise NotNilpotent(_NOT_NILPOTENT)
     if module.dim == 0:
@@ -182,7 +183,7 @@ def embed_nilpotent(module: FDModule, rng: Optional[random.Random] = None) -> Em
     small random integer entries instead (redrawn until it is nonzero on
     w); the map changes with lambda, the image does not.
     """
-    image, rows, weights = _embed(module, rng, _socle_walk(module))
+    image, rows, weights = _embed(module, _pass(module, _socle_walk(module), rng))
     return EmbeddingResult(image, ModuleMap(module, image, _map_images(image, rows, weights)))
 
 
@@ -202,7 +203,7 @@ def canonical_form(module: FDModule, rng: Optional[random.Random] = None) -> Pol
     walk = _socle_walk(module)
     if module.n == 1 and walk is not None and walk[1] == module.dim - 1:
         return _degree_span(module.dim - 1)
-    return _embed(module, rng, walk)[0]
+    return _embed(module, _pass(module, walk, rng))[0]
 
 
 def is_isomorphic(first: FDModule, second: FDModule) -> bool:
@@ -210,49 +211,34 @@ def is_isomorphic(first: FDModule, second: FDModule) -> bool:
     canonical forms are equal; a module without one raises its typed
     error, the first module's before the second's.
 
-    Modules of different dimensions are not isomorphic.  At n >= 2 the
-    verdict comes from the walk and pass of each module when they certify
-    it, each map certified once, with at most one exact elimination (see
-    `_pass_verdict`).  Any other outcome, and every module in one variable
-    or of dimension 0, compares the two canonical forms, which raises each
-    error as `canonical_form` does.
+    Modules of different dimensions are not isomorphic.  In one variable
+    or at dimension 0 the two canonical forms are compared.  At n >= 2
+    each module is walked and passed once.  An injective phi's image is
+    the canonical form, and rows of rank d mod P certify phi injective:
+    two certified maps with different monomials are not isomorphic.
+    Otherwise `_embed` builds the first image from its pass, or raises the
+    first module's error.  With equal monomials, the second map's rows at
+    that image's pivots certify it, and then the modules are isomorphic
+    exactly when every phi_2(e_j) lies in that image, tested exactly, on
+    integers.  Any other outcome builds the second image from its pass
+    and compares the two canonical forms.
     """
     _same_count(first.n, second)
     if first.dim != second.dim:
         return False
-    if first.n > 1 and first.dim:
-        verdict = _pass_verdict(first, second)
-        if verdict is not None:
-            return verdict
-    return canonical_form(first) == canonical_form(second)
-
-
-def _pass_verdict(first: FDModule, second: FDModule) -> Optional[bool]:
-    """The verdict of `is_isomorphic` on two modules of dimension d > 0 at
-    n >= 2 from their walks and passes, or None when they certify none.
-
-    An injective phi's image is the canonical form, and its monomials are
-    the pass's, an invariant.  Rows of rank d mod P, a lower bound for the
-    exact rank, certify a map injective.  Two certified maps with different
-    monomials are not isomorphic, with no elimination.  With equal
-    monomials, the first image, of dimension d, certifies the first map,
-    and the second map's rows at that image's pivots certify the second:
-    then im phi_2 has dimension d too, so it is the first image exactly
-    when every phi_2(e_j) lies in it.  The membership test is exact, on
-    integers.
-    """
+    if first.n == 1 or not first.dim:
+        return canonical_form(first) == canonical_form(second)
+    d = first.dim
     found = _pass(first, _socle_walk(first), None)
     other = None if found is None else _pass(second, _socle_walk(second), None)
-    if other is None:
-        return None
-    d, rows = first.dim, other[1]
-    if found[0] != other[0]:
-        return False if _rank_mod(found[1], d) == d and _rank_mod(rows, d) == d else None
-    image = _image(first, *found)
-    if image is None or _rank_mod([rows[c] for c in image.coords._pivots], d) < d:
-        return None
-    # phi_2(e_j) has coefficient rows[c][j] / weights[c] at monomial c.
-    return all(image.coords._pivot_entries(v) is not None for v in _columns(_over_lcm(rows, other[2])[0], d))
+    same = other is not None and found[0] == other[0]
+    if other is not None and not same and _rank_mod(found[1], d) == d and _rank_mod(other[1], d) == d:
+        return False
+    image = _embed(first, found)[0]
+    if same and _rank_mod([other[1][c] for c in image.coords._pivots], d) == d:
+        # phi_2(e_j) has coefficient rows[c][j] / weights[c] at monomial c.
+        return all(image.coords._pivot_entries(v) is not None for v in _columns(_over_lcm(other[1], other[2])[0], d))
+    return image == _embed(second, other)[0]
 
 
 def _intertwiner_space(first: FDModule, second: FDModule) -> tuple:
@@ -349,7 +335,7 @@ def embed_general(module: FDModule) -> tuple[ExpSubmodule, ModuleMap]:
         eigenvalues = [Fraction(sum(row[k] for k, row in enumerate(block)), d * module._den) for block in module._blocks]
         try:
             twisted = twist(module, eigenvalues)
-            image, rows, weights = _embed(twisted, None, _socle_walk(twisted))
+            image, rows, weights = _embed(twisted, _pass(twisted, _socle_walk(twisted), None))
         except NotNilpotent:
             pass
         else:

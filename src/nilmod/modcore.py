@@ -48,6 +48,7 @@ from .exactalg import (
     _int_matmul,
     _integer_kernel,
     _integer_rows,
+    _primitive_row,
     _rref_int,
     as_int,
     format_rational,
@@ -287,14 +288,13 @@ def _socle_walk(module: FDModule) -> Optional[tuple[list[int], int]]:
     for block in module._blocks:
         form = _row_form(_columns(block, d), d)
         while True:
-            product = _row_product(w, form)
-            if not any(product):
+            product = _primitive_row(_row_product(w, form))
+            if product is None:
                 break
             steps += 1
             if steps == d:
                 return None
-            g = gcd(*product)
-            w = [x // g for x in product] if g > 1 else product
+            w = product
     return w, steps
 
 
@@ -665,6 +665,7 @@ def random_nilpotent_module(n: int, degree_bound: int, seed: int) -> FDModule:
     Always nilpotent with one-dimensional socle, by construction.  Past
     GEN_LIMIT it raises DimensionTooLarge before enumerating anything.
     """
+    degree_bound = as_int(degree_bound)
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     # C(n + d, n) > GEN_LIMIT for every d >= GEN_LIMIT, so the min keeps comb small.

@@ -136,7 +136,8 @@ class Poly(Value):
 
     @classmethod
     def monomial(cls, n: int, alpha: MultiIndex) -> "Poly":
-        return cls(n, {tuple(alpha): 1})
+        n = _variable_count(n)
+        return cls(n, {_exponent(alpha, n): 1})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
@@ -415,9 +416,14 @@ def _same_count(n: int, *values) -> None:
 
 
 def _exponent(alpha, n: int) -> MultiIndex:
-    """An exponent vector in N^n: n integers, none a bool or negative."""
-    alpha = tuple(alpha)
-    if len(alpha) != n or any(isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha):
+    """An exponent vector in N^n: a sequence of n integers, none a bool or
+    negative."""
+    try:
+        alpha = tuple(alpha)
+        bad = len(alpha) != n or any(isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in alpha)
+    except TypeError:  # no sequence
+        bad = True
+    if bad:
         raise ValueError(f"bad exponent vector {alpha} for n={n}")
     return alpha
 

@@ -465,6 +465,8 @@ MALFORMED = [
     ("exps_bool_after_one", ["extract-endo", "-"], poly_table([True]), "bad exponent vector (True,) for n=1"),
     ("exps_float_after_one", ["extract-endo", "-"], poly_table([1.0]), "bad exponent vector (1.0,) for n=1"),
     ("exps_unhashable", ["extract-endo", "-"], poly_table([[1]]), "bad exponent vector ([1],) for n=1"),
+    ("exps_a_number", ["extract-endo", "-"], {"n": 1, "degree": 0, "images": [{"exps": 0, "poly": []}]}, "bad exponent vector 0 for n=1"),
+    ("aut_index_a_number", ["aut", "-"], {"n": 1, "indices": [5]}, "bad exponent vector 5 for n=1"),
     ("source_n_missing", ["extend-iso", "-"], extend_problem("source", "n", ...), 'submodule JSON has no field "n"'),
     ("target_basis_missing", ["extend-iso", "-"], extend_problem("target", "basis", ...), 'submodule JSON has no field "basis"'),
     ("source_basis_null", ["extend-iso", "-"], extend_problem("source", "basis", None), 'submodule field "basis" must be an array of polynomials'),

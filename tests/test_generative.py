@@ -292,25 +292,27 @@ def test_is_isomorphic_matches_the_intertwiner_oracle(n, kind, seed):
             assert is_isomorphic(first, second) == expected
 
 
-def pass_route(events):
-    """The route of one `_pass_verdict` call from its callees' outcomes,
-    (name, truthy), up to its own (name, verdict)."""
-    verdict = events[-1][1]
-    names = ("_pass", "_image")
-    outcomes = {name: [ok for called, ok in events if called == name] for name in names}
-    if verdict is not None:
-        return "inside" if verdict else "outside" if outcomes["_image"] else "other support"
-    if not all(outcomes["_pass"]):
+def pass_route(events, answer):
+    """The route of one `is_isomorphic` call at n >= 2 from its answer and
+    the outcomes of its `_pass` and `_image` calls, in order."""
+    passes = [out for name, _, out in events if name == "_pass"]
+    images = [out for name, _, out in events if name == "_image"]
+    if None in passes:
         return "no pass"
-    if not outcomes["_image"]:
-        return "other support, uncertified"
-    return "rank short" if outcomes["_image"][0] else "first not injective"
+    if passes[0][0] != passes[1][0]:
+        return "other support, uncertified" if images else "other support"
+    if images[0] is None:
+        return "first not injective"
+    if len(images) == 2:
+        return "rank short"
+    return "inside" if answer is True else "outside"
 
 
 def test_every_route_of_is_isomorphic_is_reached(monkeypatch):
     # On seeded pairs of every kind, at the real prime and at P = 5, 7 and
-    # 11, each verdict of the passes and each fallback occurs, and every
-    # answer matches the canonical forms.
+    # 11, each route of the passes occurs, and every answer matches the
+    # canonical forms.  Each module is walked and passed at most once, in
+    # order, and no canonical form is built at n >= 2.
     events = []
 
     def spy(name):
@@ -318,12 +320,12 @@ def test_every_route_of_is_isomorphic_is_reached(monkeypatch):
 
         def recorded(*args):
             out = original(*args)
-            events.append((name, out if name == "_pass_verdict" else out not in (None, False)))
+            events.append((name, args, out))
             return out
 
         monkeypatch.setattr(nilmod.embed, name, recorded)
 
-    for name in ("_pass", "_image", "_pass_verdict"):
+    for name in ("_pass", "_image", "_socle_walk", "_inverse_system", "canonical_form"):
         spy(name)
     rng = random.Random(41)
     routes = {}
@@ -334,10 +336,14 @@ def test_every_route_of_is_isomorphic_is_reached(monkeypatch):
                 reference = attempt(lambda: canonical_verdict(first, second))
                 events.clear()
                 with prime(p or nilmod.exactalg._PRIME):
-                    assert attempt(lambda: is_isomorphic(first, second)) == reference
-                ends = [k for k, (name, _) in enumerate(events) if name == "_pass_verdict"]
-                if ends:
-                    route = pass_route(events[: ends[0] + 1])
+                    answer = attempt(lambda: is_isomorphic(first, second))
+                assert answer == reference
+                for name in ("_socle_walk", "_inverse_system"):
+                    modules = [args[0] for called, args, _ in events if called == name]
+                    assert len(modules) <= 2 and all(a is b for a, b in zip(modules, (first, second))), name
+                assert not any(called == "canonical_form" for called, _, _ in events)
+                if any(called == "_pass" for called, _, _ in events):
+                    route = pass_route(events, answer)
                     routes[route] = routes.get(route, 0) + 1
     expected = {
         "inside", "outside", "other support", "no pass", "other support, uncertified",

@@ -331,13 +331,23 @@ EXPONENT_ENTRIES = {
     "MonomialSubmodule": lambda alpha: MonomialSubmodule(2, [(0, 0), alpha]),
     "AutDescriptor": lambda alpha: AutDescriptor(1, {alpha: 1}),
 }
-BAD_EXPONENTS = {"bool": (True, 0), "float": (1.0, 0), "negative": (-1, 0), "string": ("1", 0), "short": (1,)}
+BAD_EXPONENTS = {
+    "bool": (True, 0),
+    "float": (1.0, 0),
+    "negative": (-1, 0),
+    "string": ("1", 0),
+    "short": (1,),
+    "scalar": 5,
+    "none": None,
+}
 
 
-# A descriptor has no variable count to hold a short vector against.
-EXPONENT_CASES = [
-    (e, k) for e in sorted(EXPONENT_ENTRIES) for k in sorted(BAD_EXPONENTS) if (e, k) != ("AutDescriptor", "short")
-]
+# A descriptor has no variable count to hold a short vector, or one with no
+# length, against (test_a_descriptor_refuses_an_exponent_that_is_not_a_sequence).
+# A JSON term refuses an exponent that is not a list before the rule reads it.
+UNREAD = {("AutDescriptor", k) for k in ("short", "scalar", "none")}
+UNREAD |= {(e, k) for e in ("Poly.from_json", "Poly.from_json after (1, 0)") for k in ("scalar", "none")}
+EXPONENT_CASES = [(e, k) for e in sorted(EXPONENT_ENTRIES) for k in sorted(BAD_EXPONENTS) if (e, k) not in UNREAD]
 
 
 @pytest.mark.parametrize("entry,kind", EXPONENT_CASES, ids=[f"{e}-{k}" for e, k in EXPONENT_CASES])
@@ -453,6 +463,19 @@ def test_a_descriptor_refuses_a_non_integer_exponent(alpha):
     # `matrix_of`, with Python's own TypeError.
     with pytest.raises(ValueError, match=r"^bad exponent vector .* for n=2$"):
         AutDescriptor(1, {alpha: 1})
+
+
+@pytest.mark.parametrize("alpha", [5, None], ids=["scalar", "none"])
+def test_a_descriptor_refuses_an_exponent_that_is_not_a_sequence(alpha):
+    # Its length used to be read first, with Python's own TypeError.  A
+    # first exponent with no length is read against n = 1, a later one
+    # against the first one's length.
+    with pytest.raises(ValueError) as caught:
+        AutDescriptor(1, {alpha: 1})
+    assert str(caught.value) == f"bad exponent vector {alpha} for n=1"
+    with pytest.raises(ValueError) as caught:
+        AutDescriptor(1, {(1, 0): 1, alpha: 2})
+    assert str(caught.value) == f"bad exponent vector {alpha} for n=2"
 
 
 def test_a_descriptor_refuses_exponents_of_different_lengths():

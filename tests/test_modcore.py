@@ -901,6 +901,14 @@ def test_random_module_checks_degree_then_count_then_size():
         random_nilpotent_module(0, 10**6, seed=1)
 
 
+@pytest.mark.parametrize("bound", [True, 2.5, "3", None], ids=["bool", "float", "string", "none"])
+def test_random_module_refuses_a_degree_bound_that_is_not_an_integer(bound):
+    # True was read as 1; the others failed with Python's own TypeError.
+    with pytest.raises(ValueError) as caught:
+        random_nilpotent_module(2, bound, seed=0)
+    assert str(caught.value) == f"expected an integer, got {bound!r}"
+
+
 # --- eigenvalue extraction --------------------------------------------------------
 
 def test_socle_eigenvalues_nilpotent_is_zero():

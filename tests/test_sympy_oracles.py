@@ -95,7 +95,7 @@ def test_rank_mod_is_a_lower_bound_that_the_real_prime_meets():
 
 @pytest.mark.parametrize("p", (None,) + SMALL_PRIMES[2:])
 def test_a_certified_injective_pass_has_full_exact_rank(p):
-    # `embed._pass_verdict` certifies a map by rank d mod P of pass rows;
+    # `embed.is_isomorphic` certifies a map by rank d mod P of pass rows;
     # whenever that holds, the rows have rank d over the rationals.
     certified = 0
     with prime(p or nilmod.exactalg._PRIME):
