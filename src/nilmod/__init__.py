@@ -17,11 +17,12 @@ _EXPORTS = {
     "errors": """DimensionTooLarge Incompatible IncompatibleMap NilmodError NoCommonEigenline
         NonCommuting NonRationalEigenvalue NotAnEndomorphism NothingToExtend NotNilpotent
         SocleNotOneDimensional TruncationTooLow WrongConstantTerm""",
-    "exactalg": "QMatrix Subspace Vector format_rational parse_rational vector",
-    "multipoly": """MINUS_INFINITY MultiIndex Poly grlex_key is_lower_set lower_set_closure
-        monomials_of_degree monomials_up_to_degree multi_factorial potential""",
-    "modcore": """ExpSubmodule FDModule ModuleMap PolySubmodule action_matrices as_matrices
-        is_nilpotent random_nilpotent_module socle socle_eigenvalues submodule_from_polys twist validate""",
+    "exactalg": "QMatrix Subspace Vector format_rational grlex_key multi_factorial parse_rational vector",
+    "multipoly": """MINUS_INFINITY MultiIndex Poly is_lower_set lower_set_closure monomials_of_degree
+        monomials_up_to_degree potential""",
+    "modcore": "FDModule is_nilpotent socle socle_eigenvalues twist validate",
+    "polysub": """ExpSubmodule ModuleMap PolySubmodule action_matrices as_matrices random_nilpotent_module
+        submodule_from_polys""",
     "embed": """EmbeddingResult brute_force_isomorphic canonical_form embed_general embed_nilpotent
         is_isomorphic""",
     "diffop": """AutDescriptor AutGroup DiffOpSeries MonomialSubmodule aut_structure extend_iso

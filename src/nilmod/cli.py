@@ -118,7 +118,8 @@ def _cmd_embed_general(args) -> dict:
 def _cmd_extract_endo(args) -> dict:
     data = _read_json(args.table)
     from .diffop import extract_coeffs
-    from .multipoly import Poly, _exponent, _fields, _variable_count
+    from .exactalg import _fields
+    from .multipoly import Poly, _exponent, _variable_count
     n, degree, table = _fields(data, "image table", "n", "degree", "images")
     n = _variable_count(n)
     if not isinstance(table, list):
@@ -151,9 +152,9 @@ def _cmd_aut(args) -> dict:
 def _cmd_extend_iso(args) -> dict:
     data = _read_json(args.problem)
     from .diffop import MonomialSubmodule, extend_iso
-    from .exactalg import QMatrix
-    from .modcore import ModuleMap, PolySubmodule
-    from .multipoly import Poly, _fields
+    from .exactalg import QMatrix, _fields
+    from .multipoly import Poly
+    from .polysub import ModuleMap, PolySubmodule
     source, target, goal, images = _fields(data, "problem", "source", "target", "goal", "map")
     source = PolySubmodule.from_json(source)
     target = PolySubmodule.from_json(target)
@@ -178,7 +179,7 @@ def _cmd_extend_iso(args) -> dict:
 
 
 def _cmd_gen(args) -> dict:
-    from .modcore import random_nilpotent_module
+    from .polysub import random_nilpotent_module
     return random_nilpotent_module(args.n, args.degree_bound, args.seed).to_json()
 
 

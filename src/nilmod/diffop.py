@@ -47,6 +47,13 @@ An isomorphism between polynomial submodules grows one monomial at a
 time, as FGLM grows its basis: each step adds the graded-lex least
 monomial x^kappa missing from the source as one echelon row, and maps
 it to the potential of the images of its partials, which lie inside.
+
+The series and the monomial submodules need only polynomials.  The
+submodules and maps of `polysub`, and through it the matrix modules of
+`modcore`, are imported by the five places that build or read one:
+`MonomialSubmodule.as_poly_submodule`, `restrict`, the extension, and
+`AutGroup.parametrize` and `descriptor_of`.  So reading a table or a
+monomial submodule loads no matrix module.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from operator import sub
-from typing import Container, Iterable, Mapping, Optional, Sized
+from typing import TYPE_CHECKING, Container, Iterable, Mapping, Optional, Sized
 
 from .errors import (
     IncompatibleMap,
@@ -63,27 +70,26 @@ from .errors import (
     TruncationTooLow,
     WrongConstantTerm,
 )
-from .exactalg import QMatrix, Value, _columns, _over_lcm, as_fraction
-from .modcore import ModuleMap, PolySubmodule, _poly_rows
+from .exactalg import QMatrix, Value, _columns, _fields, _over_lcm, as_fraction, grlex_key, multi_factorial
 from .multipoly import (
     MultiIndex,
     Poly,
     _box,
     _by_degree,
     _exponent,
-    _fields,
     _is_image_table,
     _packing,
     _same_count,
     _truncation,
     _variable_count,
-    grlex_key,
     is_lower_set,
     monomials_up_to_degree,
-    multi_factorial,
     potential,
     truncated_product,
 )
+
+if TYPE_CHECKING:
+    from .polysub import ModuleMap, PolySubmodule
 
 
 class DiffOpSeries(Value):
@@ -398,6 +404,7 @@ class MonomialSubmodule(Value):
         no elimination.  A lower set's span is closed by construction:
         d_i x^alpha is a multiple of x^(alpha - e_i), in the set."""
         if self._span is None:
+            from .polysub import PolySubmodule
             object.__setattr__(self, "_span", PolySubmodule._trusted(self.n, self.monomials_descending(), None, None))
         return self._span
 
@@ -456,6 +463,7 @@ def restrict(s: DiffOpSeries, module: MonomialSubmodule) -> ModuleMap:
     otherwise.  Lower sets are closed under taking derivatives, so the
     matrix depends only on the coefficients c_lambda with lambda in the set.
     """
+    from .polysub import ModuleMap
     _same_count(s.n, module)
     if s.trunc < module.max_degree:
         raise TruncationTooLow(
@@ -482,6 +490,7 @@ def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[in
     with image images[pi], both combined by integer scalars: x^alpha is
     inside iff rows[alpha] is x^alpha.  The rows are the new source's
     basis; the map's column k is row k's image's target pivot entries."""
+    from .polysub import ModuleMap, PolySubmodule, _poly_rows
     source, target, n = phi.source, phi.target, phi.source.n
     leads = [source.monomial_list[c] for c in source.coords._pivots]
     rows = dict(zip(leads, source.basis))
@@ -679,6 +688,7 @@ class AutGroup:
 
     def parametrize(self, desc: AutDescriptor) -> ModuleMap:
         """The automorphism of the submodule named by a descriptor."""
+        from .polysub import ModuleMap
         return ModuleMap(self.space, self.space, self.matrix_of(desc))
 
     def matrix_of(self, desc: AutDescriptor) -> QMatrix:
@@ -699,6 +709,7 @@ class AutGroup:
         to logarithmic coordinates; on a lower set exp(log(c/u)) is c/u
         exactly, so the descriptor names the same matrix.
         """
+        from .polysub import ModuleMap
         matrix = automorphism.images if isinstance(automorphism, ModuleMap) else automorphism
         module = self.module
         if matrix.rows != module.m or matrix.cols != module.m:

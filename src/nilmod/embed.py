@@ -77,11 +77,7 @@ from typing import Optional, Sequence
 from .errors import DimensionTooLarge, NotNilpotent, SocleNotOneDimensional
 from .exactalg import Immutable, QMatrix, _columns, _over_lcm, _rank_mod, as_int
 from .modcore import (
-    ExpSubmodule,
     FDModule,
-    ModuleMap,
-    PolySubmodule,
-    _degree_span,
     _functional,
     _inverse_system,
     _joint_kernel,
@@ -91,6 +87,7 @@ from .modcore import (
     twist,
 )
 from .multipoly import Poly, _same_count
+from .polysub import ExpSubmodule, ModuleMap, PolySubmodule, _degree_span
 
 _NOT_NILPOTENT = "only nilpotent modules embed into the derivative module"
 

@@ -16,13 +16,18 @@ tolerances.  The one piece of code modulo a prime P lives here too:
 the rank mod P, a lower bound for the rank over the rationals, which
 only certifies full rank.  All values are immutable after construction
 and all operations are pure functions.
+
+Both kinds of module read a few rules from here as well: the JSON
+object's required fields, the variable index, and the graded-lex
+monomial order with alpha!, which the matrix side's inverse-system pass
+needs as much as the polynomials do.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -81,6 +86,22 @@ def as_int(x) -> int:
     return x
 
 
+def _fields(data, what: str, *names) -> list:
+    """The named fields of a JSON object, each one required."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object")
+    for name in names:
+        if name not in data:
+            raise ValueError(f'{what} has no field "{name}"')
+    return [data[name] for name in names]
+
+
+def _check_var(n: int, i) -> None:
+    """A variable index: an integer, not a bool, in 1..n."""
+    if not 1 <= as_int(i) <= n:
+        raise IndexError(f"variable index {i} out of range 1..{n}")
+
+
 class Immutable:
     """Base of the immutable types: fields are set once, in the
     constructor, through object.__setattr__."""
@@ -110,6 +131,20 @@ class Value(Immutable):
 
 def vector(entries: Iterable) -> Vector:
     return tuple(as_fraction(x) for x in entries)
+
+
+# --- monomials ---------------------------------------------------------
+
+def grlex_key(alpha: tuple[int, ...]):
+    """Sort key realizing graded lex with x_1 > x_2 > ... > x_n."""
+    return (sum(alpha), alpha)
+
+
+def multi_factorial(alpha: tuple[int, ...]) -> int:
+    out = 1
+    for a in alpha:
+        out *= factorial(a)
+    return out
 
 
 # --- the integer core --------------------------------------------------

@@ -3,22 +3,14 @@
 A module is a rational vector space together with n pairwise-commuting
 matrices giving the action of the variables.  This layer owns
 validation, nilpotency, socles, twisting by a rational shift of the
-variables, the socle's joint eigenvalues, the bridge to
-derivative-closed polynomial subspaces, and seeded random generators
-for tests.
+variables and the socle's joint eigenvalues.  It reads only `errors`
+and `exactalg`: a command that needs matrix modules alone loads no
+polynomial.  The submodules of the polynomials, and the maps and
+generators that join the two kinds of module, are `polysub`'s.
 
 Squaring decides nilpotency.  The exact socle walk, M^alpha e_1, and
 the inverse-system pass, the rows lambda S^alpha of the embedding's map,
 certify it: on a nilpotent module both vanish past |alpha| = dim - 1.
-
-A derivative-closed subspace is built by one core on integer rows over
-its monomials: an elimination and a pivot at the origin.  The closure
-pass, where d_i shifts columns, checks outside input once, in the
-public constructor; the library's own spans are closed by construction.
-
-The polynomials form a module over K[d], x_i acting as d_i, and the
-submodule generated by g is K[d] g: the span of the d^beta g with beta
-in the lower-set closure of g's exponents, every other d^beta g being 0.
 """
 
 from __future__ import annotations
@@ -26,45 +18,33 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import (
-    DimensionTooLarge,
     NoCommonEigenline,
     NonCommuting,
     NonRationalEigenvalue,
     NotNilpotent,
 )
 from .exactalg import (
-    Immutable,
     QMatrix,
     Subspace,
     Value,
-    Vector,
+    _check_var,
     _columns,
     _common_factor,
+    _fields,
     _int_matmul,
     _integer_kernel,
-    _integer_rows,
     _primitive_row,
     _rref_int,
     as_int,
     format_rational,
-    vector,
-)
-from .multipoly import (
-    MultiIndex,
-    Poly,
-    _check_var,
-    _fields,
-    _same_count,
-    _variable_count,
     grlex_key,
-    lower_set_closure,
-    monomials_up_to_degree,
     multi_factorial,
+    vector,
 )
 
 
@@ -241,7 +221,7 @@ def _inverse_system(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
     d, den = len(lam), module._den
     forms = [_row_form(m, d) for m in module._blocks]
     zero = (0,) * module.n
-    rows: dict[MultiIndex, list[int]] = {zero: list(lam)}
+    rows: dict[tuple[int, ...], list[int]] = {zero: list(lam)}
     scale = {zero: 1}
     budget, products = 4 * d * d.bit_length(), 0
     queue = deque([zero])
@@ -341,341 +321,6 @@ def twist(module: FDModule, shift: Sequence) -> FDModule:
         for i, row in enumerate(block):
             row[i] -= a.numerator * (den // a.denominator)
     return FDModule._trusted(module.n, module.dim, blocks, den)
-
-
-class PolySubmodule(Value):
-    """A derivative-closed subspace of polynomials containing the constants.
-
-    Stored canonically: the list of monomials occurring in any member
-    (descending monomial order) and the RREF basis of coefficient
-    vectors over that list.  Equality of the stored data is equality of
-    the subspaces.  Every instance comes from one core on integer rows
-    over that list, `_span`.  The public constructor, and so `from_json`,
-    then runs the closure check; `_trusted` serves spans that are closed
-    by construction.  The basis polynomials are a view of `coords`'
-    integer form, built on first read.
-    """
-
-    __slots__ = ("n", "monomial_list", "coords", "_position", "_basis")
-
-    def __init__(self, n: int, polys: Sequence[Poly]):
-        _same_count(n, *polys)
-        self._span(n, *_poly_rows(polys), None)
-        self._closure_pass()
-
-    @classmethod
-    def _trusted(cls, n, monomial_list, rows, weights) -> "PolySubmodule":
-        """The span of integer rows that is closed under differentiation by
-        construction: `_span` without the closure check."""
-        out = cls.__new__(cls)
-        out._span(n, tuple(monomial_list), rows, weights)
-        return out
-
-    @classmethod
-    def _reduced(cls, n: int, rows: dict[MultiIndex, Poly]) -> "PolySubmodule":
-        """The span of a reduced echelon form that is closed by
-        construction: rows[pi] monic at its leading monomial pi and zero
-        at every other pi.  The rows are its canonical basis, so nothing
-        is eliminated."""
-        leads = sorted(rows, key=grlex_key, reverse=True)
-        monomial_list, ints = _poly_rows([rows[pi] for pi in leads])
-        position = {alpha: c for c, alpha in enumerate(monomial_list)}
-        out = cls.__new__(cls)
-        out._store(n, monomial_list, Subspace._from_reduced(len(monomial_list), [position[pi] for pi in leads], ints))
-        return out
-
-    def _span(self, n, monomial_list, rows, weights) -> None:
-        """The core: the span of the integer rows, row[c] / weights[c]
-        (or row[c]) being the coefficient at monomial_list[c], a
-        descending list of monomials each nonzero in some row, or rows None
-        for all of their span.  One elimination (none for rows None), then
-        the constants check."""
-        width = len(monomial_list)
-        coords = Subspace._whole(width) if rows is None else Subspace._from_integer_rows(width, rows, weights)
-        self._store(n, monomial_list, coords)
-
-    def _store(self, n, monomial_list, coords: Subspace) -> None:
-        n = _variable_count(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "monomial_list", monomial_list)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_position", {alpha: c for c, alpha in enumerate(monomial_list)})
-        object.__setattr__(self, "_basis", None)
-        # The origin is the least monomial: 1 is inside iff the last column is a pivot.
-        pivots = coords._pivots
-        if not pivots or any(monomial_list[pivots[-1]]):
-            raise ValueError("a polynomial submodule must contain the constants")
-
-    @property
-    def basis(self) -> tuple[Poly, ...]:
-        """The canonical basis B / E as polynomials, built on first read."""
-        if self._basis is None:
-            den = self.coords._den
-            basis = tuple(
-                Poly._trusted(self.n, dict(zip(self.monomial_list, row)), den) for row in zip(*self.coords._columns)
-            )
-            object.__setattr__(self, "_basis", basis)
-        return self._basis
-
-    @property
-    def dim(self) -> int:
-        return self.coords.dim
-
-    def _key(self) -> tuple:
-        return self.n, self.monomial_list, self.coords
-
-    def __repr__(self) -> str:
-        return f"PolySubmodule(n={self.n}, dim={self.dim})"
-
-    def coordinates_of(self, p: Poly) -> Optional[Vector]:
-        """Coordinates of p over the canonical basis, or None if outside."""
-        _same_count(self.n, p)
-        if not p._nums.keys() <= self._position.keys():
-            return None
-        return self.coords._integer_coordinates([p._nums.get(alpha, 0) for alpha in self.monomial_list], p._den)
-
-    def contains(self, p: Poly) -> bool:
-        return self.coordinates_of(p) is not None
-
-    def from_coordinates(self, coords: Sequence) -> Poly:
-        """The member with coordinates N / D over the basis B / E, as
-        N B over D E."""
-        coords = vector(coords)
-        if len(coords) != self.dim:
-            raise ValueError("coordinate length differs from dimension")
-        (nums,), den = _integer_rows([coords])
-        return self._combination(nums, den)
-
-    def _combination(self, nums: Sequence[int], den: int) -> Poly:
-        """`from_coordinates` for the integer coordinates nums over den > 0."""
-        terms = {alpha: sum(map(mul, nums, column)) for alpha, column in zip(self.monomial_list, self.coords._columns)}
-        return Poly._trusted(self.n, terms, den * self.coords._den)
-
-    def action_matrices(self) -> tuple[QMatrix, ...]:
-        """Matrices of the partial derivatives in the canonical basis."""
-        return tuple(QMatrix._trusted(at_pivots, self.coords._den, self.dim) for at_pivots in self._closure_pass())
-
-    def _closure_pass(self) -> list[list[list[int]]]:
-        """For each d/dx_i, E times its matrix in the canonical basis, as
-        integer rows.
-
-        With the basis B / E over integer B, d/dx_i moves B's column at
-        alpha to alpha - e_i, times alpha_i.  Entry (k, l) is moved row l
-        at pivot k, over E, and the moved rows lie in the span iff every
-        free column is that combination of B's.  The public constructor
-        runs this pass as its closure check: it raises ValueError when
-        some derivative of a basis member lies outside.  On a trusted span
-        it only reads the matrices, for `action_matrices` and `as_matrices`.
-        """
-        coords = self.coords
-        pivots, den, columns, free = coords._pivots, coords._den, coords._columns, coords._free
-        out = []
-        for i in range(self.n):
-            moved = [(0,) * self.dim] * len(columns)
-            for alpha, column in zip(self.monomial_list, columns):
-                if alpha[i]:
-                    target = self._position.get(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
-                    if target is None:
-                        raise ValueError("subspace is not closed under differentiation")
-                    moved[target] = [alpha[i] * x for x in column]
-            at_pivots = [moved[c] for c in pivots]
-            for f in free:
-                # Canonical bases are mostly zeros: combine only the free column's nonzero entries.
-                support = [k for k, x in enumerate(columns[f]) if x]
-                coeffs = [columns[f][k] for k in support]
-                span = [sum(map(mul, coeffs, row)) for row in zip(*(at_pivots[k] for k in support))]
-                if span != [den * x for x in moved[f]]:
-                    raise ValueError("subspace is not closed under differentiation")
-            out.append(at_pivots)
-        return out
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "basis": [p.to_json() for p in self.basis]}
-
-    @classmethod
-    def from_json(cls, data) -> "PolySubmodule":
-        n, basis = _fields(data, "submodule JSON", "n", "basis")
-        if not isinstance(basis, list):
-            raise ValueError('submodule field "basis" must be an array of polynomials')
-        return cls(n, [Poly.from_json(p, n) for p in basis])
-
-
-def _poly_rows(polys: Sequence[Poly]) -> tuple[tuple[MultiIndex, ...], list[list[int]]]:
-    """The monomials occurring in the polynomials, in descending order,
-    and each polynomial times its denominator as an integer row over
-    them: rows with the same span."""
-    monomial_list = tuple(sorted(set().union(*(p._nums for p in polys)), key=grlex_key, reverse=True))
-    return monomial_list, [[p._nums.get(alpha, 0) for alpha in monomial_list] for p in polys]
-
-
-def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
-    """Smallest derivative-closed subspace containing the generators and 1.
-
-    That is K[d] g_1 + ... + K[d] g_k + K: it is spanned by 1 and every
-    d^beta g with beta in the lower-set closure of g's support, and every
-    other d^beta g is zero.  Each d^beta g is one partial derivative of a
-    d^beta' g of lower degree, taken in ascending degree.  The span is
-    closed by construction: d_i d^beta g is d^(beta + e_i) g or 0.  At
-    n = 1 those of a g of degree t have degrees t, ..., 0: the span is all
-    of degree at most the top one, written down with no elimination.
-    """
-    members = [Poly.one(n)]
-    _same_count(n, *gens)
-    if n == 1:
-        return _degree_span(max((alpha[0] for g in gens for alpha in g._nums), default=0))
-    for g in gens:
-        derived = {(0,) * n: g}
-        for beta in sorted(lower_set_closure(g.monomials()), key=sum)[1:]:
-            i = next(k for k, b in enumerate(beta) if b)
-            derived[beta] = derived[beta[:i] + (beta[i] - 1,) + beta[i + 1 :]].partial(i + 1)
-        members += derived.values()
-    return PolySubmodule._trusted(n, *_poly_rows(members), None)
-
-
-def _degree_span(top: int) -> PolySubmodule:
-    """Every polynomial in one variable of degree at most top, the whole
-    space over x^top, ..., 1, with no elimination."""
-    return PolySubmodule._trusted(1, [(k,) for k in range(top, -1, -1)], None, None)
-
-
-class ExpSubmodule(Value):
-    """A polynomial submodule shifted by an exponential weight.
-
-    Models exp(a . x) * W: the action of x_i on coordinates is
-    a_i * I + D_i where D_i differentiates the polynomial part.
-    """
-
-    __slots__ = ("eigenvalues", "part")
-
-    def __init__(self, eigenvalues: Sequence, part: PolySubmodule):
-        eigenvalues = vector(eigenvalues)
-        if len(eigenvalues) != part.n:
-            raise ValueError("eigenvalue count differs from the variable count")
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "part", part)
-
-    @property
-    def n(self) -> int:
-        return self.part.n
-
-    @property
-    def dim(self) -> int:
-        return self.part.dim
-
-    def _key(self) -> tuple:
-        return self.eigenvalues, self.part
-
-    def action_matrices(self) -> tuple[QMatrix, ...]:
-        return twist(as_matrices(self.part)[0], [-a for a in self.eigenvalues]).matrices
-
-    def to_json(self) -> dict:
-        return {
-            "eigenvalues": [format_rational(a) for a in self.eigenvalues],
-            "part": self.part.to_json(),
-        }
-
-
-ModuleLike = Union[FDModule, PolySubmodule, ExpSubmodule]
-
-
-def action_matrices(module: ModuleLike) -> tuple[QMatrix, ...]:
-    """The variable-action matrices of any module-like object, in its
-    canonical basis."""
-    if isinstance(module, FDModule):
-        return module.matrices
-    return module.action_matrices()
-
-
-class ModuleMap(Immutable):
-    """A linear map between modules, stored as exact coordinates.
-
-    Column j of `images` holds the coordinates (in the target's
-    canonical basis) of the image of the source's j-th basis vector.
-    Construction does not check the intertwining identity; call
-    is_intertwining / is_isomorphism where the contract requires it.
-    """
-
-    __slots__ = ("source", "target", "images")
-
-    def __init__(self, source: ModuleLike, target: ModuleLike, images: QMatrix):
-        if images.cols != source.dim or images.rows != target.dim:
-            raise ValueError("image matrix shape disagrees with the modules")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
-
-    def is_intertwining(self) -> bool:
-        """Whether map(x_i . v) = x_i . map(v) for all i, as matrices."""
-        src = action_matrices(self.source)
-        tgt = action_matrices(self.target)
-        if len(src) != len(tgt):
-            return False
-        return all(self.images * s == t * self.images for s, t in zip(src, tgt))
-
-    def rank(self) -> int:
-        return self.images.rank()
-
-    def is_isomorphism(self) -> bool:
-        images = self.images
-        return images.is_square() and self.rank() == images.rows and self.is_intertwining()
-
-    def apply_coords(self, v: Sequence) -> Vector:
-        return self.images.apply(v)
-
-    def image_poly(self, j: int) -> Poly:
-        """The image of source basis vector j as a polynomial (Poly targets)."""
-        target = self.target
-        if isinstance(target, ExpSubmodule):
-            target = target.part
-        if not isinstance(target, PolySubmodule):
-            raise TypeError("target does not have a polynomial basis")
-        images = self.images
-        return target._combination([row[j] for row in images._ints], images._den)
-
-    def image_polys(self) -> tuple[Poly, ...]:
-        """The image polynomial of each source basis vector, in order."""
-        return tuple(self.image_poly(j) for j in range(self.images.cols))
-
-
-def as_matrices(module: PolySubmodule) -> tuple[FDModule, ModuleMap]:
-    """The matrix module of the derivative action on a polynomial
-    submodule, plus the identifying map onto it."""
-    fd = FDModule._trusted(module.n, module.dim, module._closure_pass(), module.coords._den)
-    return fd, ModuleMap(fd, module, QMatrix.identity(module.dim))
-
-
-def random_poly(n: int, degree_bound: int, rng: random.Random) -> Poly:
-    """A random polynomial with small integer coefficients, deterministic
-    in the rng state."""
-    terms = {}
-    for alpha in monomials_up_to_degree(n, degree_bound):
-        if rng.random() < 0.55:
-            terms[alpha] = rng.randint(-5, 5)
-    return Poly(n, terms)
-
-
-# The most variables, and monomials C(n + d, n) of degree at most d, that
-# `random_nilpotent_module` builds on; the slowest case, n = 1, takes ~1 s.
-GEN_LIMIT = 150
-
-
-def random_nilpotent_module(n: int, degree_bound: int, seed: int) -> FDModule:
-    """Seeded generator: the derivative module of a random polynomial.
-
-    Always nilpotent with one-dimensional socle, by construction.  Past
-    GEN_LIMIT it raises DimensionTooLarge before enumerating anything.
-    """
-    degree_bound = as_int(degree_bound)
-    if degree_bound < 0:
-        raise ValueError("degree bound must be non-negative")
-    # C(n + d, n) > GEN_LIMIT for every d >= GEN_LIMIT, so the min keeps comb small.
-    if _variable_count(n) > GEN_LIMIT or comb(n + min(degree_bound, GEN_LIMIT), n) > GEN_LIMIT:
-        raise DimensionTooLarge(f"random modules take at most {GEN_LIMIT} variables and monomials, "
-                                f"not n = {n} with degree bound {degree_bound}")
-    rng = random.Random(seed)
-    p = random_poly(n, degree_bound, rng)
-    fd, _ = as_matrices(submodule_from_polys(n, [p]))
-    return fd
 
 
 # --- socle eigenvalues -------------------------------------------------

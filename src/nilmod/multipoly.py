@@ -2,10 +2,11 @@
 
 A polynomial is a finite map from exponent multi-indices to nonzero
 integer numerators over one positive denominator, coprime to them all,
-as in FLINT's fmpq_poly; its rational coefficients are a view.  The
-module fixes one global monomial order (graded lexicographic with
-x_1 > x_2 > ... > x_n) that every canonical basis and serialization in
-the library relies on.  Variable indices in the public API are 1-based.
+as in FLINT's fmpq_poly; its rational coefficients are a view.  Every
+canonical basis and serialization in the library relies on one global
+monomial order, graded lexicographic with x_1 > x_2 > ... > x_n:
+`exactalg.grlex_key`, which the matrix side's inverse-system pass reads
+too.  Variable indices in the public API are 1-based.
 """
 
 from __future__ import annotations
@@ -18,24 +19,23 @@ from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import Incompatible
-from .exactalg import Value, _integer_rows, _split_rational, as_fraction, as_int, format_rational
+from .exactalg import (
+    Value,
+    _check_var,
+    _fields,
+    _integer_rows,
+    _split_rational,
+    as_fraction,
+    as_int,
+    format_rational,
+    grlex_key,
+    multi_factorial,
+)
 
 MultiIndex = tuple[int, ...]
 
 #: Degree of the zero polynomial.
 MINUS_INFINITY = float("-inf")
-
-
-def grlex_key(alpha: MultiIndex):
-    """Sort key realizing graded lex with x_1 > x_2 > ... > x_n."""
-    return (sum(alpha), alpha)
-
-
-def multi_factorial(alpha: MultiIndex) -> int:
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
 
 
 def monomials_of_degree(n: int, degree: int) -> Iterator[MultiIndex]:
@@ -257,8 +257,6 @@ class Poly(Value):
         terms: dict[MultiIndex, tuple[int, int]] = {}
         for item in data:
             exps, coef = _fields(item, "polynomial term", "exps", "coef")
-            if not isinstance(exps, list):
-                raise ValueError(f"exponent vector {exps} is not a list")
             alpha = _exponent(exps, n)
             if alpha in terms:
                 raise ValueError(f"duplicate exponent vector {alpha}")
@@ -399,6 +397,7 @@ def _is_image_table(series: Poly, degree: int, table: Mapping[MultiIndex, Poly],
 
 
 # --- the input rules: each checked here and nowhere else -----------------
+# (`_fields` and `_check_var`, which the matrix side reads too, are `exactalg`'s)
 
 def _variable_count(n) -> int:
     """A variable count: an integer, not a bool, at least 1."""
@@ -428,25 +427,9 @@ def _exponent(alpha, n: int) -> MultiIndex:
     return alpha
 
 
-def _fields(data, what: str, *names) -> list:
-    """The named fields of a JSON object, each one required."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be an object")
-    for name in names:
-        if name not in data:
-            raise ValueError(f'{what} has no field "{name}"')
-    return [data[name] for name in names]
-
-
 def _truncation(trunc) -> int:
     """A truncation degree: an integer, not a bool, at least 0."""
     trunc = as_int(trunc)
     if trunc < 0:
         raise ValueError("truncation degree must be non-negative")
     return trunc
-
-
-def _check_var(n: int, i) -> None:
-    """A variable index: an integer, not a bool, in 1..n."""
-    if not 1 <= as_int(i) <= n:
-        raise IndexError(f"variable index {i} out of range 1..{n}")

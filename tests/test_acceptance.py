@@ -36,16 +36,15 @@ from nilmod.embed import (
 )
 from nilmod.errors import Incompatible, NonRationalEigenvalue
 from nilmod.exactalg import QMatrix
-from nilmod.modcore import (
+from nilmod.modcore import twist, validate
+from nilmod.multipoly import Poly, lower_set_closure, monomials_up_to_degree, potential
+from nilmod.polysub import (
     ModuleMap,
     action_matrices,
     as_matrices,
     random_nilpotent_module,
     submodule_from_polys,
-    twist,
-    validate,
 )
-from nilmod.multipoly import Poly, lower_set_closure, monomials_up_to_degree, potential
 
 
 def _report(capsys, num, label, ok, elapsed, budget):

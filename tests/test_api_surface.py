@@ -3,9 +3,11 @@ once, and every listed name resolves, so a deleted function cannot stay
 exported.
 
 The package imports its layers lazily.  `import nilmod` loads none; the
-first exported name asked for loads all six, which the benchmark's
-tracer relies on when it reads each layer from ``sys.modules``.  Those
-checks run in a fresh child, where nothing has been imported yet.
+first exported name asked for loads all seven, which the benchmark's
+tracer relies on when it reads each layer from ``sys.modules``.  A layer
+loads only what it reads: the matrix modules, `modcore`, load no
+polynomial, and the series, `diffop`, no matrix module.  Those checks
+run in a fresh child, where nothing has been imported yet.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 import nilmod
 from test_cli import child_env
 
-LAYERS = ["diffop", "embed", "errors", "exactalg", "modcore", "multipoly"]
+LAYERS = ["diffop", "embed", "errors", "exactalg", "modcore", "multipoly", "polysub"]
 
 
 def in_child(code):
@@ -56,6 +58,16 @@ def test_the_first_exported_name_loads_every_layer():
     result, loaded = in_child("result = nilmod.Poly.__module__")
     assert result == "nilmod.multipoly"
     assert loaded == ["nilmod"] + [f"nilmod.{layer}" for layer in LAYERS]
+
+
+def test_the_matrix_layer_loads_no_polynomial():
+    _, loaded = in_child("import nilmod.modcore")
+    assert loaded == ["nilmod", "nilmod.errors", "nilmod.exactalg", "nilmod.modcore"]
+
+
+def test_the_series_layer_loads_no_matrix_module():
+    _, loaded = in_child("import nilmod.diffop")
+    assert loaded == ["nilmod", "nilmod.diffop", "nilmod.errors", "nilmod.exactalg", "nilmod.multipoly"]
 
 
 def test_dir_covers_every_exported_name_before_any_is_loaded():

@@ -25,8 +25,9 @@ import pytest
 
 from nilmod import cli, modcore
 from nilmod.diffop import DiffOpSeries, monomial_images
-from nilmod.modcore import FDModule, PolySubmodule
+from nilmod.modcore import FDModule
 from nilmod.multipoly import Poly, potential
+from nilmod.polysub import PolySubmodule
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parents[1]
@@ -479,6 +480,7 @@ MALFORMED = [
     ("term_a_string", ["extract-endo", "-"], term_table("exps coef"), "polynomial term must be an object"),
     ("term_exps_missing", ["extract-endo", "-"], term_table({"coef": "1"}), 'polynomial term has no field "exps"'),
     ("term_coef_missing", ["extract-endo", "-"], term_table({"exps": [0]}), 'polynomial term has no field "coef"'),
+    ("term_exps_a_number", ["extract-endo", "-"], term_table({"exps": 5, "coef": "1"}), "bad exponent vector 5 for n=1"),
     ("table_images_missing", ["extract-endo", "-"], {"n": 1, "degree": 0}, 'image table has no field "images"'),
     ("table_degree_missing", ["extract-endo", "-"], {"n": 1, "images": []}, 'image table has no field "degree"'),
     ("table_images_int", ["extract-endo", "-"], {"n": 1, "degree": 0, "images": 5}, 'image table field "images" must be an array'),
@@ -546,7 +548,16 @@ print(json.dumps([
 """
 
 FRONT = ["nilmod", "nilmod.cli", "nilmod.errors"]
-BASE = sorted(FRONT + ["nilmod.exactalg", "nilmod.multipoly", "nilmod.modcore"])
+
+
+def layers(*names):
+    """FRONT and the named layers, as `loaded_modules` lists them."""
+    return sorted(FRONT + [f"nilmod.{name}" for name in names])
+
+
+MATRIX = layers("exactalg", "modcore")
+POLYNOMIAL = layers("exactalg", "multipoly", "modcore", "polysub")
+SERIES = layers("exactalg", "multipoly", "diffop")
 
 
 def loaded_modules(argv):
@@ -560,16 +571,16 @@ def loaded_modules(argv):
 
 
 @pytest.mark.parametrize("argv,expected", [
-    (["validate", "inputs/jordan3.json"], BASE),
-    (["socle", "inputs/jordan3.json"], BASE),
-    (["gen", "--n", "2"], BASE),
-    (["embed", "inputs/jordan3.json"], sorted(BASE + ["nilmod.embed"])),
-    (["canonical", "inputs/jordan3.json"], sorted(BASE + ["nilmod.embed"])),
-    (["isomorphic", "inputs/jordan2.json", "inputs/jordan2_conjugate.json"], sorted(BASE + ["nilmod.embed"])),
-    (["embed-general", "inputs/shifted.json"], sorted(BASE + ["nilmod.embed"])),
-    (["extract-endo", "inputs/endo_table.json"], sorted(BASE + ["nilmod.diffop"])),
-    (["aut", "inputs/plane_lambda.json"], sorted(BASE + ["nilmod.diffop"])),
-    (["extend-iso", "inputs/extend_problem.json"], sorted(BASE + ["nilmod.diffop"])),
+    (["validate", "inputs/jordan3.json"], MATRIX),
+    (["socle", "inputs/jordan3.json"], MATRIX),
+    (["gen", "--n", "2"], POLYNOMIAL),
+    (["embed", "inputs/jordan3.json"], sorted(POLYNOMIAL + ["nilmod.embed"])),
+    (["canonical", "inputs/jordan3.json"], sorted(POLYNOMIAL + ["nilmod.embed"])),
+    (["isomorphic", "inputs/jordan2.json", "inputs/jordan2_conjugate.json"], sorted(POLYNOMIAL + ["nilmod.embed"])),
+    (["embed-general", "inputs/shifted.json"], sorted(POLYNOMIAL + ["nilmod.embed"])),
+    (["extract-endo", "inputs/endo_table.json"], SERIES),
+    (["aut", "inputs/plane_lambda.json"], SERIES),
+    (["extend-iso", "inputs/extend_problem.json"], sorted(POLYNOMIAL + ["nilmod.diffop"])),
     (["validate", "inputs/malformed.json"], FRONT),
     (["socle", "inputs/no_such_file.json"], FRONT),
     (["extract-endo"], FRONT),

@@ -53,7 +53,6 @@ from nilmod.errors import (
     WrongConstantTerm,
 )
 from nilmod.exactalg import QMatrix
-from nilmod.modcore import ModuleMap, PolySubmodule, _poly_rows, submodule_from_polys
 from nilmod.multipoly import (
     Poly,
     grlex_key,
@@ -64,6 +63,7 @@ from nilmod.multipoly import (
     potential,
     truncated_product,
 )
+from nilmod.polysub import ModuleMap, PolySubmodule, _poly_rows, submodule_from_polys
 
 
 def partial_multi(p, alpha):
@@ -1364,7 +1364,7 @@ def test_extend_step_invariant_survives_optimize_flag():
             "import nilmod.diffop as diffop",
             "from nilmod.diffop import MonomialSubmodule, extend_iso, extend_iso_step",
             "from nilmod.exactalg import QMatrix",
-            "from nilmod.modcore import ModuleMap, submodule_from_polys",
+            "from nilmod.polysub import ModuleMap, submodule_from_polys",
             "from nilmod.multipoly import Poly",
             "print(__debug__)",
             "diffop.potential = lambda gs, n: Poly.one(n)",

@@ -39,25 +39,27 @@ from nilmod.errors import (
 )
 from nilmod.exactalg import _PRIME, QMatrix, Subspace, _rank_mod
 from nilmod.modcore import (
-    ExpSubmodule,
     FDModule,
-    ModuleMap,
-    PolySubmodule,
     _functional,
     _inverse_system,
     _joint_kernel,
     _row_form,
     _socle_walk,
-    action_matrices,
-    as_matrices,
     is_nilpotent,
-    random_nilpotent_module,
     socle_eigenvalues,
-    submodule_from_polys,
     twist,
     validate,
 )
 from nilmod.multipoly import Poly, monomials_of_degree, monomials_up_to_degree, multi_factorial, potential
+from nilmod.polysub import (
+    ExpSubmodule,
+    ModuleMap,
+    PolySubmodule,
+    action_matrices,
+    as_matrices,
+    random_nilpotent_module,
+    submodule_from_polys,
+)
 
 def zeros(rows, cols):
     return QMatrix([[0] * cols for _ in range(rows)], cols=cols)
@@ -525,7 +527,7 @@ def test_embedding_converts_the_action_matrices_once(monkeypatch):
     # module reads the blocks it stored, so no matrix's rows are
     # converted at all.
     import nilmod.exactalg
-    import nilmod.modcore
+    import nilmod.polysub
     from nilmod.modcore import socle
 
     plain, _ = as_matrices(submodule_from_polys(2, [Poly(2, PLANTED[1][1])]))
@@ -543,7 +545,7 @@ def test_embedding_converts_the_action_matrices_once(monkeypatch):
                 calls.append(rows)
             return real(rows)
 
-        for owner in (nilmod.exactalg, nilmod.modcore):
+        for owner in (nilmod.exactalg, nilmod.polysub):
             monkeypatch.setattr(owner, "_integer_rows", counting)
         built = FDModule(module.n, module.matrices)
         assert built._blocks == tuple(tuple(tuple(x * built._den for x in row) for row in m.entries) for m in module.matrices)
@@ -1275,7 +1277,7 @@ def test_canonical_form_fixed_point():
     # embedding the matrix module of a canonical form returns it unchanged
     mod = random_nilpotent_module(2, 2, seed=3)
     form = canonical_form(mod)
-    from nilmod.modcore import as_matrices
+    from nilmod.polysub import as_matrices
 
     fd, _ = as_matrices(form)
     assert canonical_form(fd) == form

@@ -32,8 +32,9 @@ import nilmod.exactalg  # noqa: E402
 from nilmod.embed import brute_force_isomorphic, canonical_form, embed_nilpotent, is_isomorphic  # noqa: E402
 from nilmod.errors import NilmodError  # noqa: E402
 from nilmod.exactalg import QMatrix  # noqa: E402
-from nilmod.modcore import as_matrices, submodule_from_polys, validate  # noqa: E402
+from nilmod.modcore import validate  # noqa: E402
 from nilmod.multipoly import Poly, monomials_up_to_degree  # noqa: E402
+from nilmod.polysub import as_matrices, submodule_from_polys  # noqa: E402
 from test_embed import block_sum, in_both_forms, reference_embed_nilpotent  # noqa: E402
 
 PRIMES = (5, 7, 11)

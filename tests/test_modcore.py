@@ -25,19 +25,10 @@ from nilmod.errors import (
 import nilmod.exactalg as exactalg
 from nilmod.exactalg import QMatrix, Subspace, parse_rational
 from nilmod.modcore import (
-    GEN_LIMIT,
-    ExpSubmodule,
     FDModule,
-    ModuleMap,
-    PolySubmodule,
-    action_matrices,
-    as_matrices,
     is_nilpotent,
-    random_nilpotent_module,
-    random_poly,
     socle,
     socle_eigenvalues,
-    submodule_from_polys,
     twist,
     validate,
 )
@@ -46,6 +37,17 @@ from nilmod.multipoly import (
     grlex_key,
     lower_set_closure,
     monomials_up_to_degree,
+)
+from nilmod.polysub import (
+    GEN_LIMIT,
+    ExpSubmodule,
+    ModuleMap,
+    PolySubmodule,
+    action_matrices,
+    as_matrices,
+    random_nilpotent_module,
+    random_poly,
+    submodule_from_polys,
 )
 
 def zeros(rows, cols):

@@ -23,7 +23,8 @@ import nilmod.embed  # noqa: E402
 import nilmod.exactalg  # noqa: E402
 import nilmod.modcore  # noqa: E402
 from nilmod.exactalg import _integer_kernel, _rank_mod, _rref_int  # noqa: E402
-from nilmod.modcore import _char_poly, random_nilpotent_module  # noqa: E402
+from nilmod.modcore import _char_poly  # noqa: E402
+from nilmod.polysub import random_nilpotent_module  # noqa: E402
 
 SMALL_PRIMES = (2, 3, 5, 7, 11)
 

@@ -12,14 +12,14 @@ import pytest
 from nilmod.diffop import AutDescriptor, DiffOpSeries, MonomialSubmodule, restrict
 from nilmod.embed import embed_nilpotent
 from nilmod.exactalg import QMatrix, Subspace
-from nilmod.modcore import (
+from nilmod.modcore import FDModule
+from nilmod.multipoly import Poly
+from nilmod.polysub import (
     ExpSubmodule,
-    FDModule,
     PolySubmodule,
     random_nilpotent_module,
     submodule_from_polys,
 )
-from nilmod.multipoly import Poly
 
 
 def subspace(warm):
