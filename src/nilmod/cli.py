@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import DimensionTooLarge, IncompatibleMap, NilmodError, NonCommuting
+from .errors import DimensionTooLarge, IncompatibleMap, NilmodError, NonCommuting, NotNilpotent
 
 
 def _parse_int(literal: str) -> int:
@@ -67,11 +67,11 @@ def _cmd_validate(args) -> dict:
             "witness": exc.witness_json,
             "detail": str(exc),
         }
-    from .modcore import _joint_kernel, is_nilpotent
-    out = {"valid": True, "nilpotent": is_nilpotent(module)}
-    if out["nilpotent"]:
-        out["socle_dim"] = _joint_kernel(module).dim
-    return out
+    from .modcore import socle
+    try:
+        return {"valid": True, "nilpotent": True, "socle_dim": socle(module).dim}
+    except NotNilpotent:
+        return {"valid": True, "nilpotent": False}
 
 
 def _cmd_socle(args) -> dict:

@@ -6,16 +6,17 @@ subspaces held as canonical reduced row-echelon bases with membership
 and coordinates.  A matrix is stored in integer form, its rows over the
 least common denominator of its entries, and every kernel reads that
 form instead of converting at each call, so no gcd is paid per multiply
-or add.  Elimination is fraction-free (Gauss-Jordan, each row kept
-primitive; Bareiss for determinants).  A subspace stores only its
-elimination's integer form: the pivots, the common denominator and the
-integer columns of the reduced basis.  For both, equality and hashing
-compare the integer form, and the `Fraction` entries or basis are a
-view built on first read.  Everything is exact: no floats, no
-tolerances.  The one piece of code modulo a prime P lives here too:
-the rank mod P, a lower bound for the rank over the rationals, which
-only certifies full rank.  All values are immutable after construction
-and all operations are pure functions.
+or add.  One kernel, `_matmul`, multiplies integer matrices: by rows of
+a sparse right factor, by columns of a dense one.  Elimination is
+fraction-free (Gauss-Jordan, each row kept primitive; Bareiss for
+determinants).  A subspace stores only its elimination's integer form:
+the pivots, the common denominator and the integer columns of the
+reduced basis.  For both, equality and hashing compare the integer form,
+and the `Fraction` entries or basis are a view built on first read.
+Everything is exact: no floats, no tolerances.  The one piece of code
+modulo a prime P lives here too: the rank mod P, a lower bound for the
+rank over the rationals, which only certifies full rank.  All values are
+immutable after construction and all operations are pure functions.
 
 Both kinds of module read a few rules from here as well: the JSON
 object's required fields, the variable index, and the graded-lex
@@ -169,15 +170,41 @@ def _width(rows: Sequence[Sequence], cols: Optional[int], axes: tuple[str, str] 
     return width
 
 
-def _int_matmul(rows: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer product: entry (i, j) is the dot product of rows[i] with
-    columns[j], so pass the columns of the right factor."""
-    return [[sum(map(mul, row, col)) for col in columns] for row in rows]
-
-
 def _columns(rows: Sequence[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
     """The columns of a matrix given by its rows (width for no rows)."""
     return tuple(zip(*rows)) if rows else ((),) * width
+
+
+_SPARSE_SHARE = Fraction(1, 4)  # largest nonzero share of a sparse matrix; crossover ~0.7-1
+
+
+def _row_form(rows: Sequence[Sequence[int]], width: int) -> tuple:
+    """The matrix M with these rows, of length width, for `_row_product`: (width, its rows as (column,
+    entry) pairs) if at most `_SPARSE_SHARE` of its entries are nonzero, as in a canonical basis, else
+    (None, its columns): on dense conjugates, combining rows was no faster than the dot products."""
+    nonzero = sum(width - r.count(0) for r in rows)
+    if nonzero * _SPARSE_SHARE.denominator > _SPARSE_SHARE.numerator * len(rows) * width:
+        return None, _columns(rows, width)
+    return width, [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+
+
+def _row_product(row: Sequence[int], form: tuple) -> list[int]:
+    """row M for the form of M from `_row_form`: a combination of M's rows at
+    row's nonzero entries (Gustavson's row-by-row product), or one dot product per column."""
+    width, parts = form
+    if width is None:
+        return [sum(map(mul, row, col)) for col in parts]
+    new = [0] * width
+    for x, pairs in zip(row, parts):
+        for j, y in pairs if x else ():
+            new[j] += x * y
+    return new
+
+
+def _matmul(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """The product left right, for right's rows of length width: right's form applied to each row of left."""
+    form = _row_form(right, width)
+    return [_row_product(row, form) for row in left]
 
 
 def _fraction_row(row: Sequence[int], den: int) -> Vector:
@@ -192,9 +219,10 @@ def _over_lcm(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> tuple[list[
 
 
 def _common_factor(den: int, rows: Iterable[Sequence[int]]) -> int:
-    """gcd(den, every entry of the rows) for den > 0, folded row by row and
-    stopped once it is 1, so a reduced form reads only its first rows."""
-    for row in rows if den > 1 else ():
+    """gcd(den, every entry of the rows) for den >= 0, folded row by row and
+    stopped once it is 1, so a reduced form reads only its first rows.  With
+    den = 0 it is the content of the rows, and 0 when every entry is 0."""
+    for row in rows if den != 1 else ():
         den = gcd(den, *row)
         if den == 1:
             break
@@ -376,8 +404,7 @@ class QMatrix(Value):
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        product = _int_matmul(self._ints, _columns(other._ints, other.cols))
-        return QMatrix._trusted(product, self._den * other._den, other.cols)
+        return QMatrix._trusted(_matmul(self._ints, other._ints, other.cols), self._den * other._den, other.cols)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product (column-vector convention)."""

@@ -8,8 +8,9 @@ and `exactalg`: a command that needs matrix modules alone loads no
 polynomial.  The submodules of the polynomials, and the maps and
 generators that join the two kinds of module, are `polysub`'s.
 
-Squaring decides nilpotency.  The exact socle walk, M^alpha e_1, and
-the inverse-system pass, the rows lambda S^alpha of the embedding's map,
+Squaring decides nilpotency, by `exactalg`'s one integer product, which
+reads plain blocks by rows.  The exact socle walk, M^alpha e_1, and the
+inverse-system pass, the rows lambda S^alpha of the embedding's map,
 certify it: on a nilpotent module both vanish past |alpha| = dim - 1.
 """
 
@@ -36,9 +37,11 @@ from .exactalg import (
     _columns,
     _common_factor,
     _fields,
-    _int_matmul,
     _integer_kernel,
+    _matmul,
     _primitive_row,
+    _row_form,
+    _row_product,
     _rref_int,
     as_int,
     format_rational,
@@ -71,10 +74,10 @@ class FDModule(Value):
         den = lcm(*(m._den for m in matrices))
         scaled = [(m._ints, den // m._den) for m in matrices]
         blocks = tuple(tuple(row if k == 1 else tuple(k * x for x in row) for row in ints) for ints, k in scaled)
-        columns = [_columns(block, dim) for block in blocks]
+        forms = [_row_form(block, dim) for block in blocks] if n > 1 else ()
         for i in range(n):
             for j in range(i + 1, n):
-                if _int_matmul(blocks[i], columns[j]) != _int_matmul(blocks[j], columns[i]):
+                if [_row_product(r, forms[j]) for r in blocks[i]] != [_row_product(r, forms[i]) for r in blocks[j]]:
                     raise NonCommuting(i + 1, j + 1)
         self._store(n, dim, blocks, den, matrices)
 
@@ -148,18 +151,14 @@ def _is_nilpotent_matrix(power: Sequence[Sequence[int]]) -> bool:
     d = len(power)
     steps = 1
     while True:
-        content = 0
-        for row in power:
-            content = gcd(content, *row)
-            if content == 1:
-                break
+        content = _common_factor(0, power)
         if content == 0:
             return True
         if steps >= d:
             return False
         if content > 1:
             power = [[x // content for x in row] for row in power]
-        power = _int_matmul(power, _columns(power, d))
+        power = _matmul(power, power, d)
         steps *= 2
 
 
@@ -170,32 +169,6 @@ def is_nilpotent(module: FDModule) -> bool:
     polynomial acting nilpotently.
     """
     return all(map(_is_nilpotent_matrix, module._blocks))
-
-
-_SPARSE_SHARE = Fraction(1, 4)  # largest nonzero share of a sparse block; crossover ~0.7-1
-
-
-def _row_form(block: Sequence[Sequence[int]], d: int) -> tuple:
-    """M for `_row_product`: (True, its rows as (column, entry) pairs) if at most `_SPARSE_SHARE`
-    of its d * d entries are nonzero, as in a canonical basis, else (False, its columns): on dense
-    conjugates, combining rows was no faster than the dot products."""
-    nonzero = sum(d - r.count(0) for r in block)
-    if nonzero * _SPARSE_SHARE.denominator > _SPARSE_SHARE.numerator * d * d:
-        return False, _columns(block, d)
-    return True, [[(j, x) for j, x in enumerate(r) if x] for r in block]
-
-
-def _row_product(row: Sequence[int], form: tuple) -> list[int]:
-    """row M for the form of M from `_row_form`: a combination of M's rows
-    at row's nonzero entries, or one dot product per column."""
-    sparse, parts = form
-    if not sparse:
-        return [sum(map(mul, row, col)) for col in parts]
-    new = [0] * len(row)
-    for x, pairs in zip(row, parts):
-        for j, y in pairs if x else ():
-            new[j] += x * y
-    return new
 
 
 def _inverse_system(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
@@ -335,14 +308,14 @@ def _char_poly(m: Sequence[Sequence[int]]) -> list[int]:
     """
     d = len(m)
     coeffs = [0] * d + [1]
-    columns = _columns(m, d)
+    form = _row_form(m, d)
     power = m
     for k in range(1, d + 1):
         c = -sum(row[i] for i, row in enumerate(power)) // k
         coeffs[d - k] = c
         if k < d:
             shifted = [row[:i] + [row[i] + c] + row[i + 1 :] for i, row in enumerate(power)]
-            power = _int_matmul(shifted, columns)
+            power = [_row_product(row, form) for row in shifted]
     return coeffs
 
 

@@ -203,7 +203,8 @@ def test_validate_checks_nilpotency_once(monkeypatch, capsys):
         calls.append(module)
         return real(module)
 
-    # The handler imports `is_nilpotent` from modcore when it runs.
+    # The handler runs modcore's `socle`, which looks `is_nilpotent` up
+    # in modcore when it runs.
     monkeypatch.setattr(modcore, "is_nilpotent", counting)
     code = cli.main(["validate", str(GOLDEN / "inputs" / "jordan3.json")])
     assert code == 0

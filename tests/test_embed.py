@@ -37,13 +37,12 @@ from nilmod.errors import (
     NotNilpotent,
     SocleNotOneDimensional,
 )
-from nilmod.exactalg import _PRIME, QMatrix, Subspace, _rank_mod
+from nilmod.exactalg import _PRIME, QMatrix, Subspace, _rank_mod, _row_form
 from nilmod.modcore import (
     FDModule,
     _functional,
     _inverse_system,
     _joint_kernel,
-    _row_form,
     _socle_walk,
     is_nilpotent,
     socle_eigenvalues,
@@ -465,11 +464,11 @@ def in_both_forms(module, lam):
     """The pass of lam and the canonical form (or its typed error), once
     with every block in the sparse form and once with every block in the
     dense form."""
-    import nilmod.modcore
+    import nilmod.exactalg
 
     out = []
     for share in (1, -1):
-        with mock.patch.object(nilmod.modcore, "_SPARSE_SHARE", share):
+        with mock.patch.object(nilmod.exactalg, "_SPARSE_SHARE", share):
             found = _inverse_system(module, lam)
             try:
                 form = canonical_form(module)
@@ -512,13 +511,17 @@ def test_plain_blocks_are_sparse_and_dense_conjugates_dense():
 
 
 def test_a_block_at_the_threshold_is_sparse():
-    # At most a quarter of the entries nonzero is sparse: 4 of 16 is, 5 is not.
+    # At most a quarter of the entries nonzero is sparse: 4 of 16 is, 5 is
+    # not.  The sparse form carries its width, the dense form None.
     block = [[1, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0], [0, 0, 0, -1]]
-    assert _row_form(block, 4) == (True, [[(0, 1), (1, 2)], [(2, 3)], [], [(3, -1)]])
+    assert _row_form(block, 4) == (4, [[(0, 1), (1, 2)], [(2, 3)], [], [(3, -1)]])
     block[2][0] = 5
-    assert _row_form(block, 4) == (False, tuple(zip(*block)))
-    assert _row_form([[0, 1], [0, 0]], 2)[0]
-    assert not _row_form([[0, 1], [1, 0]], 2)[0]
+    assert _row_form(block, 4) == (None, tuple(zip(*block)))
+    assert _row_form([[0, 1], [0, 0]], 2)[0] == 2
+    assert _row_form([[0, 1], [1, 0]], 2)[0] is None
+    # A rectangular matrix: the share is taken over rows x width, 2 of 8.
+    assert _row_form([[0, 0, 7, 0], [0, 0, 0, 1]], 4) == (4, [[(2, 7)], [(3, 1)]])
+    assert _row_form([[0, 0, 7, 0], [0, 2, 0, 1]], 4)[0] is None
 
 
 def test_embedding_converts_the_action_matrices_once(monkeypatch):

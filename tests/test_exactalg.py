@@ -11,9 +11,11 @@ import operator
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+import nilmod.exactalg as exactalg
 from nilmod.errors import DimensionTooLarge
 from nilmod.exactalg import (
     _PRIME,
@@ -704,6 +706,12 @@ def assert_stored_as(got, reference, cols):
     assert got == expected and hash(got) == hash(expected)
 
 
+# The share of nonzero entries past which a row form is dense: 1 puts
+# every integer product on the sparse route, -1 every nonempty one on the
+# dense route.
+ROUTES = (1, -1)
+
+
 @pytest.mark.parametrize("seed", [6, 7])
 def test_integer_core_matmul_matches_reference(seed):
     rng = random.Random(seed)
@@ -713,9 +721,11 @@ def test_integer_core_matmul_matches_reference(seed):
         bits = rng.choice([3, 60])
         a = [[big_rational(rng, bits) for _ in range(inner)] for _ in range(rows)]
         b = [[big_rational(rng, bits) for _ in range(cols)] for _ in range(inner)]
-        product = QMatrix(a, cols=inner) * QMatrix(b, cols=cols)
-        assert (product.rows, product.cols) == (rows, cols)
-        assert_stored_as(product, reference_matmul(a, b, inner, cols), cols)
+        for share in ROUTES:
+            with mock.patch.object(exactalg, "_SPARSE_SHARE", share):
+                product = QMatrix(a, cols=inner) * QMatrix(b, cols=cols)
+            assert (product.rows, product.cols) == (rows, cols)
+            assert_stored_as(product, reference_matmul(a, b, inner, cols), cols)
         # A second factor of a's shape whose entries have other denominators.
         c = [[big_rational(rng, rng.choice([3, 60])) for _ in range(inner)] for _ in range(rows)]
         k = big_rational(rng, rng.choice([3, 60]))
@@ -949,8 +959,11 @@ def squaring_table(seed):
 def test_stripped_squaring_matches_the_unstripped_reference(seed):
     from nilmod.modcore import _is_nilpotent_matrix as stripped
 
-    verdicts = [stripped(m) for m in squaring_table(seed)]
-    assert verdicts == [unstripped_is_nilpotent(m) for m in squaring_table(seed)]
+    expected = [unstripped_is_nilpotent(m) for m in squaring_table(seed)]
+    for share in ROUTES:
+        with mock.patch.object(exactalg, "_SPARSE_SHARE", share):
+            verdicts = [stripped(m) for m in squaring_table(seed)]
+        assert verdicts == expected
     assert verdicts.count(True) >= 8 and verdicts.count(False) >= 8
 
 
@@ -966,7 +979,7 @@ def test_is_nilpotent_matrix_edge_cases():
 def test_common_factor_is_the_gcd_and_stops_at_one():
     rng = random.Random(701)
     for _ in range(300):
-        den = rng.choice([1, 2, 6, 36, 10**12])
+        den = rng.choice([0, 1, 2, 6, 36, 10**12])
         rows = [[rng.choice([0, 2, 3, 6, -12, 10**6]) * rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]
                 for _ in range(rng.randint(0, 5))]
         assert _common_factor(den, rows) == math.gcd(den, *(x for row in rows for x in row))
@@ -978,5 +991,9 @@ def test_common_factor_is_the_gcd_and_stops_at_one():
 
     assert _common_factor(12, rows_then_fail()) == 1
     assert _common_factor(1, rows_then_fail()) == 1
+    # With den = 0, the content of the rows: 0 when every entry is 0.
+    assert _common_factor(0, rows_then_fail()) == 1
+    assert _common_factor(0, [[0, -6], [], [4, 0]]) == 2
+    assert _common_factor(0, [[0, 0], []]) == _common_factor(0, []) == 0
     # The trusted constructors divide the factor out as the checked ones do.
     assert QMatrix._trusted([[2, 4], [6, 8]], 4, 2) == QMatrix([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])

@@ -179,7 +179,7 @@ def reference_first_noncommuting(matrices):
     return None
 
 
-def test_validate_names_the_pair_of_the_fraction_check():
+def test_validate_names_the_pair_of_the_fraction_check(monkeypatch):
     rng = random.Random(277)
     witnesses = set()
     for _ in range(60):
@@ -197,9 +197,13 @@ def test_validate_names_the_pair_of_the_fraction_check():
         if expected is None:
             assert validate(matrices).matrices == tuple(matrices)
             continue
-        with pytest.raises(NonCommuting) as info:
-            validate(matrices)
-        assert (info.value.i, info.value.j) == expected
+        # The same pair with every row form sparse (share 1), then dense (-1).
+        for share in (1, -1):
+            monkeypatch.setattr(exactalg, "_SPARSE_SHARE", share)
+            with pytest.raises(NonCommuting) as info:
+                validate(matrices)
+            assert (info.value.i, info.value.j) == expected
+        monkeypatch.undo()
         witnesses.add(expected)
     assert len(witnesses) >= 4, witnesses
 
@@ -278,6 +282,26 @@ def test_socle_matches_stacked_nullspace_oracle():
 def test_socle_requires_nilpotent():
     with pytest.raises(NotNilpotent):
         socle(validate([QMatrix.identity(2)]))
+
+
+def test_plain_block_sums_take_the_sparse_route(monkeypatch):
+    # is_nilpotent and socle square the plain J_200 + J_200 on sparse row
+    # forms only: dot products with every column took seconds.
+    d = 400
+    block = [[int(j == i + 1 != 200) for j in range(d)] for i in range(d)]
+    module = FDModule._trusted(1, d, [block], 1)
+    routes = []
+    row_form = exactalg._row_form
+
+    def recording(rows, width):
+        form = row_form(rows, width)
+        routes.append(form[0] is not None)
+        return form
+
+    monkeypatch.setattr(exactalg, "_row_form", recording)
+    assert is_nilpotent(module)
+    assert socle(module).dim == 2
+    assert routes and all(routes)
 
 
 # --- twisting ----------------------------------------------------------------
