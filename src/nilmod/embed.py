@@ -44,11 +44,12 @@ A nilpotent twist has trace zero, so a_i = tr(S_i) / d is the only
 candidate, and `twist` builds that module on the integer blocks,
 without checking commutativity again.
 
-Every path enters one core on a module, and the core reads the module's
-integer blocks M_i, S_i = M_i / D.  It hands back the image and the map's
-integer rows and weights.  Only `embed_nilpotent` and `embed_general`
-build a map, as integer rows over the lcm of the pivots' weights;
-`canonical_form` and `is_isomorphic` build none.
+Every path enters one core on a module, which reads the module's
+integer blocks M_i, S_i = M_i / D, and hands back the image.  Only
+`embed_nilpotent` builds a map, from the pass's rows at the image's
+pivots over the lcm of their weights; `embed_general` embeds the twist
+through it, and `canonical_form` and `is_isomorphic` build none.  As the
+image does not depend on lambda, `canonical_form` takes no functional.
 
 At n >= 2 `is_isomorphic` walks and passes each module once, and the
 core builds each image it needs from that pass.  An injective phi's
@@ -138,10 +139,9 @@ def _image(module: FDModule, monomials, rows, weights) -> Optional[PolySubmodule
     return image if image.dim == d else None
 
 
-def _embed(module: FDModule, found: Optional[tuple]) -> tuple:
-    """The embedding of the module from its pass: (image, rows, weights),
-    from which `_map_images` reads the map.  Raises the typed error that
-    says why the module does not embed.  Only a failure squares the
+def _embed(module: FDModule, found: Optional[tuple]) -> PolySubmodule:
+    """The image of the module's embedding, from its pass, or the typed
+    error that says why it does not embed.  Only a failure squares the
     matrices and computes the exact joint kernel, to name its error: the
     walk's w lies in that kernel, so on a nilpotent module with a line
     socle phi is injective, and the check that it is stays as a safety net.
@@ -149,7 +149,7 @@ def _embed(module: FDModule, found: Optional[tuple]) -> tuple:
     if found is not None:
         image = _image(module, *found)
         if image is not None:
-            return image, found[1], found[2]
+            return image
     elif module.dim:
         raise NotNilpotent(_NOT_NILPOTENT)
     if not is_nilpotent(module):
@@ -160,13 +160,6 @@ def _embed(module: FDModule, found: Optional[tuple]) -> tuple:
     if space.dim != 1:
         raise SocleNotOneDimensional(f"socle has dimension {space.dim}, not 1")
     raise AssertionError("the embedding must be injective")
-
-
-def _map_images(image: PolySubmodule, rows: Sequence[Sequence[int]], weights: Sequence[int]) -> QMatrix:
-    """The map's coordinates from `_embed`'s rows and weights: the
-    phi(e_j)'s entries at the image's pivots."""
-    pivots = image.coords._pivots
-    return QMatrix._trusted(*_over_lcm([rows[c] for c in pivots], [weights[c] for c in pivots]), image.dim)
 
 
 def embed_nilpotent(module: FDModule, rng: Optional[random.Random] = None) -> EmbeddingResult:
@@ -180,11 +173,14 @@ def embed_nilpotent(module: FDModule, rng: Optional[random.Random] = None) -> Em
     small random integer entries instead (redrawn until it is nonzero on
     w); the map changes with lambda, the image does not.
     """
-    image, rows, weights = _embed(module, _pass(module, _socle_walk(module), rng))
-    return EmbeddingResult(image, ModuleMap(module, image, _map_images(image, rows, weights)))
+    found = _pass(module, _socle_walk(module), rng)
+    image = _embed(module, found)
+    pivots = image.coords._pivots
+    images = _over_lcm([found[1][c] for c in pivots], [found[2][c] for c in pivots])
+    return EmbeddingResult(image, ModuleMap(module, image, QMatrix._trusted(*images, image.dim)))
 
 
-def canonical_form(module: FDModule, rng: Optional[random.Random] = None) -> PolySubmodule:
+def canonical_form(module: FDModule) -> PolySubmodule:
     """The unique polynomial submodule isomorphic to the module.
 
     A complete isomorphism invariant: two modules are isomorphic exactly
@@ -200,7 +196,7 @@ def canonical_form(module: FDModule, rng: Optional[random.Random] = None) -> Pol
     walk = _socle_walk(module)
     if module.n == 1 and walk is not None and walk[1] == module.dim - 1:
         return _degree_span(module.dim - 1)
-    return _embed(module, _pass(module, walk, rng))[0]
+    return _embed(module, _pass(module, walk, None))
 
 
 def is_isomorphic(first: FDModule, second: FDModule) -> bool:
@@ -231,11 +227,11 @@ def is_isomorphic(first: FDModule, second: FDModule) -> bool:
     same = other is not None and found[0] == other[0]
     if other is not None and not same and _rank_mod(found[1], d) == d and _rank_mod(other[1], d) == d:
         return False
-    image = _embed(first, found)[0]
+    image = _embed(first, found)
     if same and _rank_mod([other[1][c] for c in image.coords._pivots], d) == d:
         # phi_2(e_j) has coefficient rows[c][j] / weights[c] at monomial c.
         return all(image.coords._pivot_entries(v) is not None for v in _columns(_over_lcm(other[1], other[2])[0], d))
-    return image == _embed(second, other)[0]
+    return image == _embed(second, other)
 
 
 def _intertwiner_space(first: FDModule, second: FDModule) -> tuple:
@@ -320,7 +316,7 @@ def brute_force_isomorphic(
 def embed_general(module: FDModule) -> tuple[ExpSubmodule, ModuleMap]:
     """Embed a module with a unique rational joint eigenvalue tuple.
 
-    Twisting by the socle eigenvalues reduces to the nilpotent case; the
+    `embed_nilpotent` embeds the twist by the socle eigenvalues; the
     image lives in the exponentially weighted module, where x_i acts as
     eigenvalue_i + d/dx_i, and the returned map intertwines exactly that
     action.
@@ -331,13 +327,12 @@ def embed_general(module: FDModule) -> tuple[ExpSubmodule, ModuleMap]:
         # tr(M_i) / (d D) is the only candidate; embedding the twist decides.
         eigenvalues = [Fraction(sum(row[k] for k, row in enumerate(block)), d * module._den) for block in module._blocks]
         try:
-            twisted = twist(module, eigenvalues)
-            image, rows, weights = _embed(twisted, _pass(twisted, _socle_walk(twisted), None))
+            result = embed_nilpotent(twist(module, eigenvalues))
         except NotNilpotent:
             pass
         else:
-            weighted = ExpSubmodule(eigenvalues, image)
-            return weighted, ModuleMap(module, weighted, _map_images(image, rows, weights))
+            weighted = ExpSubmodule(eigenvalues, result.image)
+            return weighted, ModuleMap(module, weighted, result.map.images)
     # socle_eigenvalues raises the typed error that says why.  If it finds
     # one rational tuple anyway, its twist is not nilpotent: a nilpotent
     # twist would have been the trace candidate above.

@@ -6,7 +6,8 @@ subspaces held as canonical reduced row-echelon bases with membership
 and coordinates.  A matrix is stored in integer form, its rows over the
 least common denominator of its entries, and every kernel reads that
 form instead of converting at each call, so no gcd is paid per multiply
-or add.  One kernel, `_matmul`, multiplies integer matrices: by rows of
+or add.  One kernel, `_matmul`, makes every product of integer matrices, the
+polynomial side's products with a canonical basis included: by rows of
 a sparse right factor, by columns of a dense one.  Elimination is
 fraction-free (Gauss-Jordan, each row kept primitive; Bareiss for
 determinants).  A subspace stores only its elimination's integer form:

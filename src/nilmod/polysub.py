@@ -9,6 +9,8 @@ A derivative-closed subspace is built by one core on integer rows over
 its monomials: an elimination and a pivot at the origin.  The closure
 pass, where d_i shifts columns, checks outside input once, in the
 public constructor; the library's own spans are closed by construction.
+Every product with the integer basis B, the closure check's and the
+image polynomials', runs through the one integer product, `_matmul`.
 
 This layer also holds what joins the two kinds of module: the
 exponentially weighted copies that `embed_general` lands in, maps
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import random
 from math import comb
-from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionTooLarge
@@ -31,8 +32,10 @@ from .exactalg import (
     Subspace,
     Value,
     Vector,
+    _columns,
     _fields,
     _integer_rows,
+    _matmul,
     as_int,
     format_rational,
     grlex_key,
@@ -149,13 +152,8 @@ class PolySubmodule(Value):
         coords = vector(coords)
         if len(coords) != self.dim:
             raise ValueError("coordinate length differs from dimension")
-        (nums,), den = _integer_rows([coords])
-        return self._combination(nums, den)
-
-    def _combination(self, nums: Sequence[int], den: int) -> Poly:
-        """`from_coordinates` for the integer coordinates nums over den > 0."""
-        terms = {alpha: sum(map(mul, nums, column)) for alpha, column in zip(self.monomial_list, self.coords._columns)}
-        return Poly._trusted(self.n, terms, den * self.coords._den)
+        nums, den = _integer_rows([coords])
+        return _combinations(self, nums, den)[0]
 
     def action_matrices(self) -> tuple[QMatrix, ...]:
         """Matrices of the partial derivatives in the canonical basis."""
@@ -166,9 +164,11 @@ class PolySubmodule(Value):
         integer rows.
 
         With the basis B / E over integer B, d/dx_i moves B's column at
-        alpha to alpha - e_i, times alpha_i.  Entry (k, l) is moved row l
-        at pivot k, over E, and the moved rows lie in the span iff every
-        free column is that combination of B's.  The public constructor
+        alpha to alpha - e_i, times alpha_i.  The moved columns at the
+        pivots, as rows, are E times the matrix, and the moved rows lie in
+        the span iff E times each moved free column is B's, as a row, times
+        that matrix: one `exactalg._matmul` per variable, none without a
+        free column (a lower set's span).  The public constructor
         runs this pass as its closure check: it raises ValueError when
         some derivative of a basis member lies outside.  On a trusted span
         it only reads the matrices, for `action_matrices` and `as_matrices`.
@@ -185,11 +185,7 @@ class PolySubmodule(Value):
                         raise ValueError("subspace is not closed under differentiation")
                     moved[target] = [alpha[i] * x for x in column]
             at_pivots = [moved[c] for c in pivots]
-            for f in free:
-                # Canonical bases are mostly zeros: combine only the free column's nonzero entries.
-                support = [k for k, x in enumerate(columns[f]) if x]
-                coeffs = [columns[f][k] for k in support]
-                span = [sum(map(mul, coeffs, row)) for row in zip(*(at_pivots[k] for k in support))]
+            for f, span in zip(free, _matmul([columns[f] for f in free], at_pivots, self.dim) if free else ()):
                 if span != [den * x for x in moved[f]]:
                     raise ValueError("subspace is not closed under differentiation")
             out.append(at_pivots)
@@ -330,17 +326,25 @@ class ModuleMap(Immutable):
 
     def image_poly(self, j: int) -> Poly:
         """The image of source basis vector j as a polynomial (Poly targets)."""
-        target = self.target
-        if isinstance(target, ExpSubmodule):
-            target = target.part
-        if not isinstance(target, PolySubmodule):
-            raise TypeError("target does not have a polynomial basis")
-        images = self.images
-        return target._combination([row[j] for row in images._ints], images._den)
+        return _combinations(self.target, [[row[j] for row in self.images._ints]], self.images._den)[0]
 
     def image_polys(self) -> tuple[Poly, ...]:
-        """The image polynomial of each source basis vector, in order."""
-        return tuple(self.image_poly(j) for j in range(self.images.cols))
+        """The image polynomial of each source basis vector, in order, from one product."""
+        images = self.images
+        return _combinations(self.target, _columns(images._ints, images.cols), images._den)
+
+
+def _combinations(target: ModuleLike, nums: Sequence[Sequence[int]], den: int) -> tuple[Poly, ...]:
+    """The members of a polynomial target, or of an exponential one's
+    polynomial part, with the integer coordinates nums[k] over den > 0, as
+    N B over D E: one product of the rows of N with B's rows."""
+    if isinstance(target, ExpSubmodule):
+        target = target.part
+    if not isinstance(target, PolySubmodule):
+        raise TypeError("target does not have a polynomial basis")
+    monomial_list, coords = target.monomial_list, target.coords
+    rows = _matmul(nums, list(zip(*coords._columns)), len(monomial_list))
+    return tuple(Poly._trusted(target.n, dict(zip(monomial_list, row)), den * coords._den) for row in rows)
 
 
 def as_matrices(module: PolySubmodule) -> tuple[FDModule, ModuleMap]:

@@ -1272,8 +1272,8 @@ def test_canonical_form_rng_invariant():
     for seed in range(10):
         mod = random_nilpotent_module(2, 3, seed=seed)
         base = canonical_form(mod)
-        assert canonical_form(mod, rng=random.Random(seed)) == base
-        assert canonical_form(mod, rng=random.Random(seed + 1000)) == base
+        assert embed_nilpotent(mod, rng=random.Random(seed)).image == base
+        assert embed_nilpotent(mod, rng=random.Random(seed + 1000)).image == base
 
 
 def test_canonical_form_fixed_point():
@@ -1361,7 +1361,7 @@ def test_the_chain_certificate_matches_the_embedding_core(monkeypatch):
         chain = walk is not None and walk[1] == module.dim - 1
         if certified is not None:
             assert chain is certified, k
-        reference = attempt(lambda: core(module, _pass(module, walk, None))[0])
+        reference = attempt(lambda: core(module, _pass(module, walk, None)))
         entered.clear()
         assert attempt(lambda: canonical_form(module)) == reference, k
         assert entered == ([] if chain else [1]), k

@@ -13,8 +13,11 @@ drawn against conjugation by rational matrices with large entries, at the
 real prime.  `is_isomorphic` is drawn against the comparison of the two
 canonical forms, at the real prime and at the small ones, where its
 certificates often fail and it falls back, and up to dimension 6 against
-`brute_force_isomorphic`, which builds no canonical form.  Examples are
-derandomized and their number is fixed, so the suite is deterministic.
+`brute_force_isomorphic`, which builds no canonical form.  Integer
+blocks on both sides of the sparse share's threshold give the same
+products and nilpotency verdicts with every row form sparse and with
+every one dense.  Examples are derandomized and their number is fixed,
+so the suite is deterministic.
 """
 
 import random
@@ -31,8 +34,8 @@ import nilmod.embed  # noqa: E402
 import nilmod.exactalg  # noqa: E402
 from nilmod.embed import brute_force_isomorphic, canonical_form, embed_nilpotent, is_isomorphic  # noqa: E402
 from nilmod.errors import NilmodError  # noqa: E402
-from nilmod.exactalg import QMatrix  # noqa: E402
-from nilmod.modcore import validate  # noqa: E402
+from nilmod.exactalg import QMatrix, _matmul, _row_form  # noqa: E402
+from nilmod.modcore import _is_nilpotent_matrix, validate  # noqa: E402
 from nilmod.multipoly import Poly, monomials_up_to_degree  # noqa: E402
 from nilmod.polysub import as_matrices, submodule_from_polys  # noqa: E402
 from test_embed import block_sum, in_both_forms, reference_embed_nilpotent  # noqa: E402
@@ -163,6 +166,45 @@ def test_sparse_and_dense_row_products_agree(drawn, seed):
     rng = random.Random(seed)
     sparse, dense = in_both_forms(module, [rng.randint(-4, 4) for _ in range(module.dim)])
     assert sparse == dense
+
+
+@st.composite
+def threshold_blocks(draw):
+    """(block, width, nilpotent): an integer block with exactly
+    floor(rows width / 4) nonzero entries, the most that the default share
+    reads as sparse, or with one more.  A square block is drawn half the
+    time; from dimension 3 on it may be strictly upper triangular with its
+    rows and columns permuted alike, so nilpotent."""
+    rows = draw(st.integers(1, 9))
+    width = rows if draw(st.booleans()) else draw(st.integers(1, 9))
+    nilpotent = rows == width >= 3 and draw(st.booleans())
+    label = draw(st.permutations(range(rows)))
+    cells = [(label[r], label[c]) if nilpotent else (r, c)
+             for r in range(rows) for c in range(width) if c > r or not nilpotent]
+    block = [[0] * width for _ in range(rows)]
+    for r, c in draw(st.permutations(cells))[: rows * width // 4 + draw(st.integers(0, 1))]:
+        block[r][c] = draw(st.integers(-9, 9).filter(bool))
+    return block, width, nilpotent
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(drawn=threshold_blocks(), data=st.data())
+def test_row_forms_agree_at_the_sparse_threshold(drawn, data):
+    block, width, nilpotent = drawn
+    rows = len(block)
+    left = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=rows, max_size=rows), max_size=4))
+    expected = [[sum(x * row[j] for x, row in zip(line, block)) for j in range(width)] for line in left]
+    nonzero = sum(map(bool, sum(block, [])))
+    assert nonzero - rows * width // 4 in (0, 1)
+    assert (_row_form(block, width)[0] is None) == (nonzero > rows * width // 4)
+    products, verdicts = [], []
+    for share in (1, -1):
+        with mock.patch.object(nilmod.exactalg, "_SPARSE_SHARE", share):
+            products.append(_matmul(left, block, width))
+            if rows == width:
+                verdicts.append(_is_nilpotent_matrix(block))
+    assert products == [expected, expected]
+    assert len(set(verdicts)) <= 1 and (not nilpotent or verdicts == [True, True])
 
 
 def test_small_primes_reach_the_rank_fallback_in_one_pass(monkeypatch):

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
+from unittest import mock
 
 import pytest
 
@@ -23,6 +24,7 @@ from nilmod.errors import (
     SocleNotOneDimensional,
 )
 import nilmod.exactalg as exactalg
+import nilmod.polysub as polysub
 from nilmod.exactalg import QMatrix, Subspace, parse_rational
 from nilmod.modcore import (
     FDModule,
@@ -49,6 +51,12 @@ from nilmod.polysub import (
     random_poly,
     submodule_from_polys,
 )
+
+# The share of nonzero entries past which a row form is dense: 1 puts
+# every integer product on the sparse route, -1 every nonempty one on the
+# dense route.
+ROUTES = (1, -1)
+
 
 def zeros(rows, cols):
     return QMatrix([[0] * cols for _ in range(rows)], cols=cols)
@@ -170,11 +178,16 @@ def test_validate_reports_first_failing_pair():
 
 
 def reference_first_noncommuting(matrices):
-    """The first pair (i, j), i < j in scan order, whose `Fraction`
-    products differ: the check before the integer stack."""
+    """The first pair (i, j), i < j in scan order, whose products differ,
+    each product summed from the `Fraction` entries, with no `QMatrix`
+    product."""
+
+    def product(a, b):
+        return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b.entries)] for row in a.entries]
+
     for i in range(len(matrices)):
         for j in range(i + 1, len(matrices)):
-            if matrices[i] * matrices[j] != matrices[j] * matrices[i]:
+            if product(matrices[i], matrices[j]) != product(matrices[j], matrices[i]):
                 return i + 1, j + 1
     return None
 
@@ -513,13 +526,15 @@ CLOSED = "subspace is not closed under differentiation"
 )
 def test_closure_check_order_and_messages(n, spans, message):
     polys = [Poly(n, terms) for terms in spans]
-    with pytest.raises(ValueError) as direct:
-        PolySubmodule(n, polys)
-    assert str(direct.value) == message
     data = {"n": n, "basis": [p.to_json() for p in polys]}
-    with pytest.raises(ValueError) as parsed:
-        PolySubmodule.from_json(data)
-    assert str(parsed.value) == message
+    for share in ROUTES:
+        with mock.patch.object(exactalg, "_SPARSE_SHARE", share):
+            with pytest.raises(ValueError) as direct:
+                PolySubmodule(n, polys)
+            assert str(direct.value) == message
+            with pytest.raises(ValueError) as parsed:
+                PolySubmodule.from_json(data)
+            assert str(parsed.value) == message
 
 
 def test_polysubmodule_canonical_under_basis_change():
@@ -578,10 +593,55 @@ def test_from_coordinates_matches_the_fraction_loop():
             vectors.append(
                 [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7, big, big * big])) for _ in range(sub.dim)]
             )
-        for v in vectors:
-            got = sub.from_coordinates(v)
-            assert got == reference_from_coordinates(sub, [Fraction(c) for c in v])
-            assert sub.coordinates_of(got) == tuple(Fraction(c) for c in v)
+        for share in ROUTES:
+            with mock.patch.object(exactalg, "_SPARSE_SHARE", share):
+                for v in vectors:
+                    got = sub.from_coordinates(v)
+                    assert got == reference_from_coordinates(sub, [Fraction(c) for c in v])
+                    assert sub.coordinates_of(got) == tuple(Fraction(c) for c in v)
+
+
+def test_image_polys_match_the_fraction_loop():
+    from nilmod.embed import embed_general, embed_nilpotent
+
+    rng = random.Random(421)
+    for n, bound in [(1, 7), (2, 3), (3, 2)]:
+        for seed in range(2):
+            module = random_nilpotent_module(n, bound, seed=seed)
+            module = FDModule(n, [m.scale(Fraction(1, 3)) for m in module.matrices])
+            embedded = embed_nilpotent(module, rng=rng)
+            weighted, twisted = embed_general(twist(module, [Fraction(rng.randint(-3, 3), 2)] * n))
+            for phi, part in [(embedded.map, embedded.image), (twisted, weighted.part)]:
+                columns = list(zip(*phi.images.entries))
+                expected = tuple(reference_from_coordinates(part, column) for column in columns)
+                for share in ROUTES:
+                    with mock.patch.object(exactalg, "_SPARSE_SHARE", share):
+                        assert phi.image_polys() == expected
+                        assert phi.image_poly(len(columns) - 1) == expected[-1]
+    fd, _ = as_matrices(submodule_from_polys(1, [Poly.variable(1, 1)]))
+    plain = ModuleMap(fd, fd, QMatrix.identity(2))
+    for read in (plain.image_polys, lambda: plain.image_poly(0)):
+        with pytest.raises(TypeError, match="polynomial basis"):
+            read()
+
+
+def test_products_with_the_basis_go_through_one_kernel():
+    def calls(run):
+        with mock.patch.object(polysub, "_matmul", wraps=exactalg._matmul) as spy:
+            run()
+        return spy.call_count
+
+    from nilmod.embed import embed_nilpotent
+
+    result = embed_nilpotent(random_nilpotent_module(3, 2, seed=5))
+    assert result.image.dim > 3
+    assert calls(result.image_polys) == 1
+    planted = submodule_from_polys(2, [Poly(2, {(3, 1): 1, (1, 2): 2, (0, 2): -1})])
+    assert planted.coords._free
+    assert calls(lambda: as_matrices(planted)) == 2
+    # A lower set's span is the whole space over its monomials: no free column.
+    lower = [Poly(3, {alpha: 1}) for alpha in lower_set_closure([(2, 1, 0), (0, 1, 2)])]
+    assert calls(lambda: as_matrices(PolySubmodule(3, lower))) == 0
 
 
 # --- the constructor against the Fraction/Poly reference ----------------------
@@ -821,13 +881,15 @@ def test_action_matrices_match_partials():
         for _ in range(4):
             subs.append(submodule_from_polys(n, [random_poly(n, 3 if n < 3 else 2, rng)]))
     for sub in subs:
-        mats = action_matrices(sub)
-        assert len(mats) == sub.n
-        for i, m in enumerate(mats, start=1):
-            assert m.rows == m.cols == sub.dim
-            for j, b in enumerate(sub.basis):
-                expected = sub.coordinates_of(b.partial(i))
-                assert [row[j] for row in m.entries] == list(expected)
+        for share in ROUTES:
+            with mock.patch.object(exactalg, "_SPARSE_SHARE", share):
+                mats = action_matrices(sub)
+            assert len(mats) == sub.n
+            for i, m in enumerate(mats, start=1):
+                assert m.rows == m.cols == sub.dim
+                for j, b in enumerate(sub.basis):
+                    expected = sub.coordinates_of(b.partial(i))
+                    assert [row[j] for row in m.entries] == list(expected)
 
 
 def test_exp_submodule_actions_add_scalar():

@@ -41,9 +41,7 @@ ALLOWED = {
 }
 
 # Options that no caller sets, each kept for a reason.
-ALLOWED_OPTIONS = {
-    "embed_nilpotent(rng)": "the map depends on lambda and the image does not",
-}
+ALLOWED_OPTIONS = {}
 
 
 def _parse(path):
