@@ -405,7 +405,7 @@ class MonomialSubmodule(Value):
         d_i x^alpha is a multiple of x^(alpha - e_i), in the set."""
         if self._span is None:
             from .polysub import PolySubmodule
-            object.__setattr__(self, "_span", PolySubmodule._trusted(self.n, self.monomials_descending(), None, None))
+            object.__setattr__(self, "_span", PolySubmodule._trusted(self.n, self.monomials_descending(), None))
         return self._span
 
     def _comparable_pairs(self) -> list:
@@ -528,7 +528,7 @@ def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[in
     # Both spans are closed by construction: d_i x^kappa is k x^beta with
     # x^beta inside, and d_i g = k phi(x^beta), checked by `potential`.
     new_source = PolySubmodule._reduced(n, rows)
-    new_target = PolySubmodule._trusted(n, *_poly_rows(list(target.basis) + news), None)
+    new_target = PolySubmodule._trusted(n, *_poly_rows(list(target.basis) + news))
     if new_target.dim != len(rows):
         raise AssertionError("the extension image must be new")
     order = [images[new_source.monomial_list[c]] for c in new_source.coords._pivots]

@@ -16,8 +16,8 @@ polynomials killed by every operator f(d/dx) with f(S) = 0, which does
 not depend on lambda.  The row vectors lambda S^alpha come from one
 breadth-first pass over the exponents alpha, `modcore`'s inverse-system
 pass, so nothing is restricted, inverted or integrated, and they stay
-primitive integer rows from the action matrices to the image's
-elimination, when it needs one.
+primitive integer rows, with weights, up to the image's elimination, when
+it needs one, which takes them over the lcm of their weights.
 
 Lambda is nonzero on the vector w of `modcore`'s socle walk: from e_1,
 apply S_1 until the result vanishes, then S_2, and so on, each vector's
@@ -127,15 +127,15 @@ def _image(module: FDModule, monomials, rows, weights) -> Optional[PolySubmodule
     d_i phi(v) = phi(S_i v), so it takes the trusted constructor.  Fewer
     than d monomials give None, and d with independent rows (at n = 1
     always, else of rank d mod P) the whole space over them, with no
-    elimination.  Only the rest is eliminated."""
+    elimination.  Only the rest is eliminated, over the weights' lcm."""
     n, d = module.n, module.dim
     if len(monomials) < d:
         return None
     # At n = 1 the rows lam S^k, k < d, are nonzero and lam S^d = 0: a relation with
     # lowest index k, times S^(d-1-k), would leave a nonzero multiple of lam S^(d-1).
     if len(monomials) == d and (n == 1 or _rank_mod(rows, d) == d):
-        return PolySubmodule._trusted(n, monomials, None, None)
-    image = PolySubmodule._trusted(n, monomials, _columns(rows, d), weights)
+        return PolySubmodule._trusted(n, monomials, None)
+    image = PolySubmodule._trusted(n, monomials, _columns(_over_lcm(rows, weights)[0], d))
     return image if image.dim == d else None
 
 

@@ -88,6 +88,14 @@ def as_int(x) -> int:
     return x
 
 
+def _dimension(d) -> int:
+    """A dimension: an integer, not a bool, at least 0."""
+    d = as_int(d)
+    if d < 0:
+        raise ValueError("dimension must be non-negative")
+    return d
+
+
 def _fields(data, what: str, *names) -> list:
     """The named fields of a JSON object, each one required."""
     if not isinstance(data, dict):
@@ -162,7 +170,9 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
 
 def _width(rows: Sequence[Sequence], cols: Optional[int], axes: tuple[str, str] = ("rows", "column")) -> int:
     """The rows' common length, or cols (0 if None) for no rows; a given cols
-    must match.  The errors name the axes as given: (the lines, the count)."""
+    is a dimension and must match.  The errors name the axes as given: (the
+    lines, the count)."""
+    cols = None if cols is None else _dimension(cols)
     width = len(rows[0]) if rows else cols or 0
     if any(len(row) != width for row in rows):
         raise ValueError(f"ragged {axes[0]}")
@@ -214,9 +224,9 @@ def _fraction_row(row: Sequence[int], den: int) -> Vector:
 
 def _over_lcm(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> tuple[list[list[int]], int]:
     """Integer rows, row k over its own nonzero dens[k], as (integer rows,
-    L) over L, the lcm of the dens."""
+    L) over L, the lcm of the dens: one division per row."""
     den = lcm(*dens)
-    return [[x * (den // d) for x in row] for row, d in zip(rows, dens)], den
+    return [[x * f for x in row] for row, f in zip(rows, [den // d for d in dens])], den
 
 
 def _common_factor(den: int, rows: Iterable[Sequence[int]]) -> int:
@@ -352,6 +362,7 @@ class QMatrix(Value):
 
     @classmethod
     def identity(cls, d: int) -> "QMatrix":
+        d = _dimension(d)
         return cls._trusted([[int(i == j) for j in range(d)] for i in range(d)], 1, d)
 
     @classmethod
@@ -492,17 +503,17 @@ class Subspace(Value):
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
         """The span of the vectors, each of length ambient_dim."""
+        ambient_dim = _dimension(ambient_dim)
         rows = [vector(v) for v in vectors]
         if any(len(v) != ambient_dim for v in rows):
             raise ValueError("vector length differs from ambient dimension")
-        self._span(ambient_dim, _integer_rows(rows)[0], None)
+        self._store_reduced(ambient_dim, *_rref_int(_integer_rows(rows)[0], ambient_dim))
 
     @classmethod
-    def _from_integer_rows(
-        cls, ambient_dim: int, rows: Sequence[Sequence[int]], weights: Optional[Sequence[int]] = None
-    ) -> "Subspace":
+    def _from_integer_rows(cls, ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Subspace":
+        """The span of integer rows of length ambient_dim: one elimination."""
         out = cls.__new__(cls)
-        out._span(ambient_dim, rows, weights)
+        out._store_reduced(ambient_dim, *_rref_int(rows, ambient_dim))
         return out
 
     @classmethod
@@ -516,26 +527,10 @@ class Subspace(Value):
 
     @classmethod
     def _whole(cls, d: int) -> "Subspace":
-        """All of Q^d, with no elimination: the identity over E = 1, as `_span` makes it."""
+        """All of Q^d, with no elimination: the identity over E = 1, as elimination makes it."""
         out = cls.__new__(cls)
         out._store(d, range(d), 1, tuple((0,) * j + (1,) + (0,) * (d - 1 - j) for j in range(d)))
         return out
-
-    def _span(self, ambient_dim: int, rows: Sequence[Sequence[int]], weights: Optional[Sequence[int]]) -> None:
-        """The span of integer rows of length ambient_dim, entry c divided
-        by the positive weights[c] if given.
-
-        Dividing columns moves no zero, so the reduced rows divided the
-        same way, each then by its pivot entry, are the RREF.  With
-        weights, row r first becomes the integer row r[c] L / weights[c],
-        L the weights' lcm, made primitive again by one gcd.
-        """
-        pivots, reduced = _rref_int(rows, ambient_dim)
-        if weights:
-            scale = lcm(*weights)
-            factors = [scale // w for w in weights]
-            reduced = [_primitive_row(list(map(mul, row, factors))) for row in reduced]
-        self._store_reduced(ambient_dim, pivots, reduced)
 
     def _store_reduced(self, ambient_dim: int, pivots: Sequence[int], reduced: Sequence[Sequence[int]]) -> None:
         """Keep primitive reduced rows as B / E with integer B: the columns

@@ -69,15 +69,15 @@ class PolySubmodule(Value):
 
     def __init__(self, n: int, polys: Sequence[Poly]):
         _same_count(n, *polys)
-        self._span(n, *_poly_rows(polys), None)
+        self._span(n, *_poly_rows(polys))
         self._closure_pass()
 
     @classmethod
-    def _trusted(cls, n, monomial_list, rows, weights) -> "PolySubmodule":
-        """The span of integer rows that is closed under differentiation by
-        construction: `_span` without the closure check."""
+    def _trusted(cls, n, monomial_list, rows) -> "PolySubmodule":
+        """The span of integer rows (None: of all the monomials) that is closed
+        under differentiation by construction: `_span` without the closure check."""
         out = cls.__new__(cls)
-        out._span(n, tuple(monomial_list), rows, weights)
+        out._span(n, tuple(monomial_list), rows)
         return out
 
     @classmethod
@@ -93,14 +93,13 @@ class PolySubmodule(Value):
         out._store(n, monomial_list, Subspace._from_reduced(len(monomial_list), [position[pi] for pi in leads], ints))
         return out
 
-    def _span(self, n, monomial_list, rows, weights) -> None:
-        """The core: the span of the integer rows, row[c] / weights[c]
-        (or row[c]) being the coefficient at monomial_list[c], a
-        descending list of monomials each nonzero in some row, or rows None
-        for all of their span.  One elimination (none for rows None), then
-        the constants check."""
+    def _span(self, n, monomial_list, rows) -> None:
+        """The core: the span of the integer rows, row[c] being the
+        coefficient at monomial_list[c], a descending list of monomials
+        each nonzero in some row, or rows None for all of their span.  One
+        elimination (none for rows None), then the constants check."""
         width = len(monomial_list)
-        coords = Subspace._whole(width) if rows is None else Subspace._from_integer_rows(width, rows, weights)
+        coords = Subspace._whole(width) if rows is None else Subspace._from_integer_rows(width, rows)
         self._store(n, monomial_list, coords)
 
     def _store(self, n, monomial_list, coords: Subspace) -> None:
@@ -231,13 +230,13 @@ def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
             i = next(k for k, b in enumerate(beta) if b)
             derived[beta] = derived[beta[:i] + (beta[i] - 1,) + beta[i + 1 :]].partial(i + 1)
         members += derived.values()
-    return PolySubmodule._trusted(n, *_poly_rows(members), None)
+    return PolySubmodule._trusted(n, *_poly_rows(members))
 
 
 def _degree_span(top: int) -> PolySubmodule:
     """Every polynomial in one variable of degree at most top, the whole
     space over x^top, ..., 1, with no elimination."""
-    return PolySubmodule._trusted(1, [(k,) for k in range(top, -1, -1)], None, None)
+    return PolySubmodule._trusted(1, [(k,) for k in range(top, -1, -1)], None)
 
 
 class ExpSubmodule(Value):

@@ -1514,8 +1514,8 @@ def fraction_extend(phi, candidates, limit):
         rows[lead], images[lead] = new, image
     if not monomials:
         return phi
-    new_source = PolySubmodule._trusted(n, *_poly_rows(list(source.basis) + monomials), None)
-    new_target = PolySubmodule._trusted(n, *_poly_rows(list(target.basis) + news), None)
+    new_source = PolySubmodule._trusted(n, *_poly_rows(list(source.basis) + monomials))
+    new_target = PolySubmodule._trusted(n, *_poly_rows(list(target.basis) + news))
     if new_source.dim != len(rows):
         raise AssertionError("one source dimension per row")
     if new_target.dim != len(rows):

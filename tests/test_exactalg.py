@@ -25,6 +25,7 @@ from nilmod.exactalg import (
     _common_factor,
     _integer_kernel,
     _integer_rows,
+    _over_lcm,
     _rank_mod,
     _rref_int,
     _split_rational,
@@ -641,7 +642,8 @@ def test_rank_mod_bounds_the_exact_rank(seed):
 
 def test_whole_space_is_the_eliminated_identity():
     # The whole space, built with no elimination, has the integer form that
-    # elimination gives the identity and a full-rank integer basis with weights.
+    # elimination gives the identity and a full-rank integer basis with its
+    # columns divided by weights.
     rng = random.Random(16)
     for d in range(0, 31):
         whole = Subspace._whole(d)
@@ -651,7 +653,8 @@ def test_whole_space_is_the_eliminated_identity():
         while d:
             rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
             if QMatrix(rows).det() != 0:
-                spans.append(Subspace._from_integer_rows(d, rows, [rng.randint(1, 6) for _ in range(d)]))
+                weights = [rng.randint(1, 6) for _ in range(d)]
+                spans.append(Subspace._from_integer_rows(d, column_weighted(rows, weights, d)))
                 break
         for space in spans:
             assert got == (space.ambient_dim, space._pivots, space._den, space._columns, space._free)
@@ -780,6 +783,15 @@ def reference_integer_form(space):
     return pivots, den, _columns(ints, space.ambient_dim), free
 
 
+def column_weighted(rows, weights, cols):
+    """The rows with entry c over weights[c], all times the weights' lcm,
+    built as the image of an embedding builds them: `_over_lcm` on the
+    columns, read back as rows.  The rows as given for weights None."""
+    if weights is None:
+        return rows
+    return _columns(_over_lcm(_columns(rows, cols), weights)[0], len(rows))
+
+
 def integer_form_table(seed):
     """Seeded (cols, integer rows, weights or None): empty spans, zero
     and duplicate rows, and positive weights up to 9!, as the image of an
@@ -805,7 +817,7 @@ def integer_form_table(seed):
 def test_subspace_integer_form_matches_the_basis(seed):
     negative = 0
     for cols, rows, weights in integer_form_table(seed):
-        space = Subspace._from_integer_rows(cols, rows, weights)
+        space = Subspace._from_integer_rows(cols, column_weighted(rows, weights, cols))
         divided = [[Fraction(x, w) for x, w in zip(row, weights or [1] * cols)] for row in rows]
         assert space == Subspace(cols, divided)
         got = (space._pivots, space._den, space._columns, space._free)
@@ -861,7 +873,8 @@ def test_subspace_equality_matches_the_eager_key(seed):
     for cols, rows, weights in table:
         for twin in (rows, respan(rng, rows)):
             divided = [[Fraction(x, w) for x, w in zip(row, weights or [1] * cols)] for row in twin]
-            spans.append((Subspace._from_integer_rows(cols, twin, weights), eager_subspace_key(cols, divided)))
+            weighted = Subspace._from_integer_rows(cols, column_weighted(twin, weights, cols))
+            spans.append((weighted, eager_subspace_key(cols, divided)))
     equal = 0
     for a, key_a in spans:
         assert a.basis == key_a[1] and a.dim == len(key_a[1])
@@ -997,3 +1010,38 @@ def test_common_factor_is_the_gcd_and_stops_at_one():
     assert _common_factor(0, [[0, 0], []]) == _common_factor(0, []) == 0
     # The trusted constructors divide the factor out as the checked ones do.
     assert QMatrix._trusted([[2, 4], [6, 8]], 4, 2) == QMatrix([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
+
+
+class CountedDen(int):
+    """A den that counts the divisions of the lcm by it."""
+
+    divisions = []
+
+    def __rfloordiv__(self, other):
+        self.divisions.append(other)
+        return int(other) // int(self)
+
+
+def test_over_lcm_divides_once_per_row():
+    # Each row is scaled by one factor L / den, so a row of k entries costs
+    # one division of L, not k (L is 399! for the map of J_400's embedding).
+    rng = random.Random(702)
+    big = [2**61 - 1, 2**31 - 1, 3**41, 10**20 + 39]
+    cases = [([], []), ([[]], [7]), ([[0, 0, 0], [0, 0, 0]], [4, 6])]
+    for _ in range(40):
+        width, height = rng.randint(1, 6), rng.randint(1, 5)
+        rows = [[rng.choice([0, 0, 1, -1, 5, -12, 10**30]) * rng.randint(-3, 3) for _ in range(width)]
+                for _ in range(height)]
+        rows[rng.randrange(height)] = [0] * width
+        dens = [rng.choice([1, 2, 6, 24, 5040, rng.choice(big)]) for _ in range(height)]
+        cases.append((rows, dens))
+    cases.append(([[1, -2, 3], [-4, 0, 6], [0, 0, 0]], big[:3]))
+    assert math.lcm(*big[:3]) > 2**64
+    for rows, dens in cases:
+        CountedDen.divisions.clear()
+        ints, den = _over_lcm(rows, [CountedDen(d) for d in dens])
+        assert len(CountedDen.divisions) == len(rows)
+        assert den == math.lcm(*dens) and type(den) is int
+        # The per-entry reference: each entry over its row's den, times L.
+        assert ints == [[x * (den // d) for x in row] for row, d in zip(rows, dens)]
+        assert all(Fraction(y, den) == Fraction(x, d) for row, out, d in zip(rows, ints, dens) for x, y in zip(row, out))

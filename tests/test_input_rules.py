@@ -1,6 +1,6 @@
 """Each input rule has one owner, in `nilmod.multipoly` or, for the index
-that the matrix side reads too, in `nilmod.exactalg`, and every entry
-that reads such an input calls it:
+that the matrix side reads too and for a dimension, in `nilmod.exactalg`,
+and every entry that reads such an input calls it:
 
 - a variable count is an integer, not a bool, at least 1
   (`_variable_count`);
@@ -9,7 +9,9 @@ that reads such an input calls it:
   (`_exponent`);
 - a variable index is an integer, not a bool, in 1..n (`_check_var`);
 - a truncation degree is an integer, not a bool, at least 0
-  (`_truncation`).
+  (`_truncation`);
+- a dimension of a matrix or a subspace is an integer, not a bool, at
+  least 0 (`exactalg._dimension`).
 
 The guard parses the package with `ast`: each rule's message is built in
 its owner alone, and no hand-written copy of a rule's comparison is left.
@@ -39,7 +41,7 @@ from nilmod.diffop import (
     restriction_kernel_dim,
 )
 from nilmod.embed import brute_force_isomorphic, is_isomorphic
-from nilmod.exactalg import QMatrix
+from nilmod.exactalg import QMatrix, Subspace
 from nilmod.modcore import FDModule
 from nilmod.multipoly import Poly, monomials_of_degree, monomials_up_to_degree, potential, truncated_product
 from nilmod.polysub import (
@@ -58,6 +60,7 @@ OWNERS = {
     "bad exponent vector": "multipoly._exponent",
     "out of range 1..": "exactalg._check_var",
     "truncation degree must be non-negative": "multipoly._truncation",
+    "dimension must be non-negative": "exactalg._dimension",
 }
 # `extract_coeffs` names the table in its own message.
 EXCLUDED = "variable count mismatch in image table"
@@ -259,7 +262,7 @@ def test_the_module_guard_catches_a_planted_call(tmp_path):
         "def closure(sub, p):\n"
         "    return modcore.PolySubmodule(sub.n, list(sub.basis) + [p])\n"
         "def span(n, monomials, rows):\n"
-        "    return PolySubmodule._trusted(n, monomials, rows, None)\n"
+        "    return PolySubmodule._trusted(n, monomials, rows)\n"
     )
     nodes = list(_nodes_by_function(lib))
     assert module_builders(nodes, "FDModule") == (
@@ -424,6 +427,32 @@ def test_every_truncation_entry_refuses_a_bad_degree(entry, d):
 @pytest.mark.parametrize("entry", sorted(TRUNCATION_ENTRIES))
 def test_every_truncation_entry_accepts_a_degree(entry):
     TRUNCATION_ENTRIES[entry](1)
+
+
+# Entries that read a dimension d.
+DIMENSION_ENTRIES = {
+    "Subspace": lambda d: Subspace(d, []),
+    "QMatrix": lambda d: QMatrix([], cols=d),
+    "QMatrix.from_columns": lambda d: QMatrix.from_columns([], rows=d),
+    "QMatrix.identity": lambda d: QMatrix.identity(d),
+}
+
+
+@pytest.mark.parametrize("d", [True, 2.0, -1], ids=["bool", "float", "negative"])
+@pytest.mark.parametrize("entry", sorted(DIMENSION_ENTRIES))
+def test_every_dimension_entry_refuses_a_bad_dimension(entry, d):
+    # Subspace(-1, []) was "dim 0 of Q^-1", QMatrix.from_columns([], rows=-1)
+    # a 0 x 0 matrix and Subspace(2.0, []) Python's own TypeError.
+    message = "dimension must be non-negative" if d == -1 else f"expected an integer, got {d!r}"
+    with pytest.raises(ValueError) as caught:
+        DIMENSION_ENTRIES[entry](d)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("entry", sorted(DIMENSION_ENTRIES))
+def test_every_dimension_entry_accepts_a_dimension(entry):
+    DIMENSION_ENTRIES[entry](0)
+    DIMENSION_ENTRIES[entry](2)
 
 
 def _span(n):
