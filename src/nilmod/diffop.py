@@ -488,8 +488,9 @@ def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[in
     grlex order, or phi when none is missing.  rows[pi], the source's
     echelon row led by pi, is monic there and zero at the other leads,
     with image images[pi], both combined by integer scalars: x^alpha is
-    inside iff rows[alpha] is x^alpha.  The rows are the new source's
-    basis; the map's column k is row k's image's target pivot entries."""
+    inside iff rows[alpha] is x^alpha.  The new source is the span of the
+    rows, whose elimination combines none of them and only makes each
+    primitive; the map's column k is row k's image's target pivot entries."""
     from .polysub import ModuleMap, PolySubmodule, _poly_rows
     source, target, n = phi.source, phi.target, phi.source.n
     leads = [source.monomial_list[c] for c in source.coords._pivots]
@@ -527,7 +528,9 @@ def _extend(phi: ModuleMap, candidates: Iterable[MultiIndex], limit: Optional[in
         return phi
     # Both spans are closed by construction: d_i x^kappa is k x^beta with
     # x^beta inside, and d_i g = k phi(x^beta), checked by `potential`.
-    new_source = PolySubmodule._reduced(n, rows)
+    new_source = PolySubmodule._trusted(n, *_poly_rows(list(rows.values())))
+    if new_source.dim != len(rows):
+        raise AssertionError("one source dimension per row")
     new_target = PolySubmodule._trusted(n, *_poly_rows(list(target.basis) + news))
     if new_target.dim != len(rows):
         raise AssertionError("the extension image must be new")
@@ -571,9 +574,10 @@ def extend_iso(
     """Extend an isomorphism until its domain contains the goal's span.
 
     One grlex pass over the goal adds each least missing monomial as one
-    echelon row.  The rows are the new source's basis, the target's span
-    is built once, and column k of the map is the image of basis vector
-    k: nothing is inverted.  phi, checked once, comes back if none is missing.
+    echelon row.  Each side's span is built once, the source's on the
+    rows and the target's on its basis and the new images, and column k
+    of the map is the image of basis vector k: nothing is inverted.
+    phi, checked once, comes back if none is missing.
     """
     _same_count(source.n, goal)
     _check_iso(source, target, phi)

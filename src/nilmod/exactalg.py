@@ -517,15 +517,6 @@ class Subspace(Value):
         return out
 
     @classmethod
-    def _from_reduced(cls, ambient_dim: int, pivots: Sequence[int], reduced: Sequence[Sequence[int]]) -> "Subspace":
-        """The span of integer rows already in reduced echelon form, as
-        `_rref_int` returns them: primitive, row k nonzero at pivots[k],
-        ascending, and zero at every other pivot.  No elimination."""
-        out = cls.__new__(cls)
-        out._store_reduced(ambient_dim, pivots, reduced)
-        return out
-
-    @classmethod
     def _whole(cls, d: int) -> "Subspace":
         """All of Q^d, with no elimination: the identity over E = 1, as elimination makes it."""
         out = cls.__new__(cls)
@@ -533,10 +524,10 @@ class Subspace(Value):
         return out
 
     def _store_reduced(self, ambient_dim: int, pivots: Sequence[int], reduced: Sequence[Sequence[int]]) -> None:
-        """Keep primitive reduced rows as B / E with integer B: the columns
-        of B, the pivots and the free columns.  A primitive reduced row r
-        over its pivot entry p has least denominator |p|, so E is the lcm
-        of the pivot entries."""
+        """Keep the pivots and the primitive reduced rows that `_rref_int`
+        returns as B / E with integer B: the columns of B, the pivots and
+        the free columns.  A primitive reduced row r over its pivot entry
+        p has least denominator |p|, so E is the lcm of the pivot entries."""
         ints, den = _over_lcm(reduced, [row[c] for c, row in zip(pivots, reduced)])
         self._store(ambient_dim, pivots, den, _columns(ints, ambient_dim))
 

@@ -58,11 +58,12 @@ class PolySubmodule(Value):
     Stored canonically: the list of monomials occurring in any member
     (descending monomial order) and the RREF basis of coefficient
     vectors over that list.  Equality of the stored data is equality of
-    the subspaces.  Every instance comes from one core on integer rows
-    over that list, `_span`.  The public constructor, and so `from_json`,
-    then runs the closure check; `_trusted` serves spans that are closed
-    by construction.  The basis polynomials are a view of `coords`'
-    integer form, built on first read.
+    the subspaces.  There are two ways in, and both run one core on
+    integer rows over that list, `_span`, which eliminates them: the
+    public constructor, and so `from_json`, which then runs the closure
+    check, and `_trusted`, for spans that are closed by construction,
+    the extension's rows included.  The basis polynomials are a view of
+    `coords`' integer form, built on first read.
     """
 
     __slots__ = ("n", "monomial_list", "coords", "_position", "_basis")
@@ -80,19 +81,6 @@ class PolySubmodule(Value):
         out._span(n, tuple(monomial_list), rows)
         return out
 
-    @classmethod
-    def _reduced(cls, n: int, rows: dict[MultiIndex, Poly]) -> "PolySubmodule":
-        """The span of a reduced echelon form that is closed by
-        construction: rows[pi] monic at its leading monomial pi and zero
-        at every other pi.  The rows are its canonical basis, so nothing
-        is eliminated."""
-        leads = sorted(rows, key=grlex_key, reverse=True)
-        monomial_list, ints = _poly_rows([rows[pi] for pi in leads])
-        position = {alpha: c for c, alpha in enumerate(monomial_list)}
-        out = cls.__new__(cls)
-        out._store(n, monomial_list, Subspace._from_reduced(len(monomial_list), [position[pi] for pi in leads], ints))
-        return out
-
     def _span(self, n, monomial_list, rows) -> None:
         """The core: the span of the integer rows, row[c] being the
         coefficient at monomial_list[c], a descending list of monomials
@@ -100,11 +88,7 @@ class PolySubmodule(Value):
         elimination (none for rows None), then the constants check."""
         width = len(monomial_list)
         coords = Subspace._whole(width) if rows is None else Subspace._from_integer_rows(width, rows)
-        self._store(n, monomial_list, coords)
-
-    def _store(self, n, monomial_list, coords: Subspace) -> None:
-        n = _variable_count(n)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _variable_count(n))
         object.__setattr__(self, "monomial_list", monomial_list)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_position", {alpha: c for c, alpha in enumerate(monomial_list)})
@@ -324,7 +308,10 @@ class ModuleMap(Immutable):
         return self.images.apply(v)
 
     def image_poly(self, j: int) -> Poly:
-        """The image of source basis vector j as a polynomial (Poly targets)."""
+        """The image of source basis vector j, an integer, not a bool, in
+        0..source.dim - 1, as a polynomial (Poly targets)."""
+        if not 0 <= as_int(j) < self.source.dim:
+            raise IndexError(f"basis index {j} out of range 0..{self.source.dim - 1}")
         return _combinations(self.target, [[row[j] for row in self.images._ints]], self.images._den)[0]
 
     def image_polys(self) -> tuple[Poly, ...]:

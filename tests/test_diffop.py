@@ -1617,26 +1617,60 @@ def test_search_stops_one_degree_above_the_support():
 
 
 def test_extend_iso_builds_each_side_once_and_inverts_no_step(monkeypatch):
-    # Three steps build one source and one target span, on all the rows,
-    # and nothing is inverted: the check of the caller's map reads its
-    # rank.  The source is the echelon rows the steps hold, so only the
-    # target is eliminated.
+    # Three steps build one source and one target span, each on all the
+    # rows, and nothing is inverted: the check of the caller's map reads
+    # its rank.  Both sides are eliminated once, the source's rows only
+    # made primitive.
     sub = submodule_from_polys(2, [Poly(2, {(1, 0): 1, (0, 1): -2})])
     goal = MonomialSubmodule(2, lower_set_closure([(2, 0), (1, 1)]))
-    builds, reduced, inverses = [], [], []
-    real_trusted, real_reduced, real_inverse = PolySubmodule._trusted, PolySubmodule._reduced, QMatrix.inverse
+    builds, inverses = [], []
+    real_trusted, real_inverse = PolySubmodule._trusted, QMatrix.inverse
     monkeypatch.setattr(
         PolySubmodule, "_trusted", classmethod(lambda cls, *args: builds.append(len(args[2])) or real_trusted(*args))
-    )
-    monkeypatch.setattr(
-        PolySubmodule, "_reduced", classmethod(lambda cls, n, rows: reduced.append(len(rows)) or real_reduced(n, rows))
     )
     monkeypatch.setattr(QMatrix, "inverse", lambda self: inverses.append(self.rows) or real_inverse(self))
     extended = extend_iso(sub, sub, identity_map(sub), goal)
     steps = extended.source.dim - sub.dim
     assert steps == 3
-    assert reduced == builds == [sub.dim + steps]
+    assert builds == [sub.dim + steps] * 2
     assert inverses == []
+
+
+def test_every_extended_span_comes_from_the_span_core(monkeypatch):
+    spans = []
+    real = PolySubmodule._span
+    monkeypatch.setattr(PolySubmodule, "_span", lambda self, *args: spans.append(self) or real(self, *args))
+    rng = random.Random(44)
+    for n in (1, 2, 3):
+        for phi in seeded_isomorphisms(rng, n):
+            src, tgt = phi.source, phi.target
+            goal = MonomialSubmodule(n, monomials_up_to_degree(n, sum(src.monomial_list[0]) + 1))
+            extended = extend_iso(src, tgt, phi, goal)
+            step_source, step_target, _ = extend_iso_step(src, tgt, phi)
+            for out in (extended.source, extended.target, step_source, step_target):
+                assert any(out is built for built in spans)
+
+
+def test_extension_refuses_a_source_short_of_its_rows(monkeypatch):
+    # The new source spans one dimension per echelon row; a build that
+    # loses a row is refused before the map's shape can disagree.
+    sub = submodule_from_polys(2, [Poly(2, {(1, 0): 1, (0, 1): -2})])
+    goal = MonomialSubmodule(2, lower_set_closure([(2, 0), (1, 1)]))
+    phi = identity_map(sub)
+    real = PolySubmodule._trusted
+    for call in (lambda: extend_iso(sub, sub, phi, goal), lambda: extend_iso_step(sub, sub, phi)):
+        calls = []
+
+        def short(cls, n, monomial_list, rows):
+            # The source is built first; its first row is not the constant.
+            calls.append(rows)
+            return real(n, monomial_list, rows[1:] if len(calls) == 1 else rows)
+
+        monkeypatch.setattr(PolySubmodule, "_trusted", classmethod(short))
+        with pytest.raises(AssertionError, match="^one source dimension per row$"):
+            call()
+        monkeypatch.setattr(PolySubmodule, "_trusted", real)
+        assert len(calls) == 1 and any(calls[0][0][:-1])
 
 
 def test_extend_iso_checks_the_callers_map_once(monkeypatch):

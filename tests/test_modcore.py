@@ -693,22 +693,18 @@ def stored(build):
 
 def recorded_products(monkeypatch, run):
     """(n, basis) of every span the library builds through the trusted
-    constructors, `_trusted` and `_reduced`, while run runs."""
+    constructor, `_trusted`, while run runs."""
     seen = []
-    reals = {name: getattr(PolySubmodule, name) for name in ("_trusted", "_reduced")}
+    real = PolySubmodule._trusted
 
-    def recording(real):
-        def record(cls, *args):
-            out = real(*args)
-            seen.append((out.n, list(out.basis)))
-            return out
-        return classmethod(record)
+    def record(cls, *args):
+        out = real(*args)
+        seen.append((out.n, list(out.basis)))
+        return out
 
-    for name, real in reals.items():
-        monkeypatch.setattr(PolySubmodule, name, recording(real))
+    monkeypatch.setattr(PolySubmodule, "_trusted", classmethod(record))
     run()
-    for name, real in reals.items():
-        monkeypatch.setattr(PolySubmodule, name, real)
+    monkeypatch.setattr(PolySubmodule, "_trusted", real)
     return seen
 
 
@@ -954,6 +950,21 @@ def test_module_map_between_poly_submodules():
     # basis is [x1, 1], so basis vector 0 maps to 3*x1
     assert scale.image_poly(0) == Poly.variable(1, 1).scale(3)
     assert scale.image_poly(1) == Poly.constant(1, 3)
+
+
+def test_image_poly_reads_one_basis_index():
+    rng = random.Random(44)
+    sub = submodule_from_polys(2, [Poly(2, {(2, 1): 1, (0, 2): 3, (1, 0): -1})])
+    d = sub.dim
+    entries = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)] for _ in range(d)]
+    phi = ModuleMap(sub, sub, QMatrix(entries))
+    assert tuple(phi.image_poly(j) for j in range(d)) == phi.image_polys()
+    for j in (-1, d):
+        with pytest.raises(IndexError, match=rf"^basis index {j} out of range 0\.\.{d - 1}$"):
+            phi.image_poly(j)
+    for j in (True, 1.0):
+        with pytest.raises(ValueError, match=rf"^expected an integer, got {j!r}$"):
+            phi.image_poly(j)
 
 
 # --- random generator ------------------------------------------------------------
