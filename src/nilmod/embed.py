@@ -14,10 +14,11 @@ satisfies d/dx_i phi(v) = phi(S_i v).  It is injective because every
 nonzero submodule contains the socle line.  Its image is the set of
 polynomials killed by every operator f(d/dx) with f(S) = 0, which does
 not depend on lambda.  The row vectors lambda S^alpha come from one
-breadth-first pass over the exponents alpha, `modcore`'s inverse-system
-pass, so nothing is restricted, inverted or integrated, and they stay
-primitive integer rows, with weights, up to the image's elimination, when
-it needs one, which takes them over the lcm of their weights.
+pass over the exponents alpha, `modcore`'s inverse-system pass, which
+reaches each alpha once, from alpha minus its last variable.  So nothing
+is restricted, inverted or integrated, and they stay primitive integer
+rows, with weights, up to the image's elimination, when it needs one,
+which takes them over the lcm of their weights.
 
 Lambda is nonzero on the vector w of `modcore`'s socle walk: from e_1,
 apply S_1 until the result vanishes, then S_2, and so on, each vector's

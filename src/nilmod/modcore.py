@@ -17,7 +17,6 @@ certify it: on a nilpotent module both vanish past |alpha| = dim - 1.
 from __future__ import annotations
 
 import random
-from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -180,49 +179,41 @@ def _inverse_system(module: FDModule, lam: Sequence[int]) -> Optional[tuple]:
     from lam over scale 1.  It returns the alpha with lam S^alpha nonzero,
     in descending order, primitive integer rows and their weights:
     lam S^alpha = row / scale, the weight is scale alpha!, and
-    coefficient j of x^alpha is row[j] / weight.  Breadth-first over
-    alpha, lam S^(alpha + e_i) = (row M_i) / (scale D), with the common
-    factor of the new row and scale divided out, so the rows carry no
-    power of D that lam S^alpha does not need.
-    The action commutes, so one row per alpha suffices; a zero row has
-    only zero successors and is not extended.  A nonzero row at |alpha| = d
-    returns None: commuting nilpotent d x d matrices kill every product of
-    d of them, so the module is not nilpotent.  So does a pass past
-    4 d (floor(log2 d) + 1) row products on a module that `is_nilpotent`
+    coefficient j of x^alpha is row[j] / weight.  lam S^(alpha + e_i) is
+    (row M_i) / (scale D), its common factor with the scale divided out, so
+    no row carries a power of D that lam S^alpha does not need.  The action
+    commutes, so each alpha is reached once, from alpha minus its last
+    variable: alpha is extended by the i from its last nonzero entry on, and
+    a zero row, whose successors are zero, is dropped.  A nonzero row at
+    |alpha| = d returns None: commuting nilpotent d x d matrices kill every
+    product of d of them, so the module is not nilpotent.  So does a pass
+    past 4 d (floor(log2 d) + 1) row products on a module that `is_nilpotent`
     refuses, checked once.  Each block is prepared once, by `_row_form`.
     """
     d, den = len(lam), module._den
     forms = [_row_form(m, d) for m in module._blocks]
     zero = (0,) * module.n
-    rows: dict[tuple[int, ...], list[int]] = {zero: list(lam)}
-    scale = {zero: 1}
+    found: dict[tuple[int, ...], tuple[list[int], int]] = {zero: (list(lam), 1)}
     budget, products = 4 * d * d.bit_length(), 0
-    queue = deque([zero])
-    while queue:
-        alpha = queue.popleft()
-        row = rows[alpha]
-        capped = sum(alpha) + 1 == d
-        for i, form in enumerate(forms):
-            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-            if beta in rows:
-                continue
-            new = _row_product(row, form)
+    work = [(zero, 0)]
+    for alpha, last in work:
+        row, scale = found[alpha]
+        for i in range(last, module.n):
+            new = _row_product(row, forms[i])
             products += 1
             if products == budget + 1 and not is_nilpotent(module):
                 return None
             if not any(new):
-                rows[beta] = new
                 continue
-            if capped:
+            if sum(alpha) + 1 == d:
                 return None
-            s = scale[alpha] * den
+            s = scale * den
             g = gcd(s, *new)
-            rows[beta] = [x // g for x in new] if g > 1 else new
-            scale[beta] = s // g
-            queue.append(beta)
-    monomials = sorted(scale, key=grlex_key, reverse=True)
-    weights = [scale[a] * multi_factorial(a) for a in monomials]
-    return monomials, [rows[a] for a in monomials], weights
+            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+            found[beta] = ([x // g for x in new] if g > 1 else new, s // g)
+            work.append((beta, i))
+    monomials = sorted(found, key=grlex_key, reverse=True)
+    return monomials, [found[a][0] for a in monomials], [found[a][1] * multi_factorial(a) for a in monomials]
 
 
 def _socle_walk(module: FDModule) -> Optional[tuple[list[int], int]]:

@@ -43,7 +43,7 @@ def monomials_of_degree(n: int, degree: int) -> Iterator[MultiIndex]:
     in descending lex order (none for a negative degree).  Each follows
     from the last in one step: the last entry, plus one unit from the
     rightmost other nonzero entry, moves to the entry after that one."""
-    n = _variable_count(n)
+    n, degree = _variable_count(n), as_int(degree)
     if degree < 0:
         return
     alpha = [degree] + [0] * (n - 1)
@@ -58,6 +58,7 @@ def monomials_of_degree(n: int, degree: int) -> Iterator[MultiIndex]:
 
 
 def monomials_up_to_degree(n: int, bound: int) -> Iterator[MultiIndex]:
+    n, bound = _variable_count(n), as_int(bound)
     for d in range(bound + 1):
         yield from monomials_of_degree(n, d)
 
@@ -307,7 +308,7 @@ def potential(fs: Sequence[Poly], n: int) -> Poly:
     involves one of x_1..x_k — in particular the constant term is zero —
     which pins down the one representative of the solution class.
     """
-    k = len(fs)
+    n, k = _variable_count(n), len(fs)
     if k > n:
         raise ValueError("more prescribed derivatives than variables")
     _same_count(n, *fs)

@@ -47,7 +47,6 @@ from .multipoly import (
     Poly,
     _same_count,
     _variable_count,
-    lower_set_closure,
     monomials_up_to_degree,
 )
 
@@ -198,23 +197,21 @@ def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
 
     That is K[d] g_1 + ... + K[d] g_k + K: it is spanned by 1 and every
     d^beta g with beta in the lower-set closure of g's support, and every
-    other d^beta g is zero.  Each d^beta g is one partial derivative of a
-    d^beta' g of lower degree, taken in ascending degree.  The span is
-    closed by construction: d_i d^beta g is d^(beta + e_i) g or 0.  At
-    n = 1 those of a g of degree t have degrees t, ..., 0: the span is all
-    of degree at most the top one, written down with no elimination.
+    other d^beta g is zero.  Each d^beta g is reached once, as d_i of its
+    parent d^(beta - e_i) g, i the last variable in beta; a zero one is
+    dropped.  The span is closed by construction: d_i d^beta g is
+    d^(beta + e_i) g or 0.  At n = 1 those of a g of degree t have degrees
+    t, ..., 0: the span is all of degree at most the top one, written down
+    with no elimination.
     """
-    members = [Poly.one(n)]
+    n = _variable_count(n)
     _same_count(n, *gens)
     if n == 1:
         return _degree_span(max((alpha[0] for g in gens for alpha in g._nums), default=0))
-    for g in gens:
-        derived = {(0,) * n: g}
-        for beta in sorted(lower_set_closure(g.monomials()), key=sum)[1:]:
-            i = next(k for k, b in enumerate(beta) if b)
-            derived[beta] = derived[beta[:i] + (beta[i] - 1,) + beta[i + 1 :]].partial(i + 1)
-        members += derived.values()
-    return PolySubmodule._trusted(n, *_poly_rows(members))
+    work = [(g, 0) for g in gens]
+    for p, last in work:
+        work += [(derived, i) for i in range(last, n) if (derived := p.partial(i + 1))]
+    return PolySubmodule._trusted(n, *_poly_rows([Poly.one(n)] + [p for p, _ in work]))
 
 
 def _degree_span(top: int) -> PolySubmodule:

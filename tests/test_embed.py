@@ -1083,6 +1083,46 @@ def test_non_nilpotent_line_kernel_stops_at_the_budget(monkeypatch):
     assert passes == [pass_budget(22) + 1]
 
 
+def last_variable(alpha):
+    """The index of alpha's last nonzero entry, 0 at the origin."""
+    return max((i for i, a in enumerate(alpha) if a), default=0)
+
+
+def counted_pass(monkeypatch, module):
+    """The pass with the default lambda, and the row products it made."""
+    import nilmod.modcore
+
+    w, _ = _socle_walk(module)
+    products, product = [], nilmod.modcore._row_product
+    monkeypatch.setattr(nilmod.modcore, "_row_product", lambda r, f: products.append(1) or product(r, f))
+    result = _inverse_system(module, _functional(w, None))
+    monkeypatch.undo()
+    return result, len(products)
+
+
+def test_the_pass_reaches_each_exponent_once(monkeypatch):
+    # alpha is extended only by the variables i >= last(alpha), so each
+    # exponent comes from its one parent, alpha minus its last variable,
+    # and the pass makes sum(n - last(alpha)) row products over the alpha
+    # it returns.  A breadth-first pass with a visited set makes one per
+    # distinct successor alpha + e_i, which is never fewer.
+    for module in success_table():
+        (monomials, _, _), products = counted_pass(monkeypatch, module)
+        n = module.n
+        successors = {a[:i] + (a[i] + 1,) + a[i + 1 :] for a in monomials for i in range(n)}
+        assert products == sum(n - last_variable(a) for a in monomials) <= len(successors)
+    # K[d](x_1^2 + x_2^2) has dimension 4 and its pass 5 monomials: 1, x_1,
+    # x_2, x_1^2 and x_2^2.  Their 9 successors cost 8 products, for
+    # x_1 x_2 is reached from x_1 alone.
+    plain, _ = as_matrices(submodule_from_polys(2, [Poly(2, {(2, 0): 1, (0, 2): 1})]))
+    assert plain.dim == 4
+    rng = random.Random(45)
+    for module in [plain] + [conjugate(plain, random_invertible(rng, 4)) for _ in range(2)]:
+        (monomials, _, _), products = counted_pass(monkeypatch, module)
+        assert sorted(monomials) == [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]
+        assert products == 8
+
+
 def reference_embed_nilpotent(module, rng=None):
     """The embedding with nilpotency decided first by squaring, then the
     socle line, then the inverse-system pass."""

@@ -32,6 +32,7 @@ import pytest
 
 from nilmod.diffop import (
     AutDescriptor,
+    AutGroup,
     DiffOpSeries,
     MonomialSubmodule,
     extend_iso,
@@ -41,10 +42,12 @@ from nilmod.diffop import (
     restriction_kernel_dim,
 )
 from nilmod.embed import brute_force_isomorphic, is_isomorphic
-from nilmod.exactalg import QMatrix, Subspace
+from nilmod.errors import IncompatibleMap
+from nilmod.exactalg import QMatrix, Subspace, as_fraction
 from nilmod.modcore import FDModule
 from nilmod.multipoly import Poly, monomials_of_degree, monomials_up_to_degree, potential, truncated_product
 from nilmod.polysub import (
+    ExpSubmodule,
     ModuleMap,
     PolySubmodule,
     random_nilpotent_module,
@@ -287,6 +290,7 @@ COUNT_ENTRIES = {
     "Poly.from_json": lambda n: Poly.from_json([], n),
     "monomials_of_degree": lambda n: list(monomials_of_degree(n, 1)),
     "monomials_up_to_degree": lambda n: list(monomials_up_to_degree(n, 1)),
+    "potential": lambda n: potential([], n),
     "FDModule": lambda n: FDModule(n, [ZERO]),
     "FDModule.from_json": lambda n: FDModule.from_json({"n": n, "matrices": [[["0"]]]}),
     "PolySubmodule": lambda n: PolySubmodule(n, []),
@@ -429,6 +433,26 @@ def test_every_truncation_entry_accepts_a_degree(entry):
     TRUNCATION_ENTRIES[entry](1)
 
 
+# Enumerators that read a total degree: an integer, and none below 0.
+DEGREE_ENTRIES = {
+    "monomials_of_degree": lambda d: list(monomials_of_degree(2, d)),
+    "monomials_up_to_degree": lambda d: list(monomials_up_to_degree(2, d)),
+}
+
+
+@pytest.mark.parametrize("d", [True, 2.0, -1], ids=["bool", "float", "negative"])
+@pytest.mark.parametrize("entry", sorted(DEGREE_ENTRIES))
+def test_every_enumerator_reads_an_integer_degree(entry, d):
+    # True was read as 1 (monomials_of_degree yielded (True, 0)), and 2.0
+    # gave float exponents or Python's own TypeError.
+    if d == -1:
+        assert DEGREE_ENTRIES[entry](d) == []
+        return
+    with pytest.raises(ValueError) as caught:
+        DEGREE_ENTRIES[entry](d)
+    assert str(caught.value) == f"expected an integer, got {d!r}"
+
+
 # Entries that read a dimension d.
 DIMENSION_ENTRIES = {
     "Subspace": lambda d: Subspace(d, []),
@@ -555,3 +579,73 @@ def test_the_rules_keep_accepting_plain_input():
     assert DiffOpSeries.derivative(2, 3, 2) == DiffOpSeries(2, 3, {(0, 1): 1})
     assert DiffOpSeries.identity(2, 3) == DiffOpSeries(2, 3, {(0, 0): Fraction(1)})
     assert AutDescriptor(2, {(1, 0): 1}).additive == {(1, 0): 1}
+
+
+# --- refusals and edge answers that no other test reaches -------------------
+
+def _x1_span():
+    """K[d] x_1 in two variables: 1 and x_1, dimension 2."""
+    return submodule_from_polys(2, [Poly.variable(2, 1)])
+
+
+EDGE_CASES = {
+    "as_fraction-bool": (lambda: as_fraction(True), ValueError("expected an exact rational, got the boolean True")),
+    "QMatrix.apply-length": (
+        lambda: QMatrix([[1, 2]]).apply([1]),
+        ValueError("vector length differs from column count"),
+    ),
+    "QMatrix.__add__-shape": (lambda: QMatrix([[1]]) + QMatrix([[1, 2]]), ValueError("shape mismatch")),
+    "QMatrix.det-non-square": (lambda: QMatrix([[1, 2]]).det(), ValueError("determinant of a non-square matrix")),
+    "Subspace.coordinates_of-length": (
+        lambda: Subspace(2, [[1, 0]]).coordinates_of([1]),
+        ValueError("vector length differs from ambient dimension"),
+    ),
+    "PolySubmodule.from_coordinates-length": (
+        lambda: _x1_span().from_coordinates([1]),
+        ValueError("coordinate length differs from dimension"),
+    ),
+    "ExpSubmodule-eigenvalue-count": (
+        lambda: ExpSubmodule([1, 2], _span(1)),
+        ValueError("eigenvalue count differs from the variable count"),
+    ),
+    "ModuleMap-shape": (
+        lambda: ModuleMap(_x1_span(), _x1_span(), QMatrix([[1]])),
+        ValueError("image matrix shape disagrees with the modules"),
+    ),
+    "ModuleMap.is_intertwining-counts": (
+        lambda: ModuleMap(FDModule(1, [ZERO]), FDModule(2, [ZERO, ZERO]), QMatrix([[1]])).is_intertwining(),
+        False,
+    ),
+    "extend_iso-endpoints": (
+        lambda: extend_iso(_x1_span(), _x1_span(), _identity_map(2), MonomialSubmodule(2, [(0, 0)])),
+        IncompatibleMap("map endpoints disagree with the given submodules"),
+    ),
+    "AutDescriptor-origin": (
+        lambda: AutDescriptor(1, {(0, 0): 1}),
+        ValueError("the origin is not an additive coordinate"),
+    ),
+    "AutGroup.descriptor_of-size": (
+        lambda: AutGroup(MonomialSubmodule(2, [(0, 0), (1, 0)])).descriptor_of(QMatrix([[1]])),
+        ValueError("matrix size disagrees with the submodule"),
+    ),
+    "brute_force_isomorphic-dim-0": (
+        lambda: brute_force_isomorphic(FDModule(1, [QMatrix([], cols=0)]), FDModule(1, [QMatrix([], cols=0)])),
+        True,
+    ),
+    "brute_force_isomorphic-no-intertwiner": (
+        lambda: brute_force_isomorphic(FDModule(1, [ZERO]), FDModule(1, [QMatrix([[1]])])),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_each_edge_case_gives_its_one_answer(case):
+    # An expected exception names the error kind and its exact message.
+    build, expected = EDGE_CASES[case]
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as caught:
+            build()
+        assert type(caught.value) is type(expected) and str(caught.value) == str(expected)
+    else:
+        assert build() is expected
