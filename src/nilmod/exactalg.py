@@ -8,7 +8,10 @@ least common denominator of its entries, and every kernel reads that
 form instead of converting at each call, so no gcd is paid per multiply
 or add.  One kernel, `_matmul`, makes every product of integer matrices, the
 polynomial side's products with a canonical basis included: by rows of
-a sparse right factor, by columns of a dense one.  Elimination is
+a sparse right factor, by columns of a dense one narrower than 16, and
+by Kronecker substitution from width 16 on, each row of the factor one
+integer with w-bit digits and each row product one sum of them, read
+back digit by digit.  Elimination is
 fraction-free (Gauss-Jordan, each row kept primitive; Bareiss for
 determinants).  A subspace stores only its elimination's integer form:
 the pivots, the common denominator and the integer columns of the
@@ -30,7 +33,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import mul
+from itertools import repeat
+from operator import add, lshift, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionTooLarge
@@ -187,24 +191,73 @@ def _columns(rows: Sequence[Sequence[int]], width: int) -> tuple[tuple[int, ...]
 
 
 _SPARSE_SHARE = Fraction(1, 4)  # largest nonzero share of a sparse matrix; crossover ~0.7-1
+# Narrowest dense matrix whose products are packed.  Per product, packed over dot products was 0.37 at width 16,
+# 0.48 at 12 and 0.81 at 8 (56-bit entries), 0.62 at 16 and 0.84 at 12 (4-bit); a pack costs 1.2-3 dot rows,
+# which below 16 a form with few products does not win back.
+_PACKED_WIDTH = 16
+# Largest row entry, in bits, whose product is packed.  A digit pads each entry of M to w bits, so the
+# multiplications grow with the row's entries: packed over dot products, with 32- to 448-bit entries of M, was
+# mostly 0.4-0.75 at 128-bit row entries, 0.70-0.90 at 192 and 0.54-1.08 at 256 (widths 20 and 80).
+_PACKED_BITS = 192
+
+
+class _Packs(dict):
+    """A dense matrix M of width at least `_PACKED_WIDTH`, for `_row_product`: its columns and, for each
+    digit width w that products ask for, a multiple of 64, the integers P_k = sum_j M[k][j] 2^(w j), one
+    per row, and the bias sum_j 2^(w j + w - 1), kept as long as the form.  A pack costs 1.2-3 dot-product
+    rows, so the first product that asks for a w takes dot products and the second builds its pack."""
+
+    __slots__ = ("columns", "bits")
+
+    def __init__(self, rows: Sequence[Sequence[int]], width: int):
+        self.columns = _columns(rows, width)
+        self.bits = max(max(max(r), -min(r)) for r in rows).bit_length() + len(rows).bit_length() + 1
+
+    def product(self, row: Sequence[int]) -> list[int]:
+        """row M as one sum of row[k] P_k (Kronecker substitution), or by dot products for a row with an
+        entry past `_PACKED_BITS`.  With k rows, every |(row M)_j| <= k |row| |M| < 2^(w - 1), so after the
+        bias each w-bit digit is (row M)_j + 2^(w - 1), read back from its bytes."""
+        top = max(max(row), -min(row)).bit_length()
+        w = -(-(top + self.bits) // 64) * 64
+        if top > _PACKED_BITS or w not in self:
+            if top <= _PACKED_BITS:
+                self[w] = None  # asked once: the next product at w packs M
+            return [sum(map(mul, row, col)) for col in self.columns]
+        packs, bias = self[w] or self._pack(w)
+        step, half = w // 8, 1 << w - 1
+        data = (sum(map(mul, row, packs)) + bias).to_bytes(len(self.columns) * step, "little")
+        return [int.from_bytes(data[i : i + step], "little") - half for i in range(0, len(data), step)]
+
+    def _pack(self, w: int) -> tuple[list[int], int]:
+        """The P_k and the bias for digit width w, kept.  The P_k are built by halves, adjacent columns
+        joined, then adjacent pairs, and so on, so that no entry is shifted past its half: at width 80 a
+        shift and sum per entry took 3.2-4.6 dot-product rows."""
+        level, span = list(self.columns), w
+        while len(level) > 1:
+            if len(level) % 2:
+                level.append((0,) * len(level[0]))
+            level = [list(map(add, lo, map(lshift, hi, repeat(span)))) for lo, hi in zip(level[::2], level[1::2])]
+            span *= 2
+        self[w] = pack = level[0], sum(1 << s for s in range(w - 1, w * len(self.columns), w))
+        return pack
 
 
 def _row_form(rows: Sequence[Sequence[int]], width: int) -> tuple:
     """The matrix M with these rows, of length width, for `_row_product`: (width, its rows as (column,
     entry) pairs) if at most `_SPARSE_SHARE` of its entries are nonzero, as in a canonical basis, else
-    (None, its columns): on dense conjugates, combining rows was no faster than the dot products."""
+    (None, its columns) below width `_PACKED_WIDTH`, where dot products win, and (None, its `_Packs`) from it on."""
     nonzero = sum(width - r.count(0) for r in rows)
     if nonzero * _SPARSE_SHARE.denominator > _SPARSE_SHARE.numerator * len(rows) * width:
-        return None, _columns(rows, width)
+        return None, _columns(rows, width) if width < _PACKED_WIDTH else _Packs(rows, width)
     return width, [[(j, x) for j, x in enumerate(r) if x] for r in rows]
 
 
 def _row_product(row: Sequence[int], form: tuple) -> list[int]:
-    """row M for the form of M from `_row_form`: a combination of M's rows at
-    row's nonzero entries (Gustavson's row-by-row product), or one dot product per column."""
+    """row M for the form of M from `_row_form`: a combination of M's rows at row's nonzero entries
+    (Gustavson's row-by-row product), one dot product per column, or one packed sum."""
     width, parts = form
     if width is None:
-        return [sum(map(mul, row, col)) for col in parts]
+        return [sum(map(mul, row, col)) for col in parts] if type(parts) is tuple else parts.product(row)
     new = [0] * width
     for x, pairs in zip(row, parts):
         for j, y in pairs if x else ():

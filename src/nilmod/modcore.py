@@ -9,7 +9,8 @@ polynomial.  The submodules of the polynomials, and the maps and
 generators that join the two kinds of module, are `polysub`'s.
 
 Squaring decides nilpotency, by `exactalg`'s one integer product, which
-reads plain blocks by rows.  The exact socle walk, M^alpha e_1, and the
+reads plain blocks by rows and packs dense ones of width 16 and up into
+one integer per row.  The exact socle walk, M^alpha e_1, and the
 inverse-system pass, the rows lambda S^alpha of the embedding's map,
 certify it: on a nilpotent module both vanish past |alpha| = dim - 1.
 """

@@ -10,7 +10,9 @@ its monomials: an elimination and a pivot at the origin.  The closure
 pass, where d_i shifts columns, checks outside input once, in the
 public constructor; the library's own spans are closed by construction.
 Every product with the integer basis B, the closure check's and the
-image polynomials', runs through the one integer product, `_matmul`.
+image polynomials', runs through the one integer product, `_matmul`;
+one member, from `from_coordinates` or `image_poly`, takes dot products
+with B's stored columns instead.
 
 This layer also holds what joins the two kinds of module: the
 exponentially weighted copies that `embed_general` lands in, maps
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import random
 from math import comb
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionTooLarge
@@ -68,6 +71,7 @@ class PolySubmodule(Value):
     __slots__ = ("n", "monomial_list", "coords", "_position", "_basis")
 
     def __init__(self, n: int, polys: Sequence[Poly]):
+        polys = tuple(polys)
         _same_count(n, *polys)
         self._span(n, *_poly_rows(polys))
         self._closure_pass()
@@ -204,7 +208,7 @@ def submodule_from_polys(n: int, gens: Sequence[Poly]) -> PolySubmodule:
     t, ..., 0: the span is all of degree at most the top one, written down
     with no elimination.
     """
-    n = _variable_count(n)
+    n, gens = _variable_count(n), tuple(gens)
     _same_count(n, *gens)
     if n == 1:
         return _degree_span(max((alpha[0] for g in gens for alpha in g._nums), default=0))
@@ -320,13 +324,18 @@ class ModuleMap(Immutable):
 def _combinations(target: ModuleLike, nums: Sequence[Sequence[int]], den: int) -> tuple[Poly, ...]:
     """The members of a polynomial target, or of an exponential one's
     polynomial part, with the integer coordinates nums[k] over den > 0, as
-    N B over D E: one product of the rows of N with B's rows."""
+    N B over D E: one product of the rows of N with B's rows, or for one
+    row, which would pay for B's row form alone, one dot product with each
+    of B's stored columns."""
     if isinstance(target, ExpSubmodule):
         target = target.part
     if not isinstance(target, PolySubmodule):
         raise TypeError("target does not have a polynomial basis")
     monomial_list, coords = target.monomial_list, target.coords
-    rows = _matmul(nums, list(zip(*coords._columns)), len(monomial_list))
+    if len(nums) == 1:
+        rows = [[sum(map(mul, nums[0], column)) for column in coords._columns]]
+    else:
+        rows = _matmul(nums, list(zip(*coords._columns)), len(monomial_list))
     return tuple(Poly._trusted(target.n, dict(zip(monomial_list, row)), den * coords._den) for row in rows)
 
 

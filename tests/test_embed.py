@@ -501,6 +501,34 @@ def test_sparse_and_dense_row_products_agree_on_planted_closures():
             assert sparse[0] is not None and sparse[1] == planted
 
 
+def test_the_three_row_forms_agree_on_planted_closures():
+    # Every block sparse; every block dense on its columns' dot products;
+    # every block dense and packed, whatever its width.
+    import nilmod.exactalg as exactalg
+
+    forms = [(1, exactalg._PACKED_WIDTH), (-1, 10**9), (-1, 1)]
+    real, packed = exactalg._Packs.product, []
+
+    def product(packs, row):
+        packed.append(any(isinstance(pack, tuple) for pack in packs.values()))
+        return real(packs, row)
+
+    rng = random.Random(9)
+    for planted, plain in planted_closures():
+        for module in (plain, conjugate(plain, random_invertible(rng, plain.dim))):
+            lam = [rng.randint(-4, 4) for _ in range(module.dim)]
+            outs = []
+            for share, width in forms:
+                with mock.patch.object(exactalg, "_SPARSE_SHARE", share), \
+                        mock.patch.object(exactalg, "_PACKED_WIDTH", width), \
+                        mock.patch.object(exactalg._Packs, "product", product):
+                    outs.append((_inverse_system(module, lam), _socle_walk(module), is_nilpotent(module),
+                                 canonical_form(module)))
+            assert outs[0] == outs[1] == outs[2]
+            assert outs[0][3] == planted
+    assert any(packed)
+
+
 def test_plain_blocks_are_sparse_and_dense_conjugates_dense():
     rng = random.Random(8)
     for _, plain in planted_closures():

@@ -967,6 +967,38 @@ def test_image_poly_reads_one_basis_index():
             phi.image_poly(j)
 
 
+def test_one_image_poly_is_its_column_of_the_packed_product():
+    # image_polys() multiplies by the rows of the basis B, over 36
+    # monomials, in one product, and image_poly(j) and from_coordinates take
+    # dot products with B's stored columns.  A canonical basis of a closure
+    # is about a tenth nonzero, so the share is patched to give B's rows
+    # the dense form, which is packed at this width.
+    rng = random.Random(46)
+    terms = {a: rng.choice([-3, -2, -1, 1, 2, 3]) for a in monomials_up_to_degree(2, 7)}
+    sub = submodule_from_polys(2, [Poly(2, terms)])
+    d, width = sub.dim, len(sub.monomial_list)
+    assert d >= 16
+    entries = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)] for _ in range(d)]
+    phi = ModuleMap(sub, sub, QMatrix(entries))
+    with mock.patch.object(exactalg, "_SPARSE_SHARE", -1):
+        assert isinstance(exactalg._row_form(list(zip(*sub.coords._columns)), width)[1], exactalg._Packs)
+        images = phi.image_polys()
+        assert [phi.image_poly(j) for j in range(d)] == list(images)
+        assert [sub.from_coordinates(column) for column in zip(*entries)] == list(images)
+    assert images == phi.image_polys()
+    assert images[-1] == reference_from_coordinates(sub, [row[-1] for row in entries])
+
+
+def test_the_constructors_read_an_iterator_as_its_list():
+    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    assert submodule_from_polys(2, iter([x1 * x2])) == submodule_from_polys(2, [x1 * x2])
+    assert submodule_from_polys(2, iter([x1 * x2])).dim == 4
+    y = Poly.variable(1, 1)
+    assert submodule_from_polys(1, iter([y * y * y])) == submodule_from_polys(1, [y * y * y])
+    assert submodule_from_polys(1, iter([y * y * y])).dim == 4
+    assert PolySubmodule(2, iter([Poly.one(2), x1])) == PolySubmodule(2, [Poly.one(2), x1])
+
+
 # --- random generator ------------------------------------------------------------
 
 def test_random_module_deterministic_per_seed():

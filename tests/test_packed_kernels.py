@@ -1,4 +1,13 @@
-"""Property tests of the series kernels that run on packed exponent keys.
+"""Property tests of the kernels that run on packed integers.
+
+The integer row product, `exactalg._row_product`, packs a dense matrix of
+width 16 and up into one integer per row, with w-bit digits, and reads
+row M back from the digits of one sum.  It is compared here with the
+column dot products on blocks of widths 16-40 with zero rows, single
+nonzeros and entries of mixed sizes, some past `_PACKED_BITS`, and on
+entries at the digit bound, where a digit one bit narrower would carry.
+
+The series kernels run on packed exponent keys.
 
 `truncated_product` (with `Poly.__mul__` and `DiffOpSeries.compose`),
 `_graded_solve` (with `series_exp`, `series_log` and a `within` lower
@@ -11,11 +20,15 @@ variables the keys pass 64 bits.  Examples are derandomized and their
 number is fixed, so the suite is deterministic.
 """
 
+import random
 from fractions import Fraction
 from math import comb
-from operator import add, sub
+from operator import add, mul, sub
+from unittest import mock
 
 import pytest
+
+import nilmod.exactalg as exactalg
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -113,6 +126,70 @@ def ref_log(e, n, trunc):
         for a, c in power.items():
             out[a] = out.get(a, 0) + c * Fraction((-1) ** (k + 1), k)
     return nonzero(out)
+
+
+# --- the packed row product ----------------------------------------------------------
+
+def column_products(left, block):
+    return [[sum(map(mul, row, col)) for col in zip(*block)] for row in left]
+
+
+def packed_products(left, block, width):
+    """Each row of left times block through one dense row form of width >= 16, twice: the first
+    product at a digit width takes the dot products and builds no pack, the second runs on the pack."""
+    with mock.patch.object(exactalg, "_SPARSE_SHARE", -1):
+        form = exactalg._row_form(block, width)
+    assert form[0] is None and isinstance(form[1], exactalg._Packs)
+    products = [exactalg._row_product(row, form) for row in left * 2]
+    return products[: len(left)], products[len(left) :], form[1]
+
+
+@st.composite
+def integer_rows(draw, count, length):
+    """count rows of length entries: zero rows, rows with one nonzero entry
+    and dense rows, each nonzero row of its own size, up to 260 bits, with
+    its entries drawn from a seeded rng."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = []
+    for _ in range(count):
+        kind, bits = draw(st.sampled_from(("zero", "single", "dense", "dense"))), draw(st.integers(0, 260))
+        row = [0] * length
+        if kind == "single":
+            row[rng.randrange(length)] = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+        elif kind == "dense":
+            row = [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_packed_row_products_match_the_column_products(data):
+    k, width = data.draw(st.integers(1, 40)), data.draw(st.integers(16, 40))
+    block = data.draw(integer_rows(k, width))
+    left = data.draw(integer_rows(data.draw(st.integers(1, 4)), k))
+    first, second, packs = packed_products(left, block, width)
+    assert first == second == column_products(left, block)
+    # Each row asks twice, so its digit width is packed unless an entry
+    # passes _PACKED_BITS.
+    within = [max(map(abs, row)).bit_length() <= exactalg._PACKED_BITS for row in left]
+    assert any(isinstance(pack, tuple) for pack in packs.values()) == any(within)
+
+
+@pytest.mark.parametrize("k,b,c", [(31, 29, 30), (31, 61, 62), (31, 100, 87), (15, 30, 30), (15, 3, 121)])
+@pytest.mark.parametrize("sign", (1, -1))
+def test_packed_digits_at_their_bound(k, b, c, sign):
+    # Rows of 2^b - 1 against a block of -(2^c - 1) (or +): every entry of
+    # the product is -k (2^b - 1)(2^c - 1), at least 2^(b + c + bits(k) - 1)
+    # in size.  b + c + bits(k) is a multiple of 64, so digits of that many
+    # bits, one short of the bound, would carry: the pack takes 64 more.
+    width, narrow = 16, b + c + k.bit_length()
+    assert narrow % 64 == 0
+    block = [[sign * -(2**c - 1)] * width for _ in range(k)]
+    left = [[2**b - 1] * k, [0] * k, [2**b - 1] + [0] * (k - 1)]
+    first, second, packs = packed_products(left, block, width)
+    assert first == second == column_products(left, block)
+    assert isinstance(packs[narrow + 64], tuple) and abs(first[0][0]) >= 2 ** (narrow - 1)
 
 
 # --- the keys ---------------------------------------------------------------------
