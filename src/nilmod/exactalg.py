@@ -204,26 +204,26 @@ _PACKED_BITS = 192
 class _Packs(dict):
     """A dense matrix M of width at least `_PACKED_WIDTH`, for `_row_product`: its columns and, for each
     digit width w that products ask for, a multiple of 64, the integers P_k = sum_j M[k][j] 2^(w j), one
-    per row, and the bias sum_j 2^(w j + w - 1), kept as long as the form.  A pack costs 1.2-3 dot-product
-    rows, so the first product that asks for a w takes dot products and the second builds its pack."""
+    per row, and the bias sum_j 2^(w j + w - 1), built by the first product that asks for w and kept as
+    long as the form."""
 
     __slots__ = ("columns", "bits")
 
     def __init__(self, rows: Sequence[Sequence[int]], width: int):
-        self.columns = _columns(rows, width)
-        self.bits = max(max(max(r), -min(r)) for r in rows).bit_length() + len(rows).bit_length() + 1
+        self.columns, self.bits = _columns(rows, width), 0
 
     def product(self, row: Sequence[int]) -> list[int]:
         """row M as one sum of row[k] P_k (Kronecker substitution), or by dot products for a row with an
         entry past `_PACKED_BITS`.  With k rows, every |(row M)_j| <= k |row| |M| < 2^(w - 1), so after the
-        bias each w-bit digit is (row M)_j + 2^(w - 1), read back from its bytes."""
+        bias each w-bit digit is (row M)_j + 2^(w - 1), read back from its bytes.  The bits of k |M|, and
+        so w, are first read by a row that packs."""
         top = max(max(row), -min(row)).bit_length()
-        w = -(-(top + self.bits) // 64) * 64
-        if top > _PACKED_BITS or w not in self:
-            if top <= _PACKED_BITS:
-                self[w] = None  # asked once: the next product at w packs M
+        if top > _PACKED_BITS:
             return [sum(map(mul, row, col)) for col in self.columns]
-        packs, bias = self[w] or self._pack(w)
+        if not self.bits:
+            self.bits = max(max(max(c), -min(c)) for c in self.columns).bit_length() + len(row).bit_length() + 1
+        w = -(-(top + self.bits) // 64) * 64
+        packs, bias = self.get(w) or self._pack(w)
         step, half = w // 8, 1 << w - 1
         data = (sum(map(mul, row, packs)) + bias).to_bytes(len(self.columns) * step, "little")
         return [int.from_bytes(data[i : i + step], "little") - half for i in range(0, len(data), step)]

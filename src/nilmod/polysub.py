@@ -11,8 +11,8 @@ pass, where d_i shifts columns, checks outside input once, in the
 public constructor; the library's own spans are closed by construction.
 Every product with the integer basis B, the closure check's and the
 image polynomials', runs through the one integer product, `_matmul`;
-one member, from `from_coordinates` or `image_poly`, takes dot products
-with B's stored columns instead.
+one member, from `from_coordinates` or `image_poly`, is one row product
+on B's stored columns, with no row form built.
 
 This layer also holds what joins the two kinds of module: the
 exponentially weighted copies that `embed_general` lands in, maps
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from math import comb
-from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionTooLarge
@@ -39,6 +38,7 @@ from .exactalg import (
     _fields,
     _integer_rows,
     _matmul,
+    _row_product,
     as_int,
     format_rational,
     grlex_key,
@@ -325,15 +325,15 @@ def _combinations(target: ModuleLike, nums: Sequence[Sequence[int]], den: int) -
     """The members of a polynomial target, or of an exponential one's
     polynomial part, with the integer coordinates nums[k] over den > 0, as
     N B over D E: one product of the rows of N with B's rows, or for one
-    row, which would pay for B's row form alone, one dot product with each
-    of B's stored columns."""
+    row, which would pay for B's row form alone, its dot products with B's
+    stored columns, the dense column form."""
     if isinstance(target, ExpSubmodule):
         target = target.part
     if not isinstance(target, PolySubmodule):
         raise TypeError("target does not have a polynomial basis")
     monomial_list, coords = target.monomial_list, target.coords
     if len(nums) == 1:
-        rows = [[sum(map(mul, nums[0], column)) for column in coords._columns]]
+        rows = [_row_product(nums[0], (None, coords._columns))]
     else:
         rows = _matmul(nums, list(zip(*coords._columns)), len(monomial_list))
     return tuple(Poly._trusted(target.n, dict(zip(monomial_list, row)), den * coords._den) for row in rows)
