@@ -11,9 +11,9 @@ polynomial side's products with a canonical basis included: by rows of
 a sparse right factor, by columns of a dense one narrower than 16, and
 by Kronecker substitution from width 16 on, each row of the factor one
 integer with w-bit digits and each row product one sum of them, read
-back digit by digit.  Elimination is
-fraction-free (Gauss-Jordan, each row kept primitive; Bareiss for
-determinants).  A subspace stores only its elimination's integer form:
+back digit by digit.  Elimination is fraction-free, rows kept primitive:
+an echelon form, all a rank reads, then one back-substitution (Bareiss
+for determinants).  A subspace stores only its elimination's integer form:
 the pivots, the common denominator and the integer columns of the
 reduced basis.  For both, equality and hashing compare the integer form,
 and the `Fraction` entries or basis are a view built on first read.
@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from itertools import repeat
+from itertools import compress, islice, repeat
 from operator import add, lshift, mul
 from typing import Iterable, Optional, Sequence
 
@@ -301,41 +301,55 @@ def _primitive_row(row: Sequence[int]) -> Optional[Sequence[int]]:
     return row if content == 1 else [x // content for x in row]
 
 
-def _combine(row: Sequence[int], prow: Sequence[int], c: int) -> Optional[Sequence[int]]:
-    """row with its entry at column c cleared by the pivot row, made
-    primitive; None when nothing is left."""
-    g = gcd(prow[c], row[c])
-    a, b = prow[c] // g, row[c] // g
-    return _primitive_row([a * x - b * y for x, y in zip(row, prow)])
+def _echelon(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[int], list[Sequence[int]]]:
+    """Fraction-free forward elimination on integer rows of width cols.
+
+    Returns (pivots, echelon): echelon[k] is a primitive row, zero before
+    pivots[k], of an echelon form.  A row waiting for a pivot is zero before
+    the column c at work: it is combined only if nonzero at c, and from c on.
+    """
+    rest = [row for row in map(_primitive_row, rows) if row is not None]
+    pivots, echelon = [], []
+    for c in range(cols):
+        candidates = [k for k, row in enumerate(rest) if row[c]]
+        if not candidates:
+            continue
+        # The smallest pivot keeps the multipliers, and so the rows, small.
+        pivot = min(candidates, key=lambda k: abs(rest[k][c]))
+        prow, tail, zeros = rest[pivot], rest[pivot][c:], [0] * c
+        for k in candidates:
+            if k != pivot:
+                a, b = prow[c] // (g := gcd(prow[c], rest[k][c])), rest[k][c] // g
+                new = _primitive_row([a * x - b * y for x, y in zip(rest[k][c:], tail)])
+                rest[k] = new and zeros + new  # None once the row vanishes
+        del rest[pivot]
+        if len(candidates) > 1:
+            rest = [row for row in rest if row]
+        pivots.append(c)
+        echelon.append(prow)
+    return pivots, echelon
 
 
 def _rref_int(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[int], list[Sequence[int]]]:
-    """Fraction-free Gauss-Jordan elimination on integer rows.
+    """Fraction-free elimination on integer rows: `_echelon`, then one
+    back-substitution, bottom up, that clears each row at the later pivots.
 
     Returns (pivots, reduced): reduced[k] is a primitive integer row,
     zero at every pivot column but pivots[k]; dividing it by its entry
     there gives row k of the reduced row-echelon form.
     """
-    rest = [row for row in map(_primitive_row, rows) if row is not None]
-    pivots: list[int] = []
-    reduced: list[Sequence[int]] = []
-    for c in range(cols):
-        if not rest:
-            break
-        candidates = [k for k, row in enumerate(rest) if row[c]]
-        if not candidates:
-            continue
-        # The smallest pivot keeps the multipliers, and so the rows, small.
-        prow = rest.pop(min(candidates, key=lambda k: abs(rest[k][c])))
-        rest = [
-            new
-            for new in (_combine(row, prow, c) if row[c] else row for row in rest)
-            if new is not None
-        ]
-        reduced = [_combine(row, prow, c) if row[c] else row for row in reduced]
-        reduced.append(prow)
-        pivots.append(c)
-    return pivots, reduced
+    pivots, echelon = _echelon(rows, cols)
+    reduced: dict[int, Sequence[int]] = {}  # pivot column -> its reduced row, filled bottom up
+    for c, row in zip(reversed(pivots), reversed(echelon)):
+        later = [q for q in compress(range(c + 1, cols), row[c + 1 :]) if q in reduced]
+        if later:
+            # The later rows are zero at each other's pivots: one combination of them clears row at all.
+            scale = lcm(*[reduced[q][q] // gcd(reduced[q][q], row[q]) for q in later])
+            coeffs = [scale * row[q] // reduced[q][q] for q in later]
+            columns = islice(zip(*map(reduced.get, later)), c, None)
+            row = _primitive_row([0] * c + [scale * x - sum(map(mul, coeffs, col)) for x, col in zip(row[c:], columns)])
+        reduced[c] = row
+    return pivots, [reduced[c] for c in pivots]
 
 
 # A prime below 2**30, so that every residue is one Python digit.
@@ -484,7 +498,7 @@ class QMatrix(Value):
             raise ValueError("shape mismatch")
 
     def rank(self) -> int:
-        return len(_rref_int(self._ints, self.cols)[0])
+        return len(_echelon(self._ints, self.cols)[0])
 
     def kernel(self) -> "Subspace":
         """The solution space of m.x = 0 as a canonical subspace."""

@@ -36,13 +36,13 @@ from .exactalg import (
     _check_var,
     _columns,
     _common_factor,
+    _echelon,
     _fields,
     _integer_kernel,
     _matmul,
     _primitive_row,
     _row_form,
     _row_product,
-    _rref_int,
     as_int,
     format_rational,
     grlex_key,
@@ -390,7 +390,7 @@ def socle_eigenvalues(module: FDModule) -> tuple[Fraction, ...]:
         for values, rows in survivors:
             for u in roots:
                 stacked = rows + [row[:i] + [row[i] - u] + row[i + 1 :] for i, row in enumerate(ints)]
-                if len(_rref_int(stacked, d)[0]) < d:
+                if len(_echelon(stacked, d)[0]) < d:
                     extended.append((values + (Fraction(u, module._den),), stacked))
         survivors = extended
         if not survivors:

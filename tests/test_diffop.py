@@ -1966,8 +1966,8 @@ def test_lower_set_spans_and_descriptor_matrices_check_nothing_again(monkeypatch
         series = diffop._graded_solve(Poly(n, desc.additive), module.max_degree, module.indices, log=False)
         cases.append((module, desc, span, module._restriction_matrix(series.scale(desc.unit))))
     calls = []
-    real = nilmod.exactalg._rref_int
-    monkeypatch.setattr(nilmod.exactalg, "_rref_int", lambda *a: calls.append(a) or real(*a))
+    real = nilmod.exactalg._echelon
+    monkeypatch.setattr(nilmod.exactalg, "_echelon", lambda *a: calls.append(a) or real(*a))
     init = Poly.__init__
     monkeypatch.setattr(Poly, "__init__", lambda self, *a: calls.append(a) or init(self, *a))
     for module, desc, span, matrix in cases:

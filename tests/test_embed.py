@@ -864,15 +864,16 @@ def test_socle_walk_ends_in_the_exact_socle():
 
 
 def count_eliminations(monkeypatch):
-    """Patch `_rref_int` where the library calls it to record its calls;
-    returns the list of calls."""
+    """Patch `_echelon`, the forward phase that every elimination and
+    every exact rank runs, where the library calls it, to record its
+    calls; returns the list of calls."""
     import nilmod.exactalg
     import nilmod.modcore
 
     calls = []
-    original = nilmod.exactalg._rref_int
+    original = nilmod.exactalg._echelon
     for layer in (nilmod.exactalg, nilmod.modcore):
-        monkeypatch.setattr(layer, "_rref_int", lambda *args: calls.append(args) or original(*args))
+        monkeypatch.setattr(layer, "_echelon", lambda *args: calls.append(args) or original(*args))
     return calls
 
 

@@ -23,6 +23,7 @@ from nilmod.exactalg import (
     Subspace,
     _columns,
     _common_factor,
+    _echelon,
     _integer_kernel,
     _integer_rows,
     _over_lcm,
@@ -607,6 +608,53 @@ def test_integer_core_rref_kernel_solve_match_reference(seed):
         reduced = tuple(row for row in reference_rref(entries, cols) if any(row))
         assert Subspace(cols, entries).basis == reduced
         assert QMatrix(entries, cols=cols).kernel().basis == tuple(reference_kernel(entries, cols))
+
+
+def test_rref_int_keeps_its_contract_against_the_reference():
+    # Derandomized property test of the one elimination: rows with leading
+    # zeros at mixed offsets, rows that are combinations of earlier ones and
+    # so vanish in the forward phase, zero rows, zero columns between pivots,
+    # tall and wide shapes, one column, and entries up to 300 bits.
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @st.composite
+    def integer_rows(draw):
+        cols = draw(st.integers(1, 12))
+        # Entries come from a seeded generator: hypothesis keeps its own integers small.
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        bound = 1 << rng.choice([2, 2, 8, 64, 300])
+        empty = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 2))
+        rows = []
+        for _ in range(draw(st.integers(0, 12))):
+            kind = draw(st.sampled_from(["fresh", "fresh", "combination", "zero"]))
+            if kind == "combination" and rows:
+                picks = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(-3, 3)), min_size=1, max_size=3))
+                rows.append([sum(m * rows[i][j] for i, m in picks) for j in range(cols)])
+            elif kind == "zero":
+                rows.append([0] * cols)
+            else:
+                start = draw(st.integers(0, cols))
+                rows.append([0 if j < start or j in empty else rng.randint(-bound, bound) for j in range(cols)])
+        return rows, cols
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(integer_rows())
+    @example(([[0, 0, 0], [0, 0, 0]], 3))
+    @example(([], 4))
+    @example(([[5], [-3], [0]], 1))
+    def check(case):
+        rows, cols = case
+        pivots, reduced = _rref_int(rows, cols)
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        assert _echelon(rows, cols)[0] == pivots
+        for c, row in zip(pivots, reduced):
+            assert len(row) == cols and math.gcd(*row) == 1 and row[c] != 0
+            assert not any(row[:c]) and not any(row[q] for q in pivots if q != c)
+        expected = [list(row) for row in reference_rref(rows, cols) if any(row)]
+        assert [[Fraction(x, row[c]) for x in row] for c, row in zip(pivots, reduced)] == expected
+
+    check()
 
 
 def kernel_table(seed):

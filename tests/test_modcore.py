@@ -448,8 +448,8 @@ def test_single_variable_submodule_is_every_polynomial_up_to_the_top_degree(monk
         cases += [[random_poly(1, rng.randint(0, 12), rng) for _ in range(count)] for _ in range(4)]
     references = [reference_closure(1, gens) for gens in cases]
     calls = []
-    real = exactalg._rref_int
-    monkeypatch.setattr(exactalg, "_rref_int", lambda *a: calls.append(a) or real(*a))
+    real = exactalg._echelon
+    monkeypatch.setattr(exactalg, "_echelon", lambda *a: calls.append(a) or real(*a))
     for gens, reference in zip(cases, references):
         top = max([0] + [p.total_degree() for p in gens if not p.is_zero()])
         sub = submodule_from_polys(1, gens)
@@ -463,8 +463,8 @@ def test_single_variable_submodule_is_every_polynomial_up_to_the_top_degree(monk
 
 def test_submodule_runs_one_elimination(monkeypatch):
     calls = []
-    real = exactalg._rref_int
-    monkeypatch.setattr(exactalg, "_rref_int", lambda *a: calls.append(a) or real(*a))
+    real = exactalg._echelon
+    monkeypatch.setattr(exactalg, "_echelon", lambda *a: calls.append(a) or real(*a))
     gens = [Poly(2, {(3, 1): 2, (0, 2): -1}), Poly(2, {(1, 2): 1})]
     sub = submodule_from_polys(2, gens)
     assert len(calls) == 1
