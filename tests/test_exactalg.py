@@ -629,7 +629,8 @@ def test_rref_int_keeps_its_contract_against_the_reference():
         for _ in range(draw(st.integers(0, 12))):
             kind = draw(st.sampled_from(["fresh", "fresh", "combination", "zero"]))
             if kind == "combination" and rows:
-                picks = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(-3, 3)), min_size=1, max_size=3))
+                pick = st.tuples(st.integers(0, len(rows) - 1), st.integers(-3, 3))
+                picks = draw(st.lists(pick, min_size=1, max_size=3))
                 rows.append([sum(m * rows[i][j] for i, m in picks) for j in range(cols)])
             elif kind == "zero":
                 rows.append([0] * cols)
