@@ -206,7 +206,7 @@ def is_isomorphic(first: FDModule, second: FDModule) -> bool:
     error, the first module's before the second's.
 
     Modules of different dimensions are not isomorphic.  In one variable
-    or at dimension 0 the two canonical forms are compared.  At n >= 2
+    the two canonical forms are compared.  At n >= 2
     each module is walked and passed once.  An injective phi's image is
     the canonical form, and rows of rank d mod P certify phi injective:
     two certified maps with different monomials are not isomorphic.
@@ -220,7 +220,7 @@ def is_isomorphic(first: FDModule, second: FDModule) -> bool:
     _same_count(first.n, second)
     if first.dim != second.dim:
         return False
-    if first.n == 1 or not first.dim:
+    if first.n == 1:
         return canonical_form(first) == canonical_form(second)
     d = first.dim
     found = _pass(first, _socle_walk(first), None)

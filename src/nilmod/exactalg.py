@@ -12,11 +12,12 @@ a sparse right factor, by columns of a dense one narrower than 16, and
 by Kronecker substitution from width 16 on, each row of the factor one
 integer with w-bit digits and each row product one sum of them, read
 back digit by digit.  Elimination is fraction-free, rows kept primitive:
-an echelon form, all a rank reads, then one back-substitution (Bareiss
-for determinants).  A subspace stores only its elimination's integer form:
-the pivots, the common denominator and the integer columns of the
-reduced basis.  For both, equality and hashing compare the integer form,
-and the `Fraction` entries or basis are a view built on first read.
+an echelon form, all a rank reads, then one back-substitution, which hands
+back the canonical reduced row-echelon form B / E, integer rows over their
+least common denominator (Bareiss for determinants).  Subspaces, kernels
+and inverses read that form as is; a subspace stores only the pivots, E
+and the columns of B.  For both, equality and hashing compare the integer
+form, and the `Fraction` entries or basis are a view built on first read.
 Everything is exact: no floats, no tolerances.  The one piece of code
 modulo a prime P lives here too: the rank mod P, a lower bound for the
 rank over the rationals, which only certifies full rank.  All values are
@@ -330,13 +331,15 @@ def _echelon(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[int], list[
     return pivots, echelon
 
 
-def _rref_int(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[int], list[Sequence[int]]]:
+def _rref_int(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[int], list[list[int]], int]:
     """Fraction-free elimination on integer rows: `_echelon`, then one
     back-substitution, bottom up, that clears each row at the later pivots.
 
-    Returns (pivots, reduced): reduced[k] is a primitive integer row,
-    zero at every pivot column but pivots[k]; dividing it by its entry
-    there gives row k of the reduced row-echelon form.
+    Returns (pivots, B, E): the reduced row-echelon form as integer rows B
+    over their least common denominator E > 0, so B[k] is E at pivots[k]
+    and 0 at every other pivot.  The back-substitution leaves each row
+    primitive, over its pivot entry p a row of least denominator |p|, so E
+    is the lcm of the pivot entries: one `_over_lcm`.
     """
     pivots, echelon = _echelon(rows, cols)
     reduced: dict[int, Sequence[int]] = {}  # pivot column -> its reduced row, filled bottom up
@@ -349,7 +352,7 @@ def _rref_int(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[int], list
             columns = islice(zip(*map(reduced.get, later)), c, None)
             row = _primitive_row([0] * c + [scale * x - sum(map(mul, coeffs, col)) for x, col in zip(row[c:], columns)])
         reduced[c] = row
-    return pivots, [reduced[c] for c in pivots]
+    return pivots, *_over_lcm([reduced[c] for c in pivots], [reduced[c][c] for c in pivots])
 
 
 # A prime below 2**30, so that every residue is one Python digit.
@@ -381,17 +384,15 @@ def _rank_mod(rows: Sequence[Sequence[int]], cols: int) -> int:
 def _integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> "Subspace":
     """The solutions of rows . x = 0, for integer rows of width cols, as
     a canonical subspace."""
-    pivots, reduced = _rref_int(rows, cols)
-    # Free column f gives the solution with x_f = 1 and x_c = -R[k][f]
-    # at each pivot c = pivots[k], scaled by the lcm of the pivot entries.
-    scale = lcm(*(row[c] for c, row in zip(pivots, reduced)))
-    multipliers = [scale // row[c] for c, row in zip(pivots, reduced)]
+    pivots, reduced, den = _rref_int(rows, cols)
+    # Free column f gives the solution with x_f = 1 and x_c = -B[k][f] / E
+    # at each pivot c = pivots[k], taken times E.
     vectors = []
     for f in sorted(set(range(cols)) - set(pivots)):
         v = [0] * cols
-        v[f] = scale
-        for c, row, m in zip(pivots, reduced, multipliers):
-            v[c] = -row[f] * m
+        v[f] = den
+        for c, row in zip(pivots, reduced):
+            v[c] = -row[f]
         vectors.append(v)
     return Subspace._from_integer_rows(cols, vectors)
 
@@ -508,14 +509,14 @@ class QMatrix(Value):
         """Exact inverse, or None when singular."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
-        d, den = self.rows, self._den
-        # [A | I] scaled by den; its RREF is [I | A^-1] exactly when A is
-        # invertible, and otherwise has a pivot in the right half.
-        aug = [[*row, *(den if i == j else 0 for j in range(d))] for i, row in enumerate(self._ints)]
-        pivots, reduced = _rref_int(aug, 2 * d)
+        d = self.rows
+        # [A | I] scaled by A's denominator; its RREF is [I | A^-1] exactly
+        # when A is invertible, and otherwise has a pivot in the right half.
+        aug = [[*row, *(self._den if i == j else 0 for j in range(d))] for i, row in enumerate(self._ints)]
+        pivots, reduced, den = _rref_int(aug, 2 * d)
         if pivots and pivots[-1] >= d:
             return None
-        return QMatrix._trusted(*_over_lcm([row[d:] for row in reduced], [row[i] for i, row in enumerate(reduced)]), d)
+        return QMatrix._trusted([row[d:] for row in reduced], den, d)
 
     def det(self) -> Fraction:
         """Exact determinant by Bareiss fraction-free elimination."""
@@ -574,35 +575,29 @@ class Subspace(Value):
         rows = [vector(v) for v in vectors]
         if any(len(v) != ambient_dim for v in rows):
             raise ValueError("vector length differs from ambient dimension")
-        self._store_reduced(ambient_dim, *_rref_int(_integer_rows(rows)[0], ambient_dim))
+        self._store(ambient_dim, *_rref_int(_integer_rows(rows)[0], ambient_dim))
 
     @classmethod
     def _from_integer_rows(cls, ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Subspace":
         """The span of integer rows of length ambient_dim: one elimination."""
         out = cls.__new__(cls)
-        out._store_reduced(ambient_dim, *_rref_int(rows, ambient_dim))
+        out._store(ambient_dim, *_rref_int(rows, ambient_dim))
         return out
 
     @classmethod
     def _whole(cls, d: int) -> "Subspace":
         """All of Q^d, with no elimination: the identity over E = 1, as elimination makes it."""
         out = cls.__new__(cls)
-        out._store(d, range(d), 1, tuple((0,) * j + (1,) + (0,) * (d - 1 - j) for j in range(d)))
+        out._store(d, range(d), [(0,) * j + (1,) + (0,) * (d - 1 - j) for j in range(d)], 1)
         return out
 
-    def _store_reduced(self, ambient_dim: int, pivots: Sequence[int], reduced: Sequence[Sequence[int]]) -> None:
-        """Keep the pivots and the primitive reduced rows that `_rref_int`
-        returns as B / E with integer B: the columns of B, the pivots and
-        the free columns.  A primitive reduced row r over its pivot entry
-        p has least denominator |p|, so E is the lcm of the pivot entries."""
-        ints, den = _over_lcm(reduced, [row[c] for c, row in zip(pivots, reduced)])
-        self._store(ambient_dim, pivots, den, _columns(ints, ambient_dim))
-
-    def _store(self, ambient_dim: int, pivots: Iterable[int], den: int, columns: tuple) -> None:
+    def _store(self, ambient_dim: int, pivots: Iterable[int], ints: Sequence[Sequence[int]], den: int) -> None:
+        """Keep the canonical form B / E as `_rref_int` returns it: the
+        pivots, E, the columns of B and the free columns."""
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_pivots", tuple(pivots))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_columns", _columns(ints, ambient_dim))
         object.__setattr__(self, "_free", sorted(set(range(ambient_dim)) - set(self._pivots)))
         object.__setattr__(self, "_basis", None)
 

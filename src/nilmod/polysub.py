@@ -74,7 +74,12 @@ class PolySubmodule(Value):
         polys = tuple(polys)
         _same_count(n, *polys)
         self._span(n, *_poly_rows(polys))
-        self._closure_pass()
+        # The closure check, run on outside input only (see `_derivatives`).
+        den, columns, free = self.coords._den, self.coords._columns, self.coords._free
+        for at_pivots, moved in self._derivatives():
+            for f, span in zip(free, _matmul([columns[f] for f in free], at_pivots, self.dim) if free else ()):
+                if span != [den * x for x in moved[f]]:
+                    raise ValueError("subspace is not closed under differentiation")
 
     @classmethod
     def _trusted(cls, n, monomial_list, rows) -> "PolySubmodule":
@@ -143,24 +148,23 @@ class PolySubmodule(Value):
 
     def action_matrices(self) -> tuple[QMatrix, ...]:
         """Matrices of the partial derivatives in the canonical basis."""
-        return tuple(QMatrix._trusted(at_pivots, self.coords._den, self.dim) for at_pivots in self._closure_pass())
+        return tuple(QMatrix._trusted(at_pivots, self.coords._den, self.dim) for at_pivots, _ in self._derivatives())
 
-    def _closure_pass(self) -> list[list[list[int]]]:
+    def _derivatives(self) -> list[tuple[list, list]]:
         """For each d/dx_i, E times its matrix in the canonical basis, as
-        integer rows.
+        integer rows, and B's columns moved by it.
 
         With the basis B / E over integer B, d/dx_i moves B's column at
         alpha to alpha - e_i, times alpha_i.  The moved columns at the
         pivots, as rows, are E times the matrix, and the moved rows lie in
         the span iff E times each moved free column is B's, as a row, times
-        that matrix: one `exactalg._matmul` per variable, none without a
-        free column (a lower set's span).  The public constructor
-        runs this pass as its closure check: it raises ValueError when
-        some derivative of a basis member lies outside.  On a trusted span
-        it only reads the matrices, for `action_matrices` and `as_matrices`.
+        that matrix: the public constructor's closure check, one
+        `exactalg._matmul` per variable, none without a free column (a
+        lower set's span).  A trusted span is closed by construction, so
+        `action_matrices` and `as_matrices` only read the matrices.  Raises
+        ValueError when some alpha - e_i is not in the monomial list.
         """
-        coords = self.coords
-        pivots, den, columns, free = coords._pivots, coords._den, coords._columns, coords._free
+        pivots, columns = self.coords._pivots, self.coords._columns
         out = []
         for i in range(self.n):
             moved = [(0,) * self.dim] * len(columns)
@@ -170,11 +174,7 @@ class PolySubmodule(Value):
                     if target is None:
                         raise ValueError("subspace is not closed under differentiation")
                     moved[target] = [alpha[i] * x for x in column]
-            at_pivots = [moved[c] for c in pivots]
-            for f, span in zip(free, _matmul([columns[f] for f in free], at_pivots, self.dim) if free else ()):
-                if span != [den * x for x in moved[f]]:
-                    raise ValueError("subspace is not closed under differentiation")
-            out.append(at_pivots)
+            out.append(([moved[c] for c in pivots], moved))
         return out
 
     def to_json(self) -> dict:
@@ -342,7 +342,8 @@ def _combinations(target: ModuleLike, nums: Sequence[Sequence[int]], den: int) -
 def as_matrices(module: PolySubmodule) -> tuple[FDModule, ModuleMap]:
     """The matrix module of the derivative action on a polynomial
     submodule, plus the identifying map onto it."""
-    fd = FDModule._trusted(module.n, module.dim, module._closure_pass(), module.coords._den)
+    blocks = [at_pivots for at_pivots, _ in module._derivatives()]
+    fd = FDModule._trusted(module.n, module.dim, blocks, module.coords._den)
     return fd, ModuleMap(fd, module, QMatrix.identity(module.dim))
 
 

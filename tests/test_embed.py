@@ -1492,6 +1492,16 @@ def test_is_isomorphic_variable_count_mismatch_raises():
         is_isomorphic(a, b)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_two_zero_modules_raise_the_canonical_forms_error(n):
+    # At n >= 2 the zero modules take the pass, which finds no map, and
+    # `_embed` raises what canonical_form raises.
+    zero = FDModule(n, [zeros(0, 0)] * n)
+    for decide in (lambda: canonical_form(zero), lambda: is_isomorphic(zero, zero)):
+        with pytest.raises(SocleNotOneDimensional, match="^the zero module has no socle line$"):
+            decide()
+
+
 def closure_module(n, terms):
     """The derivative action on the closure of one polynomial."""
     return as_matrices(submodule_from_polys(n, [Poly(n, terms)]))[0]

@@ -646,14 +646,14 @@ def test_rref_int_keeps_its_contract_against_the_reference():
     @example(([[5], [-3], [0]], 1))
     def check(case):
         rows, cols = case
-        pivots, reduced = _rref_int(rows, cols)
+        pivots, ints, den = _rref_int(rows, cols)
         assert all(a < b for a, b in zip(pivots, pivots[1:]))
-        assert _echelon(rows, cols)[0] == pivots
-        for c, row in zip(pivots, reduced):
-            assert len(row) == cols and math.gcd(*row) == 1 and row[c] != 0
-            assert not any(row[:c]) and not any(row[q] for q in pivots if q != c)
-        expected = [list(row) for row in reference_rref(rows, cols) if any(row)]
-        assert [[Fraction(x, row[c]) for x in row] for c, row in zip(pivots, reduced)] == expected
+        assert _echelon(rows, cols)[0] == pivots == reference_pivots(reference_rref(rows, cols))
+        # B / E is the reference RREF entry for entry, E its least common denominator.
+        expected = [row for row in reference_rref(rows, cols) if any(row)]
+        assert den == math.lcm(*(x.denominator for row in expected for x in row))
+        assert all(type(x) is int for row in ints for x in row)
+        assert ints == [[x * den for x in row] for row in expected]
 
     check()
 
@@ -788,6 +788,7 @@ def test_integer_core_matmul_matches_reference(seed):
         assert_stored_as(-first, [[-x for x in r] for r in a], inner)
         assert_stored_as(first.scale(k), [[k * x for x in r] for r in a], inner)
         assert_stored_as(first.scale(0), [[Fraction(0)] * inner for _ in a], inner)
+        assert_stored_as(2 * first, [[2 * x for x in r] for r in a], inner)
         assert first.apply(v) == tuple(sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in a)
 
 
@@ -871,8 +872,9 @@ def test_subspace_integer_form_matches_the_basis(seed):
         assert space == Subspace(cols, divided)
         got = (space._pivots, space._den, space._columns, space._free)
         assert got == reference_integer_form(space)
-        pivots, reduced = _rref_int(rows, cols)
-        negative += any(row[c] < 0 for c, row in zip(pivots, reduced))
+        # The elimination's primitive rows before B / E puts E > 0 at every pivot.
+        pivots, echelon = _echelon(rows, cols)
+        negative += any(row[c] < 0 for c, row in zip(pivots, echelon))
     assert negative >= 5
 
 

@@ -37,6 +37,7 @@ from nilmod.modcore import (
 from nilmod.multipoly import (
     Poly,
     grlex_key,
+    is_lower_set,
     lower_set_closure,
     monomials_up_to_degree,
 )
@@ -509,21 +510,21 @@ CONSTANTS = "a polynomial submodule must contain the constants"
 CLOSED = "subspace is not closed under differentiation"
 
 
-@pytest.mark.parametrize(
-    "n,spans,message",
-    [
-        (1, [{(1,): 1}], CONSTANTS),  # closed up to the missing 1
-        (1, [{(2,): 1}], CONSTANTS),  # neither: the constants come first
-        (2, [{(1, 1): 1}, {(0, 1): 1}], CONSTANTS),
-        (1, [{(2,): 1}, {(0,): 1}], CLOSED),
-        (2, [{(1, 1): 1}, {(1, 0): 1}, {(0, 0): 1}], CLOSED),  # misses x2
-        (2, [{(2, 0): 1, (0, 1): 1}, {(0, 0): 1}], CLOSED),
-        (3, [{(0, 0, 1): 1}, {(1, 0, 0): 1, (0, 2, 0): 1}, {(0, 0, 0): 1}], CLOSED),
-        # the support is a lower set, but a derivative leaves the span
-        (1, [{(2,): 1, (1,): 1}, {(0,): 1}], CLOSED),
-        (2, [{(1, 0): 1, (0, 1): 1}, {(2, 0): 1, (0, 2): 1}, {(0, 0): 1}], CLOSED),
-    ],
-)
+CLOSURE_CASES = [
+    (1, [{(1,): 1}], CONSTANTS),  # closed up to the missing 1
+    (1, [{(2,): 1}], CONSTANTS),  # neither: the constants come first
+    (2, [{(1, 1): 1}, {(0, 1): 1}], CONSTANTS),
+    (1, [{(2,): 1}, {(0,): 1}], CLOSED),
+    (2, [{(1, 1): 1}, {(1, 0): 1}, {(0, 0): 1}], CLOSED),  # misses x2
+    (2, [{(2, 0): 1, (0, 1): 1}, {(0, 0): 1}], CLOSED),
+    (3, [{(0, 0, 1): 1}, {(1, 0, 0): 1, (0, 2, 0): 1}, {(0, 0, 0): 1}], CLOSED),
+    # the support is a lower set, but a derivative leaves the span
+    (1, [{(2,): 1, (1,): 1}, {(0,): 1}], CLOSED),
+    (2, [{(1, 0): 1, (0, 1): 1}, {(2, 0): 1, (0, 2): 1}, {(0, 0): 1}], CLOSED),
+]
+
+
+@pytest.mark.parametrize("n,spans,message", CLOSURE_CASES)
 def test_closure_check_order_and_messages(n, spans, message):
     polys = [Poly(n, terms) for terms in spans]
     data = {"n": n, "basis": [p.to_json() for p in polys]}
@@ -535,6 +536,41 @@ def test_closure_check_order_and_messages(n, spans, message):
             with pytest.raises(ValueError) as parsed:
                 PolySubmodule.from_json(data)
             assert str(parsed.value) == message
+
+
+@pytest.mark.parametrize("n,spans", [(n, spans) for n, spans, message in CLOSURE_CASES if message == CLOSED])
+def test_the_constructor_alone_checks_closure_and_still_refuses(n, spans):
+    # On a lower set of monomials only the products can see the span leave.
+    polys = [Poly(n, terms) for terms in spans]
+    with mock.patch.object(polysub, "_matmul", wraps=exactalg._matmul) as spy:
+        with pytest.raises(ValueError, match=f"^{CLOSED}$"):
+            PolySubmodule(n, polys)
+    if is_lower_set(set().union(*spans)):
+        assert spy.call_count >= 1
+
+
+def test_trusted_spans_read_their_matrices_with_no_product():
+    # Spans closed by construction, with free columns: reading their
+    # matrices runs no closure check, while the same span through the
+    # public constructor is checked, one product per variable.
+    spans = [
+        submodule_from_polys(2, [Poly(2, {(3, 1): 1, (1, 2): 2, (0, 2): -1})]),
+        submodule_from_polys(3, [Poly(3, {(2, 1, 0): 1, (0, 1, 2): -3, (1, 1, 1): 2})]),
+    ]
+    for span in spans:
+        assert span.coords._free
+        with mock.patch.object(polysub, "_matmul", wraps=exactalg._matmul) as spy:
+            matrices = span.action_matrices()
+            fd, identity = as_matrices(span)
+            shifted = ExpSubmodule([1] * span.n, span)
+            shifted.action_matrices()
+            assert identity.is_intertwining()
+        assert spy.call_count == 0
+        assert shifted.n == span.n
+        assert fd.matrices == matrices
+        with mock.patch.object(polysub, "_matmul", wraps=exactalg._matmul) as spy:
+            assert PolySubmodule(span.n, span.basis) == span
+        assert spy.call_count == span.n
 
 
 def test_polysubmodule_canonical_under_basis_change():
@@ -638,10 +674,10 @@ def test_products_with_the_basis_go_through_one_kernel():
     assert calls(result.image_polys) == 1
     planted = submodule_from_polys(2, [Poly(2, {(3, 1): 1, (1, 2): 2, (0, 2): -1})])
     assert planted.coords._free
-    assert calls(lambda: as_matrices(planted)) == 2
+    assert calls(lambda: PolySubmodule(2, planted.basis)) == 2
     # A lower set's span is the whole space over its monomials: no free column.
     lower = [Poly(3, {alpha: 1}) for alpha in lower_set_closure([(2, 1, 0), (0, 1, 2)])]
-    assert calls(lambda: as_matrices(PolySubmodule(3, lower))) == 0
+    assert calls(lambda: PolySubmodule(3, lower)) == 0
 
 
 # --- the constructor against the Fraction/Poly reference ----------------------

@@ -111,6 +111,7 @@ def test_arithmetic_against_evaluation_oracle():
         assert eval_at(p - q, pt) == eval_at(p, pt) - eval_at(q, pt)
         assert eval_at(p * q, pt) == eval_at(p, pt) * eval_at(q, pt)
         assert eval_at(p.scale(c), pt) == c * eval_at(p, pt)
+        assert eval_at(p * 2, pt) == eval_at(2 * p, pt) == 2 * eval_at(p, pt)
         assert eval_at(-p, pt) == -eval_at(p, pt)
 
 

@@ -10,6 +10,7 @@ proves a map injective, rest on that lower bound.  `modcore._char_poly`
 must agree with `sympy.Matrix.charpoly`.
 """
 
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -67,10 +68,12 @@ def sympy_rref(rows, cols):
 
 def test_rref_int_agrees_with_sympy():
     for rows, cols in matrices(7, 120):
-        pivots, reduced = _rref_int(rows, cols)
-        # Row k of the RREF is reduced[k] over its entry at pivots[k].
-        normalized = [[Fraction(x, row[c]) for x in row] for c, row in zip(pivots, reduced)]
-        assert (pivots, normalized) == sympy_rref(rows, cols)
+        pivots, ints, den = _rref_int(rows, cols)
+        expected_pivots, expected = sympy_rref(rows, cols)
+        # B / E is sympy's RREF entry for entry, E its least common denominator.
+        assert pivots == expected_pivots
+        assert den == math.lcm(*(x.denominator for row in expected for x in row))
+        assert ints == [[x * den for x in row] for row in expected]
 
 
 def test_integer_kernel_agrees_with_sympy():

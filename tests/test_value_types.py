@@ -87,6 +87,27 @@ IDENTITIES = {
 }
 
 
+# Each value type's repr, on the values above and two more polynomials:
+# zero, and a coefficient -1 (ExpSubmodule has no repr of its own).
+REPRS = [
+    (qmatrix, "QMatrix(2x2: 1 1/2; 0 -3)"),
+    (subspace, "Subspace(dim 2 of Q^3)"),
+    (fd_module, "FDModule(n=2, dim=1)"),
+    (poly_submodule, "PolySubmodule(n=2, dim=6)"),
+    (monomial_submodule, "MonomialSubmodule(n=2, m=4)"),
+    (series, "DiffOpSeries(n=2, trunc=3, 2 terms)"),
+    (VALUES["AutDescriptor"], "AutDescriptor(unit=-2, 1 additive terms)"),
+    (poly, "-1/5*x2^3 + 2*x1"),
+    (lambda _: Poly.zero(2), "0"),
+    (lambda _: Poly(2, {(1, 1): -1, (0, 1): 3, (0, 0): -1}), "-x1*x2 + 3*x2 - 1"),
+]
+
+
+@pytest.mark.parametrize("build,text", REPRS, ids=[text for _, text in REPRS])
+def test_repr_shows_the_value(build, text):
+    assert repr(build(False)) == text
+
+
 def test_the_table_covers_eleven_types():
     assert len(VALUES) + len(IDENTITIES) == 11
     assert {"ModuleMap", "EmbeddingResult"} == set(IDENTITIES)
