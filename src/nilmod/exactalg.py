@@ -196,34 +196,25 @@ _SPARSE_SHARE = Fraction(1, 4)  # largest nonzero share of a sparse matrix; cros
 # 0.48 at 12 and 0.81 at 8 (56-bit entries), 0.62 at 16 and 0.84 at 12 (4-bit); a pack costs 1.2-3 dot rows,
 # which below 16 a form with few products does not win back.
 _PACKED_WIDTH = 16
-# Largest row entry, in bits, whose product is packed.  A digit pads each entry of M to w bits, so the
-# multiplications grow with the row's entries: packed over dot products, with 32- to 448-bit entries of M, was
-# mostly 0.4-0.75 at 128-bit row entries, 0.70-0.90 at 192 and 0.54-1.08 at 256 (widths 20 and 80).
-_PACKED_BITS = 192
 
 
 class _Packs(dict):
-    """A dense matrix M of width at least `_PACKED_WIDTH`, for `_row_product`: its columns and, for each
-    digit width w that products ask for, a multiple of 64, the integers P_k = sum_j M[k][j] 2^(w j), one
-    per row, and the bias sum_j 2^(w j + w - 1), built by the first product that asks for w and kept as
-    long as the form."""
+    """A dense matrix M of width at least `_PACKED_WIDTH`, for `_row_product`: its columns, the bits of
+    k |M| for its k rows and, for each digit width w that products ask for, a multiple of 64, the
+    integers P_k = sum_j M[k][j] 2^(w j), one per row, and the bias sum_j 2^(w j + w - 1), built by the
+    first product that asks for w and kept as long as the form."""
 
     __slots__ = ("columns", "bits")
 
     def __init__(self, rows: Sequence[Sequence[int]], width: int):
-        self.columns, self.bits = _columns(rows, width), 0
+        self.columns = _columns(rows, width)
+        self.bits = max(max(max(c), -min(c)) for c in self.columns).bit_length() + len(rows).bit_length() + 1
 
     def product(self, row: Sequence[int]) -> list[int]:
-        """row M as one sum of row[k] P_k (Kronecker substitution), or by dot products for a row with an
-        entry past `_PACKED_BITS`.  With k rows, every |(row M)_j| <= k |row| |M| < 2^(w - 1), so after the
-        bias each w-bit digit is (row M)_j + 2^(w - 1), read back from its bytes.  The bits of k |M|, and
-        so w, are first read by a row that packs."""
-        top = max(max(row), -min(row)).bit_length()
-        if top > _PACKED_BITS:
-            return [sum(map(mul, row, col)) for col in self.columns]
-        if not self.bits:
-            self.bits = max(max(max(c), -min(c)) for c in self.columns).bit_length() + len(row).bit_length() + 1
-        w = -(-(top + self.bits) // 64) * 64
+        """row M as one sum of row[k] P_k (Kronecker substitution).  With k rows, every
+        |(row M)_j| <= k |row| |M| < 2^(w - 1), so after the bias each w-bit digit is (row M)_j + 2^(w - 1),
+        read back from its bytes."""
+        w = -(-(max(max(row), -min(row)).bit_length() + self.bits) // 64) * 64
         packs, bias = self.get(w) or self._pack(w)
         step, half = w // 8, 1 << w - 1
         data = (sum(map(mul, row, packs)) + bias).to_bytes(len(self.columns) * step, "little")
@@ -246,7 +237,8 @@ class _Packs(dict):
 def _row_form(rows: Sequence[Sequence[int]], width: int) -> tuple:
     """The matrix M with these rows, of length width, for `_row_product`: (width, its rows as (column,
     entry) pairs) if at most `_SPARSE_SHARE` of its entries are nonzero, as in a canonical basis, else
-    (None, its columns) below width `_PACKED_WIDTH`, where dot products win, and (None, its `_Packs`) from it on."""
+    (None, its columns) below width `_PACKED_WIDTH`, where dot products win, and (None, its `_Packs`) from it
+    on, which every product with this form then takes."""
     nonzero = sum(width - r.count(0) for r in rows)
     if nonzero * _SPARSE_SHARE.denominator > _SPARSE_SHARE.numerator * len(rows) * width:
         return None, _columns(rows, width) if width < _PACKED_WIDTH else _Packs(rows, width)

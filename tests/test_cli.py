@@ -6,7 +6,6 @@ Children find the package through an absolute ``src`` entry on their
 ``PYTHONPATH``, so the tests run from a clean checkout without an install.
 """
 
-import argparse
 import contextlib
 import functools
 import io
@@ -20,11 +19,13 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from nilmod import cli, modcore
 from nilmod.diffop import DiffOpSeries, monomial_images
+from nilmod.errors import IncompatibleMap, NilmodError
 from nilmod.modcore import FDModule
 from nilmod.multipoly import Poly, potential
 from nilmod.polysub import PolySubmodule
@@ -458,7 +459,9 @@ def term_table(term):
 # "'matrices'", "'basis'", "'indices'", "'exps'", "'coef'", "'images'",
 # "'map'", "'int' object is not subscriptable", "'int' object is not
 # iterable", "object of type 'int' has no len()", "duplicate exponent
-# vector (True,)" and "unhashable type: 'list'".
+# vector (True,)" and "unhashable type: 'list'".  A detail given as an
+# error is the domain error, exit 1, of a problem that parses: one whose
+# map sends a basis vector outside the target.
 MALFORMED = [
     ("matrices_null", ["validate", "-"], {"n": 1, "matrices": None}, 'module field "matrices" must be an array of matrices'),
     ("matrices_string", ["canonical", "-"], {"n": 1, "matrices": "x"}, 'module field "matrices" must be an array of matrices'),
@@ -493,14 +496,17 @@ MALFORMED = [
     ("problem_goal_missing", ["extend-iso", "-"], extend_problem(None, "goal", ...), 'problem has no field "goal"'),
     ("problem_map_int", ["extend-iso", "-"], extend_problem(None, "map", 3), 'problem field "map" must be an array of polynomials'),
     ("problem_map_string", ["extend-iso", "-"], extend_problem(None, "map", "xy"), 'problem field "map" must be an array of polynomials'),
+    ("basis_entry_an_object", ["extend-iso", "-"], extend_problem("source", "basis", [{"exps": [0, 0], "coef": "1"}]), "polynomial JSON must be a list of terms"),
+    ("map_outside_target", ["extend-iso", "-"], extend_problem(None, "map", [[{"exps": [1, 0], "coef": "1"}], [{"exps": [0, 0], "coef": "1"}]]), IncompatibleMap("an image polynomial lies outside the target")),
 ]
 
 
 @pytest.mark.parametrize("argv,payload,detail", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
 def test_malformed_input_names_its_field(argv, payload, detail, monkeypatch, capsys):
+    code, kind = (1, type(detail).__name__) if isinstance(detail, NilmodError) else (2, "ParseError")
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
-    assert cli.main(argv) == 2
-    assert json.loads(capsys.readouterr().out) == {"error": {"kind": "ParseError", "detail": detail}}
+    assert cli.main(argv) == code
+    assert json.loads(capsys.readouterr().out) == {"error": {"kind": kind, "detail": str(detail)}}
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -645,7 +651,7 @@ def test_incompatible_error_names_its_pair():
     def handler(args):
         return potential([Poly(2, {(0, 1): 1}), Poly.zero(2)], 2)
 
-    assert cli._run(argparse.Namespace(handler=handler)) == (
+    assert cli._run(SimpleNamespace(handler=handler)) == (
         1,
         {
             "error": {

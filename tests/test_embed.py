@@ -80,9 +80,9 @@ def random_normalized_poly(rng, n, k, degree):
     return Poly(n, terms)
 
 
-def random_invertible(rng, d):
+def random_invertible(rng, d, top=2):
     while True:
-        g = QMatrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+        g = QMatrix([[rng.randint(-top, top) for _ in range(d)] for _ in range(d)])
         if g.det() != 0:
             return g
 
@@ -478,12 +478,13 @@ def in_both_forms(module, lam):
     return out
 
 
-def planted_closures():
-    """(planted, plain): closures of seeded polynomials at n = 1, 2, 3,
-    dimensions 8-30, and their action matrices."""
+def planted_closures(shapes=((1, 19), (1, 29), (2, 7), (3, 5))):
+    """(planted, plain): closures of the PLANTED polynomials and of seeded
+    ones of each (n, degree), by default at n = 1, 2, 3 and dimensions
+    8-30, and their action matrices."""
     rng = random.Random(6)
     polys = [Poly(n, terms) for n, terms in PLANTED]
-    for n, degree in [(1, 19), (1, 29), (2, 7), (3, 5)]:
+    for n, degree in shapes:
         terms = {a: rng.choice([-3, -2, -1, 1, 2, 3]) for a in monomials_of_degree(n, degree)}
         terms.update({a: rng.randint(-3, 3) for a in monomials_up_to_degree(n, degree - 1) if rng.random() < 0.5})
         polys.append(Poly(n, terms))
@@ -503,30 +504,39 @@ def test_sparse_and_dense_row_products_agree_on_planted_closures():
 
 def test_the_three_row_forms_agree_on_planted_closures():
     # Every block sparse; every block dense on its columns' dot products;
-    # every block dense and packed, whatever its width.
+    # every block dense and packed, whatever its width.  Besides the planted
+    # closures and their conjugates, an n = 1 closure of dimension 40
+    # conjugated by a G with entries in [-9, 9]: its blocks have entries of
+    # about 180 bits, so its squaring packs rows past 192 bits.
     import nilmod.exactalg as exactalg
 
     forms = [(1, exactalg._PACKED_WIDTH), (-1, 10**9), (-1, 1)]
-    real, packed = exactalg._Packs._pack, []
+    real, widest = exactalg._Packs.product, [0]
 
-    def pack(packs, w):
-        packed.append(w)
-        return real(packs, w)
+    def product(packs, row):
+        # Each row is packed: the form holds the pack for its digit width.
+        out, top = real(packs, row), max(map(abs, row)).bit_length()
+        assert -(-(top + packs.bits) // 64) * 64 in packs
+        widest[0] = max(widest[0], top)
+        return out
 
     rng = random.Random(9)
-    for planted, plain in planted_closures():
-        for module in (plain, conjugate(plain, random_invertible(rng, plain.dim))):
-            lam = [rng.randint(-4, 4) for _ in range(module.dim)]
-            outs = []
-            for share, width in forms:
-                with mock.patch.object(exactalg, "_SPARSE_SHARE", share), \
-                        mock.patch.object(exactalg, "_PACKED_WIDTH", width), \
-                        mock.patch.object(exactalg._Packs, "_pack", pack):
-                    outs.append((_inverse_system(module, lam), _socle_walk(module), is_nilpotent(module),
-                                 canonical_form(module)))
-            assert outs[0] == outs[1] == outs[2]
-            assert outs[0][3] == planted
-    assert packed
+    cases = [(planted, module) for planted, plain in planted_closures()
+             for module in (plain, conjugate(plain, random_invertible(rng, plain.dim)))]
+    wide, plain = planted_closures([(1, 39)])[-1]
+    cases.append((wide, conjugate(plain, random_invertible(rng, plain.dim, top=9))))
+    for planted, module in cases:
+        lam = [rng.randint(-4, 4) for _ in range(module.dim)]
+        outs = []
+        for share, width in forms:
+            with mock.patch.object(exactalg, "_SPARSE_SHARE", share), \
+                    mock.patch.object(exactalg, "_PACKED_WIDTH", width), \
+                    mock.patch.object(exactalg._Packs, "product", product):
+                outs.append((_inverse_system(module, lam), _socle_walk(module), is_nilpotent(module),
+                             canonical_form(module)))
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0][3] == planted
+    assert widest[0] > 192
 
 
 def test_plain_blocks_are_sparse_and_dense_conjugates_dense():

@@ -4,8 +4,8 @@ The integer row product, `exactalg._row_product`, packs a dense matrix of
 width 16 and up into one integer per row, with w-bit digits, and reads
 row M back from the digits of one sum.  It is compared here with the
 column dot products on blocks of widths 16-40 with zero rows, single
-nonzeros and entries of mixed sizes, some past `_PACKED_BITS`, and on
-entries at the digit bound, where a digit one bit narrower would carry.
+nonzeros and entries of mixed sizes, up to 600 bits, and on entries at
+the digit bound, where a digit one bit narrower would carry.
 
 The series kernels run on packed exponent keys.
 
@@ -147,12 +147,12 @@ def packed_products(left, block, width):
 @st.composite
 def integer_rows(draw, count, length):
     """count rows of length entries: zero rows, rows with one nonzero entry
-    and dense rows, each nonzero row of its own size, up to 260 bits, with
+    and dense rows, each nonzero row of its own size, up to 600 bits, with
     its entries drawn from a seeded rng."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     rows = []
     for _ in range(count):
-        kind, bits = draw(st.sampled_from(("zero", "single", "dense", "dense"))), draw(st.integers(0, 260))
+        kind, bits = draw(st.sampled_from(("zero", "single", "dense", "dense"))), draw(st.integers(0, 600))
         row = [0] * length
         if kind == "single":
             row[rng.randrange(length)] = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
@@ -170,12 +170,12 @@ def test_packed_row_products_match_the_column_products(data):
     left = data.draw(integer_rows(data.draw(st.integers(1, 4)), k))
     first, second, packs = packed_products(left, block, width)
     assert first == second == column_products(left, block)
-    # A row packs unless an entry passes _PACKED_BITS.
-    within = [max(map(abs, row)).bit_length() <= exactalg._PACKED_BITS for row in left]
-    assert bool(packs) == any(within)
+    # Every row packs, whatever the size of its entries: the form holds the pack for each row's w.
+    widths = {-(-(max(map(abs, row)).bit_length() + packs.bits) // 64) * 64 for row in left}
+    assert set(packs) == widths
 
 
-@pytest.mark.parametrize("k,b,c", [(31, 29, 30), (31, 61, 62), (31, 100, 87), (15, 30, 30), (15, 3, 121)])
+@pytest.mark.parametrize("k,b,c", [(31, 29, 30), (31, 61, 62), (31, 100, 87), (31, 250, 65), (15, 30, 30), (15, 3, 121)])
 @pytest.mark.parametrize("sign", (1, -1))
 def test_packed_digits_at_their_bound(k, b, c, sign):
     # Rows of 2^b - 1 against a block of -(2^c - 1) (or +): every entry of
